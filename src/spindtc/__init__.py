@@ -7,9 +7,10 @@ from .errors import (SpinDtcError, ShapeError, CapacityError,
                      DegenerateInformationError, CheckpointError)
 from .spin_algebra import (SpinOperators, LocalState, spin_matrices,
                            axis_eigenbasis, coherent_axis_state)
-from .hilbert import (SystemShape, PureState, DensityMatrix, basis_index,
-                      split_index, product_state, x_polarized_state, inner,
-                      fidelity, reduced_central_density, von_neumann_entropy)
+from .hilbert import (SystemShape, CollectiveShape, PureState, DensityMatrix,
+                      basis_index, split_index, product_state,
+                      x_polarized_state, inner, fidelity,
+                      reduced_central_density, von_neumann_entropy)
 from .floquet import (DriveParams, StepTables, precompute, apply_kick,
                       apply_interaction, evolve, u_squared_class,
                       two_period_residual_phases, oracle_unitaries,

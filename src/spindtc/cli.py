@@ -1,6 +1,9 @@
 """Command-line front end: trajectories, classification, sweeps, Fisher
 information scans and milestone-state inspection.
 
+evolve, classify, sweep and qfi run on the collective layout
+(hilbert.CollectiveShape); states prints amplitudes in the 2^n basis.
+
 Angles accept raw radians or a pi suffix ("2pi", "pi", "0.5pi", "pi/2");
 spins are rational strings ("1/2", "2", "5/2") so only integer two_s values
 exist internally. A key=value config file supplies defaults that explicit
@@ -13,7 +16,8 @@ import sys
 import numpy as np
 
 from .errors import SpinDtcError, ShapeError, NotTabulatedError
-from .hilbert import SystemShape, x_polarized_state, split_index
+from .hilbert import (SystemShape, CollectiveShape, x_polarized_state,
+                      split_index)
 from .floquet import DriveParams, precompute, evolve
 from .observables import make_recorder
 from .diagnostics import predict_dtc_class, detect_period, classify_subsystem
@@ -203,7 +207,7 @@ def _close_out(fh):
 
 def _cmd_evolve(args) -> int:
     _require(args, "n_sat", "spin", "lam", "g", "periods")
-    shape = SystemShape(args.n_sat, args.spin)
+    shape = CollectiveShape(args.n_sat, args.spin)
     state = x_polarized_state(shape)
     tables = precompute(shape, DriveParams.symmetric(args.lam, args.g))
     traj = evolve(state, tables, args.periods, make_recorder(state.copy()))
@@ -228,7 +232,7 @@ def _cmd_classify(args) -> int:
     periods = args.periods if args.periods is not None else 64
     epsilon = args.epsilon if args.epsilon is not None else 1e-8
 
-    shape = SystemShape(args.n_sat, args.spin)
+    shape = CollectiveShape(args.n_sat, args.spin)
     state = x_polarized_state(shape)
     tables = precompute(shape, DriveParams.symmetric(lam, g))
     traj = evolve(state, tables, periods, make_recorder(state.copy()))
@@ -253,7 +257,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     _require(args, "n_sat", "spin", "output")
-    shape = SystemShape(args.n_sat, args.spin)
+    shape = CollectiveShape(args.n_sat, args.spin)
     lam_lo = args.lambda_min if args.lambda_min is not None else 0.0
     lam_hi = args.lambda_max if args.lambda_max is not None else 4 * np.pi
     lam_n = args.lambda_steps if args.lambda_steps is not None else 65
@@ -272,11 +276,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_qfi(args) -> int:
-    _require(args, "n_sat", "spin", "lam", "g")
+    _require(args, "spin", "lam", "g")
     delta = args.delta if args.delta is not None else DEFAULT_DELTA
     params = DriveParams.symmetric(args.lam, args.g)
     rows = []
     if args.periods_list:
+        _require(args, "n_sat")
         for n in args.periods_list:
             rows.append((args.n_sat, args.spin, n))
     if args.sizes:
@@ -289,7 +294,7 @@ def _cmd_qfi(args) -> int:
     try:
         fh.write(QFI_HEADER + "\n")
         for n_sat, two_s, n in rows:
-            q = qfi_matrix(SystemShape(n_sat, two_s), params, n, delta)
+            q = qfi_matrix(CollectiveShape(n_sat, two_s), params, n, delta)
             try:
                 gain = sensing_gain(q)
             except SpinDtcError:

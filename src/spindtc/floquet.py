@@ -5,6 +5,11 @@ then interaction U_0 = exp(i lambda sum_i S_i^x S_c^x). The kick is diagonal
 in the joint z basis; the interaction is diagonal after rotating every
 satellite qubit and the central spin into their x eigenbases. Period cost is
 O(D * (n_sat + d)) instead of the dense O(D^2).
+
+On a CollectiveShape the satellite factor is the Dicke ladder of
+J = n_sat/2: its magnetic numbers are the J^z eigenvalues and its z<->x
+rotation is one dense (n_sat+1)^2 matrix, the kicked-top reduction of
+Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987), applied to two coupled spins.
 """
 
 from dataclasses import dataclass
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, CapacityError
-from .hilbert import SystemShape, PureState
+from .hilbert import SystemShape, CollectiveShape, PureState
 from .spin_algebra import spin_matrices, axis_eigenbasis
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -52,6 +57,9 @@ class StepTables:
     kick_phases: np.ndarray          # diagonal of U_d in the joint z basis
     interaction_phases: np.ndarray   # diagonal of U_0 in the joint x basis
     central_x_rotation: np.ndarray   # columns: x eigenbasis of the central spin
+    # columns: x eigenbasis of the collective satellite spin; None on the
+    # 2^n layout, which rotates every satellite qubit instead
+    satellite_x_rotation: np.ndarray | None = None
 
 
 def _popcounts(n_bits: int) -> np.ndarray:
@@ -62,13 +70,17 @@ def _popcounts(n_bits: int) -> np.ndarray:
     return pc
 
 
+def _satellite_m(shape: SystemShape) -> np.ndarray:
+    """Total satellite S^z per satellite index (S^x in the x basis)."""
+    n = shape.n_sat
+    down = np.arange(n + 1) if isinstance(shape, CollectiveShape) else _popcounts(n)
+    return n / 2.0 - down
+
+
 def precompute(shape: SystemShape, params: DriveParams) -> StepTables:
-    """Build the phase tables and central basis rotation for the shape."""
-    n, d = shape.n_sat, shape.central_dim
-    s = shape.s
-    pc = _popcounts(n)
-    m_sat = (n - 2 * pc) / 2.0                 # total satellite S^z (or S^x in x basis)
-    m_c = s - np.arange(d)                     # central level, descending
+    """Build the phase tables and basis rotations for the shape."""
+    m_sat = _satellite_m(shape)
+    m_c = shape.s - np.arange(shape.central_dim)   # central level, descending
 
     kick = np.exp(-1j * params.g_s * m_sat)[:, None] * np.exp(-1j * params.g_c * m_c)[None, :]
     interaction = np.exp(1j * params.lam * m_sat[:, None] * m_c[None, :])
@@ -77,6 +89,8 @@ def precompute(shape: SystemShape, params: DriveParams) -> StepTables:
         kick_phases=kick.reshape(-1),
         interaction_phases=interaction.reshape(-1),
         central_x_rotation=axis_eigenbasis(shape.two_s, "x"),
+        satellite_x_rotation=(axis_eigenbasis(shape.n_sat, "x")
+                              if isinstance(shape, CollectiveShape) else None),
     )
 
 
@@ -113,15 +127,23 @@ def apply_interaction(state: PureState, tables: StepTables) -> PureState:
     d = shape.central_dim
     amps = state.amplitudes
     vc = tables.central_x_rotation
+    vs = tables.satellite_x_rotation
 
-    _hadamard_all_satellites(amps, shape)
     mat = amps.reshape(-1, d)
+    if vs is None:
+        _hadamard_all_satellites(amps, shape)   # z -> x on every satellite qubit
+    else:
+        mat = vs.conj().T @ mat                 # z -> x on the collective spin
     mat = mat @ vc.conj()                       # z -> x on the central factor
     mat *= tables.interaction_phases.reshape(-1, d)
     mat = mat @ vc.T                            # x -> z
-    _hadamard_all_satellites(mat.reshape(-1), shape)
+    if vs is None:
+        _hadamard_all_satellites(mat.reshape(-1), shape)
+    else:
+        mat = vs @ mat
     state.amplitudes = mat.reshape(-1)
-    _op_count += shape.dim * (2 * shape.n_sat + 4 * d + 1)
+    sat_ops = 2 * shape.n_sat if vs is None else 4 * (shape.n_sat + 1)
+    _op_count += shape.dim * (sat_ops + 4 * d + 1)
     return state
 
 
@@ -168,12 +190,12 @@ def two_period_residual_phases(shape: SystemShape, params: DriveParams) -> np.nd
     satellites and/or exp(-i 2 g_c S_c^z) on the central spin (identity when
     both parities protect their subsystem).
     """
-    n, d = shape.n_sat, shape.central_dim
-    label = u_squared_class(n, shape.two_s)
-    m_sat = (n - 2 * _popcounts(n)) / 2.0
+    d = shape.central_dim
+    label = u_squared_class(shape.n_sat, shape.two_s)
+    m_sat = _satellite_m(shape)
     m_c = shape.s - np.arange(d)
     sat = np.exp(-2j * params.g_s * m_sat) if label in ("satellite_rotation_only", "both_rotate") \
-        else np.ones(1 << n, dtype=complex)
+        else np.ones(m_sat.size, dtype=complex)
     cen = np.exp(-2j * params.g_c * m_c) if label in ("central_rotation_only", "both_rotate") \
         else np.ones(d, dtype=complex)
     return (sat[:, None] * cen[None, :]).reshape(-1)

@@ -5,6 +5,14 @@ bitstring k_sat reads site 0 as the least significant bit, bit = 1 means
 z-down; l_c in {0..two_s} labels central S^z levels in descending order
 (l_c = 0 is m = +s). The central index is the fastest-varying one, so the
 interaction phase per amplitude follows from popcount and l_c alone.
+
+A CollectiveShape uses the same layout with k_sat in {0..n_sat} counting
+down spins on the Dicke ladder of the total satellite spin J = n_sat/2
+(k_sat = 0 is m = +J). It holds every state symmetric under satellite
+permutations, the x-polarized product and all its drive evolutions among
+them, in (n_sat + 1)(2s + 1) amplitudes instead of 2^n_sat (2s + 1).
+Functions that only need the central index to vary fastest (inner products,
+the reduced central density, entropy) work on both layouts.
 """
 
 from dataclasses import dataclass
@@ -28,10 +36,15 @@ class SystemShape:
     def __post_init__(self):
         if self.n_sat < 1 or self.two_s < 1:
             raise ShapeError(f"need n_sat >= 1 and two_s >= 1, got {self}")
-        if self.dim > MAX_DIMENSION:
+        if self.largest_allocation > MAX_DIMENSION:
             raise CapacityError(
-                f"dimension {2**self.n_sat}*{self.two_s + 1} exceeds budget {MAX_DIMENSION}"
-            )
+                f"{self} needs an array of {self.largest_allocation} entries, "
+                f"over the budget {MAX_DIMENSION}")
+
+    @property
+    def largest_allocation(self) -> int:
+        """Entries of the largest array the engine allocates for the shape."""
+        return self.dim
 
     @property
     def central_dim(self) -> int:
@@ -44,6 +57,23 @@ class SystemShape:
     @property
     def s(self) -> float:
         return self.two_s / 2.0
+
+
+@dataclass(frozen=True)
+class CollectiveShape(SystemShape):
+    """Satellites as one spin J = n_sat/2: the permutation-symmetric subspace.
+
+    Its largest allocation is the dense (n_sat+1)^2 satellite rotation (or
+    the (2s+1)^2 central one), so n_sat is not limited by 2^n_sat.
+    """
+
+    @property
+    def dim(self) -> int:
+        return (self.n_sat + 1) * (self.two_s + 1)
+
+    @property
+    def largest_allocation(self) -> int:
+        return max(self.n_sat + 1, self.two_s + 1) ** 2
 
 
 @dataclass
@@ -68,7 +98,7 @@ class DensityMatrix:
 
 def basis_index(shape: SystemShape, k_sat: int, l_c: int) -> int:
     """Encode (satellite bitstring, central level) into a global index."""
-    if not (0 <= k_sat < (1 << shape.n_sat)) or not (0 <= l_c <= shape.two_s):
+    if not (0 <= k_sat < shape.dim // shape.central_dim) or not (0 <= l_c <= shape.two_s):
         raise ShapeError(f"(k_sat={k_sat}, l_c={l_c}) out of range for {shape}")
     return k_sat * shape.central_dim + l_c
 
@@ -83,6 +113,8 @@ def split_index(shape: SystemShape, i: int) -> tuple[int, int]:
 def product_state(shape: SystemShape, sat_locals: list[LocalState],
                   central_local: LocalState) -> PureState:
     """Tensor product of per-site states in the declared index layout."""
+    if isinstance(shape, CollectiveShape):
+        raise ShapeError(f"{shape} holds no per-satellite product states")
     if len(sat_locals) != shape.n_sat:
         raise ShapeError(f"expected {shape.n_sat} satellite states, got {len(sat_locals)}")
     if central_local.dim != shape.central_dim:
@@ -101,8 +133,12 @@ def product_state(shape: SystemShape, sat_locals: list[LocalState],
 
 def x_polarized_state(shape: SystemShape) -> PureState:
     """All satellites in |+x>, central spin in |+s>^x."""
-    plus_x = coherent_axis_state(1, "x", "+")
     central = coherent_axis_state(shape.two_s, "x", "+")
+    if isinstance(shape, CollectiveShape):
+        # |+x>^n_sat is the extremal J^x state |J, +J>^x of the collective spin
+        sat = coherent_axis_state(shape.n_sat, "x", "+")
+        return PureState(shape, np.kron(sat.amplitudes, central.amplitudes).astype(complex))
+    plus_x = coherent_axis_state(1, "x", "+")
     return product_state(shape, [plus_x] * shape.n_sat, central)
 
 

@@ -6,12 +6,13 @@ signal with the +-1/2 (satellite) and +-s (central) ranges.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ShapeError
-from .hilbert import (PureState, fidelity, reduced_central_density,
-                      von_neumann_entropy)
+from .hilbert import (CollectiveShape, PureState, fidelity,
+                      reduced_central_density, von_neumann_entropy)
 from .spin_algebra import spin_matrices
 
 
@@ -24,10 +25,26 @@ class TrajectoryRecord:
     fidelity_initial: float
 
 
+@lru_cache(maxsize=32)
+def _spin_component(two_s: int, axis: str) -> np.ndarray:
+    """S^axis for spin two_s/2, built once and shared read-only."""
+    ops = spin_matrices(two_s)
+    try:
+        op = {"x": ops.sx, "y": ops.sy, "z": ops.sz}[axis]
+    except KeyError:
+        raise ShapeError(f"axis must be x, y or z, got {axis!r}") from None
+    op.flags.writeable = False
+    return op
+
+
 def _satellite_magnetization(state: PureState, axis: str) -> float:
     shape = state.shape
     amps = state.amplitudes
     d = shape.central_dim
+    if isinstance(shape, CollectiveShape):
+        mat = amps.reshape(-1, d)
+        op = _spin_component(shape.n_sat, axis)
+        return float(np.vdot(mat, op @ mat).real) / shape.n_sat
     total = 0.0
     if axis == "z":
         # diagonal: bit = 1 means z-down
@@ -54,11 +71,7 @@ def _satellite_magnetization(state: PureState, axis: str) -> float:
 
 def _central_magnetization(state: PureState, axis: str) -> float:
     shape = state.shape
-    ops = spin_matrices(shape.two_s)
-    try:
-        op = {"x": ops.sx, "y": ops.sy, "z": ops.sz}[axis]
-    except KeyError:
-        raise ShapeError(f"axis must be x, y or z, got {axis!r}") from None
+    op = _spin_component(shape.two_s, axis)
     mat = state.amplitudes.reshape(-1, shape.central_dim)
     return float(np.einsum("ka,ab,kb->", mat.conj(), op, mat).real)
 

@@ -5,6 +5,7 @@ z basis ordered by descending magnetic quantum number (index l holds m = s - l).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,16 +52,20 @@ def spin_matrices(two_s: int) -> SpinOperators:
     return SpinOperators(two_s=int(two_s), sx=sx, sy=sy, sz=sz)
 
 
+@lru_cache(maxsize=64, typed=True)
 def axis_eigenbasis(two_s: int, axis: str) -> np.ndarray:
     """Unitary whose columns are eigenvectors of the requested spin component.
 
     Columns are ordered by descending eigenvalue (column l holds m = s - l)
     and each column's phase is fixed so its first nonzero entry is real
-    positive, making the matrix deterministic.
+    positive, making the matrix deterministic. Built once per (two_s, axis)
+    and shared, so the array is read-only.
     """
     ops = spin_matrices(two_s)
     if axis == "z":
-        return np.eye(two_s + 1, dtype=complex)
+        eye = np.eye(two_s + 1, dtype=complex)
+        eye.flags.writeable = False
+        return eye
     try:
         op = {"x": ops.sx, "y": ops.sy}[axis]
     except KeyError:
@@ -73,6 +78,7 @@ def axis_eigenbasis(two_s: int, axis: str) -> np.ndarray:
         idx = np.argmax(np.abs(v) > 1e-12)
         phase = v[idx] / abs(v[idx])
         vecs[:, col] = v / phase
+    vecs.flags.writeable = False
     return vecs
 
 

@@ -3,8 +3,9 @@
 Grid points are independent trajectories from the x-polarized initial state,
 so the scan is embarrassingly parallel; results are gathered into row-major
 order (lambda outer, g inner) regardless of completion order, making output
-bitwise identical for any worker count. Checkpoints let an interrupted scan
-resume without recomputing finished points.
+bitwise identical for any worker count. Every point is computed on the
+collective layout (hilbert.CollectiveShape). Checkpoints let an interrupted
+scan resume without recomputing finished points.
 """
 
 import csv
@@ -15,8 +16,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ShapeError, CapacityError, CheckpointError
-from .hilbert import SystemShape, x_polarized_state
+from .errors import ShapeError, CheckpointError
+from .hilbert import SystemShape, CollectiveShape, x_polarized_state
 from .floquet import DriveParams, precompute, evolve
 from .observables import make_recorder
 from .diagnostics import stroboscopic_average, relative_order_parameter
@@ -27,6 +28,8 @@ CSV_COMMENT = ("# avg_entropy is the mean central-satellite entanglement "
                "entropy over every period 1..periods")
 
 _RECORD_STRUCT = struct.Struct("<I7d")   # grid index + seven float64 fields
+_RECORD_LENGTH = struct.pack("<I", _RECORD_STRUCT.size)   # each record's prefix
+_RECORD_BYTES = len(_RECORD_LENGTH) + _RECORD_STRUCT.size
 
 
 @dataclass(frozen=True)
@@ -92,13 +95,8 @@ def compute_point(shape: SystemShape, lam: float, g: float,
 
 def _point_task(args) -> tuple[int, PhaseMapRecord]:
     index, n_sat, two_s, lam, g, periods, stride = args
-    shape = SystemShape(n_sat, two_s)
-    try:
-        rec = compute_point(shape, lam, g, periods, stride)
-    except CapacityError:
-        nan = float("nan")
-        rec = PhaseMapRecord(lam, g, nan, nan, nan, nan, nan)
-    return index, rec
+    return index, compute_point(CollectiveShape(n_sat, two_s), lam, g,
+                                periods, stride)
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -115,13 +113,19 @@ def run_grid(spec: GridSpec, workers: int | None = None,
     """Scan the grid, row-major (lambda outer, g inner).
 
     With checkpoint_path, finished points are appended to the checkpoint as
-    they complete and a restart skips them.
+    they complete and a restart skips them. A trailing record cut short by a
+    crash mid-write is dropped from the file and its point recomputed; a
+    record whose (lambda, g) is not this grid's raises CheckpointError.
     """
     lams = spec.axis("lambda")
     gs = spec.axis("g")
     done: dict[int, PhaseMapRecord] = {}
     if checkpoint_path and os.path.exists(checkpoint_path):
-        done = dict(read_checkpoint(checkpoint_path))
+        # appending after a cut record would corrupt the file for good
+        _drop_cut_record(checkpoint_path)
+        records = read_checkpoint(checkpoint_path)
+        _check_grid(spec, records, checkpoint_path)
+        done = dict(records)
     tasks = []
     for i, lam in enumerate(lams):
         for j, g in enumerate(gs):
@@ -165,6 +169,43 @@ def _write_checkpoint_record(fh, index: int, rec: PhaseMapRecord) -> None:
     fh.write(struct.pack("<I", len(payload)))
     fh.write(payload)
     fh.flush()
+
+
+def _check_grid(spec: GridSpec, records, path: str) -> None:
+    """Every stored record must sit on this grid at its index; both sides
+    come from the same np.linspace, so (lambda, g) compare exactly."""
+    lams, gs = spec.axis("lambda"), spec.axis("g")
+    for index, rec in records:
+        if index >= spec.n_points:
+            raise CheckpointError(
+                f"{path}: record index {index} is outside the "
+                f"{spec.n_points}-point grid")
+        i, j = divmod(index, len(gs))
+        if (rec.lam, rec.g) != (lams[i], gs[j]):
+            raise CheckpointError(
+                f"{path}: record {index} is at (lambda, g) = ({rec.lam!r}, "
+                f"{rec.g!r}), the grid has ({float(lams[i])!r}, "
+                f"{float(gs[j])!r}); the checkpoint was written for another grid")
+
+
+def _drop_cut_record(path: str) -> None:
+    """Truncate a checkpoint that ends inside a record, as a crash mid-write
+    leaves it, to the end of its last whole record. Records have one size,
+    so the cut is whatever follows the last whole one; read_checkpoint still
+    rejects every other malformation."""
+    size = os.path.getsize(path)
+    magic = len(CHECKPOINT_MAGIC)
+    if size < magic:
+        return
+    whole = size - (size - magic) % _RECORD_BYTES
+    if whole == size:
+        return
+    with open(path, "rb") as fh:
+        head = fh.read(magic)
+        fh.seek(whole)
+        tail = fh.read(len(_RECORD_LENGTH))
+    if head == CHECKPOINT_MAGIC and _RECORD_LENGTH.startswith(tail):
+        os.truncate(path, whole)
 
 
 def read_checkpoint(path: str) -> list[tuple[int, PhaseMapRecord]]:

@@ -57,6 +57,25 @@ def test_evolve_csv(tmp_path, capsys):
             assert float(fid) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_evolve_beyond_the_full_engine(tmp_path):
+    # 41 satellites: 2^41 amplitudes for the full engine, 42 x 6 collectively;
+    # criterion 01's exact values hold at every even period
+    out = tmp_path / "traj.csv"
+    code = parse_and_dispatch(["evolve", "--n-sat", "41", "--spin", "5/2",
+                               "--lambda", "2pi", "--g", "3.0",
+                               "--periods", "200", "--output", str(out)])
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")]
+            for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 200
+    for n, m_sat, m_c, entropy, fid in rows:
+        if n % 2 == 0:
+            assert abs(fid - 1.0) < 1e-10
+            assert abs(m_sat - 0.5) < 1e-10
+            assert abs(m_c - 2.5) < 1e-10
+            assert entropy < 1e-10
+
+
 def test_evolve_zero_periods(tmp_path):
     out = tmp_path / "empty.csv"
     code = parse_and_dispatch(["evolve", "--n-sat", "2", "--spin", "1/2",
@@ -107,6 +126,16 @@ def test_sweep_and_config(tmp_path):
     assert len(out2.read_text().splitlines()) == 8
 
 
+def test_sweep_rejects_checkpoint_of_another_grid(tmp_path, capsys):
+    ckpt = str(tmp_path / "map.ckpt")
+    argv = ["sweep", "--n-sat", "3", "--spin", "1/2", "--lambda-steps", "2",
+            "--g-steps", "2", "--periods", "4", "--workers", "1",
+            "--checkpoint", ckpt, "--output", str(tmp_path / "map.csv")]
+    assert parse_and_dispatch(argv) == 0
+    assert parse_and_dispatch(argv + ["--g-min", "0.5"]) == 1
+    assert "another grid" in capsys.readouterr().err
+
+
 def test_sweep_missing_output():
     assert parse_and_dispatch(["sweep", "--n-sat", "3", "--spin", "1/2"]) == 2
 
@@ -121,6 +150,19 @@ def test_qfi_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "n_sat,two_s,n_periods,f_ll,f_gg,f_lg,g_scalar,gain"
     assert len(lines) == 5
+
+
+def test_qfi_sizes_without_n_sat(tmp_path):
+    out = tmp_path / "qfi.csv"
+    code = parse_and_dispatch(["qfi", "--spin", "1/2", "--lambda", "pi",
+                               "--g", "pi/2", "--sizes", "2,3", "--periods", "4",
+                               "--output", str(out)])
+    assert code == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [r.split(",")[:3] for r in rows] == [["2", "1", "4"], ["3", "1", "4"]]
+    # --periods-list scans one size, so it still needs --n-sat
+    assert parse_and_dispatch(["qfi", "--spin", "1/2", "--lambda", "pi",
+                               "--g", "pi/2", "--periods-list", "4,8"]) == 2
 
 
 def test_qfi_singular_row(tmp_path, capsys):

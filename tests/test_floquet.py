@@ -1,9 +1,13 @@
+from math import comb
+
 import numpy as np
 import pytest
 
 from spindtc.errors import ShapeError, CapacityError
 from spindtc.spin_algebra import coherent_axis_state
-from spindtc.hilbert import SystemShape, PureState, product_state, x_polarized_state, fidelity
+from spindtc.hilbert import (SystemShape, CollectiveShape, PureState,
+                             product_state, x_polarized_state, fidelity)
+from spindtc.observables import make_recorder
 from spindtc.floquet import (DriveParams, precompute, apply_kick,
                              apply_interaction, evolve, u_squared_class,
                              two_period_residual_phases, oracle_unitaries,
@@ -181,3 +185,41 @@ def test_op_count_scaling():
         got = ops_per_period(n_sat, two_s)
         bound = 8 * sh.dim * (n_sat + sh.central_dim + 1)
         assert got <= bound
+
+
+def _embed(state: PureState, full: SystemShape) -> np.ndarray:
+    """Collective amplitudes c[k, l] spread over the 2^n basis as
+    c[k, l] / sqrt(C(n, k)) on every bitstring with k down spins."""
+    n, d = full.n_sat, full.central_dim
+    down = np.array([bin(b).count("1") for b in range(1 << n)])
+    norms = np.sqrt([comb(n, k) for k in range(n + 1)])
+    c = state.amplitudes.reshape(n + 1, d)
+    return (c[down] / norms[down, None]).reshape(-1)
+
+
+def test_collective_matches_full_engine():
+    rng = np.random.default_rng(2025)
+    points = [(rng.uniform(0, 4 * np.pi), rng.uniform(0, 2 * np.pi))
+              for _ in range(20)]
+    for n_sat, two_s in ((2, 1), (3, 2), (4, 3), (8, 4), (9, 5)):
+        full, coll = SystemShape(n_sat, two_s), CollectiveShape(n_sat, two_s)
+        for lam, g in points:
+            params = DriveParams.symmetric(lam, g)
+            a, b = x_polarized_state(full), x_polarized_state(coll)
+            np.testing.assert_allclose(_embed(b, full), a.amplitudes, atol=1e-14)
+            rec_a = evolve(a, precompute(full, params), 50, make_recorder(a.copy()))
+            rec_b = evolve(b, precompute(coll, params), 50, make_recorder(b.copy()))
+            assert np.max(np.abs(_embed(b, full) - a.amplitudes)) < 1e-10
+            for ra, rb in zip(rec_a, rec_b):
+                assert ra.n == rb.n
+                for field in ("m_sat_x", "m_c_x", "entropy", "fidelity_initial"):
+                    assert abs(getattr(ra, field) - getattr(rb, field)) < 1e-10
+
+
+def test_collective_two_period_closed_form():
+    sh = CollectiveShape(9, 4)
+    params = DriveParams(lam=2 * np.pi, g_s=0.83, g_c=1.91)
+    st = x_polarized_state(sh)
+    want = two_period_residual_phases(sh, params) * st.amplitudes
+    evolve(st, precompute(sh, params), 2)
+    assert abs(np.vdot(want, st.amplitudes)) == pytest.approx(1.0, abs=1e-10)

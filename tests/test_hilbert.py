@@ -3,7 +3,8 @@ import pytest
 
 from spindtc.errors import ShapeError, CapacityError
 from spindtc.spin_algebra import LocalState, coherent_axis_state
-from spindtc.hilbert import (SystemShape, PureState, DensityMatrix, basis_index,
+from spindtc.hilbert import (SystemShape, CollectiveShape, PureState,
+                             DensityMatrix, basis_index,
                              split_index, product_state, x_polarized_state,
                              inner, fidelity, reduced_central_density,
                              von_neumann_entropy)
@@ -16,6 +17,31 @@ def test_shape_validation():
         SystemShape(2, 0)
     with pytest.raises(CapacityError):
         SystemShape(40, 1)
+
+
+def test_collective_shape():
+    sh = CollectiveShape(41, 5)
+    assert (sh.dim, sh.central_dim, sh.s) == (42 * 6, 6, 2.5)
+    assert CollectiveShape(3, 1) != SystemShape(3, 1)
+    # the bound is the dense (n_sat+1)^2 satellite rotation, not 2^n_sat
+    CollectiveShape(8191, 1)
+    with pytest.raises(CapacityError):
+        CollectiveShape(8192, 1)
+    with pytest.raises(ShapeError):
+        CollectiveShape(0, 1)
+    with pytest.raises(ShapeError):
+        product_state(CollectiveShape(1, 1), [coherent_axis_state(1, "x", "+")],
+                      coherent_axis_state(1, "x", "+"))
+
+
+def test_collective_x_polarized_is_symmetric_product():
+    # |+x>^n on the Dicke ladder: 2^(-n/2) sqrt(C(n, k)) for k down spins
+    from math import comb
+    sh = CollectiveShape(6, 2)
+    st = x_polarized_state(sh).amplitudes.reshape(7, 3)
+    sat = np.array([np.sqrt(comb(6, k)) for k in range(7)]) / 8.0
+    central = coherent_axis_state(2, "x", "+").amplitudes
+    np.testing.assert_allclose(st, np.outer(sat, central), atol=1e-14)
 
 
 def test_shape_properties():

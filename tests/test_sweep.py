@@ -143,6 +143,7 @@ def test_checkpoint_resume_no_recompute(tmp_path):
     ops_full = floquet.op_count()
     assert resumed == full
     # only 4 of 9 points were recomputed
+    assert ops_full > 0
     assert ops_resumed == pytest.approx(ops_full * 4 / 9, rel=1e-12)
 
 
@@ -152,3 +153,39 @@ def test_checkpoint_written_during_run(tmp_path):
     records = run_grid(spec, workers=1, checkpoint_path=path)
     stored = dict(read_checkpoint(path))
     assert [stored[i] for i in range(9)] == records
+
+
+@pytest.mark.parametrize("kept", [2, 34])
+def test_resume_from_cut_record(tmp_path, kept):
+    # a crash mid-write leaves the last record cut after `kept` of its 64
+    # bytes; the resume drops it, recomputes that point and leaves the file
+    # whole, byte for byte as an uninterrupted run writes it
+    spec = _small_spec()
+    path = tmp_path / "cut.bin"
+    fresh = run_grid(spec, workers=1, checkpoint_path=str(path))
+    whole = path.read_bytes()
+    path.write_bytes(whole[:len(whole) - 64 + kept])
+    with pytest.raises(CheckpointError):
+        read_checkpoint(str(path))
+    floquet.reset_op_count()
+    resumed = run_grid(spec, workers=1, checkpoint_path=str(path))
+    assert resumed == fresh
+    assert floquet.op_count() > 0
+    assert path.read_bytes() == whole
+    assert len(read_checkpoint(str(path))) == spec.n_points
+
+
+def test_resume_rejects_checkpoint_of_another_grid(tmp_path):
+    ckpt = tmp_path / "other.bin"
+    path = str(ckpt)
+    run_grid(GridSpec((0.0, 2 * np.pi, 3), (0.2, np.pi, 3), SystemShape(3, 1),
+                      16, 2), workers=1, checkpoint_path=path)
+    written = ckpt.read_bytes()
+    other = GridSpec((1.0, 3.0, 3), (0.5, 1.5, 3), SystemShape(5, 1), 16, 2)
+    with pytest.raises(CheckpointError, match="record 0 is at"):
+        run_grid(other, workers=1, checkpoint_path=path)
+    # same axes on a smaller grid: records 0..5 fit, record 6 does not
+    smaller = GridSpec((0.0, np.pi, 2), (0.2, np.pi, 3), SystemShape(3, 1), 16, 2)
+    with pytest.raises(CheckpointError, match="index 6 is outside"):
+        run_grid(smaller, workers=1, checkpoint_path=path)
+    assert ckpt.read_bytes() == written

@@ -23,7 +23,7 @@ from .observables import make_recorder
 from .diagnostics import predict_dtc_class, detect_period, classify_subsystem
 from .analytic_states import (MilestoneSpec, milestone_state, parity_case_of,
                               supported_time_indices)
-from .metrology import qfi_matrix, sensing_gain, DEFAULT_DELTA
+from .metrology import qfi_matrix, sensing_gain
 from .sweep import GridSpec, run_grid, write_csv
 
 TRAJECTORY_HEADER = "n,m_sat_x,m_c_x,entropy,fidelity"
@@ -106,18 +106,12 @@ def read_config(path: str) -> dict:
     return out
 
 
-_CONFIG_PARSERS = {
-    "n_sat": int, "spin": parse_spin, "lam": parse_angle, "g": parse_angle,
-    "periods": int, "stride": int, "output": str, "time": int,
-    "lambda_steps": int, "g_steps": int, "lambda_min": parse_angle,
-    "lambda_max": parse_angle, "g_min": parse_angle, "g_max": parse_angle,
-    "workers": int, "checkpoint": str, "delta": float,
-    "periods_list": parse_int_list, "sizes": parse_int_list,
-    "regime": str, "epsilon": float,
-}
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The spindtc parser; config (from read_config) replaces flag defaults.
 
-
-def build_parser() -> argparse.ArgumentParser:
+    Config values are strings, so argparse converts each with its flag's
+    own type. A key that is no flag's destination raises ShapeError.
+    """
     parser = argparse.ArgumentParser(
         prog="spindtc",
         description="Exact dynamics of a kicked central-spin system: "
@@ -140,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="write a stroboscopic trajectory CSV")
     shape_flags(p)
     drive_flags(p)
-    p.add_argument("--periods", type=int, default=None, help="drive periods to run")
+    p.add_argument("--periods", type=int, help="drive periods to run")
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
 
     p = sub.add_parser("classify", help="tabulated DTC prediction vs measured period")
@@ -148,22 +142,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", choices=sorted(_REGIMES), default=None,
                    help="which classification table to use")
     drive_flags(p)
-    p.add_argument("--periods", type=int, default=None,
-                   help="trajectory length for the measurement (default 64)")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="revival fidelity tolerance (default 1e-8)")
+    p.add_argument("--periods", type=int, default=64,
+                   help="trajectory length for the measurement (default %(default)s)")
+    p.add_argument("--epsilon", type=float, default=1e-8,
+                   help="revival fidelity tolerance (default %(default)s)")
 
     p = sub.add_parser("sweep", help="(lambda, g) grid scan to a phase-map CSV")
     shape_flags(p)
-    p.add_argument("--lambda-min", dest="lambda_min", type=parse_angle, default=None)
-    p.add_argument("--lambda-max", dest="lambda_max", type=parse_angle, default=None)
-    p.add_argument("--lambda-steps", dest="lambda_steps", type=int, default=None)
-    p.add_argument("--g-min", dest="g_min", type=parse_angle, default=None)
-    p.add_argument("--g-max", dest="g_max", type=parse_angle, default=None)
-    p.add_argument("--g-steps", dest="g_steps", type=int, default=None)
-    p.add_argument("--periods", type=int, default=None)
-    p.add_argument("--stride", type=int, default=None,
-                   help="stroboscopic sampling stride (default 2)")
+    p.add_argument("--lambda-min", dest="lambda_min", type=parse_angle,
+                   default="0", help="lowest lambda (default %(default)s)")
+    p.add_argument("--lambda-max", dest="lambda_max", type=parse_angle,
+                   default="4pi", help="highest lambda (default %(default)s)")
+    p.add_argument("--lambda-steps", dest="lambda_steps", type=int, default=65,
+                   help="grid points along lambda (default %(default)s)")
+    p.add_argument("--g-min", dest="g_min", type=parse_angle, default="0",
+                   help="lowest g (default %(default)s)")
+    p.add_argument("--g-max", dest="g_max", type=parse_angle, default="2pi",
+                   help="highest g (default %(default)s)")
+    p.add_argument("--g-steps", dest="g_steps", type=int, default=33,
+                   help="grid points along g (default %(default)s)")
+    p.add_argument("--periods", type=int, default=200,
+                   help="drive periods per point (default %(default)s)")
+    p.add_argument("--stride", type=int, default=2,
+                   help="stroboscopic sampling stride (default %(default)s)")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes (DTC_WORKERS caps this)")
     p.add_argument("--checkpoint", default=None,
@@ -177,16 +178,24 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None, help="comma list of period counts, e.g. 8,16,24")
     p.add_argument("--sizes", type=parse_int_list, default=None,
                    help="comma list of satellite counts scanned at fixed periods")
-    p.add_argument("--periods", type=int, default=None,
-                   help="period count used with --sizes (default 48)")
-    p.add_argument("--delta", type=float, default=None,
-                   help=f"finite-difference step (default {DEFAULT_DELTA})")
+    p.add_argument("--periods", type=int, default=48,
+                   help="period count used with --sizes (default %(default)s)")
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
 
     p = sub.add_parser("states", help="print milestone-state amplitudes")
     shape_flags(p)
     p.add_argument("--time", type=int, default=None,
                    help="milestone period index (omit to list supported ones)")
+
+    if config:
+        known = set()
+        for p in sub.choices.values():
+            dests = {a.dest for a in p._actions} - {"help"}
+            p.set_defaults(**{k: v for k, v in config.items() if k in dests})
+            known |= dests
+        unknown = sorted(set(config) - known)
+        if unknown:
+            raise ShapeError(f"unknown config key {unknown[0]!r}")
     return parser
 
 
@@ -224,18 +233,18 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_classify(args) -> int:
     _require(args, "n_sat", "spin", "regime")
+    if args.regime not in _REGIMES:     # a config value skips argparse's choices
+        raise ShapeError(f"unknown regime {args.regime!r}")
     regime = _REGIMES[args.regime]
     pred = predict_dtc_class(args.n_sat, args.spin, regime)
     lam_d, g_d = _REGIME_POINTS[args.regime]
     lam = args.lam if args.lam is not None else lam_d
     g = args.g if args.g is not None else g_d
-    periods = args.periods if args.periods is not None else 64
-    epsilon = args.epsilon if args.epsilon is not None else 1e-8
 
     shape = CollectiveShape(args.n_sat, args.spin)
     state = x_polarized_state(shape)
     tables = precompute(shape, DriveParams.symmetric(lam, g))
-    traj = evolve(state, tables, periods, make_recorder(state.copy()))
+    traj = evolve(state, tables, args.periods, make_recorder(state.copy()))
     print(f"shape ({args.n_sat}, s={args.spin}/2) at lambda={lam:.10g}, g={g:.10g}")
     if regime == "lambda_2pi":
         m_sat = [0.5] + [r.m_sat_x for r in traj]
@@ -246,7 +255,7 @@ def _cmd_classify(args) -> int:
               f"{pred.central_behavior} ({pred.label})")
         print(f"measured satellites {meas_sat}, central {meas_c}")
         return 0
-    report = detect_period(traj, epsilon)
+    report = detect_period(traj, args.epsilon)
     measured = report.detected_period if report.detected_period is not None else "none"
     print(f"predicted {pred.period}, measured {measured}")
     if regime.startswith("regular"):
@@ -257,17 +266,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     _require(args, "n_sat", "spin", "output")
-    shape = CollectiveShape(args.n_sat, args.spin)
-    lam_lo = args.lambda_min if args.lambda_min is not None else 0.0
-    lam_hi = args.lambda_max if args.lambda_max is not None else 4 * np.pi
-    lam_n = args.lambda_steps if args.lambda_steps is not None else 65
-    g_lo = args.g_min if args.g_min is not None else 0.0
-    g_hi = args.g_max if args.g_max is not None else 2 * np.pi
-    g_n = args.g_steps if args.g_steps is not None else 33
-    periods = args.periods if args.periods is not None else 200
-    stride = args.stride if args.stride is not None else 2
-    spec = GridSpec((lam_lo, lam_hi, lam_n), (g_lo, g_hi, g_n),
-                    shape, periods, stride)
+    spec = GridSpec((args.lambda_min, args.lambda_max, args.lambda_steps),
+                    (args.g_min, args.g_max, args.g_steps),
+                    CollectiveShape(args.n_sat, args.spin), args.periods,
+                    args.stride)
     records = run_grid(spec, workers=args.workers,
                        checkpoint_path=args.checkpoint)
     write_csv(records, args.output)
@@ -277,7 +279,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_qfi(args) -> int:
     _require(args, "spin", "lam", "g")
-    delta = args.delta if args.delta is not None else DEFAULT_DELTA
     params = DriveParams.symmetric(args.lam, args.g)
     rows = []
     if args.periods_list:
@@ -285,16 +286,15 @@ def _cmd_qfi(args) -> int:
         for n in args.periods_list:
             rows.append((args.n_sat, args.spin, n))
     if args.sizes:
-        fixed_n = args.periods if args.periods is not None else 48
         for n_sat in args.sizes:
-            rows.append((n_sat, args.spin, fixed_n))
+            rows.append((n_sat, args.spin, args.periods))
     if not rows:
         raise ShapeError("need --periods-list and/or --sizes")
     fh = _open_out(args.output)
     try:
         fh.write(QFI_HEADER + "\n")
         for n_sat, two_s, n in rows:
-            q = qfi_matrix(CollectiveShape(n_sat, two_s), params, n, delta)
+            q = qfi_matrix(CollectiveShape(n_sat, two_s), params, n)
             try:
                 gain = sensing_gain(q)
             except SpinDtcError:
@@ -338,22 +338,15 @@ _COMMANDS = {
 
 
 def parse_and_dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if args.config:
+            args = build_parser(read_config(args.config)).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.config:
-        try:
-            raw = read_config(args.config)
-            for key, value in raw.items():
-                if key not in _CONFIG_PARSERS:
-                    raise ShapeError(f"unknown config key {key!r}")
-                if getattr(args, key, None) is None:
-                    setattr(args, key, _CONFIG_PARSERS[key](value))
-        except (OSError, SpinDtcError, argparse.ArgumentTypeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    except (OSError, SpinDtcError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.command](args)
     except (ShapeError, NotTabulatedError) as exc:

@@ -18,7 +18,7 @@ class NotTabulatedError(SpinDtcError):
 
 
 class StepSizeError(SpinDtcError):
-    """Finite-difference step too small for reliable overlaps."""
+    """Finite-difference step is not positive."""
 
 
 class DegenerateInformationError(SpinDtcError):

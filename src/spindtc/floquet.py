@@ -70,17 +70,20 @@ def _popcounts(n_bits: int) -> np.ndarray:
     return pc
 
 
-def _satellite_m(shape: SystemShape) -> np.ndarray:
-    """Total satellite S^z per satellite index (S^x in the x basis)."""
+def magnetic_numbers(shape: SystemShape) -> tuple[np.ndarray, np.ndarray]:
+    """(total satellite S^z per satellite index, central S^z per level,
+    descending).
+
+    The same numbers are the S^x eigenvalues in the joint x basis.
+    """
     n = shape.n_sat
     down = np.arange(n + 1) if isinstance(shape, CollectiveShape) else _popcounts(n)
-    return n / 2.0 - down
+    return n / 2.0 - down, shape.s - np.arange(shape.central_dim)
 
 
 def precompute(shape: SystemShape, params: DriveParams) -> StepTables:
     """Build the phase tables and basis rotations for the shape."""
-    m_sat = _satellite_m(shape)
-    m_c = shape.s - np.arange(shape.central_dim)   # central level, descending
+    m_sat, m_c = magnetic_numbers(shape)
 
     kick = np.exp(-1j * params.g_s * m_sat)[:, None] * np.exp(-1j * params.g_c * m_c)[None, :]
     interaction = np.exp(1j * params.lam * m_sat[:, None] * m_c[None, :])
@@ -119,30 +122,42 @@ def _hadamard_all_satellites(amps: np.ndarray, shape: SystemShape) -> None:
         inner *= 2
 
 
+def to_x_basis(mat: np.ndarray, tables: StepTables) -> np.ndarray:
+    """Rotate states from the joint z basis to the joint x basis.
+
+    mat holds states as (..., satellite index, central level), any leading
+    axes, C-contiguous; it is overwritten on the 2^n layout. Returns the
+    rotated states in the same shape.
+    """
+    vs = tables.satellite_x_rotation
+    if vs is None:
+        _hadamard_all_satellites(mat, tables.shape)   # every satellite qubit
+    else:
+        mat = vs.conj().T @ mat                       # the collective spin
+    return mat @ tables.central_x_rotation.conj()
+
+
+def from_x_basis(mat: np.ndarray, tables: StepTables) -> np.ndarray:
+    """Inverse of to_x_basis, with the same layout and overwrite rules."""
+    mat = mat @ tables.central_x_rotation.T
+    vs = tables.satellite_x_rotation
+    if vs is None:
+        _hadamard_all_satellites(mat, tables.shape)
+        return mat
+    return vs @ mat
+
+
 def apply_interaction(state: PureState, tables: StepTables) -> PureState:
     """Rotate to the joint x basis, multiply the diagonal, rotate back (in place)."""
     global _op_count
     _check(state, tables)
     shape = state.shape
     d = shape.central_dim
-    amps = state.amplitudes
-    vc = tables.central_x_rotation
-    vs = tables.satellite_x_rotation
-
-    mat = amps.reshape(-1, d)
-    if vs is None:
-        _hadamard_all_satellites(amps, shape)   # z -> x on every satellite qubit
-    else:
-        mat = vs.conj().T @ mat                 # z -> x on the collective spin
-    mat = mat @ vc.conj()                       # z -> x on the central factor
+    mat = to_x_basis(state.amplitudes.reshape(-1, d), tables)
     mat *= tables.interaction_phases.reshape(-1, d)
-    mat = mat @ vc.T                            # x -> z
-    if vs is None:
-        _hadamard_all_satellites(mat.reshape(-1), shape)
-    else:
-        mat = vs @ mat
-    state.amplitudes = mat.reshape(-1)
-    sat_ops = 2 * shape.n_sat if vs is None else 4 * (shape.n_sat + 1)
+    state.amplitudes = from_x_basis(mat, tables).reshape(-1)
+    sat_ops = 2 * shape.n_sat if tables.satellite_x_rotation is None \
+        else 4 * (shape.n_sat + 1)
     _op_count += shape.dim * (sat_ops + 4 * d + 1)
     return state
 
@@ -192,8 +207,7 @@ def two_period_residual_phases(shape: SystemShape, params: DriveParams) -> np.nd
     """
     d = shape.central_dim
     label = u_squared_class(shape.n_sat, shape.two_s)
-    m_sat = _satellite_m(shape)
-    m_c = shape.s - np.arange(d)
+    m_sat, m_c = magnetic_numbers(shape)
     sat = np.exp(-2j * params.g_s * m_sat) if label in ("satellite_rotation_only", "both_rotate") \
         else np.ones(m_sat.size, dtype=complex)
     cen = np.exp(-2j * params.g_c * m_c) if label in ("central_rotation_only", "both_rotate") \

@@ -1,15 +1,23 @@
 """Quantum Fisher information for joint (lambda, g) estimation.
 
-Two finite-difference estimators are computed side by side: the overlap
-form built from forward-shifted trajectories,
+The elements are the pure-state expression (Liu et al., J. Phys. A 53,
+023001 (2020))
 
-    F_ab = 4 Re[ (<psi_a|psi_b> - <psi_a|psi_0><psi_0|psi_b>) / (da db) ],
+    F_ab = 4 Re[<d_a psi|d_b psi> - <d_a psi|psi><psi|d_b psi>],
 
-and the standard pure-state expression with central-difference derivative
-states, 4 Re[<d_a psi|d_b psi> - <d_a psi|psi><psi|d_b psi>]. The two agree
-up to boundary terms of order delta; any element whose two values differ by
-more than 1% of the matrix scale max(|F_ll|, |F_gg|) is flagged rather than
-hidden. The kick angle g shifts g_s and g_c together (one shared parameter).
+with the derivative states propagated exactly alongside psi (exact
+propagator derivatives as in Khaneja et al., J. Magn. Reson. 172, 296
+(2005)): d_g of the kick is -i K times the kick, K = J^z + S^z, and d_lambda
+of the interaction is i H times the interaction, H = J^x S^x, diagonal in
+the joint x basis. There is no step size. A primary element within 1e-12 of
+the matrix scale max(|F_ll|, |F_gg|) is rounding and reads 0.
+
+The same expression with central-difference derivative states (runs at
+lambda +- delta and g +- delta) is the independent cross-check; any element
+whose two values differ by more than 1% of the matrix scale is flagged
+rather than hidden. All seven states are propagated as one stack through the
+engine's shared basis rotations. The kick angle g shifts g_s and g_c
+together (one shared parameter).
 """
 
 from dataclasses import dataclass
@@ -17,12 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, StepSizeError, DegenerateInformationError
-from .hilbert import SystemShape, PureState, x_polarized_state, inner
-from .floquet import DriveParams, precompute, evolve
+from .hilbert import SystemShape, x_polarized_state
+from .floquet import (DriveParams, precompute, magnetic_numbers, to_x_basis,
+                      from_x_basis)
 
 DEFAULT_DELTA = 1e-4
-_CANCELLATION_FLOOR = 1e-12
-_ZERO_FLOOR = 1e-14
+_ROUNDING_RTOL = 1e-12
 _DISAGREEMENT_RTOL = 0.01
 
 
@@ -46,48 +54,22 @@ class QfiMatrix:
         return self.f_ll * self.f_gg - self.f_lg ** 2
 
 
-def _evolved(shape: SystemShape, lam: float, g: float, n_periods: int,
-             global_phase: float) -> PureState:
-    state = x_polarized_state(shape)
-    tables = precompute(shape, DriveParams.symmetric(lam, g))
-    evolve(state, tables, n_periods)
-    if global_phase != 0.0:
-        state.amplitudes *= np.exp(1j * global_phase)
-    return state
+def _generators(shape: SystemShape) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals of K (z basis) and H (x basis) as (satellite, central)."""
+    m_sat, m_c = magnetic_numbers(shape)
+    return m_sat[:, None] + m_c[None, :], m_sat[:, None] * m_c[None, :]
 
 
-def _overlap_element(psi_a: PureState, psi_b: PureState, psi_0: PureState,
-                     da: float, db: float, diagonal: bool = False,
-                     crosscheck_zero: bool = False) -> float:
-    num = inner(psi_a, psi_b) - inner(psi_a, psi_0) * inner(psi_0, psi_b)
-    mag = abs(num)
-    if diagonal and _ZERO_FLOOR < mag < _CANCELLATION_FLOOR:
-        # the shifted trajectory is barely distinguishable from the base one;
-        # the quotient would be numerical noise (off-diagonal elements may be
-        # legitimately tiny, so only the diagonals guard). A vanishing
-        # central-difference element says the true value is zero; otherwise
-        # the step is too small to resolve it.
-        if crosscheck_zero:
-            return 0.0
-        raise StepSizeError(
-            f"overlap difference {mag:.3e} below {_CANCELLATION_FLOOR}; "
-            f"increase delta")
-    if mag <= _ZERO_FLOOR:
-        # parameter-independent state (e.g. zero periods), a true zero
-        return 0.0
-    return 4.0 * num.real / (da * db)
-
-
-def _derivative_element(d_a: np.ndarray, d_b: np.ndarray,
-                        psi_0: np.ndarray) -> float:
-    val = np.vdot(d_a, d_b) - np.vdot(d_a, psi_0) * np.vdot(psi_0, d_b)
+def _element(d_a: np.ndarray, d_b: np.ndarray, psi: np.ndarray) -> float:
+    val = np.vdot(d_a, d_b) - np.vdot(d_a, psi) * np.vdot(psi, d_b)
     return 4.0 * float(val.real)
 
 
 def qfi_matrix(shape: SystemShape, params: DriveParams, n_periods: int,
                delta: float = DEFAULT_DELTA,
                global_phase: float = 0.0) -> QfiMatrix:
-    """Fisher matrix at (lambda, g) from forward- and central-shifted runs.
+    """Fisher matrix at (lambda, g) by tangent propagation, with the
+    central-difference cross-check at step delta.
 
     global_phase multiplies every evolved state; the elements are invariant
     under it (exposed so the invariance is testable).
@@ -100,32 +82,40 @@ def qfi_matrix(shape: SystemShape, params: DriveParams, n_periods: int,
         raise ShapeError("g is a single shared parameter; need g_s == g_c")
     lam, g = params.lam, params.g_s
 
-    psi_0 = _evolved(shape, lam, g, n_periods, global_phase)
-    psi_lp = _evolved(shape, lam + delta, g, n_periods, global_phase)
-    psi_gp = _evolved(shape, lam, g + delta, n_periods, global_phase)
-    psi_lm = _evolved(shape, lam - delta, g, n_periods, global_phase)
-    psi_gm = _evolved(shape, lam, g - delta, n_periods, global_phase)
+    # rows: psi, d_lambda psi, d_g psi, then psi at lambda +- delta, g +- delta
+    points = [(lam, g)] * 3 + [(lam + delta, g), (lam - delta, g),
+                               (lam, g + delta), (lam, g - delta)]
+    tables = [precompute(shape, DriveParams.symmetric(*p)) for p in points]
+    d = shape.central_dim
+    kick = np.stack([t.kick_phases.reshape(-1, d) for t in tables])
+    interaction = np.stack([t.interaction_phases.reshape(-1, d) for t in tables])
+    k_gen, h_gen = _generators(shape)
 
-    d_l = (psi_lp.amplitudes - psi_lm.amplitudes) / (2.0 * delta)
-    d_g = (psi_gp.amplitudes - psi_gm.amplitudes) / (2.0 * delta)
-    cc_ll = _derivative_element(d_l, d_l, psi_0.amplitudes)
-    cc_gg = _derivative_element(d_g, d_g, psi_0.amplitudes)
-    cc_lg = _derivative_element(d_l, d_g, psi_0.amplitudes)
-    zero_tol = _DISAGREEMENT_RTOL * max(abs(cc_ll), abs(cc_gg))
+    stack = np.zeros_like(kick)
+    stack[[0, 3, 4, 5, 6]] = x_polarized_state(shape).amplitudes.reshape(-1, d)
+    for _ in range(n_periods):
+        stack *= kick
+        stack[2] -= 1j * k_gen * stack[0]
+        stack = to_x_basis(stack, tables[0])
+        stack *= interaction
+        stack[1] += 1j * h_gen * stack[0]
+        stack = from_x_basis(stack, tables[0])
+    if global_phase != 0.0:
+        stack *= np.exp(1j * global_phase)
 
-    f_ll = _overlap_element(psi_lp, psi_lp, psi_0, delta, delta, diagonal=True,
-                            crosscheck_zero=abs(cc_ll) <= zero_tol)
-    f_gg = _overlap_element(psi_gp, psi_gp, psi_0, delta, delta, diagonal=True,
-                            crosscheck_zero=abs(cc_gg) <= zero_tol)
-    f_lg = _overlap_element(psi_lp, psi_gp, psi_0, delta, delta)
+    psi, d_l, d_g = stack[0], stack[1], stack[2]
+    f_ll, f_gg, f_lg = (_element(d_l, d_l, psi), _element(d_g, d_g, psi),
+                        _element(d_l, d_g, psi))
+    scale = max(abs(f_ll), abs(f_gg))
+    f_ll, f_gg, f_lg = (0.0 if abs(f) <= _ROUNDING_RTOL * scale else f
+                        for f in (f_ll, f_gg, f_lg))
 
-    # measured against the matrix scale, not each element's own size: a
-    # vanishing off-diagonal carries an O(delta) boundary term in the
-    # forward-difference form
-    scale = max(abs(f_ll), abs(f_gg), abs(cc_ll), abs(cc_gg))
-    disagree = scale > _CANCELLATION_FLOOR and any(
-        abs(a - b) > _DISAGREEMENT_RTOL * scale
-        for a, b in ((f_ll, cc_ll), (f_gg, cc_gg), (f_lg, cc_lg)))
+    c_l = (stack[3] - stack[4]) / (2.0 * delta)
+    c_g = (stack[5] - stack[6]) / (2.0 * delta)
+    cc_ll, cc_gg, cc_lg = (_element(c_l, c_l, psi), _element(c_g, c_g, psi),
+                           _element(c_l, c_g, psi))
+    disagree = any(abs(a - b) > _DISAGREEMENT_RTOL * scale
+                   for a, b in ((f_ll, cc_ll), (f_gg, cc_gg), (f_lg, cc_lg)))
 
     det = f_ll * f_gg - f_lg ** 2
     g_scalar = (f_ll + f_gg) / det if det > 0 else float("nan")

@@ -126,6 +126,21 @@ def test_sweep_and_config(tmp_path):
     assert len(out2.read_text().splitlines()) == 8
 
 
+def test_config_errors_exit_2(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    argv = ["--config", str(cfg), "evolve", "--n-sat", "2", "--spin", "1/2",
+            "--g", "1", "--periods", "0"]
+    cfg.write_text("lam=1\ncolour=blue\n")
+    assert parse_and_dispatch(argv) == 2
+    cfg.write_text("lam=two pies\n")
+    assert parse_and_dispatch(argv) == 2
+    cfg.write_text("lam=1\n")
+    assert parse_and_dispatch(argv) == 0
+    cfg.write_text("regime=bogus\n")
+    assert parse_and_dispatch(["--config", str(cfg), "classify",
+                               "--n-sat", "8", "--spin", "2"]) == 2
+
+
 def test_sweep_rejects_checkpoint_of_another_grid(tmp_path, capsys):
     ckpt = str(tmp_path / "map.ckpt")
     argv = ["sweep", "--n-sat", "3", "--spin", "1/2", "--lambda-steps", "2",

@@ -3,7 +3,7 @@ import pytest
 
 from spindtc.errors import (ShapeError, StepSizeError,
                             DegenerateInformationError)
-from spindtc.hilbert import SystemShape, PureState
+from spindtc.hilbert import SystemShape, CollectiveShape
 from spindtc.floquet import DriveParams
 from spindtc import metrology
 from spindtc.metrology import (QfiMatrix, qfi_matrix, weighted_uncertainty,
@@ -52,9 +52,9 @@ def test_global_phase_invariance():
 
 
 def test_step_halving_convergence():
-    # halving delta moves every element by under 0.1% of the matrix scale
-    # (the literal off-diagonal carries an O(delta) boundary term, so a tiny
-    # f_lg cannot converge relative to itself; the cross-check one does)
+    # the primary elements are exact and do not depend on delta; halving it
+    # moves the central-difference cross-check by under 0.1% of the matrix
+    # scale, including its off-diagonal, which is 0 here
     sh = SystemShape(5, 1)
     a = qfi_matrix(sh, SPECIAL, 32, delta=1e-4)
     b = qfi_matrix(sh, SPECIAL, 32, delta=5e-5)
@@ -150,31 +150,31 @@ def test_exact_values_pinned(n_sat, two_s, n, f_ll, f_gg, f_lg):
     assert not q.estimators_disagree
 
 
-def _overlap_without_conjugate(psi_a, psi_b, psi_0, da, db, diagonal=False,
-                               crosscheck_zero=False):
-    num = (np.vdot(psi_a.amplitudes, psi_b.amplitudes)
-           - np.vdot(psi_a.amplitudes, psi_0.amplitudes)
-           * np.vdot(psi_b.amplitudes, psi_0.amplitudes))
-    return 4.0 * num.real / (da * db)
+# every criterion-09 shape the dense reference can hold, at n = 48
+CRITERION_09_SHAPES = [(n, 4) for n in range(2, 9)] + [(n, 1) for n in (2, 3, 5, 6, 7)]
 
 
-def test_disagreement_flag_detects_dropped_conjugate(monkeypatch):
-    # <a|0><b|0> in place of <a|0><0|b> gives f_ll = 504 against the exact 216
-    monkeypatch.setattr(metrology, "_overlap_element", _overlap_without_conjugate)
-    q = qfi_matrix(SystemShape(4, 2), SPECIAL, 12)
-    assert q.estimators_disagree
+@pytest.mark.parametrize("n_sat,two_s", CRITERION_09_SHAPES)
+def test_exact_at_criterion_09_shapes(n_sat, two_s):
+    # tangent propagation is exact: every element, on both layouts, equals
+    # the dense reference to 1e-9 of the matrix scale (the forward-difference
+    # overlap form gave f_lg = 0.514 against 0 at (7, 1/2), scale 1024)
+    ref = exact_qfi(n_sat, two_s, np.pi, np.pi / 2, 48)
+    for shape in (SystemShape(n_sat, two_s), CollectiveShape(n_sat, two_s)):
+        q = qfi_matrix(shape, SPECIAL, 48)
+        for got, want in ((q.f_ll, ref.f_ll), (q.f_gg, ref.f_gg),
+                          (q.f_lg, ref.f_lg)):
+            assert abs(got - want) <= 1e-9 * ref.scale, shape
+        assert not q.estimators_disagree, shape
 
 
-def test_cancellation_guard():
-    # an overlap difference between the two floors is zero only if the
-    # cross-check says so; otherwise the step cannot resolve the element
-    shape = SystemShape(1, 1)
-    eps = 3e-7                       # sin^2(eps) ~ 9e-14
-    psi_0 = PureState(shape, np.array([1, 0, 0, 0], dtype=complex))
-    psi_a = PureState(shape, np.array([np.cos(eps), np.sin(eps), 0, 0],
-                                      dtype=complex))
-    assert metrology._overlap_element(psi_a, psi_a, psi_0, 1e-4, 1e-4,
-                                      diagonal=True, crosscheck_zero=True) == 0.0
-    with pytest.raises(StepSizeError):
-        metrology._overlap_element(psi_a, psi_a, psi_0, 1e-4, 1e-4,
-                                   diagonal=True)
+def test_disagreement_flag_detects_tangent_fault(monkeypatch):
+    # the sign of the d_lambda source term flipped in the tangent path only:
+    # d_lambda psi changes sign, so f_lg does, which the central-difference
+    # cross-check catches at a drive point where f_lg (78.2) is not zero
+    params = DriveParams.symmetric(1.3, 0.7)
+    assert not qfi_matrix(SystemShape(4, 2), params, 12).estimators_disagree
+    generators = metrology._generators
+    monkeypatch.setattr(metrology, "_generators",
+                        lambda shape: (generators(shape)[0], -generators(shape)[1]))
+    assert qfi_matrix(SystemShape(4, 2), params, 12).estimators_disagree

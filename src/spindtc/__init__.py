@@ -26,6 +26,6 @@ from .analytic_states import (MilestoneSpec, parity_case_of,
 from .metrology import (QfiMatrix, qfi_matrix, weighted_uncertainty,
                         sensing_gain, fit_power_law)
 from .sweep import (GridSpec, PhaseMapRecord, compute_point, run_grid,
-                    read_checkpoint, write_csv, read_csv, worker_count)
+                    read_checkpoint, write_csv, read_csv)
 
 __version__ = "0.1.0"

@@ -166,7 +166,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=2,
                    help="stroboscopic sampling stride (default %(default)s)")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (DTC_WORKERS caps this)")
+                   help="accepted; the scan runs in one process")
     p.add_argument("--checkpoint", default=None,
                    help="binary checkpoint path for resumable scans")
     p.add_argument("--output", default=None, required=False, help="CSV destination")
@@ -270,8 +270,7 @@ def _cmd_sweep(args) -> int:
                     (args.g_min, args.g_max, args.g_steps),
                     CollectiveShape(args.n_sat, args.spin), args.periods,
                     args.stride)
-    records = run_grid(spec, workers=args.workers,
-                       checkpoint_path=args.checkpoint)
+    records = run_grid(spec, checkpoint_path=args.checkpoint)
     write_csv(records, args.output)
     print(f"wrote {len(records)} records to {args.output}")
     return 0

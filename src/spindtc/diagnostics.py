@@ -19,25 +19,28 @@ class PeriodReport:
     magnetization_period: int | None
 
 
-def stroboscopic_average(series, stride: int, count: int) -> float:
+def stroboscopic_average(series, stride: int, count: int):
     """(1/count) * sum of series[n*stride] for n = 1..count.
 
     series is indexed by period number, series[0] being the initial value.
+    Its entries may be arrays (one value per row of a state stack); the
+    average is then taken row by row.
     """
     if stride < 1 or count < 1:
         raise ShapeError(f"stride and count must be positive, got {stride}, {count}")
     if len(series) <= count * stride:
         raise ShapeError(
             f"series of length {len(series)} too short for count={count}, stride={stride}")
-    return float(sum(series[n * stride] for n in range(1, count + 1)) / count)
+    return sum(series[n * stride] for n in range(1, count + 1)) / count
 
 
-def relative_order_parameter(series, count: int) -> tuple[float, float, float]:
-    """Time averages of (-1)^n M(nT) and M(nT), and their difference."""
+def relative_order_parameter(series, count: int) -> tuple:
+    """Time averages of (-1)^n M(nT) and M(nT), and their difference
+    (row by row when the entries of series are arrays)."""
     if count < 1 or len(series) <= count:
         raise ShapeError(f"series of length {len(series)} too short for count={count}")
-    o_dtc = float(sum((-1) ** n * series[n] for n in range(1, count + 1)) / count)
-    o_dmf = float(sum(series[n] for n in range(1, count + 1)) / count)
+    o_dtc = sum((-1) ** n * series[n] for n in range(1, count + 1)) / count
+    o_dmf = sum(series[n] for n in range(1, count + 1)) / count
     return o_dtc, o_dmf, o_dtc - o_dmf
 
 
@@ -55,12 +58,11 @@ def detect_period(trajectory: list[TrajectoryRecord],
             detected = rec.n
             rev_fid = rec.fidelity_initial
             break
-    m = [rec.m_sat_x for rec in trajectory]
-    mag_period = None
-    for p in range(1, len(m)):
-        if all(abs(m[i + p] - m[i]) <= epsilon for i in range(len(m) - p)):
-            mag_period = p
-            break
+    m = np.array([rec.m_sat_x for rec in trajectory])
+    # only shifts that already match at i = 0 need the full comparison
+    shifts = np.flatnonzero(np.abs(m[1:] - m[0]) <= epsilon) + 1
+    mag_period = next((int(p) for p in shifts
+                       if (np.abs(m[p:] - m[:-p]) <= epsilon).all()), None)
     return PeriodReport(detected_period=detected, revival_fidelity=rev_fid,
                         magnetization_period=mag_period)
 

@@ -12,6 +12,7 @@ rotation is one dense (n_sat+1)^2 matrix, the kicked-top reduction of
 Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987), applied to two coupled spins.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,16 +82,25 @@ def magnetic_numbers(shape: SystemShape) -> tuple[np.ndarray, np.ndarray]:
     return n / 2.0 - down, shape.s - np.arange(shape.central_dim)
 
 
-def precompute(shape: SystemShape, params: DriveParams) -> StepTables:
-    """Build the phase tables and basis rotations for the shape."""
-    m_sat, m_c = magnetic_numbers(shape)
+def precompute(shape: SystemShape,
+               params: DriveParams | Sequence[DriveParams]) -> StepTables:
+    """Build the phase tables and basis rotations for the shape.
 
-    kick = np.exp(-1j * params.g_s * m_sat)[:, None] * np.exp(-1j * params.g_c * m_c)[None, :]
-    interaction = np.exp(1j * params.lam * m_sat[:, None] * m_c[None, :])
+    With a sequence of drive points the phase tables are stacked, one row
+    per point, for a state stack with one row per point.
+    """
+    m_sat, m_c = magnetic_numbers(shape)
+    single = isinstance(params, DriveParams)
+    points = [params] if single else params
+    # one (point, satellite index, central level) entry per phase
+    lam, g_s, g_c = np.array([[p.lam, p.g_s, p.g_c] for p in points]).T[:, :, None, None]
+    kick = np.exp(-1j * g_s * m_sat[:, None]) * np.exp(-1j * g_c * m_c)
+    interaction = np.exp(1j * lam * m_sat[:, None] * m_c)
+    rows = () if single else (len(points),)
     return StepTables(
         shape=shape,
-        kick_phases=kick.reshape(-1),
-        interaction_phases=interaction.reshape(-1),
+        kick_phases=kick.reshape(rows + (-1,)),
+        interaction_phases=interaction.reshape(rows + (-1,)),
         central_x_rotation=axis_eigenbasis(shape.two_s, "x"),
         satellite_x_rotation=(axis_eigenbasis(shape.n_sat, "x")
                               if isinstance(shape, CollectiveShape) else None),
@@ -107,7 +117,7 @@ def apply_kick(state: PureState, tables: StepTables) -> PureState:
     global _op_count
     _check(state, tables)
     state.amplitudes *= tables.kick_phases
-    _op_count += state.shape.dim
+    _op_count += state.amplitudes.size
     return state
 
 
@@ -153,20 +163,23 @@ def apply_interaction(state: PureState, tables: StepTables) -> PureState:
     _check(state, tables)
     shape = state.shape
     d = shape.central_dim
-    mat = to_x_basis(state.amplitudes.reshape(-1, d), tables)
-    mat *= tables.interaction_phases.reshape(-1, d)
-    state.amplitudes = from_x_basis(mat, tables).reshape(-1)
+    states = state.amplitudes.shape[:-1] + (-1, d)   # (..., satellite, central)
+    mat = to_x_basis(state.amplitudes.reshape(states), tables)
+    mat *= tables.interaction_phases.reshape(mat.shape)
+    state.amplitudes = from_x_basis(mat, tables).reshape(state.amplitudes.shape)
     sat_ops = 2 * shape.n_sat if tables.satellite_x_rotation is None \
         else 4 * (shape.n_sat + 1)
-    _op_count += shape.dim * (sat_ops + 4 * d + 1)
+    _op_count += state.amplitudes.size * (sat_ops + 4 * d + 1)
     return state
 
 
 def evolve(state: PureState, tables: StepTables, n_periods: int, recorder=None) -> list:
     """Apply (kick; interaction) n_periods times, recording after each period.
 
-    recorder, if given, is called as recorder(state, n) with n = 1..n_periods
-    and its return values are collected into the returned list.
+    state may be a stack of states, one row per drive point of stacked
+    tables (see precompute). recorder, if given, is called as
+    recorder(state, n) with n = 1..n_periods and its return values are
+    collected into the returned list.
     """
     if n_periods < 0:
         raise ShapeError(f"n_periods must be >= 0, got {n_periods}")

@@ -78,7 +78,12 @@ class CollectiveShape(SystemShape):
 
 @dataclass
 class PureState:
-    """Complex amplitude vector over the joint satellite (x) central space."""
+    """Complex amplitude vector over the joint satellite (x) central space.
+
+    amplitudes may carry leading axes, one row per state of a stack: the
+    drive step, norm, magnetizations, reduced central density and entropy
+    act row by row. inner and fidelity take single states.
+    """
 
     shape: SystemShape
     amplitudes: np.ndarray
@@ -86,8 +91,8 @@ class PureState:
     def copy(self) -> "PureState":
         return PureState(self.shape, self.amplitudes.copy())
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def norm(self) -> float | np.ndarray:
+        return np.linalg.norm(self.amplitudes, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -145,6 +150,8 @@ def x_polarized_state(shape: SystemShape) -> PureState:
 def inner(a: PureState, b: PureState) -> complex:
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if a.amplitudes.ndim != 1 or b.amplitudes.ndim != 1:
+        raise ShapeError("inner and fidelity take single states, not stacks")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
@@ -153,20 +160,24 @@ def fidelity(a: PureState, b: PureState) -> float:
 
 
 def reduced_central_density(state: PureState) -> DensityMatrix:
-    """Partial trace over all satellite indices."""
+    """Partial trace over all satellite indices (per row of a stack)."""
     d = state.shape.central_dim
-    mat = state.amplitudes.reshape(-1, d)
-    rho = mat.T @ mat.conj()
+    mat = state.amplitudes.reshape(state.amplitudes.shape[:-1] + (-1, d))
+    rho = mat.swapaxes(-1, -2) @ mat.conj()
     return DensityMatrix(dim=d, entries=rho)
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-sum p ln p over the spectrum (natural log, tiny eigenvalues dropped)."""
-    h = rho.entries.conj().T
+def von_neumann_entropy(rho: DensityMatrix) -> float | np.ndarray:
+    """-sum p ln p over the spectrum (natural log, tiny eigenvalues dropped).
+
+    entries may be a stack of matrices; the result then has one entropy per
+    matrix.
+    """
+    h = rho.entries.swapaxes(-1, -2).conj()
     # np.allclose(rho, h, atol=1e-10) written out: allclose costs more than
     # the eigendecomposition on the small central densities
     if not (np.abs(rho.entries - h) <= 1e-10 + 1e-5 * np.abs(h)).all():
         raise ShapeError("density matrix is not Hermitian")
     p = np.linalg.eigvalsh(rho.entries)
-    p = p[p > 1e-14]
-    return float(-np.sum(p * np.log(p)))
+    p = np.where(p > 1e-14, p, 1.0)     # ln 1 = 0 drops the tiny ones
+    return -(p * np.log(p)).sum(axis=-1)

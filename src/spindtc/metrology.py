@@ -85,10 +85,10 @@ def qfi_matrix(shape: SystemShape, params: DriveParams, n_periods: int,
     # rows: psi, d_lambda psi, d_g psi, then psi at lambda +- delta, g +- delta
     points = [(lam, g)] * 3 + [(lam + delta, g), (lam - delta, g),
                                (lam, g + delta), (lam, g - delta)]
-    tables = [precompute(shape, DriveParams.symmetric(*p)) for p in points]
+    tables = precompute(shape, [DriveParams.symmetric(*p) for p in points])
     d = shape.central_dim
-    kick = np.stack([t.kick_phases.reshape(-1, d) for t in tables])
-    interaction = np.stack([t.interaction_phases.reshape(-1, d) for t in tables])
+    kick = tables.kick_phases.reshape(len(points), -1, d)
+    interaction = tables.interaction_phases.reshape(len(points), -1, d)
     k_gen, h_gen = _generators(shape)
 
     stack = np.zeros_like(kick)
@@ -96,10 +96,10 @@ def qfi_matrix(shape: SystemShape, params: DriveParams, n_periods: int,
     for _ in range(n_periods):
         stack *= kick
         stack[2] -= 1j * k_gen * stack[0]
-        stack = to_x_basis(stack, tables[0])
+        stack = to_x_basis(stack, tables)
         stack *= interaction
         stack[1] += 1j * h_gen * stack[0]
-        stack = from_x_basis(stack, tables[0])
+        stack = from_x_basis(stack, tables)
     if global_phase != 0.0:
         stack *= np.exp(1j * global_phase)
 

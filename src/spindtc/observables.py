@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ShapeError
-from .hilbert import (CollectiveShape, PureState, fidelity,
+from .hilbert import (CollectiveShape, DensityMatrix, PureState, fidelity,
                       reduced_central_density, von_neumann_entropy)
 from .spin_algebra import spin_matrices
 
@@ -37,64 +37,65 @@ def _spin_component(two_s: int, axis: str) -> np.ndarray:
     return op
 
 
-def _satellite_magnetization(state: PureState, axis: str) -> float:
+def _expectation(rows: tuple, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """Re <bra|ket> for each state of a stack with leading axes rows."""
+    return (bra.conj() * ket).real.reshape(rows + (-1,)).sum(axis=-1)
+
+
+def _satellite_magnetization(state: PureState, axis: str) -> np.ndarray:
     shape = state.shape
     amps = state.amplitudes
-    d = shape.central_dim
+    rows = amps.shape[:-1]
     if isinstance(shape, CollectiveShape):
-        mat = amps.reshape(-1, d)
+        mat = amps.reshape(rows + (-1, shape.central_dim))
         op = _spin_component(shape.n_sat, axis)
-        return float(np.vdot(mat, op @ mat).real) / shape.n_sat
+        return _expectation(rows, mat, op @ mat) / shape.n_sat
+    # satellite qubit k is bit k of the satellite index (bit = 1 means z-down)
+    op = _spin_component(1, axis)
     total = 0.0
-    if axis == "z":
-        # diagonal: bit = 1 means z-down
-        probs = np.abs(amps) ** 2
-        inner = d
-        for _ in range(shape.n_sat):
-            v = probs.reshape(-1, 2, inner)
-            total += 0.5 * float(v[:, 0, :].sum() - v[:, 1, :].sum())
-            inner *= 2
-        return total / shape.n_sat
-    inner = d
+    inner = shape.central_dim
     for _ in range(shape.n_sat):
-        v = amps.reshape(-1, 2, inner)
-        cross = np.sum(v[:, 0, :].conj() * v[:, 1, :])
-        if axis == "x":
-            total += float(cross.real)
-        elif axis == "y":
-            total += float(cross.imag)
-        else:
-            raise ShapeError(f"axis must be x, y or z, got {axis!r}")
+        v = amps.reshape(rows + (-1, 2, inner))
+        total += _expectation(rows, v, op @ v)
         inner *= 2
     return total / shape.n_sat
 
 
-def _central_magnetization(state: PureState, axis: str) -> float:
-    shape = state.shape
-    op = _spin_component(shape.two_s, axis)
-    mat = state.amplitudes.reshape(-1, shape.central_dim)
-    return float(np.einsum("ka,ab,kb->", mat.conj(), op, mat).real)
+def _central_magnetization(rho: DensityMatrix, two_s: int, axis: str) -> np.ndarray:
+    """Tr(rho S^axis) for each central density of a stack: the sum of
+    conj(S)_ab rho_ab, S being Hermitian."""
+    return _expectation(rho.entries.shape[:-2], _spin_component(two_s, axis),
+                        rho.entries)
 
 
-def magnetization(state: PureState, target: str, axis: str = "x") -> float:
-    """<S^axis> per satellite spin, or of the central spin."""
+def magnetization(state: PureState, target: str,
+                  axis: str = "x") -> float | np.ndarray:
+    """<S^axis> per satellite spin, or of the central spin (per row of a
+    state stack)."""
     if target == "satellites":
         return _satellite_magnetization(state, axis)
     if target == "central":
-        return _central_magnetization(state, axis)
+        return _central_magnetization(reduced_central_density(state),
+                                      state.shape.two_s, axis)
     raise ShapeError(f"target must be 'satellites' or 'central', got {target!r}")
+
+
+def period_observables(state: PureState, axis: str = "x"):
+    """(satellite <S^axis>, central <S^axis>, entanglement entropy), one
+    value per row of a state stack; the phase map's per-period columns."""
+    rho = reduced_central_density(state)
+    return (magnetization(state, "satellites", axis),
+            _central_magnetization(rho, state.shape.two_s, axis),
+            von_neumann_entropy(rho))
 
 
 def record(state: PureState, n: int, reference: PureState,
            axis: str = "x") -> TrajectoryRecord:
-    """Bundle the per-period observables into one row."""
-    return TrajectoryRecord(
-        n=n,
-        m_sat_x=magnetization(state, "satellites", axis),
-        m_c_x=magnetization(state, "central", axis),
-        entropy=von_neumann_entropy(reduced_central_density(state)),
-        fidelity_initial=fidelity(state, reference),
-    )
+    """Bundle the per-period observables of one state into one row."""
+    m_sat, m_c, entropy = period_observables(state, axis)
+    return TrajectoryRecord(n=n, m_sat_x=float(m_sat), m_c_x=float(m_c),
+                            entropy=float(entropy),
+                            fidelity_initial=fidelity(state, reference))
 
 
 def make_recorder(reference: PureState, axis: str = "x"):

@@ -1,25 +1,27 @@
-"""Parallel (lambda, g) grid scans with CSV output and binary checkpoints.
+"""(lambda, g) grid scans with CSV output and binary checkpoints.
 
-Grid points are independent trajectories from the x-polarized initial state,
-so the scan is embarrassingly parallel; results are gathered into row-major
-order (lambda outer, g inner) regardless of completion order, making output
-bitwise identical for any worker count. Every point is computed on the
-collective layout (hilbert.CollectiveShape). Checkpoints let an interrupted
+Grid points are independent trajectories from the x-polarized initial state
+that differ only in their kick and interaction diagonals, so the scan evolves
+up to _CHUNK of them at once as one state stack through the engine's drive
+step, on the collective layout (hilbert.CollectiveShape), in one process.
+Every row of the stack is computed by the same operations whatever the other
+rows are, so a point's record does not depend on which points share its
+stack (a fresh run and any resume agree bitwise), and results are returned
+in row-major order (lambda outer, g inner). Checkpoints let an interrupted
 scan resume without recomputing finished points.
 """
 
 import csv
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ShapeError, CheckpointError
-from .hilbert import SystemShape, CollectiveShape, x_polarized_state
+from .hilbert import SystemShape, CollectiveShape, PureState, x_polarized_state
 from .floquet import DriveParams, precompute, evolve
-from .observables import make_recorder
+from .observables import period_observables
 from .diagnostics import stroboscopic_average, relative_order_parameter
 
 CHECKPOINT_MAGIC = b"DTC1"
@@ -27,9 +29,15 @@ CSV_HEADER = "lambda,g,avg_m_sat,avg_m_c,avg_entropy,o_rel_sat,o_rel_c"
 CSV_COMMENT = ("# avg_entropy is the mean central-satellite entanglement "
                "entropy over every period 1..periods")
 
-_RECORD_STRUCT = struct.Struct("<I7d")   # grid index + seven float64 fields
-_RECORD_LENGTH = struct.pack("<I", _RECORD_STRUCT.size)   # each record's prefix
-_RECORD_BYTES = len(_RECORD_LENGTH) + _RECORD_STRUCT.size
+# a stored record: length prefix, grid index and seven float64 fields
+_FRAME = struct.Struct("<4sI7d")
+_RECORD_LENGTH = struct.pack("<I", _FRAME.size - 4)   # every record's prefix
+# index of the record right after the magic that holds the spec fingerprint
+_SPEC_INDEX = 0xFFFFFFFF
+# grid points evolved as one stack. Per-period Python overhead is paid once
+# per stack, so small stacks are slow, while beyond a few hundred rows the
+# arithmetic dominates and a larger stack only holds more memory.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -74,48 +82,51 @@ class PhaseMapRecord:
     o_rel_c: float
 
 
-def compute_point(shape: SystemShape, lam: float, g: float,
-                  periods: int, stride: int) -> PhaseMapRecord:
-    """One trajectory from the x-polarized state, reduced to map averages."""
-    state = x_polarized_state(shape)
-    tables = precompute(shape, DriveParams.symmetric(lam, g))
-    traj = evolve(state, tables, periods, make_recorder(state.copy()))
-    m_sat = [0.5] + [r.m_sat_x for r in traj]   # index by period number
-    m_c = [shape.s] + [r.m_c_x for r in traj]
+def _scan(shape: SystemShape, points, periods: int,
+          stride: int) -> list[PhaseMapRecord]:
+    """Map records of the (lambda, g) points, evolved as one state stack."""
+    shape = CollectiveShape(shape.n_sat, shape.two_s)
+    tables = precompute(shape, [DriveParams.symmetric(lam, g) for lam, g in points])
+    stack = PureState(shape, np.tile(x_polarized_state(shape).amplitudes,
+                                     (len(points), 1)))
+    columns = evolve(stack, tables, periods, lambda state, n: period_observables(state))
+    m_sat = [0.5] + [c[0] for c in columns]   # index by period number
+    m_c = [shape.s] + [c[1] for c in columns]
     count = periods // stride
     avg_m_sat = stroboscopic_average(m_sat, stride, count)
     avg_m_c = stroboscopic_average(m_c, stride, count)
-    avg_entropy = float(np.mean([r.entropy for r in traj]))
+    # one contiguous row per point, so each mean sums as for a single point
+    avg_entropy = np.stack([c[2] for c in columns], axis=-1).mean(axis=-1)
     _, _, o_rel_sat = relative_order_parameter(m_sat, periods)
     _, _, o_rel_c = relative_order_parameter(m_c, periods)
-    return PhaseMapRecord(lam=lam, g=g, avg_m_sat=avg_m_sat, avg_m_c=avg_m_c,
-                          avg_entropy=avg_entropy, o_rel_sat=o_rel_sat,
-                          o_rel_c=o_rel_c)
+    averages = zip(avg_m_sat, avg_m_c, avg_entropy, o_rel_sat, o_rel_c)
+    return [PhaseMapRecord(lam, g, *map(float, values))
+            for (lam, g), values in zip(points, averages)]
+
+
+def compute_point(shape: SystemShape, lam: float, g: float,
+                  periods: int, stride: int) -> PhaseMapRecord:
+    """One trajectory from the x-polarized state, reduced to map averages
+    (on the collective layout of the shape's n_sat and two_s)."""
+    return _scan(shape, [(lam, g)], periods, stride)[0]
 
 
 def _point_task(args) -> tuple[int, PhaseMapRecord]:
-    index, n_sat, two_s, lam, g, periods, stride = args
-    return index, compute_point(CollectiveShape(n_sat, two_s), lam, g,
-                                periods, stride)
-
-
-def worker_count(requested: int | None = None) -> int:
-    """Requested workers, capped by the DTC_WORKERS environment variable."""
-    n = requested if requested is not None else (os.cpu_count() or 1)
-    cap = os.environ.get("DTC_WORKERS")
-    if cap is not None:
-        n = min(n, max(1, int(cap)))
-    return max(1, n)
+    index, n_sat, two_s, *point = args    # point: lam, g, periods, stride
+    return index, compute_point(CollectiveShape(n_sat, two_s), *point)
 
 
 def run_grid(spec: GridSpec, workers: int | None = None,
              checkpoint_path: str | None = None) -> list[PhaseMapRecord]:
     """Scan the grid, row-major (lambda outer, g inner).
 
-    With checkpoint_path, finished points are appended to the checkpoint as
-    they complete and a restart skips them. A trailing record cut short by a
+    The points still to compute, in grid order, are evolved in stacks of up
+    to _CHUNK rows in this process; workers is accepted and ignored. With
+    checkpoint_path, each stack's points are appended to the checkpoint as
+    it finishes and a restart skips them. A trailing record cut short by a
     crash mid-write is dropped from the file and its point recomputed; a
-    record whose (lambda, g) is not this grid's raises CheckpointError.
+    checkpoint written for another grid, shape, period count or stride
+    raises CheckpointError.
     """
     lams = spec.axis("lambda")
     gs = spec.axis("g")
@@ -123,41 +134,32 @@ def run_grid(spec: GridSpec, workers: int | None = None,
     if checkpoint_path and os.path.exists(checkpoint_path):
         # appending after a cut record would corrupt the file for good
         _drop_cut_record(checkpoint_path)
-        records = read_checkpoint(checkpoint_path)
-        _check_grid(spec, records, checkpoint_path)
-        done = dict(records)
-    tasks = []
-    for i, lam in enumerate(lams):
-        for j, g in enumerate(gs):
-            index = i * len(gs) + j
-            if index in done:
-                continue
-            tasks.append((index, spec.shape.n_sat, spec.shape.two_s,
-                          float(lam), float(g), spec.periods, spec.stride))
-    nworkers = worker_count(workers)
+        done = dict(read_checkpoint(checkpoint_path, spec))
     ckpt = open(checkpoint_path, "ab") if checkpoint_path else None
     try:
         if ckpt is not None and ckpt.tell() == 0:
             ckpt.write(CHECKPOINT_MAGIC)
-        if nworkers == 1 or len(tasks) <= 1:
-            results = map(_point_task, tasks)
-            for index, rec in results:
+            ckpt.write(_FRAME.pack(_RECORD_LENGTH, _SPEC_INDEX, *_fingerprint(spec)))
+        pending = [k for k in range(spec.n_points) if k not in done]
+        for start in range(0, len(pending), _CHUNK):
+            chunk = pending[start:start + _CHUNK]
+            points = [(float(lams[k // len(gs)]), float(gs[k % len(gs)]))
+                      for k in chunk]
+            for index, rec in zip(chunk, _scan(spec.shape, points,
+                                               spec.periods, spec.stride)):
                 done[index] = rec
                 if ckpt is not None:
                     _write_checkpoint_record(ckpt, index, rec)
-        else:
-            with ProcessPoolExecutor(max_workers=nworkers) as pool:
-                for index, rec in pool.map(_point_task, tasks):
-                    done[index] = rec
-                    if ckpt is not None:
-                        _write_checkpoint_record(ckpt, index, rec)
     finally:
         if ckpt is not None:
             ckpt.close()
-    if len(done) != spec.n_points:
-        raise CheckpointError(
-            f"checkpoint holds {len(done)} records for a {spec.n_points}-point grid")
     return [done[i] for i in range(spec.n_points)]
+
+
+def _fingerprint(spec: GridSpec) -> tuple:
+    # the seventh field of the record is unused
+    return (spec.shape.n_sat, spec.shape.two_s, spec.periods, spec.stride,
+            spec.lambda_range[2], spec.g_range[2], 0)
 
 
 def _record_values(rec: PhaseMapRecord) -> list[float]:
@@ -165,9 +167,7 @@ def _record_values(rec: PhaseMapRecord) -> list[float]:
 
 
 def _write_checkpoint_record(fh, index: int, rec: PhaseMapRecord) -> None:
-    payload = _RECORD_STRUCT.pack(index, *_record_values(rec))
-    fh.write(struct.pack("<I", len(payload)))
-    fh.write(payload)
+    fh.write(_FRAME.pack(_RECORD_LENGTH, index, *_record_values(rec)))
     fh.flush()
 
 
@@ -197,7 +197,7 @@ def _drop_cut_record(path: str) -> None:
     magic = len(CHECKPOINT_MAGIC)
     if size < magic:
         return
-    whole = size - (size - magic) % _RECORD_BYTES
+    whole = size - (size - magic) % _FRAME.size
     if whole == size:
         return
     with open(path, "rb") as fh:
@@ -208,26 +208,33 @@ def _drop_cut_record(path: str) -> None:
         os.truncate(path, whole)
 
 
-def read_checkpoint(path: str) -> list[tuple[int, PhaseMapRecord]]:
-    """Parse a checkpoint file into (grid index, record) pairs."""
+def read_checkpoint(path: str, spec: GridSpec | None = None
+                    ) -> list[tuple[int, PhaseMapRecord]]:
+    """Parse a checkpoint file into (grid index, record) pairs.
+
+    With spec, every record must sit on spec's grid at its index and the
+    spec fingerprint stored after the magic, if the file has one, must be
+    spec's; CheckpointError names the first mismatch.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"bad checkpoint magic {magic!r} in {path}")
-        out = []
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            if len(head) < 4:
-                raise CheckpointError(f"truncated record length in {path}")
-            (length,) = struct.unpack("<I", head)
-            payload = fh.read(length)
-            if len(payload) < length or length != _RECORD_STRUCT.size:
-                raise CheckpointError(f"truncated or missized record in {path}")
-            index, *vals = _RECORD_STRUCT.unpack(payload)
-            out.append((index, PhaseMapRecord(*vals)))
-    return out
+        magic, body = fh.read(len(CHECKPOINT_MAGIC)), fh.read()
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"bad checkpoint magic {magic!r} in {path}")
+    prefixes = {body[k:k + 4] for k in range(0, len(body), _FRAME.size)}
+    if len(body) % _FRAME.size or prefixes - {_RECORD_LENGTH}:
+        raise CheckpointError(f"truncated or missized record in {path}")
+    records = [(index, PhaseMapRecord(*vals))
+               for _, index, *vals in _FRAME.iter_unpack(body)]
+    stored = records.pop(0)[1] if records and records[0][0] == _SPEC_INDEX else None
+    if spec is not None:
+        _check_grid(spec, records, path)
+        want = _fingerprint(spec)
+        if stored is not None and tuple(_record_values(stored)) != want:
+            written = tuple(int(v) for v in _record_values(stored)[:6])
+            raise CheckpointError(
+                f"{path}: written for (n_sat, two_s, periods, stride, lambda "
+                f"steps, g steps) = {written}, the scan has {want[:6]}")
+    return records
 
 
 def _fmt(x: float) -> str:
@@ -235,12 +242,22 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(records: list[PhaseMapRecord], destination: str) -> None:
-    """Write the phase map; floats carry 17 significant digits."""
-    with open(destination, "w", newline="") as fh:
-        fh.write(CSV_COMMENT + "\n")
-        fh.write(CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(",".join(_fmt(v) for v in _record_values(rec)) + "\n")
+    """Write the phase map; floats carry 17 significant digits.
+
+    The rows go to a temporary file beside destination, which then replaces
+    destination in one step, so a failed write leaves any earlier file whole.
+    """
+    tmp = f"{destination}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(CSV_COMMENT + "\n")
+            fh.write(CSV_HEADER + "\n")
+            for rec in records:
+                fh.write(",".join(_fmt(v) for v in _record_values(rec)) + "\n")
+        os.replace(tmp, destination)
+    finally:
+        if os.path.exists(tmp):     # the write failed part-way
+            os.remove(tmp)
 
 
 def read_csv(source: str) -> list[PhaseMapRecord]:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spindtc.errors import ShapeError, NotTabulatedError
-from spindtc.hilbert import SystemShape, x_polarized_state
+from spindtc.hilbert import SystemShape, CollectiveShape, x_polarized_state
 from spindtc.floquet import DriveParams, precompute, evolve
 from spindtc.observables import make_recorder
 from spindtc.diagnostics import (stroboscopic_average, relative_order_parameter,
@@ -77,6 +77,22 @@ def test_detect_period_special_points(n_sat, two_s, period):
 def test_detect_period_lambda_2pi():
     traj = _trajectory(9, 5, 2 * np.pi, 1.234, 6)
     assert detect_period(traj).detected_period == 2
+
+
+@pytest.mark.parametrize("n_sat,two_s,lam,g,periods,expected", [
+    (9, 5, 2 * np.pi, 1.234, 12, 2),
+    (8, 4, np.pi, np.pi / 2, 24, 4),
+    (9, 5, np.pi, np.pi / 2, 64, 24),
+    (8, 4, 1.3, 0.7, 64, None),
+])
+def test_magnetization_period(n_sat, two_s, lam, g, periods, expected):
+    # the first shift p with |m[i + p] - m[i]| <= epsilon at every i, pinned
+    # on the collective layout the CLI runs
+    sh = CollectiveShape(n_sat, two_s)
+    st = x_polarized_state(sh)
+    traj = evolve(st, precompute(sh, DriveParams.symmetric(lam, g)),
+                  periods, make_recorder(st.copy()))
+    assert detect_period(traj).magnetization_period == expected
 
 
 def test_detect_period_validation():

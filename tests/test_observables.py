@@ -3,9 +3,11 @@ import pytest
 
 from spindtc.errors import ShapeError
 from spindtc.spin_algebra import coherent_axis_state, spin_matrices
-from spindtc.hilbert import SystemShape, PureState, product_state, x_polarized_state
+from spindtc.hilbert import (SystemShape, CollectiveShape, PureState, fidelity,
+                             product_state, x_polarized_state)
 from spindtc.floquet import DriveParams, precompute, evolve
-from spindtc.observables import magnetization, record, make_recorder
+from spindtc.observables import (magnetization, period_observables, record,
+                                 make_recorder)
 from spindtc.analytic_states import MilestoneSpec, milestone_state
 
 
@@ -95,3 +97,24 @@ def test_record_bounds_along_trajectory():
         assert abs(r.m_c_x) <= 1.5 + 1e-10
         assert -1e-12 <= r.entropy
         assert 0.0 <= r.fidelity_initial <= 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("shape", [SystemShape(3, 2), CollectiveShape(8, 4)])
+def test_stack_rows_match_single_states(shape):
+    # three drive points evolved as one stack: every row's observables and
+    # norm equal, bitwise, those of the same state evolved alone
+    points = [(1.3, 0.7), (np.pi, np.pi / 2), (2 * np.pi, 3.0)]
+    x = x_polarized_state(shape)
+    stack = PureState(shape, np.tile(x.amplitudes, (len(points), 1)))
+    evolve(stack, precompute(shape, [DriveParams.symmetric(*p) for p in points]), 7)
+    rows = [period_observables(stack, axis) for axis in "xyz"]
+    for b, p in enumerate(points):
+        st = x.copy()
+        evolve(st, precompute(shape, DriveParams.symmetric(*p)), 7)
+        np.testing.assert_array_equal(stack.amplitudes[b], st.amplitudes)
+        for axis, row in zip("xyz", rows):
+            assert [float(v[b]) for v in row] == \
+                [float(v) for v in period_observables(st, axis)]
+        assert stack.norm()[b] == st.norm()
+    with pytest.raises(ShapeError):
+        fidelity(stack, stack)

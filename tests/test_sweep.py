@@ -5,9 +5,10 @@ import pytest
 
 from spindtc.errors import ShapeError, CheckpointError
 from spindtc.hilbert import SystemShape
+from spindtc import cli
 from spindtc import floquet
 from spindtc.sweep import (GridSpec, PhaseMapRecord, compute_point, run_grid,
-                           read_checkpoint, write_csv, read_csv, worker_count,
+                           read_checkpoint, write_csv, read_csv,
                            CHECKPOINT_MAGIC, _point_task,
                            _write_checkpoint_record)
 
@@ -55,12 +56,43 @@ def test_worker_determinism():
     assert r1 == r2 == r8
 
 
-def test_worker_count_env_cap(monkeypatch):
-    monkeypatch.setenv("DTC_WORKERS", "2")
-    assert worker_count(8) == 2
-    assert worker_count(1) == 1
-    monkeypatch.delenv("DTC_WORKERS")
-    assert worker_count(3) == 3
+def _criterion_11_subgrid(lambda_every, g_every):
+    # every lambda_every-th lambda and g_every-th g of criterion 11's
+    # 65 x 33 grid over [0, 4pi] x [0, 2pi] at (8, 2), 200 periods
+    return GridSpec((0.0, 4 * np.pi, 64 // lambda_every + 1),
+                    (0.0, 2 * np.pi, 32 // g_every + 1),
+                    SystemShape(8, 4), 200, 2)
+
+
+def test_row_independent_of_batch():
+    # 17 x 17 = 289 points: two stacks, of 256 and 33 rows
+    spec = _criterion_11_subgrid(4, 2)
+    records = run_grid(spec)
+    lams, gs = spec.axis("lambda"), spec.axis("g")
+    for i, j in ((4, 4), (12, 12), (8, 0), (16, 13)):
+        index = i * len(gs) + j
+        lam, g = float(lams[i]), float(gs[j])
+        alone = compute_point(SystemShape(8, 4), lam, g, 200, 2)
+        assert alone == records[index]
+        assert _point_task((index, 8, 4, lam, g, 200, 2)) == (index, alone)
+    # criterion 11's own 65 x 33 axes give the same rows bitwise
+    assert compute_point(SystemShape(8, 4), float(np.linspace(0, 4 * np.pi, 65)[16]),
+                         float(np.linspace(0, 2 * np.pi, 33)[24]), 200, 2) \
+        == records[4 * len(gs) + 12]
+
+
+def test_resume_mid_chunk(tmp_path):
+    # the checkpoint holds the fingerprint and the first 100 of 289 records:
+    # the fresh run's stacks were points 0-255 and 256-288, the resume's
+    # one stack is points 100-288, and every row must come out the same
+    spec = _criterion_11_subgrid(4, 2)
+    path = tmp_path / "mid.bin"
+    fresh = run_grid(spec, checkpoint_path=str(path))
+    whole = path.read_bytes()
+    path.write_bytes(whole[:len(CHECKPOINT_MAGIC) + 64 * 101])
+    assert len(read_checkpoint(str(path))) == 100
+    assert run_grid(spec, checkpoint_path=str(path)) == fresh
+    assert path.read_bytes() == whole
 
 
 def test_disentangled_column_at_lambda_2pi():
@@ -189,3 +221,37 @@ def test_resume_rejects_checkpoint_of_another_grid(tmp_path):
     with pytest.raises(CheckpointError, match="index 6 is outside"):
         run_grid(smaller, workers=1, checkpoint_path=path)
     assert ckpt.read_bytes() == written
+
+
+@pytest.mark.parametrize("n_sat,spin,periods,stride", [
+    (6, "2", 40, 4), (4, "1/2", 16, 2), (3, "1", 16, 2), (3, "1/2", 18, 2),
+    (3, "1/2", 16, 4)])
+def test_resume_rejects_checkpoint_of_another_spec(tmp_path, n_sat, spin,
+                                                   periods, stride):
+    # same axes, so every record sits on the grid; only the fingerprint
+    # record after the magic tells the scans apart from the (3, 1/2) one
+    path = str(tmp_path / "spec.bin")
+    axes = ((0.5, 2.0, 2), (0.3, 1.0, 2))
+    run_grid(GridSpec(*axes, SystemShape(3, 1), 16, 2), checkpoint_path=path)
+    written = (tmp_path / "spec.bin").read_bytes()
+    shape = SystemShape(n_sat, cli.parse_spin(spin))
+    with pytest.raises(CheckpointError, match="written for"):
+        run_grid(GridSpec(*axes, shape, periods, stride), checkpoint_path=path)
+    assert cli.parse_and_dispatch([
+        "sweep", "--n-sat", str(n_sat), "--spin", spin,
+        "--lambda-min", "0.5", "--lambda-max", "2.0", "--lambda-steps", "2",
+        "--g-min", "0.3", "--g-max", "1.0", "--g-steps", "2",
+        "--periods", str(periods), "--stride", str(stride),
+        "--checkpoint", path, "--output", str(tmp_path / "out.csv")]) == 1
+    assert (tmp_path / "spec.bin").read_bytes() == written
+
+
+def test_csv_write_is_atomic(tmp_path):
+    path = tmp_path / "map.csv"
+    records = run_grid(_small_spec())
+    write_csv(records, str(path))
+    before = path.read_bytes()
+    with pytest.raises(AttributeError):
+        write_csv(records[:4] + [None] + records[4:], str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["map.csv"]

@@ -23,8 +23,8 @@ from .diagnostics import (PeriodReport, DtcPrediction, stroboscopic_average,
 from .analytic_states import (MilestoneSpec, parity_case_of,
                               supported_time_indices, milestone_state,
                               milestone_fidelity)
-from .metrology import (QfiMatrix, qfi_matrix, weighted_uncertainty,
-                        sensing_gain, fit_power_law)
+from .metrology import (QfiMatrix, qfi_matrix, qfi_matrices,
+                        weighted_uncertainty, sensing_gain, fit_power_law)
 from .sweep import (GridSpec, PhaseMapRecord, compute_point, run_grid,
                     read_checkpoint, write_csv, read_csv)
 

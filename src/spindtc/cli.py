@@ -11,6 +11,7 @@ flags override. Exit codes: 0 success, 2 bad arguments, 1 runtime failure.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -23,7 +24,7 @@ from .observables import make_recorder
 from .diagnostics import predict_dtc_class, detect_period, classify_subsystem
 from .analytic_states import (MilestoneSpec, milestone_state, parity_case_of,
                               supported_time_indices)
-from .metrology import qfi_matrix, sensing_gain
+from .metrology import qfi_matrices, sensing_gain
 from .sweep import GridSpec, run_grid, write_csv
 
 TRAJECTORY_HEADER = "n,m_sat_x,m_c_x,entropy,fidelity"
@@ -279,30 +280,29 @@ def _cmd_sweep(args) -> int:
 def _cmd_qfi(args) -> int:
     _require(args, "spin", "lam", "g")
     params = DriveParams.symmetric(args.lam, args.g)
-    rows = []
+    scans = []      # (n_sat, period counts): one propagation each
     if args.periods_list:
         _require(args, "n_sat")
-        for n in args.periods_list:
-            rows.append((args.n_sat, args.spin, n))
+        scans.append((args.n_sat, args.periods_list))
     if args.sizes:
-        for n_sat in args.sizes:
-            rows.append((n_sat, args.spin, args.periods))
-    if not rows:
+        scans += [(n_sat, [args.periods]) for n_sat in args.sizes]
+    if not scans:
         raise ShapeError("need --periods-list and/or --sizes")
     fh = _open_out(args.output)
     try:
         fh.write(QFI_HEADER + "\n")
-        for n_sat, two_s, n in rows:
-            q = qfi_matrix(CollectiveShape(n_sat, two_s), params, n)
-            try:
-                gain = sensing_gain(q)
-            except SpinDtcError:
-                gain = float("nan")
-            fh.write(f"{n_sat},{two_s},{n},{q.f_ll:.17g},{q.f_gg:.17g},"
-                     f"{q.f_lg:.17g},{q.g_scalar:.17g},{gain:.17g}\n")
-            if q.estimators_disagree:
-                print(f"warning: estimators disagree beyond 1% of the matrix "
-                      f"scale at (n_sat={n_sat}, n={n})", file=sys.stderr)
+        for n_sat, counts in scans:
+            for q in qfi_matrices(CollectiveShape(n_sat, args.spin), params, counts):
+                try:
+                    gain = sensing_gain(q)
+                except SpinDtcError:
+                    gain = float("nan")
+                n = q.n_periods
+                fh.write(f"{n_sat},{args.spin},{n},{q.f_ll:.17g},{q.f_gg:.17g},"
+                         f"{q.f_lg:.17g},{q.g_scalar:.17g},{gain:.17g}\n")
+                if q.estimators_disagree:
+                    print(f"warning: estimators disagree beyond 1% of the matrix "
+                          f"scale at (n_sat={n_sat}, n={n})", file=sys.stderr)
     finally:
         _close_out(fh)
     return 0
@@ -336,9 +336,16 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
+def _flag_parser() -> argparse.ArgumentParser:
+    """build_parser() with the flags' own defaults, built once per process:
+    parsing leaves a parser as it was."""
+    return build_parser()
+
+
 def parse_and_dispatch(argv) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _flag_parser().parse_args(argv)
         if args.config:
             args = build_parser(read_config(args.config)).parse_args(argv)
     except SystemExit as exc:

@@ -23,6 +23,10 @@ from .spin_algebra import spin_matrices, axis_eigenbasis
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 ORACLE_MAX_DIM = 4096
+# amplitudes of one block of recorded periods in evolve. Per-period Python
+# work in the recorder is paid once per block, and beyond a few thousand
+# amplitudes a longer block only holds more memory.
+_BLOCK_AMPLITUDES = 1 << 12
 
 # crude flop-proportional counter used by scaling and checkpoint tests
 _op_count = 0
@@ -174,21 +178,36 @@ def apply_interaction(state: PureState, tables: StepTables) -> PureState:
 
 
 def evolve(state: PureState, tables: StepTables, n_periods: int, recorder=None) -> list:
-    """Apply (kick; interaction) n_periods times, recording after each period.
+    """Apply (kick; interaction) n_periods times, recording every period.
 
     state may be a stack of states, one row per drive point of stacked
-    tables (see precompute). recorder, if given, is called as
-    recorder(state, n) with n = 1..n_periods and its return values are
-    collected into the returned list.
+    tables (see precompute). recorder, if given, is called once per block of
+    consecutive periods as recorder(states, first): states is a PureState
+    whose amplitudes have one more leading axis than state's, one entry per
+    period of the block, and first is the number of the block's first
+    period (1..n_periods). It returns one result per period, and the results
+    of all blocks are returned as one list. A block holds at most
+    _BLOCK_AMPLITUDES (4096) amplitudes, or one period when a single state
+    is larger, so recording holds at most that much beyond the state.
     """
     if n_periods < 0:
         raise ShapeError(f"n_periods must be >= 0, got {n_periods}")
+    if recorder is None:
+        for _ in range(n_periods):
+            apply_kick(state, tables)
+            apply_interaction(state, tables)
+        return []
     records = []
-    for n in range(1, n_periods + 1):
-        apply_kick(state, tables)
-        apply_interaction(state, tables)
-        if recorder is not None:
-            records.append(recorder(state, n))
+    block = max(1, _BLOCK_AMPLITUDES // state.amplitudes.size)
+    for first in range(1, n_periods + 1, block):
+        count = min(block, n_periods + 1 - first)
+        states = np.empty((count,) + state.amplitudes.shape,
+                          dtype=state.amplitudes.dtype)
+        for row in states:
+            apply_kick(state, tables)
+            apply_interaction(state, tables)
+            row[...] = state.amplitudes
+        records.extend(recorder(PureState(state.shape, states), first))
     return records
 
 

@@ -65,19 +65,23 @@ def _element(d_a: np.ndarray, d_b: np.ndarray, psi: np.ndarray) -> float:
     return 4.0 * float(val.real)
 
 
-def qfi_matrix(shape: SystemShape, params: DriveParams, n_periods: int,
-               delta: float = DEFAULT_DELTA,
-               global_phase: float = 0.0) -> QfiMatrix:
-    """Fisher matrix at (lambda, g) by tangent propagation, with the
-    central-difference cross-check at step delta.
+def qfi_matrices(shape: SystemShape, params: DriveParams, period_counts,
+                 delta: float = DEFAULT_DELTA,
+                 global_phase: float = 0.0) -> list[QfiMatrix]:
+    """Fisher matrices at (lambda, g) after each of period_counts periods,
+    in the given order, by tangent propagation, with the central-difference
+    cross-check at step delta.
 
+    One propagation to the largest count evaluates the elements at every
+    count as it passes it, so its cost is set by the largest count alone.
     global_phase multiplies every evolved state; the elements are invariant
     under it (exposed so the invariance is testable).
     """
+    counts = list(period_counts)
     if delta <= 0:
         raise StepSizeError(f"delta must be positive, got {delta}")
-    if n_periods < 0:
-        raise ShapeError(f"n_periods must be >= 0, got {n_periods}")
+    if any(n < 0 for n in counts):
+        raise ShapeError(f"n_periods must be >= 0, got {min(counts)}")
     if params.g_s != params.g_c:
         raise ShapeError("g is a single shared parameter; need g_s == g_c")
     lam, g = params.lam, params.g_s
@@ -93,16 +97,31 @@ def qfi_matrix(shape: SystemShape, params: DriveParams, n_periods: int,
 
     stack = np.zeros_like(kick)
     stack[[0, 3, 4, 5, 6]] = x_polarized_state(shape).amplitudes.reshape(-1, d)
-    for _ in range(n_periods):
-        stack *= kick
-        stack[2] -= 1j * k_gen * stack[0]
-        stack = to_x_basis(stack, tables)
-        stack *= interaction
-        stack[1] += 1j * h_gen * stack[0]
-        stack = from_x_basis(stack, tables)
-    if global_phase != 0.0:
-        stack *= np.exp(1j * global_phase)
+    matrices = {}
+    done = 0
+    for n in sorted(set(counts)):
+        for _ in range(n - done):
+            stack *= kick
+            stack[2] -= 1j * k_gen * stack[0]
+            stack = to_x_basis(stack, tables)
+            stack *= interaction
+            stack[1] += 1j * h_gen * stack[0]
+            stack = from_x_basis(stack, tables)
+        done = n
+        phased = stack * np.exp(1j * global_phase) if global_phase else stack
+        matrices[n] = _matrix(phased, n, delta)
+    return [matrices[n] for n in counts]
 
+
+def qfi_matrix(shape: SystemShape, params: DriveParams, n_periods: int,
+               delta: float = DEFAULT_DELTA,
+               global_phase: float = 0.0) -> QfiMatrix:
+    """The Fisher matrix after n_periods periods: qfi_matrices at one count."""
+    return qfi_matrices(shape, params, [n_periods], delta, global_phase)[0]
+
+
+def _matrix(stack: np.ndarray, n_periods: int, delta: float) -> QfiMatrix:
+    """Both estimators' elements from the propagated seven-row stack."""
     psi, d_l, d_g = stack[0], stack[1], stack[2]
     f_ll, f_gg, f_lg = (_element(d_l, d_l, psi), _element(d_g, d_g, psi),
                         _element(d_l, d_g, psi))

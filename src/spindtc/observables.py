@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ShapeError
-from .hilbert import (CollectiveShape, DensityMatrix, PureState, fidelity,
+from .hilbert import (CollectiveShape, DensityMatrix, PureState,
                       reduced_central_density, von_neumann_entropy)
 from .spin_algebra import spin_matrices
 
@@ -89,17 +89,29 @@ def period_observables(state: PureState, axis: str = "x"):
             von_neumann_entropy(rho))
 
 
+def make_recorder(reference: PureState, axis: str = "x"):
+    """Recorder callable for floquet.evolve, closed over the reference state.
+
+    It takes a block of consecutive periods, states stacked along the
+    leading axis and first the number of the first one, and returns one
+    TrajectoryRecord per period.
+    """
+    ref = reference.amplitudes
+
+    def _rec(states: PureState, first: int) -> list[TrajectoryRecord]:
+        columns = period_observables(states, axis)
+        # np.vdot per row, not one matmul: the same sum as hilbert.fidelity
+        return [TrajectoryRecord(n=first + k, m_sat_x=float(m_sat),
+                                 m_c_x=float(m_c), entropy=float(entropy),
+                                 fidelity_initial=abs(complex(np.vdot(row, ref))) ** 2)
+                for k, (row, m_sat, m_c, entropy)
+                in enumerate(zip(states.amplitudes, *columns))]
+    return _rec
+
+
 def record(state: PureState, n: int, reference: PureState,
            axis: str = "x") -> TrajectoryRecord:
-    """Bundle the per-period observables of one state into one row."""
-    m_sat, m_c, entropy = period_observables(state, axis)
-    return TrajectoryRecord(n=n, m_sat_x=float(m_sat), m_c_x=float(m_c),
-                            entropy=float(entropy),
-                            fidelity_initial=fidelity(state, reference))
-
-
-def make_recorder(reference: PureState, axis: str = "x"):
-    """Recorder callable for floquet.evolve, closed over the reference state."""
-    def _rec(state: PureState, n: int) -> TrajectoryRecord:
-        return record(state, n, reference, axis)
-    return _rec
+    """The per-period observables of one state as one row: make_recorder's
+    recorder on a block of one."""
+    block = PureState(state.shape, state.amplitudes[None])
+    return make_recorder(reference, axis)(block, n)[0]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ShapeError, CheckpointError
-from .hilbert import SystemShape, CollectiveShape, PureState, x_polarized_state
+from .hilbert import CollectiveShape, PureState, x_polarized_state
 from .floquet import DriveParams, precompute, evolve
 from .observables import period_observables
 from .diagnostics import stroboscopic_average, relative_order_parameter
@@ -42,11 +42,16 @@ _CHUNK = 256
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular scan: ranges are (lo, hi, steps), endpoints included."""
+    """Rectangular scan: ranges are (lo, hi, steps), endpoints included.
+
+    shape is a CollectiveShape: the scan runs on the collective layout, and
+    a SystemShape's 2^n capacity check would reject n_sat that it handles
+    (above 23 at s = 2).
+    """
 
     lambda_range: tuple[float, float, int]
     g_range: tuple[float, float, int]
-    shape: SystemShape
+    shape: CollectiveShape
     periods: int
     stride: int
 
@@ -82,14 +87,15 @@ class PhaseMapRecord:
     o_rel_c: float
 
 
-def _scan(shape: SystemShape, points, periods: int,
+def _scan(shape: CollectiveShape, points, periods: int,
           stride: int) -> list[PhaseMapRecord]:
     """Map records of the (lambda, g) points, evolved as one state stack."""
     shape = CollectiveShape(shape.n_sat, shape.two_s)
     tables = precompute(shape, [DriveParams.symmetric(lam, g) for lam, g in points])
     stack = PureState(shape, np.tile(x_polarized_state(shape).amplitudes,
                                      (len(points), 1)))
-    columns = evolve(stack, tables, periods, lambda state, n: period_observables(state))
+    columns = evolve(stack, tables, periods,
+                     lambda states, first: zip(*period_observables(states)))
     m_sat = [0.5] + [c[0] for c in columns]   # index by period number
     m_c = [shape.s] + [c[1] for c in columns]
     count = periods // stride
@@ -104,10 +110,12 @@ def _scan(shape: SystemShape, points, periods: int,
             for (lam, g), values in zip(points, averages)]
 
 
-def compute_point(shape: SystemShape, lam: float, g: float,
+def compute_point(shape: CollectiveShape, lam: float, g: float,
                   periods: int, stride: int) -> PhaseMapRecord:
-    """One trajectory from the x-polarized state, reduced to map averages
-    (on the collective layout of the shape's n_sat and two_s)."""
+    """One trajectory from the x-polarized state, reduced to map averages.
+
+    shape is a CollectiveShape, as for GridSpec.
+    """
     return _scan(shape, [(lam, g)], periods, stride)[0]
 
 
@@ -126,7 +134,9 @@ def run_grid(spec: GridSpec, workers: int | None = None,
     it finishes and a restart skips them. A trailing record cut short by a
     crash mid-write is dropped from the file and its point recomputed; a
     checkpoint written for another grid, shape, period count or stride
-    raises CheckpointError.
+    raises CheckpointError. The checkpoint's header is on disk before the
+    first stack starts, and an empty checkpoint (a scan killed before then)
+    starts a fresh scan.
     """
     lams = spec.axis("lambda")
     gs = spec.axis("g")
@@ -134,12 +144,14 @@ def run_grid(spec: GridSpec, workers: int | None = None,
     if checkpoint_path and os.path.exists(checkpoint_path):
         # appending after a cut record would corrupt the file for good
         _drop_cut_record(checkpoint_path)
-        done = dict(read_checkpoint(checkpoint_path, spec))
+        if os.path.getsize(checkpoint_path) > 0:
+            done = dict(read_checkpoint(checkpoint_path, spec))
     ckpt = open(checkpoint_path, "ab") if checkpoint_path else None
     try:
         if ckpt is not None and ckpt.tell() == 0:
             ckpt.write(CHECKPOINT_MAGIC)
             ckpt.write(_FRAME.pack(_RECORD_LENGTH, _SPEC_INDEX, *_fingerprint(spec)))
+            ckpt.flush()
         pending = [k for k in range(spec.n_points) if k not in done]
         for start in range(0, len(pending), _CHUNK):
             chunk = pending[start:start + _CHUNK]
@@ -192,7 +204,8 @@ def _drop_cut_record(path: str) -> None:
     """Truncate a checkpoint that ends inside a record, as a crash mid-write
     leaves it, to the end of its last whole record. Records have one size,
     so the cut is whatever follows the last whole one; read_checkpoint still
-    rejects every other malformation."""
+    rejects every other malformation. A file cut inside its first record is
+    emptied, so that the scan writes its header, fingerprint included, anew."""
     size = os.path.getsize(path)
     magic = len(CHECKPOINT_MAGIC)
     if size < magic:
@@ -205,7 +218,7 @@ def _drop_cut_record(path: str) -> None:
         fh.seek(whole)
         tail = fh.read(len(_RECORD_LENGTH))
     if head == CHECKPOINT_MAGIC and _RECORD_LENGTH.startswith(tail):
-        os.truncate(path, whole)
+        os.truncate(path, whole if whole > magic else 0)
 
 
 def read_checkpoint(path: str, spec: GridSpec | None = None

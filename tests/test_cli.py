@@ -6,6 +6,10 @@ import pytest
 
 from spindtc.cli import (parse_angle, parse_spin, parse_int_list, read_config,
                          build_parser, parse_and_dispatch)
+from spindtc.errors import SpinDtcError
+from spindtc.floquet import DriveParams
+from spindtc.hilbert import CollectiveShape
+from spindtc.metrology import qfi_matrix, sensing_gain
 
 
 def test_parse_angle_forms():
@@ -241,3 +245,56 @@ def test_readme_documents_every_flag():
     documented = set(re.findall(r"--[a-z][a-z0-9-]*", readme))
     missing = _all_option_strings() - documented
     assert not missing, f"flags absent from README: {sorted(missing)}"
+
+
+def test_qfi_time_scan_matches_single_rows(tmp_path):
+    # one walk for the --periods-list scan, in the given order, repeats and
+    # 0 included; every row bitwise as from its own qfi_matrix call
+    out = tmp_path / "qfi.csv"
+    assert parse_and_dispatch(["qfi", "--n-sat", "6", "--spin", "2",
+                               "--lambda", "1.3", "--g", "0.7",
+                               "--periods-list", "40,8,0,8,24,3",
+                               "--sizes", "3,5", "--output", str(out)]) == 0
+    params = DriveParams.symmetric(1.3, 0.7)
+    want = []
+    for n_sat, n in [(6, 40), (6, 8), (6, 0), (6, 8), (6, 24), (6, 3),
+                     (3, 48), (5, 48)]:
+        q = qfi_matrix(CollectiveShape(n_sat, 4), params, n)
+        try:
+            gain = sensing_gain(q)
+        except SpinDtcError:
+            gain = float("nan")
+        want.append(f"{n_sat},4,{n},{q.f_ll:.17g},{q.f_gg:.17g},"
+                    f"{q.f_lg:.17g},{q.g_scalar:.17g},{gain:.17g}")
+    assert out.read_text().splitlines()[1:] == want
+
+
+def test_back_to_back_calls_share_nothing(tmp_path, capsys):
+    evolve = ["evolve", "--n-sat", "3", "--spin", "1/2", "--lambda", "pi",
+              "--g", "pi/2", "--periods", "2"]
+    out = tmp_path / "traj.csv"
+    assert parse_and_dispatch(evolve + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert parse_and_dispatch(evolve) == 0
+    assert capsys.readouterr().out == out.read_text()
+    # a config's defaults stay with the call that named it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n-sat=3\nspin=1/2\nlam=pi\ng=pi/2\nperiods=2\n")
+    assert parse_and_dispatch(["--config", str(cfg), "evolve"]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert parse_and_dispatch(["evolve"]) == 2
+    assert "missing required option --n-sat" in capsys.readouterr().err
+
+
+def test_sweep_resumes_from_empty_checkpoint(tmp_path):
+    # a scan killed before its header reached the file leaves it empty
+    argv = ["sweep", "--n-sat", "3", "--spin", "1/2", "--lambda-steps", "2",
+            "--g-steps", "2", "--periods", "4"]
+    fresh = tmp_path / "fresh.csv"
+    assert parse_and_dispatch(argv + ["--output", str(fresh)]) == 0
+    ckpt = tmp_path / "map.ckpt"
+    ckpt.write_bytes(b"")
+    out = tmp_path / "map.csv"
+    assert parse_and_dispatch(argv + ["--checkpoint", str(ckpt),
+                                      "--output", str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()

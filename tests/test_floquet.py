@@ -8,6 +8,7 @@ from spindtc.spin_algebra import coherent_axis_state
 from spindtc.hilbert import (SystemShape, CollectiveShape, PureState,
                              product_state, x_polarized_state, fidelity)
 from spindtc.observables import make_recorder
+from spindtc import floquet
 from spindtc.floquet import (DriveParams, precompute, apply_kick,
                              apply_interaction, evolve, u_squared_class,
                              two_period_residual_phases, oracle_unitaries,
@@ -223,3 +224,26 @@ def test_collective_two_period_closed_form():
     want = two_period_residual_phases(sh, params) * st.amplitudes
     evolve(st, precompute(sh, params), 2)
     assert abs(np.vdot(want, st.amplitudes)) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("shape,periods", [(CollectiveShape(8, 4), 1000),
+                                           (CollectiveShape(3, 1), 5),
+                                           (SystemShape(10, 4), 3)])
+def test_recorder_called_once_per_block(shape, periods):
+    calls = []
+
+    def stub(states, first):
+        calls.append((first, states.amplitudes.shape))
+        return [first + k for k in range(len(states.amplitudes))]
+
+    st = x_polarized_state(shape)
+    out = evolve(st, precompute(shape, DriveParams.symmetric(1.3, 0.7)),
+                 periods, stub)
+    block = max(1, floquet._BLOCK_AMPLITUDES // shape.dim)
+    assert out == list(range(1, periods + 1))
+    assert len(calls) == -(-periods // block)
+    assert [first for first, _ in calls] == list(range(1, periods + 1, block))
+    for _, dims in calls:
+        assert dims[1:] == (shape.dim,)
+        assert dims[0] <= block
+        assert dims[0] * shape.dim <= floquet._BLOCK_AMPLITUDES or dims[0] == 1

@@ -6,8 +6,8 @@ from spindtc.spin_algebra import coherent_axis_state, spin_matrices
 from spindtc.hilbert import (SystemShape, CollectiveShape, PureState, fidelity,
                              product_state, x_polarized_state)
 from spindtc.floquet import DriveParams, precompute, evolve
-from spindtc.observables import (magnetization, period_observables, record,
-                                 make_recorder)
+from spindtc.observables import (TrajectoryRecord, magnetization,
+                                 period_observables, record, make_recorder)
 from spindtc.analytic_states import MilestoneSpec, milestone_state
 
 
@@ -118,3 +118,28 @@ def test_stack_rows_match_single_states(shape):
         assert stack.norm()[b] == st.norm()
     with pytest.raises(ShapeError):
         fidelity(stack, stack)
+
+
+def _stepped_records(shape, params, periods):
+    # one period per evolve call, recorded from the single state alone
+    st = x_polarized_state(shape)
+    ref = st.copy()
+    tables = precompute(shape, params)
+    out = []
+    for n in range(1, periods + 1):
+        evolve(st, tables, 1)
+        m_sat, m_c, entropy = period_observables(st)
+        out.append(TrajectoryRecord(n, float(m_sat), float(m_c), float(entropy),
+                                    fidelity(st, ref)))
+    return out
+
+
+@pytest.mark.parametrize("shape,periods", [(CollectiveShape(8, 4), 5000),
+                                           (SystemShape(10, 4), 30)])
+def test_block_records_match_stepped_periods(shape, periods):
+    # (8, 2) spans many recording blocks; the 2^10 x 5 state is over the
+    # block budget, so its blocks hold one period each
+    params = DriveParams.symmetric(1.3, 0.7)
+    st = x_polarized_state(shape)
+    got = evolve(st, precompute(shape, params), periods, make_recorder(st.copy()))
+    assert got == _stepped_records(shape, params, periods)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from spindtc.errors import ShapeError, CheckpointError
-from spindtc.hilbert import SystemShape
+from spindtc.hilbert import SystemShape, CollectiveShape
 from spindtc import cli
 from spindtc import floquet
+from spindtc import sweep
 from spindtc.sweep import (GridSpec, PhaseMapRecord, compute_point, run_grid,
                            read_checkpoint, write_csv, read_csv,
                            CHECKPOINT_MAGIC, _point_task,
@@ -255,3 +256,47 @@ def test_csv_write_is_atomic(tmp_path):
         write_csv(records[:4] + [None] + records[4:], str(path))
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["map.csv"]
+
+
+def test_empty_checkpoint_starts_fresh(tmp_path, monkeypatch):
+    # a scan killed before its first stack finished: the header is already
+    # on disk, and a file left empty by an earlier kill is a fresh start
+    spec = _small_spec()
+    path = tmp_path / "map.ckpt"
+    path.write_bytes(b"")
+    header = len(CHECKPOINT_MAGIC) + sweep._FRAME.size
+
+    def killed(*args):
+        assert path.read_bytes()[:len(CHECKPOINT_MAGIC)] == CHECKPOINT_MAGIC
+        assert path.stat().st_size == header
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(sweep, "_scan", killed)
+        with pytest.raises(KeyboardInterrupt):
+            run_grid(spec, checkpoint_path=str(path))
+    assert read_checkpoint(str(path), spec) == []
+    path.write_bytes(b"")
+    assert run_grid(spec, checkpoint_path=str(path)) == run_grid(spec)
+    assert [r for _, r in read_checkpoint(str(path), spec)] == run_grid(spec)
+
+
+def test_collective_grid_beyond_the_full_layout():
+    # n_sat = 64 at s = 2 is far past the 2^n layout's capacity
+    spec = GridSpec((0.5, 2.5, 3), (0.3, 1.9, 3), CollectiveShape(64, 4), 12, 2)
+    records = run_grid(spec)
+    lams, gs = spec.axis("lambda"), spec.axis("g")
+    assert records == [compute_point(spec.shape, float(lam), float(g), 12, 2)
+                       for lam in lams for g in gs]
+
+
+def test_resume_from_cut_fingerprint(tmp_path):
+    # a kill inside the header's fingerprint record: the resume writes the
+    # header anew, so a later scan of another spec is still rejected
+    spec = _small_spec()
+    path = tmp_path / "map.ckpt"
+    run_grid(spec, checkpoint_path=str(path))
+    path.write_bytes(path.read_bytes()[:len(CHECKPOINT_MAGIC) + 30])
+    assert run_grid(spec, checkpoint_path=str(path)) == run_grid(spec)
+    with pytest.raises(CheckpointError, match="written for"):
+        run_grid(_small_spec(periods=32), checkpoint_path=str(path))

@@ -2,18 +2,26 @@
 
 One drive period is: kick U_d = exp(-i g_c S_c^z) prod_i exp(-i g_s S_i^z),
 then interaction U_0 = exp(i lambda sum_i S_i^x S_c^x). The kick is diagonal
-in the joint z basis; the interaction is diagonal after rotating every
-satellite qubit and the central spin into their x eigenbases. Period cost is
+in the joint z basis, the interaction in the joint x basis (every satellite
+qubit and the central spin rotated into their x eigenbases). evolve keeps
+the state in the x basis: with X the state as a (satellite index, central
+level) matrix, one period is X <- (K_s X K_c^T) * P, P the interaction
+diagonal and K = V^H diag(e^{-i g m}) V the kick of each spin in its x
+basis. It changes basis once on entry, once per block of recorded periods
+(to hand the recorder z-basis states) and once on exit. Period cost is
 O(D * (n_sat + d)) instead of the dense O(D^2).
 
 On a CollectiveShape the satellite factor is the Dicke ladder of
-J = n_sat/2: its magnetic numbers are the J^z eigenvalues and its z<->x
-rotation is one dense (n_sat+1)^2 matrix, the kicked-top reduction of
+J = n_sat/2: its magnetic numbers are the J^z eigenvalues, its z<->x
+rotation and K_s are dense (n_sat+1)^2 matrices, the kicked-top reduction of
 Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987), applied to two coupled spins.
+On the 2^n layout (the verification path) K_s is one 2x2 rotation applied to
+every satellite qubit, and a period costs O(D * (2 n_sat + d)).
 """
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +29,7 @@ from .errors import ShapeError, CapacityError
 from .hilbert import SystemShape, CollectiveShape, PureState
 from .spin_algebra import spin_matrices, axis_eigenbasis
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 ORACLE_MAX_DIM = 4096
 # amplitudes of one block of recorded periods in evolve. Per-period Python
 # work in the recorder is paid once per block, and beyond a few thousand
@@ -56,15 +64,49 @@ class DriveParams:
 
 @dataclass(frozen=True)
 class StepTables:
-    """Precomputed diagonals and basis rotations for one drive period."""
+    """Precomputed diagonals, basis rotations and kick factors for one drive
+    period. Stacked tables (see precompute) carry a leading row axis on
+    every per-point entry: the phase tables, the kick angles and the kick
+    factors."""
 
     shape: SystemShape
-    kick_phases: np.ndarray          # diagonal of U_d in the joint z basis
-    interaction_phases: np.ndarray   # diagonal of U_0 in the joint x basis
+    # diagonal of U_d in the joint z basis: apply_kick and metrology's
+    # tangent loop; evolve kicks with satellite_kick and central_kick
+    kick_phases: np.ndarray
+    # diagonal of U_0 in the joint x basis, the basis evolve drives in
+    interaction_phases: np.ndarray
     central_x_rotation: np.ndarray   # columns: x eigenbasis of the central spin
+    kick_angles: np.ndarray          # (g_s, g_c), the kick factors' angles
     # columns: x eigenbasis of the collective satellite spin; None on the
     # 2^n layout, which rotates every satellite qubit instead
     satellite_x_rotation: np.ndarray | None = None
+
+    @cached_property
+    def satellite_kick(self) -> np.ndarray:
+        """K_s, the satellite kick in the x basis: it multiplies the state
+        matrix from the left. (n_sat+1)^2 on the collective layout; on the
+        2^n layout the 2x2 [[cos g/2, -i sin g/2], [-i sin g/2, cos g/2]]
+        of one satellite qubit. Built on first use, so paths that never
+        drive in the x basis (metrology) never build it."""
+        if self.satellite_x_rotation is None:     # one satellite qubit
+            v, m = _HADAMARD, np.array([0.5, -0.5])
+        else:
+            v, m = self.satellite_x_rotation, magnetic_numbers(self.shape)[0]
+        return _x_basis_kick(v, self.kick_angles[..., 0], m)
+
+    @cached_property
+    def central_kick(self) -> np.ndarray:
+        """K_c^T, the central kick in the x basis, transposed: it multiplies
+        the state matrix from the right."""
+        kick = _x_basis_kick(self.central_x_rotation, self.kick_angles[..., 1],
+                             magnetic_numbers(self.shape)[1])
+        return np.ascontiguousarray(kick.swapaxes(-1, -2))
+
+
+def _x_basis_kick(v: np.ndarray, g: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """V^H diag(e^{-i g m}) V, one matrix per entry of g."""
+    phases = np.exp(-1j * np.multiply.outer(g, m))
+    return (v.conj().T * phases[..., None, :]) @ v
 
 
 def _popcounts(n_bits: int) -> np.ndarray:
@@ -90,8 +132,8 @@ def precompute(shape: SystemShape,
                params: DriveParams | Sequence[DriveParams]) -> StepTables:
     """Build the phase tables and basis rotations for the shape.
 
-    With a sequence of drive points the phase tables are stacked, one row
-    per point, for a state stack with one row per point.
+    With a sequence of drive points the phase tables and kick factors are
+    stacked, one row per point, for a state stack with one row per point.
     """
     m_sat, m_c = magnetic_numbers(shape)
     single = isinstance(params, DriveParams)
@@ -106,6 +148,7 @@ def precompute(shape: SystemShape,
         kick_phases=kick.reshape(rows + (-1,)),
         interaction_phases=interaction.reshape(rows + (-1,)),
         central_x_rotation=axis_eigenbasis(shape.two_s, "x"),
+        kick_angles=np.stack([g_s, g_c], axis=-1).reshape(rows + (2,)),
         satellite_x_rotation=(axis_eigenbasis(shape.n_sat, "x")
                               if isinstance(shape, CollectiveShape) else None),
     )
@@ -125,14 +168,23 @@ def apply_kick(state: PureState, tables: StepTables) -> PureState:
     return state
 
 
-def _hadamard_all_satellites(amps: np.ndarray, shape: SystemShape) -> None:
-    # self-inverse z<->x rotation on every satellite qubit
+def _rotate_all_satellites(mat: np.ndarray, shape: SystemShape,
+                           u: np.ndarray) -> None:
+    """Apply the 2x2 matrix u to every satellite qubit of mat, in place.
+
+    mat is C-contiguous with any leading axes. u may carry leading axes of
+    its own, one matrix per row of a state stack; they match mat's first
+    axes.
+    """
+    rows = mat.shape[:u.ndim - 2]
+    (a, b), (c, e) = np.moveaxis(u, (-2, -1), (0, 1))[..., None, None]
     inner = shape.central_dim
     for _ in range(shape.n_sat):
-        v = amps.reshape(-1, 2, inner)
-        top = (v[:, 0, :] + v[:, 1, :]) * _INV_SQRT2
-        v[:, 1, :] = (v[:, 0, :] - v[:, 1, :]) * _INV_SQRT2
-        v[:, 0, :] = top
+        v = mat.reshape(rows + (-1, 2, inner))
+        top, bottom = v[..., 0, :], v[..., 1, :]
+        new_top = a * top + b * bottom
+        bottom[...] = c * top + e * bottom
+        top[...] = new_top
         inner *= 2
 
 
@@ -145,9 +197,9 @@ def to_x_basis(mat: np.ndarray, tables: StepTables) -> np.ndarray:
     """
     vs = tables.satellite_x_rotation
     if vs is None:
-        _hadamard_all_satellites(mat, tables.shape)   # every satellite qubit
+        _rotate_all_satellites(mat, tables.shape, _HADAMARD)   # every qubit
     else:
-        mat = vs.conj().T @ mat                       # the collective spin
+        mat = vs.conj().T @ mat                                # the collective spin
     return mat @ tables.central_x_rotation.conj()
 
 
@@ -156,7 +208,7 @@ def from_x_basis(mat: np.ndarray, tables: StepTables) -> np.ndarray:
     mat = mat @ tables.central_x_rotation.T
     vs = tables.satellite_x_rotation
     if vs is None:
-        _hadamard_all_satellites(mat, tables.shape)
+        _rotate_all_satellites(mat, tables.shape, _HADAMARD)
         return mat
     return vs @ mat
 
@@ -181,33 +233,62 @@ def evolve(state: PureState, tables: StepTables, n_periods: int, recorder=None) 
     """Apply (kick; interaction) n_periods times, recording every period.
 
     state may be a stack of states, one row per drive point of stacked
-    tables (see precompute). recorder, if given, is called once per block of
-    consecutive periods as recorder(states, first): states is a PureState
-    whose amplitudes have one more leading axis than state's, one entry per
-    period of the block, and first is the number of the block's first
-    period (1..n_periods). It returns one result per period, and the results
-    of all blocks are returned as one list. A block holds at most
+    tables (see precompute). It is rotated into the joint x basis once on
+    entry, driven there (kick factors and the interaction diagonal), and
+    rotated back into the z basis once on exit; an evolve call of zero
+    periods leaves it untouched. recorder, if given, is called once per
+    block of consecutive periods as recorder(states, first): states is a
+    PureState in the z basis (one basis change per block) whose amplitudes
+    have one more leading axis than state's, one entry per period of the
+    block, and first is the number of the block's first period
+    (1..n_periods). It returns one result per period, and the results of
+    all blocks are returned as one list. A block holds at most
     _BLOCK_AMPLITUDES (4096) amplitudes, or one period when a single state
     is larger, so recording holds at most that much beyond the state.
     """
+    global _op_count
     if n_periods < 0:
         raise ShapeError(f"n_periods must be >= 0, got {n_periods}")
+    _check(state, tables)
+    if n_periods == 0:
+        return []
+    shape, flat = state.shape, state.amplitudes.shape
+    d = shape.central_dim
+    x = to_x_basis(state.amplitudes.reshape(flat[:-1] + (-1, d)), tables)
+    k_s, k_c = tables.satellite_kick, tables.central_kick
+    phases = tables.interaction_phases.reshape(x.shape)
+    qubits = tables.satellite_x_rotation is None
+
+    def period(x):
+        if qubits:
+            _rotate_all_satellites(x, shape, k_s)
+            x = x @ k_c
+        else:
+            x = k_s @ x @ k_c
+        x *= phases
+        return x
+
+    records = []
     if recorder is None:
         for _ in range(n_periods):
-            apply_kick(state, tables)
-            apply_interaction(state, tables)
-        return []
-    records = []
-    block = max(1, _BLOCK_AMPLITUDES // state.amplitudes.size)
-    for first in range(1, n_periods + 1, block):
-        count = min(block, n_periods + 1 - first)
-        states = np.empty((count,) + state.amplitudes.shape,
-                          dtype=state.amplitudes.dtype)
-        for row in states:
-            apply_kick(state, tables)
-            apply_interaction(state, tables)
-            row[...] = state.amplitudes
-        records.extend(recorder(PureState(state.shape, states), first))
+            x = period(x)
+    else:
+        block = max(1, _BLOCK_AMPLITUDES // state.amplitudes.size)
+        buffer = np.empty((block,) + x.shape, dtype=x.dtype)
+        for first in range(1, n_periods + 1, block):
+            count = min(block, n_periods + 1 - first)
+            states = buffer[:count]
+            for row in states:
+                x = period(x)
+                row[...] = x
+            # one stack of count * rows states: matmul loops faster over one
+            # leading axis than over two
+            states = from_x_basis(states.reshape((-1,) + x.shape[-2:]), tables)
+            states = states.reshape((count,) + flat)
+            records.extend(recorder(PureState(shape, states), first))
+    state.amplitudes = from_x_basis(x, tables).reshape(flat)
+    sat_ops = 2 * shape.n_sat if qubits else shape.n_sat + 1
+    _op_count += n_periods * x.size * (sat_ops + d + 1)
     return records
 
 

@@ -171,13 +171,19 @@ def von_neumann_entropy(rho: DensityMatrix) -> float | np.ndarray:
     """-sum p ln p over the spectrum (natural log, tiny eigenvalues dropped).
 
     entries may be a stack of matrices; the result then has one entropy per
-    matrix.
+    matrix. Raises ShapeError if a matrix is not Hermitian.
     """
     h = rho.entries.swapaxes(-1, -2).conj()
     # np.allclose(rho, h, atol=1e-10) written out: allclose costs more than
     # the eigendecomposition on the small central densities
     if not (np.abs(rho.entries - h) <= 1e-10 + 1e-5 * np.abs(h)).all():
         raise ShapeError("density matrix is not Hermitian")
-    p = np.linalg.eigvalsh(rho.entries)
+    return _hermitian_entropy(rho.entries)
+
+
+def _hermitian_entropy(entries: np.ndarray) -> float | np.ndarray:
+    """von_neumann_entropy without the Hermiticity check, for densities that
+    are Hermitian by construction (reduced_central_density's)."""
+    p = np.linalg.eigvalsh(entries)
     p = np.where(p > 1e-14, p, 1.0)     # ln 1 = 0 drops the tiny ones
     return -(p * np.log(p)).sum(axis=-1)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .hilbert import (CollectiveShape, DensityMatrix, PureState,
-                      reduced_central_density, von_neumann_entropy)
+                      reduced_central_density, _hermitian_entropy)
 from .spin_algebra import spin_matrices
 
 
@@ -82,11 +82,13 @@ def magnetization(state: PureState, target: str,
 
 def period_observables(state: PureState, axis: str = "x"):
     """(satellite <S^axis>, central <S^axis>, entanglement entropy), one
-    value per row of a state stack; the phase map's per-period columns."""
+    value per row of a state stack; the phase map's per-period columns.
+    The reduced density is Hermitian by construction, so the entropy skips
+    von_neumann_entropy's check."""
     rho = reduced_central_density(state)
     return (magnetization(state, "satellites", axis),
             _central_magnetization(rho, state.shape.two_s, axis),
-            von_neumann_entropy(rho))
+            _hermitian_entropy(rho.entries))
 
 
 def make_recorder(reference: PureState, axis: str = "x"):
@@ -99,10 +101,10 @@ def make_recorder(reference: PureState, axis: str = "x"):
     ref = reference.amplitudes
 
     def _rec(states: PureState, first: int) -> list[TrajectoryRecord]:
-        columns = period_observables(states, axis)
+        columns = (c.tolist() for c in period_observables(states, axis))
         # np.vdot per row, not one matmul: the same sum as hilbert.fidelity
-        return [TrajectoryRecord(n=first + k, m_sat_x=float(m_sat),
-                                 m_c_x=float(m_c), entropy=float(entropy),
+        return [TrajectoryRecord(n=first + k, m_sat_x=m_sat, m_c_x=m_c,
+                                 entropy=entropy,
                                  fidelity_initial=abs(complex(np.vdot(row, ref))) ** 2)
                 for k, (row, m_sat, m_c, entropy)
                 in enumerate(zip(states.amplitudes, *columns))]

@@ -1,9 +1,10 @@
 """(lambda, g) grid scans with CSV output and binary checkpoints.
 
 Grid points are independent trajectories from the x-polarized initial state
-that differ only in their kick and interaction diagonals, so the scan evolves
-up to _CHUNK of them at once as one state stack through the engine's drive
-step, on the collective layout (hilbert.CollectiveShape), in one process.
+that differ only in their kick factors and interaction diagonals, so the
+scan evolves as many of them at once as fit a fixed entry budget, as one
+state stack through the engine's drive step, on the collective layout
+(hilbert.CollectiveShape), in one process.
 Every row of the stack is computed by the same operations whatever the other
 rows are, so a point's record does not depend on which points share its
 stack (a fresh run and any resume agree bitwise), and results are returned
@@ -34,10 +35,11 @@ _FRAME = struct.Struct("<4sI7d")
 _RECORD_LENGTH = struct.pack("<I", _FRAME.size - 4)   # every record's prefix
 # index of the record right after the magic that holds the spec fingerprint
 _SPEC_INDEX = 0xFFFFFFFF
-# grid points evolved as one stack. Per-period Python overhead is paid once
-# per stack, so small stacks are slow, while beyond a few hundred rows the
-# arithmetic dominates and a larger stack only holds more memory.
-_CHUNK = 256
+# complex entries of one stack's state and per-row tables (see _stack_rows).
+# Per-period Python overhead is paid once per stack, so small stacks are
+# slow, while beyond a few hundred rows the arithmetic dominates and a
+# larger stack only holds more memory.
+_STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,14 @@ class PhaseMapRecord:
     o_rel_c: float
 
 
+def _stack_rows(shape: CollectiveShape) -> int:
+    """Grid points per stack: as many as fit _STACK_ENTRIES, counting per
+    row the state, the kick and interaction diagonals and the two kick
+    factors (271 rows at (8, 2)), and at least one."""
+    n, d = shape.n_sat + 1, shape.central_dim
+    return max(1, _STACK_ENTRIES // (3 * n * d + n * n + d * d))
+
+
 def _scan(shape: CollectiveShape, points, periods: int,
           stride: int) -> list[PhaseMapRecord]:
     """Map records of the (lambda, g) points, evolved as one state stack."""
@@ -119,17 +129,12 @@ def compute_point(shape: CollectiveShape, lam: float, g: float,
     return _scan(shape, [(lam, g)], periods, stride)[0]
 
 
-def _point_task(args) -> tuple[int, PhaseMapRecord]:
-    index, n_sat, two_s, *point = args    # point: lam, g, periods, stride
-    return index, compute_point(CollectiveShape(n_sat, two_s), *point)
-
-
 def run_grid(spec: GridSpec, workers: int | None = None,
              checkpoint_path: str | None = None) -> list[PhaseMapRecord]:
     """Scan the grid, row-major (lambda outer, g inner).
 
-    The points still to compute, in grid order, are evolved in stacks of up
-    to _CHUNK rows in this process; workers is accepted and ignored. With
+    The points still to compute, in grid order, are evolved in stacks of
+    _stack_rows rows in this process; workers is accepted and ignored. With
     checkpoint_path, each stack's points are appended to the checkpoint as
     it finishes and a restart skips them. A trailing record cut short by a
     crash mid-write is dropped from the file and its point recomputed; a
@@ -153,8 +158,9 @@ def run_grid(spec: GridSpec, workers: int | None = None,
             ckpt.write(_FRAME.pack(_RECORD_LENGTH, _SPEC_INDEX, *_fingerprint(spec)))
             ckpt.flush()
         pending = [k for k in range(spec.n_points) if k not in done]
-        for start in range(0, len(pending), _CHUNK):
-            chunk = pending[start:start + _CHUNK]
+        rows = _stack_rows(spec.shape)
+        for start in range(0, len(pending), rows):
+            chunk = pending[start:start + rows]
             points = [(float(lams[k // len(gs)]), float(gs[k % len(gs)]))
                       for k in chunk]
             for index, rec in zip(chunk, _scan(spec.shape, points,

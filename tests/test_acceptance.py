@@ -218,7 +218,8 @@ def test_criterion_12_determinism():
     assert r1 == r2 == r8
     import os
     import tempfile
-    from spindtc.sweep import (CHECKPOINT_MAGIC, _point_task,
+    from spindtc.hilbert import CollectiveShape
+    from spindtc.sweep import (CHECKPOINT_MAGIC, compute_point,
                                _write_checkpoint_record)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "resume.bin")
@@ -227,7 +228,8 @@ def test_criterion_12_determinism():
             fh.write(CHECKPOINT_MAGIC)
             for index in range(5):
                 i, j = divmod(index, 3)
-                task = (index, 3, 1, float(lams[i]), float(gs[j]), 16, 2)
-                _write_checkpoint_record(fh, *_point_task(task))
+                rec = compute_point(CollectiveShape(3, 1), float(lams[i]),
+                                    float(gs[j]), 16, 2)
+                _write_checkpoint_record(fh, index, rec)
         resumed = run_grid(spec, workers=1, checkpoint_path=path)
     assert resumed == r1

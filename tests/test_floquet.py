@@ -37,6 +37,33 @@ def test_tables_unit_modulus():
     np.testing.assert_allclose(v.conj().T @ v, np.eye(4), atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [SystemShape(3, 2), CollectiveShape(6, 3)])
+def test_kick_factors_are_the_kick_in_the_x_basis(shape):
+    # K_s X K_c^T in the x basis is the z-basis kick diagonal, for one drive
+    # point and per row of stacked tables; on the 2^n layout K_s is the
+    # closed-form qubit rotation
+    rng = np.random.default_rng(5)
+    points = [DriveParams(1.1, 0.7, 2.3), DriveParams(0.4, -1.9, 0.3)]
+    d = shape.central_dim
+    for params in (points[0], points):
+        t = precompute(shape, params)
+        rows = () if isinstance(params, DriveParams) else (len(points),)
+        z = rng.normal(size=rows + (shape.dim,)) + 1j * rng.normal(size=rows + (shape.dim,))
+        want = z * t.kick_phases
+        x = floquet.to_x_basis(z.reshape(rows + (-1, d)).copy(), t)
+        if isinstance(shape, CollectiveShape):
+            x = t.satellite_kick @ x
+        else:
+            floquet._rotate_all_satellites(x, shape, t.satellite_kick)
+        got = floquet.from_x_basis(x @ t.central_kick, t).reshape(want.shape)
+        np.testing.assert_allclose(got, want, atol=1e-12)
+    g = 0.7
+    half = precompute(SystemShape(2, 1), DriveParams(0.0, g, g)).satellite_kick
+    np.testing.assert_allclose(half, [[np.cos(g / 2), -1j * np.sin(g / 2)],
+                                      [-1j * np.sin(g / 2), np.cos(g / 2)]],
+                               atol=1e-15)
+
+
 def test_double_interaction_at_2pi_single_pair():
     # n_sat=1, two_s=1: U_0^2 at lambda=2pi is -identity (pure global phase)
     sh = SystemShape(1, 1)
@@ -247,3 +274,26 @@ def test_recorder_called_once_per_block(shape, periods):
         assert dims[1:] == (shape.dim,)
         assert dims[0] <= block
         assert dims[0] * shape.dim <= floquet._BLOCK_AMPLITUDES or dims[0] == 1
+
+
+def test_basis_changes_once_per_block(monkeypatch):
+    # the drive stays in the x basis: one rotation into it, one out of it
+    # per recorded block and one at exit, not two per period
+    calls = {"to": 0, "from": 0}
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(floquet, "to_x_basis", counted("to", floquet.to_x_basis))
+    monkeypatch.setattr(floquet, "from_x_basis",
+                        counted("from", floquet.from_x_basis))
+    shape, periods = CollectiveShape(8, 4), 1000
+    st = x_polarized_state(shape)
+    out = evolve(st, precompute(shape, DriveParams.symmetric(1.3, 0.7)),
+                 periods, lambda states, first: list(states.amplitudes))
+    block = floquet._BLOCK_AMPLITUDES // shape.dim
+    assert len(out) == periods
+    assert calls == {"to": 1, "from": -(-periods // block) + 1}

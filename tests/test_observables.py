@@ -120,17 +120,19 @@ def test_stack_rows_match_single_states(shape):
         fidelity(stack, stack)
 
 
-def _stepped_records(shape, params, periods):
-    # one period per evolve call, recorded from the single state alone
+def _per_period_records(shape, params, periods):
+    # the states of one evolve call, each period recorded on its own from
+    # the single state alone
     st = x_polarized_state(shape)
     ref = st.copy()
-    tables = precompute(shape, params)
+    states = evolve(st, precompute(shape, params), periods,
+                    lambda block, first: list(block.amplitudes))
     out = []
-    for n in range(1, periods + 1):
-        evolve(st, tables, 1)
-        m_sat, m_c, entropy = period_observables(st)
+    for n, amps in enumerate(states, start=1):
+        single = PureState(shape, amps)
+        m_sat, m_c, entropy = period_observables(single)
         out.append(TrajectoryRecord(n, float(m_sat), float(m_c), float(entropy),
-                                    fidelity(st, ref)))
+                                    fidelity(single, ref)))
     return out
 
 
@@ -142,4 +144,26 @@ def test_block_records_match_stepped_periods(shape, periods):
     params = DriveParams.symmetric(1.3, 0.7)
     st = x_polarized_state(shape)
     got = evolve(st, precompute(shape, params), periods, make_recorder(st.copy()))
-    assert got == _stepped_records(shape, params, periods)
+    assert got == _per_period_records(shape, params, periods)
+
+
+def test_one_period_calls_match_one_call():
+    # each evolve call enters and leaves the x basis once, so 5000 calls of
+    # one period round differently from one call of 5000, within the
+    # engine cross-check tolerance
+    shape, periods = CollectiveShape(8, 4), 5000
+    params = DriveParams.symmetric(1.3, 0.7)
+    tables = precompute(shape, params)
+    whole = x_polarized_state(shape)
+    got = evolve(whole, tables, periods, make_recorder(whole.copy()))
+    st = x_polarized_state(shape)
+    for n in range(1, periods + 1):
+        evolve(st, tables, 1)
+        m_sat, m_c, entropy = period_observables(st)
+        want = (m_sat, m_c, entropy, fidelity(st, x_polarized_state(shape)))
+        rec = got[n - 1]
+        assert rec.n == n
+        assert np.max(np.abs(np.subtract(
+            (rec.m_sat_x, rec.m_c_x, rec.entropy, rec.fidelity_initial),
+            want))) < 1e-10
+    assert np.max(np.abs(st.amplitudes - whole.amplitudes)) < 1e-10

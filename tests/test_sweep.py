@@ -10,8 +10,7 @@ from spindtc import floquet
 from spindtc import sweep
 from spindtc.sweep import (GridSpec, PhaseMapRecord, compute_point, run_grid,
                            read_checkpoint, write_csv, read_csv,
-                           CHECKPOINT_MAGIC, _point_task,
-                           _write_checkpoint_record)
+                           CHECKPOINT_MAGIC, _write_checkpoint_record)
 
 
 def _small_spec(periods=16, stride=2):
@@ -66,8 +65,9 @@ def _criterion_11_subgrid(lambda_every, g_every):
 
 
 def test_row_independent_of_batch():
-    # 17 x 17 = 289 points: two stacks, of 256 and 33 rows
+    # 17 x 17 = 289 points: two stacks, of 271 and 18 rows
     spec = _criterion_11_subgrid(4, 2)
+    assert sweep._stack_rows(CollectiveShape(8, 4)) == 271
     records = run_grid(spec)
     lams, gs = spec.axis("lambda"), spec.axis("g")
     for i, j in ((4, 4), (12, 12), (8, 0), (16, 13)):
@@ -75,16 +75,27 @@ def test_row_independent_of_batch():
         lam, g = float(lams[i]), float(gs[j])
         alone = compute_point(SystemShape(8, 4), lam, g, 200, 2)
         assert alone == records[index]
-        assert _point_task((index, 8, 4, lam, g, 200, 2)) == (index, alone)
+        assert (index, compute_point(CollectiveShape(8, 4), lam, g, 200, 2)) \
+            == (index, alone)
     # criterion 11's own 65 x 33 axes give the same rows bitwise
     assert compute_point(SystemShape(8, 4), float(np.linspace(0, 4 * np.pi, 65)[16]),
                          float(np.linspace(0, 2 * np.pi, 33)[24]), 200, 2) \
         == records[4 * len(gs) + 12]
 
 
+def test_stack_rows_follow_the_entry_budget():
+    # per-row kick factors grow as (n_sat+1)^2: (8, 2) keeps stacks of at
+    # least 256 points, larger shapes get shorter stacks, and a shape whose
+    # row alone is over the budget gets one point a stack
+    assert sweep._stack_rows(CollectiveShape(8, 4)) >= 256
+    assert sweep._stack_rows(CollectiveShape(41, 5)) \
+        < sweep._stack_rows(CollectiveShape(9, 5))
+    assert sweep._stack_rows(CollectiveShape(5000, 4)) == 1
+
+
 def test_resume_mid_chunk(tmp_path):
     # the checkpoint holds the fingerprint and the first 100 of 289 records:
-    # the fresh run's stacks were points 0-255 and 256-288, the resume's
+    # the fresh run's stacks were points 0-270 and 271-288, the resume's
     # one stack is points 100-288, and every row must come out the same
     spec = _criterion_11_subgrid(4, 2)
     path = tmp_path / "mid.bin"
@@ -165,9 +176,9 @@ def test_checkpoint_resume_no_recompute(tmp_path):
         fh.write(CHECKPOINT_MAGIC)
         for index in range(5):
             i, j = divmod(index, 3)
-            task = (index, 3, 1, float(lams[i]), float(gs[j]),
-                    spec.periods, spec.stride)
-            _write_checkpoint_record(fh, *_point_task(task))
+            rec = compute_point(CollectiveShape(3, 1), float(lams[i]),
+                                float(gs[j]), spec.periods, spec.stride)
+            _write_checkpoint_record(fh, index, rec)
     floquet.reset_op_count()
     resumed = run_grid(spec, workers=1, checkpoint_path=path)
     ops_resumed = floquet.op_count()

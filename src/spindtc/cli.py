@@ -12,6 +12,7 @@ flags override. Exit codes: 0 success, 2 bad arguments, 1 runtime failure.
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -24,7 +25,7 @@ from .observables import make_recorder
 from .diagnostics import predict_dtc_class, detect_period, classify_subsystem
 from .analytic_states import (MilestoneSpec, milestone_state, parity_case_of,
                               supported_time_indices)
-from .metrology import qfi_matrices, sensing_gain
+from .metrology import qfi_scan, sensing_gain
 from .sweep import GridSpec, run_grid, write_csv
 
 TRAJECTORY_HEADER = "n,m_sat_x,m_c_x,entropy,fidelity"
@@ -206,13 +207,24 @@ def _require(args, *names):
             raise ShapeError(f"missing required option --{name.replace('_', '-')}")
 
 
-def _open_out(path):
-    return open(path, "w") if path else sys.stdout
+def _write_output(path, lines) -> None:
+    """The lines to path, or to stdout without one.
 
-
-def _close_out(fh):
-    if fh is not sys.stdout:
-        fh.close()
+    A file is written as a temporary file beside path, which then replaces
+    path in one step, so a failed run leaves any earlier file whole.
+    """
+    text = "".join(line + "\n" for line in lines)
+    if not path:
+        sys.stdout.write(text)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):     # the write failed part-way
+            os.remove(tmp)
 
 
 def _cmd_evolve(args) -> int:
@@ -221,14 +233,9 @@ def _cmd_evolve(args) -> int:
     state = x_polarized_state(shape)
     tables = precompute(shape, DriveParams.symmetric(args.lam, args.g))
     traj = evolve(state, tables, args.periods, make_recorder(state.copy()))
-    fh = _open_out(args.output)
-    try:
-        fh.write(TRAJECTORY_HEADER + "\n")
-        for r in traj:
-            fh.write(f"{r.n},{r.m_sat_x:.17g},{r.m_c_x:.17g},"
-                     f"{r.entropy:.17g},{r.fidelity_initial:.17g}\n")
-    finally:
-        _close_out(fh)
+    _write_output(args.output, [TRAJECTORY_HEADER] + [
+        f"{r.n},{r.m_sat_x:.17g},{r.m_c_x:.17g},"
+        f"{r.entropy:.17g},{r.fidelity_initial:.17g}" for r in traj])
     return 0
 
 
@@ -279,8 +286,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_qfi(args) -> int:
     _require(args, "spin", "lam", "g")
-    params = DriveParams.symmetric(args.lam, args.g)
-    scans = []      # (n_sat, period counts): one propagation each
+    scans = []      # (n_sat, period counts), every row of the CSV in order
     if args.periods_list:
         _require(args, "n_sat")
         scans.append((args.n_sat, args.periods_list))
@@ -288,23 +294,23 @@ def _cmd_qfi(args) -> int:
         scans += [(n_sat, [args.periods]) for n_sat in args.sizes]
     if not scans:
         raise ShapeError("need --periods-list and/or --sizes")
-    fh = _open_out(args.output)
-    try:
-        fh.write(QFI_HEADER + "\n")
-        for n_sat, counts in scans:
-            for q in qfi_matrices(CollectiveShape(n_sat, args.spin), params, counts):
-                try:
-                    gain = sensing_gain(q)
-                except SpinDtcError:
-                    gain = float("nan")
-                n = q.n_periods
-                fh.write(f"{n_sat},{args.spin},{n},{q.f_ll:.17g},{q.f_gg:.17g},"
-                         f"{q.f_lg:.17g},{q.g_scalar:.17g},{gain:.17g}\n")
-                if q.estimators_disagree:
-                    print(f"warning: estimators disagree beyond 1% of the matrix "
-                          f"scale at (n_sat={n_sat}, n={n})", file=sys.stderr)
-    finally:
-        _close_out(fh)
+    results = qfi_scan([(CollectiveShape(n_sat, args.spin), counts)
+                        for n_sat, counts in scans],
+                       DriveParams.symmetric(args.lam, args.g))
+    lines = [QFI_HEADER]
+    for (n_sat, _), matrices in zip(scans, results):
+        for q in matrices:
+            try:
+                gain = sensing_gain(q)
+            except SpinDtcError:
+                gain = float("nan")
+            n = q.n_periods
+            lines.append(f"{n_sat},{args.spin},{n},{q.f_ll:.17g},{q.f_gg:.17g},"
+                         f"{q.f_lg:.17g},{q.g_scalar:.17g},{gain:.17g}")
+            if q.estimators_disagree:
+                print(f"warning: estimators disagree beyond 1% of the matrix "
+                      f"scale at (n_sat={n_sat}, n={n})", file=sys.stderr)
+    _write_output(args.output, lines)
     return 0
 
 

@@ -172,13 +172,14 @@ def _rotate_all_satellites(mat: np.ndarray, shape: SystemShape,
                            u: np.ndarray) -> None:
     """Apply the 2x2 matrix u to every satellite qubit of mat, in place.
 
-    mat is C-contiguous with any leading axes. u may carry leading axes of
-    its own, one matrix per row of a state stack; they match mat's first
-    axes.
+    mat is C-contiguous as (..., satellite index, inner): every entry of
+    the last axis (a central level, or a row and a central level) moves
+    with its satellite index. u may carry leading axes of its own, one
+    matrix per row of a state stack; they match mat's first axes.
     """
     rows = mat.shape[:u.ndim - 2]
     (a, b), (c, e) = np.moveaxis(u, (-2, -1), (0, 1))[..., None, None]
-    inner = shape.central_dim
+    inner = mat.shape[-1]
     for _ in range(shape.n_sat):
         v = mat.reshape(rows + (-1, 2, inner))
         top, bottom = v[..., 0, :], v[..., 1, :]

@@ -13,11 +13,22 @@ the joint x basis. There is no step size. A primary element within 1e-12 of
 the matrix scale max(|F_ll|, |F_gg|) is rounding and reads 0.
 
 The same expression with central-difference derivative states (runs at
-lambda +- delta and g +- delta) is the independent cross-check; any element
+lambda +- step and g +- step) is the independent cross-check; any element
 whose two values differ by more than 1% of the matrix scale is flagged
-rather than hidden. All seven states are propagated as one stack through the
-engine's shared basis rotations. The kick angle g shifts g_s and g_c
-together (one shared parameter).
+rather than hidden. The kick angle g shifts g_s and g_c together (one shared
+parameter).
+
+All seven states (psi, the two tangents, the four cross-check runs) walk as
+one satellite-major stack (satellite, row, central level), and a scan stacks
+several shapes of one central spin as (shape, satellite, row, central
+level), zero-padded to the largest satellite dimension. The kick and the
+interaction are diagonal in their bases and act elementwise; each of the
+four basis rotations of a period is one matrix product over every row and
+shape: the satellite rotation of each shape on its (satellite, row x
+central) matrix, and the central rotation, which every shape shares, on the
+(shape x satellite x row, central) matrix. The 2^n layout rotates every
+satellite qubit instead (floquet._rotate_all_satellites) and walks one shape
+at a time.
 """
 
 from dataclasses import dataclass
@@ -25,13 +36,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, StepSizeError, DegenerateInformationError
-from .hilbert import SystemShape, x_polarized_state
-from .floquet import (DriveParams, precompute, magnetic_numbers, to_x_basis,
-                      from_x_basis)
+from .hilbert import SystemShape, CollectiveShape, x_polarized_state
+from .floquet import (DriveParams, precompute, magnetic_numbers, _HADAMARD,
+                      _rotate_all_satellites)
+from .sweep import _STACK_ENTRIES     # one entry budget for every batched stack
 
 DEFAULT_DELTA = 1e-4
 _ROUNDING_RTOL = 1e-12
 _DISAGREEMENT_RTOL = 0.01
+# psi, d_lambda psi, d_g psi, then psi at lambda +- step and g +- step
+_ROWS = 7
+# n_periods * J * s up to which the cross-check runs at the given delta: the
+# largest at the criterion-09 shapes (48 * 4 * 2). The central difference
+# errs by O((step * n_periods * J * s)^2), so larger walks shrink the step.
+_CROSSCHECK_REACH = 384
 
 
 @dataclass(frozen=True)
@@ -43,7 +61,7 @@ class QfiMatrix:
     f_lg: float
     g_scalar: float          # (f_ll + f_gg) / det, nan when det <= 0
     n_periods: int
-    delta: float
+    delta: float             # the cross-check's step
     f_ll_crosscheck: float
     f_gg_crosscheck: float
     f_lg_crosscheck: float
@@ -65,59 +83,166 @@ def _element(d_a: np.ndarray, d_b: np.ndarray, psi: np.ndarray) -> float:
     return 4.0 * float(val.real)
 
 
+def qfi_scan(scans, params: DriveParams, delta: float = DEFAULT_DELTA,
+             global_phase: float = 0.0) -> list[list[QfiMatrix]]:
+    """Fisher matrices at (lambda, g) for every (shape, period_counts) entry
+    of scans: one list per entry, one matrix per count, in the given order
+    (repeated shapes and counts, and zero counts, included).
+
+    Each distinct shape is walked once, to its largest count, and its
+    elements are evaluated at every count as the walk passes it. Collective
+    shapes of one central spin walk together, smallest first, as many as fit
+    _STACK_ENTRIES complex entries padded to the largest of them; a shape
+    over that budget, or on the 2^n layout, walks alone. A shape's matrices
+    are bitwise the same whatever shares its walk.
+
+    The cross-check runs at step delta / max(1, n_max * J * s / 384), with
+    n_max the shape's largest count and J = n_sat/2 (QfiMatrix.delta
+    reports it), so it keeps its accuracy at large n_sat. global_phase
+    multiplies every evolved state; the elements are invariant under it
+    (exposed so the invariance is testable).
+    """
+    scans = [(shape, list(counts)) for shape, counts in scans]
+    if delta <= 0:
+        raise StepSizeError(f"delta must be positive, got {delta}")
+    for _, counts in scans:
+        if any(n < 0 for n in counts):
+            raise ShapeError(f"n_periods must be >= 0, got {min(counts)}")
+    if params.g_s != params.g_c:
+        raise ShapeError("g is a single shared parameter; need g_s == g_c")
+    wanted: dict[SystemShape, set[int]] = {}
+    for shape, counts in scans:
+        wanted.setdefault(shape, set()).update(counts)
+    matrices = {}
+    for group in _groups(wanted):
+        matrices.update(_walk({shape: wanted[shape] for shape in group},
+                              params, delta, global_phase))
+    return [[matrices[shape, n] for n in counts] for shape, counts in scans]
+
+
 def qfi_matrices(shape: SystemShape, params: DriveParams, period_counts,
                  delta: float = DEFAULT_DELTA,
                  global_phase: float = 0.0) -> list[QfiMatrix]:
-    """Fisher matrices at (lambda, g) after each of period_counts periods,
-    in the given order, by tangent propagation, with the central-difference
-    cross-check at step delta.
-
-    One propagation to the largest count evaluates the elements at every
-    count as it passes it, so its cost is set by the largest count alone.
-    global_phase multiplies every evolved state; the elements are invariant
-    under it (exposed so the invariance is testable).
-    """
-    counts = list(period_counts)
-    if delta <= 0:
-        raise StepSizeError(f"delta must be positive, got {delta}")
-    if any(n < 0 for n in counts):
-        raise ShapeError(f"n_periods must be >= 0, got {min(counts)}")
-    if params.g_s != params.g_c:
-        raise ShapeError("g is a single shared parameter; need g_s == g_c")
-    lam, g = params.lam, params.g_s
-
-    # rows: psi, d_lambda psi, d_g psi, then psi at lambda +- delta, g +- delta
-    points = [(lam, g)] * 3 + [(lam + delta, g), (lam - delta, g),
-                               (lam, g + delta), (lam, g - delta)]
-    tables = precompute(shape, [DriveParams.symmetric(*p) for p in points])
-    d = shape.central_dim
-    kick = tables.kick_phases.reshape(len(points), -1, d)
-    interaction = tables.interaction_phases.reshape(len(points), -1, d)
-    k_gen, h_gen = _generators(shape)
-
-    stack = np.zeros_like(kick)
-    stack[[0, 3, 4, 5, 6]] = x_polarized_state(shape).amplitudes.reshape(-1, d)
-    matrices = {}
-    done = 0
-    for n in sorted(set(counts)):
-        for _ in range(n - done):
-            stack *= kick
-            stack[2] -= 1j * k_gen * stack[0]
-            stack = to_x_basis(stack, tables)
-            stack *= interaction
-            stack[1] += 1j * h_gen * stack[0]
-            stack = from_x_basis(stack, tables)
-        done = n
-        phased = stack * np.exp(1j * global_phase) if global_phase else stack
-        matrices[n] = _matrix(phased, n, delta)
-    return [matrices[n] for n in counts]
+    """The Fisher matrices after each of period_counts periods, in the
+    given order: qfi_scan at one shape."""
+    return qfi_scan([(shape, period_counts)], params, delta, global_phase)[0]
 
 
 def qfi_matrix(shape: SystemShape, params: DriveParams, n_periods: int,
                delta: float = DEFAULT_DELTA,
                global_phase: float = 0.0) -> QfiMatrix:
-    """The Fisher matrix after n_periods periods: qfi_matrices at one count."""
-    return qfi_matrices(shape, params, [n_periods], delta, global_phase)[0]
+    """The Fisher matrix after n_periods periods: qfi_scan at one count."""
+    return qfi_scan([(shape, [n_periods])], params, delta, global_phase)[0][0]
+
+
+def _entries(shape: SystemShape) -> int:
+    """Complex entries a collective shape holds in a walk padded to its
+    size: the stack and its two phase tables, and two satellite rotations."""
+    n, d = shape.n_sat + 1, shape.central_dim
+    return 3 * _ROWS * n * d + 2 * n * n
+
+
+def _groups(shapes) -> list[list[SystemShape]]:
+    """The shapes partitioned into walks, smallest first (see qfi_scan)."""
+    groups = []
+    for shape in sorted(shapes, key=lambda sh: (
+            isinstance(sh, CollectiveShape), sh.two_s, sh.n_sat)):
+        group = groups[-1] if groups else None
+        if (group and isinstance(shape, CollectiveShape)
+                and isinstance(group[0], CollectiveShape)
+                and shape.two_s == group[0].two_s
+                and (len(group) + 1) * _entries(shape) <= _STACK_ENTRIES):
+            group.append(shape)
+        else:
+            groups.append([shape])
+    return groups
+
+
+def _crosscheck_step(shape: SystemShape, counts, delta: float) -> float:
+    """delta, scaled down where the walk's n_max * J * s passes
+    _CROSSCHECK_REACH."""
+    reach = max(counts, default=0) * shape.n_sat * shape.two_s / 4
+    return delta / max(1, reach / _CROSSCHECK_REACH)
+
+
+def _walk(wanted: dict, params: DriveParams, delta: float,
+          global_phase: float) -> dict:
+    """One tangent walk of the shapes of wanted (shape -> period counts):
+    {(shape, count): QfiMatrix}."""
+    shapes = list(wanted)
+    lam, g = params.lam, params.g_s
+    d = shapes[0].central_dim
+    sizes = [shape.dim // d for shape in shapes]    # satellite dimensions
+    full = (len(shapes), max(sizes), _ROWS, d)
+    stack = np.zeros(full, dtype=complex)
+    kick, interaction = np.zeros(full, dtype=complex), np.zeros(full, dtype=complex)
+    k_gen, h_gen = np.zeros(full[:2] + (d,)), np.zeros(full[:2] + (d,))
+    rotations, steps = [], []
+    for i, (shape, n) in enumerate(zip(shapes, sizes)):
+        step = _crosscheck_step(shape, wanted[shape], delta)
+        points = [(lam, g)] * 3 + [(lam + step, g), (lam - step, g),
+                                   (lam, g + step), (lam, g - step)]
+        tables = precompute(shape, [DriveParams.symmetric(*p) for p in points])
+        kick[i, :n] = tables.kick_phases.reshape(_ROWS, n, d).swapaxes(0, 1)
+        interaction[i, :n] = tables.interaction_phases.reshape(
+            _ROWS, n, d).swapaxes(0, 1)
+        k_gen[i, :n], h_gen[i, :n] = _generators(shape)
+        stack[i, :n][:, [0, 3, 4, 5, 6]] = \
+            x_polarized_state(shape).amplitudes.reshape(n, 1, d)
+        rotations.append(tables.satellite_x_rotation)
+        steps.append(step)
+    # every shape of a walk shares the central spin and its rotation
+    to_x_c, from_x_c = tables.central_x_rotation.conj(), tables.central_x_rotation.T
+
+    if rotations[0] is None:         # 2^n layout: one shape, every qubit
+        def rotate_satellites(x, u):
+            _rotate_all_satellites(x.reshape(full[1], -1), shapes[0], u)
+            return x
+        to_x_s = from_x_s = _HADAMARD
+    else:
+        def rotate_satellites(x, v):
+            return (v @ x.reshape(full[0], full[1], -1)).reshape(full)
+        to_x_s, from_x_s = _stacked(rotations, full[1])
+
+    def rotate_central(x, v):
+        return (x.reshape(-1, d) @ v).reshape(full)
+
+    # the tangents' sources: -i K psi after the kick, i H psi after the
+    # interaction
+    k_source, h_source = 1j * k_gen, 1j * h_gen
+
+    matrices = {}
+    done = 0
+    for count in sorted(set().union(*wanted.values())):
+        for _ in range(count - done):
+            stack *= kick
+            stack[:, :, 2] -= k_source * stack[:, :, 0]
+            stack = rotate_central(rotate_satellites(stack, to_x_s), to_x_c)
+            stack *= interaction
+            stack[:, :, 1] += h_source * stack[:, :, 0]
+            stack = rotate_satellites(rotate_central(stack, from_x_c), from_x_s)
+        done = count
+        for i, (shape, n) in enumerate(zip(shapes, sizes)):
+            if count in wanted[shape]:
+                rows = stack[i, :n].swapaxes(0, 1)    # (row, satellite, central)
+                if global_phase:
+                    rows = rows * np.exp(1j * global_phase)
+                matrices[shape, count] = _matrix(rows, count, steps[i])
+    return matrices
+
+
+def _stacked(rotations, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(V^H, V) of every shape's satellite x eigenbasis, zero-padded to
+    size x size and stacked; a single shape's V is not copied."""
+    if len(rotations) == 1:
+        v = rotations[0][None]
+        return v.conj().swapaxes(-1, -2), v
+    to_x, from_x = (np.zeros((len(rotations), size, size), dtype=complex)
+                    for _ in range(2))
+    for i, v in enumerate(rotations):
+        n = v.shape[0]
+        to_x[i, :n, :n], from_x[i, :n, :n] = v.conj().T, v
+    return to_x, from_x
 
 
 def _matrix(stack: np.ndarray, n_periods: int, delta: float) -> QfiMatrix:

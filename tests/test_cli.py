@@ -298,3 +298,15 @@ def test_sweep_resumes_from_empty_checkpoint(tmp_path):
     assert parse_and_dispatch(argv + ["--checkpoint", str(ckpt),
                                       "--output", str(out)]) == 0
     assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_failed_qfi_leaves_output_untouched(tmp_path):
+    # n_sat = 0 is rejected after n_sat = 3 was listed: no row is written,
+    # the earlier file stays whole and no temporary file is left beside it
+    out = tmp_path / "f.csv"
+    out.write_bytes(b"earlier,contents\n")
+    assert parse_and_dispatch(["qfi", "--spin", "2", "--lambda", "pi",
+                               "--g", "pi/2", "--sizes", "3,0",
+                               "--output", str(out)]) == 2
+    assert out.read_bytes() == b"earlier,contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]

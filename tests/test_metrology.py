@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,12 @@ from spindtc.errors import (ShapeError, StepSizeError,
 from spindtc.hilbert import SystemShape, CollectiveShape
 from spindtc.floquet import DriveParams
 from spindtc import metrology
-from spindtc.metrology import (QfiMatrix, qfi_matrix, weighted_uncertainty,
-                               sensing_gain, fit_power_law)
+from spindtc.metrology import (QfiMatrix, qfi_matrix, qfi_matrices, qfi_scan,
+                               weighted_uncertainty, sensing_gain,
+                               fit_power_law, DEFAULT_DELTA)
+from spindtc.sweep import _STACK_ENTRIES
 
-from qfi_reference import exact_qfi
+from qfi_reference import exact_qfi, exact_collective_qfi
 
 SPECIAL = DriveParams.symmetric(np.pi, np.pi / 2)
 
@@ -178,3 +182,85 @@ def test_disagreement_flag_detects_tangent_fault(monkeypatch):
     monkeypatch.setattr(metrology, "_generators",
                         lambda shape: (generators(shape)[0], -generators(shape)[1]))
     assert qfi_matrix(SystemShape(4, 2), params, 12).estimators_disagree
+
+
+@pytest.mark.parametrize("n_sat", [16, 64, 128])
+def test_exact_collective_rows_pinned(n_sat):
+    # at (pi, pi/2), s = 2, n = 48 and n_sat = 4j the exact matrix is
+    # f_ll = 576 N^2, f_gg = 1152 (N + 4), f_lg = 0, checked by the
+    # collective dense reference beyond the 2^n reference's reach
+    ref = exact_collective_qfi(n_sat, 4, np.pi, np.pi / 2, 48)
+    want = (576.0 * n_sat ** 2, 1152.0 * (n_sat + 4), 0.0)
+    scale = max(want[:2])
+    q = qfi_matrix(CollectiveShape(n_sat, 4), SPECIAL, 48)
+    for pinned, exact, got in zip(want, (ref.f_ll, ref.f_gg, ref.f_lg),
+                                  (q.f_ll, q.f_gg, q.f_lg)):
+        assert abs(exact - pinned) <= 1e-9 * scale
+        assert abs(got - exact) <= 1e-9 * scale
+    assert not q.estimators_disagree
+
+
+def _fields(q):
+    return repr(astuple(q))      # nan-safe bitwise comparison
+
+
+def test_scan_matches_single_walks():
+    # one scan, padded walks included, equals one walk per shape bitwise,
+    # in the order given, with a repeated shape and count and a zero count;
+    # (200, 2) is over the entry budget and walks alone
+    params = DriveParams.symmetric(1.3, 0.7)
+    scans = [(CollectiveShape(6, 4), [40, 8, 0, 8, 24, 3])] + [
+        (CollectiveShape(n, 4), [48]) for n in (3, 5, 6, 200, 40, 3)]
+    got = qfi_scan(scans, params)
+    assert [[q.n_periods for q in row] for row in got] == \
+        [counts for _, counts in scans]
+    for (shape, counts), row in zip(scans, got):
+        assert [_fields(q) for q in row] == \
+            [_fields(q) for q in qfi_matrices(shape, params, counts)]
+
+
+def test_walk_groups_follow_the_entry_budget():
+    shapes = [CollectiveShape(n, 4) for n in (256, 8, 128, 16, 64, 32)]
+    assert [[sh.n_sat for sh in group] for group in metrology._groups(shapes)] \
+        == [[8, 16, 32, 64], [128], [256]]
+    assert 4 * metrology._entries(CollectiveShape(64, 4)) <= _STACK_ENTRIES
+    assert metrology._entries(CollectiveShape(256, 4)) > _STACK_ENTRIES
+    # other central spins and the 2^n layout never share a walk
+    mixed = [CollectiveShape(3, 4), CollectiveShape(3, 1), SystemShape(3, 4),
+             CollectiveShape(4, 4)]
+    assert sorted(map(len, metrology._groups(mixed))) == [1, 1, 2]
+
+
+def test_lone_walk_holds_one_satellite_rotation():
+    # a shape walking alone uses its tables' rotation as it is: the walk
+    # holds V and V^H, as much as one unstacked walk
+    v = np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0].astype(complex)
+    to_x, from_x = metrology._stacked([v], 3)
+    assert np.shares_memory(from_x, v)
+    assert np.array_equal(to_x[0], v.conj().T)
+
+
+def test_layouts_agree_at_criterion_09_shapes():
+    # one scan over both layouts: the collective shapes walk padded in two
+    # stacks (s = 2 and s = 1/2), the 2^n shapes one at a time
+    scans = [(layout(n_sat, two_s), [48]) for n_sat, two_s in CRITERION_09_SHAPES
+             for layout in (SystemShape, CollectiveShape)]
+    rows = [row[0] for row in qfi_scan(scans, SPECIAL)]
+    for qubits, collective in zip(rows[::2], rows[1::2]):
+        scale = max(abs(qubits.f_ll), abs(qubits.f_gg))
+        for a, b in ((qubits.f_ll, collective.f_ll), (qubits.f_gg, collective.f_gg),
+                     (qubits.f_lg, collective.f_lg)):
+            assert abs(a - b) <= 1e-9 * scale
+        # the cross-check keeps its step at every criterion-09 shape
+        assert qubits.delta == collective.delta == DEFAULT_DELTA
+
+
+def test_no_false_disagreement_at_large_n_sat():
+    # the fixed step's central difference was off by 3.1%, 12% and 92% of
+    # f_ll here; the step now shrinks with n_periods * J * s
+    rows = qfi_scan([(CollectiveShape(n_sat, 4), [48])
+                     for n_sat in (128, 256, 1000)], SPECIAL)
+    for n_sat, (q,) in zip((128, 256, 1000), rows):
+        assert q.delta == DEFAULT_DELTA / (48 * n_sat * 4 / 4 / 384)
+        assert abs(q.f_ll_crosscheck - q.f_ll) <= 1e-3 * q.f_ll
+        assert not q.estimators_disagree, n_sat

@@ -12,7 +12,7 @@ flags override. Exit codes: 0 success, 2 bad arguments, 1 runtime failure.
 
 import argparse
 import functools
-import os
+import itertools
 import sys
 
 import numpy as np
@@ -26,7 +26,7 @@ from .diagnostics import predict_dtc_class, detect_period, classify_subsystem
 from .analytic_states import (MilestoneSpec, milestone_state, parity_case_of,
                               supported_time_indices)
 from .metrology import qfi_scan, sensing_gain
-from .sweep import GridSpec, run_grid, write_csv
+from .sweep import GridSpec, run_grid, write_csv, write_lines
 
 TRAJECTORY_HEADER = "n,m_sat_x,m_c_x,entropy,fidelity"
 QFI_HEADER = "n_sat,two_s,n_periods,f_ll,f_gg,f_lg,g_scalar,gain"
@@ -208,23 +208,13 @@ def _require(args, *names):
 
 
 def _write_output(path, lines) -> None:
-    """The lines to path, or to stdout without one.
-
-    A file is written as a temporary file beside path, which then replaces
-    path in one step, so a failed run leaves any earlier file whole.
-    """
-    text = "".join(line + "\n" for line in lines)
-    if not path:
-        sys.stdout.write(text)
+    """The lines to path through sweep.write_lines, which leaves any earlier
+    file whole if the write fails, or to stdout without a path."""
+    if path:
+        write_lines(path, lines)
         return
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):     # the write failed part-way
-            os.remove(tmp)
+    for line in lines:
+        sys.stdout.write(line + "\n")
 
 
 def _cmd_evolve(args) -> int:
@@ -233,9 +223,9 @@ def _cmd_evolve(args) -> int:
     state = x_polarized_state(shape)
     tables = precompute(shape, DriveParams.symmetric(args.lam, args.g))
     traj = evolve(state, tables, args.periods, make_recorder(state.copy()))
-    _write_output(args.output, [TRAJECTORY_HEADER] + [
+    _write_output(args.output, itertools.chain([TRAJECTORY_HEADER], (
         f"{r.n},{r.m_sat_x:.17g},{r.m_c_x:.17g},"
-        f"{r.entropy:.17g},{r.fidelity_initial:.17g}" for r in traj])
+        f"{r.entropy:.17g},{r.fidelity_initial:.17g}" for r in traj)))
     return 0
 
 

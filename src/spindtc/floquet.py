@@ -35,6 +35,12 @@ ORACLE_MAX_DIM = 4096
 # work in the recorder is paid once per block, and beyond a few thousand
 # amplitudes a longer block only holds more memory.
 _BLOCK_AMPLITUDES = 1 << 12
+# complex entries of one batched state stack and its per-row tables, shared
+# by the sweep's grid stacks and metrology's Fisher walks. Per-period Python
+# overhead is paid once per stack, so small stacks are slow, while beyond a
+# few hundred rows the arithmetic dominates and a larger stack only holds
+# more memory.
+_STACK_ENTRIES = 1 << 16
 
 # crude flop-proportional counter used by scaling and checkpoint tests
 _op_count = 0

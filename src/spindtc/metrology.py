@@ -20,15 +20,15 @@ parameter).
 
 All seven states (psi, the two tangents, the four cross-check runs) walk as
 one satellite-major stack (satellite, row, central level), and a scan stacks
-several shapes of one central spin as (shape, satellite, row, central
-level), zero-padded to the largest satellite dimension. The kick and the
-interaction are diagonal in their bases and act elementwise; each of the
-four basis rotations of a period is one matrix product over every row and
-shape: the satellite rotation of each shape on its (satellite, row x
-central) matrix, and the central rotation, which every shape shares, on the
-(shape x satellite x row, central) matrix. The 2^n layout rotates every
-satellite qubit instead (floquet._rotate_all_satellites) and walks one shape
-at a time.
+several shapes of one central spin and one largest period count as (shape,
+satellite, row, central level), zero-padded to the largest satellite
+dimension. The kick and the interaction are diagonal in their bases and act
+elementwise; each of the four basis rotations of a period is one matrix
+product over every row and shape: the satellite rotation of each shape on
+its (satellite, row x central) matrix, and the central rotation, which every
+shape shares, on the (shape x satellite x row, central) matrix. The 2^n
+layout rotates every satellite qubit instead (floquet._rotate_all_satellites)
+and walks one shape at a time.
 """
 
 from dataclasses import dataclass
@@ -38,8 +38,7 @@ import numpy as np
 from .errors import ShapeError, StepSizeError, DegenerateInformationError
 from .hilbert import SystemShape, CollectiveShape, x_polarized_state
 from .floquet import (DriveParams, precompute, magnetic_numbers, _HADAMARD,
-                      _rotate_all_satellites)
-from .sweep import _STACK_ENTRIES     # one entry budget for every batched stack
+                      _STACK_ENTRIES, _rotate_all_satellites)
 
 DEFAULT_DELTA = 1e-4
 _ROUNDING_RTOL = 1e-12
@@ -89,16 +88,21 @@ def qfi_scan(scans, params: DriveParams, delta: float = DEFAULT_DELTA,
     of scans: one list per entry, one matrix per count, in the given order
     (repeated shapes and counts, and zero counts, included).
 
-    Each distinct shape is walked once, to its largest count, and its
-    elements are evaluated at every count as the walk passes it. Collective
-    shapes of one central spin walk together, smallest first, as many as fit
-    _STACK_ENTRIES complex entries padded to the largest of them; a shape
-    over that budget, or on the 2^n layout, walks alone. A shape's matrices
-    are bitwise the same whatever shares its walk.
+    Each distinct shape is walked once, to its largest count over every
+    entry that names it, and its elements are evaluated at every count as
+    the walk passes it. Collective shapes of one central spin and one
+    largest count walk together, smallest first, as many as fit
+    _STACK_ENTRIES complex entries padded to the largest of them, so no
+    shape walks longer than it would alone; a shape over that budget, or on
+    the 2^n layout, walks alone. A shape's matrices are bitwise the same
+    whatever shares its walk.
 
     The cross-check runs at step delta / max(1, n_max * J * s / 384), with
-    n_max the shape's largest count and J = n_sat/2 (QfiMatrix.delta
-    reports it), so it keeps its accuracy at large n_sat. global_phase
+    n_max that largest count and J = n_sat/2 (QfiMatrix.delta reports it),
+    so it keeps its accuracy at large n_sat. The step, and with it a row's
+    cross-check fields and estimators_disagree, thus follows the longest
+    count its shape is scanned to anywhere in scans; its primary elements
+    depend on its shape and count alone. global_phase
     multiplies every evolved state; the elements are invariant under it
     (exposed so the invariance is testable).
     """
@@ -142,15 +146,17 @@ def _entries(shape: SystemShape) -> int:
     return 3 * _ROWS * n * d + 2 * n * n
 
 
-def _groups(shapes) -> list[list[SystemShape]]:
-    """The shapes partitioned into walks, smallest first (see qfi_scan)."""
+def _groups(wanted: dict) -> list[list[SystemShape]]:
+    """The shapes of wanted (shape -> period counts) partitioned into walks,
+    smallest first (see qfi_scan)."""
+    def kind(shape):        # what the shapes of one walk have in common
+        return (isinstance(shape, CollectiveShape), shape.two_s,
+                max(wanted[shape], default=0))
     groups = []
-    for shape in sorted(shapes, key=lambda sh: (
-            isinstance(sh, CollectiveShape), sh.two_s, sh.n_sat)):
+    for shape in sorted(wanted, key=lambda sh: (kind(sh), sh.n_sat)):
         group = groups[-1] if groups else None
         if (group and isinstance(shape, CollectiveShape)
-                and isinstance(group[0], CollectiveShape)
-                and shape.two_s == group[0].two_s
+                and kind(shape) == kind(group[0])
                 and (len(group) + 1) * _entries(shape) <= _STACK_ENTRIES):
             group.append(shape)
         else:

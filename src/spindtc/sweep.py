@@ -13,6 +13,7 @@ scan resume without recomputing finished points.
 """
 
 import csv
+import itertools
 import os
 import struct
 from dataclasses import dataclass, fields
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ShapeError, CheckpointError
 from .hilbert import CollectiveShape, PureState, x_polarized_state
-from .floquet import DriveParams, precompute, evolve
+from .floquet import DriveParams, precompute, evolve, _STACK_ENTRIES
 from .observables import period_observables
 from .diagnostics import stroboscopic_average, relative_order_parameter
 
@@ -35,11 +36,6 @@ _FRAME = struct.Struct("<4sI7d")
 _RECORD_LENGTH = struct.pack("<I", _FRAME.size - 4)   # every record's prefix
 # index of the record right after the magic that holds the spec fingerprint
 _SPEC_INDEX = 0xFFFFFFFF
-# complex entries of one stack's state and per-row tables (see _stack_rows).
-# Per-period Python overhead is paid once per stack, so small stacks are
-# slow, while beyond a few hundred rows the arithmetic dominates and a
-# larger stack only holds more memory.
-_STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -260,23 +256,29 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_csv(records: list[PhaseMapRecord], destination: str) -> None:
-    """Write the phase map; floats carry 17 significant digits.
+def write_lines(destination: str, lines) -> None:
+    """Write each of lines, newline-terminated, one at a time.
 
-    The rows go to a temporary file beside destination, which then replaces
+    They go to a temporary file beside destination, which then replaces
     destination in one step, so a failed write leaves any earlier file whole.
     """
     tmp = f"{destination}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
-            fh.write(CSV_COMMENT + "\n")
-            fh.write(CSV_HEADER + "\n")
-            for rec in records:
-                fh.write(",".join(_fmt(v) for v in _record_values(rec)) + "\n")
+            for line in lines:
+                fh.write(line + "\n")
         os.replace(tmp, destination)
     finally:
         if os.path.exists(tmp):     # the write failed part-way
             os.remove(tmp)
+
+
+def write_csv(records: list[PhaseMapRecord], destination: str) -> None:
+    """Write the phase map through write_lines; floats carry 17 significant
+    digits."""
+    write_lines(destination, itertools.chain(
+        [CSV_COMMENT, CSV_HEADER],
+        (",".join(_fmt(v) for v in _record_values(rec)) for rec in records)))
 
 
 def read_csv(source: str) -> list[PhaseMapRecord]:

@@ -11,7 +11,7 @@ from spindtc import metrology
 from spindtc.metrology import (QfiMatrix, qfi_matrix, qfi_matrices, qfi_scan,
                                weighted_uncertainty, sensing_gain,
                                fit_power_law, DEFAULT_DELTA)
-from spindtc.sweep import _STACK_ENTRIES
+from spindtc.floquet import _STACK_ENTRIES
 
 from qfi_reference import exact_qfi, exact_collective_qfi
 
@@ -219,16 +219,43 @@ def test_scan_matches_single_walks():
             [_fields(q) for q in qfi_matrices(shape, params, counts)]
 
 
+def _group_sizes(wanted):
+    return [[sh.n_sat for sh in group] for group in metrology._groups(wanted)]
+
+
 def test_walk_groups_follow_the_entry_budget():
     shapes = [CollectiveShape(n, 4) for n in (256, 8, 128, 16, 64, 32)]
-    assert [[sh.n_sat for sh in group] for group in metrology._groups(shapes)] \
+    assert _group_sizes({sh: {48} for sh in shapes}) \
         == [[8, 16, 32, 64], [128], [256]]
     assert 4 * metrology._entries(CollectiveShape(64, 4)) <= _STACK_ENTRIES
     assert metrology._entries(CollectiveShape(256, 4)) > _STACK_ENTRIES
     # other central spins and the 2^n layout never share a walk
     mixed = [CollectiveShape(3, 4), CollectiveShape(3, 1), SystemShape(3, 4),
              CollectiveShape(4, 4)]
-    assert sorted(map(len, metrology._groups(mixed))) == [1, 1, 2]
+    assert sorted(map(len, metrology._groups({sh: {48} for sh in mixed}))) \
+        == [1, 1, 2]
+    # nor do other largest counts: a long time scan beside a size scan walks
+    # alone, so the size scan's shapes are not carried for its 5000 periods
+    wanted = {CollectiveShape(4, 4): {8, 5000}, CollectiveShape(8, 4): {48},
+              CollectiveShape(16, 4): {0, 48}, CollectiveShape(32, 4): {48}}
+    assert _group_sizes(wanted) == [[8, 16, 32], [4]]
+
+
+def test_crosscheck_step_follows_the_shape_longest_count():
+    # (128, 2) at n = 48 is past the step's reach (48 * 64 * 2 = 16 * 384):
+    # a row at n = 1 takes the step of the shape's walk to 48 wherever that
+    # count is asked, in its own entry or another, while its primary
+    # elements are those of a walk to n = 1 alone
+    shape = CollectiveShape(128, 4)
+    alone = qfi_matrix(shape, SPECIAL, 1)
+    walk = qfi_matrices(shape, SPECIAL, [1, 48])
+    scan = qfi_scan([(shape, [1]), (CollectiveShape(8, 4), [48]),
+                     (shape, [48])], SPECIAL)
+    assert _fields(scan[0][0]) == _fields(walk[0])
+    assert _fields(scan[2][0]) == _fields(walk[1])
+    assert walk[0].delta == DEFAULT_DELTA / 16 and alone.delta == DEFAULT_DELTA
+    assert (walk[0].f_ll, walk[0].f_gg, walk[0].f_lg) == \
+        (alone.f_ll, alone.f_gg, alone.f_lg)
 
 
 def test_lone_walk_holds_one_satellite_rotation():

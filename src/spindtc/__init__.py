@@ -11,11 +11,10 @@ from .hilbert import (SystemShape, CollectiveShape, PureState, DensityMatrix,
                       basis_index, split_index, product_state,
                       x_polarized_state, inner, fidelity,
                       reduced_central_density, von_neumann_entropy)
-from .floquet import (DriveParams, StepTables, precompute, apply_kick,
-                      apply_interaction, evolve, u_squared_class,
-                      two_period_residual_phases, oracle_unitaries,
-                      oracle_evolve)
-from .observables import TrajectoryRecord, magnetization, record, make_recorder
+from .floquet import (DriveParams, StepTables, precompute, evolve,
+                      u_squared_class, two_period_residual_phases,
+                      oracle_unitaries, oracle_evolve)
+from .observables import TrajectoryRecord, magnetization, trajectory_records
 from .diagnostics import (PeriodReport, DtcPrediction, stroboscopic_average,
                           relative_order_parameter, detect_period,
                           predict_dtc_class, fit_cosine_amplitude,
@@ -23,8 +22,8 @@ from .diagnostics import (PeriodReport, DtcPrediction, stroboscopic_average,
 from .analytic_states import (MilestoneSpec, parity_case_of,
                               supported_time_indices, milestone_state,
                               milestone_fidelity)
-from .metrology import (QfiMatrix, qfi_matrix, qfi_matrices,
-                        weighted_uncertainty, sensing_gain, fit_power_law)
+from .metrology import (QfiMatrix, qfi_matrix, qfi_scan, weighted_uncertainty,
+                        sensing_gain, fit_power_law)
 from .sweep import (GridSpec, PhaseMapRecord, compute_point, run_grid,
                     read_checkpoint, write_csv, read_csv)
 

@@ -21,7 +21,7 @@ from .errors import SpinDtcError, ShapeError, NotTabulatedError
 from .hilbert import (SystemShape, CollectiveShape, x_polarized_state,
                       split_index)
 from .floquet import DriveParams, precompute, evolve
-from .observables import make_recorder
+from .observables import trajectory_records
 from .diagnostics import predict_dtc_class, detect_period, classify_subsystem
 from .analytic_states import (MilestoneSpec, milestone_state, parity_case_of,
                               supported_time_indices)
@@ -31,37 +31,42 @@ from .sweep import GridSpec, run_grid, write_csv, write_lines
 TRAJECTORY_HEADER = "n,m_sat_x,m_c_x,entropy,fidelity"
 QFI_HEADER = "n_sat,two_s,n_periods,f_ll,f_gg,f_lg,g_scalar,gain"
 
+# --regime value -> (prediction table, default drive point); the
+# regular-class points are reported, the class-label-to-point mapping is not
+# a settled fact
 _REGIMES = {
-    "lambda2pi": "lambda_2pi",
-    "special": "special_ho",
-    "regular1": "regular_class_1",
-    "regular2": "regular_class_2",
+    "lambda2pi": ("lambda_2pi", (2 * np.pi, 3.0)),
+    "special": ("special_ho", (np.pi, np.pi / 2)),
+    "regular1": ("regular_class_1", (np.pi, np.pi / 4)),
+    "regular2": ("regular_class_2", (np.pi / 2, np.pi / 2)),
 }
 
-# default drive point per regime (regular-class points are reported, the
-# class-label-to-point mapping is not a settled fact)
-_REGIME_POINTS = {
-    "lambda2pi": (2 * np.pi, 3.0),
-    "special": (np.pi, np.pi / 2),
-    "regular1": (np.pi, np.pi / 4),
-    "regular2": (np.pi / 2, np.pi / 2),
-}
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def parse_angle(text: str) -> float:
-    """Radians, or a multiple of pi: 'pi', '2pi', '0.5pi', 'pi/2', '3pi/2'."""
+    """Radians, or a multiple of pi: 'pi', '2pi', '0.5pi', 'pi/2', '3pi/2'.
+
+    Every number in it, and the angle, must be finite, and a denominator
+    nonzero.
+    """
     t = text.strip().lower()
     try:
         if "pi" in t:
             head, _, tail = t.partition("pi")
-            mult = 1.0 if head in ("", "+") else (-1.0 if head == "-" else float(head))
+            mult = 1.0 if head in ("", "+") else (-1.0 if head == "-" else _finite(head))
             if tail.startswith("/"):
-                mult /= float(tail[1:])
+                mult /= _finite(tail[1:])
             elif tail:
                 raise ValueError(tail)
-            return mult * np.pi
-        return float(t)
-    except ValueError:
+            return _finite(mult * np.pi)
+        return _finite(t)
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from None
 
 
@@ -222,7 +227,7 @@ def _cmd_evolve(args) -> int:
     shape = CollectiveShape(args.n_sat, args.spin)
     state = x_polarized_state(shape)
     tables = precompute(shape, DriveParams.symmetric(args.lam, args.g))
-    traj = evolve(state, tables, args.periods, make_recorder(state.copy()))
+    traj = evolve(state, tables, args.periods, trajectory_records)
     _write_output(args.output, itertools.chain([TRAJECTORY_HEADER], (
         f"{r.n},{r.m_sat_x:.17g},{r.m_c_x:.17g},"
         f"{r.entropy:.17g},{r.fidelity_initial:.17g}" for r in traj)))
@@ -233,16 +238,15 @@ def _cmd_classify(args) -> int:
     _require(args, "n_sat", "spin", "regime")
     if args.regime not in _REGIMES:     # a config value skips argparse's choices
         raise ShapeError(f"unknown regime {args.regime!r}")
-    regime = _REGIMES[args.regime]
+    regime, (lam_d, g_d) = _REGIMES[args.regime]
     pred = predict_dtc_class(args.n_sat, args.spin, regime)
-    lam_d, g_d = _REGIME_POINTS[args.regime]
     lam = args.lam if args.lam is not None else lam_d
     g = args.g if args.g is not None else g_d
 
     shape = CollectiveShape(args.n_sat, args.spin)
     state = x_polarized_state(shape)
     tables = precompute(shape, DriveParams.symmetric(lam, g))
-    traj = evolve(state, tables, args.periods, make_recorder(state.copy()))
+    traj = evolve(state, tables, args.periods, trajectory_records)
     print(f"shape ({args.n_sat}, s={args.spin}/2) at lambda={lam:.10g}, g={g:.10g}")
     if regime == "lambda_2pi":
         m_sat = [0.5] + [r.m_sat_x for r in traj]

@@ -1,15 +1,16 @@
-"""Matrix-free application of the kick and interaction unitaries.
+"""Matrix-free Floquet drive of the kick and interaction unitaries.
 
 One drive period is: kick U_d = exp(-i g_c S_c^z) prod_i exp(-i g_s S_i^z),
-then interaction U_0 = exp(i lambda sum_i S_i^x S_c^x). The kick is diagonal
-in the joint z basis, the interaction in the joint x basis (every satellite
-qubit and the central spin rotated into their x eigenbases). evolve keeps
-the state in the x basis: with X the state as a (satellite index, central
-level) matrix, one period is X <- (K_s X K_c^T) * P, P the interaction
-diagonal and K = V^H diag(e^{-i g m}) V the kick of each spin in its x
-basis. It changes basis once on entry, once per block of recorded periods
-(to hand the recorder z-basis states) and once on exit. Period cost is
-O(D * (n_sat + d)) instead of the dense O(D^2).
+then interaction U_0 = exp(i lambda sum_i S_i^x S_c^x). The interaction is
+diagonal in the joint x basis (every satellite qubit and the central spin
+rotated into their x eigenbases), and evolve drives the state there: with X
+the state as a (satellite index, central level) matrix, one period is
+X <- (K_s X K_c^T) * P, P the interaction diagonal and
+K = V^H diag(e^{-i g m}) V the kick of each spin in its x basis. It changes
+basis once on entry and once on exit, and hands its recorder the states of
+every period in the x basis, where each x magnetization is a population sum
+weighted by magnetic_numbers. Period cost is O(D * (n_sat + d)) instead of
+the dense O(D^2).
 
 On a CollectiveShape the satellite factor is the Dicke ladder of
 J = n_sat/2: its magnetic numbers are the J^z eigenvalues, its z<->x
@@ -21,7 +22,6 @@ every satellite qubit, and a period costs O(D * (2 n_sat + d)).
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .errors import ShapeError, CapacityError
 from .hilbert import SystemShape, CollectiveShape, PureState
 from .spin_algebra import spin_matrices, axis_eigenbasis
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 ORACLE_MAX_DIM = 4096
 # amplitudes of one block of recorded periods in evolve. Per-period Python
 # work in the recorder is paid once per block, and beyond a few thousand
@@ -70,47 +69,33 @@ class DriveParams:
 
 @dataclass(frozen=True)
 class StepTables:
-    """Precomputed diagonals, basis rotations and kick factors for one drive
-    period. Stacked tables (see precompute) carry a leading row axis on
-    every per-point entry: the phase tables, the kick angles and the kick
-    factors."""
+    """One drive period in the joint x basis. Stacked tables (see
+    precompute) carry a leading row axis on every entry."""
 
     shape: SystemShape
-    # diagonal of U_d in the joint z basis: apply_kick and metrology's
-    # tangent loop; evolve kicks with satellite_kick and central_kick
-    kick_phases: np.ndarray
-    # diagonal of U_0 in the joint x basis, the basis evolve drives in
+    # diagonal of U_0 in the joint x basis
     interaction_phases: np.ndarray
-    central_x_rotation: np.ndarray   # columns: x eigenbasis of the central spin
-    kick_angles: np.ndarray          # (g_s, g_c), the kick factors' angles
-    # columns: x eigenbasis of the collective satellite spin; None on the
-    # 2^n layout, which rotates every satellite qubit instead
-    satellite_x_rotation: np.ndarray | None = None
-
-    @cached_property
-    def satellite_kick(self) -> np.ndarray:
-        """K_s, the satellite kick in the x basis: it multiplies the state
-        matrix from the left. (n_sat+1)^2 on the collective layout; on the
-        2^n layout the 2x2 [[cos g/2, -i sin g/2], [-i sin g/2, cos g/2]]
-        of one satellite qubit. Built on first use, so paths that never
-        drive in the x basis (metrology) never build it."""
-        if self.satellite_x_rotation is None:     # one satellite qubit
-            v, m = _HADAMARD, np.array([0.5, -0.5])
-        else:
-            v, m = self.satellite_x_rotation, magnetic_numbers(self.shape)[0]
-        return _x_basis_kick(v, self.kick_angles[..., 0], m)
-
-    @cached_property
-    def central_kick(self) -> np.ndarray:
-        """K_c^T, the central kick in the x basis, transposed: it multiplies
-        the state matrix from the right."""
-        kick = _x_basis_kick(self.central_x_rotation, self.kick_angles[..., 1],
-                             magnetic_numbers(self.shape)[1])
-        return np.ascontiguousarray(kick.swapaxes(-1, -2))
+    # K_s, the satellite kick in the x basis: it multiplies the state matrix
+    # from the left. (n_sat+1)^2 on the collective layout; on the 2^n layout
+    # the 2x2 [[cos g/2, -i sin g/2], [-i sin g/2, cos g/2]] of one qubit
+    satellite_kick: np.ndarray
+    # K_c^T, the central kick in the x basis, transposed: it multiplies the
+    # state matrix from the right
+    central_kick: np.ndarray
 
 
-def _x_basis_kick(v: np.ndarray, g: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """V^H diag(e^{-i g m}) V, one matrix per entry of g."""
+def _eigenbases(shape: SystemShape, axis: str) -> tuple[np.ndarray, np.ndarray]:
+    """(satellite, central) eigenbases of S^axis (columns by descending
+    magnetic number): of the collective spin, or on the 2^n layout of the
+    one satellite qubit that every qubit is rotated by."""
+    sat = shape.n_sat if isinstance(shape, CollectiveShape) else 1
+    return axis_eigenbasis(sat, axis), axis_eigenbasis(shape.two_s, axis)
+
+
+def _x_basis_kick(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """exp(-i g S^z) of a spin in its x eigenbasis v (columns by descending
+    m): V^H diag(e^{-i g m}) V, one matrix per entry of g."""
+    m = (len(v) - 1) / 2.0 - np.arange(len(v))
     phases = np.exp(-1j * np.multiply.outer(g, m))
     return (v.conj().T * phases[..., None, :]) @ v
 
@@ -127,7 +112,8 @@ def magnetic_numbers(shape: SystemShape) -> tuple[np.ndarray, np.ndarray]:
     """(total satellite S^z per satellite index, central S^z per level,
     descending).
 
-    The same numbers are the S^x eigenvalues in the joint x basis.
+    The same numbers are the S^a eigenvalues in the joint eigenbasis of
+    any axis a (to_axis_basis).
     """
     n = shape.n_sat
     down = np.arange(n + 1) if isinstance(shape, CollectiveShape) else _popcounts(n)
@@ -136,42 +122,26 @@ def magnetic_numbers(shape: SystemShape) -> tuple[np.ndarray, np.ndarray]:
 
 def precompute(shape: SystemShape,
                params: DriveParams | Sequence[DriveParams]) -> StepTables:
-    """Build the phase tables and basis rotations for the shape.
+    """Build the interaction diagonal and the kick factors for the shape.
 
-    With a sequence of drive points the phase tables and kick factors are
-    stacked, one row per point, for a state stack with one row per point.
+    With a sequence of drive points every table is stacked, one row per
+    point, for a state stack with one row per point.
     """
     m_sat, m_c = magnetic_numbers(shape)
     single = isinstance(params, DriveParams)
     points = [params] if single else params
-    # one (point, satellite index, central level) entry per phase
-    lam, g_s, g_c = np.array([[p.lam, p.g_s, p.g_c] for p in points]).T[:, :, None, None]
-    kick = np.exp(-1j * g_s * m_sat[:, None]) * np.exp(-1j * g_c * m_c)
-    interaction = np.exp(1j * lam * m_sat[:, None] * m_c)
     rows = () if single else (len(points),)
+    lam, g_s, g_c = (a.reshape(rows) for a in
+                     np.array([[p.lam, p.g_s, p.g_c] for p in points]).T)
+    # one (point, satellite index, central level) entry per phase
+    interaction = np.exp(1j * lam[..., None, None] * m_sat[:, None] * m_c)
+    v_s, v_c = _eigenbases(shape, "x")
     return StepTables(
         shape=shape,
-        kick_phases=kick.reshape(rows + (-1,)),
         interaction_phases=interaction.reshape(rows + (-1,)),
-        central_x_rotation=axis_eigenbasis(shape.two_s, "x"),
-        kick_angles=np.stack([g_s, g_c], axis=-1).reshape(rows + (2,)),
-        satellite_x_rotation=(axis_eigenbasis(shape.n_sat, "x")
-                              if isinstance(shape, CollectiveShape) else None),
+        satellite_kick=_x_basis_kick(v_s, g_s),
+        central_kick=np.ascontiguousarray(_x_basis_kick(v_c, g_c).swapaxes(-1, -2)),
     )
-
-
-def _check(state: PureState, tables: StepTables) -> None:
-    if state.shape != tables.shape:
-        raise ShapeError(f"state shape {state.shape} != tables shape {tables.shape}")
-
-
-def apply_kick(state: PureState, tables: StepTables) -> PureState:
-    """Multiply by the kick diagonal (in place)."""
-    global _op_count
-    _check(state, tables)
-    state.amplitudes *= tables.kick_phases
-    _op_count += state.amplitudes.size
-    return state
 
 
 def _rotate_all_satellites(mat: np.ndarray, shape: SystemShape,
@@ -195,45 +165,35 @@ def _rotate_all_satellites(mat: np.ndarray, shape: SystemShape,
         inner *= 2
 
 
-def to_x_basis(mat: np.ndarray, tables: StepTables) -> np.ndarray:
-    """Rotate states from the joint z basis to the joint x basis.
+def to_axis_basis(mat: np.ndarray, shape: SystemShape, axis: str) -> np.ndarray:
+    """Rotate states from the joint z basis into the joint eigenbasis of
+    S^axis, where magnetic_numbers are the S^axis eigenvalues.
 
     mat holds states as (..., satellite index, central level), any leading
     axes, C-contiguous; it is overwritten on the 2^n layout. Returns the
     rotated states in the same shape.
     """
-    vs = tables.satellite_x_rotation
-    if vs is None:
-        _rotate_all_satellites(mat, tables.shape, _HADAMARD)   # every qubit
+    v_s, v_c = _eigenbases(shape, axis)
+    if isinstance(shape, CollectiveShape):
+        mat = v_s.conj().T @ mat
     else:
-        mat = vs.conj().T @ mat                                # the collective spin
-    return mat @ tables.central_x_rotation.conj()
+        _rotate_all_satellites(mat, shape, v_s.conj().T)
+    return mat @ v_c.conj()
 
 
-def from_x_basis(mat: np.ndarray, tables: StepTables) -> np.ndarray:
+def to_x_basis(mat: np.ndarray, shape: SystemShape) -> np.ndarray:
+    """to_axis_basis on the x axis, the basis evolve drives in."""
+    return to_axis_basis(mat, shape, "x")
+
+
+def from_x_basis(mat: np.ndarray, shape: SystemShape) -> np.ndarray:
     """Inverse of to_x_basis, with the same layout and overwrite rules."""
-    mat = mat @ tables.central_x_rotation.T
-    vs = tables.satellite_x_rotation
-    if vs is None:
-        _rotate_all_satellites(mat, tables.shape, _HADAMARD)
-        return mat
-    return vs @ mat
-
-
-def apply_interaction(state: PureState, tables: StepTables) -> PureState:
-    """Rotate to the joint x basis, multiply the diagonal, rotate back (in place)."""
-    global _op_count
-    _check(state, tables)
-    shape = state.shape
-    d = shape.central_dim
-    states = state.amplitudes.shape[:-1] + (-1, d)   # (..., satellite, central)
-    mat = to_x_basis(state.amplitudes.reshape(states), tables)
-    mat *= tables.interaction_phases.reshape(mat.shape)
-    state.amplitudes = from_x_basis(mat, tables).reshape(state.amplitudes.shape)
-    sat_ops = 2 * shape.n_sat if tables.satellite_x_rotation is None \
-        else 4 * (shape.n_sat + 1)
-    _op_count += state.amplitudes.size * (sat_ops + 4 * d + 1)
-    return state
+    v_s, v_c = _eigenbases(shape, "x")
+    mat = mat @ v_c.T
+    if isinstance(shape, CollectiveShape):
+        return v_s @ mat
+    _rotate_all_satellites(mat, shape, v_s)
+    return mat
 
 
 def evolve(state: PureState, tables: StepTables, n_periods: int, recorder=None) -> list:
@@ -245,9 +205,9 @@ def evolve(state: PureState, tables: StepTables, n_periods: int, recorder=None) 
     rotated back into the z basis once on exit; an evolve call of zero
     periods leaves it untouched. recorder, if given, is called once per
     block of consecutive periods as recorder(states, first): states is a
-    PureState in the z basis (one basis change per block) whose amplitudes
-    have one more leading axis than state's, one entry per period of the
-    block, and first is the number of the block's first period
+    PureState in the joint x basis whose amplitudes have one more leading
+    axis than state's, one entry per period of the block, and are the
+    recorder's to keep; first is the number of the block's first period
     (1..n_periods). It returns one result per period, and the results of
     all blocks are returned as one list. A block holds at most
     _BLOCK_AMPLITUDES (4096) amplitudes, or one period when a single state
@@ -256,15 +216,16 @@ def evolve(state: PureState, tables: StepTables, n_periods: int, recorder=None) 
     global _op_count
     if n_periods < 0:
         raise ShapeError(f"n_periods must be >= 0, got {n_periods}")
-    _check(state, tables)
+    if state.shape != tables.shape:
+        raise ShapeError(f"state shape {state.shape} != tables shape {tables.shape}")
     if n_periods == 0:
         return []
     shape, flat = state.shape, state.amplitudes.shape
     d = shape.central_dim
-    x = to_x_basis(state.amplitudes.reshape(flat[:-1] + (-1, d)), tables)
+    x = to_x_basis(state.amplitudes.reshape(flat[:-1] + (-1, d)), shape)
     k_s, k_c = tables.satellite_kick, tables.central_kick
     phases = tables.interaction_phases.reshape(x.shape)
-    qubits = tables.satellite_x_rotation is None
+    qubits = not isinstance(shape, CollectiveShape)
 
     def period(x):
         if qubits:
@@ -281,19 +242,15 @@ def evolve(state: PureState, tables: StepTables, n_periods: int, recorder=None) 
             x = period(x)
     else:
         block = max(1, _BLOCK_AMPLITUDES // state.amplitudes.size)
-        buffer = np.empty((block,) + x.shape, dtype=x.dtype)
         for first in range(1, n_periods + 1, block):
-            count = min(block, n_periods + 1 - first)
-            states = buffer[:count]
+            states = np.empty((min(block, n_periods + 1 - first),) + x.shape,
+                              dtype=x.dtype)
             for row in states:
                 x = period(x)
                 row[...] = x
-            # one stack of count * rows states: matmul loops faster over one
-            # leading axis than over two
-            states = from_x_basis(states.reshape((-1,) + x.shape[-2:]), tables)
-            states = states.reshape((count,) + flat)
-            records.extend(recorder(PureState(shape, states), first))
-    state.amplitudes = from_x_basis(x, tables).reshape(flat)
+            records.extend(recorder(
+                PureState(shape, states.reshape((len(states),) + flat)), first))
+    state.amplitudes = from_x_basis(x, shape).reshape(flat)
     sat_ops = 2 * shape.n_sat if qubits else shape.n_sat + 1
     _op_count += n_periods * x.size * (sat_ops + d + 1)
     return records

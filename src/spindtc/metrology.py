@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import ShapeError, StepSizeError, DegenerateInformationError
 from .hilbert import SystemShape, CollectiveShape, x_polarized_state
-from .floquet import (DriveParams, precompute, magnetic_numbers, _HADAMARD,
-                      _STACK_ENTRIES, _rotate_all_satellites)
+from .floquet import (DriveParams, magnetic_numbers, _STACK_ENTRIES,
+                      _eigenbases, _rotate_all_satellites)
 
 DEFAULT_DELTA = 1e-4
 _ROUNDING_RTOL = 1e-12
@@ -124,14 +124,6 @@ def qfi_scan(scans, params: DriveParams, delta: float = DEFAULT_DELTA,
     return [[matrices[shape, n] for n in counts] for shape, counts in scans]
 
 
-def qfi_matrices(shape: SystemShape, params: DriveParams, period_counts,
-                 delta: float = DEFAULT_DELTA,
-                 global_phase: float = 0.0) -> list[QfiMatrix]:
-    """The Fisher matrices after each of period_counts periods, in the
-    given order: qfi_scan at one shape."""
-    return qfi_scan([(shape, period_counts)], params, delta, global_phase)[0]
-
-
 def qfi_matrix(shape: SystemShape, params: DriveParams, n_periods: int,
                delta: float = DEFAULT_DELTA,
                global_phase: float = 0.0) -> QfiMatrix:
@@ -188,23 +180,27 @@ def _walk(wanted: dict, params: DriveParams, delta: float,
         step = _crosscheck_step(shape, wanted[shape], delta)
         points = [(lam, g)] * 3 + [(lam + step, g), (lam - step, g),
                                    (lam, g + step), (lam, g - step)]
-        tables = precompute(shape, [DriveParams.symmetric(*p) for p in points])
-        kick[i, :n] = tables.kick_phases.reshape(_ROWS, n, d).swapaxes(0, 1)
-        interaction[i, :n] = tables.interaction_phases.reshape(
-            _ROWS, n, d).swapaxes(0, 1)
+        # one (row, satellite index, central level) entry per phase: the
+        # kick diagonal in the z basis, the interaction's in the x basis
+        lams, gs = np.array(points).T[:, :, None, None]
+        m_sat, m_c = magnetic_numbers(shape)
+        kick[i, :n] = (np.exp(-1j * gs * m_sat[:, None])
+                       * np.exp(-1j * gs * m_c)).swapaxes(0, 1)
+        interaction[i, :n] = np.exp(1j * lams * m_sat[:, None] * m_c).swapaxes(0, 1)
         k_gen[i, :n], h_gen[i, :n] = _generators(shape)
         stack[i, :n][:, [0, 3, 4, 5, 6]] = \
             x_polarized_state(shape).amplitudes.reshape(n, 1, d)
-        rotations.append(tables.satellite_x_rotation)
+        v_s, v_c = _eigenbases(shape, "x")
+        rotations.append(v_s)
         steps.append(step)
     # every shape of a walk shares the central spin and its rotation
-    to_x_c, from_x_c = tables.central_x_rotation.conj(), tables.central_x_rotation.T
+    to_x_c, from_x_c = v_c.conj(), v_c.T
 
-    if rotations[0] is None:         # 2^n layout: one shape, every qubit
+    if not isinstance(shapes[0], CollectiveShape):   # one shape, every qubit
         def rotate_satellites(x, u):
             _rotate_all_satellites(x.reshape(full[1], -1), shapes[0], u)
             return x
-        to_x_s = from_x_s = _HADAMARD
+        to_x_s, from_x_s = v_s.conj().T, v_s
     else:
         def rotate_satellites(x, v):
             return (v @ x.reshape(full[0], full[1], -1)).reshape(full)

@@ -3,17 +3,23 @@
 Magnetizations default to the x axis: the initial state is x-polarized and
 the period-doubled dynamics flips between +-x products, so <S^x> is the
 signal with the +-1/2 (satellite) and +-s (central) ranges.
+
+In the joint eigenbasis of an axis (floquet.to_axis_basis) a magnetization
+is the populations |X|^2 weighted by floquet.magnetic_numbers, one formula
+for both layouts. floquet.evolve hands its recorder states in the joint x
+basis, so the per-period columns read them there: the x magnetizations, the
+entropy of the central density (the basis change is local, so it keeps the
+spectrum) and the fidelity to the x-polarized start, which in that basis is
+the first basis state.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ShapeError
-from .hilbert import (CollectiveShape, DensityMatrix, PureState,
-                      reduced_central_density, _hermitian_entropy)
-from .spin_algebra import spin_matrices
+from .hilbert import PureState, reduced_central_density, _hermitian_entropy
+from .floquet import magnetic_numbers, to_axis_basis
 
 
 @dataclass(frozen=True)
@@ -25,95 +31,51 @@ class TrajectoryRecord:
     fidelity_initial: float
 
 
-@lru_cache(maxsize=32)
-def _spin_component(two_s: int, axis: str) -> np.ndarray:
-    """S^axis for spin two_s/2, built once and shared read-only."""
-    ops = spin_matrices(two_s)
-    try:
-        op = {"x": ops.sx, "y": ops.sy, "z": ops.sz}[axis]
-    except KeyError:
-        raise ShapeError(f"axis must be x, y or z, got {axis!r}") from None
-    op.flags.writeable = False
-    return op
+def _populations(amps: np.ndarray) -> np.ndarray:
+    """|amps|^2 elementwise, by the same multiplications on every layout
+    of the array, so a value does not depend on its neighbours."""
+    return amps.real ** 2 + amps.imag ** 2
 
 
-def _expectation(rows: tuple, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """Re <bra|ket> for each state of a stack with leading axes rows."""
-    return (bra.conj() * ket).real.reshape(rows + (-1,)).sum(axis=-1)
-
-
-def _satellite_magnetization(state: PureState, axis: str) -> np.ndarray:
-    shape = state.shape
-    amps = state.amplitudes
-    rows = amps.shape[:-1]
-    if isinstance(shape, CollectiveShape):
-        mat = amps.reshape(rows + (-1, shape.central_dim))
-        op = _spin_component(shape.n_sat, axis)
-        return _expectation(rows, mat, op @ mat) / shape.n_sat
-    # satellite qubit k is bit k of the satellite index (bit = 1 means z-down)
-    op = _spin_component(1, axis)
-    total = 0.0
-    inner = shape.central_dim
-    for _ in range(shape.n_sat):
-        v = amps.reshape(rows + (-1, 2, inner))
-        total += _expectation(rows, v, op @ v)
-        inner *= 2
-    return total / shape.n_sat
-
-
-def _central_magnetization(rho: DensityMatrix, two_s: int, axis: str) -> np.ndarray:
-    """Tr(rho S^axis) for each central density of a stack: the sum of
-    conj(S)_ab rho_ab, S being Hermitian."""
-    return _expectation(rho.entries.shape[:-2], _spin_component(two_s, axis),
-                        rho.entries)
+def _magnetizations(state: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """(satellite-averaged, central) <S^a> per row of states held in the
+    joint eigenbasis of S^a. Each row is an elementwise product and a sum
+    over the last axis, so it does not depend on the other rows."""
+    m_sat, m_c = magnetic_numbers(state.shape)
+    p = _populations(state.amplitudes)
+    return ((p * np.repeat(m_sat, m_c.size)).sum(axis=-1) / state.shape.n_sat,
+            (p * np.tile(m_c, m_sat.size)).sum(axis=-1))
 
 
 def magnetization(state: PureState, target: str,
                   axis: str = "x") -> float | np.ndarray:
     """<S^axis> per satellite spin, or of the central spin (per row of a
-    state stack)."""
-    if target == "satellites":
-        return _satellite_magnetization(state, axis)
-    if target == "central":
-        return _central_magnetization(reduced_central_density(state),
-                                      state.shape.two_s, axis)
-    raise ShapeError(f"target must be 'satellites' or 'central', got {target!r}")
+    state stack in the z basis)."""
+    if target not in ("satellites", "central"):
+        raise ShapeError(f"target must be 'satellites' or 'central', got {target!r}")
+    shape, amps = state.shape, state.amplitudes
+    # a copy: the rotation overwrites its input on the 2^n layout
+    mat = amps.reshape(amps.shape[:-1] + (-1, shape.central_dim)).copy()
+    rotated = PureState(shape, to_axis_basis(mat, shape, axis).reshape(amps.shape))
+    m_sat, m_c = _magnetizations(rotated)
+    return m_sat if target == "satellites" else m_c
 
 
-def period_observables(state: PureState, axis: str = "x"):
-    """(satellite <S^axis>, central <S^axis>, entanglement entropy), one
-    value per row of a state stack; the phase map's per-period columns.
-    The reduced density is Hermitian by construction, so the entropy skips
-    von_neumann_entropy's check."""
-    rho = reduced_central_density(state)
-    return (magnetization(state, "satellites", axis),
-            _central_magnetization(rho, state.shape.two_s, axis),
-            _hermitian_entropy(rho.entries))
+def period_observables(state: PureState):
+    """(satellite <S^x>, central <S^x>, entanglement entropy), one value per
+    row of a stack of states in the joint x basis; the phase map's
+    per-period columns. The reduced density is Hermitian by construction,
+    so the entropy skips von_neumann_entropy's check."""
+    return (*_magnetizations(state),
+            _hermitian_entropy(reduced_central_density(state).entries))
 
 
-def make_recorder(reference: PureState, axis: str = "x"):
-    """Recorder callable for floquet.evolve, closed over the reference state.
-
-    It takes a block of consecutive periods, states stacked along the
-    leading axis and first the number of the first one, and returns one
-    TrajectoryRecord per period.
-    """
-    ref = reference.amplitudes
-
-    def _rec(states: PureState, first: int) -> list[TrajectoryRecord]:
-        columns = (c.tolist() for c in period_observables(states, axis))
-        # np.vdot per row, not one matmul: the same sum as hilbert.fidelity
-        return [TrajectoryRecord(n=first + k, m_sat_x=m_sat, m_c_x=m_c,
-                                 entropy=entropy,
-                                 fidelity_initial=abs(complex(np.vdot(row, ref))) ** 2)
-                for k, (row, m_sat, m_c, entropy)
-                in enumerate(zip(states.amplitudes, *columns))]
-    return _rec
-
-
-def record(state: PureState, n: int, reference: PureState,
-           axis: str = "x") -> TrajectoryRecord:
-    """The per-period observables of one state as one row: make_recorder's
-    recorder on a block of one."""
-    block = PureState(state.shape, state.amplitudes[None])
-    return make_recorder(reference, axis)(block, n)[0]
+def trajectory_records(states: PureState, first: int) -> list[TrajectoryRecord]:
+    """Recorder for floquet.evolve from the x-polarized state: a block of
+    consecutive periods in the joint x basis, stacked along the leading
+    axis, first the number of the first one; one TrajectoryRecord per
+    period."""
+    columns = [c.tolist() for c in period_observables(states)]
+    fidelity = _populations(states.amplitudes[..., 0])
+    return [TrajectoryRecord(first + k, *values)
+            for k, values in enumerate(zip(*columns, fidelity.tolist()))]

@@ -87,8 +87,8 @@ class PhaseMapRecord:
 
 def _stack_rows(shape: CollectiveShape) -> int:
     """Grid points per stack: as many as fit _STACK_ENTRIES, counting per
-    row the state, the kick and interaction diagonals and the two kick
-    factors (271 rows at (8, 2)), and at least one."""
+    row the state, a working copy of it, the interaction diagonal and the
+    two kick factors (271 rows at (8, 2)), and at least one."""
     n, d = shape.n_sat + 1, shape.central_dim
     return max(1, _STACK_ENTRIES // (3 * n * d + n * n + d * d))
 

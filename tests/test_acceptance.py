@@ -12,7 +12,7 @@ from spindtc.hilbert import (SystemShape, PureState, product_state,
 from spindtc.spin_algebra import coherent_axis_state
 from spindtc.floquet import (DriveParams, precompute, evolve, oracle_evolve,
                              two_period_residual_phases)
-from spindtc.observables import make_recorder
+from spindtc.observables import trajectory_records
 from spindtc.diagnostics import (detect_period, predict_dtc_class,
                                  fit_cosine_amplitude, classify_subsystem)
 from spindtc.analytic_states import MilestoneSpec, milestone_state
@@ -29,7 +29,7 @@ def _trajectory(n_sat, two_s, lam, g, periods):
     sh = SystemShape(n_sat, two_s)
     st = x_polarized_state(sh)
     traj = evolve(st, precompute(sh, DriveParams.symmetric(lam, g)),
-                  periods, make_recorder(st.copy()))
+                  periods, trajectory_records)
     return sh, st, traj
 
 
@@ -81,7 +81,7 @@ def test_criterion_04_milestone_states():
     double_ghz = milestone_state(sh, MilestoneSpec("odd_half", 4))
     minus_x = product_state(sh, [coherent_axis_state(1, "x", "-")] * 9,
                             coherent_axis_state(5, "x", "-"))
-    traj = evolve(st.copy(), tables, 24, make_recorder(st))
+    traj = evolve(st.copy(), tables, 24, trajectory_records)
     by_n = {r.n: r for r in traj}
     for n in (4, 8, 12, 16, 20, 24):
         assert by_n[n].entropy < 1e-8

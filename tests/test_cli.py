@@ -25,6 +25,37 @@ def test_parse_angle_forms():
         parse_angle("two pies")
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "nanpi",
+                                  "1e400pi", "1e308pi", "2pi/0", "pi/0.0",
+                                  "pi/nan", "pi/inf"])
+def test_parse_angle_rejects_non_finite_angles(text):
+    import argparse
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_angle(text)
+
+
+def test_non_finite_angles_exit_2(tmp_path, capsys):
+    # through every angle flag and through --config, before any state is
+    # evolved or any file written
+    out = str(tmp_path / "out.csv")
+    shape = ["--n-sat", "3", "--spin", "1/2"]
+    for value in ("nan", "inf", "1e400", "2pi/0"):
+        for argv in (["evolve", *shape, "--lambda", value, "--g", "1",
+                      "--periods", "4", "--output", out],
+                     ["sweep", *shape, "--lambda-max", value, "--lambda-steps", "2",
+                      "--g-steps", "2", "--periods", "4", "--output", out],
+                     ["qfi", *shape, "--lambda", value, "--g", "1",
+                      "--periods-list", "4", "--output", out]):
+            assert parse_and_dispatch(argv) == 2, argv
+        cfg = tmp_path / "angle.cfg"
+        cfg.write_text(f"g={value}\n")
+        assert parse_and_dispatch(["--config", str(cfg), "evolve", *shape,
+                                   "--lambda", "1", "--periods", "4",
+                                   "--output", out]) == 2
+    assert not os.path.exists(out)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_parse_spin_forms():
     assert parse_spin("1/2") == 1
     assert parse_spin("2") == 4
@@ -241,7 +272,8 @@ def _all_option_strings():
 
 def test_readme_documents_every_flag():
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    readme = open(os.path.join(here, "README.md")).read()
+    with open(os.path.join(here, "README.md")) as fh:
+        readme = fh.read()
     documented = set(re.findall(r"--[a-z][a-z0-9-]*", readme))
     missing = _all_option_strings() - documented
     assert not missing, f"flags absent from README: {sorted(missing)}"

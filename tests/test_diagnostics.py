@@ -4,7 +4,7 @@ import pytest
 from spindtc.errors import ShapeError, NotTabulatedError
 from spindtc.hilbert import SystemShape, CollectiveShape, x_polarized_state
 from spindtc.floquet import DriveParams, precompute, evolve
-from spindtc.observables import make_recorder
+from spindtc.observables import trajectory_records
 from spindtc.diagnostics import (stroboscopic_average, relative_order_parameter,
                                  detect_period, predict_dtc_class,
                                  fit_cosine_amplitude, classify_subsystem)
@@ -14,7 +14,7 @@ def _trajectory(n_sat, two_s, lam, g, periods):
     sh = SystemShape(n_sat, two_s)
     st = x_polarized_state(sh)
     return evolve(st, precompute(sh, DriveParams.symmetric(lam, g)),
-                  periods, make_recorder(st.copy()))
+                  periods, trajectory_records)
 
 
 def test_stroboscopic_average_constant():
@@ -91,7 +91,7 @@ def test_magnetization_period(n_sat, two_s, lam, g, periods, expected):
     sh = CollectiveShape(n_sat, two_s)
     st = x_polarized_state(sh)
     traj = evolve(st, precompute(sh, DriveParams.symmetric(lam, g)),
-                  periods, make_recorder(st.copy()))
+                  periods, trajectory_records)
     assert detect_period(traj).magnetization_period == expected
 
 

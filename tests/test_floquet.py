@@ -7,10 +7,9 @@ from spindtc.errors import ShapeError, CapacityError
 from spindtc.spin_algebra import coherent_axis_state
 from spindtc.hilbert import (SystemShape, CollectiveShape, PureState,
                              product_state, x_polarized_state, fidelity)
-from spindtc.observables import make_recorder
+from spindtc.observables import trajectory_records
 from spindtc import floquet
-from spindtc.floquet import (DriveParams, precompute, apply_kick,
-                             apply_interaction, evolve, u_squared_class,
+from spindtc.floquet import (DriveParams, precompute, evolve, u_squared_class,
                              two_period_residual_phases, oracle_unitaries,
                              oracle_evolve, reset_op_count, op_count)
 
@@ -25,37 +24,41 @@ def test_tables_trivial_params():
     t = precompute(sh, DriveParams(lam=0.0, g_s=1.3, g_c=0.4))
     np.testing.assert_allclose(t.interaction_phases, 1.0, atol=1e-12)
     t = precompute(sh, DriveParams(lam=1.1, g_s=0.0, g_c=0.0))
-    np.testing.assert_allclose(t.kick_phases, 1.0, atol=1e-12)
+    np.testing.assert_allclose(t.satellite_kick, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(t.central_kick, np.eye(3), atol=1e-12)
 
 
 def test_tables_unit_modulus():
     sh = SystemShape(4, 3)
     t = precompute(sh, DriveParams(lam=2.2, g_s=0.7, g_c=1.9))
-    np.testing.assert_allclose(np.abs(t.kick_phases), 1.0, atol=1e-12)
     np.testing.assert_allclose(np.abs(t.interaction_phases), 1.0, atol=1e-12)
-    v = t.central_x_rotation
-    np.testing.assert_allclose(v.conj().T @ v, np.eye(4), atol=1e-12)
+    for k in (t.satellite_kick, t.central_kick):
+        np.testing.assert_allclose(k.conj().T @ k, np.eye(len(k)), atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [SystemShape(3, 2), CollectiveShape(6, 3)])
 def test_kick_factors_are_the_kick_in_the_x_basis(shape):
-    # K_s X K_c^T in the x basis is the z-basis kick diagonal, for one drive
-    # point and per row of stacked tables; on the 2^n layout K_s is the
-    # closed-form qubit rotation
+    # K_s X K_c^T in the x basis is the z-basis kick diagonal
+    # exp(-i g_s m_sat - i g_c m_c), for one drive point and per row of
+    # stacked tables; on the 2^n layout K_s is the closed-form qubit rotation
     rng = np.random.default_rng(5)
     points = [DriveParams(1.1, 0.7, 2.3), DriveParams(0.4, -1.9, 0.3)]
     d = shape.central_dim
+    m_sat, m_c = floquet.magnetic_numbers(shape)
     for params in (points[0], points):
         t = precompute(shape, params)
-        rows = () if isinstance(params, DriveParams) else (len(points),)
+        stacked = isinstance(params, list)
+        rows = (len(params),) if stacked else ()
+        kick = np.array([np.exp(-1j * (p.g_s * m_sat[:, None] + p.g_c * m_c))
+                         for p in (params if stacked else [params])])
         z = rng.normal(size=rows + (shape.dim,)) + 1j * rng.normal(size=rows + (shape.dim,))
-        want = z * t.kick_phases
-        x = floquet.to_x_basis(z.reshape(rows + (-1, d)).copy(), t)
+        want = z * kick.reshape(rows + (-1,))
+        x = floquet.to_x_basis(z.reshape(rows + (-1, d)).copy(), shape)
         if isinstance(shape, CollectiveShape):
             x = t.satellite_kick @ x
         else:
             floquet._rotate_all_satellites(x, shape, t.satellite_kick)
-        got = floquet.from_x_basis(x @ t.central_kick, t).reshape(want.shape)
+        got = floquet.from_x_basis(x @ t.central_kick, shape).reshape(want.shape)
         np.testing.assert_allclose(got, want, atol=1e-12)
     g = 0.7
     half = precompute(SystemShape(2, 1), DriveParams(0.0, g, g)).satellite_kick
@@ -65,22 +68,23 @@ def test_kick_factors_are_the_kick_in_the_x_basis(shape):
 
 
 def test_double_interaction_at_2pi_single_pair():
-    # n_sat=1, two_s=1: U_0^2 at lambda=2pi is -identity (pure global phase)
+    # n_sat=1, two_s=1: U_0^2 at lambda=2pi is -identity (pure global phase);
+    # with g = 0 two periods are U_0^2
     sh = SystemShape(1, 1)
     t = precompute(sh, DriveParams(lam=2 * np.pi, g_s=0.0, g_c=0.0))
     rng = np.random.default_rng(0)
     st = _random_state(sh, rng)
     ref = st.copy()
-    apply_interaction(st, t)
-    apply_interaction(st, t)
+    evolve(st, t, 2)
     np.testing.assert_allclose(st.amplitudes, -ref.amplitudes, atol=1e-12)
 
 
 def test_kick_rotates_x_to_y():
+    # with lambda = 0 one period is the kick alone
     sh = SystemShape(1, 1)
     t = precompute(sh, DriveParams(lam=0.0, g_s=np.pi / 2, g_c=np.pi / 2))
     st = x_polarized_state(sh)
-    apply_kick(st, t)
+    evolve(st, t, 1)
     target = product_state(sh, [coherent_axis_state(1, "y", "+")],
                            coherent_axis_state(1, "y", "+"))
     assert fidelity(st, target) == pytest.approx(1.0, abs=1e-12)
@@ -90,7 +94,7 @@ def test_kick_pi_flips_x():
     sh = SystemShape(2, 2)
     t = precompute(sh, DriveParams(lam=0.0, g_s=np.pi, g_c=np.pi))
     st = x_polarized_state(sh)
-    apply_kick(st, t)
+    evolve(st, t, 1)
     target = product_state(sh, [coherent_axis_state(1, "x", "-")] * 2,
                            coherent_axis_state(2, "x", "-"))
     assert fidelity(st, target) == pytest.approx(1.0, abs=1e-12)
@@ -100,17 +104,17 @@ def test_norm_preserved_many_periods():
     sh = SystemShape(5, 3)
     t = precompute(sh, DriveParams(lam=1.37, g_s=0.81, g_c=2.05))
     st = x_polarized_state(sh)
-    for _ in range(100):
-        apply_kick(st, t)
-        apply_interaction(st, t)
-        assert abs(st.norm() - 1.0) < 1e-12
+    norms = evolve(st, t, 100, lambda states, first: list(states.norm()))
+    assert len(norms) == 100
+    assert max(abs(n - 1.0) for n in norms) < 1e-12
+    assert abs(st.norm() - 1.0) < 1e-12
 
 
 def test_shape_mismatch_rejected():
     t = precompute(SystemShape(2, 1), DriveParams(1, 1, 1))
     st = x_polarized_state(SystemShape(3, 1))
     with pytest.raises(ShapeError):
-        apply_kick(st, t)
+        evolve(st, t, 1)
 
 
 def test_evolve_zero_periods():
@@ -235,8 +239,8 @@ def test_collective_matches_full_engine():
             params = DriveParams.symmetric(lam, g)
             a, b = x_polarized_state(full), x_polarized_state(coll)
             np.testing.assert_allclose(_embed(b, full), a.amplitudes, atol=1e-14)
-            rec_a = evolve(a, precompute(full, params), 50, make_recorder(a.copy()))
-            rec_b = evolve(b, precompute(coll, params), 50, make_recorder(b.copy()))
+            rec_a = evolve(a, precompute(full, params), 50, trajectory_records)
+            rec_b = evolve(b, precompute(coll, params), 50, trajectory_records)
             assert np.max(np.abs(_embed(b, full) - a.amplitudes)) < 1e-10
             for ra, rb in zip(rec_a, rec_b):
                 assert ra.n == rb.n
@@ -277,8 +281,8 @@ def test_recorder_called_once_per_block(shape, periods):
 
 
 def test_basis_changes_once_per_block(monkeypatch):
-    # the drive stays in the x basis: one rotation into it, one out of it
-    # per recorded block and one at exit, not two per period
+    # the drive stays in the x basis and the recorder reads it there: one
+    # rotation into it on entry and one out of it on exit, none per block
     calls = {"to": 0, "from": 0}
 
     def counted(name, func):
@@ -296,4 +300,5 @@ def test_basis_changes_once_per_block(monkeypatch):
                  periods, lambda states, first: list(states.amplitudes))
     block = floquet._BLOCK_AMPLITUDES // shape.dim
     assert len(out) == periods
-    assert calls == {"to": 1, "from": -(-periods // block) + 1}
+    assert len(out) // block > 1
+    assert calls == {"to": 1, "from": 1}

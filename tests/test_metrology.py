@@ -8,7 +8,7 @@ from spindtc.errors import (ShapeError, StepSizeError,
 from spindtc.hilbert import SystemShape, CollectiveShape
 from spindtc.floquet import DriveParams
 from spindtc import metrology
-from spindtc.metrology import (QfiMatrix, qfi_matrix, qfi_matrices, qfi_scan,
+from spindtc.metrology import (QfiMatrix, qfi_matrix, qfi_scan,
                                weighted_uncertainty, sensing_gain,
                                fit_power_law, DEFAULT_DELTA)
 from spindtc.floquet import _STACK_ENTRIES
@@ -216,7 +216,7 @@ def test_scan_matches_single_walks():
         [counts for _, counts in scans]
     for (shape, counts), row in zip(scans, got):
         assert [_fields(q) for q in row] == \
-            [_fields(q) for q in qfi_matrices(shape, params, counts)]
+            [_fields(q) for q in qfi_scan([(shape, counts)], params)[0]]
 
 
 def _group_sizes(wanted):
@@ -248,7 +248,7 @@ def test_crosscheck_step_follows_the_shape_longest_count():
     # elements are those of a walk to n = 1 alone
     shape = CollectiveShape(128, 4)
     alone = qfi_matrix(shape, SPECIAL, 1)
-    walk = qfi_matrices(shape, SPECIAL, [1, 48])
+    walk = qfi_scan([(shape, [1, 48])], SPECIAL)[0]
     scan = qfi_scan([(shape, [1]), (CollectiveShape(8, 4), [48]),
                      (shape, [48])], SPECIAL)
     assert _fields(scan[0][0]) == _fields(walk[0])

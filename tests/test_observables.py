@@ -4,10 +4,11 @@ import pytest
 from spindtc.errors import ShapeError
 from spindtc.spin_algebra import coherent_axis_state, spin_matrices
 from spindtc.hilbert import (SystemShape, CollectiveShape, PureState, fidelity,
-                             product_state, x_polarized_state)
-from spindtc.floquet import DriveParams, precompute, evolve
-from spindtc.observables import (TrajectoryRecord, magnetization,
-                                 period_observables, record, make_recorder)
+                             product_state, x_polarized_state,
+                             reduced_central_density, von_neumann_entropy)
+from spindtc.floquet import DriveParams, precompute, evolve, from_x_basis
+from spindtc.observables import (magnetization,
+                                 period_observables, trajectory_records)
 from spindtc.analytic_states import MilestoneSpec, milestone_state
 
 
@@ -69,10 +70,12 @@ def test_magnetization_matches_dense_operator_oracle():
 
 
 def test_record_initial_state():
+    # the identity drive: the one recorded period is the x-polarized start
     sh = SystemShape(3, 5)
     st = x_polarized_state(sh)
-    r = record(st, 0, st)
-    assert r.n == 0
+    [r] = evolve(st, precompute(sh, DriveParams(0.0, 0.0, 0.0)), 1,
+                 trajectory_records)
+    assert r.n == 1
     assert r.m_sat_x == pytest.approx(0.5, abs=1e-12)
     assert r.m_c_x == pytest.approx(2.5, abs=1e-12)
     assert r.entropy == pytest.approx(0.0, abs=1e-12)
@@ -83,7 +86,7 @@ def test_record_ghz_entropy():
     sh = SystemShape(9, 5)
     st = x_polarized_state(sh)
     traj = evolve(st, precompute(sh, DriveParams.symmetric(np.pi, np.pi / 2)),
-                  6, make_recorder(st.copy()))
+                  6, trajectory_records)
     assert traj[5].entropy == pytest.approx(np.log(2), abs=1e-9)
 
 
@@ -91,7 +94,7 @@ def test_record_bounds_along_trajectory():
     sh = SystemShape(4, 3)
     st = x_polarized_state(sh)
     traj = evolve(st, precompute(sh, DriveParams.symmetric(1.9, 0.7)),
-                  40, make_recorder(st.copy()))
+                  40, trajectory_records)
     for r in traj:
         assert abs(r.m_sat_x) <= 0.5 + 1e-10
         assert abs(r.m_c_x) <= 1.5 + 1e-10
@@ -107,33 +110,31 @@ def test_stack_rows_match_single_states(shape):
     x = x_polarized_state(shape)
     stack = PureState(shape, np.tile(x.amplitudes, (len(points), 1)))
     evolve(stack, precompute(shape, [DriveParams.symmetric(*p) for p in points]), 7)
-    rows = [period_observables(stack, axis) for axis in "xyz"]
+
+    def observables(st):
+        return [magnetization(st, target, axis) for axis in "xyz"
+                for target in ("satellites", "central")] + \
+            [von_neumann_entropy(reduced_central_density(st))]
+
+    rows = observables(stack)
     for b, p in enumerate(points):
         st = x.copy()
         evolve(st, precompute(shape, DriveParams.symmetric(*p)), 7)
         np.testing.assert_array_equal(stack.amplitudes[b], st.amplitudes)
-        for axis, row in zip("xyz", rows):
-            assert [float(v[b]) for v in row] == \
-                [float(v) for v in period_observables(st, axis)]
+        assert [float(v[b]) for v in rows] == [float(v) for v in observables(st)]
         assert stack.norm()[b] == st.norm()
     with pytest.raises(ShapeError):
         fidelity(stack, stack)
 
 
 def _per_period_records(shape, params, periods):
-    # the states of one evolve call, each period recorded on its own from
-    # the single state alone
+    # the x-basis states of one evolve call, each period recorded on its own
+    # as a block of one
     st = x_polarized_state(shape)
-    ref = st.copy()
     states = evolve(st, precompute(shape, params), periods,
                     lambda block, first: list(block.amplitudes))
-    out = []
-    for n, amps in enumerate(states, start=1):
-        single = PureState(shape, amps)
-        m_sat, m_c, entropy = period_observables(single)
-        out.append(TrajectoryRecord(n, float(m_sat), float(m_c), float(entropy),
-                                    fidelity(single, ref)))
-    return out
+    return [trajectory_records(PureState(shape, amps[None]), n)[0]
+            for n, amps in enumerate(states, start=1)]
 
 
 @pytest.mark.parametrize("shape,periods", [(CollectiveShape(8, 4), 5000),
@@ -143,7 +144,7 @@ def test_block_records_match_stepped_periods(shape, periods):
     # block budget, so its blocks hold one period each
     params = DriveParams.symmetric(1.3, 0.7)
     st = x_polarized_state(shape)
-    got = evolve(st, precompute(shape, params), periods, make_recorder(st.copy()))
+    got = evolve(st, precompute(shape, params), periods, trajectory_records)
     assert got == _per_period_records(shape, params, periods)
 
 
@@ -155,15 +156,78 @@ def test_one_period_calls_match_one_call():
     params = DriveParams.symmetric(1.3, 0.7)
     tables = precompute(shape, params)
     whole = x_polarized_state(shape)
-    got = evolve(whole, tables, periods, make_recorder(whole.copy()))
+    got = evolve(whole, tables, periods, trajectory_records)
     st = x_polarized_state(shape)
     for n in range(1, periods + 1):
         evolve(st, tables, 1)
-        m_sat, m_c, entropy = period_observables(st)
-        want = (m_sat, m_c, entropy, fidelity(st, x_polarized_state(shape)))
+        want = _z_basis_observables(st)
         rec = got[n - 1]
         assert rec.n == n
         assert np.max(np.abs(np.subtract(
             (rec.m_sat_x, rec.m_c_x, rec.entropy, rec.fidelity_initial),
             want))) < 1e-10
     assert np.max(np.abs(st.amplitudes - whole.amplitudes)) < 1e-10
+
+
+def _z_basis_observables(st):
+    """(satellite <S^x>, central <S^x>, entropy, fidelity to the x-polarized
+    start) of a z-basis state, through the public functions."""
+    return (magnetization(st, "satellites"), magnetization(st, "central"),
+            von_neumann_entropy(reduced_central_density(st)),
+            fidelity(st, x_polarized_state(st.shape)))
+
+
+def _dense_x_magnetizations(shape, z):
+    """(satellite, central) <S^x> of a z-basis state from spin matrices
+    applied in the z basis, independent of the population sums."""
+    d = shape.central_dim
+    mat = z.reshape(-1, d)
+    central = np.vdot(mat, mat @ spin_matrices(shape.two_s).sx.T).real
+    if isinstance(shape, CollectiveShape):
+        return np.vdot(mat, spin_matrices(shape.n_sat).sx @ mat).real / shape.n_sat, central
+    # satellite qubit k is bit k of the satellite index
+    sx = spin_matrices(1).sx
+    views = [z.reshape(-1, 2, (1 << k) * d) for k in range(shape.n_sat)]
+    sat = sum(np.vdot(v, np.einsum("ab,ibj->iaj", sx, v)).real for v in views)
+    return sat / shape.n_sat, central
+
+
+def _check_columns(shape, x_amps, columns):
+    # the columns read from one x-basis state equal the z-basis observables
+    # of the same state, to 1e-12
+    st = PureState(shape, from_x_basis(x_amps.reshape(-1, shape.central_dim),
+                                       shape).reshape(-1))
+    want = _z_basis_observables(st)[:len(columns)]
+    assert np.max(np.abs(np.subtract(columns, want))) <= 1e-12
+    assert np.max(np.abs(np.subtract(columns[:2],
+                                     _dense_x_magnetizations(shape, st.amplitudes)))) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [CollectiveShape(8, 4), SystemShape(6, 3)])
+def test_recorded_columns_match_z_basis_observables(shape):
+    # trajectory_records reads the x-basis states evolve hands it: each of
+    # its columns equals magnetization, von_neumann_entropy and fidelity on
+    # the matching z-basis state
+    st = x_polarized_state(shape)
+    got = evolve(st, precompute(shape, DriveParams.symmetric(1.3, 0.7)), 40,
+                 lambda states, first: list(zip(states.amplitudes,
+                                                trajectory_records(states, first))))
+    for amps, rec in got:
+        _check_columns(shape, amps, (rec.m_sat_x, rec.m_c_x, rec.entropy,
+                                     rec.fidelity_initial))
+
+
+def test_recorded_stack_columns_match_z_basis_observables():
+    # the phase map's columns, read from an x-basis stack at (9, 5/2), match
+    # the z-basis observables of every row
+    shape = CollectiveShape(9, 5)
+    points = [(np.pi, np.pi / 2), (2 * np.pi, 3.0), (1.3, 0.7)]
+    tables = precompute(shape, [DriveParams.symmetric(*p) for p in points])
+    stack = PureState(shape, np.tile(x_polarized_state(shape).amplitudes,
+                                     (len(points), 1)))
+    got = evolve(stack, tables, 30,
+                 lambda states, first: list(zip(states.amplitudes,
+                                                zip(*period_observables(states)))))
+    for amps, columns in got:
+        for row, values in zip(amps, zip(*columns)):
+            _check_columns(shape, row, values)

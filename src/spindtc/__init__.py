@@ -14,11 +14,12 @@ from .hilbert import (SystemShape, CollectiveShape, PureState, DensityMatrix,
 from .floquet import (DriveParams, StepTables, precompute, evolve,
                       u_squared_class, two_period_residual_phases,
                       oracle_unitaries, oracle_evolve)
-from .observables import TrajectoryRecord, magnetization, trajectory_records
+from .observables import (TrajectoryRecord, magnetization, trajectory_records,
+                          magnetization_records)
 from .diagnostics import (PeriodReport, DtcPrediction, stroboscopic_average,
                           relative_order_parameter, detect_period,
-                          predict_dtc_class, fit_cosine_amplitude,
-                          classify_subsystem)
+                          first_revival, predict_dtc_class,
+                          fit_cosine_amplitude, classify_subsystem)
 from .analytic_states import (MilestoneSpec, parity_case_of,
                               supported_time_indices, milestone_state,
                               milestone_fidelity)

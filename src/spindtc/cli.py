@@ -21,8 +21,9 @@ from .errors import SpinDtcError, ShapeError, NotTabulatedError
 from .hilbert import (SystemShape, CollectiveShape, x_polarized_state,
                       split_index)
 from .floquet import DriveParams, precompute, evolve
-from .observables import trajectory_records
-from .diagnostics import predict_dtc_class, detect_period, classify_subsystem
+from .observables import trajectory_records, magnetization_records
+from .diagnostics import (DEFAULT_PERIOD_SCAN_MAX, DEFAULT_REVIVAL_EPSILON,
+                          predict_dtc_class, first_revival, classify_subsystem)
 from .analytic_states import (MilestoneSpec, milestone_state, parity_case_of,
                               supported_time_indices)
 from .metrology import qfi_scan, sensing_gain
@@ -149,9 +150,10 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--regime", choices=sorted(_REGIMES), default=None,
                    help="which classification table to use")
     drive_flags(p)
-    p.add_argument("--periods", type=int, default=64,
-                   help="trajectory length for the measurement (default %(default)s)")
-    p.add_argument("--epsilon", type=float, default=1e-8,
+    p.add_argument("--periods", type=int, default=DEFAULT_PERIOD_SCAN_MAX,
+                   help="most periods the measurement drives; the period "
+                        "regimes stop at the first revival (default %(default)s)")
+    p.add_argument("--epsilon", type=float, default=DEFAULT_REVIVAL_EPSILON,
                    help="revival fidelity tolerance (default %(default)s)")
 
     p = sub.add_parser("sweep", help="(lambda, g) grid scan to a phase-map CSV")
@@ -246,20 +248,25 @@ def _cmd_classify(args) -> int:
     shape = CollectiveShape(args.n_sat, args.spin)
     state = x_polarized_state(shape)
     tables = precompute(shape, DriveParams.symmetric(lam, g))
-    traj = evolve(state, tables, args.periods, trajectory_records)
-    print(f"shape ({args.n_sat}, s={args.spin}/2) at lambda={lam:.10g}, g={g:.10g}")
+    # printed once the measurement has succeeded, so a failed one prints
+    # only its error
+    point = f"shape ({args.n_sat}, s={args.spin}/2) at lambda={lam:.10g}, g={g:.10g}"
     if regime == "lambda_2pi":
-        m_sat = [0.5] + [r.m_sat_x for r in traj]
-        m_c = [shape.s] + [r.m_c_x for r in traj]
+        # the taxonomy reads every period's magnetizations
+        pairs = evolve(state, tables, args.periods, magnetization_records)
+        m_sat = [0.5] + [p[0] for p in pairs]
+        m_c = [shape.s] + [p[1] for p in pairs]
         meas_sat = classify_subsystem(m_sat, g, 0.5)
         meas_c = classify_subsystem(m_c, g, shape.s)
+        print(point)
         print(f"predicted satellites {pred.satellite_behavior}, central "
               f"{pred.central_behavior} ({pred.label})")
         print(f"measured satellites {meas_sat}, central {meas_c}")
         return 0
-    report = detect_period(traj, args.epsilon)
-    measured = report.detected_period if report.detected_period is not None else "none"
-    print(f"predicted {pred.period}, measured {measured}")
+    period = first_revival(state, tables, args.periods, args.epsilon)
+    print(point)
+    print(f"predicted {pred.period}, measured "
+          f"{period if period is not None else 'none'}")
     if regime.startswith("regular"):
         print("note: which regular class sits at which drive point is "
               "reported as measured, not asserted")

@@ -1,12 +1,20 @@
 """DTC classification: stroboscopic averages, order parameters, period
-detection and the tabulated predictions for the various DTC families."""
+detection and the tabulated predictions for the various DTC families.
+
+The revival period is measured two ways. detect_period reads a recorded
+trajectory, all of it; first_revival drives the state itself and stops at
+the first period whose fidelity to the start is above 1 - epsilon, reading
+nothing but that fidelity.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError, NotTabulatedError
-from .observables import TrajectoryRecord
+from .hilbert import PureState
+from .floquet import StepTables, evolve
+from .observables import TrajectoryRecord, initial_fidelity
 
 DEFAULT_REVIVAL_EPSILON = 1e-8
 DEFAULT_PERIOD_SCAN_MAX = 64
@@ -44,17 +52,27 @@ def relative_order_parameter(series, count: int) -> tuple:
     return o_dtc, o_dmf, o_dtc - o_dmf
 
 
-def detect_period(trajectory: list[TrajectoryRecord],
-                  epsilon: float = DEFAULT_REVIVAL_EPSILON) -> PeriodReport:
-    """Find the first full revival and the period of the magnetization signal."""
-    if not trajectory:
+def _check_revival_scan(n_periods: int, epsilon: float) -> None:
+    """What a revival measurement needs: a period to look at and epsilon
+    in (0, 1)."""
+    if n_periods < 1:
         raise ShapeError("empty trajectory")
     if not (0 < epsilon < 1):
         raise ShapeError(f"epsilon must be in (0, 1), got {epsilon}")
+
+
+def _revived(fidelity: float, epsilon: float) -> bool:
+    return fidelity > 1 - epsilon
+
+
+def detect_period(trajectory: list[TrajectoryRecord],
+                  epsilon: float = DEFAULT_REVIVAL_EPSILON) -> PeriodReport:
+    """Find the first full revival and the period of the magnetization signal."""
+    _check_revival_scan(len(trajectory), epsilon)
     detected = None
     rev_fid = 0.0
     for rec in trajectory:
-        if rec.fidelity_initial > 1 - epsilon:
+        if _revived(rec.fidelity_initial, epsilon):
             detected = rec.n
             rev_fid = rec.fidelity_initial
             break
@@ -65,6 +83,34 @@ def detect_period(trajectory: list[TrajectoryRecord],
                        if (np.abs(m[p:] - m[:-p]) <= epsilon).all()), None)
     return PeriodReport(detected_period=detected, revival_fidelity=rev_fid,
                         magnetization_period=mag_period)
+
+
+def first_revival(state: PureState, tables: StepTables, max_periods: int,
+                  epsilon: float = DEFAULT_REVIVAL_EPSILON) -> int | None:
+    """The first period, 1..max_periods, at which state, the x-polarized
+    start, revives (fidelity to it above 1 - epsilon), or None:
+    detect_period's detected_period without recording the trajectory.
+
+    It drives a copy of state through floquet.evolve in chunks of 1, 2, 4,
+    ... periods, each continuing the last, reads each period's fidelity
+    (observables.initial_fidelity) and stops after the chunk that holds the
+    revival: a revival at period r costs at most 2r - 1 periods, and none
+    costs max_periods. state is left as it was.
+    """
+    if max_periods < 0:     # evolve's own check, ahead of the empty one
+        raise ShapeError(f"n_periods must be >= 0, got {max_periods}")
+    _check_revival_scan(max_periods, epsilon)
+    state = state.copy()
+    done, chunk = 0, 1
+    while done < max_periods:
+        count = min(chunk, max_periods - done)
+        fidelities = evolve(state, tables, count,
+                            lambda states, first: initial_fidelity(states).tolist())
+        for k, f in enumerate(fidelities, start=done + 1):
+            if _revived(f, epsilon):
+                return k
+        done, chunk = done + count, 2 * chunk
+    return None
 
 
 # Table-driven predictions. Keys are (n_sat parity, s parity) or residue pairs.
@@ -144,12 +190,14 @@ def classify_subsystem(series, g: float, maximum: float,
                        tol: float = 1e-8) -> str:
     """Measured taxonomy of one subsystem's magnetization at lambda = 2pi.
 
-    series[n] is the magnetization at nT, n = 0..len-1. Returns
-    'period doubling' when the every-other-period values revive at +maximum
-    while the full sequence is not 1T-periodic, else 'sinusoidal' when the
-    stroboscopic values fit maximum*cos(2 g n).
+    series[n] is the magnetization at nT, n = 0..len-1, with len >= 2.
+    Returns 'period doubling' when the every-other-period values revive at
+    +maximum while the full sequence is not 1T-periodic, else 'sinusoidal'
+    when the stroboscopic values fit maximum*cos(2 g n).
     """
     y = np.asarray(series, dtype=float)
+    if len(y) < 2:
+        raise ShapeError("empty trajectory")
     even = y[::2]
     if np.max(np.abs(even - maximum)) < tol:
         if np.max(np.abs(y - maximum)) > 10 * tol:

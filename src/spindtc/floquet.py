@@ -20,6 +20,7 @@ On the 2^n layout (the verification path) K_s is one 2x2 rotation applied to
 every satellite qubit, and a period costs O(D * (2 n_sat + d)).
 """
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -61,6 +62,10 @@ class DriveParams:
     lam: float
     g_s: float
     g_c: float
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.lam, self.g_s, self.g_c))):
+            raise ShapeError(f"drive angles must be finite, got {self}")
 
     @classmethod
     def symmetric(cls, lam: float, g: float) -> "DriveParams":

@@ -142,7 +142,7 @@ def x_polarized_state(shape: SystemShape) -> PureState:
     if isinstance(shape, CollectiveShape):
         # |+x>^n_sat is the extremal J^x state |J, +J>^x of the collective spin
         sat = coherent_axis_state(shape.n_sat, "x", "+")
-        return PureState(shape, np.kron(sat.amplitudes, central.amplitudes).astype(complex))
+        return PureState(shape, np.outer(sat.amplitudes, central.amplitudes).ravel())
     plus_x = coherent_axis_state(1, "x", "+")
     return product_state(shape, [plus_x] * shape.n_sat, central)
 

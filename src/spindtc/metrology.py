@@ -66,15 +66,16 @@ class QfiMatrix:
     f_lg_crosscheck: float
     estimators_disagree: bool
 
-    @property
-    def determinant(self) -> float:
-        return self.f_ll * self.f_gg - self.f_lg ** 2
-
 
 def _generators(shape: SystemShape) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of K (z basis) and H (x basis) as (satellite, central)."""
     m_sat, m_c = magnetic_numbers(shape)
     return m_sat[:, None] + m_c[None, :], m_sat[:, None] * m_c[None, :]
+
+
+def _det_trace(f_ll: float, f_gg: float, f_lg: float) -> tuple[float, float]:
+    """Determinant and trace of the Fisher matrix [[f_ll, f_lg], [f_lg, f_gg]]."""
+    return f_ll * f_gg - f_lg ** 2, f_ll + f_gg
 
 
 def _element(d_a: np.ndarray, d_b: np.ndarray, psi: np.ndarray) -> float:
@@ -263,8 +264,8 @@ def _matrix(stack: np.ndarray, n_periods: int, delta: float) -> QfiMatrix:
     disagree = any(abs(a - b) > _DISAGREEMENT_RTOL * scale
                    for a, b in ((f_ll, cc_ll), (f_gg, cc_gg), (f_lg, cc_lg)))
 
-    det = f_ll * f_gg - f_lg ** 2
-    g_scalar = (f_ll + f_gg) / det if det > 0 else float("nan")
+    det, tr = _det_trace(f_ll, f_gg, f_lg)
+    g_scalar = tr / det if det > 0 else float("nan")
     return QfiMatrix(f_ll=f_ll, f_gg=f_gg, f_lg=f_lg, g_scalar=g_scalar,
                      n_periods=n_periods, delta=delta,
                      f_ll_crosscheck=cc_ll, f_gg_crosscheck=cc_gg,
@@ -276,11 +277,11 @@ def weighted_uncertainty(q: QfiMatrix) -> float:
     two-parameter uncertainty combination: delta_lambda^2 + delta_g^2 >= G.
     Small G means both parameters are simultaneously well resolved.
     """
-    det = q.determinant
+    det, tr = _det_trace(q.f_ll, q.f_gg, q.f_lg)
     if det <= 0:
         raise DegenerateInformationError(
             f"Fisher determinant {det:.3e} is not positive")
-    return (q.f_ll + q.f_gg) / det
+    return tr / det
 
 
 def sensing_gain(q: QfiMatrix, crosscheck: bool = False) -> float:
@@ -289,12 +290,8 @@ def sensing_gain(q: QfiMatrix, crosscheck: bool = False) -> float:
     This is the figure of merit whose growth tracks simultaneous two-parameter
     sensitivity (larger is better); scaling exponents are fit on it.
     """
-    if crosscheck:
-        f_ll, f_gg, f_lg = q.f_ll_crosscheck, q.f_gg_crosscheck, q.f_lg_crosscheck
-    else:
-        f_ll, f_gg, f_lg = q.f_ll, q.f_gg, q.f_lg
-    det = f_ll * f_gg - f_lg ** 2
-    tr = f_ll + f_gg
+    det, tr = _det_trace(*((q.f_ll_crosscheck, q.f_gg_crosscheck, q.f_lg_crosscheck)
+                           if crosscheck else (q.f_ll, q.f_gg, q.f_lg)))
     if det <= 0 or tr <= 0:
         raise DegenerateInformationError(
             f"Fisher matrix degenerate (det={det:.3e}, tr={tr:.3e})")

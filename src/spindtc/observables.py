@@ -70,12 +70,25 @@ def period_observables(state: PureState):
             _hermitian_entropy(reduced_central_density(state).entries))
 
 
+def initial_fidelity(states: PureState) -> np.ndarray:
+    """Fidelity to the x-polarized start per row of states in the joint x
+    basis: |X_00|^2, the population of the first basis state."""
+    return _populations(states.amplitudes[..., 0])
+
+
 def trajectory_records(states: PureState, first: int) -> list[TrajectoryRecord]:
     """Recorder for floquet.evolve from the x-polarized state: a block of
     consecutive periods in the joint x basis, stacked along the leading
     axis, first the number of the first one; one TrajectoryRecord per
     period."""
     columns = [c.tolist() for c in period_observables(states)]
-    fidelity = _populations(states.amplitudes[..., 0])
+    fidelity = initial_fidelity(states)
     return [TrajectoryRecord(first + k, *values)
             for k, values in enumerate(zip(*columns, fidelity.tolist()))]
+
+
+def magnetization_records(states: PureState, first: int) -> list[tuple]:
+    """Recorder for floquet.evolve that keeps only the x magnetizations:
+    one (satellite <S^x>, central <S^x>) pair per period of a block in the
+    joint x basis, the values trajectory_records gives them."""
+    return list(zip(*(c.tolist() for c in _magnetizations(states))))

@@ -14,6 +14,7 @@ scan resume without recomputing finished points.
 
 import csv
 import itertools
+import math
 import os
 import struct
 from dataclasses import dataclass, fields
@@ -56,6 +57,8 @@ class GridSpec:
     def __post_init__(self):
         for name, (lo, hi, steps) in (("lambda", self.lambda_range),
                                       ("g", self.g_range)):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ShapeError(f"{name} range needs finite ends, got ({lo}, {hi})")
             if steps < 1:
                 raise ShapeError(f"{name} range needs steps >= 1, got {steps}")
             if steps > 1 and hi <= lo:

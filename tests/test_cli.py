@@ -136,6 +136,18 @@ def test_classify_lambda_2pi(capsys):
     assert "measured satellites period doubling, central period doubling" in out
 
 
+@pytest.mark.parametrize("regime", ["lambda2pi", "special", "regular1",
+                                    "regular2"])
+def test_classify_needs_a_period(regime, capsys):
+    # the measurement needs one period beyond the start; a failed
+    # measurement prints only its error
+    code = parse_and_dispatch(["classify", "--n-sat", "8", "--spin", "2",
+                               "--regime", regime, "--periods", "0"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert (out, err) == ("", "error: empty trajectory\n")
+
+
 def test_classify_not_tabulated(capsys):
     code = parse_and_dispatch(["classify", "--n-sat", "9", "--spin", "2",
                                "--regime", "regular1"])

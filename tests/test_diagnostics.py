@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from spindtc import diagnostics
 from spindtc.errors import ShapeError, NotTabulatedError
 from spindtc.hilbert import SystemShape, CollectiveShape, x_polarized_state
 from spindtc.floquet import DriveParams, precompute, evolve
-from spindtc.observables import trajectory_records
+from spindtc.observables import trajectory_records, magnetization_records
 from spindtc.diagnostics import (stroboscopic_average, relative_order_parameter,
-                                 detect_period, predict_dtc_class,
-                                 fit_cosine_amplitude, classify_subsystem)
+                                 detect_period, first_revival,
+                                 predict_dtc_class, fit_cosine_amplitude,
+                                 classify_subsystem)
 
 
 def _trajectory(n_sat, two_s, lam, g, periods):
@@ -103,6 +105,97 @@ def test_detect_period_validation():
         detect_period(traj, epsilon=2.0)
 
 
+def _tables(shape, lam, g):
+    return precompute(shape, DriveParams.symmetric(lam, g))
+
+
+def _count_periods(monkeypatch):
+    """Record the period count of every evolve call first_revival makes."""
+    counts = []
+
+    def counted(state, tables, n_periods, recorder=None):
+        counts.append(n_periods)
+        return evolve(state, tables, n_periods, recorder)
+
+    monkeypatch.setattr(diagnostics, "evolve", counted)
+    return counts
+
+
+@pytest.mark.parametrize("layout", [CollectiveShape, SystemShape])
+@pytest.mark.parametrize("n_sat,two_s,lam,g", [
+    (8, 4, np.pi, np.pi / 2), (8, 5, np.pi, np.pi / 2),
+    (9, 4, np.pi, np.pi / 2), (9, 5, np.pi, np.pi / 2),
+    (8, 4, np.pi, np.pi / 4), (8, 4, np.pi / 2, np.pi / 2),
+    (8, 4, 1.3, 0.7),           # no revival within 64 periods
+])
+def test_first_revival_matches_detect_period(layout, n_sat, two_s, lam, g):
+    sh = layout(n_sat, two_s)
+    tables = _tables(sh, lam, g)
+    traj = evolve(x_polarized_state(sh), tables, 64, trajectory_records)
+    want = detect_period(traj).detected_period
+    st = x_polarized_state(sh)
+    start = st.amplitudes.copy()
+    assert first_revival(st, tables, 64) == want
+    assert np.array_equal(st.amplitudes, start)     # the caller's state
+    if (lam, g) == (1.3, 0.7):
+        assert want is None
+
+
+def test_first_revival_stops_after_the_revival(monkeypatch):
+    # the revival at period 4 lies in the chunk of periods 4..7
+    counts = _count_periods(monkeypatch)
+    sh = CollectiveShape(8, 4)
+    assert first_revival(x_polarized_state(sh), _tables(sh, np.pi, np.pi / 2),
+                         64) == 4
+    assert counts == [1, 2, 4]
+    assert sum(counts) <= 2 * 4 - 1
+
+
+def test_first_revival_without_revival_drives_max_periods(monkeypatch):
+    counts = _count_periods(monkeypatch)
+    sh = CollectiveShape(8, 4)
+    assert first_revival(x_polarized_state(sh), _tables(sh, 1.3, 0.7), 50) is None
+    assert counts == [1, 2, 4, 8, 16, 19]
+    assert sum(counts) == 50
+
+
+def test_first_revival_validation():
+    sh = CollectiveShape(2, 1)
+    st, tables = x_polarized_state(sh), _tables(sh, 1.0, 1.0)
+    with pytest.raises(ShapeError, match="n_periods must be >= 0"):
+        first_revival(st, tables, -1)
+    with pytest.raises(ShapeError, match="empty trajectory"):
+        first_revival(st, tables, 0)
+    for epsilon in (0.0, 1.0, 2.0):
+        with pytest.raises(ShapeError, match="epsilon"):
+            first_revival(st, tables, 3, epsilon)
+
+
+# ROADMAP item 3: the special HO-DTC and lambda = 2pi tables against the
+# dynamics at the CLI's default points, up to n_sat in the hundreds, at the
+# shapes measured to agree.
+@pytest.mark.parametrize("n_sat,two_s", [(64, 1), (100, 4), (101, 5), (200, 5),
+                                         (201, 4), (257, 3), (400, 5)])
+def test_special_ho_table_at_large_n_sat(n_sat, two_s):
+    sh = CollectiveShape(n_sat, two_s)
+    period = first_revival(x_polarized_state(sh),
+                           _tables(sh, np.pi, np.pi / 2), 64)
+    assert period == predict_dtc_class(n_sat, two_s, "special_ho").period
+
+
+@pytest.mark.parametrize("n_sat,two_s", [(100, 4), (101, 5), (200, 3), (201, 1)])
+def test_lambda_2pi_table_at_large_n_sat(n_sat, two_s):
+    g = 3.0
+    sh = CollectiveShape(n_sat, two_s)
+    pairs = evolve(x_polarized_state(sh), _tables(sh, 2 * np.pi, g), 64,
+                   magnetization_records)
+    pred = predict_dtc_class(n_sat, two_s, "lambda_2pi")
+    m_sat = [0.5] + [p[0] for p in pairs]
+    m_c = [sh.s] + [p[1] for p in pairs]
+    assert classify_subsystem(m_sat, g, 0.5) == pred.satellite_behavior
+    assert classify_subsystem(m_c, g, sh.s) == pred.central_behavior
+
+
 def test_predict_lambda_2pi_table():
     p = predict_dtc_class(9, 4, "lambda_2pi")
     assert p.satellite_behavior == "sinusoidal"
@@ -148,3 +241,6 @@ def test_classify_subsystem_labels():
              for n in range(80)]
     assert classify_subsystem(sinus, g, 0.5) == "sinusoidal"
     assert classify_subsystem([0.5] * 40, g, 0.5) == "frozen"
+    # one point, m(0), measures nothing
+    with pytest.raises(ShapeError, match="empty trajectory"):
+        classify_subsystem([0.5], g, 0.5)

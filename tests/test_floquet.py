@@ -28,6 +28,15 @@ def test_tables_trivial_params():
     np.testing.assert_allclose(t.central_kick, np.eye(3), atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_drive_params_reject_non_finite_angles(bad):
+    for angles in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+        with pytest.raises(ShapeError, match="finite"):
+            DriveParams(*angles)
+    with pytest.raises(ShapeError, match="finite"):
+        DriveParams.symmetric(1.0, bad)
+
+
 def test_tables_unit_modulus():
     sh = SystemShape(4, 3)
     t = precompute(sh, DriveParams(lam=2.2, g_s=0.7, g_c=1.9))

@@ -28,6 +28,23 @@ def test_grid_spec_validation():
         GridSpec((0, 1, 2), (0, 1, 2), sh, 1, 2)
 
 
+def test_grid_spec_rejects_non_finite_ranges():
+    sh = CollectiveShape(3, 1)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ShapeError, match="finite"):
+            GridSpec((0, bad, 2), (0, 1, 2), sh, 10, 2)
+        with pytest.raises(ShapeError, match="finite"):
+            GridSpec((0, 1, 2), (bad, 1, 1), sh, 10, 2)
+
+
+def test_compute_point_rejects_non_finite_angles():
+    # a NaN angle is a ShapeError from DriveParams, not numpy's LinAlgError
+    # from the entropy of NaN densities
+    for lam, g in ((float("nan"), 1.0), (1.0, float("inf"))):
+        with pytest.raises(ShapeError, match="finite"):
+            compute_point(CollectiveShape(8, 4), lam, g, 10, 2)
+
+
 def test_grid_axes_and_count():
     spec = _small_spec()
     assert spec.n_points == 9

@@ -23,7 +23,8 @@ from .hilbert import (SystemShape, CollectiveShape, x_polarized_state,
 from .floquet import DriveParams, precompute, evolve
 from .observables import trajectory_records, magnetization_records
 from .diagnostics import (DEFAULT_PERIOD_SCAN_MAX, DEFAULT_REVIVAL_EPSILON,
-                          predict_dtc_class, first_revival, classify_subsystem)
+                          predict_dtc_class, first_revival, classify_subsystem,
+                          check_epsilon)
 from .analytic_states import (MilestoneSpec, milestone_state, parity_case_of,
                               supported_time_indices)
 from .metrology import qfi_scan, sensing_gain
@@ -242,6 +243,8 @@ def _cmd_classify(args) -> int:
         raise ShapeError(f"unknown regime {args.regime!r}")
     regime, (lam_d, g_d) = _REGIMES[args.regime]
     pred = predict_dtc_class(args.n_sat, args.spin, regime)
+    # every regime takes the same --epsilon values, lambda2pi included
+    check_epsilon(args.epsilon)
     lam = args.lam if args.lam is not None else lam_d
     g = args.g if args.g is not None else g_d
 
@@ -279,7 +282,8 @@ def _cmd_sweep(args) -> int:
                     (args.g_min, args.g_max, args.g_steps),
                     CollectiveShape(args.n_sat, args.spin), args.periods,
                     args.stride)
-    records = run_grid(spec, checkpoint_path=args.checkpoint)
+    records = run_grid(spec, checkpoint_path=args.checkpoint,
+                       report=lambda line: print(line, file=sys.stderr))
     write_csv(records, args.output)
     print(f"wrote {len(records)} records to {args.output}")
     return 0

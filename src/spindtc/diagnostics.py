@@ -52,13 +52,18 @@ def relative_order_parameter(series, count: int) -> tuple:
     return o_dtc, o_dmf, o_dtc - o_dmf
 
 
+def check_epsilon(epsilon: float) -> None:
+    """A revival tolerance must lie in (0, 1)."""
+    if not (0 < epsilon < 1):
+        raise ShapeError(f"epsilon must be in (0, 1), got {epsilon}")
+
+
 def _check_revival_scan(n_periods: int, epsilon: float) -> None:
     """What a revival measurement needs: a period to look at and epsilon
     in (0, 1)."""
     if n_periods < 1:
         raise ShapeError("empty trajectory")
-    if not (0 < epsilon < 1):
-        raise ShapeError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_epsilon(epsilon)
 
 
 def _revived(fidelity: float, epsilon: float) -> bool:

@@ -10,6 +10,17 @@ rows are, so a point's record does not depend on which points share its
 stack (a fresh run and any resume agree bitwise), and results are returned
 in row-major order (lambda outer, g inner). Checkpoints let an interrupted
 scan resume without recomputing finished points.
+
+The drive U = e^{i lambda J^x S^x} e^{-i g (J^z + S^z)} gives every point
+the trajectory observables (<J^x>, <S^x>, the central entropy and the
+fidelity to the start) of its canonical point in [0, 2pi] x [0, pi]
+(fold), so each distinct canonical point is evolved once:
+- e^{i 4pi J^x S^x} is +-1, because (2J^x)(2S^x) has integer eigenvalues
+  of one parity: lambda and lambda + 4pi agree;
+- e^{-2pi i (J^z + S^z)} is a global phase: g and g + 2pi agree;
+- R = e^{i pi (J^x + S^x)} maps g to -g, and R K, K complex conjugation in
+  the z basis, maps lambda to -lambda. Both keep the x-polarized start up
+  to a phase, and the observables above.
 """
 
 import csv
@@ -17,6 +28,7 @@ import itertools
 import math
 import os
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -96,9 +108,23 @@ def _stack_rows(shape: CollectiveShape) -> int:
     return max(1, _STACK_ENTRIES // (3 * n * d + n * n + d * d))
 
 
+def fold(lam: float, g: float) -> tuple[float, float]:
+    """The canonical point of (lam, g): lam mod 4pi, reflected to 4pi - lam
+    above 2pi, and g mod 2pi, reflected to 2pi - g above pi. A point already
+    in [0, 2pi] x [0, pi] comes back bitwise unchanged."""
+    lam %= 4 * math.pi
+    if lam > 2 * math.pi:
+        lam = 4 * math.pi - lam
+    g %= 2 * math.pi
+    if g > math.pi:
+        g = 2 * math.pi - g
+    return lam, g
+
+
 def _scan(shape: CollectiveShape, points, periods: int,
-          stride: int) -> list[PhaseMapRecord]:
-    """Map records of the (lambda, g) points, evolved as one state stack."""
+          stride: int) -> list[tuple[float, ...]]:
+    """The five map averages of each (lambda, g) point, evolved as one
+    state stack."""
     shape = CollectiveShape(shape.n_sat, shape.two_s)
     tables = precompute(shape, [DriveParams.symmetric(lam, g) for lam, g in points])
     stack = PureState(shape, np.tile(x_polarized_state(shape).amplitudes,
@@ -114,62 +140,85 @@ def _scan(shape: CollectiveShape, points, periods: int,
     avg_entropy = np.stack([c[2] for c in columns], axis=-1).mean(axis=-1)
     _, _, o_rel_sat = relative_order_parameter(m_sat, periods)
     _, _, o_rel_c = relative_order_parameter(m_c, periods)
-    averages = zip(avg_m_sat, avg_m_c, avg_entropy, o_rel_sat, o_rel_c)
-    return [PhaseMapRecord(lam, g, *map(float, values))
-            for (lam, g), values in zip(points, averages)]
+    return [tuple(map(float, values)) for values in
+            zip(avg_m_sat, avg_m_c, avg_entropy, o_rel_sat, o_rel_c)]
 
 
 def compute_point(shape: CollectiveShape, lam: float, g: float,
                   periods: int, stride: int) -> PhaseMapRecord:
     """One trajectory from the x-polarized state, reduced to map averages.
 
-    shape is a CollectiveShape, as for GridSpec.
+    It is evolved at the canonical point fold(lam, g), as run_grid does,
+    and the record carries lam and g as given. shape is a CollectiveShape,
+    as for GridSpec.
     """
-    return _scan(shape, [(lam, g)], periods, stride)[0]
+    return PhaseMapRecord(lam, g, *_scan(shape, [fold(lam, g)], periods, stride)[0])
 
 
 def run_grid(spec: GridSpec, workers: int | None = None,
-             checkpoint_path: str | None = None) -> list[PhaseMapRecord]:
+             checkpoint_path: str | None = None,
+             report: Callable[[str], None] | None = None
+             ) -> list[PhaseMapRecord]:
     """Scan the grid, row-major (lambda outer, g inner).
 
-    The points still to compute, in grid order, are evolved in stacks of
-    _stack_rows rows in this process; workers is accepted and ignored. With
-    checkpoint_path, each stack's points are appended to the checkpoint as
-    it finishes and a restart skips them. A trailing record cut short by a
-    crash mid-write is dropped from the file and its point recomputed; a
+    Each distinct canonical point (fold) of the points still to compute is
+    evolved once, in grid order of its first point, in stacks of
+    _stack_rows rows in this process, and every point that folds to it
+    gets its values with the point's own (lambda, g). Points share an
+    evolution only when their canonical points are equal floats, so a row
+    depends only on its own (lambda, g). workers is accepted and ignored.
+
+    With checkpoint_path, records are appended to the checkpoint in grid
+    order as their values become known, and a restart skips them; a point
+    whose canonical point a stored record shares takes the values of the
+    lowest such record without an evolution. A trailing record cut short by
+    a crash mid-write is dropped from the file and its point recomputed; a
     checkpoint written for another grid, shape, period count or stride
     raises CheckpointError. The checkpoint's header is on disk before the
     first stack starts, and an empty checkpoint (a scan killed before then)
-    starts a fresh scan.
+    starts a fresh scan. report, if given, receives one line at the end:
+    the points evolved, taken from a mirror point and resumed.
     """
-    lams = spec.axis("lambda")
-    gs = spec.axis("g")
+    points = [(float(lam), float(g))
+              for lam in spec.axis("lambda") for g in spec.axis("g")]
+    keys = [fold(*point) for point in points]
     done: dict[int, PhaseMapRecord] = {}
     if checkpoint_path and os.path.exists(checkpoint_path):
         # appending after a cut record would corrupt the file for good
         _drop_cut_record(checkpoint_path)
         if os.path.getsize(checkpoint_path) > 0:
             done = dict(read_checkpoint(checkpoint_path, spec))
+    values = {}     # canonical point -> its five averages
+    for index in sorted(done):
+        values.setdefault(keys[index], _record_values(done[index])[2:])
+    pending = [k for k in range(spec.n_points) if k not in done]
+    # in grid order of their first point, so each stack's first point is
+    # the next pending one without values
+    todo = list(dict.fromkeys(keys[k] for k in pending if keys[k] not in values))
     ckpt = open(checkpoint_path, "ab") if checkpoint_path else None
     try:
         if ckpt is not None and ckpt.tell() == 0:
             ckpt.write(CHECKPOINT_MAGIC)
             ckpt.write(_FRAME.pack(_RECORD_LENGTH, _SPEC_INDEX, *_fingerprint(spec)))
             ckpt.flush()
-        pending = [k for k in range(spec.n_points) if k not in done]
-        rows = _stack_rows(spec.shape)
-        for start in range(0, len(pending), rows):
-            chunk = pending[start:start + rows]
-            points = [(float(lams[k // len(gs)]), float(gs[k % len(gs)]))
-                      for k in chunk]
-            for index, rec in zip(chunk, _scan(spec.shape, points,
-                                               spec.periods, spec.stride)):
-                done[index] = rec
-                if ckpt is not None:
-                    _write_checkpoint_record(ckpt, index, rec)
+        rows, start = _stack_rows(spec.shape), 0
+        for index in pending:
+            if keys[index] not in values:
+                stack = todo[start:start + rows]
+                start += rows
+                values.update(zip(stack, _scan(spec.shape, stack, spec.periods,
+                                               spec.stride)))
+            rec = PhaseMapRecord(*points[index], *values[keys[index]])
+            done[index] = rec
+            if ckpt is not None:
+                _write_checkpoint_record(ckpt, index, rec)
     finally:
         if ckpt is not None:
             ckpt.close()
+    if report is not None:
+        report(f"computed {len(todo)} of {spec.n_points} points "
+               f"({len(pending) - len(todo)} by symmetry, "
+               f"{spec.n_points - len(pending)} resumed)")
     return [done[i] for i in range(spec.n_points)]
 
 

@@ -148,6 +148,18 @@ def test_classify_needs_a_period(regime, capsys):
     assert (out, err) == ("", "error: empty trajectory\n")
 
 
+@pytest.mark.parametrize("regime", ["lambda2pi", "special", "regular1",
+                                    "regular2"])
+@pytest.mark.parametrize("epsilon", ["0", "2"])
+def test_classify_rejects_epsilon_outside_0_1(regime, epsilon, capsys):
+    code = parse_and_dispatch(["classify", "--n-sat", "8", "--spin", "2",
+                               "--regime", regime, "--epsilon", epsilon])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "epsilon must be in (0, 1)" in err
+
+
 def test_classify_not_tabulated(capsys):
     code = parse_and_dispatch(["classify", "--n-sat", "9", "--spin", "2",
                                "--regime", "regular1"])
@@ -196,6 +208,25 @@ def test_sweep_rejects_checkpoint_of_another_grid(tmp_path, capsys):
     assert parse_and_dispatch(argv) == 0
     assert parse_and_dispatch(argv + ["--g-min", "0.5"]) == 1
     assert "another grid" in capsys.readouterr().err
+
+
+def test_sweep_reports_computed_mirrored_and_resumed_points(tmp_path, capsys):
+    # the 9 x 5 grid over [0, 4pi] x [0, 2pi] folds onto 15 canonical points;
+    # a resume from the checkpoint with its last record cut evolves none
+    ckpt, out = tmp_path / "map.ckpt", tmp_path / "map.csv"
+    argv = ["sweep", "--n-sat", "3", "--spin", "1/2", "--lambda-steps", "9",
+            "--g-steps", "5", "--periods", "4", "--checkpoint", str(ckpt),
+            "--output", str(out)]
+    assert parse_and_dispatch(argv) == 0
+    assert capsys.readouterr() == (
+        f"wrote 45 records to {out}\n",
+        "computed 15 of 45 points (30 by symmetry, 0 resumed)\n")
+    csv = out.read_bytes()
+    ckpt.write_bytes(ckpt.read_bytes()[:-32])
+    assert parse_and_dispatch(argv) == 0
+    assert capsys.readouterr().err == \
+        "computed 0 of 45 points (1 by symmetry, 44 resumed)\n"
+    assert out.read_bytes() == csv
 
 
 def test_sweep_missing_output():

@@ -6,8 +6,9 @@ import pytest
 from spindtc.errors import ShapeError, CapacityError
 from spindtc.spin_algebra import coherent_axis_state
 from spindtc.hilbert import (SystemShape, CollectiveShape, PureState,
-                             product_state, x_polarized_state, fidelity)
-from spindtc.observables import trajectory_records
+                             product_state, x_polarized_state, fidelity,
+                             reduced_central_density, von_neumann_entropy)
+from spindtc.observables import trajectory_records, magnetization
 from spindtc import floquet
 from spindtc.floquet import (DriveParams, precompute, evolve, u_squared_class,
                              two_period_residual_phases, oracle_unitaries,
@@ -209,6 +210,32 @@ def test_engine_matches_oracle():
     want = oracle_evolve(sh, params, st.copy(), 7)
     evolve(st, precompute(sh, params), 7)
     assert np.max(np.abs(st.amplitudes - want.amplitudes)) < 1e-11
+
+
+@pytest.mark.parametrize("n_sat,two_s", [(4, 2), (3, 3)])
+def test_drive_symmetries_keep_trajectory_observables(n_sat, two_s):
+    # lambda + 4pi, -lambda, g + 2pi and -g give every period the same
+    # magnetizations, central entropy and fidelity to the start, on the
+    # dense oracle
+    sh = SystemShape(n_sat, two_s)
+    start = x_polarized_state(sh)
+
+    def observables(lam, g, periods=12):
+        params, state, rows = DriveParams.symmetric(lam, g), start, []
+        for _ in range(periods):
+            state = oracle_evolve(sh, params, state, 1)
+            rows.append([magnetization(state, "satellites"),
+                         magnetization(state, "central"),
+                         von_neumann_entropy(reduced_central_density(state)),
+                         fidelity(state, start)])
+        return np.array(rows)
+
+    lam, g = 2.3, 0.9
+    want = observables(lam, g)
+    assert np.ptp(want, axis=0).min() > 0.01    # every column moves
+    for image in ((4 * np.pi - lam, g), (-lam, g), (lam + 4 * np.pi, g),
+                  (lam, 2 * np.pi - g), (lam, -g)):
+        assert np.max(np.abs(observables(*image) - want)) < 1e-10, image
 
 
 def test_op_count_scaling():

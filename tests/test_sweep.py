@@ -9,7 +9,7 @@ from spindtc import cli
 from spindtc import floquet
 from spindtc import sweep
 from spindtc.sweep import (GridSpec, PhaseMapRecord, compute_point, run_grid,
-                           read_checkpoint, write_csv, read_csv,
+                           read_checkpoint, write_csv, read_csv, fold,
                            CHECKPOINT_MAGIC, _write_checkpoint_record)
 
 
@@ -98,6 +98,54 @@ def test_row_independent_of_batch():
     assert compute_point(SystemShape(8, 4), float(np.linspace(0, 4 * np.pi, 65)[16]),
                          float(np.linspace(0, 2 * np.pi, 33)[24]), 200, 2) \
         == records[4 * len(gs) + 12]
+
+
+def test_fold_keeps_canonical_points():
+    rng = np.random.default_rng(5)
+    lams = [0.0, np.pi, 2 * np.pi, *np.linspace(0, 2 * np.pi, 33),
+            *rng.uniform(0, 2 * np.pi, 50)]
+    gs = [0.0, np.pi / 2, np.pi, *np.linspace(0, np.pi, 17),
+          *rng.uniform(0, np.pi, 50)]
+    for lam, g in zip(lams, gs):
+        lam, g = float(lam), float(g)
+        assert [x.hex() for x in fold(lam, g)] == [lam.hex(), g.hex()]
+
+
+def test_fold_maps_mirror_images_onto_one_point():
+    lam, g = 1.3, 0.7
+    for image in ((4 * np.pi - lam, g), (-lam, g), (lam + 4 * np.pi, g),
+                  (lam, 2 * np.pi - g), (lam, -g), (-lam, g - 2 * np.pi)):
+        assert fold(*image) == pytest.approx((lam, g), abs=1e-14)
+
+
+def test_benchmark_grid_evolves_a_third_of_its_points(tmp_path):
+    # the 9 x 5 grid over [0, 4pi] x [0, 2pi] at (8, 2): 15 canonical
+    # points, each evolved once, so a third of the drive of evolving every
+    # point; a resume from its checkpoint with the last record cut drives
+    # nothing, and writes the file as the fresh run did
+    spec = _criterion_11_subgrid(8, 8)
+    lams, gs = spec.axis("lambda"), spec.axis("g")
+    points = [(float(lam), float(g)) for lam in lams for g in gs]
+    assert len({fold(*p) for p in points}) == 15
+    floquet.reset_op_count()
+    sweep._scan(spec.shape, points, spec.periods, spec.stride)
+    every_point = floquet.op_count()
+    path = tmp_path / "map.ckpt"
+    floquet.reset_op_count()
+    records = run_grid(spec, checkpoint_path=str(path))
+    assert 3 * floquet.op_count() == every_point
+    # mirror rows repeat their canonical row, which is on this grid
+    by_point = {(r.lam, r.g): r for r in records}
+    for rec in records:
+        canonical = by_point[fold(rec.lam, rec.g)]
+        assert sweep._record_values(rec)[2:] == \
+            sweep._record_values(canonical)[2:]
+    whole = path.read_bytes()
+    path.write_bytes(whole[:-32])
+    floquet.reset_op_count()
+    assert run_grid(spec, checkpoint_path=str(path)) == records
+    assert floquet.op_count() == 0
+    assert path.read_bytes() == whole
 
 
 def test_stack_rows_follow_the_entry_budget():

@@ -27,28 +27,40 @@ class PeriodReport:
     magnetization_period: int | None
 
 
+def _period_sum(values) -> np.ndarray:
+    """values summed along their leading axis, one after the other. np.sum
+    would sum a single row pairwise, and a point's average would then
+    depend on how many rows share its stack."""
+    return np.add.accumulate(values, axis=0)[-1]
+
+
 def stroboscopic_average(series, stride: int, count: int):
     """(1/count) * sum of series[n*stride] for n = 1..count.
 
-    series is indexed by period number, series[0] being the initial value.
-    Its entries may be arrays (one value per row of a state stack); the
-    average is then taken row by row.
+    series is indexed by period number, series[0] being the initial value:
+    a list, or an array whose leading axis is the period number. Its
+    entries may be arrays (one value per row of a state stack); the average
+    is then taken row by row.
     """
     if stride < 1 or count < 1:
         raise ShapeError(f"stride and count must be positive, got {stride}, {count}")
     if len(series) <= count * stride:
         raise ShapeError(
             f"series of length {len(series)} too short for count={count}, stride={stride}")
-    return sum(series[n * stride] for n in range(1, count + 1)) / count
+    return _period_sum(np.asarray(series[stride:count * stride + 1:stride])) / count
 
 
 def relative_order_parameter(series, count: int) -> tuple:
     """Time averages of (-1)^n M(nT) and M(nT), and their difference
-    (row by row when the entries of series are arrays)."""
+    (row by row when the entries of series are arrays); series is indexed
+    as for stroboscopic_average."""
     if count < 1 or len(series) <= count:
         raise ShapeError(f"series of length {len(series)} too short for count={count}")
-    o_dtc = sum((-1) ** n * series[n] for n in range(1, count + 1)) / count
-    o_dmf = sum(series[n] for n in range(1, count + 1)) / count
+    values = np.asarray(series[1:count + 1])
+    signed = values.copy()
+    signed[::2] *= -1   # odd n
+    o_dtc = _period_sum(signed) / count
+    o_dmf = _period_sum(values) / count
     return o_dtc, o_dmf, o_dtc - o_dmf
 
 

@@ -12,15 +12,30 @@ in row-major order (lambda outer, g inner). Checkpoints let an interrupted
 scan resume without recomputing finished points.
 
 The drive U = e^{i lambda J^x S^x} e^{-i g (J^z + S^z)} gives every point
-the trajectory observables (<J^x>, <S^x>, the central entropy and the
-fidelity to the start) of its canonical point in [0, 2pi] x [0, pi]
-(fold), so each distinct canonical point is evolved once:
+the map record of its canonical point (fold), so each distinct canonical
+point is evolved once. Symmetries that keep the trajectory observables
+(<J^x>, <S^x>, the central entropy and the fidelity to the start):
 - e^{i 4pi J^x S^x} is +-1, because (2J^x)(2S^x) has integer eigenvalues
-  of one parity: lambda and lambda + 4pi agree;
+  of one parity: lambda and lambda + 4pi agree. When n_sat is even and s
+  an integer, J^x S^x itself has integer eigenvalues, so e^{i 2pi J^x S^x}
+  is 1 and lambda and lambda + 2pi agree;
 - e^{-2pi i (J^z + S^z)} is a global phase: g and g + 2pi agree;
 - R = e^{i pi (J^x + S^x)} maps g to -g, and R K, K complex conjugation in
   the z basis, maps lambda to -lambda. Both keep the x-polarized start up
   to a phase, and the observables above.
+One more holds at every shape but flips the magnetizations:
+- P = e^{-i pi (J^z + S^z)} commutes with both factors of U and flips J^x
+  and S^x, and U(lambda, pi - g) = P U(lambda, -g). So at pi - g, M(n)
+  becomes (-1)^n M(n) and the entropy stays. At an even stride the
+  stroboscopic averages stay too, and O_dtc and O_dmf swap places, so
+  o_rel_sat and o_rel_c change sign: a mirror image's record is its
+  canonical record with both o_rel negated. An odd stride does not fold g
+  this way.
+The canonical cell is lambda in [0, pi] at even n_sat with integer s, else
+[0, 2pi], times g in [0, pi/2] at an even stride, else [0, pi]. At
+(8, 2), stride 2, the 9 x 5 grid over [0, 4pi] x [0, 2pi] of perfbench's
+phase_map evolves 6 of its 45 points, and the default 65 x 33 grid 480 of
+its 2,145.
 """
 
 import csv
@@ -100,6 +115,9 @@ class PhaseMapRecord:
     o_rel_c: float
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(PhaseMapRecord))
+
+
 def _stack_rows(shape: CollectiveShape) -> int:
     """Grid points per stack: as many as fit _STACK_ENTRIES, counting per
     row the state, a working copy of it, the interaction diagonal and the
@@ -108,17 +126,39 @@ def _stack_rows(shape: CollectiveShape) -> int:
     return max(1, _STACK_ENTRIES // (3 * n * d + n * n + d * d))
 
 
-def fold(lam: float, g: float) -> tuple[float, float]:
-    """The canonical point of (lam, g): lam mod 4pi, reflected to 4pi - lam
-    above 2pi, and g mod 2pi, reflected to 2pi - g above pi. A point already
-    in [0, 2pi] x [0, pi] comes back bitwise unchanged."""
-    lam %= 4 * math.pi
-    if lam > 2 * math.pi:
-        lam = 4 * math.pi - lam
+def fold(lam: float, g: float, shape: CollectiveShape,
+         stride: int) -> tuple[float, float, bool]:
+    """The canonical point of (lam, g) in a scan of shape at stride, and
+    whether (lam, g) is a mirror image of it (module docstring).
+
+    lam is taken mod 2pi and reflected to 2pi - lam above pi when n_sat is
+    even and s an integer, else mod 4pi and reflected to 4pi - lam above
+    2pi; g mod 2pi, reflected to 2pi - g above pi, and at an even stride
+    then to pi - g above pi/2, which makes (lam, g) a mirror image. A point
+    already in the cell comes back bitwise unchanged and not mirrored.
+    """
+    period = 2 * math.pi if shape.n_sat % 2 == 0 and shape.two_s % 2 == 0 \
+        else 4 * math.pi
+    lam %= period
+    if lam > period / 2:
+        lam = period - lam
     g %= 2 * math.pi
     if g > math.pi:
         g = 2 * math.pi - g
-    return lam, g
+    mirrored = stride % 2 == 0 and g > math.pi / 2
+    if mirrored:
+        g = math.pi - g
+    return lam, g, mirrored
+
+
+def _mirror(values, mirrored: bool) -> tuple[float, ...]:
+    """The five map averages of a point, from those of its canonical point
+    (or back: the map is its own inverse): unchanged, or with o_rel_sat and
+    o_rel_c negated at a mirror image."""
+    if not mirrored:
+        return tuple(values)
+    m_sat, m_c, entropy, o_rel_sat, o_rel_c = values
+    return m_sat, m_c, entropy, -o_rel_sat, -o_rel_c
 
 
 def _scan(shape: CollectiveShape, points, periods: int,
@@ -129,30 +169,35 @@ def _scan(shape: CollectiveShape, points, periods: int,
     tables = precompute(shape, [DriveParams.symmetric(lam, g) for lam, g in points])
     stack = PureState(shape, np.tile(x_polarized_state(shape).amplitudes,
                                      (len(points), 1)))
-    columns = evolve(stack, tables, periods,
-                     lambda states, first: zip(*period_observables(states)))
-    m_sat = [0.5] + [c[0] for c in columns]   # index by period number
-    m_c = [shape.s] + [c[1] for c in columns]
+    observed = evolve(stack, tables, periods, lambda states, first:
+                      list(np.stack(period_observables(states), axis=1)))
+    # (period number, column, row), period 0 being the start
+    start = np.broadcast_to([[0.5], [shape.s], [0.0]], observed[0].shape)
+    series = np.array([start, *observed])
+    m_sat, m_c = series[:, 0], series[:, 1]
     count = periods // stride
     avg_m_sat = stroboscopic_average(m_sat, stride, count)
     avg_m_c = stroboscopic_average(m_c, stride, count)
     # one contiguous row per point, so each mean sums as for a single point
-    avg_entropy = np.stack([c[2] for c in columns], axis=-1).mean(axis=-1)
+    avg_entropy = np.ascontiguousarray(series[1:, 2].T).mean(axis=-1)
     _, _, o_rel_sat = relative_order_parameter(m_sat, periods)
     _, _, o_rel_c = relative_order_parameter(m_c, periods)
-    return [tuple(map(float, values)) for values in
-            zip(avg_m_sat, avg_m_c, avg_entropy, o_rel_sat, o_rel_c)]
+    return [tuple(values) for values in np.stack(
+        (avg_m_sat, avg_m_c, avg_entropy, o_rel_sat, o_rel_c), axis=-1).tolist()]
 
 
 def compute_point(shape: CollectiveShape, lam: float, g: float,
                   periods: int, stride: int) -> PhaseMapRecord:
     """One trajectory from the x-polarized state, reduced to map averages.
 
-    It is evolved at the canonical point fold(lam, g), as run_grid does,
-    and the record carries lam and g as given. shape is a CollectiveShape,
-    as for GridSpec.
+    It is evolved at the canonical point of fold(lam, g, shape, stride), as
+    run_grid does, and the record carries lam and g as given, with both
+    o_rel negated at a mirror image. shape is a CollectiveShape, as for
+    GridSpec.
     """
-    return PhaseMapRecord(lam, g, *_scan(shape, [fold(lam, g)], periods, stride)[0])
+    lam_c, g_c, mirrored = fold(lam, g, shape, stride)
+    values = _scan(shape, [(lam_c, g_c)], periods, stride)[0]
+    return PhaseMapRecord(lam, g, *_mirror(values, mirrored))
 
 
 def run_grid(spec: GridSpec, workers: int | None = None,
@@ -164,24 +209,28 @@ def run_grid(spec: GridSpec, workers: int | None = None,
     Each distinct canonical point (fold) of the points still to compute is
     evolved once, in grid order of its first point, in stacks of
     _stack_rows rows in this process, and every point that folds to it
-    gets its values with the point's own (lambda, g). Points share an
-    evolution only when their canonical points are equal floats, so a row
-    depends only on its own (lambda, g). workers is accepted and ignored.
+    gets its values, with both o_rel negated at a mirror image, and the
+    point's own (lambda, g). Points share an evolution only when their
+    canonical points are equal floats, so a row depends only on its own
+    (lambda, g). workers is accepted and ignored.
 
     With checkpoint_path, records are appended to the checkpoint in grid
     order as their values become known, and a restart skips them; a point
     whose canonical point a stored record shares takes the values of the
-    lowest such record without an evolution. A trailing record cut short by
-    a crash mid-write is dropped from the file and its point recomputed; a
-    checkpoint written for another grid, shape, period count or stride
-    raises CheckpointError. The checkpoint's header is on disk before the
-    first stack starts, and an empty checkpoint (a scan killed before then)
-    starts a fresh scan. report, if given, receives one line at the end:
-    the points evolved, taken from a mirror point and resumed.
+    lowest such record, mapped back from a mirror image, without an
+    evolution. A trailing record cut short by a crash mid-write is dropped
+    from the file and its point recomputed; a checkpoint written for another
+    grid, shape, period count or stride raises CheckpointError. The
+    checkpoint's header is on disk before the first stack starts, and an
+    empty checkpoint (a scan killed before then) starts a fresh scan.
+    report, if given, receives one line at the end: the points evolved,
+    taken from a mirror point and resumed.
     """
     points = [(float(lam), float(g))
               for lam in spec.axis("lambda") for g in spec.axis("g")]
-    keys = [fold(*point) for point in points]
+    folded = [fold(*point, spec.shape, spec.stride) for point in points]
+    keys = [(lam, g) for lam, g, _ in folded]
+    mirrored = [mirror for _, _, mirror in folded]
     done: dict[int, PhaseMapRecord] = {}
     if checkpoint_path and os.path.exists(checkpoint_path):
         # appending after a cut record would corrupt the file for good
@@ -190,7 +239,8 @@ def run_grid(spec: GridSpec, workers: int | None = None,
             done = dict(read_checkpoint(checkpoint_path, spec))
     values = {}     # canonical point -> its five averages
     for index in sorted(done):
-        values.setdefault(keys[index], _record_values(done[index])[2:])
+        values.setdefault(keys[index], _mirror(_record_values(done[index])[2:],
+                                               mirrored[index]))
     pending = [k for k in range(spec.n_points) if k not in done]
     # in grid order of their first point, so each stack's first point is
     # the next pending one without values
@@ -208,7 +258,8 @@ def run_grid(spec: GridSpec, workers: int | None = None,
                 start += rows
                 values.update(zip(stack, _scan(spec.shape, stack, spec.periods,
                                                spec.stride)))
-            rec = PhaseMapRecord(*points[index], *values[keys[index]])
+            rec = PhaseMapRecord(*points[index],
+                                 *_mirror(values[keys[index]], mirrored[index]))
             done[index] = rec
             if ckpt is not None:
                 _write_checkpoint_record(ckpt, index, rec)
@@ -229,7 +280,7 @@ def _fingerprint(spec: GridSpec) -> tuple:
 
 
 def _record_values(rec: PhaseMapRecord) -> list[float]:
-    return [getattr(rec, f.name) for f in fields(PhaseMapRecord)]
+    return [getattr(rec, name) for name in _RECORD_FIELDS]
 
 
 def _write_checkpoint_record(fh, index: int, rec: PhaseMapRecord) -> None:

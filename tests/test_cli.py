@@ -211,7 +211,8 @@ def test_sweep_rejects_checkpoint_of_another_grid(tmp_path, capsys):
 
 
 def test_sweep_reports_computed_mirrored_and_resumed_points(tmp_path, capsys):
-    # the 9 x 5 grid over [0, 4pi] x [0, 2pi] folds onto 15 canonical points;
+    # the 9 x 5 grid over [0, 4pi] x [0, 2pi] folds onto 10 canonical points
+    # at (3, 1/2), stride 2: 5 lambdas in [0, 2pi] times 2 gs in [0, pi/2];
     # a resume from the checkpoint with its last record cut evolves none
     ckpt, out = tmp_path / "map.ckpt", tmp_path / "map.csv"
     argv = ["sweep", "--n-sat", "3", "--spin", "1/2", "--lambda-steps", "9",
@@ -220,7 +221,7 @@ def test_sweep_reports_computed_mirrored_and_resumed_points(tmp_path, capsys):
     assert parse_and_dispatch(argv) == 0
     assert capsys.readouterr() == (
         f"wrote 45 records to {out}\n",
-        "computed 15 of 45 points (30 by symmetry, 0 resumed)\n")
+        "computed 10 of 45 points (35 by symmetry, 0 resumed)\n")
     csv = out.read_bytes()
     ckpt.write_bytes(ckpt.read_bytes()[:-32])
     assert parse_and_dispatch(argv) == 0

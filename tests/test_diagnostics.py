@@ -67,6 +67,26 @@ def test_relative_order_parameter_linearity():
     np.testing.assert_allclose(rab, ra + 2 * rb, atol=1e-12)
 
 
+@pytest.mark.parametrize("rows", [None, 1, 3, 271])
+def test_averages_sum_periods_in_order(rows):
+    # a (periods + 1, rows) array, or a list of floats, averages bitwise as
+    # the period loop does, whatever the number of rows
+    rng = np.random.default_rng(rows)
+    series = rng.normal(size=201 if rows is None else (201, rows))
+    if rows is None:
+        series = series.tolist()
+    for stride in (1, 2, 3):
+        count = 200 // stride
+        want = sum(series[n * stride] for n in range(1, count + 1)) / count
+        np.testing.assert_array_equal(stroboscopic_average(series, stride, count),
+                                      want)
+    o_dtc = sum((-1) ** n * series[n] for n in range(1, 201)) / 200
+    o_dmf = sum(series[n] for n in range(1, 201)) / 200
+    got = relative_order_parameter(series, 200)
+    for a, b in zip(got, (o_dtc, o_dmf, o_dtc - o_dmf)):
+        np.testing.assert_array_equal(a, b)
+
+
 @pytest.mark.parametrize("n_sat,two_s,period", [(8, 4, 4), (8, 5, 12),
                                                 (9, 4, 12), (9, 5, 24)])
 def test_detect_period_special_points(n_sat, two_s, period):

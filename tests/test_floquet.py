@@ -212,11 +212,14 @@ def test_engine_matches_oracle():
     assert np.max(np.abs(st.amplitudes - want.amplitudes)) < 1e-11
 
 
-@pytest.mark.parametrize("n_sat,two_s", [(4, 2), (3, 3)])
+@pytest.mark.parametrize("n_sat,two_s", [(4, 2), (3, 3), (2, 2), (4, 3),
+                                          (3, 2)])
 def test_drive_symmetries_keep_trajectory_observables(n_sat, two_s):
     # lambda + 4pi, -lambda, g + 2pi and -g give every period the same
     # magnetizations, central entropy and fidelity to the start, on the
-    # dense oracle
+    # dense oracle; lambda + 2pi does too at even n_sat with integer s
+    # ((4, 1) and (2, 1)), and only there; pi - g gives (-1)^n M(n) and
+    # the same entropy at every shape
     sh = SystemShape(n_sat, two_s)
     start = x_polarized_state(sh)
 
@@ -236,6 +239,16 @@ def test_drive_symmetries_keep_trajectory_observables(n_sat, two_s):
     for image in ((4 * np.pi - lam, g), (-lam, g), (lam + 4 * np.pi, g),
                   (lam, 2 * np.pi - g), (lam, -g)):
         assert np.max(np.abs(observables(*image) - want)) < 1e-10, image
+    shifted = np.max(np.abs(observables(lam + 2 * np.pi, g) - want))
+    if n_sat % 2 == 0 and two_s % 2 == 0:
+        assert shifted < 1e-10
+    else:
+        assert shifted > 0.01
+    mirror = observables(lam, np.pi - g)
+    signs = (-1.0) ** np.arange(1, 13)
+    np.testing.assert_allclose(mirror[:, :2], signs[:, None] * want[:, :2],
+                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(mirror[:, 2], want[:, 2], rtol=0, atol=1e-10)
 
 
 def test_op_count_scaling():

@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import numpy as np
@@ -100,46 +101,107 @@ def test_row_independent_of_batch():
         == records[4 * len(gs) + 12]
 
 
+# one shape of each (n_sat, 2s) parity class: (4, 1), (2, 3/2), (3, 1),
+# (3, 1/2); only the first has lambda period 2pi
+_PARITY_CLASSES = [CollectiveShape(4, 2), CollectiveShape(2, 3),
+                   CollectiveShape(3, 2), CollectiveShape(3, 1)]
+
+
 def test_fold_keeps_canonical_points():
+    # the cell is [0, pi] or [0, 2pi] in lambda, by the lambda period, times
+    # [0, pi/2] at an even stride or [0, pi] at an odd one
     rng = np.random.default_rng(5)
-    lams = [0.0, np.pi, 2 * np.pi, *np.linspace(0, 2 * np.pi, 33),
-            *rng.uniform(0, 2 * np.pi, 50)]
-    gs = [0.0, np.pi / 2, np.pi, *np.linspace(0, np.pi, 17),
-          *rng.uniform(0, np.pi, 50)]
-    for lam, g in zip(lams, gs):
-        lam, g = float(lam), float(g)
-        assert [x.hex() for x in fold(lam, g)] == [lam.hex(), g.hex()]
+    for shape, stride in itertools.product(_PARITY_CLASSES, (1, 2)):
+        lam_max = np.pi if shape.n_sat % 2 == 0 and shape.two_s % 2 == 0 \
+            else 2 * np.pi
+        g_max = np.pi / 2 if stride % 2 == 0 else np.pi
+        lams = [0.0, lam_max / 2, lam_max, *np.linspace(0, lam_max, 33),
+                *rng.uniform(0, lam_max, 50)]
+        gs = [0.0, g_max / 2, g_max, *np.linspace(0, g_max, 17),
+              *rng.uniform(0, g_max, 50)]
+        for lam, g in zip(lams, gs):
+            lam, g = float(lam), float(g)
+            lam_c, g_c, mirrored = fold(lam, g, shape, stride)
+            assert [lam_c.hex(), g_c.hex(), mirrored] == \
+                [lam.hex(), g.hex(), False]
 
 
 def test_fold_maps_mirror_images_onto_one_point():
     lam, g = 1.3, 0.7
-    for image in ((4 * np.pi - lam, g), (-lam, g), (lam + 4 * np.pi, g),
-                  (lam, 2 * np.pi - g), (lam, -g), (-lam, g - 2 * np.pi)):
-        assert fold(*image) == pytest.approx((lam, g), abs=1e-14)
+    for shape, stride in itertools.product(_PARITY_CLASSES, (1, 2, 3, 4)):
+        for image in ((4 * np.pi - lam, g), (-lam, g), (lam + 4 * np.pi, g),
+                      (lam, 2 * np.pi - g), (lam, -g), (-lam, g - 2 * np.pi)):
+            assert fold(*image, shape, stride) == \
+                pytest.approx((lam, g, False), abs=1e-14)
+        # lambda + 2pi and 2pi - lambda fold onto lambda only where
+        # e^{i 2pi J^x S^x} = 1; elsewhere both are 2pi - lambda
+        period_2pi = shape.n_sat % 2 == 0 and shape.two_s % 2 == 0
+        for image in ((lam + 2 * np.pi, g), (2 * np.pi - lam, g)):
+            want = lam if period_2pi else 2 * np.pi - lam
+            assert fold(*image, shape, stride) == \
+                pytest.approx((want, g, False), abs=1e-14)
+        # pi - g, pi + g and g - pi are mirror images of g at an even
+        # stride; at an odd one they fold onto pi - g
+        for image in ((lam, np.pi - g), (lam, np.pi + g), (-lam, g - np.pi)):
+            want = (lam, g, True) if stride % 2 == 0 else \
+                (lam, np.pi - g, False)
+            assert fold(*image, shape, stride) == \
+                pytest.approx(want, abs=1e-14)
 
 
-def test_benchmark_grid_evolves_a_third_of_its_points(tmp_path):
-    # the 9 x 5 grid over [0, 4pi] x [0, 2pi] at (8, 2): 15 canonical
-    # points, each evolved once, so a third of the drive of evolving every
-    # point; a resume from its checkpoint with the last record cut drives
-    # nothing, and writes the file as the fresh run did
+def test_benchmark_grid_evolves_6_of_its_45_points(tmp_path):
+    # the 9 x 5 grid over [0, 4pi] x [0, 2pi] at (8, 2), stride 2: 6
+    # canonical points, each evolved once, so 2/15 of the drive of evolving
+    # every point; a resume from its checkpoint with the last record cut
+    # drives nothing, and writes the file as the fresh run did
     spec = _criterion_11_subgrid(8, 8)
     lams, gs = spec.axis("lambda"), spec.axis("g")
     points = [(float(lam), float(g)) for lam in lams for g in gs]
-    assert len({fold(*p) for p in points}) == 15
+    folded = [fold(*p, spec.shape, spec.stride) for p in points]
+    assert len({(lam, g) for lam, g, _ in folded}) == 6
     floquet.reset_op_count()
     sweep._scan(spec.shape, points, spec.periods, spec.stride)
     every_point = floquet.op_count()
     path = tmp_path / "map.ckpt"
     floquet.reset_op_count()
     records = run_grid(spec, checkpoint_path=str(path))
-    assert 3 * floquet.op_count() == every_point
-    # mirror rows repeat their canonical row, which is on this grid
+    assert 15 * floquet.op_count() == 2 * every_point
+    # mirror rows repeat their canonical row, which is on this grid, with
+    # both o_rel negated at a mirror image under g -> pi - g
     by_point = {(r.lam, r.g): r for r in records}
-    for rec in records:
-        canonical = by_point[fold(rec.lam, rec.g)]
-        assert sweep._record_values(rec)[2:] == \
-            sweep._record_values(canonical)[2:]
+    for rec, (lam, g, mirrored) in zip(records, folded):
+        canonical = sweep._record_values(by_point[lam, g])[2:]
+        assert tuple(sweep._record_values(rec)[2:]) == \
+            sweep._mirror(canonical, mirrored)
+    # the g = pi column
+    assert [index for index, (_, _, mirrored) in enumerate(folded)
+            if mirrored] == list(range(2, 45, 5))
+    whole = path.read_bytes()
+    path.write_bytes(whole[:-32])
+    floquet.reset_op_count()
+    assert run_grid(spec, checkpoint_path=str(path)) == records
+    assert floquet.op_count() == 0
+    assert path.read_bytes() == whole
+
+
+@pytest.mark.parametrize("shape", _PARITY_CLASSES,
+                         ids=lambda sh: f"{sh.n_sat}-{sh.two_s}")
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_grid_matches_unfolded_scan(tmp_path, shape, stride):
+    # every row of a folded 9 x 9 scan over [0, 4pi] x [0, 2pi] is the row
+    # of evolving its own point; a resume from the checkpoint with its last
+    # record, at (4pi, 2pi), cut evolves nothing, since (0, 0) is stored
+    spec = GridSpec((0.0, 4 * np.pi, 9), (0.0, 2 * np.pi, 9), shape, 12,
+                    stride)
+    points = [(float(lam), float(g))
+              for lam in spec.axis("lambda") for g in spec.axis("g")]
+    path = tmp_path / "map.ckpt"
+    records = run_grid(spec, checkpoint_path=str(path))
+    unfolded = sweep._scan(shape, points, spec.periods, stride)
+    for rec, point, values in zip(records, points, unfolded):
+        assert (rec.lam, rec.g) == point
+        np.testing.assert_allclose(sweep._record_values(rec)[2:], values,
+                                   rtol=0, atol=1e-12)
     whole = path.read_bytes()
     path.write_bytes(whole[:-32])
     floquet.reset_op_count()

@@ -93,6 +93,11 @@ def parse_spin(text: str) -> int:
             f"spin must look like '1/2', '2' or '5/2', got {text!r}") from None
 
 
+def _spin_text(two_s: int) -> str:
+    """two_s as the spin string parse_spin reads: 1 -> '1/2', 4 -> '2'."""
+    return f"{two_s}/2" if two_s % 2 else str(two_s // 2)
+
+
 def parse_int_list(text: str) -> list[int]:
     try:
         return [int(v) for v in text.split(",") if v.strip()]
@@ -253,7 +258,8 @@ def _cmd_classify(args) -> int:
     tables = precompute(shape, DriveParams.symmetric(lam, g))
     # printed once the measurement has succeeded, so a failed one prints
     # only its error
-    point = f"shape ({args.n_sat}, s={args.spin}/2) at lambda={lam:.10g}, g={g:.10g}"
+    point = (f"shape ({args.n_sat}, s={_spin_text(args.spin)}) at "
+             f"lambda={lam:.10g}, g={g:.10g}")
     if regime == "lambda_2pi":
         # the taxonomy reads every period's magnetizations
         pairs = evolve(state, tables, args.periods, magnetization_records)

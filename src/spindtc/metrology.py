@@ -23,15 +23,21 @@ one satellite-major stack (satellite, row, central level), and a scan stacks
 several shapes of one central spin and one largest period count as (shape,
 satellite, row, central level), zero-padded to the largest satellite
 dimension. The kick and the interaction are diagonal in their bases and act
-elementwise; each of the four basis rotations of a period is one matrix
-product over every row and shape: the satellite rotation of each shape on
-its (satellite, row x central) matrix, and the central rotation, which every
-shape shares, on the (shape x satellite x row, central) matrix. The 2^n
-layout rotates every satellite qubit instead (floquet._rotate_all_satellites)
-and walks one shape at a time.
+elementwise, in place. The x eigenbases are real (axis_eigenbasis keeps the
+eigenvectors of the real S^x real), so each of the four basis rotations of
+a period is one real matrix product on the stack's float view, where every
+complex entry is a (real, imaginary) pair: the satellite rotation V^T or V
+of each shape on its (satellite, 2 x row x central) matrix, and the central
+rotation, which every shape shares, as kron(V_c, I_2) or kron(V_c^T, I_2) on
+the (shape x satellite x row, 2 x central) matrix. The walk holds two
+stacks, and each product writes from one into the other, so a collective
+period allocates nothing. The 2^n layout rotates every satellite qubit
+instead (floquet._rotate_all_satellites, in place) and walks one shape at a
+time.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -134,9 +140,11 @@ def qfi_matrix(shape: SystemShape, params: DriveParams, n_periods: int,
 
 def _entries(shape: SystemShape) -> int:
     """Complex entries a collective shape holds in a walk padded to its
-    size: the stack and its two phase tables, and two satellite rotations."""
+    size: the two stacks and the two phase tables, the two tangent sources
+    and their scratch row, and the two real satellite rotations (together
+    one complex matrix)."""
     n, d = shape.n_sat + 1, shape.central_dim
-    return 3 * _ROWS * n * d + 2 * n * n
+    return 4 * _ROWS * n * d + 3 * n * d + n * n
 
 
 def _groups(wanted: dict) -> list[list[SystemShape]]:
@@ -173,9 +181,14 @@ def _walk(wanted: dict, params: DriveParams, delta: float,
     d = shapes[0].central_dim
     sizes = [shape.dim // d for shape in shapes]    # satellite dimensions
     full = (len(shapes), max(sizes), _ROWS, d)
-    stack = np.zeros(full, dtype=complex)
+    # each rotation writes from one stack into the other; other is written
+    # whole before it is read
+    stack, other = np.zeros(full, dtype=complex), np.empty(full, dtype=complex)
     kick, interaction = np.zeros(full, dtype=complex), np.zeros(full, dtype=complex)
-    k_gen, h_gen = np.zeros(full[:2] + (d,)), np.zeros(full[:2] + (d,))
+    # the tangents' sources: -i K psi after the kick, i H psi after the
+    # interaction
+    k_source, h_source = (np.zeros(full[:2] + (d,), dtype=complex)
+                          for _ in range(2))
     rotations, steps = [], []
     for i, (shape, n) in enumerate(zip(shapes, sizes)):
         step = _crosscheck_step(shape, wanted[shape], delta)
@@ -188,63 +201,75 @@ def _walk(wanted: dict, params: DriveParams, delta: float,
         kick[i, :n] = (np.exp(-1j * gs * m_sat[:, None])
                        * np.exp(-1j * gs * m_c)).swapaxes(0, 1)
         interaction[i, :n] = np.exp(1j * lams * m_sat[:, None] * m_c).swapaxes(0, 1)
-        k_gen[i, :n], h_gen[i, :n] = _generators(shape)
+        k_source[i, :n], h_source[i, :n] = (1j * gen for gen in _generators(shape))
         stack[i, :n][:, [0, 3, 4, 5, 6]] = \
             x_polarized_state(shape).amplitudes.reshape(n, 1, d)
         v_s, v_c = _eigenbases(shape, "x")
         rotations.append(v_s)
         steps.append(step)
-    # every shape of a walk shares the central spin and its rotation
-    to_x_c, from_x_c = v_c.conj(), v_c.T
 
-    if not isinstance(shapes[0], CollectiveShape):   # one shape, every qubit
-        def rotate_satellites(x, u):
-            _rotate_all_satellites(x.reshape(full[1], -1), shapes[0], u)
-            return x
-        to_x_s, from_x_s = v_s.conj().T, v_s
-    else:
-        def rotate_satellites(x, v):
-            return (v @ x.reshape(full[0], full[1], -1)).reshape(full)
+    if isinstance(shapes[0], CollectiveShape):
+        # (shape, satellite, 2 x row x central) float views
+        there, back = (x.view(float).reshape(full[0], full[1], -1)
+                       for x in (stack, other))
         to_x_s, from_x_s = _stacked(rotations, full[1])
-
-    def rotate_central(x, v):
-        return (x.reshape(-1, d) @ v).reshape(full)
-
-    # the tangents' sources: -i K psi after the kick, i H psi after the
-    # interaction
-    k_source, h_source = 1j * k_gen, 1j * h_gen
+        to_x_sat = partial(np.matmul, to_x_s, there, out=back)
+        from_x_sat = partial(np.matmul, from_x_s, back, out=there)
+        half, joint = other, stack
+    else:       # one shape: every satellite qubit, in place
+        qubits = stack.reshape(full[1], -1)
+        to_x_sat = partial(_rotate_all_satellites, qubits, shapes[0], v_s.conj().T)
+        from_x_sat = partial(_rotate_all_satellites, qubits, shapes[0], v_s)
+        half, joint = stack, other
+    # the satellite rotation leaves the state in half, the central one in
+    # joint, in the joint x basis. Every shape of a walk shares the central
+    # spin and its rotation, real on the (shape x satellite x row,
+    # 2 x central) float view
+    v_c = _real(v_c)
+    to_x_c, from_x_c = np.kron(v_c, np.eye(2)), np.kron(v_c.T, np.eye(2))
+    half_c, joint_c = (x.view(float).reshape(-1, 2 * d) for x in (half, joint))
+    psi, d_g = stack[:, :, 0], stack[:, :, 2]
+    joint_psi, joint_d_l = joint[:, :, 0], joint[:, :, 1]
+    scratch = np.empty_like(k_source)
 
     matrices = {}
     done = 0
     for count in sorted(set().union(*wanted.values())):
         for _ in range(count - done):
             stack *= kick
-            stack[:, :, 2] -= k_source * stack[:, :, 0]
-            stack = rotate_central(rotate_satellites(stack, to_x_s), to_x_c)
-            stack *= interaction
-            stack[:, :, 1] += h_source * stack[:, :, 0]
-            stack = rotate_satellites(rotate_central(stack, from_x_c), from_x_s)
+            d_g -= np.multiply(k_source, psi, out=scratch)
+            to_x_sat()
+            np.matmul(half_c, to_x_c, out=joint_c)
+            joint *= interaction
+            joint_d_l += np.multiply(h_source, joint_psi, out=scratch)
+            np.matmul(joint_c, from_x_c, out=half_c)
+            from_x_sat()
         done = count
         for i, (shape, n) in enumerate(zip(shapes, sizes)):
             if count in wanted[shape]:
-                rows = stack[i, :n].swapaxes(0, 1)    # (row, satellite, central)
+                # (row, satellite, central), contiguous for the products
+                rows = np.ascontiguousarray(stack[i, :n].swapaxes(0, 1))
                 if global_phase:
-                    rows = rows * np.exp(1j * global_phase)
+                    rows *= np.exp(1j * global_phase)
                 matrices[shape, count] = _matrix(rows, count, steps[i])
     return matrices
 
 
+def _real(v: np.ndarray) -> np.ndarray:
+    """The real part of an x eigenbasis, which the walk's real products
+    need to be exactly real: any imaginary part raises, never dropped."""
+    if np.any(v.imag):
+        raise ShapeError(f"x eigenbasis of dimension {len(v)} is not real")
+    return v.real
+
+
 def _stacked(rotations, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(V^H, V) of every shape's satellite x eigenbasis, zero-padded to
-    size x size and stacked; a single shape's V is not copied."""
-    if len(rotations) == 1:
-        v = rotations[0][None]
-        return v.conj().swapaxes(-1, -2), v
-    to_x, from_x = (np.zeros((len(rotations), size, size), dtype=complex)
-                    for _ in range(2))
-    for i, v in enumerate(rotations):
-        n = v.shape[0]
-        to_x[i, :n, :n], from_x[i, :n, :n] = v.conj().T, v
+    """Real (V^T, V) of every shape's satellite x eigenbasis, zero-padded
+    to size x size and stacked."""
+    to_x, from_x = (np.zeros((len(rotations), size, size)) for _ in range(2))
+    for i, v in enumerate(map(_real, rotations)):
+        n = len(v)
+        to_x[i, :n, :n], from_x[i, :n, :n] = v.T, v
     return to_x, from_x
 
 

@@ -64,6 +64,12 @@ _FRAME = struct.Struct("<4sI7d")
 _RECORD_LENGTH = struct.pack("<I", _FRAME.size - 4)   # every record's prefix
 # index of the record right after the magic that holds the spec fingerprint
 _SPEC_INDEX = 0xFFFFFFFF
+# the fingerprint's last field: the version of the values the records hold.
+# Bump it whenever a change alters the values a scan stores, so that a
+# checkpoint of older values is rejected rather than resumed into a CSV
+# that differs from a fresh scan's. Every version before the field was read
+# wrote 0, and such a checkpoint may hold values of an older fold.
+RECORD_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -220,7 +226,8 @@ def run_grid(spec: GridSpec, workers: int | None = None,
     lowest such record, mapped back from a mirror image, without an
     evolution. A trailing record cut short by a crash mid-write is dropped
     from the file and its point recomputed; a checkpoint written for another
-    grid, shape, period count or stride raises CheckpointError. The
+    grid, shape, period count or stride, or with records of another
+    RECORD_VERSION, raises CheckpointError. The
     checkpoint's header is on disk before the first stack starts, and an
     empty checkpoint (a scan killed before then) starts a fresh scan.
     report, if given, receives one line at the end: the points evolved,
@@ -274,9 +281,8 @@ def run_grid(spec: GridSpec, workers: int | None = None,
 
 
 def _fingerprint(spec: GridSpec) -> tuple:
-    # the seventh field of the record is unused
     return (spec.shape.n_sat, spec.shape.two_s, spec.periods, spec.stride,
-            spec.lambda_range[2], spec.g_range[2], 0)
+            spec.lambda_range[2], spec.g_range[2], RECORD_VERSION)
 
 
 def _record_values(rec: PhaseMapRecord) -> list[float]:
@@ -332,7 +338,8 @@ def read_checkpoint(path: str, spec: GridSpec | None = None
 
     With spec, every record must sit on spec's grid at its index and the
     spec fingerprint stored after the magic, if the file has one, must be
-    spec's; CheckpointError names the first mismatch.
+    spec's, RECORD_VERSION included; CheckpointError names the first
+    mismatch.
     """
     with open(path, "rb") as fh:
         magic, body = fh.read(len(CHECKPOINT_MAGIC)), fh.read()
@@ -347,11 +354,17 @@ def read_checkpoint(path: str, spec: GridSpec | None = None
     if spec is not None:
         _check_grid(spec, records, path)
         want = _fingerprint(spec)
-        if stored is not None and tuple(_record_values(stored)) != want:
-            written = tuple(int(v) for v in _record_values(stored)[:6])
+        written = _record_values(stored) if stored is not None else want
+        if tuple(written[:6]) != want[:6]:
             raise CheckpointError(
                 f"{path}: written for (n_sat, two_s, periods, stride, lambda "
-                f"steps, g steps) = {written}, the scan has {want[:6]}")
+                f"steps, g steps) = {tuple(int(v) for v in written[:6])}, the "
+                f"scan has {want[:6]}")
+        if written[6] != want[6]:
+            raise CheckpointError(
+                f"{path}: holds records of version {written[6]:g}, this "
+                f"version writes {want[6]}; its values may differ from a "
+                f"fresh scan's, so the scan must start afresh")
     return records
 
 

@@ -1,5 +1,6 @@
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spindtc.errors import SpinDtcError
 from spindtc.floquet import DriveParams
 from spindtc.hilbert import CollectiveShape
 from spindtc.metrology import qfi_matrix, sensing_gain
+from spindtc.sweep import CHECKPOINT_MAGIC, RECORD_VERSION
 
 
 def test_parse_angle_forms():
@@ -127,6 +129,15 @@ def test_classify_special(capsys):
     assert "predicted 4, measured 4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("spin", ["1/2", "1", "2", "5/2"])
+def test_classify_prints_the_spin_as_given(spin, capsys):
+    # an integer spin prints as itself, not as 2s/2
+    assert parse_and_dispatch(["classify", "--n-sat", "8", "--spin", spin,
+                               "--regime", "lambda2pi", "--periods", "2"]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"shape (8, s={spin}) at lambda=6.283185307, g=")
+
+
 def test_classify_lambda_2pi(capsys):
     code = parse_and_dispatch(["classify", "--n-sat", "9", "--spin", "5/2",
                                "--regime", "lambda2pi", "--periods", "12"])
@@ -208,6 +219,31 @@ def test_sweep_rejects_checkpoint_of_another_grid(tmp_path, capsys):
     assert parse_and_dispatch(argv) == 0
     assert parse_and_dispatch(argv + ["--g-min", "0.5"]) == 1
     assert "another grid" in capsys.readouterr().err
+
+
+def test_sweep_rejects_checkpoint_of_another_record_version(tmp_path, capsys):
+    # the fingerprint's last field is the version of the stored values: a
+    # checkpoint with 0 there, as every version before the field was read
+    # wrote, exits 1 naming both versions, and --output is not written
+    ckpt, out = tmp_path / "map.ckpt", tmp_path / "map.csv"
+    argv = ["sweep", "--n-sat", "3", "--spin", "1/2", "--lambda-steps", "3",
+            "--g-steps", "2", "--periods", "4", "--checkpoint", str(ckpt),
+            "--output", str(out)]
+    assert parse_and_dispatch(argv) == 0
+    # the magic, then the fingerprint record's length, index and 7 doubles
+    field = len(CHECKPOINT_MAGIC) + 8 + 6 * 8
+    data = bytearray(ckpt.read_bytes())
+    assert struct.unpack_from("<d", data, field) == (RECORD_VERSION,)
+    struct.pack_into("<d", data, field, 0.0)
+    ckpt.write_bytes(data)
+    out.unlink()
+    capsys.readouterr()
+    assert parse_and_dispatch(argv) == 1
+    assert capsys.readouterr() == ("", (
+        f"error: {ckpt}: holds records of version 0, this version writes "
+        f"{RECORD_VERSION}; its values may differ from a fresh scan's, so "
+        f"the scan must start afresh\n"))
+    assert not out.exists() and ckpt.read_bytes() == data
 
 
 def test_sweep_reports_computed_mirrored_and_resumed_points(tmp_path, capsys):

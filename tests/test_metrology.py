@@ -259,12 +259,31 @@ def test_crosscheck_step_follows_the_shape_longest_count():
 
 
 def test_lone_walk_holds_one_satellite_rotation():
-    # a shape walking alone uses its tables' rotation as it is: the walk
-    # holds V and V^H, as much as one unstacked walk
+    # a shape walking alone holds its rotation as the real V^T and V,
+    # together the bytes of one complex matrix (the complex walk held V^H
+    # beside the shared V)
     v = np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0].astype(complex)
     to_x, from_x = metrology._stacked([v], 3)
-    assert np.shares_memory(from_x, v)
-    assert np.array_equal(to_x[0], v.conj().T)
+    assert to_x.dtype == from_x.dtype == np.float64
+    assert to_x.nbytes + from_x.nbytes == v.nbytes
+    assert np.array_equal(to_x[0], v.real.T) and np.array_equal(from_x[0], v.real)
+    # an imaginary part, however small, is an error and never dropped
+    v[1, 2] += 1e-300j
+    with pytest.raises(ShapeError):
+        metrology._stacked([v], 3)
+
+
+def test_scan_repeats_bitwise_after_another_scan():
+    # every walk fills its own stacks: a scan run again, after a scan of
+    # other shapes, counts and drive point, gives the same rows bitwise
+    scans = [(CollectiveShape(n, 4), [8, 48]) for n in (3, 12, 7)] + [
+        (CollectiveShape(200, 4), [5]), (SystemShape(4, 1), [5, 9])]
+    first = qfi_scan(scans, SPECIAL)
+    qfi_scan([(CollectiveShape(n, 5), [30]) for n in (2, 40)]
+             + [(CollectiveShape(12, 4), [48]), (SystemShape(3, 1), [7])],
+             DriveParams.symmetric(1.3, 0.7))
+    assert [[_fields(q) for q in row] for row in qfi_scan(scans, SPECIAL)] \
+        == [[_fields(q) for q in row] for row in first]
 
 
 def test_layouts_agree_at_criterion_09_shapes():

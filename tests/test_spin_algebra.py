@@ -75,6 +75,13 @@ def test_eigenbasis_phase_convention():
                 assert first.real > 0 and abs(first.imag) < 1e-12
 
 
+def test_x_eigenbasis_is_real():
+    # S^x is real in the z basis and the phase rule keeps its eigenvectors
+    # real: the Fisher walk's real products rest on it
+    for two_s in [*range(1, 201), 1000]:
+        assert not np.any(axis_eigenbasis(two_s, "x").imag), two_s
+
+
 def test_coherent_plus_x_spin_half():
     st = coherent_axis_state(1, "x", "+")
     np.testing.assert_allclose(st.amplitudes, [1 / np.sqrt(2)] * 2, atol=1e-12)

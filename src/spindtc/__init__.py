@@ -3,11 +3,11 @@ classification, entanglement milestones, Fisher-information metrology and
 phase-map sweeps."""
 
 from .errors import (SpinDtcError, ShapeError, CapacityError,
-                     NotTabulatedError, StepSizeError,
-                     DegenerateInformationError, CheckpointError)
+                     NotTabulatedError, DegenerateInformationError,
+                     CheckpointError)
 from .spin_algebra import (SpinOperators, LocalState, spin_matrices,
                            axis_eigenbasis, coherent_axis_state)
-from .hilbert import (SystemShape, CollectiveShape, PureState, DensityMatrix,
+from .hilbert import (SystemShape, CollectiveShape, PureState,
                       basis_index, split_index, product_state,
                       x_polarized_state, inner, fidelity,
                       reduced_central_density, von_neumann_entropy)

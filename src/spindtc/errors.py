@@ -17,10 +17,6 @@ class NotTabulatedError(SpinDtcError):
     """(n_sat, s) combination has no row in the requested table."""
 
 
-class StepSizeError(SpinDtcError):
-    """Finite-difference step is not positive."""
-
-
 class DegenerateInformationError(SpinDtcError):
     """Fisher matrix is (numerically) singular; no finite uncertainty bound."""
 

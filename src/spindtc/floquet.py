@@ -18,6 +18,9 @@ rotation and K_s are dense (n_sat+1)^2 matrices, the kicked-top reduction of
 Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987), applied to two coupled spins.
 On the 2^n layout (the verification path) K_s is one 2x2 rotation applied to
 every satellite qubit, and a period costs O(D * (2 n_sat + d)).
+
+The module keeps no state between calls: at a fixed shape, the work of an
+evolve call is its rows of state times its periods.
 """
 
 import math
@@ -41,18 +44,6 @@ _BLOCK_AMPLITUDES = 1 << 12
 # few hundred rows the arithmetic dominates and a larger stack only holds
 # more memory.
 _STACK_ENTRIES = 1 << 16
-
-# crude flop-proportional counter used by scaling and checkpoint tests
-_op_count = 0
-
-
-def reset_op_count() -> None:
-    global _op_count
-    _op_count = 0
-
-
-def op_count() -> int:
-    return _op_count
 
 
 @dataclass(frozen=True)
@@ -218,7 +209,6 @@ def evolve(state: PureState, tables: StepTables, n_periods: int, recorder=None) 
     _BLOCK_AMPLITUDES (4096) amplitudes, or one period when a single state
     is larger, so recording holds at most that much beyond the state.
     """
-    global _op_count
     if n_periods < 0:
         raise ShapeError(f"n_periods must be >= 0, got {n_periods}")
     if state.shape != tables.shape:
@@ -256,8 +246,6 @@ def evolve(state: PureState, tables: StepTables, n_periods: int, recorder=None) 
             records.extend(recorder(
                 PureState(shape, states.reshape((len(states),) + flat)), first))
     state.amplitudes = from_x_basis(x, shape).reshape(flat)
-    sat_ops = 2 * shape.n_sat if qubits else shape.n_sat + 1
-    _op_count += n_periods * x.size * (sat_ops + d + 1)
     return records
 
 

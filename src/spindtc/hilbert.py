@@ -12,7 +12,8 @@ down spins on the Dicke ladder of the total satellite spin J = n_sat/2
 permutations, the x-polarized product and all its drive evolutions among
 them, in (n_sat + 1)(2s + 1) amplitudes instead of 2^n_sat (2s + 1).
 Functions that only need the central index to vary fastest (inner products,
-the reduced central density, entropy) work on both layouts.
+the reduced central density, entropy) work on both layouts. A density is a
+plain (..., d, d) array, one matrix per row of a stack.
 """
 
 from dataclasses import dataclass
@@ -95,12 +96,6 @@ class PureState:
         return np.linalg.norm(self.amplitudes, axis=-1)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    dim: int
-    entries: np.ndarray
-
-
 def basis_index(shape: SystemShape, k_sat: int, l_c: int) -> int:
     """Encode (satellite bitstring, central level) into a global index."""
     if not (0 <= k_sat < shape.dim // shape.central_dim) or not (0 <= l_c <= shape.two_s):
@@ -159,31 +154,31 @@ def fidelity(a: PureState, b: PureState) -> float:
     return float(abs(inner(a, b)) ** 2)
 
 
-def reduced_central_density(state: PureState) -> DensityMatrix:
-    """Partial trace over all satellite indices (per row of a stack)."""
+def reduced_central_density(state: PureState) -> np.ndarray:
+    """Partial trace over all satellite indices: the (..., d, d) central
+    density, one matrix per row of a stack."""
     d = state.shape.central_dim
     mat = state.amplitudes.reshape(state.amplitudes.shape[:-1] + (-1, d))
-    rho = mat.swapaxes(-1, -2) @ mat.conj()
-    return DensityMatrix(dim=d, entries=rho)
+    return mat.swapaxes(-1, -2) @ mat.conj()
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float | np.ndarray:
+def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     """-sum p ln p over the spectrum (natural log, tiny eigenvalues dropped).
 
-    entries may be a stack of matrices; the result then has one entropy per
-    matrix. Raises ShapeError if a matrix is not Hermitian.
+    rho may be a (..., d, d) stack of matrices; the result then has one
+    entropy per matrix. Raises ShapeError if a matrix is not Hermitian.
     """
-    h = rho.entries.swapaxes(-1, -2).conj()
+    h = rho.swapaxes(-1, -2).conj()
     # np.allclose(rho, h, atol=1e-10) written out: allclose costs more than
     # the eigendecomposition on the small central densities
-    if not (np.abs(rho.entries - h) <= 1e-10 + 1e-5 * np.abs(h)).all():
+    if not (np.abs(rho - h) <= 1e-10 + 1e-5 * np.abs(h)).all():
         raise ShapeError("density matrix is not Hermitian")
-    return _hermitian_entropy(rho.entries)
+    return _hermitian_entropy(rho)
 
 
-def _hermitian_entropy(entries: np.ndarray) -> float | np.ndarray:
+def _hermitian_entropy(rho: np.ndarray) -> float | np.ndarray:
     """von_neumann_entropy without the Hermiticity check, for densities that
     are Hermitian by construction (reduced_central_density's)."""
-    p = np.linalg.eigvalsh(entries)
+    p = np.linalg.eigvalsh(rho)
     p = np.where(p > 1e-14, p, 1.0)     # ln 1 = 0 drops the tiny ones
     return -(p * np.log(p)).sum(axis=-1)

@@ -41,7 +41,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ShapeError, StepSizeError, DegenerateInformationError
+from .errors import ShapeError, DegenerateInformationError
 from .hilbert import SystemShape, CollectiveShape, x_polarized_state
 from .floquet import (DriveParams, magnetic_numbers, _STACK_ENTRIES,
                       _eigenbases, _rotate_all_satellites)
@@ -51,7 +51,7 @@ _ROUNDING_RTOL = 1e-12
 _DISAGREEMENT_RTOL = 0.01
 # psi, d_lambda psi, d_g psi, then psi at lambda +- step and g +- step
 _ROWS = 7
-# n_periods * J * s up to which the cross-check runs at the given delta: the
+# n_periods * J * s up to which the cross-check runs at DEFAULT_DELTA: the
 # largest at the criterion-09 shapes (48 * 4 * 2). The central difference
 # errs by O((step * n_periods * J * s)^2), so larger walks shrink the step.
 _CROSSCHECK_REACH = 384
@@ -89,8 +89,7 @@ def _element(d_a: np.ndarray, d_b: np.ndarray, psi: np.ndarray) -> float:
     return 4.0 * float(val.real)
 
 
-def qfi_scan(scans, params: DriveParams, delta: float = DEFAULT_DELTA,
-             global_phase: float = 0.0) -> list[list[QfiMatrix]]:
+def qfi_scan(scans, params: DriveParams) -> list[list[QfiMatrix]]:
     """Fisher matrices at (lambda, g) for every (shape, period_counts) entry
     of scans: one list per entry, one matrix per count, in the given order
     (repeated shapes and counts, and zero counts, included).
@@ -104,18 +103,14 @@ def qfi_scan(scans, params: DriveParams, delta: float = DEFAULT_DELTA,
     the 2^n layout, walks alone. A shape's matrices are bitwise the same
     whatever shares its walk.
 
-    The cross-check runs at step delta / max(1, n_max * J * s / 384), with
-    n_max that largest count and J = n_sat/2 (QfiMatrix.delta reports it),
-    so it keeps its accuracy at large n_sat. The step, and with it a row's
-    cross-check fields and estimators_disagree, thus follows the longest
-    count its shape is scanned to anywhere in scans; its primary elements
-    depend on its shape and count alone. global_phase
-    multiplies every evolved state; the elements are invariant under it
-    (exposed so the invariance is testable).
+    The cross-check runs at step DEFAULT_DELTA / max(1, n_max * J * s / 384),
+    with n_max that largest count and J = n_sat/2 (QfiMatrix.delta reports
+    it), so it keeps its accuracy at large n_sat. The step, and with it a
+    row's cross-check fields and estimators_disagree, thus follows the
+    longest count its shape is scanned to anywhere in scans; its primary
+    elements depend on its shape and count alone.
     """
     scans = [(shape, list(counts)) for shape, counts in scans]
-    if delta <= 0:
-        raise StepSizeError(f"delta must be positive, got {delta}")
     for _, counts in scans:
         if any(n < 0 for n in counts):
             raise ShapeError(f"n_periods must be >= 0, got {min(counts)}")
@@ -127,15 +122,14 @@ def qfi_scan(scans, params: DriveParams, delta: float = DEFAULT_DELTA,
     matrices = {}
     for group in _groups(wanted):
         matrices.update(_walk({shape: wanted[shape] for shape in group},
-                              params, delta, global_phase))
+                              params))
     return [[matrices[shape, n] for n in counts] for shape, counts in scans]
 
 
-def qfi_matrix(shape: SystemShape, params: DriveParams, n_periods: int,
-               delta: float = DEFAULT_DELTA,
-               global_phase: float = 0.0) -> QfiMatrix:
+def qfi_matrix(shape: SystemShape, params: DriveParams,
+               n_periods: int) -> QfiMatrix:
     """The Fisher matrix after n_periods periods: qfi_scan at one count."""
-    return qfi_scan([(shape, [n_periods])], params, delta, global_phase)[0][0]
+    return qfi_scan([(shape, [n_periods])], params)[0][0]
 
 
 def _entries(shape: SystemShape) -> int:
@@ -165,15 +159,14 @@ def _groups(wanted: dict) -> list[list[SystemShape]]:
     return groups
 
 
-def _crosscheck_step(shape: SystemShape, counts, delta: float) -> float:
-    """delta, scaled down where the walk's n_max * J * s passes
+def _crosscheck_step(shape: SystemShape, counts) -> float:
+    """DEFAULT_DELTA, scaled down where the walk's n_max * J * s passes
     _CROSSCHECK_REACH."""
     reach = max(counts, default=0) * shape.n_sat * shape.two_s / 4
-    return delta / max(1, reach / _CROSSCHECK_REACH)
+    return DEFAULT_DELTA / max(1, reach / _CROSSCHECK_REACH)
 
 
-def _walk(wanted: dict, params: DriveParams, delta: float,
-          global_phase: float) -> dict:
+def _walk(wanted: dict, params: DriveParams) -> dict:
     """One tangent walk of the shapes of wanted (shape -> period counts):
     {(shape, count): QfiMatrix}."""
     shapes = list(wanted)
@@ -191,7 +184,7 @@ def _walk(wanted: dict, params: DriveParams, delta: float,
                           for _ in range(2))
     rotations, steps = [], []
     for i, (shape, n) in enumerate(zip(shapes, sizes)):
-        step = _crosscheck_step(shape, wanted[shape], delta)
+        step = _crosscheck_step(shape, wanted[shape])
         points = [(lam, g)] * 3 + [(lam + step, g), (lam - step, g),
                                    (lam, g + step), (lam, g - step)]
         # one (row, satellite index, central level) entry per phase: the
@@ -249,8 +242,6 @@ def _walk(wanted: dict, params: DriveParams, delta: float,
             if count in wanted[shape]:
                 # (row, satellite, central), contiguous for the products
                 rows = np.ascontiguousarray(stack[i, :n].swapaxes(0, 1))
-                if global_phase:
-                    rows *= np.exp(1j * global_phase)
                 matrices[shape, count] = _matrix(rows, count, steps[i])
     return matrices
 
@@ -309,14 +300,13 @@ def weighted_uncertainty(q: QfiMatrix) -> float:
     return tr / det
 
 
-def sensing_gain(q: QfiMatrix, crosscheck: bool = False) -> float:
+def sensing_gain(q: QfiMatrix) -> float:
     """det(F)/tr(F), the inverse of weighted_uncertainty.
 
     This is the figure of merit whose growth tracks simultaneous two-parameter
     sensitivity (larger is better); scaling exponents are fit on it.
     """
-    det, tr = _det_trace(*((q.f_ll_crosscheck, q.f_gg_crosscheck, q.f_lg_crosscheck)
-                           if crosscheck else (q.f_ll, q.f_gg, q.f_lg)))
+    det, tr = _det_trace(q.f_ll, q.f_gg, q.f_lg)
     if det <= 0 or tr <= 0:
         raise DegenerateInformationError(
             f"Fisher matrix degenerate (det={det:.3e}, tr={tr:.3e})")

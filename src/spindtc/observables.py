@@ -67,7 +67,7 @@ def period_observables(state: PureState):
     per-period columns. The reduced density is Hermitian by construction,
     so the entropy skips von_neumann_entropy's check."""
     return (*_magnetizations(state),
-            _hermitian_entropy(reduced_central_density(state).entries))
+            _hermitian_entropy(reduced_central_density(state)))
 
 
 def initial_fidelity(states: PureState) -> np.ndarray:

@@ -206,8 +206,7 @@ def compute_point(shape: CollectiveShape, lam: float, g: float,
     return PhaseMapRecord(lam, g, *_mirror(values, mirrored))
 
 
-def run_grid(spec: GridSpec, workers: int | None = None,
-             checkpoint_path: str | None = None,
+def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
              report: Callable[[str], None] | None = None
              ) -> list[PhaseMapRecord]:
     """Scan the grid, row-major (lambda outer, g inner).
@@ -218,7 +217,7 @@ def run_grid(spec: GridSpec, workers: int | None = None,
     gets its values, with both o_rel negated at a mirror image, and the
     point's own (lambda, g). Points share an evolution only when their
     canonical points are equal floats, so a row depends only on its own
-    (lambda, g). workers is accepted and ignored.
+    (lambda, g).
 
     With checkpoint_path, records are appended to the checkpoint in grid
     order as their values become known, and a restart skips them; a point
@@ -229,7 +228,8 @@ def run_grid(spec: GridSpec, workers: int | None = None,
     grid, shape, period count or stride, or with records of another
     RECORD_VERSION, raises CheckpointError. The
     checkpoint's header is on disk before the first stack starts, and an
-    empty checkpoint (a scan killed before then) starts a fresh scan.
+    empty checkpoint (a scan killed before then), or one cut inside its
+    header, starts a fresh scan.
     report, if given, receives one line at the end: the points evolved,
     taken from a mirror point and resumed.
     """
@@ -315,20 +315,21 @@ def _drop_cut_record(path: str) -> None:
     """Truncate a checkpoint that ends inside a record, as a crash mid-write
     leaves it, to the end of its last whole record. Records have one size,
     so the cut is whatever follows the last whole one; read_checkpoint still
-    rejects every other malformation. A file cut inside its first record is
-    emptied, so that the scan writes its header, fingerprint included, anew."""
+    rejects every other malformation. The magic and the first record (the
+    fingerprint) go out in one flush, so a file cut anywhere inside them,
+    the magic itself included, is emptied, and the scan writes its header
+    anew."""
     size = os.path.getsize(path)
     magic = len(CHECKPOINT_MAGIC)
-    if size < magic:
-        return
-    whole = size - (size - magic) % _FRAME.size
+    whole = size - (size - magic) % _FRAME.size if size > magic else 0
     if whole == size:
         return
     with open(path, "rb") as fh:
         head = fh.read(magic)
         fh.seek(whole)
         tail = fh.read(len(_RECORD_LENGTH))
-    if head == CHECKPOINT_MAGIC and _RECORD_LENGTH.startswith(tail):
+    if CHECKPOINT_MAGIC.startswith(head) and (
+            size <= magic or _RECORD_LENGTH.startswith(tail)):
         os.truncate(path, whole if whole > magic else 0)
 
 

@@ -412,6 +412,32 @@ def test_sweep_resumes_from_empty_checkpoint(tmp_path):
     assert out.read_bytes() == fresh.read_bytes()
 
 
+@pytest.mark.parametrize("kept", [1, 2, 3, 4])
+def test_sweep_resumes_from_checkpoint_cut_in_its_magic(tmp_path, capsys, kept):
+    # the magic and the fingerprint go out in one write, so a copy of a
+    # finished checkpoint cut inside or right after the magic is a scan
+    # killed before its header was whole: it starts afresh and writes the
+    # fresh files
+    argv = ["sweep", "--n-sat", "3", "--spin", "1/2", "--lambda-steps", "2",
+            "--g-steps", "2", "--periods", "4"]
+    fresh, fresh_ckpt = tmp_path / "fresh.csv", tmp_path / "fresh.ckpt"
+    assert parse_and_dispatch(argv + ["--checkpoint", str(fresh_ckpt),
+                                      "--output", str(fresh)]) == 0
+    ckpt, out = tmp_path / "map.ckpt", tmp_path / "map.csv"
+    ckpt.write_bytes(fresh_ckpt.read_bytes()[:kept])
+    assert parse_and_dispatch(argv + ["--checkpoint", str(ckpt),
+                                      "--output", str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert ckpt.read_bytes() == fresh_ckpt.read_bytes()
+    # a file that is no prefix of the magic is still rejected
+    ckpt.write_bytes(b"XY")
+    capsys.readouterr()
+    assert parse_and_dispatch(argv + ["--checkpoint", str(ckpt),
+                                      "--output", str(out)]) == 1
+    assert "bad checkpoint magic" in capsys.readouterr().err
+    assert ckpt.read_bytes() == b"XY"
+
+
 def test_failed_qfi_leaves_output_untouched(tmp_path):
     # n_sat = 0 is rejected after n_sat = 3 was listed: no row is written,
     # the earlier file stays whole and no temporary file is left beside it

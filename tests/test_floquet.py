@@ -12,7 +12,7 @@ from spindtc.observables import trajectory_records, magnetization
 from spindtc import floquet
 from spindtc.floquet import (DriveParams, precompute, evolve, u_squared_class,
                              two_period_residual_phases, oracle_unitaries,
-                             oracle_evolve, reset_op_count, op_count)
+                             oracle_evolve)
 
 
 def _random_state(sh, rng):
@@ -249,23 +249,6 @@ def test_drive_symmetries_keep_trajectory_observables(n_sat, two_s):
     np.testing.assert_allclose(mirror[:, :2], signs[:, None] * want[:, :2],
                                rtol=0, atol=1e-10)
     np.testing.assert_allclose(mirror[:, 2], want[:, 2], rtol=0, atol=1e-10)
-
-
-def test_op_count_scaling():
-    # period cost within a constant of D*(n_sat + two_s + O(1))
-    def ops_per_period(n_sat, two_s):
-        sh = SystemShape(n_sat, two_s)
-        t = precompute(sh, DriveParams(1.0, 1.0, 1.0))
-        st = x_polarized_state(sh)
-        reset_op_count()
-        evolve(st, t, 1)
-        return op_count()
-
-    for n_sat, two_s in ((4, 2), (8, 2), (6, 5), (10, 3)):
-        sh = SystemShape(n_sat, two_s)
-        got = ops_per_period(n_sat, two_s)
-        bound = 8 * sh.dim * (n_sat + sh.central_dim + 1)
-        assert got <= bound
 
 
 def _embed(state: PureState, full: SystemShape) -> np.ndarray:

@@ -3,8 +3,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from spindtc.errors import (ShapeError, StepSizeError,
-                            DegenerateInformationError)
+from spindtc.errors import ShapeError, DegenerateInformationError
 from spindtc.hilbert import SystemShape, CollectiveShape
 from spindtc.floquet import DriveParams
 from spindtc import metrology
@@ -31,8 +30,6 @@ def test_zero_periods_gives_zero_matrix():
 
 def test_validation():
     sh = SystemShape(3, 1)
-    with pytest.raises(StepSizeError):
-        qfi_matrix(sh, SPECIAL, 4, delta=0.0)
     with pytest.raises(ShapeError):
         qfi_matrix(sh, SPECIAL, -1)
     with pytest.raises(ShapeError):
@@ -46,22 +43,37 @@ def test_diagonal_elements_nonnegative():
         assert q.f_gg >= -1e-6
 
 
-def test_global_phase_invariance():
-    sh = SystemShape(4, 1)
-    a = qfi_matrix(sh, SPECIAL, 16)
-    b = qfi_matrix(sh, SPECIAL, 16, global_phase=1.7)
+def test_global_phase_invariance(monkeypatch):
+    # the elements of the seven propagated rows and of the same rows times
+    # a global phase e^{1.7i}
+    evaluated = []
+
+    def keep(stack, n_periods, delta):
+        evaluated.append((stack.copy(), n_periods, delta))
+        return matrix(stack, n_periods, delta)
+
+    matrix = metrology._matrix
+    monkeypatch.setattr(metrology, "_matrix", keep)
+    a = qfi_matrix(SystemShape(4, 1), SPECIAL, 16)
+    (stack, n_periods, delta), = evaluated
+    assert len(stack) == 7
+    assert matrix(stack, n_periods, delta) == a
+    b = matrix(stack * np.exp(1.7j), n_periods, delta)
     assert a.f_ll == pytest.approx(b.f_ll, rel=1e-6)
     assert a.f_gg == pytest.approx(b.f_gg, rel=1e-6)
     assert a.f_lg == pytest.approx(b.f_lg, rel=1e-6, abs=1e-6)
 
 
-def test_step_halving_convergence():
-    # the primary elements are exact and do not depend on delta; halving it
-    # moves the central-difference cross-check by under 0.1% of the matrix
-    # scale, including its off-diagonal, which is 0 here
+def test_step_halving_convergence(monkeypatch):
+    # the primary elements are exact and do not depend on the step; halving
+    # it moves the central-difference cross-check by under 0.1% of the
+    # matrix scale, including its off-diagonal, which is 0 here
     sh = SystemShape(5, 1)
-    a = qfi_matrix(sh, SPECIAL, 32, delta=1e-4)
-    b = qfi_matrix(sh, SPECIAL, 32, delta=5e-5)
+    assert DEFAULT_DELTA == 1e-4
+    a = qfi_matrix(sh, SPECIAL, 32)
+    monkeypatch.setattr(metrology, "DEFAULT_DELTA", 5e-5)
+    b = qfi_matrix(sh, SPECIAL, 32)
+    assert (a.delta, b.delta) == (1e-4, 5e-5)
     scale = max(abs(a.f_ll), abs(a.f_gg), abs(a.f_lg), 1.0)
     for x, y in ((a.f_ll, b.f_ll), (a.f_gg, b.f_gg), (a.f_lg, b.f_lg)):
         assert abs(x - y) <= 1e-3 * scale

@@ -7,7 +7,7 @@ import pytest
 from spindtc.errors import ShapeError, CheckpointError
 from spindtc.hilbert import SystemShape, CollectiveShape
 from spindtc import cli
-from spindtc import floquet
+from spindtc.floquet import evolve
 from spindtc import sweep
 from spindtc.sweep import (GridSpec, PhaseMapRecord, compute_point, run_grid,
                            read_checkpoint, write_csv, read_csv, fold,
@@ -55,7 +55,7 @@ def test_grid_axes_and_count():
 
 def test_run_grid_row_major_order():
     spec = _small_spec()
-    records = run_grid(spec, workers=1)
+    records = run_grid(spec)
     assert len(records) == 9
     lams = spec.axis("lambda")
     gs = spec.axis("g")
@@ -68,10 +68,20 @@ def test_run_grid_row_major_order():
 
 def test_worker_determinism():
     spec = _small_spec()
-    r1 = run_grid(spec, workers=1)
-    r2 = run_grid(spec, workers=2)
-    r8 = run_grid(spec, workers=8)
-    assert r1 == r2 == r8
+    assert run_grid(spec) == run_grid(spec) == run_grid(spec)
+
+
+def _count_work(monkeypatch):
+    """Rows times periods of every evolve call the sweep makes: at a fixed
+    shape, the work of its drive."""
+    work = []
+
+    def counted(state, tables, n_periods, recorder=None):
+        work.append(state.amplitudes.size // state.shape.dim * n_periods)
+        return evolve(state, tables, n_periods, recorder)
+
+    monkeypatch.setattr(sweep, "evolve", counted)
+    return work
 
 
 def _criterion_11_subgrid(lambda_every, g_every):
@@ -149,7 +159,7 @@ def test_fold_maps_mirror_images_onto_one_point():
                 pytest.approx(want, abs=1e-14)
 
 
-def test_benchmark_grid_evolves_6_of_its_45_points(tmp_path):
+def test_benchmark_grid_evolves_6_of_its_45_points(tmp_path, monkeypatch):
     # the 9 x 5 grid over [0, 4pi] x [0, 2pi] at (8, 2), stride 2: 6
     # canonical points, each evolved once, so 2/15 of the drive of evolving
     # every point; a resume from its checkpoint with the last record cut
@@ -159,13 +169,13 @@ def test_benchmark_grid_evolves_6_of_its_45_points(tmp_path):
     points = [(float(lam), float(g)) for lam in lams for g in gs]
     folded = [fold(*p, spec.shape, spec.stride) for p in points]
     assert len({(lam, g) for lam, g, _ in folded}) == 6
-    floquet.reset_op_count()
+    work = _count_work(monkeypatch)
     sweep._scan(spec.shape, points, spec.periods, spec.stride)
-    every_point = floquet.op_count()
+    every_point = sum(work)
     path = tmp_path / "map.ckpt"
-    floquet.reset_op_count()
+    work.clear()
     records = run_grid(spec, checkpoint_path=str(path))
-    assert 15 * floquet.op_count() == 2 * every_point
+    assert 15 * sum(work) == 2 * every_point
     # mirror rows repeat their canonical row, which is on this grid, with
     # both o_rel negated at a mirror image under g -> pi - g
     by_point = {(r.lam, r.g): r for r in records}
@@ -178,16 +188,16 @@ def test_benchmark_grid_evolves_6_of_its_45_points(tmp_path):
             if mirrored] == list(range(2, 45, 5))
     whole = path.read_bytes()
     path.write_bytes(whole[:-32])
-    floquet.reset_op_count()
+    work.clear()
     assert run_grid(spec, checkpoint_path=str(path)) == records
-    assert floquet.op_count() == 0
+    assert sum(work) == 0
     assert path.read_bytes() == whole
 
 
 @pytest.mark.parametrize("shape", _PARITY_CLASSES,
                          ids=lambda sh: f"{sh.n_sat}-{sh.two_s}")
 @pytest.mark.parametrize("stride", [1, 2, 3])
-def test_grid_matches_unfolded_scan(tmp_path, shape, stride):
+def test_grid_matches_unfolded_scan(tmp_path, monkeypatch, shape, stride):
     # every row of a folded 9 x 9 scan over [0, 4pi] x [0, 2pi] is the row
     # of evolving its own point; a resume from the checkpoint with its last
     # record, at (4pi, 2pi), cut evolves nothing, since (0, 0) is stored
@@ -204,9 +214,9 @@ def test_grid_matches_unfolded_scan(tmp_path, shape, stride):
                                    rtol=0, atol=1e-12)
     whole = path.read_bytes()
     path.write_bytes(whole[:-32])
-    floquet.reset_op_count()
+    work = _count_work(monkeypatch)
     assert run_grid(spec, checkpoint_path=str(path)) == records
-    assert floquet.op_count() == 0
+    assert sum(work) == 0
     assert path.read_bytes() == whole
 
 
@@ -248,7 +258,7 @@ def test_special_point_revival_average():
 
 def test_csv_round_trip(tmp_path):
     spec = _small_spec()
-    records = run_grid(spec, workers=1)
+    records = run_grid(spec)
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
     write_csv(records, str(p1))
@@ -293,9 +303,9 @@ def test_checkpoint_round_trip(tmp_path):
         read_checkpoint(str(trunc))
 
 
-def test_checkpoint_resume_no_recompute(tmp_path):
+def test_checkpoint_resume_no_recompute(tmp_path, monkeypatch):
     spec = _small_spec()
-    full = run_grid(spec, workers=1)
+    full = run_grid(spec)
     path = str(tmp_path / "resume.bin")
     lams = spec.axis("lambda")
     gs = spec.axis("g")
@@ -306,12 +316,12 @@ def test_checkpoint_resume_no_recompute(tmp_path):
             rec = compute_point(CollectiveShape(3, 1), float(lams[i]),
                                 float(gs[j]), spec.periods, spec.stride)
             _write_checkpoint_record(fh, index, rec)
-    floquet.reset_op_count()
-    resumed = run_grid(spec, workers=1, checkpoint_path=path)
-    ops_resumed = floquet.op_count()
-    floquet.reset_op_count()
-    run_grid(spec, workers=1)
-    ops_full = floquet.op_count()
+    work = _count_work(monkeypatch)
+    resumed = run_grid(spec, checkpoint_path=path)
+    ops_resumed = sum(work)
+    work.clear()
+    run_grid(spec)
+    ops_full = sum(work)
     assert resumed == full
     # only 4 of 9 points were recomputed
     assert ops_full > 0
@@ -321,27 +331,27 @@ def test_checkpoint_resume_no_recompute(tmp_path):
 def test_checkpoint_written_during_run(tmp_path):
     spec = _small_spec()
     path = str(tmp_path / "fresh.bin")
-    records = run_grid(spec, workers=1, checkpoint_path=path)
+    records = run_grid(spec, checkpoint_path=path)
     stored = dict(read_checkpoint(path))
     assert [stored[i] for i in range(9)] == records
 
 
 @pytest.mark.parametrize("kept", [2, 34])
-def test_resume_from_cut_record(tmp_path, kept):
+def test_resume_from_cut_record(tmp_path, monkeypatch, kept):
     # a crash mid-write leaves the last record cut after `kept` of its 64
     # bytes; the resume drops it, recomputes that point and leaves the file
     # whole, byte for byte as an uninterrupted run writes it
     spec = _small_spec()
     path = tmp_path / "cut.bin"
-    fresh = run_grid(spec, workers=1, checkpoint_path=str(path))
+    fresh = run_grid(spec, checkpoint_path=str(path))
     whole = path.read_bytes()
     path.write_bytes(whole[:len(whole) - 64 + kept])
     with pytest.raises(CheckpointError):
         read_checkpoint(str(path))
-    floquet.reset_op_count()
-    resumed = run_grid(spec, workers=1, checkpoint_path=str(path))
+    work = _count_work(monkeypatch)
+    resumed = run_grid(spec, checkpoint_path=str(path))
     assert resumed == fresh
-    assert floquet.op_count() > 0
+    assert sum(work) > 0
     assert path.read_bytes() == whole
     assert len(read_checkpoint(str(path))) == spec.n_points
 
@@ -350,15 +360,15 @@ def test_resume_rejects_checkpoint_of_another_grid(tmp_path):
     ckpt = tmp_path / "other.bin"
     path = str(ckpt)
     run_grid(GridSpec((0.0, 2 * np.pi, 3), (0.2, np.pi, 3), SystemShape(3, 1),
-                      16, 2), workers=1, checkpoint_path=path)
+                      16, 2), checkpoint_path=path)
     written = ckpt.read_bytes()
     other = GridSpec((1.0, 3.0, 3), (0.5, 1.5, 3), SystemShape(5, 1), 16, 2)
     with pytest.raises(CheckpointError, match="record 0 is at"):
-        run_grid(other, workers=1, checkpoint_path=path)
+        run_grid(other, checkpoint_path=path)
     # same axes on a smaller grid: records 0..5 fit, record 6 does not
     smaller = GridSpec((0.0, np.pi, 2), (0.2, np.pi, 3), SystemShape(3, 1), 16, 2)
     with pytest.raises(CheckpointError, match="index 6 is outside"):
-        run_grid(smaller, workers=1, checkpoint_path=path)
+        run_grid(smaller, checkpoint_path=path)
     assert ckpt.read_bytes() == written
 
 

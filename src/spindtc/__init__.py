@@ -7,13 +7,9 @@ from .errors import (SpinDtcError, ShapeError, CapacityError,
                      CheckpointError)
 from .spin_algebra import (SpinOperators, LocalState, spin_matrices,
                            axis_eigenbasis, coherent_axis_state)
-from .hilbert import (SystemShape, CollectiveShape, PureState,
-                      basis_index, split_index, product_state,
-                      x_polarized_state, inner, fidelity,
-                      reduced_central_density, von_neumann_entropy)
-from .floquet import (DriveParams, StepTables, precompute, evolve,
-                      u_squared_class, two_period_residual_phases,
-                      oracle_unitaries, oracle_evolve)
+from .hilbert import (CollectiveShape, PureState, x_polarized_state, inner,
+                      fidelity, reduced_central_density, von_neumann_entropy)
+from .floquet import DriveParams, StepTables, precompute, evolve
 from .observables import (TrajectoryRecord, magnetization, trajectory_records,
                           magnetization_records)
 from .diagnostics import (PeriodReport, DtcPrediction, stroboscopic_average,

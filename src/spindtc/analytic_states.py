@@ -3,7 +3,11 @@ g = pi/2 family), used as fidelity oracles for the evolved dynamics.
 
 Each milestone is a superposition of at most four products of extremal
 coherent states, sum over (satellite sign, central sign) of
-c * prod_i |sign_s>^sat_axis (x) |sign_c * s>^cen_axis. The coefficient
+c * prod_i |sign_s>^sat_axis (x) |sign_c * s>^cen_axis. On the collective
+layout the satellite product prod_i |sign_s>^sat_axis is the extremal state
+|J, sign_s J>^sat_axis of the spin J = n_sat/2, so each term is the
+Kronecker product of two coherent states (spin_algebra.coherent_axis_state,
+whose phases are the closed form's at every spin), at any n_sat. The coefficient
 tables below are exact (entries in {0, +-1, +-i}); early times (t <= 3)
 additionally depend on n_sat mod 4 and 2s mod 4, which the narrative
 parity-case classification glosses over. Coefficients are fixed under this
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .hilbert import SystemShape, PureState, product_state, x_polarized_state, fidelity
+from .hilbert import CollectiveShape, PureState, x_polarized_state, fidelity
 from .spin_algebra import coherent_axis_state
 from .floquet import DriveParams, precompute, evolve
 
@@ -29,7 +33,7 @@ class MilestoneSpec:
     time_index: int
 
 
-def parity_case_of(shape: SystemShape) -> str:
+def parity_case_of(shape: CollectiveShape) -> str:
     odd = shape.n_sat % 2 == 1
     integer = shape.two_s % 2 == 0
     if odd and integer:
@@ -87,7 +91,7 @@ def supported_time_indices(parity_case: str) -> tuple[int, ...]:
         raise ShapeError(f"unknown parity case {parity_case!r}") from None
 
 
-def milestone_state(shape: SystemShape, spec: MilestoneSpec) -> PureState:
+def milestone_state(shape: CollectiveShape, spec: MilestoneSpec) -> PureState:
     """Construct the normalized milestone superposition for the given shape."""
     actual = parity_case_of(shape)
     if spec.parity_case != actual:
@@ -106,15 +110,14 @@ def milestone_state(shape: SystemShape, spec: MilestoneSpec) -> PureState:
                                                 ("-", "+"), ("-", "-"))):
         if c == 0:
             continue
-        term = product_state(shape,
-                             [coherent_axis_state(1, sat_axis, sat_sign)] * shape.n_sat,
-                             coherent_axis_state(shape.two_s, cen_axis, cen_sign))
-        amps += c * term.amplitudes
+        amps += c * np.kron(
+            coherent_axis_state(shape.n_sat, sat_axis, sat_sign).amplitudes,
+            coherent_axis_state(shape.two_s, cen_axis, cen_sign).amplitudes)
     amps /= np.linalg.norm(amps)
     return PureState(shape, amps)
 
 
-def milestone_fidelity(shape: SystemShape, params: DriveParams,
+def milestone_fidelity(shape: CollectiveShape, params: DriveParams,
                        spec: MilestoneSpec) -> float:
     """Evolve the x-polarized state spec.time_index periods and compare."""
     target = milestone_state(shape, spec)

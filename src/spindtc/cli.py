@@ -1,8 +1,8 @@
 """Command-line front end: trajectories, classification, sweeps, Fisher
 information scans and milestone-state inspection.
 
-evolve, classify, sweep and qfi run on the collective layout
-(hilbert.CollectiveShape); states prints amplitudes in the 2^n basis.
+Every command runs on the collective layout (hilbert.CollectiveShape);
+states prints its milestone in the 2^n basis of the satellite qubits.
 
 Angles accept raw radians or a pi suffix ("2pi", "pi", "0.5pi", "pi/2");
 spins are rational strings ("1/2", "2", "5/2") so only integer two_s values
@@ -13,13 +13,13 @@ flags override. Exit codes: 0 success, 2 bad arguments, 1 runtime failure.
 import argparse
 import functools
 import itertools
+import math
 import sys
 
 import numpy as np
 
-from .errors import SpinDtcError, ShapeError, NotTabulatedError
-from .hilbert import (SystemShape, CollectiveShape, x_polarized_state,
-                      split_index)
+from .errors import SpinDtcError, ShapeError, CapacityError, NotTabulatedError
+from .hilbert import CollectiveShape, x_polarized_state, MAX_DIMENSION
 from .floquet import DriveParams, precompute, evolve
 from .observables import trajectory_records, magnetization_records
 from .diagnostics import (DEFAULT_PERIOD_SCAN_MAX, DEFAULT_REVIVAL_EPSILON,
@@ -325,22 +325,37 @@ def _cmd_qfi(args) -> int:
     return 0
 
 
+def _part(x: float) -> str:
+    """A real or imaginary part as states prints it: below the 1e-12 cutoff
+    that drops whole amplitudes, it is rounding and prints as 0."""
+    return "0" if abs(x) < 1e-12 else f"{x:.12g}"
+
+
 def _cmd_states(args) -> int:
+    """The milestone computed on the collective layout and printed in the
+    2^n basis: bitstring b (site 0 the least significant bit, 1 = down)
+    with popcount k holds the collective amplitude c[k, l] / sqrt(C(n_sat, k))."""
     _require(args, "n_sat", "spin")
-    shape = SystemShape(args.n_sat, args.spin)
+    shape = CollectiveShape(args.n_sat, args.spin)
     case = parity_case_of(shape)
     if args.time is None:
         print(f"parity case {case}; milestone times: "
               f"{', '.join(str(t) for t in supported_time_indices(case))}")
         return 0
     state = milestone_state(shape, MilestoneSpec(case, args.time))
-    print(f"milestone at t={args.time}T, parity case {case}, dim {shape.dim}")
+    d = shape.central_dim
+    dim = (1 << shape.n_sat) * d
+    if dim > MAX_DIMENSION:
+        raise CapacityError(f"printing {shape} in the 2^n basis needs {dim} "
+                            f"amplitudes, over the budget {MAX_DIMENSION}")
+    norms = np.sqrt([math.comb(shape.n_sat, k) for k in range(shape.n_sat + 1)])
+    spread = state.amplitudes.reshape(-1, d) / norms[:, None]
+    print(f"milestone at t={args.time}T, parity case {case}, dim {dim}")
     print("index,k_sat,l_c,re,im")
-    for i, a in enumerate(state.amplitudes):
-        if abs(a) < 1e-12:
-            continue
-        k_sat, l_c = split_index(shape, i)
-        print(f"{i},{k_sat},{l_c},{a.real:.12g},{a.imag:.12g}")
+    for k_sat in range(1 << shape.n_sat):
+        for l_c, a in enumerate(spread[k_sat.bit_count()]):
+            if abs(a) >= 1e-12:
+                print(f"{k_sat * d + l_c},{k_sat},{l_c},{_part(a.real)},{_part(a.imag)}")
     return 0
 
 

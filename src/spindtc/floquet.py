@@ -2,8 +2,8 @@
 
 One drive period is: kick U_d = exp(-i g_c S_c^z) prod_i exp(-i g_s S_i^z),
 then interaction U_0 = exp(i lambda sum_i S_i^x S_c^x). The interaction is
-diagonal in the joint x basis (every satellite qubit and the central spin
-rotated into their x eigenbases), and evolve drives the state there: with X
+diagonal in the joint x basis (the collective satellite spin and the
+central spin rotated into their x eigenbases), and evolve drives the state there: with X
 the state as a (satellite index, central level) matrix, one period is
 X <- (K_s X K_c^T) * P, P the interaction diagonal and
 K = V^H diag(e^{-i g m}) V the kick of each spin in its x basis. It changes
@@ -12,12 +12,11 @@ every period in the x basis, where each x magnetization is a population sum
 weighted by magnetic_numbers. Period cost is O(D * (n_sat + d)) instead of
 the dense O(D^2).
 
-On a CollectiveShape the satellite factor is the Dicke ladder of
-J = n_sat/2: its magnetic numbers are the J^z eigenvalues, its z<->x
-rotation and K_s are dense (n_sat+1)^2 matrices, the kicked-top reduction of
-Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987), applied to two coupled spins.
-On the 2^n layout (the verification path) K_s is one 2x2 rotation applied to
-every satellite qubit, and a period costs O(D * (2 n_sat + d)).
+The satellite factor is the Dicke ladder of J = n_sat/2
+(hilbert.CollectiveShape): its magnetic numbers are the J^z eigenvalues, its
+z<->x rotation and K_s are dense (n_sat+1)^2 matrices, the kicked-top
+reduction of Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987), applied to two
+coupled spins.
 
 The module keeps no state between calls: at a fixed shape, the work of an
 evolve call is its rows of state times its periods.
@@ -29,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, CapacityError
-from .hilbert import SystemShape, CollectiveShape, PureState
-from .spin_algebra import spin_matrices, axis_eigenbasis
+from .errors import ShapeError
+from .hilbert import CollectiveShape, PureState
+from .spin_algebra import axis_eigenbasis
 
-ORACLE_MAX_DIM = 4096
 # amplitudes of one block of recorded periods in evolve. Per-period Python
 # work in the recorder is paid once per block, and beyond a few thousand
 # amplitudes a longer block only holds more memory.
@@ -68,24 +66,21 @@ class StepTables:
     """One drive period in the joint x basis. Stacked tables (see
     precompute) carry a leading row axis on every entry."""
 
-    shape: SystemShape
+    shape: CollectiveShape
     # diagonal of U_0 in the joint x basis
     interaction_phases: np.ndarray
-    # K_s, the satellite kick in the x basis: it multiplies the state matrix
-    # from the left. (n_sat+1)^2 on the collective layout; on the 2^n layout
-    # the 2x2 [[cos g/2, -i sin g/2], [-i sin g/2, cos g/2]] of one qubit
+    # K_s, the (n_sat+1)^2 satellite kick in the x basis: it multiplies the
+    # state matrix from the left
     satellite_kick: np.ndarray
     # K_c^T, the central kick in the x basis, transposed: it multiplies the
     # state matrix from the right
     central_kick: np.ndarray
 
 
-def _eigenbases(shape: SystemShape, axis: str) -> tuple[np.ndarray, np.ndarray]:
+def _eigenbases(shape: CollectiveShape, axis: str) -> tuple[np.ndarray, np.ndarray]:
     """(satellite, central) eigenbases of S^axis (columns by descending
-    magnetic number): of the collective spin, or on the 2^n layout of the
-    one satellite qubit that every qubit is rotated by."""
-    sat = shape.n_sat if isinstance(shape, CollectiveShape) else 1
-    return axis_eigenbasis(sat, axis), axis_eigenbasis(shape.two_s, axis)
+    magnetic number)."""
+    return axis_eigenbasis(shape.n_sat, axis), axis_eigenbasis(shape.two_s, axis)
 
 
 def _x_basis_kick(v: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -96,27 +91,17 @@ def _x_basis_kick(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (v.conj().T * phases[..., None, :]) @ v
 
 
-def _popcounts(n_bits: int) -> np.ndarray:
-    k = np.arange(1 << n_bits, dtype=np.int64)
-    pc = np.zeros_like(k)
-    for b in range(n_bits):
-        pc += (k >> b) & 1
-    return pc
-
-
-def magnetic_numbers(shape: SystemShape) -> tuple[np.ndarray, np.ndarray]:
-    """(total satellite S^z per satellite index, central S^z per level,
-    descending).
+def magnetic_numbers(shape: CollectiveShape) -> tuple[np.ndarray, np.ndarray]:
+    """(J^z per satellite index, central S^z per level, descending).
 
     The same numbers are the S^a eigenvalues in the joint eigenbasis of
     any axis a (to_axis_basis).
     """
-    n = shape.n_sat
-    down = np.arange(n + 1) if isinstance(shape, CollectiveShape) else _popcounts(n)
-    return n / 2.0 - down, shape.s - np.arange(shape.central_dim)
+    return (shape.n_sat / 2.0 - np.arange(shape.n_sat + 1),
+            shape.s - np.arange(shape.central_dim))
 
 
-def precompute(shape: SystemShape,
+def precompute(shape: CollectiveShape,
                params: DriveParams | Sequence[DriveParams]) -> StepTables:
     """Build the interaction diagonal and the kick factors for the shape.
 
@@ -140,56 +125,26 @@ def precompute(shape: SystemShape,
     )
 
 
-def _rotate_all_satellites(mat: np.ndarray, shape: SystemShape,
-                           u: np.ndarray) -> None:
-    """Apply the 2x2 matrix u to every satellite qubit of mat, in place.
-
-    mat is C-contiguous as (..., satellite index, inner): every entry of
-    the last axis (a central level, or a row and a central level) moves
-    with its satellite index. u may carry leading axes of its own, one
-    matrix per row of a state stack; they match mat's first axes.
-    """
-    rows = mat.shape[:u.ndim - 2]
-    (a, b), (c, e) = np.moveaxis(u, (-2, -1), (0, 1))[..., None, None]
-    inner = mat.shape[-1]
-    for _ in range(shape.n_sat):
-        v = mat.reshape(rows + (-1, 2, inner))
-        top, bottom = v[..., 0, :], v[..., 1, :]
-        new_top = a * top + b * bottom
-        bottom[...] = c * top + e * bottom
-        top[...] = new_top
-        inner *= 2
-
-
-def to_axis_basis(mat: np.ndarray, shape: SystemShape, axis: str) -> np.ndarray:
+def to_axis_basis(mat: np.ndarray, shape: CollectiveShape, axis: str) -> np.ndarray:
     """Rotate states from the joint z basis into the joint eigenbasis of
     S^axis, where magnetic_numbers are the S^axis eigenvalues.
 
     mat holds states as (..., satellite index, central level), any leading
-    axes, C-contiguous; it is overwritten on the 2^n layout. Returns the
-    rotated states in the same shape.
+    axes. Returns the rotated states in the same shape.
     """
     v_s, v_c = _eigenbases(shape, axis)
-    if isinstance(shape, CollectiveShape):
-        mat = v_s.conj().T @ mat
-    else:
-        _rotate_all_satellites(mat, shape, v_s.conj().T)
-    return mat @ v_c.conj()
+    return v_s.conj().T @ mat @ v_c.conj()
 
 
-def to_x_basis(mat: np.ndarray, shape: SystemShape) -> np.ndarray:
+def to_x_basis(mat: np.ndarray, shape: CollectiveShape) -> np.ndarray:
     """to_axis_basis on the x axis, the basis evolve drives in."""
     return to_axis_basis(mat, shape, "x")
 
 
-def from_x_basis(mat: np.ndarray, shape: SystemShape) -> np.ndarray:
-    """Inverse of to_x_basis, with the same layout and overwrite rules."""
+def from_x_basis(mat: np.ndarray, shape: CollectiveShape) -> np.ndarray:
+    """Inverse of to_x_basis, with the same layout."""
     v_s, v_c = _eigenbases(shape, "x")
-    mat = mat @ v_c.T
-    if isinstance(shape, CollectiveShape):
-        return v_s @ mat
-    _rotate_all_satellites(mat, shape, v_s)
-    return mat
+    return v_s @ (mat @ v_c.T)
 
 
 def evolve(state: PureState, tables: StepTables, n_periods: int, recorder=None) -> list:
@@ -220,14 +175,9 @@ def evolve(state: PureState, tables: StepTables, n_periods: int, recorder=None) 
     x = to_x_basis(state.amplitudes.reshape(flat[:-1] + (-1, d)), shape)
     k_s, k_c = tables.satellite_kick, tables.central_kick
     phases = tables.interaction_phases.reshape(x.shape)
-    qubits = not isinstance(shape, CollectiveShape)
 
     def period(x):
-        if qubits:
-            _rotate_all_satellites(x, shape, k_s)
-            x = x @ k_c
-        else:
-            x = k_s @ x @ k_c
+        x = k_s @ x @ k_c
         x *= phases
         return x
 
@@ -247,82 +197,3 @@ def evolve(state: PureState, tables: StepTables, n_periods: int, recorder=None) 
                 PureState(shape, states.reshape((len(states),) + flat)), first))
     state.amplitudes = from_x_basis(x, shape).reshape(flat)
     return records
-
-
-def u_squared_class(n_sat: int, two_s: int) -> str:
-    """Parity classification of U^2 at lambda = 2*pi.
-
-    Returns one of revival_both, satellite_rotation_only,
-    central_rotation_only, both_rotate.
-    """
-    if n_sat < 1 or two_s < 1:
-        raise ShapeError(f"invalid (n_sat={n_sat}, two_s={two_s})")
-    odd_sat = n_sat % 2 == 1
-    half_integer = two_s % 2 == 1
-    if odd_sat and half_integer:
-        return "revival_both"
-    if odd_sat:
-        return "satellite_rotation_only"
-    if half_integer:
-        return "central_rotation_only"
-    return "both_rotate"
-
-
-def two_period_residual_phases(shape: SystemShape, params: DriveParams) -> np.ndarray:
-    """Diagonal of the residual z-rotation that U^2 reduces to at lambda = 2*pi.
-
-    Depending on the parity class this is exp(-i 2 g_s S_i^z) on the
-    satellites and/or exp(-i 2 g_c S_c^z) on the central spin (identity when
-    both parities protect their subsystem).
-    """
-    d = shape.central_dim
-    label = u_squared_class(shape.n_sat, shape.two_s)
-    m_sat, m_c = magnetic_numbers(shape)
-    sat = np.exp(-2j * params.g_s * m_sat) if label in ("satellite_rotation_only", "both_rotate") \
-        else np.ones(m_sat.size, dtype=complex)
-    cen = np.exp(-2j * params.g_c * m_c) if label in ("central_rotation_only", "both_rotate") \
-        else np.ones(d, dtype=complex)
-    return (sat[:, None] * cen[None, :]).reshape(-1)
-
-
-def _site_operator(shape: SystemShape, site: int, op2: np.ndarray) -> np.ndarray:
-    left = np.eye(1 << (shape.n_sat - 1 - site))
-    right = np.eye((1 << site) * shape.central_dim)
-    return np.kron(left, np.kron(op2, right))
-
-
-def _central_operator(shape: SystemShape, op: np.ndarray) -> np.ndarray:
-    return np.kron(np.eye(1 << shape.n_sat), op)
-
-
-def _expm_hermitian(h: np.ndarray, prefactor: complex) -> np.ndarray:
-    evals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(prefactor * evals)) @ vecs.conj().T
-
-
-def oracle_unitaries(shape: SystemShape, params: DriveParams) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (U_d, U_0) built from explicit operator sums; verification path."""
-    if shape.dim > ORACLE_MAX_DIM:
-        raise CapacityError(f"dense oracle limited to dim {ORACLE_MAX_DIM}, got {shape.dim}")
-    sat_ops = spin_matrices(1)
-    cen_ops = spin_matrices(shape.two_s)
-    h_kick = params.g_c * _central_operator(shape, cen_ops.sz)
-    h_int = np.zeros((shape.dim, shape.dim), dtype=complex)
-    sxc = _central_operator(shape, cen_ops.sx)
-    for i in range(shape.n_sat):
-        h_kick = h_kick + params.g_s * _site_operator(shape, i, sat_ops.sz)
-        h_int = h_int + _site_operator(shape, i, sat_ops.sx) @ sxc
-    u_d = _expm_hermitian(h_kick, -1j)
-    u_0 = _expm_hermitian(h_int, 1j * params.lam)
-    return u_d, u_0
-
-
-def oracle_evolve(shape: SystemShape, params: DriveParams, initial: PureState,
-                  n_periods: int) -> PureState:
-    """Evolve with dense matrix products; independent of the fast path."""
-    u_d, u_0 = oracle_unitaries(shape, params)
-    step = u_0 @ u_d
-    amps = initial.amplitudes.copy()
-    for _ in range(n_periods):
-        amps = step @ amps
-    return PureState(shape, amps)

@@ -30,21 +30,17 @@ complex entry is a (real, imaginary) pair: the satellite rotation V^T or V
 of each shape on its (satellite, 2 x row x central) matrix, and the central
 rotation, which every shape shares, as kron(V_c, I_2) or kron(V_c^T, I_2) on
 the (shape x satellite x row, 2 x central) matrix. The walk holds two
-stacks, and each product writes from one into the other, so a collective
-period allocates nothing. The 2^n layout rotates every satellite qubit
-instead (floquet._rotate_all_satellites, in place) and walks one shape at a
-time.
+stacks, and each product writes from one into the other, so a period
+allocates nothing.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import ShapeError, DegenerateInformationError
-from .hilbert import SystemShape, CollectiveShape, x_polarized_state
-from .floquet import (DriveParams, magnetic_numbers, _STACK_ENTRIES,
-                      _eigenbases, _rotate_all_satellites)
+from .hilbert import CollectiveShape, x_polarized_state
+from .floquet import DriveParams, magnetic_numbers, _STACK_ENTRIES, _eigenbases
 
 DEFAULT_DELTA = 1e-4
 _ROUNDING_RTOL = 1e-12
@@ -73,7 +69,7 @@ class QfiMatrix:
     estimators_disagree: bool
 
 
-def _generators(shape: SystemShape) -> tuple[np.ndarray, np.ndarray]:
+def _generators(shape: CollectiveShape) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of K (z basis) and H (x basis) as (satellite, central)."""
     m_sat, m_c = magnetic_numbers(shape)
     return m_sat[:, None] + m_c[None, :], m_sat[:, None] * m_c[None, :]
@@ -96,12 +92,11 @@ def qfi_scan(scans, params: DriveParams) -> list[list[QfiMatrix]]:
 
     Each distinct shape is walked once, to its largest count over every
     entry that names it, and its elements are evaluated at every count as
-    the walk passes it. Collective shapes of one central spin and one
-    largest count walk together, smallest first, as many as fit
-    _STACK_ENTRIES complex entries padded to the largest of them, so no
-    shape walks longer than it would alone; a shape over that budget, or on
-    the 2^n layout, walks alone. A shape's matrices are bitwise the same
-    whatever shares its walk.
+    the walk passes it. Shapes of one central spin and one largest count
+    walk together, smallest first, as many as fit _STACK_ENTRIES complex
+    entries padded to the largest of them, so no shape walks longer than it
+    would alone; a shape over that budget walks alone. A shape's matrices
+    are bitwise the same whatever shares its walk.
 
     The cross-check runs at step DEFAULT_DELTA / max(1, n_max * J * s / 384),
     with n_max that largest count and J = n_sat/2 (QfiMatrix.delta reports
@@ -116,7 +111,7 @@ def qfi_scan(scans, params: DriveParams) -> list[list[QfiMatrix]]:
             raise ShapeError(f"n_periods must be >= 0, got {min(counts)}")
     if params.g_s != params.g_c:
         raise ShapeError("g is a single shared parameter; need g_s == g_c")
-    wanted: dict[SystemShape, set[int]] = {}
+    wanted: dict[CollectiveShape, set[int]] = {}
     for shape, counts in scans:
         wanted.setdefault(shape, set()).update(counts)
     matrices = {}
@@ -126,14 +121,14 @@ def qfi_scan(scans, params: DriveParams) -> list[list[QfiMatrix]]:
     return [[matrices[shape, n] for n in counts] for shape, counts in scans]
 
 
-def qfi_matrix(shape: SystemShape, params: DriveParams,
+def qfi_matrix(shape: CollectiveShape, params: DriveParams,
                n_periods: int) -> QfiMatrix:
     """The Fisher matrix after n_periods periods: qfi_scan at one count."""
     return qfi_scan([(shape, [n_periods])], params)[0][0]
 
 
-def _entries(shape: SystemShape) -> int:
-    """Complex entries a collective shape holds in a walk padded to its
+def _entries(shape: CollectiveShape) -> int:
+    """Complex entries a shape holds in a walk padded to its
     size: the two stacks and the two phase tables, the two tangent sources
     and their scratch row, and the two real satellite rotations (together
     one complex matrix)."""
@@ -141,17 +136,15 @@ def _entries(shape: SystemShape) -> int:
     return 4 * _ROWS * n * d + 3 * n * d + n * n
 
 
-def _groups(wanted: dict) -> list[list[SystemShape]]:
+def _groups(wanted: dict) -> list[list[CollectiveShape]]:
     """The shapes of wanted (shape -> period counts) partitioned into walks,
     smallest first (see qfi_scan)."""
     def kind(shape):        # what the shapes of one walk have in common
-        return (isinstance(shape, CollectiveShape), shape.two_s,
-                max(wanted[shape], default=0))
+        return shape.two_s, max(wanted[shape], default=0)
     groups = []
     for shape in sorted(wanted, key=lambda sh: (kind(sh), sh.n_sat)):
         group = groups[-1] if groups else None
-        if (group and isinstance(shape, CollectiveShape)
-                and kind(shape) == kind(group[0])
+        if (group and kind(shape) == kind(group[0])
                 and (len(group) + 1) * _entries(shape) <= _STACK_ENTRIES):
             group.append(shape)
         else:
@@ -159,7 +152,7 @@ def _groups(wanted: dict) -> list[list[SystemShape]]:
     return groups
 
 
-def _crosscheck_step(shape: SystemShape, counts) -> float:
+def _crosscheck_step(shape: CollectiveShape, counts) -> float:
     """DEFAULT_DELTA, scaled down where the walk's n_max * J * s passes
     _CROSSCHECK_REACH."""
     reach = max(counts, default=0) * shape.n_sat * shape.two_s / 4
@@ -172,7 +165,7 @@ def _walk(wanted: dict, params: DriveParams) -> dict:
     shapes = list(wanted)
     lam, g = params.lam, params.g_s
     d = shapes[0].central_dim
-    sizes = [shape.dim // d for shape in shapes]    # satellite dimensions
+    sizes = [shape.n_sat + 1 for shape in shapes]   # satellite dimensions
     full = (len(shapes), max(sizes), _ROWS, d)
     # each rotation writes from one stack into the other; other is written
     # whole before it is read
@@ -201,28 +194,19 @@ def _walk(wanted: dict, params: DriveParams) -> dict:
         rotations.append(v_s)
         steps.append(step)
 
-    if isinstance(shapes[0], CollectiveShape):
-        # (shape, satellite, 2 x row x central) float views
-        there, back = (x.view(float).reshape(full[0], full[1], -1)
-                       for x in (stack, other))
-        to_x_s, from_x_s = _stacked(rotations, full[1])
-        to_x_sat = partial(np.matmul, to_x_s, there, out=back)
-        from_x_sat = partial(np.matmul, from_x_s, back, out=there)
-        half, joint = other, stack
-    else:       # one shape: every satellite qubit, in place
-        qubits = stack.reshape(full[1], -1)
-        to_x_sat = partial(_rotate_all_satellites, qubits, shapes[0], v_s.conj().T)
-        from_x_sat = partial(_rotate_all_satellites, qubits, shapes[0], v_s)
-        half, joint = stack, other
-    # the satellite rotation leaves the state in half, the central one in
-    # joint, in the joint x basis. Every shape of a walk shares the central
-    # spin and its rotation, real on the (shape x satellite x row,
+    # the satellite rotation writes the state into other, on the
+    # (shape, satellite, 2 x row x central) float views, and the central one
+    # back into stack, in the joint x basis. Every shape of a walk shares the
+    # central spin and its rotation, real on the (shape x satellite x row,
     # 2 x central) float view
+    stack_sat, other_sat = (x.view(float).reshape(full[0], full[1], -1)
+                            for x in (stack, other))
+    to_x_s, from_x_s = _stacked(rotations, full[1])
     v_c = _real(v_c)
     to_x_c, from_x_c = np.kron(v_c, np.eye(2)), np.kron(v_c.T, np.eye(2))
-    half_c, joint_c = (x.view(float).reshape(-1, 2 * d) for x in (half, joint))
+    stack_c, other_c = (x.view(float).reshape(-1, 2 * d) for x in (stack, other))
     psi, d_g = stack[:, :, 0], stack[:, :, 2]
-    joint_psi, joint_d_l = joint[:, :, 0], joint[:, :, 1]
+    d_l = stack[:, :, 1]
     scratch = np.empty_like(k_source)
 
     matrices = {}
@@ -231,12 +215,12 @@ def _walk(wanted: dict, params: DriveParams) -> dict:
         for _ in range(count - done):
             stack *= kick
             d_g -= np.multiply(k_source, psi, out=scratch)
-            to_x_sat()
-            np.matmul(half_c, to_x_c, out=joint_c)
-            joint *= interaction
-            joint_d_l += np.multiply(h_source, joint_psi, out=scratch)
-            np.matmul(joint_c, from_x_c, out=half_c)
-            from_x_sat()
+            np.matmul(to_x_s, stack_sat, out=other_sat)
+            np.matmul(other_c, to_x_c, out=stack_c)
+            stack *= interaction
+            d_l += np.multiply(h_source, psi, out=scratch)
+            np.matmul(stack_c, from_x_c, out=other_c)
+            np.matmul(from_x_s, other_sat, out=stack_sat)
         done = count
         for i, (shape, n) in enumerate(zip(shapes, sizes)):
             if count in wanted[shape]:

@@ -5,12 +5,12 @@ the period-doubled dynamics flips between +-x products, so <S^x> is the
 signal with the +-1/2 (satellite) and +-s (central) ranges.
 
 In the joint eigenbasis of an axis (floquet.to_axis_basis) a magnetization
-is the populations |X|^2 weighted by floquet.magnetic_numbers, one formula
-for both layouts. floquet.evolve hands its recorder states in the joint x
-basis, so the per-period columns read them there: the x magnetizations, the
-entropy of the central density (the basis change is local, so it keeps the
-spectrum) and the fidelity to the x-polarized start, which in that basis is
-the first basis state.
+is the populations |X|^2 weighted by floquet.magnetic_numbers.
+floquet.evolve hands its recorder states in the joint x basis, so the
+per-period columns read them there: the x magnetizations, the entropy of
+the central density (the basis change is local, so it keeps the spectrum)
+and the fidelity to the x-polarized start, which in that basis is the first
+basis state.
 """
 
 from dataclasses import dataclass
@@ -54,8 +54,7 @@ def magnetization(state: PureState, target: str,
     if target not in ("satellites", "central"):
         raise ShapeError(f"target must be 'satellites' or 'central', got {target!r}")
     shape, amps = state.shape, state.amplitudes
-    # a copy: the rotation overwrites its input on the 2^n layout
-    mat = amps.reshape(amps.shape[:-1] + (-1, shape.central_dim)).copy()
+    mat = amps.reshape(amps.shape[:-1] + (-1, shape.central_dim))
     rotated = PureState(shape, to_axis_basis(mat, shape, axis).reshape(amps.shape))
     m_sat, m_c = _magnetizations(rotated)
     return m_sat if target == "satellites" else m_c

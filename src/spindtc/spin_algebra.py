@@ -4,6 +4,8 @@ Conventions: hbar = 1, Condon-Shortley phases for the ladder operators,
 z basis ordered by descending magnetic quantum number (index l holds m = s - l).
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,9 +85,23 @@ def axis_eigenbasis(two_s: int, axis: str) -> np.ndarray:
 
 
 def coherent_axis_state(two_s: int, axis: str, sign: str) -> LocalState:
-    """Extremal eigenstate |+-s> along the given axis, in the z basis."""
+    """Extremal eigenstate |+-s> along the given axis, in the z basis.
+
+    Along x and y its phase is the closed form's: amplitude k (m = s - k) is
+    sqrt(C(2s, k)) 2^(-s) p^k, with p = +-1 on x and +-i on y. Each
+    eigenbasis column already carries that phase times a power of i, which
+    axis_eigenbasis's rule leaves at 1 while the first amplitude, 2^(-s), is
+    above its 1e-12 cutoff (2s < 80); the column is turned by that power,
+    read at its largest amplitude, far above rounding.
+    """
     if sign not in ("+", "-"):
         raise ShapeError(f"sign must be '+' or '-', got {sign!r}")
     basis = axis_eigenbasis(two_s, axis)
-    col = 0 if sign == "+" else two_s
-    return LocalState(dim=two_s + 1, amplitudes=basis[:, col].copy())
+    amps = basis[:, 0 if sign == "+" else two_s].copy()
+    if axis != "z":
+        p = (1 if axis == "x" else 1j) * (1 if sign == "+" else -1)
+        k = int(np.abs(amps).argmax())
+        turns = round(cmath.phase(complex(amps[k]) / p ** (k % 4)) / (math.pi / 2)) % 4
+        if turns:
+            amps *= (1, -1j, -1, 1j)[turns]
+    return LocalState(dim=two_s + 1, amplitudes=amps)

@@ -3,8 +3,7 @@
 Grid points are independent trajectories from the x-polarized initial state
 that differ only in their kick factors and interaction diagonals, so the
 scan evolves as many of them at once as fit a fixed entry budget, as one
-state stack through the engine's drive step, on the collective layout
-(hilbert.CollectiveShape), in one process.
+state stack through the engine's drive step, in one process.
 Every row of the stack is computed by the same operations whatever the other
 rows are, so a point's record does not depend on which points share its
 stack (a fresh run and any resume agree bitwise), and results are returned
@@ -74,12 +73,7 @@ RECORD_VERSION = 1
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular scan: ranges are (lo, hi, steps), endpoints included.
-
-    shape is a CollectiveShape: the scan runs on the collective layout, and
-    a SystemShape's 2^n capacity check would reject n_sat that it handles
-    (above 23 at s = 2).
-    """
+    """Rectangular scan: ranges are (lo, hi, steps), endpoints included."""
 
     lambda_range: tuple[float, float, int]
     g_range: tuple[float, float, int]
@@ -171,7 +165,6 @@ def _scan(shape: CollectiveShape, points, periods: int,
           stride: int) -> list[tuple[float, ...]]:
     """The five map averages of each (lambda, g) point, evolved as one
     state stack."""
-    shape = CollectiveShape(shape.n_sat, shape.two_s)
     tables = precompute(shape, [DriveParams.symmetric(lam, g) for lam, g in points])
     stack = PureState(shape, np.tile(x_polarized_state(shape).amplitudes,
                                      (len(points), 1)))
@@ -198,8 +191,7 @@ def compute_point(shape: CollectiveShape, lam: float, g: float,
 
     It is evolved at the canonical point of fold(lam, g, shape, stride), as
     run_grid does, and the record carries lam and g as given, with both
-    o_rel negated at a mirror image. shape is a CollectiveShape, as for
-    GridSpec.
+    o_rel negated at a mirror image.
     """
     lam_c, g_c, mirrored = fold(lam, g, shape, stride)
     values = _scan(shape, [(lam_c, g_c)], periods, stride)[0]

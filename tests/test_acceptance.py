@@ -7,11 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from spindtc.hilbert import (SystemShape, PureState, product_state,
-                             x_polarized_state, fidelity)
+from spindtc.hilbert import CollectiveShape, PureState, x_polarized_state
 from spindtc.spin_algebra import coherent_axis_state
-from spindtc.floquet import (DriveParams, precompute, evolve, oracle_evolve,
-                             two_period_residual_phases)
+from spindtc.floquet import DriveParams, precompute, evolve
 from spindtc.observables import trajectory_records
 from spindtc.diagnostics import (detect_period, predict_dtc_class,
                                  fit_cosine_amplitude, classify_subsystem)
@@ -21,12 +19,15 @@ from spindtc.sweep import GridSpec, run_grid
 from spindtc.errors import DegenerateInformationError
 
 from qfi_reference import exact_qfi
+from qubit_reference import (SystemShape, product_state, x_polarized, spread,
+                             drive, entropy, oracle_evolve,
+                             two_period_residual_phases)
 
 SPECIAL = DriveParams.symmetric(np.pi, np.pi / 2)
 
 
 def _trajectory(n_sat, two_s, lam, g, periods):
-    sh = SystemShape(n_sat, two_s)
+    sh = CollectiveShape(n_sat, two_s)
     st = x_polarized_state(sh)
     traj = evolve(st, precompute(sh, DriveParams.symmetric(lam, g)),
                   periods, trajectory_records)
@@ -74,25 +75,22 @@ def test_criterion_03_special_ho_periods():
 
 
 def test_criterion_04_milestone_states():
-    sh = SystemShape(9, 5)
-    st = x_polarized_state(sh)
-    tables = precompute(sh, SPECIAL)
+    # on the 2^n reference drive, against the collective milestones spread
+    # over the 2^n basis
+    full, sh = SystemShape(9, 5), CollectiveShape(9, 5)
+    states = drive(full, SPECIAL, x_polarized(full), 24)
+    for n in (4, 8, 12, 16, 20, 24):
+        assert entropy(full, states[n - 1]) < 1e-8
+
+    def reached(n, target):
+        return abs(np.vdot(target, states[n - 1])) ** 2 >= 1 - 1e-8
+
     ghz = milestone_state(sh, MilestoneSpec("odd_half", 6))
     double_ghz = milestone_state(sh, MilestoneSpec("odd_half", 4))
-    minus_x = product_state(sh, [coherent_axis_state(1, "x", "-")] * 9,
-                            coherent_axis_state(5, "x", "-"))
-    traj = evolve(st.copy(), tables, 24, trajectory_records)
-    by_n = {r.n: r for r in traj}
-    for n in (4, 8, 12, 16, 20, 24):
-        assert by_n[n].entropy < 1e-8
-
-    probe = st.copy()
-    evolve(probe, tables, 4)
-    assert fidelity(probe, double_ghz) >= 1 - 1e-8
-    evolve(probe, tables, 2)
-    assert fidelity(probe, ghz) >= 1 - 1e-8
-    evolve(probe, tables, 6)
-    assert fidelity(probe, minus_x) >= 1 - 1e-8
+    assert reached(4, spread(full, double_ghz.amplitudes))
+    assert reached(6, spread(full, ghz.amplitudes))
+    assert reached(12, product_state([coherent_axis_state(1, "x", "-")] * 9,
+                                     coherent_axis_state(5, "x", "-")))
 
 
 def test_criterion_05_no_polarity_reversal():
@@ -104,39 +102,44 @@ def test_criterion_05_no_polarity_reversal():
 
 
 def test_criterion_06_oracle_equivalence():
+    # the collective engine, spread over the 2^n basis, against the dense
+    # oracle
     t0 = time.monotonic()
     rng = np.random.default_rng(2024)
     points = [(rng.uniform(0, 4 * np.pi), rng.uniform(0, 2 * np.pi))
               for _ in range(20)]
     for n_sat, two_s in ((2, 1), (3, 2), (4, 3)):
-        sh = SystemShape(n_sat, two_s)
+        full, sh = SystemShape(n_sat, two_s), CollectiveShape(n_sat, two_s)
         for lam, g in points:
             params = DriveParams.symmetric(lam, g)
             fast = x_polarized_state(sh)
             evolve(fast, precompute(sh, params), 50)
-            dense = oracle_evolve(sh, params, x_polarized_state(sh), 50)
-            assert np.max(np.abs(fast.amplitudes - dense.amplitudes)) < 1e-9
+            dense = oracle_evolve(full, params, x_polarized(full), 50)
+            assert np.max(np.abs(spread(full, fast.amplitudes) - dense)) < 1e-9
     assert time.monotonic() - t0 < 30.0
 
 
 def test_criterion_07_two_period_closed_form():
+    # random states of the collective layout, driven two periods, against
+    # the 2^n closed form on their spread
     rng = np.random.default_rng(11)
     for n_sat, two_s in ((3, 1), (3, 2), (4, 1), (4, 2)):
-        sh = SystemShape(n_sat, two_s)
+        full, sh = SystemShape(n_sat, two_s), CollectiveShape(n_sat, two_s)
         params = DriveParams(lam=2 * np.pi, g_s=1.21, g_c=0.67)
         tables = precompute(sh, params)
-        residual = two_period_residual_phases(sh, params)
+        residual = two_period_residual_phases(full, params)
         for _ in range(100):
             v = rng.normal(size=sh.dim) + 1j * rng.normal(size=sh.dim)
             v /= np.linalg.norm(v)
             st = PureState(sh, v.copy())
             evolve(st, tables, 2)
-            overlap = np.vdot(residual * v, st.amplitudes)
+            overlap = np.vdot(residual * spread(full, v),
+                              spread(full, st.amplitudes))
             assert abs(abs(overlap) - 1.0) < 1e-10
 
 
 def test_criterion_08_qfi_time_scaling():
-    sh = SystemShape(5, 1)
+    sh = CollectiveShape(5, 1)
     pts = []
     for n in range(8, 97, 8):
         pts.append((n, sensing_gain(qfi_matrix(sh, SPECIAL, n))))
@@ -148,7 +151,7 @@ def test_criterion_09_qfi_size_scaling():
     # every Fisher element at n = 48 matches the exact tangent-propagation
     # reference to 1e-3 of the matrix scale max(|f_ll|, |f_gg|)
     def checked(n_sat, two_s):
-        q = qfi_matrix(SystemShape(n_sat, two_s), SPECIAL, 48)
+        q = qfi_matrix(CollectiveShape(n_sat, two_s), SPECIAL, 48)
         ref = exact_qfi(n_sat, two_s, np.pi, np.pi / 2, 48)
         for got, want in ((q.f_ll, ref.f_ll), (q.f_gg, ref.f_gg),
                           (q.f_lg, ref.f_lg)):
@@ -196,7 +199,7 @@ def test_criterion_10_regular_ho_periods():
 def test_criterion_11_phase_map_sanity():
     t0 = time.monotonic()
     spec = GridSpec((0.0, 4 * np.pi, 65), (0.0, 2 * np.pi, 33),
-                    SystemShape(8, 4), 200, 2)
+                    CollectiveShape(8, 4), 200, 2)
     records = run_grid(spec)
     assert time.monotonic() - t0 < 600.0
     entropy = np.array([r.avg_entropy for r in records]).reshape(65, 33)
@@ -211,12 +214,11 @@ def test_criterion_11_phase_map_sanity():
 
 def test_criterion_12_determinism():
     spec = GridSpec((0.0, 2 * np.pi, 3), (0.2, np.pi, 3),
-                    SystemShape(3, 1), 16, 2)
+                    CollectiveShape(3, 1), 16, 2)
     r1 = run_grid(spec)
     assert run_grid(spec) == r1 == run_grid(spec)
     import os
     import tempfile
-    from spindtc.hilbert import CollectiveShape
     from spindtc.sweep import (CHECKPOINT_MAGIC, compute_point,
                                _write_checkpoint_record)
     with tempfile.TemporaryDirectory() as tmp:

@@ -3,7 +3,7 @@ import pytest
 
 from spindtc.errors import ShapeError
 from spindtc.spin_algebra import coherent_axis_state
-from spindtc.hilbert import (SystemShape, product_state, fidelity,
+from spindtc.hilbert import (CollectiveShape, PureState, fidelity,
                              reduced_central_density, von_neumann_entropy)
 from spindtc.floquet import DriveParams
 from spindtc.observables import magnetization
@@ -14,11 +14,17 @@ from spindtc.analytic_states import (MilestoneSpec, parity_case_of,
 SPECIAL = DriveParams.symmetric(np.pi, np.pi / 2)
 
 
+def _product(sh, sign):
+    """|sign x>^n_sat (x) |sign s>^x on the collective layout."""
+    return PureState(sh, np.kron(coherent_axis_state(sh.n_sat, "x", sign).amplitudes,
+                                 coherent_axis_state(sh.two_s, "x", sign).amplitudes))
+
+
 def test_parity_case_of():
-    assert parity_case_of(SystemShape(9, 4)) == "odd_int"
-    assert parity_case_of(SystemShape(8, 5)) == "even_half"
-    assert parity_case_of(SystemShape(9, 5)) == "odd_half"
-    assert parity_case_of(SystemShape(8, 4)) == "even_int"
+    assert parity_case_of(CollectiveShape(9, 4)) == "odd_int"
+    assert parity_case_of(CollectiveShape(8, 5)) == "even_half"
+    assert parity_case_of(CollectiveShape(9, 5)) == "odd_half"
+    assert parity_case_of(CollectiveShape(8, 4)) == "even_int"
 
 
 def test_supported_time_indices():
@@ -31,7 +37,7 @@ def test_supported_time_indices():
 
 
 def test_bad_spec_rejected():
-    sh = SystemShape(9, 5)
+    sh = CollectiveShape(9, 5)
     with pytest.raises(ShapeError):
         milestone_state(sh, MilestoneSpec("even_int", 4))
     with pytest.raises(ShapeError):
@@ -40,7 +46,7 @@ def test_bad_spec_rejected():
 
 def test_all_milestones_normalized():
     for n_sat, two_s in ((9, 5), (8, 4), (9, 4), (8, 5), (5, 1), (6, 2)):
-        sh = SystemShape(n_sat, two_s)
+        sh = CollectiveShape(n_sat, two_s)
         case = parity_case_of(sh)
         for t in supported_time_indices(case):
             st = milestone_state(sh, MilestoneSpec(case, t))
@@ -49,12 +55,9 @@ def test_all_milestones_normalized():
 
 def test_quarter_period_ghz_structure():
     # (odd_half, 6): superposition of the all+x and all-x products, entropy ln 2
-    sh = SystemShape(9, 5)
+    sh = CollectiveShape(9, 5)
     st = milestone_state(sh, MilestoneSpec("odd_half", 6))
-    plus = product_state(sh, [coherent_axis_state(1, "x", "+")] * 9,
-                         coherent_axis_state(5, "x", "+"))
-    minus = product_state(sh, [coherent_axis_state(1, "x", "-")] * 9,
-                          coherent_axis_state(5, "x", "-"))
+    plus, minus = _product(sh, "+"), _product(sh, "-")
     # equal weight on the two branches
     assert abs(np.vdot(plus.amplitudes, st.amplitudes)) == pytest.approx(1 / np.sqrt(2), abs=1e-10)
     assert abs(np.vdot(minus.amplitudes, st.amplitudes)) == pytest.approx(1 / np.sqrt(2), abs=1e-10)
@@ -63,7 +66,7 @@ def test_quarter_period_ghz_structure():
 
 
 def test_double_ghz_product_disentangled():
-    sh = SystemShape(9, 5)
+    sh = CollectiveShape(9, 5)
     st = milestone_state(sh, MilestoneSpec("odd_half", 4))
     assert von_neumann_entropy(reduced_central_density(st)) < 1e-10
 
@@ -71,7 +74,7 @@ def test_double_ghz_product_disentangled():
 def test_super_cat_entangled():
     # t=2 coefficients do not factorize across the central bipartition;
     # t=3 happens to ([1,-i,-i,-1] is a tensor square), so probe t=2 and t=6
-    sh = SystemShape(9, 5)
+    sh = CollectiveShape(9, 5)
     for t in (2, 6):
         st = milestone_state(sh, MilestoneSpec("odd_half", t))
         assert von_neumann_entropy(reduced_central_density(st)) > 0.1
@@ -81,26 +84,38 @@ def test_super_cat_entangled():
                                          (5, 1), (6, 2), (7, 3), (4, 2),
                                          (5, 2), (6, 1), (10, 3), (7, 2)])
 def test_milestone_fidelities_all_cases(n_sat, two_s):
-    sh = SystemShape(n_sat, two_s)
+    sh = CollectiveShape(n_sat, two_s)
     case = parity_case_of(sh)
     for t in supported_time_indices(case):
         f = milestone_fidelity(sh, SPECIAL, MilestoneSpec(case, t))
         assert f >= 1 - 1e-8, (case, t, f)
 
 
+def test_milestone_fidelities_at_large_n_sat():
+    # every parity case and every (n_sat mod 4, 2s mod 4) key of the tables,
+    # at every supported time: 72 milestones, each reached to 1e-12. The
+    # coherent states' closed-form phases matter here: with the phase fixed
+    # at the first amplitude above 1e-12, 6 of them read about 4e-29
+    for n_sat in range(200, 204):
+        for two_s in range(1, 5):
+            sh = CollectiveShape(n_sat, two_s)
+            case = parity_case_of(sh)
+            for t in supported_time_indices(case):
+                f = milestone_fidelity(sh, SPECIAL, MilestoneSpec(case, t))
+                assert f >= 1 - 1e-12, (n_sat, two_s, t, f)
+
+
 def test_half_period_reversal():
     # odd_int and even_half at 6T, odd_half at 12T: all-(-x) product
     for n_sat, two_s, t in ((9, 4, 6), (8, 5, 6), (9, 5, 12)):
-        sh = SystemShape(n_sat, two_s)
+        sh = CollectiveShape(n_sat, two_s)
         case = parity_case_of(sh)
         st = milestone_state(sh, MilestoneSpec(case, t))
-        minus = product_state(sh, [coherent_axis_state(1, "x", "-")] * n_sat,
-                              coherent_axis_state(two_s, "x", "-"))
-        assert fidelity(st, minus) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(st, _product(sh, "-")) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_even_int_never_reverses_polarity():
-    sh = SystemShape(8, 4)
+    sh = CollectiveShape(8, 4)
     for t in supported_time_indices("even_int"):
         st = milestone_state(sh, MilestoneSpec("even_int", t))
         assert magnetization(st, "satellites", "x") >= -1e-9
@@ -108,7 +123,7 @@ def test_even_int_never_reverses_polarity():
 
 def test_fidelity_at_zero_interaction():
     # lambda=0 never builds the milestone; overlap is just the static one
-    sh = SystemShape(9, 5)
+    sh = CollectiveShape(9, 5)
     f = milestone_fidelity(sh, DriveParams.symmetric(0.0, np.pi / 2),
                            MilestoneSpec("odd_half", 6))
     assert f < 0.999

@@ -1,3 +1,4 @@
+import itertools
 import os
 import re
 import struct
@@ -12,6 +13,10 @@ from spindtc.floquet import DriveParams
 from spindtc.hilbert import CollectiveShape
 from spindtc.metrology import qfi_matrix, sensing_gain
 from spindtc.sweep import CHECKPOINT_MAGIC, RECORD_VERSION
+from spindtc.spin_algebra import coherent_axis_state
+from spindtc import analytic_states
+
+from qubit_reference import product_state
 
 
 def test_parse_angle_forms():
@@ -327,6 +332,61 @@ def test_states_amplitudes(capsys):
 def test_states_bad_time():
     assert parse_and_dispatch(["states", "--n-sat", "9", "--spin", "5/2",
                                "--time", "7"]) == 2
+
+
+def test_states_listing_needs_no_state(capsys):
+    # listing works at any n_sat; printing 2^30 x 2 amplitudes is refused
+    assert parse_and_dispatch(["states", "--n-sat", "30", "--spin", "1/2"]) == 0
+    assert capsys.readouterr().out == \
+        "parity case even_half; milestone times: 3, 6, 12\n"
+    assert parse_and_dispatch(["states", "--n-sat", "30", "--spin", "1/2",
+                               "--time", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2147483648 amplitudes, over the budget 67108864" in captured.err
+
+
+def _product_milestone(n_sat, two_s, t):
+    """The milestone as the superposition of 2^n product states that the
+    coefficient tables describe."""
+    case = analytic_states.parity_case_of(CollectiveShape(n_sat, two_s))
+    sat_axis, cen_axis, coeffs = analytic_states._MILESTONES[case][t]
+    if isinstance(coeffs, dict):
+        coeffs = coeffs[(n_sat % 4, two_s % 4)]
+    amps = sum(c * product_state([coherent_axis_state(1, sat_axis, sat)] * n_sat,
+                                 coherent_axis_state(two_s, cen_axis, cen))
+               for c, (sat, cen) in zip(coeffs, itertools.product("+-", repeat=2)))
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("n_sat,two_s", [
+    (3, 2), (5, 2), (3, 4), (1, 4),     # odd_int, every (n_sat, 2s) mod 4 key
+    (2, 1), (2, 3), (4, 1), (4, 3),     # even_half
+    (3, 1), (3, 3), (1, 1), (5, 3),     # odd_half
+    (2, 2), (4, 4)])                    # even_int
+def test_states_match_product_states(capsys, n_sat, two_s):
+    # states computes the milestone on the collective layout; its 2^n
+    # printout equals the product-state superposition, every amplitude
+    # printed is above 1e-12, and every part below it prints as 0
+    case = analytic_states.parity_case_of(CollectiveShape(n_sat, two_s))
+    d = two_s + 1
+    for t in analytic_states.supported_time_indices(case):
+        spin = f"{two_s}/2" if two_s % 2 else str(two_s // 2)
+        assert parse_and_dispatch(["states", "--n-sat", str(n_sat), "--spin",
+                                   spin, "--time", str(t)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [f"milestone at t={t}T, parity case {case}, "
+                             f"dim {(1 << n_sat) * d}", "index,k_sat,l_c,re,im"]
+        got = np.zeros((1 << n_sat) * d, dtype=complex)
+        for line in lines[2:]:
+            index, k_sat, l_c, re_part, im_part = line.split(",")
+            assert int(index) == int(k_sat) * d + int(l_c)
+            for part in (re_part, im_part):
+                assert part == "0" or abs(float(part)) >= 1e-12
+            got[int(index)] = complex(float(re_part), float(im_part))
+        want = _product_milestone(n_sat, two_s, t)
+        assert np.max(np.abs(got - want)) < 1e-11, (n_sat, two_s, t)
+        assert np.all((got != 0) == (np.abs(want) >= 1e-12))
 
 
 def test_invalid_flag_exit_code(capsys):

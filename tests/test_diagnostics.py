@@ -3,17 +3,19 @@ import pytest
 
 from spindtc import diagnostics
 from spindtc.errors import ShapeError, NotTabulatedError
-from spindtc.hilbert import SystemShape, CollectiveShape, x_polarized_state
+from spindtc.hilbert import CollectiveShape, x_polarized_state
 from spindtc.floquet import DriveParams, precompute, evolve
 from spindtc.observables import trajectory_records, magnetization_records
 from spindtc.diagnostics import (stroboscopic_average, relative_order_parameter,
                                  detect_period, first_revival,
                                  predict_dtc_class, fit_cosine_amplitude,
-                                 classify_subsystem)
+                                 classify_subsystem, DEFAULT_REVIVAL_EPSILON)
+
+from qubit_reference import SystemShape, x_polarized, drive
 
 
 def _trajectory(n_sat, two_s, lam, g, periods):
-    sh = SystemShape(n_sat, two_s)
+    sh = CollectiveShape(n_sat, two_s)
     st = x_polarized_state(sh)
     return evolve(st, precompute(sh, DriveParams.symmetric(lam, g)),
                   periods, trajectory_records)
@@ -149,10 +151,19 @@ def _count_periods(monkeypatch):
     (8, 4, 1.3, 0.7),           # no revival within 64 periods
 ])
 def test_first_revival_matches_detect_period(layout, n_sat, two_s, lam, g):
-    sh = layout(n_sat, two_s)
+    # first_revival stops at the revival detect_period finds in the whole
+    # recorded trajectory, and at the one the 2^n reference drive shows
+    sh = CollectiveShape(n_sat, two_s)
     tables = _tables(sh, lam, g)
-    traj = evolve(x_polarized_state(sh), tables, 64, trajectory_records)
-    want = detect_period(traj).detected_period
+    if layout is CollectiveShape:
+        traj = evolve(x_polarized_state(sh), tables, 64, trajectory_records)
+        want = detect_period(traj).detected_period
+    else:
+        full = SystemShape(n_sat, two_s)
+        start = x_polarized(full)
+        states = drive(full, DriveParams.symmetric(lam, g), start, 64)
+        revived = np.abs(states @ start.conj()) ** 2 > 1 - DEFAULT_REVIVAL_EPSILON
+        want = int(np.argmax(revived)) + 1 if revived.any() else None
     st = x_polarized_state(sh)
     start = st.amplitudes.copy()
     assert first_revival(st, tables, 64) == want

@@ -3,34 +3,29 @@ import pytest
 
 from spindtc.errors import ShapeError, CapacityError
 from spindtc.spin_algebra import LocalState, coherent_axis_state
-from spindtc.hilbert import (SystemShape, CollectiveShape, PureState,
-                             basis_index, split_index, product_state,
-                             x_polarized_state, inner, fidelity,
-                             reduced_central_density, von_neumann_entropy)
+from spindtc.hilbert import (CollectiveShape, PureState, x_polarized_state,
+                             inner, fidelity, reduced_central_density,
+                             von_neumann_entropy)
+
+from qubit_reference import SystemShape, product_state, x_polarized
 
 
 def test_shape_validation():
     with pytest.raises(ShapeError):
-        SystemShape(0, 1)
+        CollectiveShape(0, 1)
     with pytest.raises(ShapeError):
-        SystemShape(2, 0)
+        CollectiveShape(2, 0)
     with pytest.raises(CapacityError):
-        SystemShape(40, 1)
+        CollectiveShape(1, 8192)
 
 
 def test_collective_shape():
     sh = CollectiveShape(41, 5)
     assert (sh.dim, sh.central_dim, sh.s) == (42 * 6, 6, 2.5)
-    assert CollectiveShape(3, 1) != SystemShape(3, 1)
     # the bound is the dense (n_sat+1)^2 satellite rotation, not 2^n_sat
     CollectiveShape(8191, 1)
     with pytest.raises(CapacityError):
         CollectiveShape(8192, 1)
-    with pytest.raises(ShapeError):
-        CollectiveShape(0, 1)
-    with pytest.raises(ShapeError):
-        product_state(CollectiveShape(1, 1), [coherent_axis_state(1, "x", "+")],
-                      coherent_axis_state(1, "x", "+"))
 
 
 def test_collective_x_polarized_is_symmetric_product():
@@ -44,83 +39,63 @@ def test_collective_x_polarized_is_symmetric_product():
 
 
 def test_shape_properties():
-    sh = SystemShape(3, 5)
+    sh = CollectiveShape(3, 5)
     assert sh.central_dim == 6
-    assert sh.dim == 48
+    assert sh.dim == 24
     assert sh.s == 2.5
 
 
-def test_index_roundtrip():
-    sh = SystemShape(3, 2)
-    for i in range(sh.dim):
-        k, l = split_index(sh, i)
-        assert basis_index(sh, k, l) == i
-    with pytest.raises(ShapeError):
-        basis_index(sh, 8, 0)
-    with pytest.raises(ShapeError):
-        split_index(sh, sh.dim)
-
+# the 2^n reference's product states, which the collective layout is
+# checked against
 
 def test_product_state_uniform_x():
     sh = SystemShape(2, 1)
-    st = x_polarized_state(sh)
-    assert np.allclose(np.abs(st.amplitudes), 1 / np.sqrt(8), atol=1e-12)
+    assert np.allclose(np.abs(x_polarized(sh)), 1 / np.sqrt(8), atol=1e-12)
 
 
 def test_product_state_z_basis_vector():
     sh = SystemShape(3, 4)
     up = LocalState(2, np.array([1.0, 0.0]))
     central = LocalState(5, np.array([1.0, 0, 0, 0, 0]))
-    st = product_state(sh, [up] * 3, central)
     want = np.zeros(sh.dim)
-    want[basis_index(sh, 0, 0)] = 1.0
-    np.testing.assert_allclose(st.amplitudes, want, atol=1e-12)
+    want[0] = 1.0
+    np.testing.assert_allclose(product_state([up] * 3, central), want, atol=1e-12)
 
 
 def test_product_state_y_phases():
     # all |+y> satellites: amplitude of bitstring k is (i^popcount)/norm
-    sh = SystemShape(3, 1)
     plus_y = coherent_axis_state(1, "y", "+")
     central = coherent_axis_state(1, "z", "+")
-    st = product_state(sh, [plus_y] * 3, central)
+    amps = product_state([plus_y] * 3, central)
     for k in range(8):
-        a = st.amplitudes[basis_index(sh, k, 0)]
+        a = amps[2 * k]     # central level 0
         # global phase free: compare against the k=0 amplitude
-        ratio = a / st.amplitudes[basis_index(sh, 0, 0)]
+        ratio = a / amps[0]
         assert ratio == pytest.approx(1j ** bin(k).count("1"), abs=1e-12)
         assert abs(a) == pytest.approx(1 / np.sqrt(8), abs=1e-12)
 
 
-def test_product_state_shape_errors():
-    sh = SystemShape(2, 1)
-    loc = coherent_axis_state(1, "x", "+")
-    with pytest.raises(ShapeError):
-        product_state(sh, [loc], loc)
-    with pytest.raises(ShapeError):
-        product_state(sh, [loc, loc], coherent_axis_state(2, "x", "+"))
-
-
 def test_x_polarized_small():
-    st = x_polarized_state(SystemShape(1, 1))
+    st = x_polarized_state(CollectiveShape(1, 1))
     np.testing.assert_allclose(np.abs(st.amplitudes), 0.5, atol=1e-12)
 
 
 def test_inner_and_fidelity():
-    sh = SystemShape(2, 2)
+    sh = CollectiveShape(2, 2)
     a = x_polarized_state(sh)
     assert inner(a, a) == pytest.approx(1.0, abs=1e-12)
-    minus = product_state(sh, [coherent_axis_state(1, "x", "-")] * 2,
-                          coherent_axis_state(2, "x", "-"))
+    minus = PureState(sh, np.kron(coherent_axis_state(2, "x", "-").amplitudes,
+                                  coherent_axis_state(2, "x", "-").amplitudes))
     assert fidelity(a, minus) == pytest.approx(0.0, abs=1e-12)
     b = a.copy()
     b.amplitudes = b.amplitudes * np.exp(0.7j)
     assert fidelity(a, b) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ShapeError):
-        inner(a, x_polarized_state(SystemShape(3, 2)))
+        inner(a, x_polarized_state(CollectiveShape(3, 2)))
 
 
 def test_reduced_density_of_product_is_pure():
-    sh = SystemShape(4, 3)
+    sh = CollectiveShape(4, 3)
     rho = reduced_central_density(x_polarized_state(sh))
     assert rho.shape == (4, 4)
     np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
@@ -133,7 +108,7 @@ def test_partial_trace_random_states():
     for _ in range(50):
         n_sat = int(rng.integers(1, 7))
         two_s = int(rng.integers(1, 6))
-        sh = SystemShape(n_sat, two_s)
+        sh = CollectiveShape(n_sat, two_s)
         v = rng.normal(size=sh.dim) + 1j * rng.normal(size=sh.dim)
         v /= np.linalg.norm(v)
         rho = reduced_central_density(PureState(sh, v))
@@ -141,7 +116,7 @@ def test_partial_trace_random_states():
         evals = np.linalg.eigvalsh(rho)
         assert evals.min() > -1e-10
         ent = von_neumann_entropy(rho)
-        assert -1e-12 <= ent <= np.log(min(2 ** n_sat, two_s + 1)) + 1e-10
+        assert -1e-12 <= ent <= np.log(min(n_sat + 1, two_s + 1)) + 1e-10
 
 
 def test_entropy_values():

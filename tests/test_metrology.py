@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spindtc.errors import ShapeError, DegenerateInformationError
-from spindtc.hilbert import SystemShape, CollectiveShape
+from spindtc.hilbert import CollectiveShape
 from spindtc.floquet import DriveParams
 from spindtc import metrology
 from spindtc.metrology import (QfiMatrix, qfi_matrix, qfi_scan,
@@ -24,12 +24,12 @@ def _matrix(f_ll, f_gg, f_lg):
 
 
 def test_zero_periods_gives_zero_matrix():
-    q = qfi_matrix(SystemShape(3, 1), SPECIAL, 0)
+    q = qfi_matrix(CollectiveShape(3, 1), SPECIAL, 0)
     assert q.f_ll == 0.0 and q.f_gg == 0.0 and q.f_lg == 0.0
 
 
 def test_validation():
-    sh = SystemShape(3, 1)
+    sh = CollectiveShape(3, 1)
     with pytest.raises(ShapeError):
         qfi_matrix(sh, SPECIAL, -1)
     with pytest.raises(ShapeError):
@@ -38,7 +38,7 @@ def test_validation():
 
 def test_diagonal_elements_nonnegative():
     for n in (4, 12, 20):
-        q = qfi_matrix(SystemShape(4, 2), DriveParams.symmetric(1.3, 0.7), n)
+        q = qfi_matrix(CollectiveShape(4, 2), DriveParams.symmetric(1.3, 0.7), n)
         assert q.f_ll >= -1e-6
         assert q.f_gg >= -1e-6
 
@@ -54,7 +54,7 @@ def test_global_phase_invariance(monkeypatch):
 
     matrix = metrology._matrix
     monkeypatch.setattr(metrology, "_matrix", keep)
-    a = qfi_matrix(SystemShape(4, 1), SPECIAL, 16)
+    a = qfi_matrix(CollectiveShape(4, 1), SPECIAL, 16)
     (stack, n_periods, delta), = evaluated
     assert len(stack) == 7
     assert matrix(stack, n_periods, delta) == a
@@ -68,7 +68,7 @@ def test_step_halving_convergence(monkeypatch):
     # the primary elements are exact and do not depend on the step; halving
     # it moves the central-difference cross-check by under 0.1% of the
     # matrix scale, including its off-diagonal, which is 0 here
-    sh = SystemShape(5, 1)
+    sh = CollectiveShape(5, 1)
     assert DEFAULT_DELTA == 1e-4
     a = qfi_matrix(sh, SPECIAL, 32)
     monkeypatch.setattr(metrology, "DEFAULT_DELTA", 5e-5)
@@ -83,7 +83,7 @@ def test_step_halving_convergence(monkeypatch):
 def test_time_quadratic_growth_f_ll():
     pts = []
     for n in range(8, 97, 8):
-        q = qfi_matrix(SystemShape(5, 1), SPECIAL, n)
+        q = qfi_matrix(CollectiveShape(5, 1), SPECIAL, n)
         pts.append((n, q.f_ll))
     slope, r2 = fit_power_law(pts)
     assert slope == pytest.approx(2.0, abs=0.1)
@@ -140,7 +140,7 @@ def test_beta_classification_verified_subset():
     for two_s, sizes, expect, tol in cases:
         pts = []
         for n_sat in sizes:
-            q = qfi_matrix(SystemShape(n_sat, two_s), SPECIAL, 50)
+            q = qfi_matrix(CollectiveShape(n_sat, two_s), SPECIAL, 50)
             pts.append((n_sat, sensing_gain(q)))
         slope = np.log(pts[1][1] / pts[0][1]) / np.log(pts[1][0] / pts[0][0])
         assert slope == pytest.approx(expect, abs=tol), (two_s, sizes, slope)
@@ -157,7 +157,7 @@ PINNED = [
 @pytest.mark.parametrize("n_sat,two_s,n,f_ll,f_gg,f_lg", PINNED)
 def test_exact_values_pinned(n_sat, two_s, n, f_ll, f_gg, f_lg):
     ref = exact_qfi(n_sat, two_s, np.pi, np.pi / 2, n)
-    q = qfi_matrix(SystemShape(n_sat, two_s), SPECIAL, n)
+    q = qfi_matrix(CollectiveShape(n_sat, two_s), SPECIAL, n)
     scale = max(f_ll, f_gg)
     for want, exact, got in ((f_ll, ref.f_ll, q.f_ll), (f_gg, ref.f_gg, q.f_gg),
                              (f_lg, ref.f_lg, q.f_lg)):
@@ -172,16 +172,15 @@ CRITERION_09_SHAPES = [(n, 4) for n in range(2, 9)] + [(n, 1) for n in (2, 3, 5,
 
 @pytest.mark.parametrize("n_sat,two_s", CRITERION_09_SHAPES)
 def test_exact_at_criterion_09_shapes(n_sat, two_s):
-    # tangent propagation is exact: every element, on both layouts, equals
-    # the dense reference to 1e-9 of the matrix scale (the forward-difference
-    # overlap form gave f_lg = 0.514 against 0 at (7, 1/2), scale 1024)
+    # tangent propagation is exact: every element equals the dense 2^n
+    # reference to 1e-9 of the matrix scale (the forward-difference overlap
+    # form gave f_lg = 0.514 against 0 at (7, 1/2), scale 1024)
     ref = exact_qfi(n_sat, two_s, np.pi, np.pi / 2, 48)
-    for shape in (SystemShape(n_sat, two_s), CollectiveShape(n_sat, two_s)):
-        q = qfi_matrix(shape, SPECIAL, 48)
-        for got, want in ((q.f_ll, ref.f_ll), (q.f_gg, ref.f_gg),
-                          (q.f_lg, ref.f_lg)):
-            assert abs(got - want) <= 1e-9 * ref.scale, shape
-        assert not q.estimators_disagree, shape
+    q = qfi_matrix(CollectiveShape(n_sat, two_s), SPECIAL, 48)
+    for got, want in ((q.f_ll, ref.f_ll), (q.f_gg, ref.f_gg),
+                      (q.f_lg, ref.f_lg)):
+        assert abs(got - want) <= 1e-9 * ref.scale
+    assert not q.estimators_disagree
 
 
 def test_disagreement_flag_detects_tangent_fault(monkeypatch):
@@ -189,11 +188,11 @@ def test_disagreement_flag_detects_tangent_fault(monkeypatch):
     # d_lambda psi changes sign, so f_lg does, which the central-difference
     # cross-check catches at a drive point where f_lg (78.2) is not zero
     params = DriveParams.symmetric(1.3, 0.7)
-    assert not qfi_matrix(SystemShape(4, 2), params, 12).estimators_disagree
+    assert not qfi_matrix(CollectiveShape(4, 2), params, 12).estimators_disagree
     generators = metrology._generators
     monkeypatch.setattr(metrology, "_generators",
                         lambda shape: (generators(shape)[0], -generators(shape)[1]))
-    assert qfi_matrix(SystemShape(4, 2), params, 12).estimators_disagree
+    assert qfi_matrix(CollectiveShape(4, 2), params, 12).estimators_disagree
 
 
 @pytest.mark.parametrize("n_sat", [16, 64, 128])
@@ -241,11 +240,10 @@ def test_walk_groups_follow_the_entry_budget():
         == [[8, 16, 32, 64], [128], [256]]
     assert 4 * metrology._entries(CollectiveShape(64, 4)) <= _STACK_ENTRIES
     assert metrology._entries(CollectiveShape(256, 4)) > _STACK_ENTRIES
-    # other central spins and the 2^n layout never share a walk
-    mixed = [CollectiveShape(3, 4), CollectiveShape(3, 1), SystemShape(3, 4),
-             CollectiveShape(4, 4)]
+    # other central spins never share a walk
+    mixed = [CollectiveShape(3, 4), CollectiveShape(3, 1), CollectiveShape(4, 4)]
     assert sorted(map(len, metrology._groups({sh: {48} for sh in mixed}))) \
-        == [1, 1, 2]
+        == [1, 2]
     # nor do other largest counts: a long time scan beside a size scan walks
     # alone, so the size scan's shapes are not carried for its 5000 periods
     wanted = {CollectiveShape(4, 4): {8, 5000}, CollectiveShape(8, 4): {48},
@@ -289,28 +287,27 @@ def test_scan_repeats_bitwise_after_another_scan():
     # every walk fills its own stacks: a scan run again, after a scan of
     # other shapes, counts and drive point, gives the same rows bitwise
     scans = [(CollectiveShape(n, 4), [8, 48]) for n in (3, 12, 7)] + [
-        (CollectiveShape(200, 4), [5]), (SystemShape(4, 1), [5, 9])]
+        (CollectiveShape(200, 4), [5]), (CollectiveShape(4, 1), [5, 9])]
     first = qfi_scan(scans, SPECIAL)
     qfi_scan([(CollectiveShape(n, 5), [30]) for n in (2, 40)]
-             + [(CollectiveShape(12, 4), [48]), (SystemShape(3, 1), [7])],
+             + [(CollectiveShape(12, 4), [48]), (CollectiveShape(3, 1), [7])],
              DriveParams.symmetric(1.3, 0.7))
     assert [[_fields(q) for q in row] for row in qfi_scan(scans, SPECIAL)] \
         == [[_fields(q) for q in row] for row in first]
 
 
 def test_layouts_agree_at_criterion_09_shapes():
-    # one scan over both layouts: the collective shapes walk padded in two
-    # stacks (s = 2 and s = 1/2), the 2^n shapes one at a time
-    scans = [(layout(n_sat, two_s), [48]) for n_sat, two_s in CRITERION_09_SHAPES
-             for layout in (SystemShape, CollectiveShape)]
+    # one scan of every criterion-09 shape, padded in two walks (s = 2 and
+    # s = 1/2), equals the dense 2^n reference to 1e-9 of the matrix scale
+    scans = [(CollectiveShape(n_sat, two_s), [48])
+             for n_sat, two_s in CRITERION_09_SHAPES]
     rows = [row[0] for row in qfi_scan(scans, SPECIAL)]
-    for qubits, collective in zip(rows[::2], rows[1::2]):
-        scale = max(abs(qubits.f_ll), abs(qubits.f_gg))
-        for a, b in ((qubits.f_ll, collective.f_ll), (qubits.f_gg, collective.f_gg),
-                     (qubits.f_lg, collective.f_lg)):
-            assert abs(a - b) <= 1e-9 * scale
+    for (n_sat, two_s), q in zip(CRITERION_09_SHAPES, rows):
+        ref = exact_qfi(n_sat, two_s, np.pi, np.pi / 2, 48)
+        for a, b in ((ref.f_ll, q.f_ll), (ref.f_gg, q.f_gg), (ref.f_lg, q.f_lg)):
+            assert abs(a - b) <= 1e-9 * ref.scale
         # the cross-check keeps its step at every criterion-09 shape
-        assert qubits.delta == collective.delta == DEFAULT_DELTA
+        assert q.delta == DEFAULT_DELTA
 
 
 def test_no_false_disagreement_at_large_n_sat():

@@ -3,9 +3,9 @@ import pytest
 
 from spindtc.errors import ShapeError
 from spindtc.spin_algebra import coherent_axis_state, spin_matrices
-from spindtc.hilbert import (SystemShape, CollectiveShape, PureState, fidelity,
-                             product_state, x_polarized_state,
-                             reduced_central_density, von_neumann_entropy)
+from spindtc.hilbert import (CollectiveShape, PureState, fidelity,
+                             x_polarized_state, reduced_central_density,
+                             von_neumann_entropy)
 from spindtc.floquet import DriveParams, precompute, evolve, from_x_basis
 from spindtc.observables import (magnetization,
                                  period_observables, trajectory_records)
@@ -13,7 +13,7 @@ from spindtc.analytic_states import MilestoneSpec, milestone_state
 
 
 def test_x_polarized_magnetizations():
-    sh = SystemShape(4, 5)
+    sh = CollectiveShape(4, 5)
     st = x_polarized_state(sh)
     assert magnetization(st, "satellites", "x") == pytest.approx(0.5, abs=1e-12)
     assert magnetization(st, "central", "x") == pytest.approx(2.5, abs=1e-12)
@@ -21,16 +21,16 @@ def test_x_polarized_magnetizations():
 
 
 def test_z_product_magnetizations():
-    sh = SystemShape(3, 2)
-    st = product_state(sh, [coherent_axis_state(1, "z", "+")] * 3,
-                       coherent_axis_state(2, "z", "+"))
+    sh = CollectiveShape(3, 2)
+    st = PureState(sh, np.kron(coherent_axis_state(3, "z", "+").amplitudes,
+                               coherent_axis_state(2, "z", "+").amplitudes))
     assert magnetization(st, "satellites", "x") == pytest.approx(0.0, abs=1e-12)
     assert magnetization(st, "satellites", "z") == pytest.approx(0.5, abs=1e-12)
     assert magnetization(st, "central", "z") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bad_arguments():
-    st = x_polarized_state(SystemShape(2, 1))
+    st = x_polarized_state(CollectiveShape(2, 1))
     with pytest.raises(ShapeError):
         magnetization(st, "everything", "x")
     with pytest.raises(ShapeError):
@@ -40,38 +40,35 @@ def test_bad_arguments():
 
 
 def test_super_cat_magnetization_vanishes():
-    sh = SystemShape(9, 5)
+    sh = CollectiveShape(9, 5)
     st = milestone_state(sh, MilestoneSpec("odd_half", 3))
     assert magnetization(st, "satellites", "x") == pytest.approx(0.0, abs=1e-10)
     assert magnetization(st, "central", "x") == pytest.approx(0.0, abs=1e-10)
 
 
 def test_magnetization_matches_dense_operator_oracle():
+    # J^a (x) 1 and 1 (x) S^a as dense matrices on the collective layout
     rng = np.random.default_rng(3)
     for n_sat, two_s in ((2, 1), (3, 2), (2, 3)):
-        sh = SystemShape(n_sat, two_s)
+        sh = CollectiveShape(n_sat, two_s)
         v = rng.normal(size=sh.dim) + 1j * rng.normal(size=sh.dim)
         v /= np.linalg.norm(v)
         st = PureState(sh, v)
-        sat = spin_matrices(1)
+        sat = spin_matrices(n_sat)
         cen = spin_matrices(two_s)
         for axis in ("x", "y", "z"):
             sat_op = {"x": sat.sx, "y": sat.sy, "z": sat.sz}[axis]
             cen_op = {"x": cen.sx, "y": cen.sy, "z": cen.sz}[axis]
-            total = np.zeros((sh.dim, sh.dim), dtype=complex)
-            for i in range(n_sat):
-                left = np.eye(1 << (n_sat - 1 - i))
-                right = np.eye((1 << i) * sh.central_dim)
-                total += np.kron(left, np.kron(sat_op, right))
+            total = np.kron(sat_op, np.eye(sh.central_dim))
             want_sat = np.vdot(v, total @ v).real / n_sat
-            want_cen = np.vdot(v, np.kron(np.eye(1 << n_sat), cen_op) @ v).real
+            want_cen = np.vdot(v, np.kron(np.eye(n_sat + 1), cen_op) @ v).real
             assert magnetization(st, "satellites", axis) == pytest.approx(want_sat, abs=1e-11)
             assert magnetization(st, "central", axis) == pytest.approx(want_cen, abs=1e-11)
 
 
 def test_record_initial_state():
     # the identity drive: the one recorded period is the x-polarized start
-    sh = SystemShape(3, 5)
+    sh = CollectiveShape(3, 5)
     st = x_polarized_state(sh)
     [r] = evolve(st, precompute(sh, DriveParams(0.0, 0.0, 0.0)), 1,
                  trajectory_records)
@@ -83,7 +80,7 @@ def test_record_initial_state():
 
 
 def test_record_ghz_entropy():
-    sh = SystemShape(9, 5)
+    sh = CollectiveShape(9, 5)
     st = x_polarized_state(sh)
     traj = evolve(st, precompute(sh, DriveParams.symmetric(np.pi, np.pi / 2)),
                   6, trajectory_records)
@@ -91,7 +88,7 @@ def test_record_ghz_entropy():
 
 
 def test_record_bounds_along_trajectory():
-    sh = SystemShape(4, 3)
+    sh = CollectiveShape(4, 3)
     st = x_polarized_state(sh)
     traj = evolve(st, precompute(sh, DriveParams.symmetric(1.9, 0.7)),
                   40, trajectory_records)
@@ -102,7 +99,7 @@ def test_record_bounds_along_trajectory():
         assert 0.0 <= r.fidelity_initial <= 1.0 + 1e-10
 
 
-@pytest.mark.parametrize("shape", [SystemShape(3, 2), CollectiveShape(8, 4)])
+@pytest.mark.parametrize("shape", [CollectiveShape(3, 2), CollectiveShape(8, 4)])
 def test_stack_rows_match_single_states(shape):
     # three drive points evolved as one stack: every row's observables and
     # norm equal, bitwise, those of the same state evolved alone
@@ -138,10 +135,10 @@ def _per_period_records(shape, params, periods):
 
 
 @pytest.mark.parametrize("shape,periods", [(CollectiveShape(8, 4), 5000),
-                                           (SystemShape(10, 4), 30)])
+                                           (CollectiveShape(63, 64), 30)])
 def test_block_records_match_stepped_periods(shape, periods):
-    # (8, 2) spans many recording blocks; the 2^10 x 5 state is over the
-    # block budget, so its blocks hold one period each
+    # (8, 2) spans many recording blocks; the 64 x 65 state of (63, 32) is
+    # over the block budget, so its blocks hold one period each
     params = DriveParams.symmetric(1.3, 0.7)
     st = x_polarized_state(shape)
     got = evolve(st, precompute(shape, params), periods, trajectory_records)
@@ -183,13 +180,7 @@ def _dense_x_magnetizations(shape, z):
     d = shape.central_dim
     mat = z.reshape(-1, d)
     central = np.vdot(mat, mat @ spin_matrices(shape.two_s).sx.T).real
-    if isinstance(shape, CollectiveShape):
-        return np.vdot(mat, spin_matrices(shape.n_sat).sx @ mat).real / shape.n_sat, central
-    # satellite qubit k is bit k of the satellite index
-    sx = spin_matrices(1).sx
-    views = [z.reshape(-1, 2, (1 << k) * d) for k in range(shape.n_sat)]
-    sat = sum(np.vdot(v, np.einsum("ab,ibj->iaj", sx, v)).real for v in views)
-    return sat / shape.n_sat, central
+    return np.vdot(mat, spin_matrices(shape.n_sat).sx @ mat).real / shape.n_sat, central
 
 
 def _check_columns(shape, x_amps, columns):
@@ -203,7 +194,7 @@ def _check_columns(shape, x_amps, columns):
                                      _dense_x_magnetizations(shape, st.amplitudes)))) <= 1e-12
 
 
-@pytest.mark.parametrize("shape", [CollectiveShape(8, 4), SystemShape(6, 3)])
+@pytest.mark.parametrize("shape", [CollectiveShape(8, 4), CollectiveShape(6, 3)])
 def test_recorded_columns_match_z_basis_observables(shape):
     # trajectory_records reads the x-basis states evolve hands it: each of
     # its columns equals magnetization, von_neumann_entropy and fidelity on

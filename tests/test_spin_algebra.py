@@ -119,3 +119,20 @@ def test_coherent_y_binomial_expansion_in_x_basis(sign):
     expect = np.array([unit ** l * np.sqrt(comb(two_s, l)) for l in range(two_s + 1)])
     expect = expect / np.linalg.norm(expect)
     assert abs(np.vdot(expect, coeffs)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("two_s", [80, 81, 200])
+@pytest.mark.parametrize("axis,sign,p", [("x", "+", 1), ("x", "-", -1),
+                                         ("y", "+", 1j), ("y", "-", -1j)],
+                         ids=["+x", "-x", "+y", "-y"])
+def test_coherent_state_has_closed_form_phases(two_s, axis, sign, p):
+    # amplitude k is sqrt(C(2s, k)) 2^(-s) p^k, from log-gamma, also where
+    # 2^(-s) is below the eigenbasis phase rule's 1e-12 cutoff (2s >= 80);
+    # with the phase fixed there, the overlap was -1, -i or +i
+    from math import lgamma, log
+    k = np.arange(two_s + 1)
+    log_binomial = np.array([lgamma(two_s + 1) - lgamma(j + 1) - lgamma(two_s - j + 1)
+                             for j in k])
+    closed = np.exp(log_binomial / 2 - two_s / 2 * log(2)) * p ** (k % 4)
+    overlap = np.vdot(closed, coherent_axis_state(two_s, axis, sign).amplitudes)
+    assert abs(overlap - 1) < 1e-12

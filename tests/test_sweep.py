@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spindtc.errors import ShapeError, CheckpointError
-from spindtc.hilbert import SystemShape, CollectiveShape
+from spindtc.hilbert import CollectiveShape
 from spindtc import cli
 from spindtc.floquet import evolve
 from spindtc import sweep
@@ -16,11 +16,11 @@ from spindtc.sweep import (GridSpec, PhaseMapRecord, compute_point, run_grid,
 
 def _small_spec(periods=16, stride=2):
     return GridSpec((0.0, 2 * np.pi, 3), (0.1, np.pi, 3),
-                    SystemShape(3, 1), periods, stride)
+                    CollectiveShape(3, 1), periods, stride)
 
 
 def test_grid_spec_validation():
-    sh = SystemShape(3, 1)
+    sh = CollectiveShape(3, 1)
     with pytest.raises(ShapeError):
         GridSpec((0, 1, 0), (0, 1, 2), sh, 10, 2)
     with pytest.raises(ShapeError):
@@ -89,7 +89,7 @@ def _criterion_11_subgrid(lambda_every, g_every):
     # 65 x 33 grid over [0, 4pi] x [0, 2pi] at (8, 2), 200 periods
     return GridSpec((0.0, 4 * np.pi, 64 // lambda_every + 1),
                     (0.0, 2 * np.pi, 32 // g_every + 1),
-                    SystemShape(8, 4), 200, 2)
+                    CollectiveShape(8, 4), 200, 2)
 
 
 def test_row_independent_of_batch():
@@ -101,12 +101,10 @@ def test_row_independent_of_batch():
     for i, j in ((4, 4), (12, 12), (8, 0), (16, 13)):
         index = i * len(gs) + j
         lam, g = float(lams[i]), float(gs[j])
-        alone = compute_point(SystemShape(8, 4), lam, g, 200, 2)
-        assert alone == records[index]
         assert (index, compute_point(CollectiveShape(8, 4), lam, g, 200, 2)) \
-            == (index, alone)
+            == (index, records[index])
     # criterion 11's own 65 x 33 axes give the same rows bitwise
-    assert compute_point(SystemShape(8, 4), float(np.linspace(0, 4 * np.pi, 65)[16]),
+    assert compute_point(CollectiveShape(8, 4), float(np.linspace(0, 4 * np.pi, 65)[16]),
                          float(np.linspace(0, 2 * np.pi, 33)[24]), 200, 2) \
         == records[4 * len(gs) + 12]
 
@@ -245,14 +243,14 @@ def test_resume_mid_chunk(tmp_path):
 
 
 def test_disentangled_column_at_lambda_2pi():
-    sh = SystemShape(5, 3)
+    sh = CollectiveShape(5, 3)
     for g in (0.3, 1.1, 2.0, 3.0):
         rec = compute_point(sh, 2 * np.pi, g, 24, 2)
         assert rec.avg_entropy < 1e-8
 
 
 def test_special_point_revival_average():
-    rec = compute_point(SystemShape(8, 5), np.pi, np.pi / 2, 24, 12)
+    rec = compute_point(CollectiveShape(8, 5), np.pi, np.pi / 2, 24, 12)
     assert rec.avg_m_sat == pytest.approx(0.5, abs=1e-8)
 
 
@@ -359,14 +357,14 @@ def test_resume_from_cut_record(tmp_path, monkeypatch, kept):
 def test_resume_rejects_checkpoint_of_another_grid(tmp_path):
     ckpt = tmp_path / "other.bin"
     path = str(ckpt)
-    run_grid(GridSpec((0.0, 2 * np.pi, 3), (0.2, np.pi, 3), SystemShape(3, 1),
+    run_grid(GridSpec((0.0, 2 * np.pi, 3), (0.2, np.pi, 3), CollectiveShape(3, 1),
                       16, 2), checkpoint_path=path)
     written = ckpt.read_bytes()
-    other = GridSpec((1.0, 3.0, 3), (0.5, 1.5, 3), SystemShape(5, 1), 16, 2)
+    other = GridSpec((1.0, 3.0, 3), (0.5, 1.5, 3), CollectiveShape(5, 1), 16, 2)
     with pytest.raises(CheckpointError, match="record 0 is at"):
         run_grid(other, checkpoint_path=path)
     # same axes on a smaller grid: records 0..5 fit, record 6 does not
-    smaller = GridSpec((0.0, np.pi, 2), (0.2, np.pi, 3), SystemShape(3, 1), 16, 2)
+    smaller = GridSpec((0.0, np.pi, 2), (0.2, np.pi, 3), CollectiveShape(3, 1), 16, 2)
     with pytest.raises(CheckpointError, match="index 6 is outside"):
         run_grid(smaller, checkpoint_path=path)
     assert ckpt.read_bytes() == written
@@ -381,9 +379,9 @@ def test_resume_rejects_checkpoint_of_another_spec(tmp_path, n_sat, spin,
     # record after the magic tells the scans apart from the (3, 1/2) one
     path = str(tmp_path / "spec.bin")
     axes = ((0.5, 2.0, 2), (0.3, 1.0, 2))
-    run_grid(GridSpec(*axes, SystemShape(3, 1), 16, 2), checkpoint_path=path)
+    run_grid(GridSpec(*axes, CollectiveShape(3, 1), 16, 2), checkpoint_path=path)
     written = (tmp_path / "spec.bin").read_bytes()
-    shape = SystemShape(n_sat, cli.parse_spin(spin))
+    shape = CollectiveShape(n_sat, cli.parse_spin(spin))
     with pytest.raises(CheckpointError, match="written for"):
         run_grid(GridSpec(*axes, shape, periods, stride), checkpoint_path=path)
     assert cli.parse_and_dispatch([

@@ -7,15 +7,13 @@ c * prod_i |sign_s>^sat_axis (x) |sign_c * s>^cen_axis. On the collective
 layout the satellite product prod_i |sign_s>^sat_axis is the extremal state
 |J, sign_s J>^sat_axis of the spin J = n_sat/2, so each term is the
 Kronecker product of two coherent states (spin_algebra.coherent_axis_state,
-whose phases are the closed form's at every spin), at any n_sat. The coefficient
-tables below are exact (entries in {0, +-1, +-i}); early times (t <= 3)
-additionally depend on n_sat mod 4 and 2s mod 4, which the narrative
-parity-case classification glosses over. Coefficients are fixed under this
-package's coherent-state phase conventions and are global-phase normalized
-(first nonzero entry 1).
+whose amplitudes are the closed form's), at any n_sat. A shape's parity
+case (parity_case_of) picks its table. The coefficient tables below are
+exact (entries in {0, +-1, +-i}); early times (t <= 3) additionally depend
+on n_sat mod 4 and 2s mod 4, which the narrative parity-case classification
+glosses over. Coefficients are fixed under this package's coherent-state
+phase conventions and are global-phase normalized (first nonzero entry 1).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,15 +21,6 @@ from .errors import ShapeError
 from .hilbert import CollectiveShape, PureState, x_polarized_state, fidelity
 from .spin_algebra import coherent_axis_state
 from .floquet import DriveParams, precompute, evolve
-
-PARITY_CASES = ("odd_int", "even_half", "odd_half", "even_int")
-
-
-@dataclass(frozen=True)
-class MilestoneSpec:
-    parity_case: str
-    time_index: int
-
 
 def parity_case_of(shape: CollectiveShape) -> str:
     odd = shape.n_sat % 2 == 1
@@ -91,18 +80,16 @@ def supported_time_indices(parity_case: str) -> tuple[int, ...]:
         raise ShapeError(f"unknown parity case {parity_case!r}") from None
 
 
-def milestone_state(shape: CollectiveShape, spec: MilestoneSpec) -> PureState:
-    """Construct the normalized milestone superposition for the given shape."""
-    actual = parity_case_of(shape)
-    if spec.parity_case != actual:
-        raise ShapeError(
-            f"shape {shape} is parity case {actual}, spec says {spec.parity_case}")
+def milestone_state(shape: CollectiveShape, time_index: int) -> PureState:
+    """The normalized milestone superposition of the shape's parity case
+    at time_index periods."""
+    case = parity_case_of(shape)
     try:
-        sat_axis, cen_axis, coeffs = _MILESTONES[spec.parity_case][spec.time_index]
+        sat_axis, cen_axis, coeffs = _MILESTONES[case][time_index]
     except KeyError:
         raise ShapeError(
-            f"no milestone at t={spec.time_index}T for case {spec.parity_case}; "
-            f"supported: {supported_time_indices(spec.parity_case)}") from None
+            f"no milestone at t={time_index}T for case {case}; "
+            f"supported: {supported_time_indices(case)}") from None
     if isinstance(coeffs, dict):
         coeffs = coeffs[(shape.n_sat % 4, shape.two_s % 4)]
     amps = np.zeros(shape.dim, dtype=complex)
@@ -111,17 +98,17 @@ def milestone_state(shape: CollectiveShape, spec: MilestoneSpec) -> PureState:
         if c == 0:
             continue
         amps += c * np.kron(
-            coherent_axis_state(shape.n_sat, sat_axis, sat_sign).amplitudes,
-            coherent_axis_state(shape.two_s, cen_axis, cen_sign).amplitudes)
+            coherent_axis_state(shape.n_sat, sat_axis, sat_sign),
+            coherent_axis_state(shape.two_s, cen_axis, cen_sign))
     amps /= np.linalg.norm(amps)
     return PureState(shape, amps)
 
 
 def milestone_fidelity(shape: CollectiveShape, params: DriveParams,
-                       spec: MilestoneSpec) -> float:
-    """Evolve the x-polarized state spec.time_index periods and compare."""
-    target = milestone_state(shape, spec)
+                       time_index: int) -> float:
+    """Evolve the x-polarized state time_index periods and compare."""
+    target = milestone_state(shape, time_index)
     state = x_polarized_state(shape)
     tables = precompute(shape, params)
-    evolve(state, tables, spec.time_index)
+    evolve(state, tables, time_index)
     return fidelity(state, target)

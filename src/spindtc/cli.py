@@ -25,7 +25,7 @@ from .observables import trajectory_records, magnetization_records
 from .diagnostics import (DEFAULT_PERIOD_SCAN_MAX, DEFAULT_REVIVAL_EPSILON,
                           predict_dtc_class, first_revival, classify_subsystem,
                           check_epsilon)
-from .analytic_states import (MilestoneSpec, milestone_state, parity_case_of,
+from .analytic_states import (milestone_state, parity_case_of,
                               supported_time_indices)
 from .metrology import qfi_scan, sensing_gain
 from .sweep import GridSpec, run_grid, write_csv, write_lines
@@ -254,7 +254,6 @@ def _cmd_classify(args) -> int:
     g = args.g if args.g is not None else g_d
 
     shape = CollectiveShape(args.n_sat, args.spin)
-    state = x_polarized_state(shape)
     tables = precompute(shape, DriveParams.symmetric(lam, g))
     # printed once the measurement has succeeded, so a failed one prints
     # only its error
@@ -262,7 +261,8 @@ def _cmd_classify(args) -> int:
              f"lambda={lam:.10g}, g={g:.10g}")
     if regime == "lambda_2pi":
         # the taxonomy reads every period's magnetizations
-        pairs = evolve(state, tables, args.periods, magnetization_records)
+        pairs = evolve(x_polarized_state(shape), tables, args.periods,
+                       magnetization_records)
         m_sat = [0.5] + [p[0] for p in pairs]
         m_c = [shape.s] + [p[1] for p in pairs]
         meas_sat = classify_subsystem(m_sat, g, 0.5)
@@ -272,7 +272,7 @@ def _cmd_classify(args) -> int:
               f"{pred.central_behavior} ({pred.label})")
         print(f"measured satellites {meas_sat}, central {meas_c}")
         return 0
-    period = first_revival(state, tables, args.periods, args.epsilon)
+    period = first_revival(tables, args.periods, args.epsilon)
     print(point)
     print(f"predicted {pred.period}, measured "
           f"{period if period is not None else 'none'}")
@@ -342,7 +342,7 @@ def _cmd_states(args) -> int:
         print(f"parity case {case}; milestone times: "
               f"{', '.join(str(t) for t in supported_time_indices(case))}")
         return 0
-    state = milestone_state(shape, MilestoneSpec(case, args.time))
+    state = milestone_state(shape, args.time)
     d = shape.central_dim
     dim = (1 << shape.n_sat) * d
     if dim > MAX_DIMENSION:

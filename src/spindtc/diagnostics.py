@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, NotTabulatedError
-from .hilbert import PureState
+from .hilbert import x_polarized_state
 from .floquet import StepTables, evolve
 from .observables import TrajectoryRecord, initial_fidelity
 
@@ -102,22 +102,22 @@ def detect_period(trajectory: list[TrajectoryRecord],
                         magnetization_period=mag_period)
 
 
-def first_revival(state: PureState, tables: StepTables, max_periods: int,
+def first_revival(tables: StepTables, max_periods: int,
                   epsilon: float = DEFAULT_REVIVAL_EPSILON) -> int | None:
-    """The first period, 1..max_periods, at which state, the x-polarized
-    start, revives (fidelity to it above 1 - epsilon), or None:
+    """The first period, 1..max_periods, at which the x-polarized start of
+    tables.shape revives (fidelity to it above 1 - epsilon), or None:
     detect_period's detected_period without recording the trajectory.
 
-    It drives a copy of state through floquet.evolve in chunks of 1, 2, 4,
-    ... periods, each continuing the last, reads each period's fidelity
-    (observables.initial_fidelity) and stops after the chunk that holds the
-    revival: a revival at period r costs at most 2r - 1 periods, and none
-    costs max_periods. state is left as it was.
+    It drives that start through floquet.evolve in chunks of 1, 2, 4, ...
+    periods, each continuing the last, reads each period's fidelity
+    (observables.initial_fidelity, which is the fidelity to the x-polarized
+    start) and stops after the chunk that holds the revival: a revival at
+    period r costs at most 2r - 1 periods, and none costs max_periods.
     """
     if max_periods < 0:     # evolve's own check, ahead of the empty one
         raise ShapeError(f"n_periods must be >= 0, got {max_periods}")
     _check_revival_scan(max_periods, epsilon)
-    state = state.copy()
+    state = x_polarized_state(tables.shape)
     done, chunk = 0, 1
     while done < max_periods:
         count = min(chunk, max_periods - done)
@@ -180,10 +180,7 @@ def predict_dtc_class(n_sat: int, two_s: int, regime: str) -> DtcPrediction:
                 f"got (n_sat={n_sat}, two_s={two_s})")
         s_even = (two_s // 2) % 2 == 0
         table = _REGULAR_CLASS_1 if regime == "regular_class_1" else _REGULAR_CLASS_2
-        key = (n_sat % 4, s_even)
-        if key not in table:
-            raise NotTabulatedError(f"no row for (n_sat={n_sat}, s={two_s}/2) in {regime}")
-        return DtcPrediction(regime, table[key], None, None, regime)
+        return DtcPrediction(regime, table[n_sat % 4, s_even], None, None, regime)
     raise ShapeError(f"unknown regime {regime!r}")
 
 

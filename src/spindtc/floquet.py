@@ -10,7 +10,12 @@ K = V^H diag(e^{-i g m}) V the kick of each spin in its x basis. It changes
 basis once on entry and once on exit, and hands its recorder the states of
 every period in the x basis, where each x magnetization is a population sum
 weighted by magnetic_numbers. Period cost is O(D * (n_sat + d)) instead of
-the dense O(D^2).
+the dense O(D^2). Each row keeps its own dense kick factors, one matrix
+product per row, rather than the Fisher walk's real rotations that one
+product applies to a whole stack (metrology): a product over many rows
+rounds a row differently from the same row alone (about half the rows of a
+stack, measured), and the sweep promises that a resumed scan equals a fresh
+one bitwise, whichever rows share a stack.
 
 The satellite factor is the Dicke ladder of J = n_sat/2
 (hilbert.CollectiveShape): its magnetic numbers are the J^z eigenvalues, its

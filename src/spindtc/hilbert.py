@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, CapacityError
-from .spin_algebra import coherent_axis_state
+from .spin_algebra import check_positive_int, coherent_axis_state
 
 # Largest state vector we are willing to allocate (amplitude count).
 MAX_DIMENSION = 1 << 26
@@ -39,8 +39,8 @@ class CollectiveShape:
     two_s: int
 
     def __post_init__(self):
-        if self.n_sat < 1 or self.two_s < 1:
-            raise ShapeError(f"need n_sat >= 1 and two_s >= 1, got {self}")
+        check_positive_int("n_sat", self.n_sat)
+        check_positive_int("two_s", self.two_s)
         largest = max(self.n_sat + 1, self.two_s + 1) ** 2
         if largest > MAX_DIMENSION:
             raise CapacityError(
@@ -84,7 +84,7 @@ def x_polarized_state(shape: CollectiveShape) -> PureState:
     # |+x>^n_sat is the extremal J^x state |J, +J>^x of the collective spin
     sat = coherent_axis_state(shape.n_sat, "x", "+")
     central = coherent_axis_state(shape.two_s, "x", "+")
-    return PureState(shape, np.outer(sat.amplitudes, central.amplitudes).ravel())
+    return PureState(shape, np.outer(sat, central).ravel())
 
 
 def inner(a: PureState, b: PureState) -> complex:

@@ -23,8 +23,8 @@ one satellite-major stack (satellite, row, central level), and a scan stacks
 several shapes of one central spin and one largest period count as (shape,
 satellite, row, central level), zero-padded to the largest satellite
 dimension. The kick and the interaction are diagonal in their bases and act
-elementwise, in place. The x eigenbases are real (axis_eigenbasis keeps the
-eigenvectors of the real S^x real), so each of the four basis rotations of
+elementwise, in place. The x eigenbases are real (axis_eigenbasis takes
+them from eigh of the real S^x), so each of the four basis rotations of
 a period is one real matrix product on the stack's float view, where every
 complex entry is a (real, imaginary) pair: the satellite rotation V^T or V
 of each shape on its (satellite, 2 x row x central) matrix, and the central
@@ -202,7 +202,6 @@ def _walk(wanted: dict, params: DriveParams) -> dict:
     stack_sat, other_sat = (x.view(float).reshape(full[0], full[1], -1)
                             for x in (stack, other))
     to_x_s, from_x_s = _stacked(rotations, full[1])
-    v_c = _real(v_c)
     to_x_c, from_x_c = np.kron(v_c, np.eye(2)), np.kron(v_c.T, np.eye(2))
     stack_c, other_c = (x.view(float).reshape(-1, 2 * d) for x in (stack, other))
     psi, d_g = stack[:, :, 0], stack[:, :, 2]
@@ -230,19 +229,11 @@ def _walk(wanted: dict, params: DriveParams) -> dict:
     return matrices
 
 
-def _real(v: np.ndarray) -> np.ndarray:
-    """The real part of an x eigenbasis, which the walk's real products
-    need to be exactly real: any imaginary part raises, never dropped."""
-    if np.any(v.imag):
-        raise ShapeError(f"x eigenbasis of dimension {len(v)} is not real")
-    return v.real
-
-
 def _stacked(rotations, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Real (V^T, V) of every shape's satellite x eigenbasis, zero-padded
     to size x size and stacked."""
     to_x, from_x = (np.zeros((len(rotations), size, size)) for _ in range(2))
-    for i, v in enumerate(map(_real, rotations)):
+    for i, v in enumerate(rotations):
         n = len(v)
         to_x[i, :n, :n], from_x[i, :n, :n] = v.T, v
     return to_x, from_x

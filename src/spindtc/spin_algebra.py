@@ -2,9 +2,10 @@
 
 Conventions: hbar = 1, Condon-Shortley phases for the ladder operators,
 z basis ordered by descending magnetic quantum number (index l holds m = s - l).
+A coherent state is its array of 2s + 1 amplitudes in that basis, from the
+closed form, so its phases never come from an eigensolver.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,23 +24,16 @@ class SpinOperators:
     sy: np.ndarray
     sz: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.two_s + 1
 
-
-@dataclass(frozen=True)
-class LocalState:
-    """Normalized single-particle state in the z basis."""
-
-    dim: int
-    amplitudes: np.ndarray
+def check_positive_int(name: str, value) -> None:
+    """Raise ShapeError unless value is a positive Python or NumPy integer."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ShapeError(f"{name} must be a positive integer, got {value!r}")
 
 
 def spin_matrices(two_s: int) -> SpinOperators:
     """Build sx, sy, sz for spin s = two_s / 2 from the ladder operators."""
-    if not isinstance(two_s, (int, np.integer)) or two_s < 1:
-        raise ShapeError(f"two_s must be a positive integer, got {two_s!r}")
+    check_positive_int("two_s", two_s)
     d = two_s + 1
     s = two_s / 2.0
     m = s - np.arange(d)  # descending: s, s-1, ..., -s
@@ -60,8 +54,10 @@ def axis_eigenbasis(two_s: int, axis: str) -> np.ndarray:
 
     Columns are ordered by descending eigenvalue (column l holds m = s - l)
     and each column's phase is fixed so its first nonzero entry is real
-    positive, making the matrix deterministic. Built once per (two_s, axis)
-    and shared, so the array is read-only.
+    positive, making the matrix deterministic. The x basis is eigh of the
+    real S^x, so it is real (float64); the y basis is complex and the z
+    basis the identity. Built once per (two_s, axis) and shared, so the
+    array is read-only.
     """
     ops = spin_matrices(two_s)
     if axis == "z":
@@ -69,7 +65,7 @@ def axis_eigenbasis(two_s: int, axis: str) -> np.ndarray:
         eye.flags.writeable = False
         return eye
     try:
-        op = {"x": ops.sx, "y": ops.sy}[axis]
+        op = {"x": ops.sx.real, "y": ops.sy}[axis]
     except KeyError:
         raise ShapeError(f"axis must be one of x, y, z, got {axis!r}") from None
     evals, vecs = np.linalg.eigh(op)
@@ -84,24 +80,27 @@ def axis_eigenbasis(two_s: int, axis: str) -> np.ndarray:
     return vecs
 
 
-def coherent_axis_state(two_s: int, axis: str, sign: str) -> LocalState:
-    """Extremal eigenstate |+-s> along the given axis, in the z basis.
+def coherent_axis_state(two_s: int, axis: str, sign: str) -> np.ndarray:
+    """Extremal eigenstate |+-s> along the given axis: its 2s + 1 complex
+    amplitudes in the z basis.
 
-    Along x and y its phase is the closed form's: amplitude k (m = s - k) is
-    sqrt(C(2s, k)) 2^(-s) p^k, with p = +-1 on x and +-i on y. Each
-    eigenbasis column already carries that phase times a power of i, which
-    axis_eigenbasis's rule leaves at 1 while the first amplitude, 2^(-s), is
-    above its 1e-12 cutoff (2s < 80); the column is turned by that power,
-    read at its largest amplitude, far above rounding.
+    Along x and y amplitude k (m = s - k) is sqrt(C(2s, k) / 2^(2s)) p^k,
+    with p = +-1 on x and +-i on y; along z the state is a basis vector.
+    C(2s, k) steps exactly as a Python integer (C(2s, k + 1) =
+    C(2s, k)(2s - k)/(k + 1)), so C(2s, k) / 2^(2s) is rounded once, by
+    Python's int / int division, and p^k is one of p's four exact powers.
     """
+    check_positive_int("two_s", two_s)
     if sign not in ("+", "-"):
         raise ShapeError(f"sign must be '+' or '-', got {sign!r}")
-    basis = axis_eigenbasis(two_s, axis)
-    amps = basis[:, 0 if sign == "+" else two_s].copy()
-    if axis != "z":
-        p = (1 if axis == "x" else 1j) * (1 if sign == "+" else -1)
-        k = int(np.abs(amps).argmax())
-        turns = round(cmath.phase(complex(amps[k]) / p ** (k % 4)) / (math.pi / 2)) % 4
-        if turns:
-            amps *= (1, -1j, -1, 1j)[turns]
-    return LocalState(dim=two_s + 1, amplitudes=amps)
+    if axis == "z":     # basis vector l = 0 or 2s: a 1 x (2s + 1) eye's row
+        return np.eye(1, two_s + 1, 0 if sign == "+" else two_s, dtype=complex)[0]
+    if axis not in ("x", "y"):
+        raise ShapeError(f"axis must be one of x, y, z, got {axis!r}")
+    p = complex(1 if axis == "x" else 1j) * (1 if sign == "+" else -1)
+    powers = (1, p, p * p, p * p * p)
+    amps, binomial, total = [], 1, 2 ** two_s
+    for k in range(two_s + 1):
+        amps.append(math.sqrt(binomial / total) * powers[k % 4])
+        binomial = binomial * (two_s - k) // (k + 1)
+    return np.array(amps)

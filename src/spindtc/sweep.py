@@ -68,7 +68,7 @@ _SPEC_INDEX = 0xFFFFFFFF
 # checkpoint of older values is rejected rather than resumed into a CSV
 # that differs from a fresh scan's. Every version before the field was read
 # wrote 0, and such a checkpoint may hold values of an older fold.
-RECORD_VERSION = 1
+RECORD_VERSION = 2
 
 
 @dataclass(frozen=True)

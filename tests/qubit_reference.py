@@ -50,10 +50,10 @@ def _magnetic_numbers(shape: SystemShape) -> tuple[np.ndarray, np.ndarray]:
 
 
 def product_state(sat_locals, central_local) -> np.ndarray:
-    """Tensor product of per-site states (LocalState), site 0 first."""
-    amps = central_local.amplitudes.astype(complex)
+    """Tensor product of per-site states (amplitude arrays), site 0 first."""
+    amps = central_local.astype(complex)
     for loc in sat_locals:      # site 0 is the innermost kron factor
-        amps = np.kron(loc.amplitudes.astype(complex), amps)
+        amps = np.kron(loc.astype(complex), amps)
     return amps / np.linalg.norm(amps)
 
 

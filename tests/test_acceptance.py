@@ -13,7 +13,7 @@ from spindtc.floquet import DriveParams, precompute, evolve
 from spindtc.observables import trajectory_records
 from spindtc.diagnostics import (detect_period, predict_dtc_class,
                                  fit_cosine_amplitude, classify_subsystem)
-from spindtc.analytic_states import MilestoneSpec, milestone_state
+from spindtc.analytic_states import milestone_state
 from spindtc.metrology import qfi_matrix, sensing_gain, fit_power_law
 from spindtc.sweep import GridSpec, run_grid
 from spindtc.errors import DegenerateInformationError
@@ -85,8 +85,8 @@ def test_criterion_04_milestone_states():
     def reached(n, target):
         return abs(np.vdot(target, states[n - 1])) ** 2 >= 1 - 1e-8
 
-    ghz = milestone_state(sh, MilestoneSpec("odd_half", 6))
-    double_ghz = milestone_state(sh, MilestoneSpec("odd_half", 4))
+    ghz = milestone_state(sh, 6)
+    double_ghz = milestone_state(sh, 4)
     assert reached(4, spread(full, double_ghz.amplitudes))
     assert reached(6, spread(full, ghz.amplitudes))
     assert reached(12, product_state([coherent_axis_state(1, "x", "-")] * 9,

@@ -7,17 +7,16 @@ from spindtc.hilbert import (CollectiveShape, PureState, fidelity,
                              reduced_central_density, von_neumann_entropy)
 from spindtc.floquet import DriveParams
 from spindtc.observables import magnetization
-from spindtc.analytic_states import (MilestoneSpec, parity_case_of,
-                                     supported_time_indices, milestone_state,
-                                     milestone_fidelity)
+from spindtc.analytic_states import (parity_case_of, supported_time_indices,
+                                     milestone_state, milestone_fidelity)
 
 SPECIAL = DriveParams.symmetric(np.pi, np.pi / 2)
 
 
 def _product(sh, sign):
     """|sign x>^n_sat (x) |sign s>^x on the collective layout."""
-    return PureState(sh, np.kron(coherent_axis_state(sh.n_sat, "x", sign).amplitudes,
-                                 coherent_axis_state(sh.two_s, "x", sign).amplitudes))
+    return PureState(sh, np.kron(coherent_axis_state(sh.n_sat, "x", sign),
+                                 coherent_axis_state(sh.two_s, "x", sign)))
 
 
 def test_parity_case_of():
@@ -37,11 +36,12 @@ def test_supported_time_indices():
 
 
 def test_bad_spec_rejected():
+    # an unsupported time; the shape's parity case is worked out, not given
     sh = CollectiveShape(9, 5)
     with pytest.raises(ShapeError):
-        milestone_state(sh, MilestoneSpec("even_int", 4))
+        milestone_state(sh, 7)
     with pytest.raises(ShapeError):
-        milestone_state(sh, MilestoneSpec("odd_half", 7))
+        milestone_fidelity(CollectiveShape(8, 4), SPECIAL, 6)
 
 
 def test_all_milestones_normalized():
@@ -49,14 +49,14 @@ def test_all_milestones_normalized():
         sh = CollectiveShape(n_sat, two_s)
         case = parity_case_of(sh)
         for t in supported_time_indices(case):
-            st = milestone_state(sh, MilestoneSpec(case, t))
+            st = milestone_state(sh, t)
             assert abs(st.norm() - 1.0) < 1e-12
 
 
 def test_quarter_period_ghz_structure():
     # (odd_half, 6): superposition of the all+x and all-x products, entropy ln 2
     sh = CollectiveShape(9, 5)
-    st = milestone_state(sh, MilestoneSpec("odd_half", 6))
+    st = milestone_state(sh, 6)
     plus, minus = _product(sh, "+"), _product(sh, "-")
     # equal weight on the two branches
     assert abs(np.vdot(plus.amplitudes, st.amplitudes)) == pytest.approx(1 / np.sqrt(2), abs=1e-10)
@@ -67,7 +67,7 @@ def test_quarter_period_ghz_structure():
 
 def test_double_ghz_product_disentangled():
     sh = CollectiveShape(9, 5)
-    st = milestone_state(sh, MilestoneSpec("odd_half", 4))
+    st = milestone_state(sh, 4)
     assert von_neumann_entropy(reduced_central_density(st)) < 1e-10
 
 
@@ -76,7 +76,7 @@ def test_super_cat_entangled():
     # t=3 happens to ([1,-i,-i,-1] is a tensor square), so probe t=2 and t=6
     sh = CollectiveShape(9, 5)
     for t in (2, 6):
-        st = milestone_state(sh, MilestoneSpec("odd_half", t))
+        st = milestone_state(sh, t)
         assert von_neumann_entropy(reduced_central_density(st)) > 0.1
 
 
@@ -87,7 +87,7 @@ def test_milestone_fidelities_all_cases(n_sat, two_s):
     sh = CollectiveShape(n_sat, two_s)
     case = parity_case_of(sh)
     for t in supported_time_indices(case):
-        f = milestone_fidelity(sh, SPECIAL, MilestoneSpec(case, t))
+        f = milestone_fidelity(sh, SPECIAL, t)
         assert f >= 1 - 1e-8, (case, t, f)
 
 
@@ -101,7 +101,7 @@ def test_milestone_fidelities_at_large_n_sat():
             sh = CollectiveShape(n_sat, two_s)
             case = parity_case_of(sh)
             for t in supported_time_indices(case):
-                f = milestone_fidelity(sh, SPECIAL, MilestoneSpec(case, t))
+                f = milestone_fidelity(sh, SPECIAL, t)
                 assert f >= 1 - 1e-12, (n_sat, two_s, t, f)
 
 
@@ -110,14 +110,14 @@ def test_half_period_reversal():
     for n_sat, two_s, t in ((9, 4, 6), (8, 5, 6), (9, 5, 12)):
         sh = CollectiveShape(n_sat, two_s)
         case = parity_case_of(sh)
-        st = milestone_state(sh, MilestoneSpec(case, t))
+        st = milestone_state(sh, t)
         assert fidelity(st, _product(sh, "-")) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_even_int_never_reverses_polarity():
     sh = CollectiveShape(8, 4)
     for t in supported_time_indices("even_int"):
-        st = milestone_state(sh, MilestoneSpec("even_int", t))
+        st = milestone_state(sh, t)
         assert magnetization(st, "satellites", "x") >= -1e-9
 
 
@@ -125,5 +125,5 @@ def test_fidelity_at_zero_interaction():
     # lambda=0 never builds the milestone; overlap is just the static one
     sh = CollectiveShape(9, 5)
     f = milestone_fidelity(sh, DriveParams.symmetric(0.0, np.pi / 2),
-                           MilestoneSpec("odd_half", 6))
+                           6)
     assert f < 0.999

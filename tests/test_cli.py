@@ -14,7 +14,7 @@ from spindtc.hilbert import CollectiveShape
 from spindtc.metrology import qfi_matrix, sensing_gain
 from spindtc.sweep import CHECKPOINT_MAGIC, RECORD_VERSION
 from spindtc.spin_algebra import coherent_axis_state
-from spindtc import analytic_states
+from spindtc import analytic_states, metrology
 
 from qubit_reference import product_state
 
@@ -182,6 +182,16 @@ def test_classify_not_tabulated(capsys):
     assert code == 2
 
 
+def test_classify_regular_prints_the_class_note(capsys):
+    assert parse_and_dispatch(["classify", "--n-sat", "8", "--spin", "2",
+                               "--regime", "regular1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "shape (8, s=2) at lambda=3.141592654, g=0.7853981634",
+        "predicted 24, measured 24",
+        "note: which regular class sits at which drive point is reported "
+        "as measured, not asserted"]
+
+
 def test_sweep_and_config(tmp_path):
     out = tmp_path / "map.csv"
     cfg = tmp_path / "sweep.cfg"
@@ -229,26 +239,30 @@ def test_sweep_rejects_checkpoint_of_another_grid(tmp_path, capsys):
 def test_sweep_rejects_checkpoint_of_another_record_version(tmp_path, capsys):
     # the fingerprint's last field is the version of the stored values: a
     # checkpoint with 0 there, as every version before the field was read
-    # wrote, exits 1 naming both versions, and --output is not written
+    # wrote, or with 1, whose coherent states came from an eigensolver,
+    # exits 1 naming both versions, and --output is not written
     ckpt, out = tmp_path / "map.ckpt", tmp_path / "map.csv"
     argv = ["sweep", "--n-sat", "3", "--spin", "1/2", "--lambda-steps", "3",
             "--g-steps", "2", "--periods", "4", "--checkpoint", str(ckpt),
             "--output", str(out)]
-    assert parse_and_dispatch(argv) == 0
-    # the magic, then the fingerprint record's length, index and 7 doubles
-    field = len(CHECKPOINT_MAGIC) + 8 + 6 * 8
-    data = bytearray(ckpt.read_bytes())
-    assert struct.unpack_from("<d", data, field) == (RECORD_VERSION,)
-    struct.pack_into("<d", data, field, 0.0)
-    ckpt.write_bytes(data)
-    out.unlink()
-    capsys.readouterr()
-    assert parse_and_dispatch(argv) == 1
-    assert capsys.readouterr() == ("", (
-        f"error: {ckpt}: holds records of version 0, this version writes "
-        f"{RECORD_VERSION}; its values may differ from a fresh scan's, so "
-        f"the scan must start afresh\n"))
-    assert not out.exists() and ckpt.read_bytes() == data
+    assert RECORD_VERSION == 2
+    for old in (0, 1):
+        assert parse_and_dispatch(argv) == 0
+        # the magic, then the fingerprint record's length, index and 7 doubles
+        field = len(CHECKPOINT_MAGIC) + 8 + 6 * 8
+        data = bytearray(ckpt.read_bytes())
+        assert struct.unpack_from("<d", data, field) == (RECORD_VERSION,)
+        struct.pack_into("<d", data, field, float(old))
+        ckpt.write_bytes(data)
+        out.unlink()
+        capsys.readouterr()
+        assert parse_and_dispatch(argv) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: {ckpt}: holds records of version {old}, this version "
+            f"writes {RECORD_VERSION}; its values may differ from a fresh "
+            f"scan's, so the scan must start afresh\n"))
+        assert not out.exists() and ckpt.read_bytes() == data
+        ckpt.unlink()
 
 
 def test_sweep_reports_computed_mirrored_and_resumed_points(tmp_path, capsys):
@@ -313,6 +327,30 @@ def test_qfi_singular_row(tmp_path, capsys):
     assert float(row[4]) == 0.0
     assert np.isnan(float(row[7]))
     assert "disagree" not in capsys.readouterr().err
+
+
+def test_qfi_needs_a_scan(capsys):
+    assert parse_and_dispatch(["qfi", "--n-sat", "3", "--spin", "2",
+                               "--lambda", "pi", "--g", "pi/2"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: need --periods-list and/or --sizes\n")
+
+
+def test_qfi_warns_when_estimators_disagree(monkeypatch, tmp_path, capsys):
+    # the sign of the d_lambda source flipped in the tangent path only (as
+    # in test_metrology's tangent-fault test): the row is still written, and
+    # the warning goes to stderr
+    generators = metrology._generators
+    monkeypatch.setattr(metrology, "_generators",
+                        lambda shape: (generators(shape)[0], -generators(shape)[1]))
+    out = tmp_path / "qfi.csv"
+    assert parse_and_dispatch(["qfi", "--n-sat", "4", "--spin", "2",
+                               "--lambda", "1.3", "--g", "0.7",
+                               "--periods-list", "12", "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
+    assert capsys.readouterr() == ("", (
+        "warning: estimators disagree beyond 1% of the matrix scale at "
+        "(n_sat=4, n=12)\n"))
 
 
 def test_states_listing(capsys):

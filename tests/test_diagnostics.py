@@ -164,10 +164,7 @@ def test_first_revival_matches_detect_period(layout, n_sat, two_s, lam, g):
         states = drive(full, DriveParams.symmetric(lam, g), start, 64)
         revived = np.abs(states @ start.conj()) ** 2 > 1 - DEFAULT_REVIVAL_EPSILON
         want = int(np.argmax(revived)) + 1 if revived.any() else None
-    st = x_polarized_state(sh)
-    start = st.amplitudes.copy()
-    assert first_revival(st, tables, 64) == want
-    assert np.array_equal(st.amplitudes, start)     # the caller's state
+    assert first_revival(tables, 64) == want
     if (lam, g) == (1.3, 0.7):
         assert want is None
 
@@ -176,8 +173,7 @@ def test_first_revival_stops_after_the_revival(monkeypatch):
     # the revival at period 4 lies in the chunk of periods 4..7
     counts = _count_periods(monkeypatch)
     sh = CollectiveShape(8, 4)
-    assert first_revival(x_polarized_state(sh), _tables(sh, np.pi, np.pi / 2),
-                         64) == 4
+    assert first_revival(_tables(sh, np.pi, np.pi / 2), 64) == 4
     assert counts == [1, 2, 4]
     assert sum(counts) <= 2 * 4 - 1
 
@@ -185,21 +181,21 @@ def test_first_revival_stops_after_the_revival(monkeypatch):
 def test_first_revival_without_revival_drives_max_periods(monkeypatch):
     counts = _count_periods(monkeypatch)
     sh = CollectiveShape(8, 4)
-    assert first_revival(x_polarized_state(sh), _tables(sh, 1.3, 0.7), 50) is None
+    assert first_revival(_tables(sh, 1.3, 0.7), 50) is None
     assert counts == [1, 2, 4, 8, 16, 19]
     assert sum(counts) == 50
 
 
 def test_first_revival_validation():
     sh = CollectiveShape(2, 1)
-    st, tables = x_polarized_state(sh), _tables(sh, 1.0, 1.0)
+    tables = _tables(sh, 1.0, 1.0)
     with pytest.raises(ShapeError, match="n_periods must be >= 0"):
-        first_revival(st, tables, -1)
+        first_revival(tables, -1)
     with pytest.raises(ShapeError, match="empty trajectory"):
-        first_revival(st, tables, 0)
+        first_revival(tables, 0)
     for epsilon in (0.0, 1.0, 2.0):
         with pytest.raises(ShapeError, match="epsilon"):
-            first_revival(st, tables, 3, epsilon)
+            first_revival(tables, 3, epsilon)
 
 
 # ROADMAP item 3: the special HO-DTC and lambda = 2pi tables against the
@@ -209,8 +205,7 @@ def test_first_revival_validation():
                                          (201, 4), (257, 3), (400, 5)])
 def test_special_ho_table_at_large_n_sat(n_sat, two_s):
     sh = CollectiveShape(n_sat, two_s)
-    period = first_revival(x_polarized_state(sh),
-                           _tables(sh, np.pi, np.pi / 2), 64)
+    period = first_revival(_tables(sh, np.pi, np.pi / 2), 64)
     assert period == predict_dtc_class(n_sat, two_s, "special_ho").period
 
 
@@ -253,6 +248,15 @@ def test_predict_regular_tables():
         predict_dtc_class(8, 5, "regular_class_2")
     with pytest.raises(ShapeError):
         predict_dtc_class(8, 4, "no_such_regime")
+
+
+def test_regular_tables_hold_every_reachable_key():
+    # even n_sat and integer s reach the keys (n_sat mod 4, s even?) with
+    # n_sat mod 4 in {0, 2}: both tables hold all four
+    for regime in ("regular_class_1", "regular_class_2"):
+        for n_sat in (4, 6):
+            for two_s in (2, 4):
+                assert predict_dtc_class(n_sat, two_s, regime).period in (12, 24)
 
 
 def test_fit_cosine_amplitude():

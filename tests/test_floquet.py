@@ -91,7 +91,7 @@ def test_kick_rotates_x_to_y():
     t = precompute(sh, DriveParams(lam=0.0, g_s=np.pi / 2, g_c=np.pi / 2))
     st = x_polarized_state(sh)
     evolve(st, t, 1)
-    plus_y = coherent_axis_state(1, "y", "+").amplitudes
+    plus_y = coherent_axis_state(1, "y", "+")
     target = PureState(sh, np.kron(plus_y, plus_y))
     assert fidelity(st, target) == pytest.approx(1.0, abs=1e-12)
 
@@ -101,7 +101,7 @@ def test_kick_pi_flips_x():
     t = precompute(sh, DriveParams(lam=0.0, g_s=np.pi, g_c=np.pi))
     st = x_polarized_state(sh)
     evolve(st, t, 1)
-    minus_x = coherent_axis_state(2, "x", "-").amplitudes
+    minus_x = coherent_axis_state(2, "x", "-")
     target = PureState(sh, np.kron(minus_x, minus_x))
     assert fidelity(st, target) == pytest.approx(1.0, abs=1e-12)
 

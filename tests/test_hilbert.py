@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spindtc.errors import ShapeError, CapacityError
-from spindtc.spin_algebra import LocalState, coherent_axis_state
+from spindtc.spin_algebra import coherent_axis_state
 from spindtc.hilbert import (CollectiveShape, PureState, x_polarized_state,
                              inner, fidelity, reduced_central_density,
                              von_neumann_entropy)
@@ -17,6 +17,12 @@ def test_shape_validation():
         CollectiveShape(2, 0)
     with pytest.raises(CapacityError):
         CollectiveShape(1, 8192)
+    # a size that is not an integer is refused at construction, before it
+    # can give a fractional dim
+    for n_sat, two_s in ((2.5, 1), (2, 1.5), (2.0, 1), (2, np.float64(3))):
+        with pytest.raises(ShapeError):
+            CollectiveShape(n_sat, two_s)
+    assert CollectiveShape(np.int64(2), np.int32(3)).dim == 12
 
 
 def test_collective_shape():
@@ -34,7 +40,7 @@ def test_collective_x_polarized_is_symmetric_product():
     sh = CollectiveShape(6, 2)
     st = x_polarized_state(sh).amplitudes.reshape(7, 3)
     sat = np.array([np.sqrt(comb(6, k)) for k in range(7)]) / 8.0
-    central = coherent_axis_state(2, "x", "+").amplitudes
+    central = coherent_axis_state(2, "x", "+")
     np.testing.assert_allclose(st, np.outer(sat, central), atol=1e-14)
 
 
@@ -55,8 +61,8 @@ def test_product_state_uniform_x():
 
 def test_product_state_z_basis_vector():
     sh = SystemShape(3, 4)
-    up = LocalState(2, np.array([1.0, 0.0]))
-    central = LocalState(5, np.array([1.0, 0, 0, 0, 0]))
+    up = np.array([1.0, 0.0])
+    central = np.array([1.0, 0, 0, 0, 0])
     want = np.zeros(sh.dim)
     want[0] = 1.0
     np.testing.assert_allclose(product_state([up] * 3, central), want, atol=1e-12)
@@ -84,8 +90,8 @@ def test_inner_and_fidelity():
     sh = CollectiveShape(2, 2)
     a = x_polarized_state(sh)
     assert inner(a, a) == pytest.approx(1.0, abs=1e-12)
-    minus = PureState(sh, np.kron(coherent_axis_state(2, "x", "-").amplitudes,
-                                  coherent_axis_state(2, "x", "-").amplitudes))
+    minus = PureState(sh, np.kron(coherent_axis_state(2, "x", "-"),
+                                  coherent_axis_state(2, "x", "-")))
     assert fidelity(a, minus) == pytest.approx(0.0, abs=1e-12)
     b = a.copy()
     b.amplitudes = b.amplitudes * np.exp(0.7j)

@@ -211,6 +211,58 @@ def test_exact_collective_rows_pinned(n_sat):
     assert not q.estimators_disagree
 
 
+# ROADMAP item 3: odd n_sat = N with half-integer s (the odd_half class,
+# whose milestones are the GHZ cat states) at (pi, pi/2), n = 48. The
+# forms are fitted, not derived: quadratics in N fitted over 8 N for each
+# N mod 4, then checked on every odd N up to 1003 (to 2.2e-13 of the matrix
+# scale) and against the dense reference. f_lg = 0 in every case. Both
+# f_ll and f_gg grow as N^2, so the sensing gain does: Heisenberg scaling
+# for the pair of parameters.
+def _odd_half_form(n_sat: int, two_s: int) -> tuple[int, int]:
+    """Fitted (f_ll, f_gg) at s = 1/2 and 5/2."""
+    n = n_sat
+    return {(1, 1): (16 * n * n + 128 * n, 64 * n * n + 640 * n + 576),
+            (1, 3): (16 * n * n, 64 * n * n - 384 * n + 576),
+            (5, 1): (400 * n * n + 640 * n, 64 * n * n + 896 * n + 2880),
+            (5, 3): (400 * n * n, 64 * n * n - 640 * n + 2880)}[two_s, n % 4]
+
+
+def _assert_pinned(q, want, ref=None):
+    """q's elements equal want = (f_ll, f_gg, f_lg) to 1e-12 of the matrix
+    scale, and so do those of the dense reference ref, if given."""
+    scale = max(want[:2])
+    for i, field in enumerate(("f_ll", "f_gg", "f_lg")):
+        assert abs(getattr(q, field) - want[i]) <= 1e-12 * scale, field
+        if ref is not None:
+            assert abs(getattr(ref, field) - want[i]) <= 1e-12 * scale, field
+    assert not q.estimators_disagree
+
+
+@pytest.mark.parametrize("n_sat", [9, 11])
+@pytest.mark.parametrize("two_s", [1, 5])
+def test_odd_half_forms_match_the_dense_reference(n_sat, two_s):
+    # N = 9 and 11 are 1 and 3 mod 4; at (9, 1/2) the forms give 2448, 11520
+    ref = exact_collective_qfi(n_sat, two_s, np.pi, np.pi / 2, 48)
+    q = qfi_matrix(CollectiveShape(n_sat, two_s), SPECIAL, 48)
+    _assert_pinned(q, (*_odd_half_form(n_sat, two_s), 0.0), ref)
+
+
+@pytest.mark.parametrize("n_sat,want", [(13, (24336.0, 9728.0, 0.0)),
+                                        (15, (38160.0, 20736.0, 0.0))])
+def test_odd_half_at_spin_three_halves(n_sat, want):
+    # 2s = 3 mod 4: the linear term of f_ll sits at N = 3 mod 4 here,
+    # 24336 = 144 * 13^2 and 38160 = 144 * 15^2 + 384 * 15
+    ref = exact_collective_qfi(n_sat, 3, np.pi, np.pi / 2, 48)
+    _assert_pinned(qfi_matrix(CollectiveShape(n_sat, 3), SPECIAL, 48), want, ref)
+
+
+@pytest.mark.parametrize("n_sat", [1001, 1003])
+def test_odd_half_forms_on_the_walk_at_large_n_sat(n_sat):
+    # beyond the dense reference's reach: the walk alone, s = 5/2
+    q = qfi_matrix(CollectiveShape(n_sat, 5), SPECIAL, 48)
+    _assert_pinned(q, (*_odd_half_form(n_sat, 5), 0.0))
+
+
 def _fields(q):
     return repr(astuple(q))      # nan-safe bitwise comparison
 
@@ -272,15 +324,11 @@ def test_lone_walk_holds_one_satellite_rotation():
     # a shape walking alone holds its rotation as the real V^T and V,
     # together the bytes of one complex matrix (the complex walk held V^H
     # beside the shared V)
-    v = np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0].astype(complex)
+    v = np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0]
     to_x, from_x = metrology._stacked([v], 3)
     assert to_x.dtype == from_x.dtype == np.float64
-    assert to_x.nbytes + from_x.nbytes == v.nbytes
-    assert np.array_equal(to_x[0], v.real.T) and np.array_equal(from_x[0], v.real)
-    # an imaginary part, however small, is an error and never dropped
-    v[1, 2] += 1e-300j
-    with pytest.raises(ShapeError):
-        metrology._stacked([v], 3)
+    assert to_x.nbytes + from_x.nbytes == v.astype(complex).nbytes
+    assert np.array_equal(to_x[0], v.T) and np.array_equal(from_x[0], v)
 
 
 def test_scan_repeats_bitwise_after_another_scan():

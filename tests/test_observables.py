@@ -9,7 +9,7 @@ from spindtc.hilbert import (CollectiveShape, PureState, fidelity,
 from spindtc.floquet import DriveParams, precompute, evolve, from_x_basis
 from spindtc.observables import (magnetization,
                                  period_observables, trajectory_records)
-from spindtc.analytic_states import MilestoneSpec, milestone_state
+from spindtc.analytic_states import milestone_state
 
 
 def test_x_polarized_magnetizations():
@@ -22,8 +22,8 @@ def test_x_polarized_magnetizations():
 
 def test_z_product_magnetizations():
     sh = CollectiveShape(3, 2)
-    st = PureState(sh, np.kron(coherent_axis_state(3, "z", "+").amplitudes,
-                               coherent_axis_state(2, "z", "+").amplitudes))
+    st = PureState(sh, np.kron(coherent_axis_state(3, "z", "+"),
+                               coherent_axis_state(2, "z", "+")))
     assert magnetization(st, "satellites", "x") == pytest.approx(0.0, abs=1e-12)
     assert magnetization(st, "satellites", "z") == pytest.approx(0.5, abs=1e-12)
     assert magnetization(st, "central", "z") == pytest.approx(1.0, abs=1e-12)
@@ -41,7 +41,7 @@ def test_bad_arguments():
 
 def test_super_cat_magnetization_vanishes():
     sh = CollectiveShape(9, 5)
-    st = milestone_state(sh, MilestoneSpec("odd_half", 3))
+    st = milestone_state(sh, 3)
     assert magnetization(st, "satellites", "x") == pytest.approx(0.0, abs=1e-10)
     assert magnetization(st, "central", "x") == pytest.approx(0.0, abs=1e-10)
 

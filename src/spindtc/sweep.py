@@ -30,11 +30,17 @@ One more holds at every shape but flips the magnetizations:
   o_rel_sat and o_rel_c change sign: a mirror image's record is its
   canonical record with both o_rel negated. An odd stride does not fold g
   this way.
+And one more on the no-kick line:
+- at g = 0, U = e^{i lambda J^x S^x} is diagonal in the joint x basis, and
+  the x-polarized start is one of its eigenvectors, so every lambda has
+  the record of (0, 0).
 The canonical cell is lambda in [0, pi] at even n_sat with integer s, else
-[0, 2pi], times g in [0, pi/2] at an even stride, else [0, pi]. At
-(8, 2), stride 2, the 9 x 5 grid over [0, 4pi] x [0, 2pi] of perfbench's
-phase_map evolves 6 of its 45 points, and the default 65 x 33 grid 480 of
-its 2,145.
+[0, 2pi], times g in (0, pi/2] at an even stride, else (0, pi], plus the
+point (0, 0). A scan keys each folded angle by the grid value it lands on,
+within _SNAP grid steps, so a mirror grid value that the fold misses by an
+ulp still shares its canonical point's evolution. At (8, 2), stride 2, the
+9 x 5 grid over [0, 4pi] x [0, 2pi] of perfbench's phase_map evolves 4 of
+its 45 points, and the default 65 x 33 grid 137 of its 2,145.
 """
 
 import csv
@@ -68,7 +74,10 @@ _SPEC_INDEX = 0xFFFFFFFF
 # checkpoint of older values is rejected rather than resumed into a CSV
 # that differs from a fresh scan's. Every version before the field was read
 # wrote 0, and such a checkpoint may hold values of an older fold.
-RECORD_VERSION = 2
+RECORD_VERSION = 3
+# a folded angle within this many grid steps of a grid value is keyed by
+# that value: far above the ulps a fold adds, far below the step
+_SNAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -134,8 +143,9 @@ def fold(lam: float, g: float, shape: CollectiveShape,
     lam is taken mod 2pi and reflected to 2pi - lam above pi when n_sat is
     even and s an integer, else mod 4pi and reflected to 4pi - lam above
     2pi; g mod 2pi, reflected to 2pi - g above pi, and at an even stride
-    then to pi - g above pi/2, which makes (lam, g) a mirror image. A point
-    already in the cell comes back bitwise unchanged and not mirrored.
+    then to pi - g above pi/2, which makes (lam, g) a mirror image. A
+    folded g of exactly 0 sends lam to 0 (no kick). A point already in the
+    cell with g > 0 comes back bitwise unchanged and not mirrored.
     """
     period = 2 * math.pi if shape.n_sat % 2 == 0 and shape.two_s % 2 == 0 \
         else 4 * math.pi
@@ -148,7 +158,37 @@ def fold(lam: float, g: float, shape: CollectiveShape,
     mirrored = stride % 2 == 0 and g > math.pi / 2
     if mirrored:
         g = math.pi - g
+    if g == 0.0:
+        lam = 0.0
     return lam, g, mirrored
+
+
+def _on_grid(value: float, axis: np.ndarray) -> float:
+    """The value of axis, a np.linspace, that value lies within _SNAP steps
+    of, else value itself."""
+    if len(axis) == 1:
+        return value
+    step = (axis[-1] - axis[0]) / (len(axis) - 1)
+    nearest = float(axis[min(max(round((value - axis[0]) / step), 0),
+                             len(axis) - 1)])
+    return nearest if abs(value - nearest) <= _SNAP * step else value
+
+
+def _canonical_points(spec: GridSpec) -> tuple[list, list[bool]]:
+    """The evolution key of each grid point, row-major, and whether the
+    point is a mirror image of it: the point's fold, with each folded angle
+    replaced by the grid value it lands on (_on_grid), if any, and lambda
+    sent to 0 where g lands on 0, as fold does for an exact 0 (a g axis can
+    put pi an ulp off, and its fold an ulp off 0)."""
+    lams, gs = spec.axis("lambda"), spec.axis("g")
+    keys, mirrored = [], []
+    for lam in lams:
+        for g in gs:
+            lam_c, g_c, mirror = fold(float(lam), float(g), spec.shape, spec.stride)
+            g_c = _on_grid(g_c, gs)
+            keys.append((_on_grid(lam_c, lams) if g_c else 0.0, g_c))
+            mirrored.append(mirror)
+    return keys, mirrored
 
 
 def _mirror(values, mirrored: bool) -> tuple[float, ...]:
@@ -189,9 +229,12 @@ def compute_point(shape: CollectiveShape, lam: float, g: float,
                   periods: int, stride: int) -> PhaseMapRecord:
     """One trajectory from the x-polarized state, reduced to map averages.
 
-    It is evolved at the canonical point of fold(lam, g, shape, stride), as
-    run_grid does, and the record carries lam and g as given, with both
-    o_rel negated at a mirror image.
+    It is evolved at the canonical point of fold(lam, g, shape, stride), and
+    the record carries lam and g as given, with both o_rel negated at a
+    mirror image. run_grid evolves at that point's grid value instead
+    (_canonical_points), so a mirror row of a scan equals compute_point at
+    its canonical grid point, mapped as above, and may differ in the last
+    bits from compute_point at its own.
     """
     lam_c, g_c, mirrored = fold(lam, g, shape, stride)
     values = _scan(shape, [(lam_c, g_c)], periods, stride)[0]
@@ -203,40 +246,40 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
              ) -> list[PhaseMapRecord]:
     """Scan the grid, row-major (lambda outer, g inner).
 
-    Each distinct canonical point (fold) of the points still to compute is
-    evolved once, in grid order of its first point, in stacks of
-    _stack_rows rows in this process, and every point that folds to it
-    gets its values, with both o_rel negated at a mirror image, and the
-    point's own (lambda, g). Points share an evolution only when their
-    canonical points are equal floats, so a row depends only on its own
-    (lambda, g).
+    Each distinct key (_canonical_points: the fold, each folded angle
+    replaced by the grid value within _SNAP steps of it, if any) of the
+    points still to compute is evolved once at that key, in grid order of
+    its first point, in stacks of _stack_rows rows in this process, and
+    every point with that key gets its values, with both o_rel negated at
+    a mirror image, and the point's own (lambda, g). A fold that misses the
+    grid keeps its float, so an asymmetric grid still evolves every point
+    it needs, and a row depends only on its own (lambda, g) and the grid's
+    axes.
 
     With checkpoint_path, records are appended to the checkpoint in grid
     order as their values become known, and a restart skips them; a point
-    whose canonical point a stored record shares takes the values of the
-    lowest such record, mapped back from a mirror image, without an
-    evolution. A trailing record cut short by a crash mid-write is dropped
-    from the file and its point recomputed; a checkpoint written for another
-    grid, shape, period count or stride, or with records of another
-    RECORD_VERSION, raises CheckpointError. The
-    checkpoint's header is on disk before the first stack starts, and an
-    empty checkpoint (a scan killed before then), or one cut inside its
-    header, starts a fresh scan.
+    whose key a stored record shares takes the values of the lowest such
+    record, mapped back from a mirror image, without an evolution. A
+    trailing record cut short by a crash mid-write is dropped from the file,
+    and its point is recomputed, or takes the values of a stored record of
+    its key; a checkpoint written for another grid, shape, period count or
+    stride, or with records of another RECORD_VERSION, raises
+    CheckpointError. The checkpoint's header is on disk before the first
+    stack starts, and an empty checkpoint (a scan killed before then), or
+    one cut inside its header, starts a fresh scan.
     report, if given, receives one line at the end: the points evolved,
     taken from a mirror point and resumed.
     """
     points = [(float(lam), float(g))
               for lam in spec.axis("lambda") for g in spec.axis("g")]
-    folded = [fold(*point, spec.shape, spec.stride) for point in points]
-    keys = [(lam, g) for lam, g, _ in folded]
-    mirrored = [mirror for _, _, mirror in folded]
+    keys, mirrored = _canonical_points(spec)
     done: dict[int, PhaseMapRecord] = {}
     if checkpoint_path and os.path.exists(checkpoint_path):
         # appending after a cut record would corrupt the file for good
         _drop_cut_record(checkpoint_path)
         if os.path.getsize(checkpoint_path) > 0:
             done = dict(read_checkpoint(checkpoint_path, spec))
-    values = {}     # canonical point -> its five averages
+    values = {}     # key -> its five averages
     for index in sorted(done):
         values.setdefault(keys[index], _mirror(_record_values(done[index])[2:],
                                                mirrored[index]))
@@ -370,6 +413,7 @@ def write_lines(destination: str, lines) -> None:
 
     They go to a temporary file beside destination, which then replaces
     destination in one step, so a failed write leaves any earlier file whole.
+    An OSError names destination, not the temporary file.
     """
     tmp = f"{destination}.{os.getpid()}.tmp"
     try:
@@ -377,6 +421,8 @@ def write_lines(destination: str, lines) -> None:
             for line in lines:
                 fh.write(line + "\n")
         os.replace(tmp, destination)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, destination) from exc
     finally:
         if os.path.exists(tmp):     # the write failed part-way
             os.remove(tmp)

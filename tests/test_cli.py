@@ -239,14 +239,15 @@ def test_sweep_rejects_checkpoint_of_another_grid(tmp_path, capsys):
 def test_sweep_rejects_checkpoint_of_another_record_version(tmp_path, capsys):
     # the fingerprint's last field is the version of the stored values: a
     # checkpoint with 0 there, as every version before the field was read
-    # wrote, or with 1, whose coherent states came from an eigensolver,
-    # exits 1 naming both versions, and --output is not written
+    # wrote, with 1, whose coherent states came from an eigensolver, or
+    # with 2, whose fold evolved the g = 0 line, exits 1 naming both
+    # versions, and --output is not written
     ckpt, out = tmp_path / "map.ckpt", tmp_path / "map.csv"
     argv = ["sweep", "--n-sat", "3", "--spin", "1/2", "--lambda-steps", "3",
             "--g-steps", "2", "--periods", "4", "--checkpoint", str(ckpt),
             "--output", str(out)]
-    assert RECORD_VERSION == 2
-    for old in (0, 1):
+    assert RECORD_VERSION == 3
+    for old in (0, 1, 2):
         assert parse_and_dispatch(argv) == 0
         # the magic, then the fingerprint record's length, index and 7 doubles
         field = len(CHECKPOINT_MAGIC) + 8 + 6 * 8
@@ -266,9 +267,10 @@ def test_sweep_rejects_checkpoint_of_another_record_version(tmp_path, capsys):
 
 
 def test_sweep_reports_computed_mirrored_and_resumed_points(tmp_path, capsys):
-    # the 9 x 5 grid over [0, 4pi] x [0, 2pi] folds onto 10 canonical points
-    # at (3, 1/2), stride 2: 5 lambdas in [0, 2pi] times 2 gs in [0, pi/2];
-    # a resume from the checkpoint with its last record cut evolves none
+    # the 9 x 5 grid over [0, 4pi] x [0, 2pi] folds onto 6 canonical points
+    # at (3, 1/2), stride 2: 5 lambdas in [0, 2pi] at g = pi/2, and (0, 0)
+    # for the g = 0 line; a resume from the checkpoint with its last record
+    # cut evolves none
     ckpt, out = tmp_path / "map.ckpt", tmp_path / "map.csv"
     argv = ["sweep", "--n-sat", "3", "--spin", "1/2", "--lambda-steps", "9",
             "--g-steps", "5", "--periods", "4", "--checkpoint", str(ckpt),
@@ -276,7 +278,7 @@ def test_sweep_reports_computed_mirrored_and_resumed_points(tmp_path, capsys):
     assert parse_and_dispatch(argv) == 0
     assert capsys.readouterr() == (
         f"wrote 45 records to {out}\n",
-        "computed 10 of 45 points (35 by symmetry, 0 resumed)\n")
+        "computed 6 of 45 points (39 by symmetry, 0 resumed)\n")
     csv = out.read_bytes()
     ckpt.write_bytes(ckpt.read_bytes()[:-32])
     assert parse_and_dispatch(argv) == 0
@@ -546,3 +548,27 @@ def test_failed_qfi_leaves_output_untouched(tmp_path):
                                "--output", str(out)]) == 2
     assert out.read_bytes() == b"earlier,contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
+
+
+@pytest.mark.parametrize("command", [
+    ["evolve", "--n-sat", "2", "--spin", "1/2", "--lambda", "pi", "--g",
+     "pi/2", "--periods", "4"],
+    ["sweep", "--n-sat", "2", "--spin", "1/2", "--lambda-steps", "2",
+     "--g-steps", "2", "--periods", "4"],
+    ["qfi", "--spin", "1/2", "--lambda", "pi", "--g", "pi/2", "--sizes",
+     "2", "--periods", "4"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_failed_output_write_names_the_output(tmp_path, capsys, command,
+                                              where):
+    # the error names --output, not the temporary file the lines went to,
+    # and no temporary file is left
+    out = tmp_path / "missing" / "a.csv" if where == "missing-directory" \
+        else tmp_path / "a.csv"
+    if where == "directory":
+        out.mkdir()
+    assert parse_and_dispatch(command + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert re.fullmatch(rf"error: \[Errno \d+\] [^:]+: {re.escape(repr(str(out)))}",
+                        err)
+    assert [p.name for p in tmp_path.rglob("*")] == \
+        (["a.csv"] if where == "directory" else [])

@@ -92,21 +92,34 @@ def _criterion_11_subgrid(lambda_every, g_every):
                     CollectiveShape(8, 4), 200, 2)
 
 
-def test_row_independent_of_batch():
-    # 17 x 17 = 289 points: two stacks, of 271 and 18 rows
+def _at_canonical_grid_point(spec, index):
+    """compute_point at the key run_grid evolves grid point index at, mapped
+    back to the point: its record, if the scan is right."""
+    keys, mirrored = sweep._canonical_points(spec)
+    lams, gs = spec.axis("lambda"), spec.axis("g")
+    i, j = divmod(index, len(gs))
+    rec = compute_point(spec.shape, *keys[index], spec.periods, spec.stride)
+    return PhaseMapRecord(float(lams[i]), float(gs[j]), *sweep._mirror(
+        sweep._record_values(rec)[2:], mirrored[index]))
+
+
+def test_row_independent_of_batch(monkeypatch):
+    # 17 x 17 = 289 points with 21 keys, evolved in stacks of 8, 8 and 5
+    # rows; each row is compute_point's, a stack of one, at its canonical
+    # grid point: (pi, pi/2) itself, (3pi, 3pi/2) -> (pi, pi/2),
+    # (2pi, 0) -> (0, 0) and (4pi, 13pi/8) -> (0, 3pi/8)
     spec = _criterion_11_subgrid(4, 2)
     assert sweep._stack_rows(CollectiveShape(8, 4)) == 271
+    monkeypatch.setattr(sweep, "_stack_rows", lambda shape: 8)
+    assert len(set(sweep._canonical_points(spec)[0])) == 21
     records = run_grid(spec)
-    lams, gs = spec.axis("lambda"), spec.axis("g")
     for i, j in ((4, 4), (12, 12), (8, 0), (16, 13)):
-        index = i * len(gs) + j
-        lam, g = float(lams[i]), float(gs[j])
-        assert (index, compute_point(CollectiveShape(8, 4), lam, g, 200, 2)) \
+        index = i * 17 + j
+        assert (index, _at_canonical_grid_point(spec, index)) \
             == (index, records[index])
     # criterion 11's own 65 x 33 axes give the same rows bitwise
-    assert compute_point(CollectiveShape(8, 4), float(np.linspace(0, 4 * np.pi, 65)[16]),
-                         float(np.linspace(0, 2 * np.pi, 33)[24]), 200, 2) \
-        == records[4 * len(gs) + 12]
+    assert _at_canonical_grid_point(_criterion_11_subgrid(1, 1), 16 * 33 + 24) \
+        == records[4 * 17 + 12]
 
 
 # one shape of each (n_sat, 2s) parity class: (4, 1), (2, 3/2), (3, 1),
@@ -157,33 +170,35 @@ def test_fold_maps_mirror_images_onto_one_point():
                 pytest.approx(want, abs=1e-14)
 
 
-def test_benchmark_grid_evolves_6_of_its_45_points(tmp_path, monkeypatch):
-    # the 9 x 5 grid over [0, 4pi] x [0, 2pi] at (8, 2), stride 2: 6
-    # canonical points, each evolved once, so 2/15 of the drive of evolving
-    # every point; a resume from its checkpoint with the last record cut
-    # drives nothing, and writes the file as the fresh run did
+def test_benchmark_grid_evolves_4_of_its_45_points(tmp_path, monkeypatch):
+    # the 9 x 5 grid over [0, 4pi] x [0, 2pi] at (8, 2), stride 2: 4
+    # canonical points, (0, 0) and (0, pi/2), (pi/2, pi/2), (pi, pi/2), each
+    # evolved once, so 4/45 of the drive of evolving every point; a resume
+    # from its checkpoint with the last record cut drives nothing, and
+    # writes the file as the fresh run did
     spec = _criterion_11_subgrid(8, 8)
     lams, gs = spec.axis("lambda"), spec.axis("g")
     points = [(float(lam), float(g)) for lam in lams for g in gs]
-    folded = [fold(*p, spec.shape, spec.stride) for p in points]
-    assert len({(lam, g) for lam, g, _ in folded}) == 6
+    keys, mirrored = sweep._canonical_points(spec)
+    assert sorted(set(keys)) == [(0.0, 0.0), (0.0, np.pi / 2),
+                                 (np.pi / 2, np.pi / 2), (np.pi, np.pi / 2)]
     work = _count_work(monkeypatch)
     sweep._scan(spec.shape, points, spec.periods, spec.stride)
     every_point = sum(work)
     path = tmp_path / "map.ckpt"
     work.clear()
     records = run_grid(spec, checkpoint_path=str(path))
-    assert 15 * sum(work) == 2 * every_point
+    assert 45 * sum(work) == 4 * every_point
     # mirror rows repeat their canonical row, which is on this grid, with
     # both o_rel negated at a mirror image under g -> pi - g
     by_point = {(r.lam, r.g): r for r in records}
-    for rec, (lam, g, mirrored) in zip(records, folded):
-        canonical = sweep._record_values(by_point[lam, g])[2:]
+    for rec, key, mirror in zip(records, keys, mirrored):
+        canonical = sweep._record_values(by_point[key])[2:]
         assert tuple(sweep._record_values(rec)[2:]) == \
-            sweep._mirror(canonical, mirrored)
+            sweep._mirror(canonical, mirror)
     # the g = pi column
-    assert [index for index, (_, _, mirrored) in enumerate(folded)
-            if mirrored] == list(range(2, 45, 5))
+    assert [index for index, mirror in enumerate(mirrored) if mirror] == \
+        list(range(2, 45, 5))
     whole = path.read_bytes()
     path.write_bytes(whole[:-32])
     work.clear()
@@ -218,6 +233,72 @@ def test_grid_matches_unfolded_scan(tmp_path, monkeypatch, shape, stride):
     assert path.read_bytes() == whole
 
 
+@pytest.mark.parametrize("shape", _PARITY_CLASSES,
+                         ids=lambda sh: f"{sh.n_sat}-{sh.two_s}")
+@pytest.mark.parametrize("stride", [1, 2])
+def test_no_kick_line_takes_the_record_of_the_origin(monkeypatch, shape,
+                                                     stride):
+    # at g = 0 the x-polarized start is an eigenvector of the drive, so
+    # every (lambda, 0) and (lambda, 2pi) row, and at an even stride every
+    # (lambda, pi) row with both o_rel negated, is the (0, 0) row
+    spec = GridSpec((0.0, 4 * np.pi, 9), (0.0, 2 * np.pi, 5), shape, 12,
+                    stride)
+    points = [(float(lam), float(g))
+              for lam in spec.axis("lambda") for g in spec.axis("g")]
+    for lam, _ in points:
+        assert fold(lam, 0.0, shape, stride) == \
+            fold(lam, 2 * np.pi, shape, stride) == (0.0, 0.0, False)
+        if stride % 2 == 0:
+            assert fold(lam, np.pi, shape, stride) == (0.0, 0.0, True)
+    work = _count_work(monkeypatch)
+    records = run_grid(spec)
+    origin = sweep._record_values(records[0])[2:]
+    line = [(k, False) for k in range(0, 45, 5)] + \
+        [(k, False) for k in range(4, 45, 5)]
+    if stride % 2 == 0:
+        line += [(k, True) for k in range(2, 45, 5)]
+    for index, mirrored in line:
+        assert tuple(sweep._record_values(records[index])[2:]) == \
+            sweep._mirror(origin, mirrored)
+    # g = pi/2 and 3pi/2 fold onto the lambdas of the cell, and at an odd
+    # stride so does g = pi: one evolution each, and one for the line
+    lams_in_cell = 3 if shape.n_sat % 2 == 0 and shape.two_s % 2 == 0 else 5
+    assert sum(work) == spec.periods * (1 + lams_in_cell * (2 if stride % 2
+                                                            else 1))
+    unfolded = sweep._scan(shape, points, spec.periods, stride)
+    for index, _ in line:
+        np.testing.assert_allclose(sweep._record_values(records[index])[2:],
+                                   unfolded[index], rtol=0, atol=1e-12)
+    # a 51-step g axis puts pi an ulp above pi, which folds an ulp above 0
+    # at an even stride: the grid value 0 keys it, and so does (0, 0)
+    spec = GridSpec((0.0, 4 * np.pi, 9), (0.0, 2 * np.pi, 51), shape, 12,
+                    stride)
+    assert spec.axis("g")[25] > np.pi
+    keys, _ = sweep._canonical_points(spec)
+    line = [*range(0, 459, 51), *range(50, 459, 51)]
+    if stride % 2 == 0:
+        line += range(25, 459, 51)
+    assert {keys[index] for index in line} == {(0.0, 0.0)}
+
+
+def test_off_grid_folds_keep_their_floats(monkeypatch):
+    # no fold of this grid lands on it, so every point is evolved, as with
+    # float keys, and each row is its own point's to 1e-12
+    spec = GridSpec((0.1, 3.9, 7), (0.05, 2.9, 5), CollectiveShape(8, 4), 24, 2)
+    points = [(float(lam), float(g))
+              for lam in spec.axis("lambda") for g in spec.axis("g")]
+    keys, _ = sweep._canonical_points(spec)
+    assert keys == [fold(*point, spec.shape, spec.stride)[:2]
+                    for point in points]
+    work = _count_work(monkeypatch)
+    records = run_grid(spec)
+    assert sum(work) == spec.n_points * spec.periods
+    unfolded = sweep._scan(spec.shape, points, spec.periods, spec.stride)
+    for rec, values in zip(records, unfolded):
+        np.testing.assert_allclose(sweep._record_values(rec)[2:], values,
+                                   rtol=0, atol=1e-12)
+
+
 def test_stack_rows_follow_the_entry_budget():
     # per-row kick factors grow as (n_sat+1)^2: (8, 2) keeps stacks of at
     # least 256 points, larger shapes get shorter stacks, and a shape whose
@@ -228,17 +309,21 @@ def test_stack_rows_follow_the_entry_budget():
     assert sweep._stack_rows(CollectiveShape(5000, 4)) == 1
 
 
-def test_resume_mid_chunk(tmp_path):
-    # the checkpoint holds the fingerprint and the first 100 of 289 records:
-    # the fresh run's stacks were points 0-270 and 271-288, the resume's
-    # one stack is points 100-288, and every row must come out the same
+def test_resume_mid_chunk(tmp_path, monkeypatch):
+    # the checkpoint holds the fingerprint and the first 20 of 289 records,
+    # which hold 7 of the grid's 21 keys: the fresh run's stacks of 8 rows
+    # were keys 0-7, 8-15 and 16-20, the resume's are the other 14 keys in
+    # two stacks of 8 and 6, and every row must come out the same
     spec = _criterion_11_subgrid(4, 2)
+    monkeypatch.setattr(sweep, "_stack_rows", lambda shape: 8)
     path = tmp_path / "mid.bin"
     fresh = run_grid(spec, checkpoint_path=str(path))
     whole = path.read_bytes()
-    path.write_bytes(whole[:len(CHECKPOINT_MAGIC) + 64 * 101])
-    assert len(read_checkpoint(str(path))) == 100
+    path.write_bytes(whole[:len(CHECKPOINT_MAGIC) + 64 * 21])
+    assert len(read_checkpoint(str(path))) == 20
+    work = _count_work(monkeypatch)
     assert run_grid(spec, checkpoint_path=str(path)) == fresh
+    assert work == [8 * spec.periods, 6 * spec.periods]
     assert path.read_bytes() == whole
 
 
@@ -321,9 +406,11 @@ def test_checkpoint_resume_no_recompute(tmp_path, monkeypatch):
     run_grid(spec)
     ops_full = sum(work)
     assert resumed == full
-    # only 4 of 9 points were recomputed
+    # the g = pi column folds onto (0, 0), so a fresh scan evolves 7 keys;
+    # records 0-4 hold 5 of them, (0, 0) among them, so only 2 of the 7
+    # were recomputed
     assert ops_full > 0
-    assert ops_resumed == pytest.approx(ops_full * 4 / 9, rel=1e-12)
+    assert ops_resumed == pytest.approx(ops_full * 2 / 7, rel=1e-12)
 
 
 def test_checkpoint_written_during_run(tmp_path):
@@ -338,8 +425,12 @@ def test_checkpoint_written_during_run(tmp_path):
 def test_resume_from_cut_record(tmp_path, monkeypatch, kept):
     # a crash mid-write leaves the last record cut after `kept` of its 64
     # bytes; the resume drops it, recomputes that point and leaves the file
-    # whole, byte for byte as an uninterrupted run writes it
-    spec = _small_spec()
+    # whole, byte for byte as an uninterrupted run writes it. Every point of
+    # this grid is in the cell, so no stored record shares the last point's
+    # key
+    spec = GridSpec((0.0, 2 * np.pi, 3), (0.1, 1.2, 3), CollectiveShape(3, 1),
+                    16, 2)
+    assert len(set(sweep._canonical_points(spec)[0])) == spec.n_points
     path = tmp_path / "cut.bin"
     fresh = run_grid(spec, checkpoint_path=str(path))
     whole = path.read_bytes()
@@ -349,7 +440,7 @@ def test_resume_from_cut_record(tmp_path, monkeypatch, kept):
     work = _count_work(monkeypatch)
     resumed = run_grid(spec, checkpoint_path=str(path))
     assert resumed == fresh
-    assert sum(work) > 0
+    assert sum(work) == spec.periods    # the cut point's row alone
     assert path.read_bytes() == whole
     assert len(read_checkpoint(str(path))) == spec.n_points
 

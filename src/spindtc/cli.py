@@ -28,7 +28,8 @@ from .diagnostics import (DEFAULT_PERIOD_SCAN_MAX, DEFAULT_REVIVAL_EPSILON,
 from .analytic_states import (milestone_state, parity_case_of,
                               supported_time_indices)
 from .metrology import qfi_scan, sensing_gain
-from .sweep import GridSpec, run_grid, write_csv, write_lines
+from .sweep import (GridSpec, run_grid, write_csv, write_lines,
+                    check_destination)
 
 TRAJECTORY_HEADER = "n,m_sat_x,m_c_x,entropy,fidelity"
 QFI_HEADER = "n_sat,two_s,n_periods,f_ll,f_gg,f_lg,g_scalar,gain"
@@ -220,6 +221,13 @@ def _require(args, *names):
             raise ShapeError(f"missing required option --{name.replace('_', '-')}")
 
 
+def _check_output(args) -> None:
+    """Fail on an --output that cannot be written before any computation
+    (sweep.check_destination); stdout needs no check."""
+    if args.output:
+        check_destination(args.output)
+
+
 def _write_output(path, lines) -> None:
     """The lines to path through sweep.write_lines, which leaves any earlier
     file whole if the write fails, or to stdout without a path."""
@@ -235,6 +243,7 @@ def _cmd_evolve(args) -> int:
     shape = CollectiveShape(args.n_sat, args.spin)
     state = x_polarized_state(shape)
     tables = precompute(shape, DriveParams.symmetric(args.lam, args.g))
+    _check_output(args)
     traj = evolve(state, tables, args.periods, trajectory_records)
     _write_output(args.output, itertools.chain([TRAJECTORY_HEADER], (
         f"{r.n},{r.m_sat_x:.17g},{r.m_c_x:.17g},"
@@ -288,6 +297,7 @@ def _cmd_sweep(args) -> int:
                     (args.g_min, args.g_max, args.g_steps),
                     CollectiveShape(args.n_sat, args.spin), args.periods,
                     args.stride)
+    _check_output(args)
     records = run_grid(spec, checkpoint_path=args.checkpoint,
                        report=lambda line: print(line, file=sys.stderr))
     write_csv(records, args.output)
@@ -305,9 +315,11 @@ def _cmd_qfi(args) -> int:
         scans += [(n_sat, [args.periods]) for n_sat in args.sizes]
     if not scans:
         raise ShapeError("need --periods-list and/or --sizes")
-    results = qfi_scan([(CollectiveShape(n_sat, args.spin), counts)
-                        for n_sat, counts in scans],
-                       DriveParams.symmetric(args.lam, args.g))
+    shapes = [(CollectiveShape(n_sat, args.spin), counts)
+              for n_sat, counts in scans]
+    params = DriveParams.symmetric(args.lam, args.g)
+    _check_output(args)
+    results = qfi_scan(shapes, params)
     lines = [QFI_HEADER]
     for (n_sat, _), matrices in zip(scans, results):
         for q in matrices:

@@ -33,21 +33,28 @@ One more holds at every shape but flips the magnetizations:
 And one more on the no-kick line:
 - at g = 0, U = e^{i lambda J^x S^x} is diagonal in the joint x basis, and
   the x-polarized start is one of its eigenvectors, so every lambda has
-  the record of (0, 0).
+  the record of (0, 0), and that record is the start's own: the x
+  magnetizations stay 1/2 and s and the entropy 0 at every period. A point
+  whose g is exactly 0 is not evolved; its constant series goes through
+  the same reductions as an evolved one (_scan).
 The canonical cell is lambda in [0, pi] at even n_sat with integer s, else
 [0, 2pi], times g in (0, pi/2] at an even stride, else (0, pi], plus the
 point (0, 0). A scan keys each folded angle by the grid value it lands on,
 within _SNAP grid steps, so a mirror grid value that the fold misses by an
 ulp still shares its canonical point's evolution. At (8, 2), stride 2, the
-9 x 5 grid over [0, 4pi] x [0, 2pi] of perfbench's phase_map evolves 4 of
-its 45 points, and the default 65 x 33 grid 137 of its 2,145.
+9 x 5 grid over [0, 4pi] x [0, 2pi] of perfbench's phase_map has 4 keys
+for its 45 points and evolves 3 of them, (0, 0) being the start's record,
+and the default 65 x 33 grid has 137 keys for its 2,145 points and evolves
+136. The grid's bookkeeping (fold and snap, checkpoint records, CSV rows)
+runs as array passes over the whole grid or a stack's worth of records.
 """
 
 import csv
+import errno
 import itertools
 import math
+import operator
 import os
-import struct
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 
@@ -64,9 +71,10 @@ CSV_HEADER = "lambda,g,avg_m_sat,avg_m_c,avg_entropy,o_rel_sat,o_rel_c"
 CSV_COMMENT = ("# avg_entropy is the mean central-satellite entanglement "
                "entropy over every period 1..periods")
 
-# a stored record: length prefix, grid index and seven float64 fields
-_FRAME = struct.Struct("<4sI7d")
-_RECORD_LENGTH = struct.pack("<I", _FRAME.size - 4)   # every record's prefix
+# a stored record, 64 bytes: length prefix, grid index and seven float64
+# fields
+_FRAME = np.dtype([("length", "S4"), ("index", "<u4"), ("values", "<f8", (7,))])
+_RECORD_LENGTH = (_FRAME.itemsize - 4).to_bytes(4, "little")  # every prefix
 # index of the record right after the magic that holds the spec fingerprint
 _SPEC_INDEX = 0xFFFFFFFF
 # the fingerprint's last field: the version of the values the records hold.
@@ -74,7 +82,7 @@ _SPEC_INDEX = 0xFFFFFFFF
 # checkpoint of older values is rejected rather than resumed into a CSV
 # that differs from a fresh scan's. Every version before the field was read
 # wrote 0, and such a checkpoint may hold values of an older fold.
-RECORD_VERSION = 3
+RECORD_VERSION = 4
 # a folded angle within this many grid steps of a grid value is keyed by
 # that value: far above the ulps a fold adds, far below the step
 _SNAP = 1e-9
@@ -125,6 +133,10 @@ class PhaseMapRecord:
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(PhaseMapRecord))
+# a record's seven values, in field order, as a tuple
+_record_values = operator.attrgetter(*_RECORD_FIELDS)
+# one CSV row of seven values at 17 significant digits
+_CSV_ROW = ",".join(["%.17g"] * len(_RECORD_FIELDS))
 
 
 def _stack_rows(shape: CollectiveShape) -> int:
@@ -135,84 +147,97 @@ def _stack_rows(shape: CollectiveShape) -> int:
     return max(1, _STACK_ENTRIES // (3 * n * d + n * n + d * d))
 
 
-def fold(lam: float, g: float, shape: CollectiveShape,
-         stride: int) -> tuple[float, float, bool]:
+def fold(lam, g, shape: CollectiveShape, stride: int):
     """The canonical point of (lam, g) in a scan of shape at stride, and
-    whether (lam, g) is a mirror image of it (module docstring).
+    whether (lam, g) is a mirror image of it (module docstring), elementwise
+    over angles that broadcast together; scalar angles give numpy scalars.
 
     lam is taken mod 2pi and reflected to 2pi - lam above pi when n_sat is
     even and s an integer, else mod 4pi and reflected to 4pi - lam above
     2pi; g mod 2pi, reflected to 2pi - g above pi, and at an even stride
     then to pi - g above pi/2, which makes (lam, g) a mirror image. A
     folded g of exactly 0 sends lam to 0 (no kick). A point already in the
-    cell with g > 0 comes back bitwise unchanged and not mirrored.
+    cell with g > 0 comes back bitwise unchanged and not mirrored. Each
+    step is the float operation of Python's % and -, so the fold of an
+    array is bitwise the fold of each of its entries. A non-finite angle
+    folds to nan.
     """
     period = 2 * math.pi if shape.n_sat % 2 == 0 and shape.two_s % 2 == 0 \
         else 4 * math.pi
-    lam %= period
-    if lam > period / 2:
-        lam = period - lam
-    g %= 2 * math.pi
-    if g > math.pi:
-        g = 2 * math.pi - g
-    mirrored = stride % 2 == 0 and g > math.pi / 2
-    if mirrored:
-        g = math.pi - g
-    if g == 0.0:
-        lam = 0.0
-    return lam, g, mirrored
+    with np.errstate(invalid="ignore"):
+        lam, g = np.mod(lam, period), np.mod(g, 2 * math.pi)
+    lam = np.where(lam > period / 2, period - lam, lam)
+    g = np.where(g > math.pi, 2 * math.pi - g, g)
+    mirrored = np.asarray((g > math.pi / 2) & (stride % 2 == 0))
+    g = np.where(mirrored, math.pi - g, g)
+    lam = np.where(g == 0.0, 0.0, lam)
+    return lam[()], g[()], mirrored[()]
 
 
-def _on_grid(value: float, axis: np.ndarray) -> float:
-    """The value of axis, a np.linspace, that value lies within _SNAP steps
-    of, else value itself."""
+def _snap(values: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """values with each entry that lies within _SNAP steps of a value of
+    axis, a np.linspace, replaced by that value."""
     if len(axis) == 1:
-        return value
+        return values
     step = (axis[-1] - axis[0]) / (len(axis) - 1)
-    nearest = float(axis[min(max(round((value - axis[0]) / step), 0),
-                             len(axis) - 1)])
-    return nearest if abs(value - nearest) <= _SNAP * step else value
+    nearest = axis[np.clip(np.rint((values - axis[0]) / step), 0,
+                           len(axis) - 1).astype(np.intp)]
+    return np.where(abs(values - nearest) <= _SNAP * step, nearest, values)
 
 
-def _canonical_points(spec: GridSpec) -> tuple[list, list[bool]]:
+def _canonical_points(spec: GridSpec) -> tuple[list, np.ndarray]:
     """The evolution key of each grid point, row-major, and whether the
     point is a mirror image of it: the point's fold, with each folded angle
-    replaced by the grid value it lands on (_on_grid), if any, and lambda
+    replaced by the grid value it lands on (_snap), if any, and lambda
     sent to 0 where g lands on 0, as fold does for an exact 0 (a g axis can
-    put pi an ulp off, and its fold an ulp off 0)."""
+    put pi an ulp off, and its fold an ulp off 0). One fold and one snap
+    per axis over the whole grid."""
     lams, gs = spec.axis("lambda"), spec.axis("g")
-    keys, mirrored = [], []
-    for lam in lams:
-        for g in gs:
-            lam_c, g_c, mirror = fold(float(lam), float(g), spec.shape, spec.stride)
-            g_c = _on_grid(g_c, gs)
-            keys.append((_on_grid(lam_c, lams) if g_c else 0.0, g_c))
-            mirrored.append(mirror)
-    return keys, mirrored
+    lam, g, mirrored = fold(lams[:, None], gs, spec.shape, spec.stride)
+    g = np.broadcast_to(_snap(g, gs), lam.shape)
+    lam = np.where(g == 0.0, 0.0, _snap(lam, lams))
+    return (list(zip(lam.ravel().tolist(), g.ravel().tolist())),
+            np.broadcast_to(mirrored, lam.shape).ravel())
 
 
-def _mirror(values, mirrored: bool) -> tuple[float, ...]:
-    """The five map averages of a point, from those of its canonical point
-    (or back: the map is its own inverse): unchanged, or with o_rel_sat and
-    o_rel_c negated at a mirror image."""
-    if not mirrored:
-        return tuple(values)
-    m_sat, m_c, entropy, o_rel_sat, o_rel_c = values
-    return m_sat, m_c, entropy, -o_rel_sat, -o_rel_c
+def _mirror(values, mirrored) -> np.ndarray:
+    """The five map averages of points, the last axis of values, from those
+    of their canonical points (or back: the map is its own inverse):
+    unchanged, or with o_rel_sat and o_rel_c negated where mirrored."""
+    values = np.array(values, dtype=float)
+    flip = np.asarray(mirrored)[..., None]
+    values[..., 3:] = np.where(flip, -values[..., 3:], values[..., 3:])
+    return values
 
 
 def _scan(shape: CollectiveShape, points, periods: int,
-          stride: int) -> list[tuple[float, ...]]:
-    """The five map averages of each (lambda, g) point, evolved as one
-    state stack."""
-    tables = precompute(shape, [DriveParams.symmetric(lam, g) for lam, g in points])
-    stack = PureState(shape, np.tile(x_polarized_state(shape).amplitudes,
-                                     (len(points), 1)))
-    observed = evolve(stack, tables, periods, lambda states, first:
-                      list(np.stack(period_observables(states), axis=1)))
-    # (period number, column, row), period 0 being the start
-    start = np.broadcast_to([[0.5], [shape.s], [0.0]], observed[0].shape)
-    series = np.array([start, *observed])
+          stride: int) -> np.ndarray:
+    """The five map averages of each (lambda, g) point, one row per point.
+
+    A point whose g is exactly 0 is not evolved: the start is an
+    eigenvector of its drive (module docstring), so its magnetizations are
+    1/2 and s and its entropy 0 at every period. The other points are
+    evolved as one state stack. Every point's series then goes through the
+    same reductions, row by row.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    # (period number, column, point), period 0 being the start
+    series = np.empty((periods + 1, 3, len(points)))
+    series[...] = [[0.5], [shape.s], [0.0]]
+    kicked = np.flatnonzero(points[:, 1] != 0.0)
+    if kicked.size:
+        tables = precompute(shape, [DriveParams.symmetric(lam, g)
+                                    for lam, g in points[kicked].tolist()])
+        stack = PureState(shape, np.tile(x_polarized_state(shape).amplitudes,
+                                         (kicked.size, 1)))
+
+        def record(states, first):
+            # fills series in place, so there is nothing to collect
+            series[first:first + len(states.amplitudes), :, kicked] = \
+                np.stack(period_observables(states), axis=1)
+            return ()
+
+        evolve(stack, tables, periods, record)
     m_sat, m_c = series[:, 0], series[:, 1]
     count = periods // stride
     avg_m_sat = stroboscopic_average(m_sat, stride, count)
@@ -221,16 +246,17 @@ def _scan(shape: CollectiveShape, points, periods: int,
     avg_entropy = np.ascontiguousarray(series[1:, 2].T).mean(axis=-1)
     _, _, o_rel_sat = relative_order_parameter(m_sat, periods)
     _, _, o_rel_c = relative_order_parameter(m_c, periods)
-    return [tuple(values) for values in np.stack(
-        (avg_m_sat, avg_m_c, avg_entropy, o_rel_sat, o_rel_c), axis=-1).tolist()]
+    return np.stack((avg_m_sat, avg_m_c, avg_entropy, o_rel_sat, o_rel_c),
+                    axis=-1)
 
 
 def compute_point(shape: CollectiveShape, lam: float, g: float,
                   periods: int, stride: int) -> PhaseMapRecord:
     """One trajectory from the x-polarized state, reduced to map averages.
 
-    It is evolved at the canonical point of fold(lam, g, shape, stride), and
-    the record carries lam and g as given, with both o_rel negated at a
+    It is evolved at the canonical point of fold(lam, g, shape, stride),
+    unless that point's g is 0 (then its record is the start's, _scan),
+    and the record carries lam and g as given, with both o_rel negated at a
     mirror image. run_grid evolves at that point's grid value instead
     (_canonical_points), so a mirror row of a scan equals compute_point at
     its canonical grid point, mapped as above, and may differ in the last
@@ -238,7 +264,7 @@ def compute_point(shape: CollectiveShape, lam: float, g: float,
     """
     lam_c, g_c, mirrored = fold(lam, g, shape, stride)
     values = _scan(shape, [(lam_c, g_c)], periods, stride)[0]
-    return PhaseMapRecord(lam, g, *_mirror(values, mirrored))
+    return PhaseMapRecord(lam, g, *_mirror(values, mirrored).tolist())
 
 
 def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
@@ -248,8 +274,9 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
 
     Each distinct key (_canonical_points: the fold, each folded angle
     replaced by the grid value within _SNAP steps of it, if any) of the
-    points still to compute is evolved once at that key, in grid order of
-    its first point, in stacks of _stack_rows rows in this process, and
+    points still to compute is computed once at that key (_scan; the key
+    (0, 0) is the start's record and is not evolved), in grid order of
+    its first point, in stacks of _stack_rows keys in this process, and
     every point with that key gets its values, with both o_rel negated at
     a mirror image, and the point's own (lambda, g). A fold that misses the
     grid keeps its float, so an asymmetric grid still evolves every point
@@ -257,57 +284,81 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
     axes.
 
     With checkpoint_path, records are appended to the checkpoint in grid
-    order as their values become known, and a restart skips them; a point
-    whose key a stored record shares takes the values of the lowest such
-    record, mapped back from a mirror image, without an evolution. A
-    trailing record cut short by a crash mid-write is dropped from the file,
-    and its point is recomputed, or takes the values of a stored record of
-    its key; a checkpoint written for another grid, shape, period count or
-    stride, or with records of another RECORD_VERSION, raises
-    CheckpointError. The checkpoint's header is on disk before the first
-    stack starts, and an empty checkpoint (a scan killed before then), or
-    one cut inside its header, starts a fresh scan.
-    report, if given, receives one line at the end: the points evolved,
-    taken from a mirror point and resumed.
+    order: before each stack starts, the records of every point whose
+    values are known by then go out in one write and one flush, and the
+    rest at the end. A restart skips them; a point whose key a stored
+    record shares takes the values of the lowest such record, mapped back
+    from a mirror image, without an evolution. A trailing record cut short
+    by a crash mid-write is dropped from the file, and its point is
+    recomputed, or takes the values of a stored record of its key; a
+    checkpoint written for another grid, shape, period count or stride, or
+    with records of another RECORD_VERSION, raises CheckpointError. The
+    checkpoint's header is on disk before the first stack starts, and an
+    empty checkpoint (a scan killed before then), or one cut inside its
+    header, starts a fresh scan.
+    report, if given, receives one line at the end: the points computed
+    (one per key), taken from a mirror point and resumed.
     """
-    points = [(float(lam), float(g))
-              for lam in spec.axis("lambda") for g in spec.axis("g")]
     keys, mirrored = _canonical_points(spec)
+    first = {}
+    # each point's head: the grid index of the first point of its key,
+    # which stands for the key
+    heads = np.array([first.setdefault(key, index)
+                      for index, key in enumerate(keys)])
     done: dict[int, PhaseMapRecord] = {}
     if checkpoint_path and os.path.exists(checkpoint_path):
         # appending after a cut record would corrupt the file for good
         _drop_cut_record(checkpoint_path)
         if os.path.getsize(checkpoint_path) > 0:
             done = dict(read_checkpoint(checkpoint_path, spec))
-    values = {}     # key -> its five averages
-    for index in sorted(done):
-        values.setdefault(keys[index], _mirror(_record_values(done[index])[2:],
-                                               mirrored[index]))
-    pending = [k for k in range(spec.n_points) if k not in done]
-    # in grid order of their first point, so each stack's first point is
-    # the next pending one without values
-    todo = list(dict.fromkeys(keys[k] for k in pending if keys[k] not in values))
+    stored = np.array(sorted(done), dtype=np.intp)
+    resumed = np.zeros(spec.n_points, bool)
+    resumed[stored] = True
+    pending = np.flatnonzero(~resumed)
+    values = np.empty((spec.n_points, 5))   # each head's five averages
+    known = np.zeros(spec.n_points, bool)
+    # a stored key's values: those of its lowest stored record
+    stored_heads, lowest = np.unique(heads[stored], return_index=True)
+    lowest = stored[lowest]
+    values[stored_heads] = _mirror(np.reshape(
+        [_record_values(done[index])[2:] for index in lowest.tolist()],
+        (-1, 5)), mirrored[lowest])
+    known[stored_heads] = True
+    # the heads of the keys without values, in grid order: every point of
+    # such a key is pending, so each stack's first head is the next
+    # pending point without values
+    todo = np.flatnonzero((heads == np.arange(spec.n_points)) & ~known)
+    rows = np.empty((len(pending), 7))      # the pending points' records
+    i, j = np.divmod(pending, spec.g_range[2])
+    rows[:, 0], rows[:, 1] = spec.axis("lambda")[i], spec.axis("g")[j]
+    size = _stack_rows(spec.shape)
+    # before stack k, the records of the pending points ahead of its
+    # first head are known; after the last, every record
+    ends = [*np.searchsorted(pending, todo[::size]).tolist(), len(pending)]
     ckpt = open(checkpoint_path, "ab") if checkpoint_path else None
     try:
         if ckpt is not None and ckpt.tell() == 0:
-            ckpt.write(CHECKPOINT_MAGIC)
-            ckpt.write(_FRAME.pack(_RECORD_LENGTH, _SPEC_INDEX, *_fingerprint(spec)))
+            ckpt.write(CHECKPOINT_MAGIC
+                       + _pack_records([_SPEC_INDEX], [_fingerprint(spec)]))
             ckpt.flush()
-        rows, start = _stack_rows(spec.shape), 0
-        for index in pending:
-            if keys[index] not in values:
-                stack = todo[start:start + rows]
-                start += rows
-                values.update(zip(stack, _scan(spec.shape, stack, spec.periods,
-                                               spec.stride)))
-            rec = PhaseMapRecord(*points[index],
-                                 *_mirror(values[keys[index]], mirrored[index]))
-            done[index] = rec
+        begin = 0
+        for k, end in enumerate(ends):
+            part = pending[begin:end]
+            rows[begin:end, 2:] = _mirror(values[heads[part]], mirrored[part])
             if ckpt is not None:
-                _write_checkpoint_record(ckpt, index, rec)
+                ckpt.write(_pack_records(part, rows[begin:end]))
+                ckpt.flush()
+            stack = todo[k * size:(k + 1) * size]
+            if stack.size:
+                values[stack] = _scan(spec.shape,
+                                      [keys[head] for head in stack.tolist()],
+                                      spec.periods, spec.stride)
+            begin = end
     finally:
         if ckpt is not None:
             ckpt.close()
+    done.update(zip(pending.tolist(),
+                    itertools.starmap(PhaseMapRecord, rows.tolist())))
     if report is not None:
         report(f"computed {len(todo)} of {spec.n_points} points "
                f"({len(pending) - len(todo)} by symmetry, "
@@ -320,30 +371,39 @@ def _fingerprint(spec: GridSpec) -> tuple:
             spec.lambda_range[2], spec.g_range[2], RECORD_VERSION)
 
 
-def _record_values(rec: PhaseMapRecord) -> list[float]:
-    return [getattr(rec, name) for name in _RECORD_FIELDS]
+def _pack_records(indices, values) -> bytes:
+    """Records as a checkpoint stores them: one frame per grid index, with
+    its row of seven values."""
+    frames = np.empty(len(indices), _FRAME)
+    frames["length"] = _RECORD_LENGTH
+    frames["index"] = indices
+    frames["values"] = values
+    return frames.tobytes()
 
 
-def _write_checkpoint_record(fh, index: int, rec: PhaseMapRecord) -> None:
-    fh.write(_FRAME.pack(_RECORD_LENGTH, index, *_record_values(rec)))
-    fh.flush()
-
-
-def _check_grid(spec: GridSpec, records, path: str) -> None:
+def _check_grid(spec: GridSpec, indices: np.ndarray, values: np.ndarray,
+                path: str) -> None:
     """Every stored record must sit on this grid at its index; both sides
-    come from the same np.linspace, so (lambda, g) compare exactly."""
+    come from the same np.linspace, so (lambda, g) compare exactly. The
+    first record that does not is named."""
     lams, gs = spec.axis("lambda"), spec.axis("g")
-    for index, rec in records:
-        if index >= spec.n_points:
-            raise CheckpointError(
-                f"{path}: record index {index} is outside the "
-                f"{spec.n_points}-point grid")
-        i, j = divmod(index, len(gs))
-        if (rec.lam, rec.g) != (lams[i], gs[j]):
-            raise CheckpointError(
-                f"{path}: record {index} is at (lambda, g) = ({rec.lam!r}, "
-                f"{rec.g!r}), the grid has ({float(lams[i])!r}, "
-                f"{float(gs[j])!r}); the checkpoint was written for another grid")
+    outside = indices >= spec.n_points
+    i, j = np.divmod(np.where(outside, 0, indices), len(gs))
+    off = (values[:, 0] != lams[i]) | (values[:, 1] != gs[j])
+    bad = np.flatnonzero(outside | off)
+    if not bad.size:
+        return
+    k = bad[0]
+    index = int(indices[k])
+    if outside[k]:
+        raise CheckpointError(
+            f"{path}: record index {index} is outside the "
+            f"{spec.n_points}-point grid")
+    raise CheckpointError(
+        f"{path}: record {index} is at (lambda, g) = "
+        f"({float(values[k, 0])!r}, {float(values[k, 1])!r}), the grid has "
+        f"({float(lams[i[k]])!r}, {float(gs[j[k]])!r}); the checkpoint was "
+        f"written for another grid")
 
 
 def _drop_cut_record(path: str) -> None:
@@ -356,7 +416,7 @@ def _drop_cut_record(path: str) -> None:
     anew."""
     size = os.path.getsize(path)
     magic = len(CHECKPOINT_MAGIC)
-    whole = size - (size - magic) % _FRAME.size if size > magic else 0
+    whole = size - (size - magic) % _FRAME.itemsize if size > magic else 0
     if whole == size:
         return
     with open(path, "rb") as fh:
@@ -381,16 +441,17 @@ def read_checkpoint(path: str, spec: GridSpec | None = None
         magic, body = fh.read(len(CHECKPOINT_MAGIC)), fh.read()
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad checkpoint magic {magic!r} in {path}")
-    prefixes = {body[k:k + 4] for k in range(0, len(body), _FRAME.size)}
-    if len(body) % _FRAME.size or prefixes - {_RECORD_LENGTH}:
+    frames = np.frombuffer(body, _FRAME, len(body) // _FRAME.itemsize)
+    if len(body) % _FRAME.itemsize or (frames["length"] != _RECORD_LENGTH).any():
         raise CheckpointError(f"truncated or missized record in {path}")
-    records = [(index, PhaseMapRecord(*vals))
-               for _, index, *vals in _FRAME.iter_unpack(body)]
-    stored = records.pop(0)[1] if records and records[0][0] == _SPEC_INDEX else None
+    stored = None
+    if len(frames) and frames["index"][0] == _SPEC_INDEX:
+        stored, frames = frames["values"][0].tolist(), frames[1:]
+    indices, values = frames["index"], frames["values"]
     if spec is not None:
-        _check_grid(spec, records, path)
+        _check_grid(spec, indices, values, path)
         want = _fingerprint(spec)
-        written = _record_values(stored) if stored is not None else want
+        written = stored if stored is not None else want
         if tuple(written[:6]) != want[:6]:
             raise CheckpointError(
                 f"{path}: written for (n_sat, two_s, periods, stride, lambda "
@@ -401,11 +462,25 @@ def read_checkpoint(path: str, spec: GridSpec | None = None
                 f"{path}: holds records of version {written[6]:g}, this "
                 f"version writes {want[6]}; its values may differ from a "
                 f"fresh scan's, so the scan must start afresh")
-    return records
+    return list(zip(indices.tolist(),
+                    itertools.starmap(PhaseMapRecord, values.tolist())))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def check_destination(destination: str) -> None:
+    """Raise, before any work, the OSError naming destination that
+    write_lines would meet for want of a place to write it: a directory
+    that is missing, is not one or is not writable, or a destination that
+    is itself a directory."""
+    directory = os.path.dirname(destination) or "."
+    if os.path.isdir(destination):
+        code = errno.EISDIR
+    elif not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), destination)
 
 
 def write_lines(destination: str, lines) -> None:
@@ -433,7 +508,7 @@ def write_csv(records: list[PhaseMapRecord], destination: str) -> None:
     digits."""
     write_lines(destination, itertools.chain(
         [CSV_COMMENT, CSV_HEADER],
-        (",".join(_fmt(v) for v in _record_values(rec)) for rec in records)))
+        (_CSV_ROW % _record_values(rec) for rec in records)))
 
 
 def read_csv(source: str) -> list[PhaseMapRecord]:

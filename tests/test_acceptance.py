@@ -225,7 +225,7 @@ def test_criterion_12_determinism():
     import os
     import tempfile
     from spindtc.sweep import (CHECKPOINT_MAGIC, compute_point,
-                               _write_checkpoint_record)
+                               _pack_records, _record_values)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "resume.bin")
         lams, gs = spec.axis("lambda"), spec.axis("g")
@@ -235,6 +235,6 @@ def test_criterion_12_determinism():
                 i, j = divmod(index, 3)
                 rec = compute_point(CollectiveShape(3, 1), float(lams[i]),
                                     float(gs[j]), 16, 2)
-                _write_checkpoint_record(fh, index, rec)
+                fh.write(_pack_records([index], [_record_values(rec)]))
         resumed = run_grid(spec, checkpoint_path=path)
     assert resumed == r1

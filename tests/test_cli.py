@@ -14,7 +14,7 @@ from spindtc.hilbert import CollectiveShape
 from spindtc.metrology import qfi_matrix, sensing_gain
 from spindtc.sweep import CHECKPOINT_MAGIC, RECORD_VERSION
 from spindtc.spin_algebra import coherent_axis_state
-from spindtc import analytic_states, metrology
+from spindtc import analytic_states, metrology, cli, sweep
 
 from qubit_reference import product_state
 
@@ -239,15 +239,16 @@ def test_sweep_rejects_checkpoint_of_another_grid(tmp_path, capsys):
 def test_sweep_rejects_checkpoint_of_another_record_version(tmp_path, capsys):
     # the fingerprint's last field is the version of the stored values: a
     # checkpoint with 0 there, as every version before the field was read
-    # wrote, with 1, whose coherent states came from an eigensolver, or
-    # with 2, whose fold evolved the g = 0 line, exits 1 naming both
-    # versions, and --output is not written
+    # wrote, with 1, whose coherent states came from an eigensolver, with
+    # 2, whose fold evolved the g = 0 line, or with 3, which evolved the
+    # (0, 0) record, exits 1 naming both versions, and --output is not
+    # written
     ckpt, out = tmp_path / "map.ckpt", tmp_path / "map.csv"
     argv = ["sweep", "--n-sat", "3", "--spin", "1/2", "--lambda-steps", "3",
             "--g-steps", "2", "--periods", "4", "--checkpoint", str(ckpt),
             "--output", str(out)]
-    assert RECORD_VERSION == 3
-    for old in (0, 1, 2):
+    assert RECORD_VERSION == 4
+    for old in (0, 1, 2, 3):
         assert parse_and_dispatch(argv) == 0
         # the magic, then the fingerprint record's length, index and 7 doubles
         field = len(CHECKPOINT_MAGIC) + 8 + 6 * 8
@@ -558,17 +559,30 @@ def test_failed_qfi_leaves_output_untouched(tmp_path):
     ["qfi", "--spin", "1/2", "--lambda", "pi", "--g", "pi/2", "--sizes",
      "2", "--periods", "4"]], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
-def test_failed_output_write_names_the_output(tmp_path, capsys, command,
-                                              where):
+def test_failed_output_write_names_the_output(tmp_path, capsys, monkeypatch,
+                                              command, where):
     # the error names --output, not the temporary file the lines went to,
-    # and no temporary file is left
+    # and no temporary file is left. The destination is checked before any
+    # computation: no evolution or Fisher scan runs, sweep prints no
+    # computed line and creates no checkpoint
+    calls = []
+    for module, name in ((cli, "evolve"), (sweep, "evolve"),
+                         (cli, "qfi_scan")):
+        def counted(*args, _name=name, _real=getattr(module, name), **kw):
+            calls.append(_name)
+            return _real(*args, **kw)
+        monkeypatch.setattr(module, name, counted)
     out = tmp_path / "missing" / "a.csv" if where == "missing-directory" \
         else tmp_path / "a.csv"
     if where == "directory":
         out.mkdir()
-    assert parse_and_dispatch(command + ["--output", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()[-1]
-    assert re.fullmatch(rf"error: \[Errno \d+\] [^:]+: {re.escape(repr(str(out)))}",
-                        err)
+    extra = ["--checkpoint", str(tmp_path / "map.ckpt")] \
+        if command[0] == "sweep" else []
+    assert parse_and_dispatch(command + extra + ["--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert re.fullmatch(rf"error: \[Errno \d+\] [^:]+: {re.escape(repr(str(out)))}\n",
+                        captured.err)
+    assert calls == []
     assert [p.name for p in tmp_path.rglob("*")] == \
         (["a.csv"] if where == "directory" else [])

@@ -5,13 +5,18 @@ import numpy as np
 import pytest
 
 from spindtc.errors import ShapeError, CheckpointError
-from spindtc.hilbert import CollectiveShape
+from spindtc.hilbert import CollectiveShape, x_polarized_state
 from spindtc import cli
-from spindtc.floquet import evolve
+from spindtc.floquet import DriveParams, precompute, evolve
+from spindtc.observables import trajectory_records
+from spindtc.diagnostics import (stroboscopic_average,
+                                 relative_order_parameter)
 from spindtc import sweep
 from spindtc.sweep import (GridSpec, PhaseMapRecord, compute_point, run_grid,
                            read_checkpoint, write_csv, read_csv, fold,
-                           CHECKPOINT_MAGIC, _write_checkpoint_record)
+                           CHECKPOINT_MAGIC, _pack_records)
+
+import fold_reference
 
 
 def _small_spec(periods=16, stride=2):
@@ -82,6 +87,22 @@ def _count_work(monkeypatch):
 
     monkeypatch.setattr(sweep, "evolve", counted)
     return work
+
+
+def _evolved_values(shape, lam, g, periods, stride):
+    """The five map averages of (lam, g) from a direct floquet.evolve of
+    the x-polarized start, each reduced by its definition: a path that
+    shares neither _scan's recorder nor its reductions."""
+    tables = precompute(shape, DriveParams.symmetric(lam, g))
+    traj = evolve(x_polarized_state(shape), tables, periods,
+                  trajectory_records)
+    # one row per period n = 1..periods
+    series = np.array([[r.m_sat_x, r.m_c_x, r.entropy] for r in traj])
+    sampled = series[stride - 1:periods // stride * stride:stride]
+    # o_rel: the mean of (-1)^n M(n) minus the mean of M(n)
+    weights = ((-1.0) ** np.arange(1, periods + 1) - 1.0) / periods
+    return [*sampled[:, :2].mean(axis=0), series[:, 2].mean(),
+            *(weights @ series[:, :2])]
 
 
 def _criterion_11_subgrid(lambda_every, g_every):
@@ -170,32 +191,28 @@ def test_fold_maps_mirror_images_onto_one_point():
                 pytest.approx(want, abs=1e-14)
 
 
-def test_benchmark_grid_evolves_4_of_its_45_points(tmp_path, monkeypatch):
+def test_benchmark_grid_evolves_3_of_its_45_points(tmp_path, monkeypatch):
     # the 9 x 5 grid over [0, 4pi] x [0, 2pi] at (8, 2), stride 2: 4
-    # canonical points, (0, 0) and (0, pi/2), (pi/2, pi/2), (pi, pi/2), each
-    # evolved once, so 4/45 of the drive of evolving every point; a resume
-    # from its checkpoint with the last record cut drives nothing, and
-    # writes the file as the fresh run did
+    # canonical points, (0, 0) and (0, pi/2), (pi/2, pi/2), (pi, pi/2); the
+    # last three are evolved once each, so 3/45 of the drive of evolving
+    # every point, and (0, 0) is the start's record; a resume from its
+    # checkpoint with the last record cut drives nothing, and writes the
+    # file as the fresh run did
     spec = _criterion_11_subgrid(8, 8)
-    lams, gs = spec.axis("lambda"), spec.axis("g")
-    points = [(float(lam), float(g)) for lam in lams for g in gs]
     keys, mirrored = sweep._canonical_points(spec)
     assert sorted(set(keys)) == [(0.0, 0.0), (0.0, np.pi / 2),
                                  (np.pi / 2, np.pi / 2), (np.pi, np.pi / 2)]
     work = _count_work(monkeypatch)
-    sweep._scan(spec.shape, points, spec.periods, spec.stride)
-    every_point = sum(work)
     path = tmp_path / "map.ckpt"
-    work.clear()
     records = run_grid(spec, checkpoint_path=str(path))
-    assert 45 * sum(work) == 4 * every_point
+    assert sum(work) == 3 * spec.periods
     # mirror rows repeat their canonical row, which is on this grid, with
     # both o_rel negated at a mirror image under g -> pi - g
     by_point = {(r.lam, r.g): r for r in records}
     for rec, key, mirror in zip(records, keys, mirrored):
         canonical = sweep._record_values(by_point[key])[2:]
-        assert tuple(sweep._record_values(rec)[2:]) == \
-            sweep._mirror(canonical, mirror)
+        assert sweep._record_values(rec)[2:] == \
+            tuple(sweep._mirror(canonical, mirror).tolist())
     # the g = pi column
     assert [index for index, mirror in enumerate(mirrored) if mirror] == \
         list(range(2, 45, 5))
@@ -258,17 +275,19 @@ def test_no_kick_line_takes_the_record_of_the_origin(monkeypatch, shape,
     if stride % 2 == 0:
         line += [(k, True) for k in range(2, 45, 5)]
     for index, mirrored in line:
-        assert tuple(sweep._record_values(records[index])[2:]) == \
-            sweep._mirror(origin, mirrored)
+        assert sweep._record_values(records[index])[2:] == \
+            tuple(sweep._mirror(origin, mirrored).tolist())
     # g = pi/2 and 3pi/2 fold onto the lambdas of the cell, and at an odd
-    # stride so does g = pi: one evolution each, and one for the line
+    # stride so does g = pi: one evolution each; the line's record is the
+    # start's, with no evolution
     lams_in_cell = 3 if shape.n_sat % 2 == 0 and shape.two_s % 2 == 0 else 5
-    assert sum(work) == spec.periods * (1 + lams_in_cell * (2 if stride % 2
-                                                            else 1))
-    unfolded = sweep._scan(shape, points, spec.periods, stride)
+    assert sum(work) == spec.periods * lams_in_cell * (2 if stride % 2 else 1)
+    # each row of the line is its own point's, evolved directly
     for index, _ in line:
-        np.testing.assert_allclose(sweep._record_values(records[index])[2:],
-                                   unfolded[index], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            sweep._record_values(records[index])[2:],
+            _evolved_values(shape, *points[index], spec.periods, stride),
+            rtol=0, atol=1e-12)
     # a 51-step g axis puts pi an ulp above pi, which folds an ulp above 0
     # at an even stride: the grid value 0 keys it, and so does (0, 0)
     spec = GridSpec((0.0, 4 * np.pi, 9), (0.0, 2 * np.pi, 51), shape, 12,
@@ -279,6 +298,91 @@ def test_no_kick_line_takes_the_record_of_the_origin(monkeypatch, shape,
     if stride % 2 == 0:
         line += range(25, 459, 51)
     assert {keys[index] for index in line} == {(0.0, 0.0)}
+
+
+@pytest.mark.parametrize("shape", _PARITY_CLASSES,
+                         ids=lambda sh: f"{sh.n_sat}-{sh.two_s}")
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("periods", [12, 13])
+def test_no_kick_record_is_the_start_series(monkeypatch, shape, stride,
+                                            periods):
+    # the (0, 0) record is the reductions of the start's constant series
+    # (1/2, s, 0), bitwise, on a grid and from compute_point at any lambda
+    # with g = 0, and neither evolves anything for it
+    start = [0.5] * (periods + 1), [shape.s] * (periods + 1)
+    count = periods // stride
+    want = [stroboscopic_average(start[0], stride, count),
+            stroboscopic_average(start[1], stride, count), 0.0,
+            relative_order_parameter(start[0], periods)[2],
+            relative_order_parameter(start[1], periods)[2]]
+    if periods % 2 == 0:
+        assert want == [0.5, shape.s, 0.0, -0.5, -shape.s]
+    work = _count_work(monkeypatch)
+    # the lambda axis of the no-kick line alone
+    spec = GridSpec((0.0, 4 * np.pi, 9), (0.0, 0.0, 1), shape, periods,
+                    stride)
+    records = run_grid(spec)
+    for lam in (0.0, 1.3, np.pi, 4 * np.pi - 0.1):
+        records.append(compute_point(shape, lam, 0.0, periods, stride))
+    assert work == []
+    for rec in records:
+        assert [v.hex() for v in sweep._record_values(rec)[2:]] == \
+            [float(v).hex() for v in want]
+
+
+@pytest.mark.parametrize("shape", _PARITY_CLASSES,
+                         ids=lambda sh: f"{sh.n_sat}-{sh.two_s}")
+def test_no_kick_record_matches_a_direct_evolution(shape):
+    # the start's record at g = 0 is what evolving the start gives there,
+    # which _scan, no longer evolving g = 0, cannot check by itself
+    for lam in (0.0, 0.7, 2.9, np.pi, 5.1, 4 * np.pi - 0.3):
+        np.testing.assert_allclose(
+            sweep._record_values(compute_point(shape, lam, 0.0, 24, 2))[2:],
+            _evolved_values(shape, lam, 0.0, 24, 2), rtol=0, atol=1e-12)
+
+
+def test_default_grid_no_kick_rows_at_9_5_2(tmp_path):
+    # at (9, 5/2) the evolved (0, 0) row drifted above 1/2 and below zero
+    # entropy; every row keyed to (0, 0) now reads the start's exact record
+    out = tmp_path / "map.csv"
+    assert cli.parse_and_dispatch(["sweep", "--n-sat", "9", "--spin", "5/2",
+                                   "--output", str(out)]) == 0
+    rows = [line.split(",", 2) for line in out.read_text().splitlines()[2:]]
+    gs = np.linspace(0.0, 2 * np.pi, 33)
+    by_g = {"%.17g" % gs[0]: "0.5,2.5,0,-0.5,-2.5",
+            "%.17g" % gs[16]: "0.5,2.5,0,0.5,2.5",
+            "%.17g" % gs[32]: "0.5,2.5,0,-0.5,-2.5"}
+    line = [values for _, g, values in rows if g in by_g]
+    assert len(rows) == 2145 and len(line) == 195
+    assert line == [by_g[g] for _, g, _ in rows if g in by_g]
+
+
+def _folds(spec):
+    keys, mirrored = sweep._canonical_points(spec)
+    return [(lam.hex(), g.hex()) for lam, g in keys], list(mirrored)
+
+
+@pytest.mark.parametrize("shape", _PARITY_CLASSES,
+                         ids=lambda sh: f"{sh.n_sat}-{sh.two_s}")
+@pytest.mark.parametrize("stride", [1, 2])
+def test_array_fold_matches_the_per_point_reference(shape, stride):
+    # the array fold and snap give bitwise the keys and mirror flags of the
+    # per-point loop on Python floats, on the default grid, the 51-step g
+    # axis, the off-grid 7 x 5 grid and single-step axes
+    specs = [GridSpec((0.0, 4 * np.pi, 65), (0.0, 2 * np.pi, 33), shape,
+                      200, stride),
+             GridSpec((0.0, 4 * np.pi, 9), (0.0, 2 * np.pi, 51), shape, 12,
+                      stride),
+             GridSpec((0.1, 3.9, 7), (0.05, 2.9, 5), shape, 24, stride),
+             GridSpec((2.5, 2.5, 1), (0.0, 2 * np.pi, 33), shape, 12, stride),
+             GridSpec((0.0, 4 * np.pi, 65), (np.pi, np.pi, 1), shape, 12,
+                      stride),
+             GridSpec((4 * np.pi, 4 * np.pi, 1), (0.0, 0.0, 1), shape, 12,
+                      stride)]
+    for spec in specs:
+        keys, mirrored = fold_reference.canonical_points(spec)
+        assert _folds(spec) == \
+            ([(lam.hex(), g.hex()) for lam, g in keys], mirrored)
 
 
 def test_off_grid_folds_keep_their_floats(monkeypatch):
@@ -374,7 +478,7 @@ def test_checkpoint_round_trip(tmp_path):
     rec = PhaseMapRecord(1.0, 2.0, 0.25, -0.5, 0.01, 0.1, -0.1)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        _write_checkpoint_record(fh, 7, rec)
+        fh.write(_pack_records([7], [sweep._record_values(rec)]))
     assert read_checkpoint(str(path)) == [(7, rec)]
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"NOPE")
@@ -384,6 +488,58 @@ def test_checkpoint_round_trip(tmp_path):
     trunc.write_bytes(CHECKPOINT_MAGIC + b"\x3c\x00\x00\x00\x01")
     with pytest.raises(CheckpointError):
         read_checkpoint(str(trunc))
+
+
+def test_checkpoint_with_a_corrupt_middle_prefix_is_rejected(tmp_path):
+    # the body is a whole number of records, but one length prefix in the
+    # middle is not the records' length: read and resume both refuse it,
+    # and the resume leaves the file as it is
+    spec = _small_spec()
+    path = tmp_path / "map.ckpt"
+    run_grid(spec, checkpoint_path=str(path))
+    data = bytearray(path.read_bytes())
+    data[len(CHECKPOINT_MAGIC) + 4 * sweep._FRAME.itemsize] += 1
+    path.write_bytes(data)
+    with pytest.raises(CheckpointError, match="truncated or missized record"):
+        read_checkpoint(str(path))
+    with pytest.raises(CheckpointError, match="truncated or missized record"):
+        run_grid(spec, checkpoint_path=str(path))
+    assert path.read_bytes() == data
+
+
+def test_checkpoint_holds_the_records_known_before_a_failed_stack(
+        tmp_path, monkeypatch):
+    # stacks of 8 keys; the second stack's evolution fails. The checkpoint
+    # then holds the header and the records of every point ahead of the
+    # first point of that stack's first key, as the fresh run wrote them,
+    # and a resume finishes the scan as the fresh run did
+    spec = _criterion_11_subgrid(4, 2)
+    monkeypatch.setattr(sweep, "_stack_rows", lambda shape: 8)
+    fresh_path = tmp_path / "fresh.ckpt"
+    fresh = run_grid(spec, checkpoint_path=str(fresh_path))
+    keys, _ = sweep._canonical_points(spec)
+    firsts = sorted({key: k for k, key in reversed(list(enumerate(keys)))}
+                    .values())
+    ahead = firsts[8]
+    calls = []
+
+    def failing(state, tables, n_periods, recorder=None):
+        calls.append(n_periods)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return evolve(state, tables, n_periods, recorder)
+
+    path = tmp_path / "map.ckpt"
+    with monkeypatch.context() as m:
+        m.setattr(sweep, "evolve", failing)
+        with pytest.raises(KeyboardInterrupt):
+            run_grid(spec, checkpoint_path=str(path))
+    header = len(CHECKPOINT_MAGIC) + sweep._FRAME.itemsize
+    assert ahead > 8
+    assert path.read_bytes() == \
+        fresh_path.read_bytes()[:header + ahead * sweep._FRAME.itemsize]
+    assert run_grid(spec, checkpoint_path=str(path)) == fresh
+    assert path.read_bytes() == fresh_path.read_bytes()
 
 
 def test_checkpoint_resume_no_recompute(tmp_path, monkeypatch):
@@ -398,7 +554,7 @@ def test_checkpoint_resume_no_recompute(tmp_path, monkeypatch):
             i, j = divmod(index, 3)
             rec = compute_point(CollectiveShape(3, 1), float(lams[i]),
                                 float(gs[j]), spec.periods, spec.stride)
-            _write_checkpoint_record(fh, index, rec)
+            fh.write(_pack_records([index], [sweep._record_values(rec)]))
     work = _count_work(monkeypatch)
     resumed = run_grid(spec, checkpoint_path=path)
     ops_resumed = sum(work)
@@ -406,11 +562,11 @@ def test_checkpoint_resume_no_recompute(tmp_path, monkeypatch):
     run_grid(spec)
     ops_full = sum(work)
     assert resumed == full
-    # the g = pi column folds onto (0, 0), so a fresh scan evolves 7 keys;
-    # records 0-4 hold 5 of them, (0, 0) among them, so only 2 of the 7
-    # were recomputed
-    assert ops_full > 0
-    assert ops_resumed == pytest.approx(ops_full * 2 / 7, rel=1e-12)
+    # the g = pi column folds onto (0, 0), so a fresh scan has 7 keys and
+    # evolves 6 of them, (0, 0) being the start's record; records 0-4 hold
+    # 5 of the keys, (0, 0) among them, so only 2 of the 6 were recomputed
+    assert ops_full == 6 * spec.periods
+    assert ops_resumed == 2 * spec.periods
 
 
 def test_checkpoint_written_during_run(tmp_path):
@@ -501,7 +657,7 @@ def test_empty_checkpoint_starts_fresh(tmp_path, monkeypatch):
     spec = _small_spec()
     path = tmp_path / "map.ckpt"
     path.write_bytes(b"")
-    header = len(CHECKPOINT_MAGIC) + sweep._FRAME.size
+    header = len(CHECKPOINT_MAGIC) + sweep._FRAME.itemsize
 
     def killed(*args):
         assert path.read_bytes()[:len(CHECKPOINT_MAGIC)] == CHECKPOINT_MAGIC

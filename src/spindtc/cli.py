@@ -224,14 +224,14 @@ def _require(args, *names):
 def _check_output(args) -> None:
     """Fail on an --output that cannot be written before any computation
     (sweep.check_destination); stdout needs no check."""
-    if args.output:
+    if args.output is not None:
         check_destination(args.output)
 
 
 def _write_output(path, lines) -> None:
     """The lines to path through sweep.write_lines, which leaves any earlier
     file whole if the write fails, or to stdout without a path."""
-    if path:
+    if path is not None:
         write_lines(path, lines)
         return
     for line in lines:

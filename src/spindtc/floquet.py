@@ -141,13 +141,9 @@ def to_axis_basis(mat: np.ndarray, shape: CollectiveShape, axis: str) -> np.ndar
     return v_s.conj().T @ mat @ v_c.conj()
 
 
-def to_x_basis(mat: np.ndarray, shape: CollectiveShape) -> np.ndarray:
-    """to_axis_basis on the x axis, the basis evolve drives in."""
-    return to_axis_basis(mat, shape, "x")
-
-
 def from_x_basis(mat: np.ndarray, shape: CollectiveShape) -> np.ndarray:
-    """Inverse of to_x_basis, with the same layout."""
+    """Inverse of to_axis_basis on the x axis, the basis evolve drives in,
+    with the same layout."""
     v_s, v_c = _eigenbases(shape, "x")
     return v_s @ (mat @ v_c.T)
 
@@ -177,7 +173,7 @@ def evolve(state: PureState, tables: StepTables, n_periods: int, recorder=None) 
         return []
     shape, flat = state.shape, state.amplitudes.shape
     d = shape.central_dim
-    x = to_x_basis(state.amplitudes.reshape(flat[:-1] + (-1, d)), shape)
+    x = to_axis_basis(state.amplitudes.reshape(flat[:-1] + (-1, d)), shape, "x")
     k_s, k_c = tables.satellite_kick, tables.central_kick
     phases = tables.interaction_phases.reshape(x.shape)
 

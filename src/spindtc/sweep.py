@@ -46,7 +46,10 @@ ulp still shares its canonical point's evolution. At (8, 2), stride 2, the
 for its 45 points and evolves 3 of them, (0, 0) being the start's record,
 and the default 65 x 33 grid has 137 keys for its 2,145 points and evolves
 136. The grid's bookkeeping (fold and snap, checkpoint records, CSV rows)
-runs as array passes over the whole grid or a stack's worth of records.
+runs as array passes over the whole grid or a stack's worth of records,
+and one table of seven values per point holds every row, stored, mirrored
+or computed, from the checkpoint to the records returned. compute_point is
+run_grid on a one-point grid.
 """
 
 import csv
@@ -252,19 +255,19 @@ def _scan(shape: CollectiveShape, points, periods: int,
 
 def compute_point(shape: CollectiveShape, lam: float, g: float,
                   periods: int, stride: int) -> PhaseMapRecord:
-    """One trajectory from the x-polarized state, reduced to map averages.
+    """One trajectory from the x-polarized state, reduced to map averages:
+    run_grid on the one-point grid at (lam, g).
 
-    It is evolved at the canonical point of fold(lam, g, shape, stride),
-    unless that point's g is 0 (then its record is the start's, _scan),
-    and the record carries lam and g as given, with both o_rel negated at a
-    mirror image. run_grid evolves at that point's grid value instead
-    (_canonical_points), so a mirror row of a scan equals compute_point at
-    its canonical grid point, mapped as above, and may differ in the last
-    bits from compute_point at its own.
+    A one-point axis has no grid value to snap to, so the point is evolved
+    at its fold, unless the folded g is 0 (then its record is the start's,
+    _scan), and the record carries lam and g, with both o_rel negated at a
+    mirror image. A larger grid evolves at the grid value its fold lands on
+    instead (_canonical_points), so a mirror row of a scan equals
+    compute_point at its canonical grid point, mapped as above, and may
+    differ in the last bits from compute_point at its own.
     """
-    lam_c, g_c, mirrored = fold(lam, g, shape, stride)
-    values = _scan(shape, [(lam_c, g_c)], periods, stride)[0]
-    return PhaseMapRecord(lam, g, *_mirror(values, mirrored).tolist())
+    return run_grid(GridSpec((lam, lam, 1), (g, g, 1), shape, periods,
+                             stride))[0]
 
 
 def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
@@ -281,7 +284,8 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
     a mirror image, and the point's own (lambda, g). A fold that misses the
     grid keeps its float, so an asymmetric grid still evolves every point
     it needs, and a row depends only on its own (lambda, g) and the grid's
-    axes.
+    axes. Stored, mirrored and computed rows all go into one table of seven
+    values per point, from which the records are built at the end.
 
     With checkpoint_path, records are appended to the checkpoint in grid
     order: before each stack starts, the records of every point whose
@@ -291,8 +295,9 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
     from a mirror image, without an evolution. A trailing record cut short
     by a crash mid-write is dropped from the file, and its point is
     recomputed, or takes the values of a stored record of its key; a
-    checkpoint written for another grid, shape, period count or stride, or
-    with records of another RECORD_VERSION, raises CheckpointError. The
+    checkpoint without the spec fingerprint, or written for another grid,
+    shape, period count or stride, or with records of another
+    RECORD_VERSION, raises CheckpointError (read_checkpoint). The
     checkpoint's header is on disk before the first stack starts, and an
     empty checkpoint (a scan killed before then), or one cut inside its
     header, starts a fresh scan.
@@ -305,32 +310,29 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
     # which stands for the key
     heads = np.array([first.setdefault(key, index)
                       for index, key in enumerate(keys)])
-    done: dict[int, PhaseMapRecord] = {}
+    lams, gs = spec.axis("lambda"), spec.axis("g")
+    table = np.empty((spec.n_points, 7))    # every point's record
+    table[:, 0], table[:, 1] = np.repeat(lams, len(gs)), np.tile(gs, len(lams))
+    resumed = np.zeros(spec.n_points, bool)
     if checkpoint_path and os.path.exists(checkpoint_path):
         # appending after a cut record would corrupt the file for good
         _drop_cut_record(checkpoint_path)
         if os.path.getsize(checkpoint_path) > 0:
-            done = dict(read_checkpoint(checkpoint_path, spec))
-    stored = np.array(sorted(done), dtype=np.intp)
-    resumed = np.zeros(spec.n_points, bool)
-    resumed[stored] = True
-    pending = np.flatnonzero(~resumed)
+            frames = read_checkpoint(checkpoint_path, spec)
+            table[frames["index"]] = frames["values"]
+            resumed[frames["index"]] = True
+    stored, pending = np.flatnonzero(resumed), np.flatnonzero(~resumed)
     values = np.empty((spec.n_points, 5))   # each head's five averages
-    known = np.zeros(spec.n_points, bool)
     # a stored key's values: those of its lowest stored record
     stored_heads, lowest = np.unique(heads[stored], return_index=True)
     lowest = stored[lowest]
-    values[stored_heads] = _mirror(np.reshape(
-        [_record_values(done[index])[2:] for index in lowest.tolist()],
-        (-1, 5)), mirrored[lowest])
-    known[stored_heads] = True
+    values[stored_heads] = _mirror(table[lowest, 2:], mirrored[lowest])
     # the heads of the keys without values, in grid order: every point of
     # such a key is pending, so each stack's first head is the next
     # pending point without values
-    todo = np.flatnonzero((heads == np.arange(spec.n_points)) & ~known)
-    rows = np.empty((len(pending), 7))      # the pending points' records
-    i, j = np.divmod(pending, spec.g_range[2])
-    rows[:, 0], rows[:, 1] = spec.axis("lambda")[i], spec.axis("g")[j]
+    unknown = heads == np.arange(spec.n_points)
+    unknown[stored_heads] = False
+    todo = np.flatnonzero(unknown)
     size = _stack_rows(spec.shape)
     # before stack k, the records of the pending points ahead of its
     # first head are known; after the last, every record
@@ -344,9 +346,9 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
         begin = 0
         for k, end in enumerate(ends):
             part = pending[begin:end]
-            rows[begin:end, 2:] = _mirror(values[heads[part]], mirrored[part])
+            table[part, 2:] = _mirror(values[heads[part]], mirrored[part])
             if ckpt is not None:
-                ckpt.write(_pack_records(part, rows[begin:end]))
+                ckpt.write(_pack_records(part, table[part]))
                 ckpt.flush()
             stack = todo[k * size:(k + 1) * size]
             if stack.size:
@@ -357,13 +359,11 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
     finally:
         if ckpt is not None:
             ckpt.close()
-    done.update(zip(pending.tolist(),
-                    itertools.starmap(PhaseMapRecord, rows.tolist())))
     if report is not None:
         report(f"computed {len(todo)} of {spec.n_points} points "
                f"({len(pending) - len(todo)} by symmetry, "
-               f"{spec.n_points - len(pending)} resumed)")
-    return [done[i] for i in range(spec.n_points)]
+               f"{len(stored)} resumed)")
+    return list(itertools.starmap(PhaseMapRecord, table.tolist()))
 
 
 def _fingerprint(spec: GridSpec) -> tuple:
@@ -428,14 +428,15 @@ def _drop_cut_record(path: str) -> None:
         os.truncate(path, whole if whole > magic else 0)
 
 
-def read_checkpoint(path: str, spec: GridSpec | None = None
-                    ) -> list[tuple[int, PhaseMapRecord]]:
-    """Parse a checkpoint file into (grid index, record) pairs.
+def read_checkpoint(path: str, spec: GridSpec) -> np.ndarray:
+    """The records of a checkpoint file of a scan of spec, in file order,
+    as a structured array with one entry per record: its grid index
+    ("index") and its seven values ("values").
 
-    With spec, every record must sit on spec's grid at its index and the
-    spec fingerprint stored after the magic, if the file has one, must be
-    spec's, RECORD_VERSION included; CheckpointError names the first
-    mismatch.
+    Every record must sit on spec's grid at its index, and the spec
+    fingerprint stored after the magic must be spec's, RECORD_VERSION
+    included; CheckpointError names the first mismatch, and is raised for
+    a file without the fingerprint, whose records nothing ties to a scan.
     """
     with open(path, "rb") as fh:
         magic, body = fh.read(len(CHECKPOINT_MAGIC)), fh.read()
@@ -444,35 +445,35 @@ def read_checkpoint(path: str, spec: GridSpec | None = None
     frames = np.frombuffer(body, _FRAME, len(body) // _FRAME.itemsize)
     if len(body) % _FRAME.itemsize or (frames["length"] != _RECORD_LENGTH).any():
         raise CheckpointError(f"truncated or missized record in {path}")
-    stored = None
-    if len(frames) and frames["index"][0] == _SPEC_INDEX:
-        stored, frames = frames["values"][0].tolist(), frames[1:]
-    indices, values = frames["index"], frames["values"]
-    if spec is not None:
-        _check_grid(spec, indices, values, path)
-        want = _fingerprint(spec)
-        written = stored if stored is not None else want
-        if tuple(written[:6]) != want[:6]:
-            raise CheckpointError(
-                f"{path}: written for (n_sat, two_s, periods, stride, lambda "
-                f"steps, g steps) = {tuple(int(v) for v in written[:6])}, the "
-                f"scan has {want[:6]}")
-        if written[6] != want[6]:
-            raise CheckpointError(
-                f"{path}: holds records of version {written[6]:g}, this "
-                f"version writes {want[6]}; its values may differ from a "
-                f"fresh scan's, so the scan must start afresh")
-    return list(zip(indices.tolist(),
-                    itertools.starmap(PhaseMapRecord, values.tolist())))
+    if not len(frames) or frames["index"][0] != _SPEC_INDEX:
+        raise CheckpointError(
+            f"{path}: no spec fingerprint record after the magic, so its "
+            f"records cannot be checked against the scan")
+    written, frames = frames["values"][0].tolist(), frames[1:]
+    _check_grid(spec, frames["index"], frames["values"], path)
+    want = _fingerprint(spec)
+    if tuple(written[:6]) != want[:6]:
+        raise CheckpointError(
+            f"{path}: written for (n_sat, two_s, periods, stride, lambda "
+            f"steps, g steps) = {tuple(int(v) for v in written[:6])}, the "
+            f"scan has {want[:6]}")
+    if written[6] != want[6]:
+        raise CheckpointError(
+            f"{path}: holds records of version {written[6]:g}, this "
+            f"version writes {want[6]}; its values may differ from a "
+            f"fresh scan's, so the scan must start afresh")
+    return frames
 
 
 def check_destination(destination: str) -> None:
     """Raise, before any work, the OSError naming destination that
     write_lines would meet for want of a place to write it: a directory
     that is missing, is not one or is not writable, or a destination that
-    is itself a directory."""
+    is empty or is itself a directory."""
     directory = os.path.dirname(destination) or "."
-    if os.path.isdir(destination):
+    if not destination:
+        code = errno.ENOENT
+    elif os.path.isdir(destination):
         code = errno.EISDIR
     elif not os.path.isdir(directory):
         code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT

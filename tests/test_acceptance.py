@@ -225,12 +225,14 @@ def test_criterion_12_determinism():
     import os
     import tempfile
     from spindtc.sweep import (CHECKPOINT_MAGIC, compute_point,
-                               _pack_records, _record_values)
+                               _pack_records, _record_values, _SPEC_INDEX,
+                               _fingerprint)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "resume.bin")
         lams, gs = spec.axis("lambda"), spec.axis("g")
         with open(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
+            fh.write(_pack_records([_SPEC_INDEX], [_fingerprint(spec)]))
             for index in range(5):
                 i, j = divmod(index, 3)
                 rec = compute_point(CollectiveShape(3, 1), float(lams[i]),

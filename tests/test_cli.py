@@ -28,8 +28,9 @@ def test_parse_angle_forms():
     assert parse_angle("3pi/2") == pytest.approx(3 * np.pi / 2)
     assert parse_angle("-pi") == pytest.approx(-np.pi)
     import argparse
-    with pytest.raises(argparse.ArgumentTypeError):
-        parse_angle("two pies")
+    for text in ("two pies", "2pix", "pi/2x"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_angle(text)
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "nanpi",
@@ -75,6 +76,9 @@ def test_parse_spin_forms():
 
 def test_parse_int_list():
     assert parse_int_list("8,16,24") == [8, 16, 24]
+    import argparse
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_int_list("1,a")
 
 
 def test_read_config(tmp_path):
@@ -218,6 +222,8 @@ def test_config_errors_exit_2(tmp_path):
     cfg.write_text("lam=1\ncolour=blue\n")
     assert parse_and_dispatch(argv) == 2
     cfg.write_text("lam=two pies\n")
+    assert parse_and_dispatch(argv) == 2
+    cfg.write_text("lam 1\n")
     assert parse_and_dispatch(argv) == 2
     cfg.write_text("lam=1\n")
     assert parse_and_dispatch(argv) == 0
@@ -558,7 +564,7 @@ def test_failed_qfi_leaves_output_untouched(tmp_path):
      "--g-steps", "2", "--periods", "4"],
     ["qfi", "--spin", "1/2", "--lambda", "pi", "--g", "pi/2", "--sizes",
      "2", "--periods", "4"]], ids=lambda argv: argv[0])
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
 def test_failed_output_write_names_the_output(tmp_path, capsys, monkeypatch,
                                               command, where):
     # the error names --output, not the temporary file the lines went to,
@@ -573,7 +579,7 @@ def test_failed_output_write_names_the_output(tmp_path, capsys, monkeypatch,
             return _real(*args, **kw)
         monkeypatch.setattr(module, name, counted)
     out = tmp_path / "missing" / "a.csv" if where == "missing-directory" \
-        else tmp_path / "a.csv"
+        else "" if where == "empty" else tmp_path / "a.csv"
     if where == "directory":
         out.mkdir()
     extra = ["--checkpoint", str(tmp_path / "map.ckpt")] \

@@ -57,6 +57,8 @@ def test_relative_order_parameter_values():
     assert o_dmf == pytest.approx(0.5)
     assert o_rel == pytest.approx(-0.5)
     assert relative_order_parameter([0.0] * 101, 100) == (0.0, 0.0, 0.0)
+    with pytest.raises(ShapeError, match="too short"):
+        relative_order_parameter([0.5] * 100, 100)
 
 
 def test_relative_order_parameter_linearity():
@@ -248,6 +250,8 @@ def test_predict_regular_tables():
         predict_dtc_class(8, 5, "regular_class_2")
     with pytest.raises(ShapeError):
         predict_dtc_class(8, 4, "no_such_regime")
+    with pytest.raises(ShapeError, match="invalid"):
+        predict_dtc_class(0, 4, "special_ho")
 
 
 def test_regular_tables_hold_every_reachable_key():
@@ -265,6 +269,9 @@ def test_fit_cosine_amplitude():
     amp, resid = fit_cosine_amplitude(series, g)
     assert amp == pytest.approx(0.5, abs=1e-12)
     assert resid < 1e-12
+    # an empty series has no basis to fit
+    with pytest.raises(ShapeError, match="degenerate"):
+        fit_cosine_amplitude([], g)
 
 
 def test_classify_subsystem_labels():
@@ -276,6 +283,9 @@ def test_classify_subsystem_labels():
              for n in range(80)]
     assert classify_subsystem(sinus, g, 0.5) == "sinusoidal"
     assert classify_subsystem([0.5] * 40, g, 0.5) == "frozen"
+    # even entries alternating between 0.5 and 0 fit no cosine
+    assert classify_subsystem([0.5 * (n % 4 == 0) for n in range(40)], g,
+                              0.5) == "neither"
     # one point, m(0), measures nothing
     with pytest.raises(ShapeError, match="empty trajectory"):
         classify_subsystem([0.5], g, 0.5)

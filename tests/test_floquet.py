@@ -63,7 +63,8 @@ def test_kick_factors_are_the_kick_in_the_x_basis(shape):
                          for p in (params if stacked else [params])])
         z = rng.normal(size=rows + (shape.dim,)) + 1j * rng.normal(size=rows + (shape.dim,))
         want = z * kick.reshape(rows + (-1,))
-        x = t.satellite_kick @ floquet.to_x_basis(z.reshape(rows + (-1, d)), shape)
+        x = t.satellite_kick @ floquet.to_axis_basis(z.reshape(rows + (-1, d)),
+                                                   shape, "x")
         got = floquet.from_x_basis(x @ t.central_kick, shape).reshape(want.shape)
         np.testing.assert_allclose(got, want, atol=1e-12)
     g = 0.7
@@ -305,7 +306,8 @@ def test_basis_changes_once_per_block(monkeypatch):
             return func(*args)
         return wrapper
 
-    monkeypatch.setattr(floquet, "to_x_basis", counted("to", floquet.to_x_basis))
+    monkeypatch.setattr(floquet, "to_axis_basis",
+                        counted("to", floquet.to_axis_basis))
     monkeypatch.setattr(floquet, "from_x_basis",
                         counted("from", floquet.from_x_basis))
     shape, periods = CollectiveShape(8, 4), 1000

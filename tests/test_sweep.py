@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -424,7 +426,7 @@ def test_resume_mid_chunk(tmp_path, monkeypatch):
     fresh = run_grid(spec, checkpoint_path=str(path))
     whole = path.read_bytes()
     path.write_bytes(whole[:len(CHECKPOINT_MAGIC) + 64 * 21])
-    assert len(read_checkpoint(str(path))) == 20
+    assert len(read_checkpoint(str(path), spec)) == 20
     work = _count_work(monkeypatch)
     assert run_grid(spec, checkpoint_path=str(path)) == fresh
     assert work == [8 * spec.periods, 6 * spec.periods]
@@ -467,6 +469,9 @@ def test_csv_empty_and_errors(tmp_path):
     with pytest.raises(CheckpointError) as err:
         read_csv(str(bad))
     assert ":2:" in str(err.value)
+    bad.write_text(text[1] + "\n1,2,3,4,5,6,7\n1,2,3,x,5,6,7\n")
+    with pytest.raises(CheckpointError, match=":3:"):
+        read_csv(str(bad))
     nohdr = tmp_path / "nohdr.csv"
     nohdr.write_text("a,b\n")
     with pytest.raises(CheckpointError):
@@ -474,20 +479,25 @@ def test_csv_empty_and_errors(tmp_path):
 
 
 def test_checkpoint_round_trip(tmp_path):
+    # record 7 of this 3 x 4 grid sits at (1, 2)
+    spec = GridSpec((0.0, 2.0, 3), (-1.0, 2.0, 4), CollectiveShape(3, 1), 16, 2)
     path = tmp_path / "c.bin"
     rec = PhaseMapRecord(1.0, 2.0, 0.25, -0.5, 0.01, 0.1, -0.1)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
+        fh.write(_pack_records([sweep._SPEC_INDEX], [sweep._fingerprint(spec)]))
         fh.write(_pack_records([7], [sweep._record_values(rec)]))
-    assert read_checkpoint(str(path)) == [(7, rec)]
+    frames = read_checkpoint(str(path), spec)
+    assert frames["index"].tolist() == [7]
+    assert PhaseMapRecord(*frames["values"][0].tolist()) == rec
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"NOPE")
     with pytest.raises(CheckpointError):
-        read_checkpoint(str(bad))
+        read_checkpoint(str(bad), spec)
     trunc = tmp_path / "trunc.bin"
     trunc.write_bytes(CHECKPOINT_MAGIC + b"\x3c\x00\x00\x00\x01")
     with pytest.raises(CheckpointError):
-        read_checkpoint(str(trunc))
+        read_checkpoint(str(trunc), spec)
 
 
 def test_checkpoint_with_a_corrupt_middle_prefix_is_rejected(tmp_path):
@@ -501,7 +511,7 @@ def test_checkpoint_with_a_corrupt_middle_prefix_is_rejected(tmp_path):
     data[len(CHECKPOINT_MAGIC) + 4 * sweep._FRAME.itemsize] += 1
     path.write_bytes(data)
     with pytest.raises(CheckpointError, match="truncated or missized record"):
-        read_checkpoint(str(path))
+        read_checkpoint(str(path), spec)
     with pytest.raises(CheckpointError, match="truncated or missized record"):
         run_grid(spec, checkpoint_path=str(path))
     assert path.read_bytes() == data
@@ -550,6 +560,7 @@ def test_checkpoint_resume_no_recompute(tmp_path, monkeypatch):
     gs = spec.axis("g")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
+        fh.write(_pack_records([sweep._SPEC_INDEX], [sweep._fingerprint(spec)]))
         for index in range(5):
             i, j = divmod(index, 3)
             rec = compute_point(CollectiveShape(3, 1), float(lams[i]),
@@ -573,8 +584,9 @@ def test_checkpoint_written_during_run(tmp_path):
     spec = _small_spec()
     path = str(tmp_path / "fresh.bin")
     records = run_grid(spec, checkpoint_path=path)
-    stored = dict(read_checkpoint(path))
-    assert [stored[i] for i in range(9)] == records
+    frames = read_checkpoint(path, spec)
+    assert frames["index"].tolist() == list(range(9))
+    assert [PhaseMapRecord(*row) for row in frames["values"].tolist()] == records
 
 
 @pytest.mark.parametrize("kept", [2, 34])
@@ -592,13 +604,13 @@ def test_resume_from_cut_record(tmp_path, monkeypatch, kept):
     whole = path.read_bytes()
     path.write_bytes(whole[:len(whole) - 64 + kept])
     with pytest.raises(CheckpointError):
-        read_checkpoint(str(path))
+        read_checkpoint(str(path), spec)
     work = _count_work(monkeypatch)
     resumed = run_grid(spec, checkpoint_path=str(path))
     assert resumed == fresh
     assert sum(work) == spec.periods    # the cut point's row alone
     assert path.read_bytes() == whole
-    assert len(read_checkpoint(str(path))) == spec.n_points
+    assert len(read_checkpoint(str(path), spec)) == spec.n_points
 
 
 def test_resume_rejects_checkpoint_of_another_grid(tmp_path):
@@ -668,10 +680,11 @@ def test_empty_checkpoint_starts_fresh(tmp_path, monkeypatch):
         m.setattr(sweep, "_scan", killed)
         with pytest.raises(KeyboardInterrupt):
             run_grid(spec, checkpoint_path=str(path))
-    assert read_checkpoint(str(path), spec) == []
+    assert len(read_checkpoint(str(path), spec)) == 0
     path.write_bytes(b"")
     assert run_grid(spec, checkpoint_path=str(path)) == run_grid(spec)
-    assert [r for _, r in read_checkpoint(str(path), spec)] == run_grid(spec)
+    assert [PhaseMapRecord(*row) for row in
+            read_checkpoint(str(path), spec)["values"].tolist()] == run_grid(spec)
 
 
 def test_collective_grid_beyond_the_full_layout():
@@ -693,3 +706,60 @@ def test_resume_from_cut_fingerprint(tmp_path):
     assert run_grid(spec, checkpoint_path=str(path)) == run_grid(spec)
     with pytest.raises(CheckpointError, match="written for"):
         run_grid(_small_spec(periods=32), checkpoint_path=str(path))
+
+
+def test_checkpoint_without_fingerprint_is_rejected(tmp_path):
+    # a 2 x 2 checkpoint at (3, 1/2), 16 periods, with its fingerprint
+    # record deleted: nothing ties its records to a scan, so a 32-period
+    # resume exits 1 instead of returning the 16-period values, and leaves
+    # the file as it is
+    path = tmp_path / "map.ckpt"
+    argv = ["sweep", "--n-sat", "3", "--spin", "1/2", "--lambda-steps", "2",
+            "--g-steps", "2", "--checkpoint", str(path),
+            "--output", str(tmp_path / "map.csv")]
+    assert cli.parse_and_dispatch(argv + ["--periods", "16"]) == 0
+    data = path.read_bytes()
+    data = data[:len(CHECKPOINT_MAGIC)] + \
+        data[len(CHECKPOINT_MAGIC) + sweep._FRAME.itemsize:]
+    path.write_bytes(data)
+    spec = GridSpec((0.0, 4 * np.pi, 2), (0.0, 2 * np.pi, 2),
+                    CollectiveShape(3, 1), 16, 2)
+    with pytest.raises(CheckpointError, match="no spec fingerprint"):
+        read_checkpoint(str(path), spec)
+    assert cli.parse_and_dispatch(argv + ["--periods", "32"]) == 1
+    assert path.read_bytes() == data
+
+
+def _packed_record(index, values) -> bytes:
+    """One checkpoint record, field by field: the length prefix 60, the
+    grid index as a uint32 and seven float64 values, little-endian."""
+    return struct.pack("<4sI7d", (60).to_bytes(4, "little"), index, *values)
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # the checkpoint of the 3 x 3 grid at (3, 1/2), whose g > pi/2 columns
+    # hold mirror points, is the magic, the fingerprint record at index
+    # 2^32 - 1 (n_sat, two_s, periods, stride, lambda steps, g steps and
+    # record version 4) and each point's row in grid order. A file of that
+    # layout with its first 4 rows resumes to the same CSV and checkpoint,
+    # byte for byte, as the fresh scan
+    spec = _small_spec()
+    assert sweep._canonical_points(spec)[1].tolist() == [False, True, True] * 3
+    argv = ["sweep", "--n-sat", "3", "--spin", "1/2",
+            "--lambda-min", "0", "--lambda-max", "2pi", "--lambda-steps", "3",
+            "--g-min", "0.1", "--g-max", "pi", "--g-steps", "3",
+            "--periods", "16", "--stride", "2"]
+    path, fresh = tmp_path / "map.ckpt", tmp_path / "fresh.csv"
+    assert cli.parse_and_dispatch(
+        argv + ["--checkpoint", str(path), "--output", str(fresh)]) == 0
+    records = run_grid(spec)
+    want = b"DTC1" + _packed_record(2 ** 32 - 1, (3, 1, 16, 2, 3, 3, 4)) + \
+        b"".join(_packed_record(index, dataclasses.astuple(rec))
+                 for index, rec in enumerate(records))
+    assert path.read_bytes() == want
+    path.write_bytes(want[:4 + 64 * 5])
+    resumed = tmp_path / "resumed.csv"
+    assert cli.parse_and_dispatch(
+        argv + ["--checkpoint", str(path), "--output", str(resumed)]) == 0
+    assert resumed.read_bytes() == fresh.read_bytes()
+    assert path.read_bytes() == want

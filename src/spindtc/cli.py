@@ -8,11 +8,14 @@ Angles accept raw radians or a pi suffix ("2pi", "pi", "0.5pi", "pi/2");
 spins are rational strings ("1/2", "2", "5/2") so only integer two_s values
 exist internally. A key=value config file supplies defaults that explicit
 flags override. Exit codes: 0 success, 2 bad arguments, 1 runtime failure.
+
+evolve, sweep and qfi write their CSVs through sweep.write_rows, to
+--output, or for evolve and qfi to stdout without one; a --output that
+cannot be written fails before any computation.
 """
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 
@@ -28,7 +31,7 @@ from .diagnostics import (DEFAULT_PERIOD_SCAN_MAX, DEFAULT_REVIVAL_EPSILON,
 from .analytic_states import (milestone_state, parity_case_of,
                               supported_time_indices)
 from .metrology import qfi_scan, sensing_gain
-from .sweep import (GridSpec, run_grid, write_csv, write_lines,
+from .sweep import (GridSpec, run_grid, write_csv, write_rows,
                     check_destination)
 
 TRAJECTORY_HEADER = "n,m_sat_x,m_c_x,entropy,fidelity"
@@ -140,10 +143,10 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         p.add_argument("--spin", dest="spin", type=parse_spin, required=False,
                        help="central spin as a rational string: 1/2, 2, 5/2")
 
-    def drive_flags(p, lam_default=None, g_default=None):
-        p.add_argument("--lambda", dest="lam", type=parse_angle, default=lam_default,
+    def drive_flags(p):
+        p.add_argument("--lambda", dest="lam", type=parse_angle,
                        help="interaction angle (radians or e.g. 2pi, pi/2)")
-        p.add_argument("--g", dest="g", type=parse_angle, default=g_default,
+        p.add_argument("--g", dest="g", type=parse_angle,
                        help="kick angle for every spin (radians or pi form)")
 
     p = sub.add_parser("evolve", help="write a stroboscopic trajectory CSV")
@@ -221,33 +224,14 @@ def _require(args, *names):
             raise ShapeError(f"missing required option --{name.replace('_', '-')}")
 
 
-def _check_output(args) -> None:
-    """Fail on an --output that cannot be written before any computation
-    (sweep.check_destination); stdout needs no check."""
-    if args.output is not None:
-        check_destination(args.output)
-
-
-def _write_output(path, lines) -> None:
-    """The lines to path through sweep.write_lines, which leaves any earlier
-    file whole if the write fails, or to stdout without a path."""
-    if path is not None:
-        write_lines(path, lines)
-        return
-    for line in lines:
-        sys.stdout.write(line + "\n")
-
-
 def _cmd_evolve(args) -> int:
     _require(args, "n_sat", "spin", "lam", "g", "periods")
     shape = CollectiveShape(args.n_sat, args.spin)
     state = x_polarized_state(shape)
     tables = precompute(shape, DriveParams.symmetric(args.lam, args.g))
-    _check_output(args)
+    check_destination(args.output)
     traj = evolve(state, tables, args.periods, trajectory_records)
-    _write_output(args.output, itertools.chain([TRAJECTORY_HEADER], (
-        f"{r.n},{r.m_sat_x:.17g},{r.m_c_x:.17g},"
-        f"{r.entropy:.17g},{r.fidelity_initial:.17g}" for r in traj)))
+    write_rows(args.output, [TRAJECTORY_HEADER], traj)
     return 0
 
 
@@ -297,7 +281,7 @@ def _cmd_sweep(args) -> int:
                     (args.g_min, args.g_max, args.g_steps),
                     CollectiveShape(args.n_sat, args.spin), args.periods,
                     args.stride)
-    _check_output(args)
+    check_destination(args.output)
     records = run_grid(spec, checkpoint_path=args.checkpoint,
                        report=lambda line: print(line, file=sys.stderr))
     write_csv(records, args.output)
@@ -318,9 +302,9 @@ def _cmd_qfi(args) -> int:
     shapes = [(CollectiveShape(n_sat, args.spin), counts)
               for n_sat, counts in scans]
     params = DriveParams.symmetric(args.lam, args.g)
-    _check_output(args)
+    check_destination(args.output)
     results = qfi_scan(shapes, params)
-    lines = [QFI_HEADER]
+    rows = []
     for (n_sat, _), matrices in zip(scans, results):
         for q in matrices:
             try:
@@ -328,12 +312,12 @@ def _cmd_qfi(args) -> int:
             except SpinDtcError:
                 gain = float("nan")
             n = q.n_periods
-            lines.append(f"{n_sat},{args.spin},{n},{q.f_ll:.17g},{q.f_gg:.17g},"
-                         f"{q.f_lg:.17g},{q.g_scalar:.17g},{gain:.17g}")
+            rows.append((n_sat, args.spin, n, q.f_ll, q.f_gg, q.f_lg,
+                         q.g_scalar, gain))
             if q.estimators_disagree:
                 print(f"warning: estimators disagree beyond 1% of the matrix "
                       f"scale at (n_sat={n_sat}, n={n})", file=sys.stderr)
-    _write_output(args.output, lines)
+    write_rows(args.output, [QFI_HEADER], rows)
     return 0
 
 

@@ -11,9 +11,12 @@ per-period columns read them there: the x magnetizations, the entropy of
 the central density (the basis change is local, so it keeps the spectrum)
 and the fidelity to the x-polarized start, which in that basis is the first
 basis state.
+
+A TrajectoryRecord is a named tuple whose fields are the columns of the
+evolve CSV, so each record is its own row.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +25,7 @@ from .hilbert import PureState, reduced_central_density, _hermitian_entropy
 from .floquet import magnetic_numbers, to_axis_basis
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     n: int
     m_sat_x: float        # satellite-averaged <S^x>, in [-1/2, 1/2]
     m_c_x: float          # central <S_c^x>, in [-s, s]

@@ -1,4 +1,5 @@
-"""(lambda, g) grid scans with CSV output and binary checkpoints.
+"""(lambda, g) grid scans with CSV output and binary checkpoints, and
+write_rows, the one CSV writer of every command.
 
 Grid points are independent trajectories from the x-polarized initial state
 that differ only in their kick factors and interaction diagonals, so the
@@ -56,10 +57,11 @@ import csv
 import errno
 import itertools
 import math
-import operator
 import os
+import sys
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,8 +126,10 @@ class GridSpec:
         return self.lambda_range[2] * self.g_range[2]
 
 
-@dataclass(frozen=True)
-class PhaseMapRecord:
+class PhaseMapRecord(NamedTuple):
+    """One phase-map point and its five averages; the fields are the CSV
+    columns, in order."""
+
     lam: float
     g: float
     avg_m_sat: float
@@ -133,13 +137,6 @@ class PhaseMapRecord:
     avg_entropy: float
     o_rel_sat: float
     o_rel_c: float
-
-
-_RECORD_FIELDS = tuple(f.name for f in fields(PhaseMapRecord))
-# a record's seven values, in field order, as a tuple
-_record_values = operator.attrgetter(*_RECORD_FIELDS)
-# one CSV row of seven values at 17 significant digits
-_CSV_ROW = ",".join(["%.17g"] * len(_RECORD_FIELDS))
 
 
 def _stack_rows(shape: CollectiveShape) -> int:
@@ -297,10 +294,10 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
     recomputed, or takes the values of a stored record of its key; a
     checkpoint without the spec fingerprint, or written for another grid,
     shape, period count or stride, or with records of another
-    RECORD_VERSION, raises CheckpointError (read_checkpoint). The
-    checkpoint's header is on disk before the first stack starts, and an
-    empty checkpoint (a scan killed before then), or one cut inside its
-    header, starts a fresh scan.
+    RECORD_VERSION, or that holds a grid index twice, raises
+    CheckpointError (read_checkpoint). The checkpoint's header is on disk
+    before the first stack starts, and an empty checkpoint (a scan killed
+    before then), or one cut inside its header, starts a fresh scan.
     report, if given, receives one line at the end: the points computed
     (one per key), taken from a mirror point and resumed.
     """
@@ -314,7 +311,7 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
     table = np.empty((spec.n_points, 7))    # every point's record
     table[:, 0], table[:, 1] = np.repeat(lams, len(gs)), np.tile(gs, len(lams))
     resumed = np.zeros(spec.n_points, bool)
-    if checkpoint_path and os.path.exists(checkpoint_path):
+    if checkpoint_path is not None and os.path.exists(checkpoint_path):
         # appending after a cut record would corrupt the file for good
         _drop_cut_record(checkpoint_path)
         if os.path.getsize(checkpoint_path) > 0:
@@ -337,7 +334,7 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
     # before stack k, the records of the pending points ahead of its
     # first head are known; after the last, every record
     ends = [*np.searchsorted(pending, todo[::size]).tolist(), len(pending)]
-    ckpt = open(checkpoint_path, "ab") if checkpoint_path else None
+    ckpt = open(checkpoint_path, "ab") if checkpoint_path is not None else None
     try:
         if ckpt is not None and ckpt.tell() == 0:
             ckpt.write(CHECKPOINT_MAGIC
@@ -433,10 +430,11 @@ def read_checkpoint(path: str, spec: GridSpec) -> np.ndarray:
     as a structured array with one entry per record: its grid index
     ("index") and its seven values ("values").
 
-    Every record must sit on spec's grid at its index, and the spec
-    fingerprint stored after the magic must be spec's, RECORD_VERSION
-    included; CheckpointError names the first mismatch, and is raised for
-    a file without the fingerprint, whose records nothing ties to a scan.
+    Every record must sit on spec's grid at its index, no index may
+    repeat, and the spec fingerprint stored after the magic must be
+    spec's, RECORD_VERSION included; CheckpointError names the first
+    mismatch, and is raised for a file without the fingerprint, whose
+    records nothing ties to a scan.
     """
     with open(path, "rb") as fh:
         magic, body = fh.read(len(CHECKPOINT_MAGIC)), fh.read()
@@ -451,6 +449,12 @@ def read_checkpoint(path: str, spec: GridSpec) -> np.ndarray:
             f"records cannot be checked against the scan")
     written, frames = frames["values"][0].tolist(), frames[1:]
     _check_grid(spec, frames["index"], frames["values"], path)
+    # the indices are on the grid by now, so one count per grid point finds
+    # a repeat; the hash-based np.unique raises peak memory on first use
+    repeated = np.flatnonzero(np.bincount(frames["index"]) > 1)
+    if repeated.size:
+        raise CheckpointError(
+            f"{path}: holds grid index {repeated[0]} more than once")
     want = _fingerprint(spec)
     if tuple(written[:6]) != want[:6]:
         raise CheckpointError(
@@ -465,11 +469,13 @@ def read_checkpoint(path: str, spec: GridSpec) -> np.ndarray:
     return frames
 
 
-def check_destination(destination: str) -> None:
+def check_destination(destination: str | None) -> None:
     """Raise, before any work, the OSError naming destination that
-    write_lines would meet for want of a place to write it: a directory
+    write_rows would meet for want of a place to write it: a directory
     that is missing, is not one or is not writable, or a destination that
-    is empty or is itself a directory."""
+    is empty or is itself a directory. None, stdout, needs no check."""
+    if destination is None:
+        return
     directory = os.path.dirname(destination) or "."
     if not destination:
         code = errno.ENOENT
@@ -484,18 +490,26 @@ def check_destination(destination: str) -> None:
     raise OSError(code, os.strerror(code), destination)
 
 
-def write_lines(destination: str, lines) -> None:
-    """Write each of lines, newline-terminated, one at a time.
+def write_rows(destination: str | None, head, rows) -> None:
+    """Write a CSV table: the lines of head, the last of them the column
+    names, then one line per row of values, each value at 17 significant
+    digits. Every CSV the program writes goes through here.
 
-    They go to a temporary file beside destination, which then replaces
-    destination in one step, so a failed write leaves any earlier file whole.
-    An OSError names destination, not the temporary file.
+    Without a destination the lines stream to stdout. Otherwise they go to
+    a temporary file beside destination, which then replaces destination
+    in one step, so a failed write leaves any earlier file whole. An
+    OSError names destination, not the temporary file.
     """
+    row = ",".join(["%.17g"] * (head[-1].count(",") + 1)) + "\n"
+    lines = itertools.chain((line + "\n" for line in head),
+                            map(row.__mod__, rows))
+    if destination is None:
+        sys.stdout.writelines(lines)
+        return
     tmp = f"{destination}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+            fh.writelines(lines)
         os.replace(tmp, destination)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, destination) from exc
@@ -505,11 +519,8 @@ def write_lines(destination: str, lines) -> None:
 
 
 def write_csv(records: list[PhaseMapRecord], destination: str) -> None:
-    """Write the phase map through write_lines; floats carry 17 significant
-    digits."""
-    write_lines(destination, itertools.chain(
-        [CSV_COMMENT, CSV_HEADER],
-        (_CSV_ROW % _record_values(rec) for rec in records)))
+    """Write the phase map through write_rows."""
+    write_rows(destination, [CSV_COMMENT, CSV_HEADER], records)
 
 
 def read_csv(source: str) -> list[PhaseMapRecord]:

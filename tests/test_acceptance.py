@@ -225,8 +225,7 @@ def test_criterion_12_determinism():
     import os
     import tempfile
     from spindtc.sweep import (CHECKPOINT_MAGIC, compute_point,
-                               _pack_records, _record_values, _SPEC_INDEX,
-                               _fingerprint)
+                               _pack_records, _SPEC_INDEX, _fingerprint)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "resume.bin")
         lams, gs = spec.axis("lambda"), spec.axis("g")
@@ -237,6 +236,6 @@ def test_criterion_12_determinism():
                 i, j = divmod(index, 3)
                 rec = compute_point(CollectiveShape(3, 1), float(lams[i]),
                                     float(gs[j]), 16, 2)
-                fh.write(_pack_records([index], [_record_values(rec)]))
+                fh.write(_pack_records([index], [rec]))
         resumed = run_grid(spec, checkpoint_path=path)
     assert resumed == r1

@@ -2,6 +2,8 @@ import itertools
 import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -298,6 +300,23 @@ def test_sweep_missing_output():
     assert parse_and_dispatch(["sweep", "--n-sat", "3", "--spin", "1/2"]) == 2
 
 
+def test_sweep_rejects_an_empty_checkpoint_path(tmp_path, capsys,
+                                                monkeypatch):
+    # --checkpoint '' names no file, like --output '': the scan fails where
+    # it opens the checkpoint, before any evolution, and prints no computed
+    # line and writes no CSV
+    calls = []
+    monkeypatch.setattr(sweep, "evolve", lambda *args: calls.append(args))
+    out = tmp_path / "map.csv"
+    assert parse_and_dispatch(["sweep", "--n-sat", "2", "--spin", "1/2",
+                               "--lambda-steps", "3", "--g-steps", "3",
+                               "--periods", "4", "--checkpoint", "",
+                               "--output", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: [Errno 2] No such file or directory: ''\n")
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
 def test_qfi_csv(tmp_path):
     out = tmp_path / "qfi.csv"
     code = parse_and_dispatch(["qfi", "--n-sat", "3", "--spin", "1/2",
@@ -592,3 +611,28 @@ def test_failed_output_write_names_the_output(tmp_path, capsys, monkeypatch,
     assert calls == []
     assert [p.name for p in tmp_path.rglob("*")] == \
         (["a.csv"] if where == "directory" else [])
+
+
+@pytest.mark.parametrize("command", [
+    ["evolve", "--n-sat", "2", "--periods", "2000"],
+    ["qfi", "--n-sat", "2",
+     "--periods-list", ",".join(str(n) for n in range(1, 2001))]],
+    ids=lambda argv: argv[0])
+def test_closed_stdout_ends_quietly(command):
+    # the reader closes the pipe after the header while more rows than a
+    # pipe buffer holds are still to come: the command stops writing, exits
+    # 0 and prints nothing on stderr
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spindtc.cli", *command, "--spin", "1/2",
+         "--lambda", "pi", "--g", "pi/2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    header = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+    assert header.decode().rstrip("\n") == (
+        cli.TRAJECTORY_HEADER if command[0] == "evolve" else cli.QFI_HEADER)

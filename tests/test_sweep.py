@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import os
 import struct
@@ -122,8 +121,8 @@ def _at_canonical_grid_point(spec, index):
     lams, gs = spec.axis("lambda"), spec.axis("g")
     i, j = divmod(index, len(gs))
     rec = compute_point(spec.shape, *keys[index], spec.periods, spec.stride)
-    return PhaseMapRecord(float(lams[i]), float(gs[j]), *sweep._mirror(
-        sweep._record_values(rec)[2:], mirrored[index]))
+    return PhaseMapRecord(float(lams[i]), float(gs[j]),
+                          *sweep._mirror(rec[2:], mirrored[index]))
 
 
 def test_row_independent_of_batch(monkeypatch):
@@ -212,9 +211,8 @@ def test_benchmark_grid_evolves_3_of_its_45_points(tmp_path, monkeypatch):
     # both o_rel negated at a mirror image under g -> pi - g
     by_point = {(r.lam, r.g): r for r in records}
     for rec, key, mirror in zip(records, keys, mirrored):
-        canonical = sweep._record_values(by_point[key])[2:]
-        assert sweep._record_values(rec)[2:] == \
-            tuple(sweep._mirror(canonical, mirror).tolist())
+        canonical = by_point[key][2:]
+        assert rec[2:] == tuple(sweep._mirror(canonical, mirror).tolist())
     # the g = pi column
     assert [index for index, mirror in enumerate(mirrored) if mirror] == \
         list(range(2, 45, 5))
@@ -242,8 +240,7 @@ def test_grid_matches_unfolded_scan(tmp_path, monkeypatch, shape, stride):
     unfolded = sweep._scan(shape, points, spec.periods, stride)
     for rec, point, values in zip(records, points, unfolded):
         assert (rec.lam, rec.g) == point
-        np.testing.assert_allclose(sweep._record_values(rec)[2:], values,
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rec[2:], values, rtol=0, atol=1e-12)
     whole = path.read_bytes()
     path.write_bytes(whole[:-32])
     work = _count_work(monkeypatch)
@@ -271,13 +268,13 @@ def test_no_kick_line_takes_the_record_of_the_origin(monkeypatch, shape,
             assert fold(lam, np.pi, shape, stride) == (0.0, 0.0, True)
     work = _count_work(monkeypatch)
     records = run_grid(spec)
-    origin = sweep._record_values(records[0])[2:]
+    origin = records[0][2:]
     line = [(k, False) for k in range(0, 45, 5)] + \
         [(k, False) for k in range(4, 45, 5)]
     if stride % 2 == 0:
         line += [(k, True) for k in range(2, 45, 5)]
     for index, mirrored in line:
-        assert sweep._record_values(records[index])[2:] == \
+        assert records[index][2:] == \
             tuple(sweep._mirror(origin, mirrored).tolist())
     # g = pi/2 and 3pi/2 fold onto the lambdas of the cell, and at an odd
     # stride so does g = pi: one evolution each; the line's record is the
@@ -287,7 +284,7 @@ def test_no_kick_line_takes_the_record_of_the_origin(monkeypatch, shape,
     # each row of the line is its own point's, evolved directly
     for index, _ in line:
         np.testing.assert_allclose(
-            sweep._record_values(records[index])[2:],
+            records[index][2:],
             _evolved_values(shape, *points[index], spec.periods, stride),
             rtol=0, atol=1e-12)
     # a 51-step g axis puts pi an ulp above pi, which folds an ulp above 0
@@ -328,8 +325,7 @@ def test_no_kick_record_is_the_start_series(monkeypatch, shape, stride,
         records.append(compute_point(shape, lam, 0.0, periods, stride))
     assert work == []
     for rec in records:
-        assert [v.hex() for v in sweep._record_values(rec)[2:]] == \
-            [float(v).hex() for v in want]
+        assert [v.hex() for v in rec[2:]] == [float(v).hex() for v in want]
 
 
 @pytest.mark.parametrize("shape", _PARITY_CLASSES,
@@ -339,7 +335,7 @@ def test_no_kick_record_matches_a_direct_evolution(shape):
     # which _scan, no longer evolving g = 0, cannot check by itself
     for lam in (0.0, 0.7, 2.9, np.pi, 5.1, 4 * np.pi - 0.3):
         np.testing.assert_allclose(
-            sweep._record_values(compute_point(shape, lam, 0.0, 24, 2))[2:],
+            compute_point(shape, lam, 0.0, 24, 2)[2:],
             _evolved_values(shape, lam, 0.0, 24, 2), rtol=0, atol=1e-12)
 
 
@@ -401,8 +397,7 @@ def test_off_grid_folds_keep_their_floats(monkeypatch):
     assert sum(work) == spec.n_points * spec.periods
     unfolded = sweep._scan(spec.shape, points, spec.periods, spec.stride)
     for rec, values in zip(records, unfolded):
-        np.testing.assert_allclose(sweep._record_values(rec)[2:], values,
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rec[2:], values, rtol=0, atol=1e-12)
 
 
 def test_stack_rows_follow_the_entry_budget():
@@ -486,7 +481,7 @@ def test_checkpoint_round_trip(tmp_path):
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(_pack_records([sweep._SPEC_INDEX], [sweep._fingerprint(spec)]))
-        fh.write(_pack_records([7], [sweep._record_values(rec)]))
+        fh.write(_pack_records([7], [rec]))
     frames = read_checkpoint(str(path), spec)
     assert frames["index"].tolist() == [7]
     assert PhaseMapRecord(*frames["values"][0].tolist()) == rec
@@ -565,7 +560,7 @@ def test_checkpoint_resume_no_recompute(tmp_path, monkeypatch):
             i, j = divmod(index, 3)
             rec = compute_point(CollectiveShape(3, 1), float(lams[i]),
                                 float(gs[j]), spec.periods, spec.stride)
-            fh.write(_pack_records([index], [sweep._record_values(rec)]))
+            fh.write(_pack_records([index], [rec]))
     work = _count_work(monkeypatch)
     resumed = run_grid(spec, checkpoint_path=path)
     ops_resumed = sum(work)
@@ -657,8 +652,10 @@ def test_csv_write_is_atomic(tmp_path):
     records = run_grid(_small_spec())
     write_csv(records, str(path))
     before = path.read_bytes()
-    with pytest.raises(AttributeError):
-        write_csv(records[:4] + [None] + records[4:], str(path))
+    # a row the formatter rejects fails the write part-way
+    bad = records[4]._replace(avg_m_c="x")
+    with pytest.raises(TypeError):
+        write_csv(records[:4] + [bad] + records[5:], str(path))
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["map.csv"]
 
@@ -736,6 +733,13 @@ def _packed_record(index, values) -> bytes:
     return struct.pack("<4sI7d", (60).to_bytes(4, "little"), index, *values)
 
 
+# the sweep command of _small_spec()
+_SMALL_ARGV = ["sweep", "--n-sat", "3", "--spin", "1/2",
+               "--lambda-min", "0", "--lambda-max", "2pi", "--lambda-steps", "3",
+               "--g-min", "0.1", "--g-max", "pi", "--g-steps", "3",
+               "--periods", "16", "--stride", "2"]
+
+
 def test_checkpoint_bytes_are_pinned(tmp_path):
     # the checkpoint of the 3 x 3 grid at (3, 1/2), whose g > pi/2 columns
     # hold mirror points, is the magic, the fingerprint record at index
@@ -745,16 +749,13 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     # byte for byte, as the fresh scan
     spec = _small_spec()
     assert sweep._canonical_points(spec)[1].tolist() == [False, True, True] * 3
-    argv = ["sweep", "--n-sat", "3", "--spin", "1/2",
-            "--lambda-min", "0", "--lambda-max", "2pi", "--lambda-steps", "3",
-            "--g-min", "0.1", "--g-max", "pi", "--g-steps", "3",
-            "--periods", "16", "--stride", "2"]
+    argv = _SMALL_ARGV
     path, fresh = tmp_path / "map.ckpt", tmp_path / "fresh.csv"
     assert cli.parse_and_dispatch(
         argv + ["--checkpoint", str(path), "--output", str(fresh)]) == 0
     records = run_grid(spec)
     want = b"DTC1" + _packed_record(2 ** 32 - 1, (3, 1, 16, 2, 3, 3, 4)) + \
-        b"".join(_packed_record(index, dataclasses.astuple(rec))
+        b"".join(_packed_record(index, rec)
                  for index, rec in enumerate(records))
     assert path.read_bytes() == want
     path.write_bytes(want[:4 + 64 * 5])
@@ -763,3 +764,23 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
         argv + ["--checkpoint", str(path), "--output", str(resumed)]) == 0
     assert resumed.read_bytes() == fresh.read_bytes()
     assert path.read_bytes() == want
+
+
+def test_checkpoint_with_a_repeated_index_is_rejected(tmp_path):
+    # the 3 x 3 grid at (3, 1/2) with the fingerprint and index 0 twice, the
+    # second copy with all five averages 9.0: which copy a resume would use
+    # is not defined, so the file is rejected, and sweep exits 1 without a
+    # CSV
+    spec = _small_spec()
+    rec = compute_point(spec.shape, 0.0, 0.1, spec.periods, spec.stride)
+    path = tmp_path / "map.ckpt"
+    path.write_bytes(b"DTC1"
+                     + _packed_record(2 ** 32 - 1, (3, 1, 16, 2, 3, 3, 4))
+                     + _packed_record(0, rec)
+                     + _packed_record(0, rec[:2] + (9.0,) * 5))
+    with pytest.raises(CheckpointError, match="grid index 0 more than once"):
+        read_checkpoint(str(path), spec)
+    out = tmp_path / "map.csv"
+    assert cli.parse_and_dispatch(
+        _SMALL_ARGV + ["--checkpoint", str(path), "--output", str(out)]) == 1
+    assert not out.exists()

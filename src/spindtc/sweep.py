@@ -35,22 +35,31 @@ And one more on the no-kick line:
 - at g = 0, U = e^{i lambda J^x S^x} is diagonal in the joint x basis, and
   the x-polarized start is one of its eigenvectors, so every lambda has
   the record of (0, 0), and that record is the start's own: the x
-  magnetizations stay 1/2 and s and the entropy 0 at every period. A point
-  whose g is exactly 0 is not evolved; its constant series goes through
-  the same reductions as an evolved one (_scan).
+  magnetizations stay 1/2 and s and the entropy 0 at every period.
+The lines lambda = 0 and 2pi have closed forms. At lambda = 0 the drive is
+the kick alone. At lambda = 2pi, e^{i 2pi J^x S^x} is a product of local pi
+turns about x: of the satellites when 2s is odd, of the central spin when
+n_sat is odd (1 when neither turns, -i times both turns when both do). So
+the start stays a product of coherent states in the xy plane: the entropy
+is 0 at every period, and the x magnetizations are 1/2 cos phi_J and
+s cos phi_c, where a spin's x angle phi is n g after n periods, or, for a
+turned spin, g at odd n and 0 at even n. A key whose lambda is exactly 0
+or 2pi, (0, 0) among them, is not evolved; its closed-form series goes
+through the same reductions as an evolved one (_scan).
 The canonical cell is lambda in [0, pi] at even n_sat with integer s, else
 [0, 2pi], times g in (0, pi/2] at an even stride, else (0, pi], plus the
 point (0, 0). A scan keys each folded angle by the grid value it lands on,
 within _SNAP grid steps, so a mirror grid value that the fold misses by an
 ulp still shares its canonical point's evolution. At (8, 2), stride 2, the
 9 x 5 grid over [0, 4pi] x [0, 2pi] of perfbench's phase_map has 4 keys
-for its 45 points and evolves 3 of them, (0, 0) being the start's record,
-and the default 65 x 33 grid has 137 keys for its 2,145 points and evolves
-136. The grid's bookkeeping (fold and snap, checkpoint records, CSV rows)
-runs as array passes over the whole grid or a stack's worth of records,
-and one table of seven values per point holds every row, stored, mirrored
-or computed, from the checkpoint to the records returned. compute_point is
-run_grid on a one-point grid.
+for its 45 points and evolves 2 of them, (0, 0) and (0, pi/2) having
+closed forms, and the default 65 x 33 grid has 137 keys for its 2,145
+points and evolves 128 (265 and 248 at (9, 5/2)). The grid's bookkeeping
+(fold and snap, checkpoint records, CSV rows) runs as array passes over
+the whole grid or a stack's worth of records, and one table of seven
+values per point holds every row, stored, mirrored or computed, from the
+checkpoint to the records returned. compute_point is run_grid on a
+one-point grid.
 """
 
 import csv
@@ -87,7 +96,7 @@ _SPEC_INDEX = 0xFFFFFFFF
 # checkpoint of older values is rejected rather than resumed into a CSV
 # that differs from a fresh scan's. Every version before the field was read
 # wrote 0, and such a checkpoint may hold values of an older fold.
-RECORD_VERSION = 4
+RECORD_VERSION = 5
 # a folded angle within this many grid steps of a grid value is keyed by
 # that value: far above the ulps a fold adds, far below the step
 _SNAP = 1e-9
@@ -214,26 +223,35 @@ def _scan(shape: CollectiveShape, points, periods: int,
           stride: int) -> np.ndarray:
     """The five map averages of each (lambda, g) point, one row per point.
 
-    A point whose g is exactly 0 is not evolved: the start is an
-    eigenvector of its drive (module docstring), so its magnetizations are
-    1/2 and s and its entropy 0 at every period. The other points are
-    evolved as one state stack. Every point's series then goes through the
-    same reductions, row by row.
+    A point whose lambda is exactly 0 or 2pi is not evolved: its series
+    has the closed form of the module docstring (at g = 0, the start's own
+    1/2, s and 0). The other points are evolved as one state stack. Every
+    point's series then goes through the same reductions, row by row.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     # (period number, column, point), period 0 being the start
     series = np.empty((periods + 1, 3, len(points)))
-    series[...] = [[0.5], [shape.s], [0.0]]
-    kicked = np.flatnonzero(points[:, 1] != 0.0)
-    if kicked.size:
+    lams, gs = points.T
+    closed = (lams == 0.0) | (lams == 2 * math.pi)
+    # each spin's x angle after n periods is n g, or, where lambda = 2pi
+    # turns it by pi about x every period, g at odd n and 0 at even n
+    n = np.arange(periods + 1)[:, None]
+    turned, g = lams[closed] == 2 * math.pi, gs[closed]
+    satellite = np.where(turned & (shape.two_s % 2 == 1), n % 2, n) * g
+    central = np.where(turned & (shape.n_sat % 2 == 1), n % 2, n) * g
+    series[:, 0, closed] = 0.5 * np.cos(satellite)
+    series[:, 1, closed] = shape.s * np.cos(central)
+    series[:, 2, closed] = 0.0
+    evolved = np.flatnonzero(~closed)
+    if evolved.size:
         tables = precompute(shape, [DriveParams.symmetric(lam, g)
-                                    for lam, g in points[kicked].tolist()])
+                                    for lam, g in points[evolved].tolist()])
         stack = PureState(shape, np.tile(x_polarized_state(shape).amplitudes,
-                                         (kicked.size, 1)))
+                                         (evolved.size, 1)))
 
         def record(states, first):
             # fills series in place, so there is nothing to collect
-            series[first:first + len(states.amplitudes), :, kicked] = \
+            series[first:first + len(states.amplitudes), :, evolved] = \
                 np.stack(period_observables(states), axis=1)
             return ()
 
@@ -256,9 +274,10 @@ def compute_point(shape: CollectiveShape, lam: float, g: float,
     run_grid on the one-point grid at (lam, g).
 
     A one-point axis has no grid value to snap to, so the point is evolved
-    at its fold, unless the folded g is 0 (then its record is the start's,
-    _scan), and the record carries lam and g, with both o_rel negated at a
-    mirror image. A larger grid evolves at the grid value its fold lands on
+    at its fold, unless the folded lambda is 0 or 2pi (then its record is
+    the closed form's, _scan; a folded g of 0 sends lambda to 0), and the
+    record carries lam and g, with both o_rel negated at a mirror image.
+    A larger grid evolves at the grid value its fold lands on
     instead (_canonical_points), so a mirror row of a scan equals
     compute_point at its canonical grid point, mapped as above, and may
     differ in the last bits from compute_point at its own.
@@ -274,15 +293,16 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
 
     Each distinct key (_canonical_points: the fold, each folded angle
     replaced by the grid value within _SNAP steps of it, if any) of the
-    points still to compute is computed once at that key (_scan; the key
-    (0, 0) is the start's record and is not evolved), in grid order of
-    its first point, in stacks of _stack_rows keys in this process, and
-    every point with that key gets its values, with both o_rel negated at
-    a mirror image, and the point's own (lambda, g). A fold that misses the
-    grid keeps its float, so an asymmetric grid still evolves every point
-    it needs, and a row depends only on its own (lambda, g) and the grid's
-    axes. Stored, mirrored and computed rows all go into one table of seven
-    values per point, from which the records are built at the end.
+    points still to compute is computed once at that key (_scan; a key
+    whose lambda is 0 or 2pi has a closed form and is not evolved), in
+    grid order of its first point, in stacks of _stack_rows keys in this
+    process, and every point with that key gets its values, with both
+    o_rel negated at a mirror image, and the point's own (lambda, g). A
+    fold that misses the grid keeps its float, so an asymmetric grid still
+    evolves every point it needs, and a row depends only on its own
+    (lambda, g) and the grid's axes. Stored, mirrored and computed rows all
+    go into one table of seven values per point, from which the records are
+    built at the end.
 
     With checkpoint_path, records are appended to the checkpoint in grid
     order: before each stack starts, the records of every point whose

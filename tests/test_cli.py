@@ -248,15 +248,15 @@ def test_sweep_rejects_checkpoint_of_another_record_version(tmp_path, capsys):
     # the fingerprint's last field is the version of the stored values: a
     # checkpoint with 0 there, as every version before the field was read
     # wrote, with 1, whose coherent states came from an eigensolver, with
-    # 2, whose fold evolved the g = 0 line, or with 3, which evolved the
-    # (0, 0) record, exits 1 naming both versions, and --output is not
-    # written
+    # 2, whose fold evolved the g = 0 line, with 3, which evolved the
+    # (0, 0) record, or with 4, which evolved the lambda = 0 and 2pi lines,
+    # exits 1 naming both versions, and --output is not written
     ckpt, out = tmp_path / "map.ckpt", tmp_path / "map.csv"
     argv = ["sweep", "--n-sat", "3", "--spin", "1/2", "--lambda-steps", "3",
             "--g-steps", "2", "--periods", "4", "--checkpoint", str(ckpt),
             "--output", str(out)]
-    assert RECORD_VERSION == 4
-    for old in (0, 1, 2, 3):
+    assert RECORD_VERSION == 5
+    for old in (0, 1, 2, 3, 4):
         assert parse_and_dispatch(argv) == 0
         # the magic, then the fingerprint record's length, index and 7 doubles
         field = len(CHECKPOINT_MAGIC) + 8 + 6 * 8

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from spindtc.hilbert import (CollectiveShape, PureState, x_polarized_state,
 from spindtc.observables import trajectory_records, magnetization
 from spindtc import floquet
 from spindtc.floquet import DriveParams, precompute, evolve
+from spindtc.diagnostics import predict_dtc_class
 
 from qubit_reference import (SystemShape, x_polarized, spread, drive,
                              magnetizations, entropy, oracle_unitaries,
@@ -318,3 +321,25 @@ def test_basis_changes_once_per_block(monkeypatch):
     assert len(out) == periods
     assert len(out) // block > 1
     assert calls == {"to": 1, "from": 1}
+
+
+def test_special_point_drive_is_a_phase_after_its_period():
+    # at (pi, pi/2), U^r = c * 1 on the whole collective space, r being the
+    # special HO-DTC period of the parity class (predict_dtc_class): 4 (even
+    # n_sat, integer s), 12 (even, half-integer), 12 (odd, integer) and 24
+    # (odd, half-integer). Three random states come back as one c times
+    # themselves
+    params = DriveParams.symmetric(np.pi, np.pi / 2)
+    rng = np.random.default_rng(24)
+    for n_sat, two_s in itertools.product(
+            (1, 2, 3, 4, 5, 6, 9, 64, 199, 200, 201, 202), range(1, 9)):
+        shape = CollectiveShape(n_sat, two_s)
+        r = predict_dtc_class(n_sat, two_s, "special_ho").period
+        start = np.array([_random_amplitudes(shape.dim, rng)
+                          for _ in range(3)])
+        state = PureState(shape, start.copy())
+        evolve(state, precompute(shape, [params] * 3), r)
+        c = np.vdot(start[0], state.amplitudes[0])
+        assert abs(c) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(state.amplitudes, c * start, rtol=0,
+                                   atol=1e-12, err_msg=f"{shape}")

@@ -1,4 +1,5 @@
 from dataclasses import astuple
+import itertools
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from spindtc.errors import ShapeError, DegenerateInformationError
 from spindtc.hilbert import CollectiveShape
 from spindtc.floquet import DriveParams
 from spindtc import metrology
+from spindtc.diagnostics import predict_dtc_class
 from spindtc.metrology import (QfiMatrix, qfi_matrix, qfi_scan,
                                weighted_uncertainty, sensing_gain,
                                fit_power_law, DEFAULT_DELTA)
@@ -261,6 +263,24 @@ def test_odd_half_forms_on_the_walk_at_large_n_sat(n_sat):
     # beyond the dense reference's reach: the walk alone, s = 5/2
     q = qfi_matrix(CollectiveShape(n_sat, 5), SPECIAL, 48)
     _assert_pinned(q, (*_odd_half_form(n_sat, 5), 0.0))
+
+
+def test_fisher_information_grows_as_the_square_of_whole_periods():
+    # U^r = c * 1 at (pi, pi/2), r the special HO-DTC period (4, 12, 12 and
+    # 24 by parity class), so d_a(U^{kr}) psi = k c^{k-1} d_a(U^r) psi and
+    # F(kr) = k^2 F(r) exactly, here at k = 2 and 4
+    scans = []
+    for n_sat, two_s in itertools.product((2, 3, 4, 5, 8, 9, 33, 101),
+                                          range(1, 6)):
+        r = predict_dtc_class(n_sat, two_s, "special_ho").period
+        scans.append((CollectiveShape(n_sat, two_s), [r, 2 * r, 4 * r]))
+    for (shape, _), (base, *multiples) in zip(scans, qfi_scan(scans, SPECIAL)):
+        for k, q in zip((2, 4), multiples):
+            scale = max(abs(q.f_ll), abs(q.f_gg))
+            np.testing.assert_allclose(
+                [q.f_ll, q.f_gg, q.f_lg],
+                [k * k * base.f_ll, k * k * base.f_gg, k * k * base.f_lg],
+                rtol=0, atol=1e-12 * scale, err_msg=f"{shape}, k = {k}")
 
 
 def _fields(q):

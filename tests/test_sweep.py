@@ -11,7 +11,7 @@ from spindtc import cli
 from spindtc.floquet import DriveParams, precompute, evolve
 from spindtc.observables import trajectory_records
 from spindtc.diagnostics import (stroboscopic_average,
-                                 relative_order_parameter)
+                                 relative_order_parameter, predict_dtc_class)
 from spindtc import sweep
 from spindtc.sweep import (GridSpec, PhaseMapRecord, compute_point, run_grid,
                            read_checkpoint, write_csv, read_csv, fold,
@@ -192,13 +192,13 @@ def test_fold_maps_mirror_images_onto_one_point():
                 pytest.approx(want, abs=1e-14)
 
 
-def test_benchmark_grid_evolves_3_of_its_45_points(tmp_path, monkeypatch):
+def test_benchmark_grid_evolves_2_of_its_45_points(tmp_path, monkeypatch):
     # the 9 x 5 grid over [0, 4pi] x [0, 2pi] at (8, 2), stride 2: 4
     # canonical points, (0, 0) and (0, pi/2), (pi/2, pi/2), (pi, pi/2); the
-    # last three are evolved once each, so 3/45 of the drive of evolving
-    # every point, and (0, 0) is the start's record; a resume from its
-    # checkpoint with the last record cut drives nothing, and writes the
-    # file as the fresh run did
+    # last two are evolved once each, so 2/45 of the drive of evolving
+    # every point, and the two on lambda = 0 have closed forms; a resume
+    # from its checkpoint with the last record cut drives nothing, and
+    # writes the file as the fresh run did
     spec = _criterion_11_subgrid(8, 8)
     keys, mirrored = sweep._canonical_points(spec)
     assert sorted(set(keys)) == [(0.0, 0.0), (0.0, np.pi / 2),
@@ -206,7 +206,7 @@ def test_benchmark_grid_evolves_3_of_its_45_points(tmp_path, monkeypatch):
     work = _count_work(monkeypatch)
     path = tmp_path / "map.ckpt"
     records = run_grid(spec, checkpoint_path=str(path))
-    assert sum(work) == 3 * spec.periods
+    assert sum(work) == 2 * spec.periods
     # mirror rows repeat their canonical row, which is on this grid, with
     # both o_rel negated at a mirror image under g -> pi - g
     by_point = {(r.lam, r.g): r for r in records}
@@ -277,10 +277,11 @@ def test_no_kick_line_takes_the_record_of_the_origin(monkeypatch, shape,
         assert records[index][2:] == \
             tuple(sweep._mirror(origin, mirrored).tolist())
     # g = pi/2 and 3pi/2 fold onto the lambdas of the cell, and at an odd
-    # stride so does g = pi: one evolution each; the line's record is the
-    # start's, with no evolution
-    lams_in_cell = 3 if shape.n_sat % 2 == 0 and shape.two_s % 2 == 0 else 5
-    assert sum(work) == spec.periods * lams_in_cell * (2 if stride % 2 else 1)
+    # stride so does g = pi: one evolution each, but none on lambda = 0 or
+    # 2pi, which have closed forms; the line's record is the start's, with
+    # no evolution
+    lams_evolved = 2 if shape.n_sat % 2 == 0 and shape.two_s % 2 == 0 else 3
+    assert sum(work) == spec.periods * lams_evolved * (2 if stride % 2 else 1)
     # each row of the line is its own point's, evolved directly
     for index, _ in line:
         np.testing.assert_allclose(
@@ -337,6 +338,37 @@ def test_no_kick_record_matches_a_direct_evolution(shape):
         np.testing.assert_allclose(
             compute_point(shape, lam, 0.0, 24, 2)[2:],
             _evolved_values(shape, lam, 0.0, 24, 2), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", _PARITY_CLASSES,
+                         ids=lambda sh: f"{sh.n_sat}-{sh.two_s}")
+def test_engine_follows_the_closed_form_on_lambda_0_and_2pi(shape):
+    # at lambda = 0 the drive is the kick alone; at lambda = 2pi the
+    # interaction is also a pi turn about x of each subsystem that the
+    # lambda = 2pi table says doubles its period. The state stays a product:
+    # the entropy is 0, a magnetization is 1/2 or s times cos of its x angle
+    # phi (n g, or for a turned subsystem g at odd n and 0 at even n), and
+    # the fidelity to the start is cos^{2 n_sat}(phi_J/2) cos^{4s}(phi_c/2).
+    # The engine checks the closed form that _scan writes for these rows
+    periods = 60
+    n = np.arange(1, periods + 1)
+    table = predict_dtc_class(shape.n_sat, shape.two_s, "lambda_2pi")
+    for lam, g in itertools.product((0.0, 2 * np.pi), (0.3, 1.1, 3.0)):
+        phi_j, phi_c = (
+            np.where(lam == 2 * np.pi and behavior == "period doubling",
+                     n % 2, n) * g
+            for behavior in (table.satellite_behavior, table.central_behavior))
+        want = np.stack([n, 0.5 * np.cos(phi_j), shape.s * np.cos(phi_c),
+                         np.zeros(periods),
+                         np.cos(phi_j / 2) ** (2 * shape.n_sat)
+                         * np.cos(phi_c / 2) ** (2 * shape.two_s)], axis=1)
+        traj = evolve(x_polarized_state(shape),
+                      precompute(shape, DriveParams.symmetric(lam, g)),
+                      periods, trajectory_records)
+        np.testing.assert_allclose(np.array(traj), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            compute_point(shape, lam, g, periods, 2)[2:],
+            _evolved_values(shape, lam, g, periods, 2), rtol=0, atol=1e-12)
 
 
 def test_default_grid_no_kick_rows_at_9_5_2(tmp_path):
@@ -569,10 +601,11 @@ def test_checkpoint_resume_no_recompute(tmp_path, monkeypatch):
     ops_full = sum(work)
     assert resumed == full
     # the g = pi column folds onto (0, 0), so a fresh scan has 7 keys and
-    # evolves 6 of them, (0, 0) being the start's record; records 0-4 hold
-    # 5 of the keys, (0, 0) among them, so only 2 of the 6 were recomputed
-    assert ops_full == 6 * spec.periods
-    assert ops_resumed == 2 * spec.periods
+    # evolves the 2 at lambda = pi, the rest having closed forms; records
+    # 0-4 hold 5 of the keys, both lambda = pi keys among them, so the
+    # resume evolves nothing
+    assert ops_full == 2 * spec.periods
+    assert ops_resumed == 0
 
 
 def test_checkpoint_written_during_run(tmp_path):
@@ -590,7 +623,7 @@ def test_resume_from_cut_record(tmp_path, monkeypatch, kept):
     # bytes; the resume drops it, recomputes that point and leaves the file
     # whole, byte for byte as an uninterrupted run writes it. Every point of
     # this grid is in the cell, so no stored record shares the last point's
-    # key
+    # key, (2pi, 1.2), whose record is the closed form's, with no evolution
     spec = GridSpec((0.0, 2 * np.pi, 3), (0.1, 1.2, 3), CollectiveShape(3, 1),
                     16, 2)
     assert len(set(sweep._canonical_points(spec)[0])) == spec.n_points
@@ -601,9 +634,12 @@ def test_resume_from_cut_record(tmp_path, monkeypatch, kept):
     with pytest.raises(CheckpointError):
         read_checkpoint(str(path), spec)
     work = _count_work(monkeypatch)
-    resumed = run_grid(spec, checkpoint_path=str(path))
+    report = []
+    resumed = run_grid(spec, checkpoint_path=str(path), report=report.append)
     assert resumed == fresh
-    assert sum(work) == spec.periods    # the cut point's row alone
+    # the cut point's row alone
+    assert report == ["computed 1 of 9 points (0 by symmetry, 8 resumed)"]
+    assert sum(work) == 0
     assert path.read_bytes() == whole
     assert len(read_checkpoint(str(path), spec)) == spec.n_points
 
@@ -744,7 +780,7 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     # the checkpoint of the 3 x 3 grid at (3, 1/2), whose g > pi/2 columns
     # hold mirror points, is the magic, the fingerprint record at index
     # 2^32 - 1 (n_sat, two_s, periods, stride, lambda steps, g steps and
-    # record version 4) and each point's row in grid order. A file of that
+    # record version 5) and each point's row in grid order. A file of that
     # layout with its first 4 rows resumes to the same CSV and checkpoint,
     # byte for byte, as the fresh scan
     spec = _small_spec()
@@ -754,7 +790,7 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     assert cli.parse_and_dispatch(
         argv + ["--checkpoint", str(path), "--output", str(fresh)]) == 0
     records = run_grid(spec)
-    want = b"DTC1" + _packed_record(2 ** 32 - 1, (3, 1, 16, 2, 3, 3, 4)) + \
+    want = b"DTC1" + _packed_record(2 ** 32 - 1, (3, 1, 16, 2, 3, 3, 5)) + \
         b"".join(_packed_record(index, rec)
                  for index, rec in enumerate(records))
     assert path.read_bytes() == want
@@ -775,7 +811,7 @@ def test_checkpoint_with_a_repeated_index_is_rejected(tmp_path):
     rec = compute_point(spec.shape, 0.0, 0.1, spec.periods, spec.stride)
     path = tmp_path / "map.ckpt"
     path.write_bytes(b"DTC1"
-                     + _packed_record(2 ** 32 - 1, (3, 1, 16, 2, 3, 3, 4))
+                     + _packed_record(2 ** 32 - 1, (3, 1, 16, 2, 3, 3, 5))
                      + _packed_record(0, rec)
                      + _packed_record(0, rec[:2] + (9.0,) * 5))
     with pytest.raises(CheckpointError, match="grid index 0 more than once"):

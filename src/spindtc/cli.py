@@ -12,6 +12,11 @@ flags override. Exit codes: 0 success, 2 bad arguments, 1 runtime failure.
 evolve, sweep and qfi write their CSVs through sweep.write_rows, to
 --output, or for evolve and qfi to stdout without one; a --output that
 cannot be written fails before any computation.
+
+On the lines lambda = 0 and 2pi, evolve writes the closed form
+(observables.product_series), as the phase map does, and drives nothing;
+classify measures on the engine at every lambda, so that its measured
+line is not the formula it is compared against.
 """
 
 import argparse
@@ -24,7 +29,8 @@ import numpy as np
 from .errors import SpinDtcError, ShapeError, CapacityError, NotTabulatedError
 from .hilbert import CollectiveShape, x_polarized_state, MAX_DIMENSION
 from .floquet import DriveParams, precompute, evolve
-from .observables import trajectory_records, magnetization_records
+from .observables import (trajectory_records, magnetization_records,
+                          is_product_line, product_records)
 from .diagnostics import (DEFAULT_PERIOD_SCAN_MAX, DEFAULT_REVIVAL_EPSILON,
                           predict_dtc_class, first_revival, classify_subsystem,
                           check_epsilon)
@@ -225,12 +231,18 @@ def _require(args, *names):
 
 
 def _cmd_evolve(args) -> int:
+    """At lambda exactly 0 or 2pi the rows are the closed form
+    (observables.product_records) and nothing is evolved; at any other
+    lambda the engine drives the start."""
     _require(args, "n_sat", "spin", "lam", "g", "periods")
     shape = CollectiveShape(args.n_sat, args.spin)
-    state = x_polarized_state(shape)
-    tables = precompute(shape, DriveParams.symmetric(args.lam, args.g))
+    params = DriveParams.symmetric(args.lam, args.g)
     check_destination(args.output)
-    traj = evolve(state, tables, args.periods, trajectory_records)
+    if is_product_line(params.lam):
+        traj = product_records(shape, params.lam, params.g_s, args.periods)
+    else:
+        traj = evolve(x_polarized_state(shape), precompute(shape, params),
+                      args.periods, trajectory_records)
     write_rows(args.output, [TRAJECTORY_HEADER], traj)
     return 0
 
@@ -253,7 +265,9 @@ def _cmd_classify(args) -> int:
     point = (f"shape ({args.n_sat}, s={_spin_text(args.spin)}) at "
              f"lambda={lam:.10g}, g={g:.10g}")
     if regime == "lambda_2pi":
-        # the taxonomy reads every period's magnetizations
+        # the taxonomy reads every period's magnetizations, driven by the
+        # engine rather than read from observables.product_series, the
+        # closed form the table is checked against
         pairs = evolve(x_polarized_state(shape), tables, args.periods,
                        magnetization_records)
         m_sat = [0.5] + [p[0] for p in pairs]

@@ -14,14 +14,30 @@ basis state.
 
 A TrajectoryRecord is a named tuple whose fields are the columns of the
 evolve CSV, so each record is its own row.
+
+On the lines lambda = 0 and 2pi the columns have a closed form
+(product_series), which the phase map and evolve write there instead of
+driving the engine. At lambda = 0 the drive is the kick alone. At
+lambda = 2pi, e^{i 2pi J^x S^x} is a product of local pi turns about x: of
+the satellites when 2s is odd, of the central spin when n_sat is odd (1
+when neither turns, -i times both turns when both do). So the x-polarized
+start stays a product of coherent states in the xy plane, and each
+subsystem is the start turned about z by its x angle phi: n g after n
+periods, or, for a turned subsystem, g at odd n and 0 at even n. The
+entropy is 0, the x magnetizations are 1/2 cos phi_J and s cos phi_c, and
+the fidelity to the start is cos^{2 n_sat}(phi_J/2) cos^{4s}(phi_c/2).
+floquet.evolve, which knows nothing of this, is the path the closed form is
+checked against.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ShapeError
-from .hilbert import PureState, reduced_central_density, _hermitian_entropy
+from .hilbert import (CollectiveShape, PureState, reduced_central_density,
+                      _hermitian_entropy)
 from .floquet import magnetic_numbers, to_axis_basis
 
 
@@ -77,15 +93,61 @@ def initial_fidelity(states: PureState) -> np.ndarray:
     return _populations(states.amplitudes[..., 0])
 
 
+def _records(columns, first: int) -> list[TrajectoryRecord]:
+    """One TrajectoryRecord per entry of the four columns, numbered from
+    first."""
+    return [TrajectoryRecord(n, *values) for n, values in
+            enumerate(zip(*(c.tolist() for c in columns)), start=first)]
+
+
 def trajectory_records(states: PureState, first: int) -> list[TrajectoryRecord]:
     """Recorder for floquet.evolve from the x-polarized state: a block of
     consecutive periods in the joint x basis, stacked along the leading
     axis, first the number of the first one; one TrajectoryRecord per
     period."""
-    columns = [c.tolist() for c in period_observables(states)]
-    fidelity = initial_fidelity(states)
-    return [TrajectoryRecord(first + k, *values)
-            for k, values in enumerate(zip(*columns, fidelity.tolist()))]
+    return _records((*period_observables(states), initial_fidelity(states)),
+                    first)
+
+
+def is_product_line(lam) -> bool | np.ndarray:
+    """Whether lambda is exactly 0 or 2pi, where product_series holds
+    (elementwise over an array)."""
+    return (lam == 0.0) | (lam == 2 * math.pi)
+
+
+def product_series(shape: CollectiveShape, lam, g, periods: int):
+    """(m_sat_x, m_c_x, entropy, fidelity) of the x-polarized start at
+    periods 0..periods of the drive at lambda = 0 or 2pi (module
+    docstring), each an array whose leading axis is the period number and
+    whose other axes are those of lam and g broadcast together: one column
+    per drive point. The entropy is exactly 0, and every value lies in its
+    range exactly: |m_sat_x| <= 1/2, |m_c_x| <= s, the fidelity in [0, 1].
+    Every entry is computed by the same operations whatever the other
+    points are."""
+    if periods < 0:
+        raise ShapeError(f"n_periods must be >= 0, got {periods}")
+    lam, g = np.broadcast_arrays(np.asarray(lam, dtype=float),
+                                 np.asarray(g, dtype=float))
+    if not is_product_line(lam).all():
+        raise ShapeError(f"the closed form holds at lambda = 0 and 2pi, "
+                         f"not at {float(lam[~is_product_line(lam)][0])!r}")
+    n = np.arange(periods + 1).reshape((-1,) + (1,) * g.ndim)
+    turned = lam == 2 * math.pi
+    phi_j = np.where(turned & (shape.two_s % 2 == 1), n % 2, n) * g
+    phi_c = np.where(turned & (shape.n_sat % 2 == 1), n % 2, n) * g
+    return (0.5 * np.cos(phi_j), shape.s * np.cos(phi_c),
+            np.zeros(phi_j.shape),
+            np.cos(phi_j / 2) ** (2 * shape.n_sat)
+            * np.cos(phi_c / 2) ** (2 * shape.two_s))
+
+
+def product_records(shape: CollectiveShape, lam: float, g: float,
+                    periods: int) -> list[TrajectoryRecord]:
+    """The TrajectoryRecords of periods 1..periods at lambda = 0 or 2pi
+    from product_series: what floquet.evolve with trajectory_records
+    gives there, up to its rounding."""
+    return _records([c[1:] for c in product_series(shape, lam, g, periods)],
+                    1)
 
 
 def magnetization_records(states: PureState, first: int) -> list[tuple]:

@@ -36,16 +36,11 @@ And one more on the no-kick line:
   the x-polarized start is one of its eigenvectors, so every lambda has
   the record of (0, 0), and that record is the start's own: the x
   magnetizations stay 1/2 and s and the entropy 0 at every period.
-The lines lambda = 0 and 2pi have closed forms. At lambda = 0 the drive is
-the kick alone. At lambda = 2pi, e^{i 2pi J^x S^x} is a product of local pi
-turns about x: of the satellites when 2s is odd, of the central spin when
-n_sat is odd (1 when neither turns, -i times both turns when both do). So
-the start stays a product of coherent states in the xy plane: the entropy
-is 0 at every period, and the x magnetizations are 1/2 cos phi_J and
-s cos phi_c, where a spin's x angle phi is n g after n periods, or, for a
-turned spin, g at odd n and 0 at even n. A key whose lambda is exactly 0
-or 2pi, (0, 0) among them, is not evolved; its closed-form series goes
-through the same reductions as an evolved one (_scan).
+The lines lambda = 0 and 2pi have closed forms: the start stays a product
+of coherent states in the xy plane, with entropy 0 at every period
+(observables.product_series). A key whose lambda is exactly 0 or 2pi,
+(0, 0) among them, is not evolved; its closed-form series goes through the
+same reductions as an evolved one (_scan).
 The canonical cell is lambda in [0, pi] at even n_sat with integer s, else
 [0, 2pi], times g in (0, pi/2] at an even stride, else (0, pi], plus the
 point (0, 0). A scan keys each folded angle by the grid value it lands on,
@@ -69,7 +64,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -77,7 +72,7 @@ import numpy as np
 from .errors import ShapeError, CheckpointError
 from .hilbert import CollectiveShape, PureState, x_polarized_state
 from .floquet import DriveParams, precompute, evolve, _STACK_ENTRIES
-from .observables import period_observables
+from .observables import period_observables, is_product_line, product_series
 from .diagnostics import stroboscopic_average, relative_order_parameter
 
 CHECKPOINT_MAGIC = b"DTC1"
@@ -104,13 +99,17 @@ _SNAP = 1e-9
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular scan: ranges are (lo, hi, steps), endpoints included."""
+    """Rectangular scan: ranges are (lo, hi, steps), endpoints included.
+    lambdas and gs are the two axes, built once, as read-only arrays: lo
+    alone for one step, else np.linspace(lo, hi, steps)."""
 
     lambda_range: tuple[float, float, int]
     g_range: tuple[float, float, int]
     shape: CollectiveShape
     periods: int
     stride: int
+    lambdas: np.ndarray = field(init=False, repr=False, compare=False)
+    gs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, (lo, hi, steps) in (("lambda", self.lambda_range),
@@ -125,10 +124,11 @@ class GridSpec:
             raise ShapeError(
                 f"need periods >= stride >= 1, got periods={self.periods}, "
                 f"stride={self.stride}")
-
-    def axis(self, which: str) -> np.ndarray:
-        lo, hi, steps = self.lambda_range if which == "lambda" else self.g_range
-        return np.array([lo]) if steps == 1 else np.linspace(lo, hi, steps)
+        for name, (lo, hi, steps) in (("lambdas", self.lambda_range),
+                                      ("gs", self.g_range)):
+            axis = np.array([lo]) if steps == 1 else np.linspace(lo, hi, steps)
+            axis.flags.writeable = False
+            object.__setattr__(self, name, axis)
 
     @property
     def n_points(self) -> int:
@@ -201,7 +201,7 @@ def _canonical_points(spec: GridSpec) -> tuple[list, np.ndarray]:
     sent to 0 where g lands on 0, as fold does for an exact 0 (a g axis can
     put pi an ulp off, and its fold an ulp off 0). One fold and one snap
     per axis over the whole grid."""
-    lams, gs = spec.axis("lambda"), spec.axis("g")
+    lams, gs = spec.lambdas, spec.gs
     lam, g, mirrored = fold(lams[:, None], gs, spec.shape, spec.stride)
     g = np.broadcast_to(_snap(g, gs), lam.shape)
     lam = np.where(g == 0.0, 0.0, _snap(lam, lams))
@@ -224,24 +224,16 @@ def _scan(shape: CollectiveShape, points, periods: int,
     """The five map averages of each (lambda, g) point, one row per point.
 
     A point whose lambda is exactly 0 or 2pi is not evolved: its series
-    has the closed form of the module docstring (at g = 0, the start's own
-    1/2, s and 0). The other points are evolved as one state stack. Every
-    point's series then goes through the same reductions, row by row.
+    is observables.product_series (at g = 0, the start's own 1/2, s and
+    0). The other points are evolved as one state stack. Every point's
+    series then goes through the same reductions, row by row.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     # (period number, column, point), period 0 being the start
     series = np.empty((periods + 1, 3, len(points)))
-    lams, gs = points.T
-    closed = (lams == 0.0) | (lams == 2 * math.pi)
-    # each spin's x angle after n periods is n g, or, where lambda = 2pi
-    # turns it by pi about x every period, g at odd n and 0 at even n
-    n = np.arange(periods + 1)[:, None]
-    turned, g = lams[closed] == 2 * math.pi, gs[closed]
-    satellite = np.where(turned & (shape.two_s % 2 == 1), n % 2, n) * g
-    central = np.where(turned & (shape.n_sat % 2 == 1), n % 2, n) * g
-    series[:, 0, closed] = 0.5 * np.cos(satellite)
-    series[:, 1, closed] = shape.s * np.cos(central)
-    series[:, 2, closed] = 0.0
+    closed = is_product_line(points[:, 0])
+    series[..., closed] = np.stack(
+        product_series(shape, *points[closed].T, periods)[:3], axis=1)
     evolved = np.flatnonzero(~closed)
     if evolved.size:
         tables = precompute(shape, [DriveParams.symmetric(lam, g)
@@ -327,7 +319,7 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
     # which stands for the key
     heads = np.array([first.setdefault(key, index)
                       for index, key in enumerate(keys)])
-    lams, gs = spec.axis("lambda"), spec.axis("g")
+    lams, gs = spec.lambdas, spec.gs
     table = np.empty((spec.n_points, 7))    # every point's record
     table[:, 0], table[:, 1] = np.repeat(lams, len(gs)), np.tile(gs, len(lams))
     resumed = np.zeros(spec.n_points, bool)
@@ -401,9 +393,9 @@ def _pack_records(indices, values) -> bytes:
 def _check_grid(spec: GridSpec, indices: np.ndarray, values: np.ndarray,
                 path: str) -> None:
     """Every stored record must sit on this grid at its index; both sides
-    come from the same np.linspace, so (lambda, g) compare exactly. The
+    come from the grid's axes, so (lambda, g) compare exactly. The
     first record that does not is named."""
-    lams, gs = spec.axis("lambda"), spec.axis("g")
+    lams, gs = spec.lambdas, spec.gs
     outside = indices >= spec.n_points
     i, j = np.divmod(np.where(outside, 0, indices), len(gs))
     off = (values[:, 0] != lams[i]) | (values[:, 1] != gs[j])

@@ -48,7 +48,7 @@ def canonical_points(spec) -> tuple[list, list[bool]]:
     """The evolution key of each grid point of spec, row-major, and whether
     the point is a mirror image of it: each point's fold, each folded angle
     snapped onto the grid, and lambda 0 where g lands on 0."""
-    lams, gs = spec.axis("lambda"), spec.axis("g")
+    lams, gs = spec.lambdas, spec.gs
     keys, mirrored = [], []
     for lam in lams:
         for g in gs:

@@ -228,7 +228,7 @@ def test_criterion_12_determinism():
                                _pack_records, _SPEC_INDEX, _fingerprint)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "resume.bin")
-        lams, gs = spec.axis("lambda"), spec.axis("g")
+        lams, gs = spec.lambdas, spec.gs
         with open(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(_pack_records([_SPEC_INDEX], [_fingerprint(spec)]))

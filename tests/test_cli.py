@@ -11,14 +11,16 @@ import pytest
 from spindtc.cli import (parse_angle, parse_spin, parse_int_list, read_config,
                          build_parser, parse_and_dispatch)
 from spindtc.errors import SpinDtcError
-from spindtc.floquet import DriveParams
-from spindtc.hilbert import CollectiveShape
+from spindtc.floquet import DriveParams, precompute, evolve
+from spindtc.hilbert import CollectiveShape, x_polarized_state
+from spindtc.observables import trajectory_records
 from spindtc.metrology import qfi_matrix, sensing_gain
 from spindtc.sweep import CHECKPOINT_MAGIC, RECORD_VERSION
 from spindtc.spin_algebra import coherent_axis_state
-from spindtc import analytic_states, metrology, cli, sweep
+from spindtc import analytic_states, hilbert, metrology, cli, sweep
 
 from qubit_reference import product_state
+from test_sweep import _PARITY_CLASSES
 
 
 def test_parse_angle_forms():
@@ -122,6 +124,14 @@ def test_evolve_beyond_the_full_engine(tmp_path):
             assert abs(m_sat - 0.5) < 1e-10
             assert abs(m_c - 2.5) < 1e-10
             assert entropy < 1e-10
+    # the rows come from the closed form; the engine drives the same shape
+    # to them, within its rounding, which grows with the periods (8.6e-13
+    # at 200 here)
+    shape = CollectiveShape(41, 5)
+    engine = evolve(x_polarized_state(shape),
+                    precompute(shape, DriveParams.symmetric(2 * np.pi, 3.0)),
+                    200, trajectory_records)
+    np.testing.assert_allclose(rows, engine, rtol=0, atol=2e-12)
 
 
 def test_evolve_zero_periods(tmp_path):
@@ -131,6 +141,101 @@ def test_evolve_zero_periods(tmp_path):
                                "--periods", "0", "--output", str(out)])
     assert code == 0
     assert out.read_text() == "n,m_sat_x,m_c_x,entropy,fidelity\n"
+
+
+def _evolve_rows(tmp_path, shape, lam, g, periods):
+    out = tmp_path / "traj.csv"
+    assert parse_and_dispatch(["evolve", "--n-sat", str(shape.n_sat),
+                               "--spin", cli._spin_text(shape.two_s),
+                               "--lambda", repr(lam), "--g", repr(g),
+                               "--periods", str(periods),
+                               "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == cli.TRAJECTORY_HEADER and len(lines) == periods + 1
+    return np.array([[float(v) for v in line.split(",")]
+                     for line in lines[1:]]).reshape(periods, 5)
+
+
+def _count_engine(monkeypatch):
+    """Names of the engine calls _cmd_evolve makes."""
+    calls = []
+    for name in ("evolve", "precompute"):
+        def counted(*args, _name=name, _real=getattr(cli, name), **kw):
+            calls.append(_name)
+            return _real(*args, **kw)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", _PARITY_CLASSES,
+                         ids=lambda sh: f"{sh.n_sat}-{sh.two_s}")
+@pytest.mark.parametrize("lam", [0.0, 2 * np.pi], ids=["0", "2pi"])
+def test_evolve_on_lambda_0_and_2pi_is_the_closed_form(tmp_path, monkeypatch,
+                                                       shape, lam):
+    # evolve writes the closed form there without driving the engine: rows
+    # within 1e-12 of floquet.evolve's, the entropy exactly 0 and every
+    # value inside its range, which the engine's rounding leaves (m_c_x
+    # 2.5000000000000053 and fidelity 1.0000000000000022 at (9, 5/2))
+    calls = _count_engine(monkeypatch)
+    for g in (0.0, 0.3, 1.1, 3.0, np.pi / 2, np.pi, 5.9, -2.0):
+        rows = _evolve_rows(tmp_path, shape, lam, g, 60)
+        engine = evolve(x_polarized_state(shape),
+                        precompute(shape, DriveParams.symmetric(lam, g)),
+                        60, trajectory_records)
+        np.testing.assert_allclose(rows, engine, rtol=0, atol=1e-12)
+        assert (rows[:, 0] == np.arange(1, 61)).all()
+        assert (rows[:, 3] == 0.0).all()
+        assert (abs(rows[:, 1]) <= 0.5).all()
+        assert (abs(rows[:, 2]) <= shape.s).all()
+        assert ((rows[:, 4] >= 0.0) & (rows[:, 4] <= 1.0)).all()
+        assert _evolve_rows(tmp_path, shape, lam, g, 0).size == 0
+    assert calls == []
+
+
+def test_evolve_off_the_closed_form_lines_drives_the_engine(tmp_path,
+                                                            monkeypatch):
+    # one ulp off 0 or 2pi the interaction is no product of pi turns, and
+    # the engine drives the start, once per command
+    calls = _count_engine(monkeypatch)
+    shape = CollectiveShape(9, 5)
+    for lam in (np.nextafter(2 * np.pi, 0.0), np.nextafter(2 * np.pi, 7.0),
+                np.nextafter(0.0, 1.0), -2 * np.pi, 4 * np.pi):
+        _evolve_rows(tmp_path, shape, float(lam), 3.0, 8)
+    assert calls == ["precompute", "evolve"] * 5
+    _evolve_rows(tmp_path, shape, 2 * np.pi, 3.0, 8)
+    assert len(calls) == 10
+
+
+def test_evolve_closed_form_validates_as_the_engine_path(tmp_path, capsys,
+                                                        monkeypatch):
+    # the same shape checks and exit codes on both paths, at a capacity of
+    # 64 entries: 7 satellites run, 8 exit 1, a negative period count
+    # exits 2
+    monkeypatch.setattr(hilbert, "MAX_DIMENSION", 64)
+    out = tmp_path / "traj.csv"
+    for lam in ("2pi", "0", "1.0"):
+        base = ["evolve", "--spin", "1/2", "--lambda", lam, "--g", "3.0",
+                "--output", str(out)]
+        assert parse_and_dispatch(base + ["--n-sat", "7", "--periods", "2"]) == 0
+        assert len(out.read_text().splitlines()) == 3
+        assert parse_and_dispatch(base + ["--n-sat", "8", "--periods", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: CollectiveShape(n_sat=8, two_s=1) needs an array of 81 "
+            "entries, over the budget 64\n")
+        assert parse_and_dispatch(base + ["--n-sat", "3",
+                                          "--periods", "-1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: n_periods must be >= 0, got -1\n"
+
+
+def test_classify_lambda2pi_measures_on_the_engine(monkeypatch, capsys):
+    # its measured line must not come from the closed form it is checked
+    # against: classify drives the engine at lambda = 2pi
+    calls = _count_engine(monkeypatch)
+    assert parse_and_dispatch(["classify", "--n-sat", "9", "--spin", "5/2",
+                               "--regime", "lambda2pi", "--periods", "40"]) == 0
+    assert calls == ["precompute", "evolve"]
+    assert "measured satellites " in capsys.readouterr().out
 
 
 def test_classify_special(capsys):
@@ -579,10 +684,13 @@ def test_failed_qfi_leaves_output_untouched(tmp_path):
 @pytest.mark.parametrize("command", [
     ["evolve", "--n-sat", "2", "--spin", "1/2", "--lambda", "pi", "--g",
      "pi/2", "--periods", "4"],
+    ["evolve", "--n-sat", "2", "--spin", "1/2", "--lambda", "2pi", "--g",
+     "pi/2", "--periods", "4"],
     ["sweep", "--n-sat", "2", "--spin", "1/2", "--lambda-steps", "2",
      "--g-steps", "2", "--periods", "4"],
     ["qfi", "--spin", "1/2", "--lambda", "pi", "--g", "pi/2", "--sizes",
-     "2", "--periods", "4"]], ids=lambda argv: argv[0])
+     "2", "--periods", "4"]],
+    ids=lambda argv: argv[0] + ("-2pi" if "2pi" in argv else ""))
 @pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
 def test_failed_output_write_names_the_output(tmp_path, capsys, monkeypatch,
                                               command, where):
@@ -591,8 +699,8 @@ def test_failed_output_write_names_the_output(tmp_path, capsys, monkeypatch,
     # computation: no evolution or Fisher scan runs, sweep prints no
     # computed line and creates no checkpoint
     calls = []
-    for module, name in ((cli, "evolve"), (sweep, "evolve"),
-                         (cli, "qfi_scan")):
+    for module, name in ((cli, "evolve"), (cli, "product_records"),
+                         (sweep, "evolve"), (cli, "qfi_scan")):
         def counted(*args, _name=name, _real=getattr(module, name), **kw):
             calls.append(_name)
             return _real(*args, **kw)

@@ -7,8 +7,8 @@ from spindtc.hilbert import (CollectiveShape, PureState, fidelity,
                              x_polarized_state, reduced_central_density,
                              von_neumann_entropy)
 from spindtc.floquet import DriveParams, precompute, evolve, from_x_basis
-from spindtc.observables import (magnetization,
-                                 period_observables, trajectory_records)
+from spindtc.observables import (magnetization, period_observables,
+                                 trajectory_records, product_series)
 from spindtc.analytic_states import milestone_state
 
 
@@ -37,6 +37,23 @@ def test_bad_arguments():
         magnetization(st, "satellites", "w")
     with pytest.raises(ShapeError):
         magnetization(st, "central", "w")
+
+
+def test_product_series_holds_on_lambda_0_and_2pi_only():
+    # one column per drive point, each the point's own series; off the two
+    # lines, or with a negative period count, it refuses
+    shape = CollectiveShape(3, 1)
+    lams, gs = np.array([0.0, 2 * np.pi, 2 * np.pi]), np.array([0.3, 0.3, 1.1])
+    series = product_series(shape, lams, gs, 5)
+    for k, (lam, g) in enumerate(zip(lams, gs)):
+        for column, single in zip(series, product_series(shape, lam, g, 5)):
+            assert column.shape == (6, 3) and single.shape == (6,)
+            assert column[:, k].tobytes() == single.tobytes()
+    assert [c[0, 0] for c in series] == [0.5, 0.5, 0.0, 1.0]
+    for lam, periods in ((np.nextafter(2 * np.pi, 0.0), 5), (np.pi, 5),
+                         (0.0, -1)):
+        with pytest.raises(ShapeError):
+            product_series(shape, [0.0, lam], 0.3, periods)
 
 
 def test_super_cat_magnetization_vanishes():

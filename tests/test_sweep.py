@@ -55,16 +55,25 @@ def test_compute_point_rejects_non_finite_angles():
 def test_grid_axes_and_count():
     spec = _small_spec()
     assert spec.n_points == 9
-    assert len(spec.axis("lambda")) == 3
-    assert spec.axis("g")[0] == pytest.approx(0.1)
+    assert len(spec.lambdas) == 3
+    assert spec.gs[0] == pytest.approx(0.1)
+    # the axes are built once and cannot be written; equal specs compare
+    # and hash by their fields alone
+    for axis in (spec.lambdas, spec.gs):
+        with pytest.raises(ValueError):
+            axis[0] = 1.0
+    assert spec.gs is spec.gs
+    assert spec == _small_spec() and hash(spec) == hash(_small_spec())
+    assert list(GridSpec((2.5, 9.0, 1), (0.0, 1.0, 2), spec.shape, 4,
+                         2).lambdas) == [2.5]
 
 
 def test_run_grid_row_major_order():
     spec = _small_spec()
     records = run_grid(spec)
     assert len(records) == 9
-    lams = spec.axis("lambda")
-    gs = spec.axis("g")
+    lams = spec.lambdas
+    gs = spec.gs
     for i, lam in enumerate(lams):
         for j, g in enumerate(gs):
             rec = records[i * 3 + j]
@@ -118,7 +127,7 @@ def _at_canonical_grid_point(spec, index):
     """compute_point at the key run_grid evolves grid point index at, mapped
     back to the point: its record, if the scan is right."""
     keys, mirrored = sweep._canonical_points(spec)
-    lams, gs = spec.axis("lambda"), spec.axis("g")
+    lams, gs = spec.lambdas, spec.gs
     i, j = divmod(index, len(gs))
     rec = compute_point(spec.shape, *keys[index], spec.periods, spec.stride)
     return PhaseMapRecord(float(lams[i]), float(gs[j]),
@@ -234,7 +243,7 @@ def test_grid_matches_unfolded_scan(tmp_path, monkeypatch, shape, stride):
     spec = GridSpec((0.0, 4 * np.pi, 9), (0.0, 2 * np.pi, 9), shape, 12,
                     stride)
     points = [(float(lam), float(g))
-              for lam in spec.axis("lambda") for g in spec.axis("g")]
+              for lam in spec.lambdas for g in spec.gs]
     path = tmp_path / "map.ckpt"
     records = run_grid(spec, checkpoint_path=str(path))
     unfolded = sweep._scan(shape, points, spec.periods, stride)
@@ -260,7 +269,7 @@ def test_no_kick_line_takes_the_record_of_the_origin(monkeypatch, shape,
     spec = GridSpec((0.0, 4 * np.pi, 9), (0.0, 2 * np.pi, 5), shape, 12,
                     stride)
     points = [(float(lam), float(g))
-              for lam in spec.axis("lambda") for g in spec.axis("g")]
+              for lam in spec.lambdas for g in spec.gs]
     for lam, _ in points:
         assert fold(lam, 0.0, shape, stride) == \
             fold(lam, 2 * np.pi, shape, stride) == (0.0, 0.0, False)
@@ -292,7 +301,7 @@ def test_no_kick_line_takes_the_record_of_the_origin(monkeypatch, shape,
     # at an even stride: the grid value 0 keys it, and so does (0, 0)
     spec = GridSpec((0.0, 4 * np.pi, 9), (0.0, 2 * np.pi, 51), shape, 12,
                     stride)
-    assert spec.axis("g")[25] > np.pi
+    assert spec.gs[25] > np.pi
     keys, _ = sweep._canonical_points(spec)
     line = [*range(0, 459, 51), *range(50, 459, 51)]
     if stride % 2 == 0:
@@ -371,6 +380,41 @@ def test_engine_follows_the_closed_form_on_lambda_0_and_2pi(shape):
             _evolved_values(shape, lam, g, periods, 2), rtol=0, atol=1e-12)
 
 
+def _closed_form_rows_before_sharing(shape, points, periods, stride):
+    """The five map averages _scan wrote for points on lambda = 0 and 2pi
+    before observables.product_series held the closed form: its series
+    operations and reductions as they were, vectorised over the points."""
+    lams, gs = np.asarray(points, dtype=float).T
+    n = np.arange(periods + 1)[:, None]
+    turned = lams == 2 * np.pi
+    satellite = np.where(turned & (shape.two_s % 2 == 1), n % 2, n) * gs
+    central = np.where(turned & (shape.n_sat % 2 == 1), n % 2, n) * gs
+    m_sat, m_c = 0.5 * np.cos(satellite), shape.s * np.cos(central)
+    entropy = np.zeros((periods, len(points)))
+    count = periods // stride
+    return np.stack((stroboscopic_average(m_sat, stride, count),
+                     stroboscopic_average(m_c, stride, count),
+                     np.ascontiguousarray(entropy.T).mean(axis=-1),
+                     relative_order_parameter(m_sat, periods)[2],
+                     relative_order_parameter(m_c, periods)[2]), axis=-1)
+
+
+@pytest.mark.parametrize("shape", _PARITY_CLASSES,
+                         ids=lambda sh: f"{sh.n_sat}-{sh.two_s}")
+def test_closed_form_rows_are_unchanged(monkeypatch, shape):
+    # _scan takes its lambda = 0 and 2pi series from the shared closed form,
+    # and writes bitwise the rows it wrote from its own copy of it, on
+    # canonical and other g, with no evolution
+    gs = [0.0, 0.3, 1.1, 3.0, np.pi / 2, np.pi, 5.9, -2.0, 7.3, 100.0]
+    points = [(lam, g) for lam in (0.0, 2 * np.pi) for g in gs]
+    work = _count_work(monkeypatch)
+    for periods, stride in ((24, 2), (25, 1), (31, 3), (200, 2)):
+        got = sweep._scan(shape, points, periods, stride)
+        want = _closed_form_rows_before_sharing(shape, points, periods, stride)
+        assert got.tobytes() == want.tobytes()
+    assert work == []
+
+
 def test_default_grid_no_kick_rows_at_9_5_2(tmp_path):
     # at (9, 5/2) the evolved (0, 0) row drifted above 1/2 and below zero
     # entropy; every row keyed to (0, 0) now reads the start's exact record
@@ -420,7 +464,7 @@ def test_off_grid_folds_keep_their_floats(monkeypatch):
     # float keys, and each row is its own point's to 1e-12
     spec = GridSpec((0.1, 3.9, 7), (0.05, 2.9, 5), CollectiveShape(8, 4), 24, 2)
     points = [(float(lam), float(g))
-              for lam in spec.axis("lambda") for g in spec.axis("g")]
+              for lam in spec.lambdas for g in spec.gs]
     keys, _ = sweep._canonical_points(spec)
     assert keys == [fold(*point, spec.shape, spec.stride)[:2]
                     for point in points]
@@ -583,8 +627,8 @@ def test_checkpoint_resume_no_recompute(tmp_path, monkeypatch):
     spec = _small_spec()
     full = run_grid(spec)
     path = str(tmp_path / "resume.bin")
-    lams = spec.axis("lambda")
-    gs = spec.axis("g")
+    lams = spec.lambdas
+    gs = spec.gs
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(_pack_records([sweep._SPEC_INDEX], [sweep._fingerprint(spec)]))
@@ -724,7 +768,7 @@ def test_collective_grid_beyond_the_full_layout():
     # n_sat = 64 at s = 2 is far past the 2^n layout's capacity
     spec = GridSpec((0.5, 2.5, 3), (0.3, 1.9, 3), CollectiveShape(64, 4), 12, 2)
     records = run_grid(spec)
-    lams, gs = spec.axis("lambda"), spec.axis("g")
+    lams, gs = spec.lambdas, spec.gs
     assert records == [compute_point(spec.shape, float(lam), float(g), 12, 2)
                        for lam in lams for g in gs]
 

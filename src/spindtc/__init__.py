@@ -18,8 +18,8 @@ from .diagnostics import (PeriodReport, DtcPrediction, stroboscopic_average,
                           fit_cosine_amplitude, classify_subsystem)
 from .analytic_states import (parity_case_of, supported_time_indices,
                               milestone_state, milestone_fidelity)
-from .metrology import (QfiMatrix, qfi_matrix, qfi_scan, weighted_uncertainty,
-                        sensing_gain, fit_power_law)
+from .metrology import (QfiMatrix, qfi_matrix, qfi_scan, sensing_gain,
+                        fit_power_law)
 from .sweep import (GridSpec, PhaseMapRecord, compute_point, run_grid,
                     read_checkpoint, write_csv, read_csv)
 

@@ -13,7 +13,8 @@ evolve, sweep and qfi write their CSVs through sweep.write_rows, to
 --output, or for evolve and qfi to stdout without one; a --output that
 cannot be written fails before any computation.
 
-On the lines lambda = 0 and 2pi, evolve writes the closed form
+On the lines lambda = 0 and 2pi mod 4pi (0, 2pi, 4pi, 6pi, -2pi, ...),
+evolve writes the closed form
 (observables.product_series), as the phase map does, and drives nothing;
 classify measures on the engine at every lambda, so that its measured
 line is not the formula it is compared against.
@@ -36,7 +37,7 @@ from .diagnostics import (DEFAULT_PERIOD_SCAN_MAX, DEFAULT_REVIVAL_EPSILON,
                           check_epsilon)
 from .analytic_states import (milestone_state, parity_case_of,
                               supported_time_indices)
-from .metrology import qfi_scan, sensing_gain
+from .metrology import qfi_scan
 from .sweep import (GridSpec, run_grid, write_csv, write_rows,
                     check_destination)
 
@@ -231,7 +232,8 @@ def _require(args, *names):
 
 
 def _cmd_evolve(args) -> int:
-    """At lambda exactly 0 or 2pi the rows are the closed form
+    """At a lambda exactly 0 or 2pi mod 4pi (observables.is_product_line)
+    the rows are the closed form
     (observables.product_records) and nothing is evolved; at any other
     lambda the engine drives the start."""
     _require(args, "n_sat", "spin", "lam", "g", "periods")
@@ -321,16 +323,12 @@ def _cmd_qfi(args) -> int:
     rows = []
     for (n_sat, _), matrices in zip(scans, results):
         for q in matrices:
-            try:
-                gain = sensing_gain(q)
-            except SpinDtcError:
-                gain = float("nan")
-            n = q.n_periods
-            rows.append((n_sat, args.spin, n, q.f_ll, q.f_gg, q.f_lg,
-                         q.g_scalar, gain))
+            rows.append((n_sat, args.spin, q.n_periods, q.f_ll, q.f_gg,
+                         q.f_lg, q.g_scalar, q.gain))
             if q.estimators_disagree:
                 print(f"warning: estimators disagree beyond 1% of the matrix "
-                      f"scale at (n_sat={n_sat}, n={n})", file=sys.stderr)
+                      f"scale at (n_sat={n_sat}, n={q.n_periods})",
+                      file=sys.stderr)
     write_rows(args.output, [QFI_HEADER], rows)
     return 0
 

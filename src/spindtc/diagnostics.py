@@ -18,6 +18,8 @@ from .observables import TrajectoryRecord, initial_fidelity
 
 DEFAULT_REVIVAL_EPSILON = 1e-8
 DEFAULT_PERIOD_SCAN_MAX = 64
+# how far classify_subsystem lets a magnetization miss its pattern
+_TAXONOMY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -200,24 +202,24 @@ def fit_cosine_amplitude(series_2nT, g: float) -> tuple[float, float]:
     return amp, resid
 
 
-def classify_subsystem(series, g: float, maximum: float,
-                       tol: float = 1e-8) -> str:
+def classify_subsystem(series, g: float, maximum: float) -> str:
     """Measured taxonomy of one subsystem's magnetization at lambda = 2pi.
 
     series[n] is the magnetization at nT, n = 0..len-1, with len >= 2.
-    Returns 'period doubling' when the every-other-period values revive at
-    +maximum while the full sequence is not 1T-periodic, else 'sinusoidal'
-    when the stroboscopic values fit maximum*cos(2 g n).
+    Returns 'frozen' when the even periods series[2n] lie within
+    _TAXONOMY_TOL of +maximum and every period within 10 times it; 'period
+    doubling' when the even periods do and an odd one does not; else
+    'sinusoidal' when the even periods fit A cos(2 g n), with A the free
+    least-squares amplitude of fit_cosine_amplitude (not maximum), every
+    residual below _TAXONOMY_TOL; else 'neither'.
     """
     y = np.asarray(series, dtype=float)
     if len(y) < 2:
         raise ShapeError("empty trajectory")
     even = y[::2]
-    if np.max(np.abs(even - maximum)) < tol:
-        if np.max(np.abs(y - maximum)) > 10 * tol:
+    if np.max(np.abs(even - maximum)) < _TAXONOMY_TOL:
+        if np.max(np.abs(y - maximum)) > 10 * _TAXONOMY_TOL:
             return "period doubling"
         return "frozen"
-    amp, resid = fit_cosine_amplitude(even, g)
-    if resid < tol:
-        return "sinusoidal"
-    return "neither"
+    _, resid = fit_cosine_amplitude(even, g)
+    return "sinusoidal" if resid < _TAXONOMY_TOL else "neither"

@@ -10,7 +10,9 @@ propagator derivatives as in Khaneja et al., J. Magn. Reson. 172, 296
 (2005)): d_g of the kick is -i K times the kick, K = J^z + S^z, and d_lambda
 of the interaction is i H times the interaction, H = J^x S^x, diagonal in
 the joint x basis. There is no step size. A primary element within 1e-12 of
-the matrix scale max(|F_ll|, |F_gg|) is rounding and reads 0.
+the matrix scale max(|F_ll|, |F_gg|) is rounding and reads 0. From the
+three primary elements each QfiMatrix computes its two figures of merit,
+the uncertainty bound g_scalar and its inverse, the gain.
 
 The same expression with central-difference derivative states (runs at
 lambda +- step and g +- step) is the independent cross-check; any element
@@ -34,7 +36,7 @@ stacks, and each product writes from one into the other, so a period
 allocates nothing.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,29 +57,41 @@ _CROSSCHECK_REACH = 384
 
 @dataclass(frozen=True)
 class QfiMatrix:
-    """2x2 Fisher matrix elements, both estimators, and the Eq.-style G."""
+    """2x2 Fisher matrix elements, both estimators, and the two figures of
+    the elements F = [[f_ll, f_lg], [f_lg, f_gg]], computed here and only
+    here:
+
+    g_scalar = tr(F) / det(F), nan where det <= 0: the equally weighted
+    two-parameter bound delta_lambda^2 + delta_g^2 >= g_scalar (Liu et
+    al.), small when both parameters are resolved at once;
+    gain = det(F) / tr(F), nan where det <= 0 or tr <= 0: its inverse, the
+    figure whose growth tracks simultaneous sensitivity (larger is better),
+    on which scaling exponents are fit.
+    """
 
     f_ll: float
     f_gg: float
     f_lg: float
-    g_scalar: float          # (f_ll + f_gg) / det, nan when det <= 0
     n_periods: int
     delta: float             # the cross-check's step
     f_ll_crosscheck: float
     f_gg_crosscheck: float
     f_lg_crosscheck: float
     estimators_disagree: bool
+    g_scalar: float = field(init=False)
+    gain: float = field(init=False)
+
+    def __post_init__(self):
+        det, tr = self.f_ll * self.f_gg - self.f_lg ** 2, self.f_ll + self.f_gg
+        object.__setattr__(self, "g_scalar", tr / det if det > 0 else np.nan)
+        gain = det / tr if det > 0 and tr > 0 else np.nan
+        object.__setattr__(self, "gain", gain)
 
 
 def _generators(shape: CollectiveShape) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of K (z basis) and H (x basis) as (satellite, central)."""
     m_sat, m_c = magnetic_numbers(shape)
     return m_sat[:, None] + m_c[None, :], m_sat[:, None] * m_c[None, :]
-
-
-def _det_trace(f_ll: float, f_gg: float, f_lg: float) -> tuple[float, float]:
-    """Determinant and trace of the Fisher matrix [[f_ll, f_lg], [f_lg, f_gg]]."""
-    return f_ll * f_gg - f_lg ** 2, f_ll + f_gg
 
 
 def _element(d_a: np.ndarray, d_b: np.ndarray, psi: np.ndarray) -> float:
@@ -175,7 +189,9 @@ def _walk(wanted: dict, params: DriveParams) -> dict:
     # interaction
     k_source, h_source = (np.zeros(full[:2] + (d,), dtype=complex)
                           for _ in range(2))
-    rotations, steps = [], []
+    # each shape's real satellite rotations V^T and V, zero-padded
+    to_x_s, from_x_s = (np.zeros(full[:2] + (full[1],)) for _ in range(2))
+    steps = []
     for i, (shape, n) in enumerate(zip(shapes, sizes)):
         step = _crosscheck_step(shape, wanted[shape])
         points = [(lam, g)] * 3 + [(lam + step, g), (lam - step, g),
@@ -191,7 +207,7 @@ def _walk(wanted: dict, params: DriveParams) -> dict:
         stack[i, :n][:, [0, 3, 4, 5, 6]] = \
             x_polarized_state(shape).amplitudes.reshape(n, 1, d)
         v_s, v_c = _eigenbases(shape, "x")
-        rotations.append(v_s)
+        to_x_s[i, :n, :n], from_x_s[i, :n, :n] = v_s.T, v_s
         steps.append(step)
 
     # the satellite rotation writes the state into other, on the
@@ -201,11 +217,9 @@ def _walk(wanted: dict, params: DriveParams) -> dict:
     # 2 x central) float view
     stack_sat, other_sat = (x.view(float).reshape(full[0], full[1], -1)
                             for x in (stack, other))
-    to_x_s, from_x_s = _stacked(rotations, full[1])
     to_x_c, from_x_c = np.kron(v_c, np.eye(2)), np.kron(v_c.T, np.eye(2))
     stack_c, other_c = (x.view(float).reshape(-1, 2 * d) for x in (stack, other))
-    psi, d_g = stack[:, :, 0], stack[:, :, 2]
-    d_l = stack[:, :, 1]
+    psi, d_l, d_g = stack[:, :, 0], stack[:, :, 1], stack[:, :, 2]
     scratch = np.empty_like(k_source)
 
     matrices = {}
@@ -229,16 +243,6 @@ def _walk(wanted: dict, params: DriveParams) -> dict:
     return matrices
 
 
-def _stacked(rotations, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real (V^T, V) of every shape's satellite x eigenbasis, zero-padded
-    to size x size and stacked."""
-    to_x, from_x = (np.zeros((len(rotations), size, size)) for _ in range(2))
-    for i, v in enumerate(rotations):
-        n = len(v)
-        to_x[i, :n, :n], from_x[i, :n, :n] = v.T, v
-    return to_x, from_x
-
-
 def _matrix(stack: np.ndarray, n_periods: int, delta: float) -> QfiMatrix:
     """Both estimators' elements from the propagated seven-row stack."""
     psi, d_l, d_g = stack[0], stack[1], stack[2]
@@ -254,38 +258,18 @@ def _matrix(stack: np.ndarray, n_periods: int, delta: float) -> QfiMatrix:
                            _element(c_l, c_g, psi))
     disagree = any(abs(a - b) > _DISAGREEMENT_RTOL * scale
                    for a, b in ((f_ll, cc_ll), (f_gg, cc_gg), (f_lg, cc_lg)))
-
-    det, tr = _det_trace(f_ll, f_gg, f_lg)
-    g_scalar = tr / det if det > 0 else float("nan")
-    return QfiMatrix(f_ll=f_ll, f_gg=f_gg, f_lg=f_lg, g_scalar=g_scalar,
-                     n_periods=n_periods, delta=delta,
-                     f_ll_crosscheck=cc_ll, f_gg_crosscheck=cc_gg,
+    return QfiMatrix(f_ll=f_ll, f_gg=f_gg, f_lg=f_lg, n_periods=n_periods,
+                     delta=delta, f_ll_crosscheck=cc_ll, f_gg_crosscheck=cc_gg,
                      f_lg_crosscheck=cc_lg, estimators_disagree=disagree)
 
 
-def weighted_uncertainty(q: QfiMatrix) -> float:
-    """G = (f_ll + f_gg) / (f_ll f_gg - f_lg^2), the equally-weighted
-    two-parameter uncertainty combination: delta_lambda^2 + delta_g^2 >= G.
-    Small G means both parameters are simultaneously well resolved.
-    """
-    det, tr = _det_trace(q.f_ll, q.f_gg, q.f_lg)
-    if det <= 0:
-        raise DegenerateInformationError(
-            f"Fisher determinant {det:.3e} is not positive")
-    return tr / det
-
-
 def sensing_gain(q: QfiMatrix) -> float:
-    """det(F)/tr(F), the inverse of weighted_uncertainty.
-
-    This is the figure of merit whose growth tracks simultaneous two-parameter
-    sensitivity (larger is better); scaling exponents are fit on it.
-    """
-    det, tr = _det_trace(q.f_ll, q.f_gg, q.f_lg)
-    if det <= 0 or tr <= 0:
+    """q.gain, or DegenerateInformationError where the matrix has none."""
+    if np.isnan(q.gain):
         raise DegenerateInformationError(
-            f"Fisher matrix degenerate (det={det:.3e}, tr={tr:.3e})")
-    return det / tr
+            f"Fisher matrix degenerate (f_ll={q.f_ll:.3e}, f_gg={q.f_gg:.3e}, "
+            f"f_lg={q.f_lg:.3e})")
+    return q.gain
 
 
 def fit_power_law(points) -> tuple[float, float]:

@@ -26,6 +26,9 @@ subsystem is the start turned about z by its x angle phi: n g after n
 periods, or, for a turned subsystem, g at odd n and 0 at even n. The
 entropy is 0, the x magnetizations are 1/2 cos phi_J and s cos phi_c, and
 the fidelity to the start is cos^{2 n_sat}(phi_J/2) cos^{4s}(phi_c/2).
+Since e^{i 4pi J^x S^x} is +-1, a lambda has the columns of lambda mod
+4pi, so every multiple of 2pi, such as 4pi, 6pi or -2pi, has the closed
+form of the line it is on mod 4pi.
 floquet.evolve, which knows nothing of this, is the path the closed form is
 checked against.
 """
@@ -110,17 +113,19 @@ def trajectory_records(states: PureState, first: int) -> list[TrajectoryRecord]:
 
 
 def is_product_line(lam) -> bool | np.ndarray:
-    """Whether lambda is exactly 0 or 2pi, where product_series holds
-    (elementwise over an array)."""
+    """Whether lambda mod 4pi is exactly 0 or 2pi, where product_series
+    holds (elementwise over an array). In floats 4pi, 8pi and -4pi are 0
+    mod 4pi, 6pi and -2pi are 2pi, and a lambda in [0, 4pi) is itself."""
+    lam = np.mod(lam, 4 * math.pi)
     return (lam == 0.0) | (lam == 2 * math.pi)
 
 
 def product_series(shape: CollectiveShape, lam, g, periods: int):
     """(m_sat_x, m_c_x, entropy, fidelity) of the x-polarized start at
-    periods 0..periods of the drive at lambda = 0 or 2pi (module
-    docstring), each an array whose leading axis is the period number and
-    whose other axes are those of lam and g broadcast together: one column
-    per drive point. The entropy is exactly 0, and every value lies in its
+    periods 0..periods of the drive at a lambda that is 0 or 2pi mod 4pi
+    (module docstring, is_product_line), each an array whose leading axis
+    is the period number and whose other axes are those of lam and g
+    broadcast together: one column per drive point. The entropy is exactly 0, and every value lies in its
     range exactly: |m_sat_x| <= 1/2, |m_c_x| <= s, the fidelity in [0, 1].
     Every entry is computed by the same operations whatever the other
     points are."""
@@ -132,7 +137,7 @@ def product_series(shape: CollectiveShape, lam, g, periods: int):
         raise ShapeError(f"the closed form holds at lambda = 0 and 2pi, "
                          f"not at {float(lam[~is_product_line(lam)][0])!r}")
     n = np.arange(periods + 1).reshape((-1,) + (1,) * g.ndim)
-    turned = lam == 2 * math.pi
+    turned = np.mod(lam, 4 * math.pi) == 2 * math.pi
     phi_j = np.where(turned & (shape.two_s % 2 == 1), n % 2, n) * g
     phi_c = np.where(turned & (shape.n_sat % 2 == 1), n % 2, n) * g
     return (0.5 * np.cos(phi_j), shape.s * np.cos(phi_c),
@@ -143,9 +148,9 @@ def product_series(shape: CollectiveShape, lam, g, periods: int):
 
 def product_records(shape: CollectiveShape, lam: float, g: float,
                     periods: int) -> list[TrajectoryRecord]:
-    """The TrajectoryRecords of periods 1..periods at lambda = 0 or 2pi
-    from product_series: what floquet.evolve with trajectory_records
-    gives there, up to its rounding."""
+    """The TrajectoryRecords of periods 1..periods at a lambda that is 0 or
+    2pi mod 4pi, from product_series: what floquet.evolve with
+    trajectory_records gives there, up to its rounding."""
     return _records([c[1:] for c in product_series(shape, lam, g, periods)],
                     1)
 

@@ -1,3 +1,5 @@
+import errno
+import io
 import itertools
 import os
 import re
@@ -144,10 +146,12 @@ def test_evolve_zero_periods(tmp_path):
 
 
 def _evolve_rows(tmp_path, shape, lam, g, periods):
+    """The rows evolve writes at lam, a float or an angle string."""
     out = tmp_path / "traj.csv"
+    lam = lam if isinstance(lam, str) else repr(lam)
     assert parse_and_dispatch(["evolve", "--n-sat", str(shape.n_sat),
                                "--spin", cli._spin_text(shape.two_s),
-                               "--lambda", repr(lam), "--g", repr(g),
+                               f"--lambda={lam}", "--g", repr(g),
                                "--periods", str(periods),
                                "--output", str(out)]) == 0
     lines = out.read_text().splitlines()
@@ -167,20 +171,30 @@ def _count_engine(monkeypatch):
     return calls
 
 
+# --lambda values on the closed-form lines, and the line each is on mod 4pi
+_LINES = {"0": "0", "2pi": "2pi", "4pi": "0", "8pi": "0", "-4pi": "0",
+          "6pi": "2pi", "-2pi": "2pi"}
+
+
 @pytest.mark.parametrize("shape", _PARITY_CLASSES,
                          ids=lambda sh: f"{sh.n_sat}-{sh.two_s}")
-@pytest.mark.parametrize("lam", [0.0, 2 * np.pi], ids=["0", "2pi"])
+@pytest.mark.parametrize("lam", list(_LINES))
 def test_evolve_on_lambda_0_and_2pi_is_the_closed_form(tmp_path, monkeypatch,
                                                        shape, lam):
     # evolve writes the closed form there without driving the engine: rows
-    # within 1e-12 of floquet.evolve's, the entropy exactly 0 and every
-    # value inside its range, which the engine's rounding leaves (m_c_x
-    # 2.5000000000000053 and fidelity 1.0000000000000022 at (9, 5/2))
+    # within 1e-12 of floquet.evolve's at the given lambda, the entropy
+    # exactly 0 and every value inside its range, which the engine's
+    # rounding leaves (m_c_x 2.5000000000000053 and fidelity
+    # 1.0000000000000022 at (9, 5/2)). A lambda on a line mod 4pi writes
+    # bitwise the line's rows
     calls = _count_engine(monkeypatch)
     for g in (0.0, 0.3, 1.1, 3.0, np.pi / 2, np.pi, 5.9, -2.0):
         rows = _evolve_rows(tmp_path, shape, lam, g, 60)
+        assert rows.tobytes() == \
+            _evolve_rows(tmp_path, shape, _LINES[lam], g, 60).tobytes()
         engine = evolve(x_polarized_state(shape),
-                        precompute(shape, DriveParams.symmetric(lam, g)),
+                        precompute(shape, DriveParams.symmetric(
+                            parse_angle(lam), g)),
                         60, trajectory_records)
         np.testing.assert_allclose(rows, engine, rtol=0, atol=1e-12)
         assert (rows[:, 0] == np.arange(1, 61)).all()
@@ -194,15 +208,17 @@ def test_evolve_on_lambda_0_and_2pi_is_the_closed_form(tmp_path, monkeypatch,
 
 def test_evolve_off_the_closed_form_lines_drives_the_engine(tmp_path,
                                                             monkeypatch):
-    # one ulp off 0 or 2pi the interaction is no product of pi turns, and
-    # the engine drives the start, once per command
+    # one ulp off 0, 2pi or 4pi the interaction is no product of pi turns,
+    # and the engine drives the start, once per command
     calls = _count_engine(monkeypatch)
     shape = CollectiveShape(9, 5)
     for lam in (np.nextafter(2 * np.pi, 0.0), np.nextafter(2 * np.pi, 7.0),
-                np.nextafter(0.0, 1.0), -2 * np.pi, 4 * np.pi):
+                np.nextafter(0.0, 1.0), np.nextafter(4 * np.pi, 0.0),
+                np.nextafter(4 * np.pi, 13.0)):
         _evolve_rows(tmp_path, shape, float(lam), 3.0, 8)
     assert calls == ["precompute", "evolve"] * 5
-    _evolve_rows(tmp_path, shape, 2 * np.pi, 3.0, 8)
+    for lam in ("2pi", "4pi", "-2pi", "6pi"):
+        _evolve_rows(tmp_path, shape, lam, 3.0, 8)
     assert len(calls) == 10
 
 
@@ -691,13 +707,19 @@ def test_failed_qfi_leaves_output_untouched(tmp_path):
     ["qfi", "--spin", "1/2", "--lambda", "pi", "--g", "pi/2", "--sizes",
      "2", "--periods", "4"]],
     ids=lambda argv: argv[0] + ("-2pi" if "2pi" in argv else ""))
-@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty",
+                                   "unwritable"])
 def test_failed_output_write_names_the_output(tmp_path, capsys, monkeypatch,
                                               command, where):
     # the error names --output, not the temporary file the lines went to,
     # and no temporary file is left. The destination is checked before any
     # computation: no evolution or Fisher scan runs, sweep prints no
-    # computed line and creates no checkpoint
+    # computed line and creates no checkpoint. An unwritable directory is
+    # one os.access denies, as it would to a user other than root
+    if where == "unwritable":
+        def access(path, mode, *args, _real=os.access, **kw):
+            return path != str(tmp_path) and _real(path, mode, *args, **kw)
+        monkeypatch.setattr(os, "access", access)
     calls = []
     for module, name in ((cli, "evolve"), (cli, "product_records"),
                          (sweep, "evolve"), (cli, "qfi_scan")):
@@ -716,9 +738,30 @@ def test_failed_output_write_names_the_output(tmp_path, capsys, monkeypatch,
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert re.fullmatch(rf"error: \[Errno \d+\] [^:]+: {re.escape(repr(str(out)))}\n",
                         captured.err)
+    if where == "unwritable":
+        assert captured.err.startswith("error: [Errno 13] Permission denied")
     assert calls == []
     assert [p.name for p in tmp_path.rglob("*")] == \
         (["a.csv"] if where == "directory" else [])
+
+
+@pytest.mark.parametrize("command", [
+    ["evolve", "--n-sat", "2", "--periods", "4"],
+    ["qfi", "--n-sat", "2", "--periods-list", "1,2"]],
+    ids=lambda argv: argv[0])
+def test_broken_stdout_pipe_exits_0(monkeypatch, capsys, command):
+    # in process: the first write to stdout fails as on a closed pipe, and
+    # the command ends with exit 0 and nothing on stderr
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    stdout = ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert parse_and_dispatch(command + ["--spin", "1/2", "--lambda", "pi",
+                                         "--g", "pi/2"]) == 0
+    assert stdout.getvalue() == ""
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", [

@@ -1,4 +1,4 @@
-from dataclasses import astuple
+from dataclasses import astuple, replace
 import itertools
 
 import numpy as np
@@ -9,8 +9,7 @@ from spindtc.hilbert import CollectiveShape
 from spindtc.floquet import DriveParams
 from spindtc import metrology
 from spindtc.diagnostics import predict_dtc_class
-from spindtc.metrology import (QfiMatrix, qfi_matrix, qfi_scan,
-                               weighted_uncertainty, sensing_gain,
+from spindtc.metrology import (QfiMatrix, qfi_matrix, qfi_scan, sensing_gain,
                                fit_power_law, DEFAULT_DELTA)
 from spindtc.floquet import _STACK_ENTRIES
 
@@ -20,9 +19,7 @@ SPECIAL = DriveParams.symmetric(np.pi, np.pi / 2)
 
 
 def _matrix(f_ll, f_gg, f_lg):
-    det = f_ll * f_gg - f_lg ** 2
-    g = (f_ll + f_gg) / det if det > 0 else float("nan")
-    return QfiMatrix(f_ll, f_gg, f_lg, g, 1, 1e-4, f_ll, f_gg, f_lg, False)
+    return QfiMatrix(f_ll, f_gg, f_lg, 1, 1e-4, f_ll, f_gg, f_lg, False)
 
 
 def test_zero_periods_gives_zero_matrix():
@@ -92,19 +89,48 @@ def test_time_quadratic_growth_f_ll():
 
 
 def test_weighted_uncertainty_diagonal():
-    assert weighted_uncertainty(_matrix(3.0, 3.0, 0.0)) == pytest.approx(2 / 3)
+    # g_scalar, the equally weighted bound on delta_lambda^2 + delta_g^2
+    assert _matrix(3.0, 3.0, 0.0).g_scalar == pytest.approx(2 / 3)
 
 
 def test_weighted_uncertainty_degenerate():
+    # det = 0: neither figure exists, and sensing_gain raises; det > 0 with
+    # tr < 0: g_scalar exists, the gain does not
+    q = _matrix(2.0, 2.0, 2.0)
+    assert np.isnan(q.g_scalar) and np.isnan(q.gain)
     with pytest.raises(DegenerateInformationError):
-        weighted_uncertainty(_matrix(2.0, 2.0, 2.0))
+        sensing_gain(q)
+    q = _matrix(-3.0, -3.0, 0.0)
+    assert q.g_scalar == -6.0 / 9.0 and np.isnan(q.gain)
     with pytest.raises(DegenerateInformationError):
-        sensing_gain(_matrix(2.0, 2.0, 2.0))
+        sensing_gain(q)
 
 
 def test_sensing_gain_is_inverse_of_g():
     q = _matrix(5.0, 3.0, 1.0)
-    assert sensing_gain(q) == pytest.approx(1.0 / weighted_uncertainty(q))
+    assert sensing_gain(q) == q.gain == 14.0 / 8.0
+    assert q.g_scalar == 8.0 / 14.0
+    assert sensing_gain(q) == pytest.approx(1.0 / q.g_scalar)
+
+
+def test_figures_follow_the_elements():
+    # g_scalar and gain are computed from the elements and cannot be given
+    q = _matrix(5.0, 3.0, 1.0)
+    with pytest.raises(TypeError):
+        QfiMatrix(5.0, 3.0, 1.0, 1, 1e-4, 5.0, 3.0, 1.0, False, 0.5)
+    for name in ("g_scalar", "gain"):
+        with pytest.raises(ValueError):
+            replace(q, **{name: 0.5})
+    moved = replace(q, f_lg=0.0)
+    assert (moved.g_scalar, moved.gain) == (8.0 / 15.0, 15.0 / 8.0)
+    # and in a scan, by the float operations of the elements
+    for q in itertools.chain(*qfi_scan([(CollectiveShape(3, 1), [0, 8, 48]),
+                                        (CollectiveShape(4, 2), [12])],
+                                       SPECIAL)):
+        det, tr = q.f_ll * q.f_gg - q.f_lg ** 2, q.f_ll + q.f_gg
+        assert repr((q.g_scalar, q.gain)) == repr(
+            (tr / det if det > 0 else float("nan"),
+             det / tr if det > 0 and tr > 0 else float("nan")))
 
 
 def test_fit_power_law_exact():
@@ -340,13 +366,26 @@ def test_crosscheck_step_follows_the_shape_longest_count():
         (alone.f_ll, alone.f_gg, alone.f_lg)
 
 
-def test_lone_walk_holds_one_satellite_rotation():
+def test_lone_walk_holds_one_satellite_rotation(monkeypatch):
     # a shape walking alone holds its rotation as the real V^T and V,
     # together the bytes of one complex matrix (the complex walk held V^H
-    # beside the shared V)
-    v = np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0]
-    to_x, from_x = metrology._stacked([v], 3)
+    # beside the shared V); the satellite products are the walk's only
+    # ones with a stack of matrices on the left
+    shape = CollectiveShape(2, 3)
+    v = metrology._eigenbases(shape, "x")[0]
+    held = []
+
+    def matmul(a, b, **kw):
+        if a.ndim == 3:
+            held.append(a)
+        return real(a, b, **kw)
+
+    real = np.matmul
+    monkeypatch.setattr(np, "matmul", matmul)
+    qfi_matrix(shape, SPECIAL, 1)
+    to_x, from_x = held
     assert to_x.dtype == from_x.dtype == np.float64
+    assert to_x.shape == from_x.shape == (1, 3, 3)
     assert to_x.nbytes + from_x.nbytes == v.astype(complex).nbytes
     assert np.array_equal(to_x[0], v.T) and np.array_equal(from_x[0], v)
 

@@ -8,7 +8,8 @@ from spindtc.hilbert import (CollectiveShape, PureState, fidelity,
                              von_neumann_entropy)
 from spindtc.floquet import DriveParams, precompute, evolve, from_x_basis
 from spindtc.observables import (magnetization, period_observables,
-                                 trajectory_records, product_series)
+                                 trajectory_records, product_series,
+                                 is_product_line)
 from spindtc.analytic_states import milestone_state
 
 
@@ -50,8 +51,19 @@ def test_product_series_holds_on_lambda_0_and_2pi_only():
             assert column.shape == (6, 3) and single.shape == (6,)
             assert column[:, k].tobytes() == single.tobytes()
     assert [c[0, 0] for c in series] == [0.5, 0.5, 0.0, 1.0]
+    # a lambda on a line mod 4pi has that line's series
+    on_lines = {0.0: (4 * np.pi, 8 * np.pi, -4 * np.pi, -0.0),
+                2 * np.pi: (6 * np.pi, -2 * np.pi, 10 * np.pi)}
+    for line, lams in on_lines.items():
+        assert is_product_line(np.array(lams)).all()
+        for lam in lams:
+            assert is_product_line(lam)
+            for column, want in zip(product_series(shape, lam, 1.1, 5),
+                                    product_series(shape, line, 1.1, 5)):
+                assert column.tobytes() == want.tobytes()
     for lam, periods in ((np.nextafter(2 * np.pi, 0.0), 5), (np.pi, 5),
-                         (0.0, -1)):
+                         (np.nextafter(4 * np.pi, 0.0), 5),
+                         (np.nextafter(-2 * np.pi, 0.0), 5), (0.0, -1)):
         with pytest.raises(ShapeError):
             product_series(shape, [0.0, lam], 0.3, periods)
 

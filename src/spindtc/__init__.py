@@ -10,8 +10,8 @@ from .spin_algebra import (SpinOperators, spin_matrices, axis_eigenbasis,
 from .hilbert import (CollectiveShape, PureState, x_polarized_state, inner,
                       fidelity, reduced_central_density, von_neumann_entropy)
 from .floquet import DriveParams, StepTables, precompute, evolve
-from .observables import (TrajectoryRecord, magnetization, trajectory_records,
-                          magnetization_records)
+from .observables import (magnetization, magnetizations, trajectory_columns,
+                          series)
 from .diagnostics import (PeriodReport, DtcPrediction, stroboscopic_average,
                           relative_order_parameter, detect_period,
                           first_revival, predict_dtc_class,

@@ -13,11 +13,11 @@ evolve, sweep and qfi write their CSVs through sweep.write_rows, to
 --output, or for evolve and qfi to stdout without one; a --output that
 cannot be written fails before any computation.
 
-On the lines lambda = 0 and 2pi mod 4pi (0, 2pi, 4pi, 6pi, -2pi, ...),
-evolve writes the closed form
-(observables.product_series), as the phase map does, and drives nothing;
-classify measures on the engine at every lambda, so that its measured
-line is not the formula it is compared against.
+evolve writes the columns of observables.series, as the phase map reduces
+them: on the lines lambda = 0 and 2pi mod 4pi (0, 2pi, 4pi, 6pi, -2pi,
+...) the closed form, and nothing is driven; classify measures on the
+engine (floquet.evolve) at every lambda, so that its measured line is not
+the formula it is compared against.
 """
 
 import argparse
@@ -30,8 +30,7 @@ import numpy as np
 from .errors import SpinDtcError, ShapeError, CapacityError, NotTabulatedError
 from .hilbert import CollectiveShape, x_polarized_state, MAX_DIMENSION
 from .floquet import DriveParams, precompute, evolve
-from .observables import (trajectory_records, magnetization_records,
-                          is_product_line, product_records)
+from .observables import magnetizations, series
 from .diagnostics import (DEFAULT_PERIOD_SCAN_MAX, DEFAULT_REVIVAL_EPSILON,
                           predict_dtc_class, first_revival, classify_subsystem,
                           check_epsilon)
@@ -232,20 +231,15 @@ def _require(args, *names):
 
 
 def _cmd_evolve(args) -> int:
-    """At a lambda exactly 0 or 2pi mod 4pi (observables.is_product_line)
-    the rows are the closed form
-    (observables.product_records) and nothing is evolved; at any other
-    lambda the engine drives the start."""
+    """The rows of periods 1..periods of observables.series, which writes
+    the closed form at a lambda exactly 0 or 2pi mod 4pi and drives the
+    engine at any other."""
     _require(args, "n_sat", "spin", "lam", "g", "periods")
     shape = CollectiveShape(args.n_sat, args.spin)
-    params = DriveParams.symmetric(args.lam, args.g)
     check_destination(args.output)
-    if is_product_line(params.lam):
-        traj = product_records(shape, params.lam, params.g_s, args.periods)
-    else:
-        traj = evolve(x_polarized_state(shape), precompute(shape, params),
-                      args.periods, trajectory_records)
-    write_rows(args.output, [TRAJECTORY_HEADER], traj)
+    columns = series(shape, args.lam, args.g, args.periods)
+    write_rows(args.output, [TRAJECTORY_HEADER],
+               zip(range(1, args.periods + 1), *(c[1:] for c in columns)))
     return 0
 
 
@@ -269,13 +263,12 @@ def _cmd_classify(args) -> int:
     if regime == "lambda_2pi":
         # the taxonomy reads every period's magnetizations, driven by the
         # engine rather than read from observables.product_series, the
-        # closed form the table is checked against
-        pairs = evolve(x_polarized_state(shape), tables, args.periods,
-                       magnetization_records)
-        m_sat = [0.5] + [p[0] for p in pairs]
-        m_c = [shape.s] + [p[1] for p in pairs]
-        meas_sat = classify_subsystem(m_sat, g, 0.5)
-        meas_c = classify_subsystem(m_c, g, shape.s)
+        # closed form the table is checked against. evolve returns () at
+        # zero periods, which classify_subsystem refuses as empty
+        m_sat, m_c = evolve(x_polarized_state(shape), tables, args.periods,
+                            magnetizations) or ((), ())
+        meas_sat = classify_subsystem([0.5, *m_sat], g, 0.5)
+        meas_c = classify_subsystem([shape.s, *m_c], g, shape.s)
         print(point)
         print(f"predicted satellites {pred.satellite_behavior}, central "
               f"{pred.central_behavior} ({pred.label})")

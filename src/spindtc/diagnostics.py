@@ -1,10 +1,10 @@
 """DTC classification: stroboscopic averages, order parameters, period
 detection and the tabulated predictions for the various DTC families.
 
-The revival period is measured two ways. detect_period reads a recorded
-trajectory, all of it; first_revival drives the state itself and stops at
-the first period whose fidelity to the start is above 1 - epsilon, reading
-nothing but that fidelity.
+The revival period is measured two ways. detect_period reads the four
+per-period columns of a whole trajectory; first_revival drives the state
+itself and stops at the first period whose fidelity to the start is above
+1 - epsilon, reading nothing but that fidelity.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ShapeError, NotTabulatedError
 from .hilbert import x_polarized_state
 from .floquet import StepTables, evolve
-from .observables import TrajectoryRecord, initial_fidelity
+from .observables import initial_fidelity
 
 DEFAULT_REVIVAL_EPSILON = 1e-8
 DEFAULT_PERIOD_SCAN_MAX = 64
@@ -80,22 +80,22 @@ def _check_revival_scan(n_periods: int, epsilon: float) -> None:
     check_epsilon(epsilon)
 
 
-def _revived(fidelity: float, epsilon: float) -> bool:
+def _revived(fidelity, epsilon: float):
+    """Whether each fidelity is a revival: above 1 - epsilon."""
     return fidelity > 1 - epsilon
 
 
-def detect_period(trajectory: list[TrajectoryRecord],
+def detect_period(columns,
                   epsilon: float = DEFAULT_REVIVAL_EPSILON) -> PeriodReport:
-    """Find the first full revival and the period of the magnetization signal."""
-    _check_revival_scan(len(trajectory), epsilon)
-    detected = None
-    rev_fid = 0.0
-    for rec in trajectory:
-        if _revived(rec.fidelity_initial, epsilon):
-            detected = rec.n
-            rev_fid = rec.fidelity_initial
-            break
-    m = np.array([rec.m_sat_x for rec in trajectory])
+    """Find the first full revival and the period of the magnetization
+    signal in the four columns (m_sat_x, m_c_x, entropy, fidelity) of
+    periods 1..n, as floquet.evolve returns them with
+    observables.trajectory_columns (() for n = 0)."""
+    _check_revival_scan(len(columns[0]) if columns else 0, epsilon)
+    m, _, _, fidelity = map(np.asarray, columns)
+    revived = np.flatnonzero(_revived(fidelity, epsilon))
+    detected = int(revived[0]) + 1 if revived.size else None
+    rev_fid = float(fidelity[revived[0]]) if revived.size else 0.0
     # only shifts that already match at i = 0 need the full comparison
     shifts = np.flatnonzero(np.abs(m[1:] - m[0]) <= epsilon) + 1
     mag_period = next((int(p) for p in shifts
@@ -123,11 +123,11 @@ def first_revival(tables: StepTables, max_periods: int,
     done, chunk = 0, 1
     while done < max_periods:
         count = min(chunk, max_periods - done)
-        fidelities = evolve(state, tables, count,
-                            lambda states, first: initial_fidelity(states).tolist())
-        for k, f in enumerate(fidelities, start=done + 1):
-            if _revived(f, epsilon):
-                return k
+        (fidelity,) = evolve(state, tables, count,
+                             lambda states: (initial_fidelity(states),))
+        revived = np.flatnonzero(_revived(fidelity, epsilon))
+        if revived.size:
+            return done + 1 + int(revived[0])
         done, chunk = done + count, 2 * chunk
     return None
 
@@ -210,8 +210,10 @@ def classify_subsystem(series, g: float, maximum: float) -> str:
     _TAXONOMY_TOL of +maximum and every period within 10 times it; 'period
     doubling' when the even periods do and an odd one does not; else
     'sinusoidal' when the even periods fit A cos(2 g n), with A the free
-    least-squares amplitude of fit_cosine_amplitude (not maximum), every
-    residual below _TAXONOMY_TOL; else 'neither'.
+    least-squares amplitude of fit_cosine_amplitude, every residual below
+    _TAXONOMY_TOL and A itself within _TAXONOMY_TOL of maximum; else
+    'neither', which a vanished (A = 0), inverted (A = -maximum) or shrunken
+    oscillation is.
     """
     y = np.asarray(series, dtype=float)
     if len(y) < 2:
@@ -221,5 +223,7 @@ def classify_subsystem(series, g: float, maximum: float) -> str:
         if np.max(np.abs(y - maximum)) > 10 * _TAXONOMY_TOL:
             return "period doubling"
         return "frozen"
-    _, resid = fit_cosine_amplitude(even, g)
-    return "sinusoidal" if resid < _TAXONOMY_TOL else "neither"
+    amp, resid = fit_cosine_amplitude(even, g)
+    if resid < _TAXONOMY_TOL and abs(amp - maximum) < _TAXONOMY_TOL:
+        return "sinusoidal"
+    return "neither"

@@ -7,9 +7,10 @@ central spin rotated into their x eigenbases), and evolve drives the state there
 the state as a (satellite index, central level) matrix, one period is
 X <- (K_s X K_c^T) * P, P the interaction diagonal and
 K = V^H diag(e^{-i g m}) V the kick of each spin in its x basis. It changes
-basis once on entry and once on exit, and hands its recorder the states of
+basis once on entry and once on exit, and hands its observer the states of
 every period in the x basis, where each x magnetization is a population sum
-weighted by magnetic_numbers. Period cost is O(D * (n_sat + d)) instead of
+weighted by magnetic_numbers; evolve returns what the observer reads as
+per-period columns. Period cost is O(D * (n_sat + d)) instead of
 the dense O(D^2). Each row keeps its own dense kick factors, one matrix
 product per row, rather than the Fisher walk's real rotations that one
 product applies to a whole stack (metrology): a product over many rows
@@ -37,8 +38,8 @@ from .errors import ShapeError
 from .hilbert import CollectiveShape, PureState
 from .spin_algebra import axis_eigenbasis
 
-# amplitudes of one block of recorded periods in evolve. Per-period Python
-# work in the recorder is paid once per block, and beyond a few thousand
+# amplitudes of one block of observed periods in evolve. Per-period Python
+# work in the observer is paid once per block, and beyond a few thousand
 # amplitudes a longer block only holds more memory.
 _BLOCK_AMPLITUDES = 1 << 12
 # complex entries of one batched state stack and its per-row tables, shared
@@ -148,29 +149,31 @@ def from_x_basis(mat: np.ndarray, shape: CollectiveShape) -> np.ndarray:
     return v_s @ (mat @ v_c.T)
 
 
-def evolve(state: PureState, tables: StepTables, n_periods: int, recorder=None) -> list:
-    """Apply (kick; interaction) n_periods times, recording every period.
+def evolve(state: PureState, tables: StepTables, n_periods: int,
+           observe=None) -> tuple:
+    """Apply (kick; interaction) n_periods times, observing every period.
 
     state may be a stack of states, one row per drive point of stacked
     tables (see precompute). It is rotated into the joint x basis once on
     entry, driven there (kick factors and the interaction diagonal), and
     rotated back into the z basis once on exit; an evolve call of zero
-    periods leaves it untouched. recorder, if given, is called once per
-    block of consecutive periods as recorder(states, first): states is a
-    PureState in the joint x basis whose amplitudes have one more leading
-    axis than state's, one entry per period of the block, and are the
-    recorder's to keep; first is the number of the block's first period
-    (1..n_periods). It returns one result per period, and the results of
-    all blocks are returned as one list. A block holds at most
+    periods leaves it untouched. observe, if given, is called once per
+    block of consecutive periods as observe(states): states is a PureState
+    in the joint x basis whose amplitudes have one more leading axis than
+    state's, one entry per period of the block, and are observe's to keep.
+    It returns a tuple of arrays whose leading axis is the block's periods,
+    and evolve returns each of them joined over the blocks, so that its
+    leading axis runs over periods 1..n_periods. Without observe, or at
+    zero periods, evolve returns (). A block holds at most
     _BLOCK_AMPLITUDES (4096) amplitudes, or one period when a single state
-    is larger, so recording holds at most that much beyond the state.
+    is larger, so observing holds at most that much beyond the state.
     """
     if n_periods < 0:
         raise ShapeError(f"n_periods must be >= 0, got {n_periods}")
     if state.shape != tables.shape:
         raise ShapeError(f"state shape {state.shape} != tables shape {tables.shape}")
     if n_periods == 0:
-        return []
+        return ()
     shape, flat = state.shape, state.amplitudes.shape
     d = shape.central_dim
     x = to_axis_basis(state.amplitudes.reshape(flat[:-1] + (-1, d)), shape, "x")
@@ -182,19 +185,19 @@ def evolve(state: PureState, tables: StepTables, n_periods: int, recorder=None) 
         x *= phases
         return x
 
-    records = []
-    if recorder is None:
+    blocks = []
+    if observe is None:
         for _ in range(n_periods):
             x = period(x)
     else:
         block = max(1, _BLOCK_AMPLITUDES // state.amplitudes.size)
-        for first in range(1, n_periods + 1, block):
-            states = np.empty((min(block, n_periods + 1 - first),) + x.shape,
+        for done in range(0, n_periods, block):
+            states = np.empty((min(block, n_periods - done),) + x.shape,
                               dtype=x.dtype)
             for row in states:
                 x = period(x)
                 row[...] = x
-            records.extend(recorder(
-                PureState(shape, states.reshape((len(states),) + flat)), first))
+            blocks.append(observe(
+                PureState(shape, states.reshape((len(states),) + flat))))
     state.amplitudes = from_x_basis(x, shape).reshape(flat)
-    return records
+    return tuple(map(np.concatenate, zip(*blocks)))

@@ -6,18 +6,16 @@ signal with the +-1/2 (satellite) and +-s (central) ranges.
 
 In the joint eigenbasis of an axis (floquet.to_axis_basis) a magnetization
 is the populations |X|^2 weighted by floquet.magnetic_numbers.
-floquet.evolve hands its recorder states in the joint x basis, so the
-per-period columns read them there: the x magnetizations, the entropy of
-the central density (the basis change is local, so it keeps the spectrum)
-and the fidelity to the x-polarized start, which in that basis is the first
-basis state.
-
-A TrajectoryRecord is a named tuple whose fields are the columns of the
-evolve CSV, so each record is its own row.
+floquet.evolve hands its observer states in the joint x basis, so the
+per-period columns (trajectory_columns) read them there: the x
+magnetizations, the entropy of the central density (the basis change is
+local, so it keeps the spectrum) and the fidelity to the x-polarized start,
+which in that basis is the first basis state.
 
 On the lines lambda = 0 and 2pi the columns have a closed form
-(product_series), which the phase map and evolve write there instead of
-driving the engine. At lambda = 0 the drive is the kick alone. At
+(product_series). series gives the columns of any drive points, and is the
+one place that picks between the closed form and the engine, for the phase
+map and evolve alike. At lambda = 0 the drive is the kick alone. At
 lambda = 2pi, e^{i 2pi J^x S^x} is a product of local pi turns about x: of
 the satellites when 2s is odd, of the central spin when n_sat is odd (1
 when neither turns, -i times both turns when both do). So the x-polarized
@@ -30,26 +28,18 @@ Since e^{i 4pi J^x S^x} is +-1, a lambda has the columns of lambda mod
 4pi, so every multiple of 2pi, such as 4pi, 6pi or -2pi, has the closed
 form of the line it is on mod 4pi.
 floquet.evolve, which knows nothing of this, is the path the closed form is
-checked against.
+checked against; classify and diagnostics.first_revival call it directly.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ShapeError
-from .hilbert import (CollectiveShape, PureState, reduced_central_density,
-                      _hermitian_entropy)
-from .floquet import magnetic_numbers, to_axis_basis
-
-
-class TrajectoryRecord(NamedTuple):
-    n: int
-    m_sat_x: float        # satellite-averaged <S^x>, in [-1/2, 1/2]
-    m_c_x: float          # central <S_c^x>, in [-s, s]
-    entropy: float        # central-satellite entanglement entropy, nats
-    fidelity_initial: float
+from .hilbert import (CollectiveShape, PureState, x_polarized_state,
+                      reduced_central_density, _hermitian_entropy)
+from .floquet import (DriveParams, precompute, evolve, magnetic_numbers,
+                      to_axis_basis)
 
 
 def _populations(amps: np.ndarray) -> np.ndarray:
@@ -58,10 +48,12 @@ def _populations(amps: np.ndarray) -> np.ndarray:
     return amps.real ** 2 + amps.imag ** 2
 
 
-def _magnetizations(state: PureState) -> tuple[np.ndarray, np.ndarray]:
+def magnetizations(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     """(satellite-averaged, central) <S^a> per row of states held in the
-    joint eigenbasis of S^a. Each row is an elementwise product and a sum
-    over the last axis, so it does not depend on the other rows."""
+    joint eigenbasis of S^a; from the x-polarized start, the observer for
+    floquet.evolve that reads only the x magnetizations. Each row is an
+    elementwise product and a sum over the last axis, so it does not depend
+    on the other rows."""
     m_sat, m_c = magnetic_numbers(state.shape)
     p = _populations(state.amplitudes)
     return ((p * np.repeat(m_sat, m_c.size)).sum(axis=-1) / state.shape.n_sat,
@@ -77,17 +69,8 @@ def magnetization(state: PureState, target: str,
     shape, amps = state.shape, state.amplitudes
     mat = amps.reshape(amps.shape[:-1] + (-1, shape.central_dim))
     rotated = PureState(shape, to_axis_basis(mat, shape, axis).reshape(amps.shape))
-    m_sat, m_c = _magnetizations(rotated)
+    m_sat, m_c = magnetizations(rotated)
     return m_sat if target == "satellites" else m_c
-
-
-def period_observables(state: PureState):
-    """(satellite <S^x>, central <S^x>, entanglement entropy), one value per
-    row of a stack of states in the joint x basis; the phase map's
-    per-period columns. The reduced density is Hermitian by construction,
-    so the entropy skips von_neumann_entropy's check."""
-    return (*_magnetizations(state),
-            _hermitian_entropy(reduced_central_density(state)))
 
 
 def initial_fidelity(states: PureState) -> np.ndarray:
@@ -96,20 +79,15 @@ def initial_fidelity(states: PureState) -> np.ndarray:
     return _populations(states.amplitudes[..., 0])
 
 
-def _records(columns, first: int) -> list[TrajectoryRecord]:
-    """One TrajectoryRecord per entry of the four columns, numbered from
-    first."""
-    return [TrajectoryRecord(n, *values) for n, values in
-            enumerate(zip(*(c.tolist() for c in columns)), start=first)]
-
-
-def trajectory_records(states: PureState, first: int) -> list[TrajectoryRecord]:
-    """Recorder for floquet.evolve from the x-polarized state: a block of
-    consecutive periods in the joint x basis, stacked along the leading
-    axis, first the number of the first one; one TrajectoryRecord per
-    period."""
-    return _records((*period_observables(states), initial_fidelity(states)),
-                    first)
+def trajectory_columns(states: PureState) -> tuple:
+    """Observer for floquet.evolve from the x-polarized start: (satellite
+    <S^x>, central <S^x>, entanglement entropy, fidelity to the start), one
+    value per row of a stack of states in the joint x basis. The reduced
+    density is Hermitian by construction, so the entropy skips
+    von_neumann_entropy's check."""
+    return (*magnetizations(states),
+            _hermitian_entropy(reduced_central_density(states)),
+            initial_fidelity(states))
 
 
 def is_product_line(lam) -> bool | np.ndarray:
@@ -146,17 +124,35 @@ def product_series(shape: CollectiveShape, lam, g, periods: int):
             * np.cos(phi_c / 2) ** (2 * shape.two_s))
 
 
-def product_records(shape: CollectiveShape, lam: float, g: float,
-                    periods: int) -> list[TrajectoryRecord]:
-    """The TrajectoryRecords of periods 1..periods at a lambda that is 0 or
-    2pi mod 4pi, from product_series: what floquet.evolve with
-    trajectory_records gives there, up to its rounding."""
-    return _records([c[1:] for c in product_series(shape, lam, g, periods)],
-                    1)
+def series(shape: CollectiveShape, lam, g, periods: int) -> tuple:
+    """(m_sat_x, m_c_x, entropy, fidelity) of the x-polarized start at
+    periods 0..periods, with product_series' layout: each an array whose
+    leading axis is the period number and whose other axes are those of
+    lam and g broadcast together, 0-d for scalars.
 
-
-def magnetization_records(states: PureState, first: int) -> list[tuple]:
-    """Recorder for floquet.evolve that keeps only the x magnetizations:
-    one (satellite <S^x>, central <S^x>) pair per period of a block in the
-    joint x basis, the values trajectory_records gives them."""
-    return list(zip(*(c.tolist() for c in _magnetizations(states))))
+    The one place that picks where the columns come from: at the points
+    where is_product_line holds they are product_series, and the other
+    points run as one state stack through floquet.evolve with
+    trajectory_columns, period 0 being the start's (1/2, s, 0, 1). A
+    point's columns do not depend on the other points of the call.
+    """
+    if periods < 0:
+        raise ShapeError(f"n_periods must be >= 0, got {periods}")
+    lam, g = np.broadcast_arrays(np.asarray(lam, dtype=float),
+                                 np.asarray(g, dtype=float))
+    out = np.empty((4, periods + 1) + lam.shape)
+    out[:, 0] = np.reshape([0.5, shape.s, 0.0, 1.0], (4,) + (1,) * lam.ndim)
+    closed = is_product_line(lam)
+    if closed.any():
+        out[:, :, closed] = product_series(shape, lam[closed], g[closed],
+                                           periods)
+    if not closed.all():
+        points = [DriveParams.symmetric(*p) for p in
+                  zip(lam[~closed].tolist(), g[~closed].tolist())]
+        stack = PureState(shape, np.tile(x_polarized_state(shape).amplitudes,
+                                         (len(points), 1)))
+        columns = evolve(stack, precompute(shape, points), periods,
+                         trajectory_columns)
+        if columns:
+            out[:, 1:, ~closed] = columns
+    return tuple(out)

@@ -3,8 +3,8 @@ write_rows, the one CSV writer of every command.
 
 Grid points are independent trajectories from the x-polarized initial state
 that differ only in their kick factors and interaction diagonals, so the
-scan evolves as many of them at once as fit a fixed entry budget, as one
-state stack through the engine's drive step, in one process.
+scan hands as many of them at once as fit a fixed entry budget to
+observables.series, which evolves them as one state stack, in one process.
 Every row of the stack is computed by the same operations whatever the other
 rows are, so a point's record does not depend on which points share its
 stack (a fresh run and any resume agree bitwise), and results are returned
@@ -38,9 +38,10 @@ And one more on the no-kick line:
   magnetizations stay 1/2 and s and the entropy 0 at every period.
 The lines lambda = 0 and 2pi have closed forms: the start stays a product
 of coherent states in the xy plane, with entropy 0 at every period
-(observables.product_series). A key whose lambda is exactly 0 or 2pi,
-(0, 0) among them, is not evolved; its closed-form series goes through the
-same reductions as an evolved one (_scan).
+(observables.product_series). A stack's keys take their series from
+observables.series, which evolves none whose lambda is exactly 0 or 2pi,
+(0, 0) among them, and every series goes through the same reductions
+(_scan).
 The canonical cell is lambda in [0, pi] at even n_sat with integer s, else
 [0, 2pi], times g in (0, pi/2] at an even stride, else (0, pi], plus the
 point (0, 0). A scan keys each folded angle by the grid value it lands on,
@@ -70,9 +71,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ShapeError, CheckpointError
-from .hilbert import CollectiveShape, PureState, x_polarized_state
-from .floquet import DriveParams, precompute, evolve, _STACK_ENTRIES
-from .observables import period_observables, is_product_line, product_series
+from .hilbert import CollectiveShape
+from .floquet import _STACK_ENTRIES
+from .observables import series
 from .diagnostics import stroboscopic_average, relative_order_parameter
 
 CHECKPOINT_MAGIC = b"DTC1"
@@ -221,39 +222,15 @@ def _mirror(values, mirrored) -> np.ndarray:
 
 def _scan(shape: CollectiveShape, points, periods: int,
           stride: int) -> np.ndarray:
-    """The five map averages of each (lambda, g) point, one row per point.
-
-    A point whose lambda is exactly 0 or 2pi is not evolved: its series
-    is observables.product_series (at g = 0, the start's own 1/2, s and
-    0). The other points are evolved as one state stack. Every point's
-    series then goes through the same reductions, row by row.
-    """
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    # (period number, column, point), period 0 being the start
-    series = np.empty((periods + 1, 3, len(points)))
-    closed = is_product_line(points[:, 0])
-    series[..., closed] = np.stack(
-        product_series(shape, *points[closed].T, periods)[:3], axis=1)
-    evolved = np.flatnonzero(~closed)
-    if evolved.size:
-        tables = precompute(shape, [DriveParams.symmetric(lam, g)
-                                    for lam, g in points[evolved].tolist()])
-        stack = PureState(shape, np.tile(x_polarized_state(shape).amplitudes,
-                                         (evolved.size, 1)))
-
-        def record(states, first):
-            # fills series in place, so there is nothing to collect
-            series[first:first + len(states.amplitudes), :, evolved] = \
-                np.stack(period_observables(states), axis=1)
-            return ()
-
-        evolve(stack, tables, periods, record)
-    m_sat, m_c = series[:, 0], series[:, 1]
+    """The five map averages of each (lambda, g) point, one row per point:
+    the reductions of the point's observables.series, row by row."""
+    lam, g = np.asarray(points, dtype=float).reshape(-1, 2).T
+    m_sat, m_c, entropy, _ = series(shape, lam, g, periods)
     count = periods // stride
     avg_m_sat = stroboscopic_average(m_sat, stride, count)
     avg_m_c = stroboscopic_average(m_c, stride, count)
     # one contiguous row per point, so each mean sums as for a single point
-    avg_entropy = np.ascontiguousarray(series[1:, 2].T).mean(axis=-1)
+    avg_entropy = np.ascontiguousarray(entropy[1:].T).mean(axis=-1)
     _, _, o_rel_sat = relative_order_parameter(m_sat, periods)
     _, _, o_rel_c = relative_order_parameter(m_c, periods)
     return np.stack((avg_m_sat, avg_m_c, avg_entropy, o_rel_sat, o_rel_c),
@@ -267,9 +244,9 @@ def compute_point(shape: CollectiveShape, lam: float, g: float,
 
     A one-point axis has no grid value to snap to, so the point is evolved
     at its fold, unless the folded lambda is 0 or 2pi (then its record is
-    the closed form's, _scan; a folded g of 0 sends lambda to 0), and the
-    record carries lam and g, with both o_rel negated at a mirror image.
-    A larger grid evolves at the grid value its fold lands on
+    the closed form's, observables.series; a folded g of 0 sends lambda to
+    0), and the record carries lam and g, with both o_rel negated at a
+    mirror image. A larger grid evolves at the grid value its fold lands on
     instead (_canonical_points), so a mirror row of a scan equals
     compute_point at its canonical grid point, mapped as above, and may
     differ in the last bits from compute_point at its own.
@@ -286,15 +263,15 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
     Each distinct key (_canonical_points: the fold, each folded angle
     replaced by the grid value within _SNAP steps of it, if any) of the
     points still to compute is computed once at that key (_scan; a key
-    whose lambda is 0 or 2pi has a closed form and is not evolved), in
-    grid order of its first point, in stacks of _stack_rows keys in this
-    process, and every point with that key gets its values, with both
-    o_rel negated at a mirror image, and the point's own (lambda, g). A
-    fold that misses the grid keeps its float, so an asymmetric grid still
-    evolves every point it needs, and a row depends only on its own
-    (lambda, g) and the grid's axes. Stored, mirrored and computed rows all
-    go into one table of seven values per point, from which the records are
-    built at the end.
+    whose lambda is 0 or 2pi has a closed form, observables.series, and is
+    not evolved), in grid order of its first point, in stacks of
+    _stack_rows keys in this process, and every point with that key gets
+    its values, with both o_rel negated at a mirror image, and the point's
+    own (lambda, g). A fold that misses the grid keeps its float, so an
+    asymmetric grid still evolves every point it needs, and a row depends
+    only on its own (lambda, g) and the grid's axes. Stored, mirrored and
+    computed rows all go into one table of seven values per point, from
+    which the records are built at the end.
 
     With checkpoint_path, records are appended to the checkpoint in grid
     order: before each stack starts, the records of every point whose

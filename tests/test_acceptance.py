@@ -10,7 +10,7 @@ import pytest
 from spindtc.hilbert import CollectiveShape, PureState, x_polarized_state
 from spindtc.spin_algebra import coherent_axis_state
 from spindtc.floquet import DriveParams, precompute, evolve
-from spindtc.observables import trajectory_records
+from spindtc.observables import trajectory_columns
 from spindtc.diagnostics import (detect_period, predict_dtc_class,
                                  fit_cosine_amplitude, classify_subsystem)
 from spindtc.analytic_states import milestone_state
@@ -30,19 +30,20 @@ def _trajectory(n_sat, two_s, lam, g, periods):
     sh = CollectiveShape(n_sat, two_s)
     st = x_polarized_state(sh)
     traj = evolve(st, precompute(sh, DriveParams.symmetric(lam, g)),
-                  periods, trajectory_records)
+                  periods, trajectory_columns)
     return sh, st, traj
 
 
 def test_criterion_01_eternal_period2_dtc():
     t0 = time.monotonic()
     _, _, traj = _trajectory(9, 5, 2 * np.pi, 3.0, 200)
-    for r in traj:
-        if r.n % 2 == 0:
-            assert abs(r.fidelity_initial - 1.0) < 1e-10
-            assert abs(r.m_sat_x - 0.5) < 1e-10
-            assert abs(r.m_c_x - 2.5) < 1e-10
-            assert r.entropy < 1e-10
+    # the even periods n = 2, 4, ..., 200, at index n - 1
+    m_sat, m_c, entropy, fid = (c[1::2] for c in traj)
+    assert len(fid) == 100
+    assert (abs(fid - 1.0) < 1e-10).all()
+    assert (abs(m_sat - 0.5) < 1e-10).all()
+    assert (abs(m_c - 2.5) < 1e-10).all()
+    assert (entropy < 1e-10).all()
     assert time.monotonic() - t0 < 5.0
 
 
@@ -51,8 +52,8 @@ def test_criterion_02_lambda_2pi_taxonomy():
     for n_sat, two_s in ((8, 4), (8, 5), (9, 4), (9, 5)):
         sh, _, traj = _trajectory(n_sat, two_s, 2 * np.pi, g, 100)
         pred = predict_dtc_class(n_sat, two_s, "lambda_2pi")
-        m_sat = [0.5] + [r.m_sat_x for r in traj]
-        m_c = [sh.s] + [r.m_c_x for r in traj]
+        m_sat = [0.5, *traj[0]]
+        m_c = [sh.s, *traj[1]]
         assert classify_subsystem(m_sat, g, 0.5) == pred.satellite_behavior
         assert classify_subsystem(m_c, g, sh.s) == pred.central_behavior
         for series, maximum, behavior in ((m_sat, 0.5, pred.satellite_behavior),
@@ -69,9 +70,8 @@ def test_criterion_03_special_ho_periods():
         report = detect_period(traj)
         assert report.detected_period == period
         assert report.revival_fidelity > 1 - 1e-8
-        for r in traj:
-            if r.n < period:
-                assert r.fidelity_initial < 0.99
+        # periods 1..period - 1
+        assert (traj[3][:period - 1] < 0.99).all()
 
 
 def test_criterion_04_milestone_states():
@@ -95,10 +95,11 @@ def test_criterion_04_milestone_states():
 
 def test_criterion_05_no_polarity_reversal():
     _, _, traj = _trajectory(8, 4, np.pi, np.pi / 2, 200)
-    assert min(r.m_sat_x for r in traj) >= -1e-9
-    for r in traj:
-        if r.n % 4 == 0:
-            assert abs(r.m_sat_x - 0.5) < 1e-8
+    m_sat = traj[0]
+    assert min(m_sat) >= -1e-9
+    # periods n = 4, 8, ..., 200, at index n - 1
+    assert len(m_sat[3::4]) == 50
+    assert (abs(m_sat[3::4] - 0.5) < 1e-8).all()
 
 
 def test_criterion_06_oracle_equivalence():

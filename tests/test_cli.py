@@ -15,11 +15,12 @@ from spindtc.cli import (parse_angle, parse_spin, parse_int_list, read_config,
 from spindtc.errors import SpinDtcError
 from spindtc.floquet import DriveParams, precompute, evolve
 from spindtc.hilbert import CollectiveShape, x_polarized_state
-from spindtc.observables import trajectory_records
+from spindtc.observables import trajectory_columns
 from spindtc.metrology import qfi_matrix, sensing_gain
 from spindtc.sweep import CHECKPOINT_MAGIC, RECORD_VERSION
 from spindtc.spin_algebra import coherent_axis_state
-from spindtc import analytic_states, hilbert, metrology, cli, sweep
+from spindtc import (analytic_states, hilbert, metrology, cli, sweep,
+                     observables)
 
 from qubit_reference import product_state
 from test_sweep import _PARITY_CLASSES
@@ -132,8 +133,10 @@ def test_evolve_beyond_the_full_engine(tmp_path):
     shape = CollectiveShape(41, 5)
     engine = evolve(x_polarized_state(shape),
                     precompute(shape, DriveParams.symmetric(2 * np.pi, 3.0)),
-                    200, trajectory_records)
-    np.testing.assert_allclose(rows, engine, rtol=0, atol=2e-12)
+                    200, trajectory_columns)
+    np.testing.assert_allclose(rows, np.column_stack((np.arange(1, 201),
+                                                      *engine)),
+                               rtol=0, atol=2e-12)
 
 
 def test_evolve_zero_periods(tmp_path):
@@ -161,13 +164,15 @@ def _evolve_rows(tmp_path, shape, lam, g, periods):
 
 
 def _count_engine(monkeypatch):
-    """Names of the engine calls _cmd_evolve makes."""
+    """Names of the engine calls evolve and classify make: through
+    observables.series for evolve, directly for classify."""
     calls = []
-    for name in ("evolve", "precompute"):
-        def counted(*args, _name=name, _real=getattr(cli, name), **kw):
+    for module, name in itertools.product((cli, observables),
+                                          ("evolve", "precompute")):
+        def counted(*args, _name=name, _real=getattr(module, name), **kw):
             calls.append(_name)
             return _real(*args, **kw)
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -195,8 +200,10 @@ def test_evolve_on_lambda_0_and_2pi_is_the_closed_form(tmp_path, monkeypatch,
         engine = evolve(x_polarized_state(shape),
                         precompute(shape, DriveParams.symmetric(
                             parse_angle(lam), g)),
-                        60, trajectory_records)
-        np.testing.assert_allclose(rows, engine, rtol=0, atol=1e-12)
+                        60, trajectory_columns)
+        np.testing.assert_allclose(rows, np.column_stack((np.arange(1, 61),
+                                                          *engine)),
+                                   rtol=0, atol=1e-12)
         assert (rows[:, 0] == np.arange(1, 61)).all()
         assert (rows[:, 3] == 0.0).all()
         assert (abs(rows[:, 1]) <= 0.5).all()
@@ -427,7 +434,7 @@ def test_sweep_rejects_an_empty_checkpoint_path(tmp_path, capsys,
     # it opens the checkpoint, before any evolution, and prints no computed
     # line and writes no CSV
     calls = []
-    monkeypatch.setattr(sweep, "evolve", lambda *args: calls.append(args))
+    monkeypatch.setattr(sweep, "series", lambda *args: calls.append(args))
     out = tmp_path / "map.csv"
     assert parse_and_dispatch(["sweep", "--n-sat", "2", "--spin", "1/2",
                                "--lambda-steps", "3", "--g-steps", "3",
@@ -721,8 +728,8 @@ def test_failed_output_write_names_the_output(tmp_path, capsys, monkeypatch,
             return path != str(tmp_path) and _real(path, mode, *args, **kw)
         monkeypatch.setattr(os, "access", access)
     calls = []
-    for module, name in ((cli, "evolve"), (cli, "product_records"),
-                         (sweep, "evolve"), (cli, "qfi_scan")):
+    for module, name in ((cli, "series"), (sweep, "series"),
+                         (observables, "evolve"), (cli, "qfi_scan")):
         def counted(*args, _name=name, _real=getattr(module, name), **kw):
             calls.append(_name)
             return _real(*args, **kw)

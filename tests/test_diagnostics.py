@@ -5,7 +5,7 @@ from spindtc import diagnostics
 from spindtc.errors import ShapeError, NotTabulatedError
 from spindtc.hilbert import CollectiveShape, x_polarized_state
 from spindtc.floquet import DriveParams, precompute, evolve
-from spindtc.observables import trajectory_records, magnetization_records
+from spindtc.observables import trajectory_columns, magnetizations
 from spindtc.diagnostics import (stroboscopic_average, relative_order_parameter,
                                  detect_period, first_revival,
                                  predict_dtc_class, fit_cosine_amplitude,
@@ -18,7 +18,7 @@ def _trajectory(n_sat, two_s, lam, g, periods):
     sh = CollectiveShape(n_sat, two_s)
     st = x_polarized_state(sh)
     return evolve(st, precompute(sh, DriveParams.symmetric(lam, g)),
-                  periods, trajectory_records)
+                  periods, trajectory_columns)
 
 
 def test_stroboscopic_average_constant():
@@ -117,13 +117,15 @@ def test_magnetization_period(n_sat, two_s, lam, g, periods, expected):
     sh = CollectiveShape(n_sat, two_s)
     st = x_polarized_state(sh)
     traj = evolve(st, precompute(sh, DriveParams.symmetric(lam, g)),
-                  periods, trajectory_records)
+                  periods, trajectory_columns)
     assert detect_period(traj).magnetization_period == expected
 
 
 def test_detect_period_validation():
     with pytest.raises(ShapeError):
         detect_period([])
+    with pytest.raises(ShapeError, match="empty trajectory"):
+        detect_period(_trajectory(2, 1, 1.0, 1.0, 0))
     traj = _trajectory(2, 1, 1.0, 1.0, 3)
     with pytest.raises(ShapeError):
         detect_period(traj, epsilon=2.0)
@@ -137,9 +139,9 @@ def _count_periods(monkeypatch):
     """Record the period count of every evolve call first_revival makes."""
     counts = []
 
-    def counted(state, tables, n_periods, recorder=None):
+    def counted(state, tables, n_periods, observe=None):
         counts.append(n_periods)
-        return evolve(state, tables, n_periods, recorder)
+        return evolve(state, tables, n_periods, observe)
 
     monkeypatch.setattr(diagnostics, "evolve", counted)
     return counts
@@ -158,7 +160,7 @@ def test_first_revival_matches_detect_period(layout, n_sat, two_s, lam, g):
     sh = CollectiveShape(n_sat, two_s)
     tables = _tables(sh, lam, g)
     if layout is CollectiveShape:
-        traj = evolve(x_polarized_state(sh), tables, 64, trajectory_records)
+        traj = evolve(x_polarized_state(sh), tables, 64, trajectory_columns)
         want = detect_period(traj).detected_period
     else:
         full = SystemShape(n_sat, two_s)
@@ -215,13 +217,11 @@ def test_special_ho_table_at_large_n_sat(n_sat, two_s):
 def test_lambda_2pi_table_at_large_n_sat(n_sat, two_s):
     g = 3.0
     sh = CollectiveShape(n_sat, two_s)
-    pairs = evolve(x_polarized_state(sh), _tables(sh, 2 * np.pi, g), 64,
-                   magnetization_records)
+    m_sat, m_c = evolve(x_polarized_state(sh), _tables(sh, 2 * np.pi, g), 64,
+                        magnetizations)
     pred = predict_dtc_class(n_sat, two_s, "lambda_2pi")
-    m_sat = [0.5] + [p[0] for p in pairs]
-    m_c = [sh.s] + [p[1] for p in pairs]
-    assert classify_subsystem(m_sat, g, 0.5) == pred.satellite_behavior
-    assert classify_subsystem(m_c, g, sh.s) == pred.central_behavior
+    assert classify_subsystem([0.5, *m_sat], g, 0.5) == pred.satellite_behavior
+    assert classify_subsystem([sh.s, *m_c], g, sh.s) == pred.central_behavior
 
 
 def test_predict_lambda_2pi_table():
@@ -285,6 +285,12 @@ def test_classify_subsystem_labels():
     assert classify_subsystem([0.5] * 40, g, 0.5) == "frozen"
     # even entries alternating between 0.5 and 0 fit no cosine
     assert classify_subsystem([0.5 * (n % 4 == 0) for n in range(40)], g,
+                              0.5) == "neither"
+    # a cosine fits these exactly, but not with the amplitude maximum: a
+    # vanished signal, one frozen at -maximum, and one of half the amplitude
+    assert classify_subsystem([0.0] * 40, 1.1, 0.5) == "neither"
+    assert classify_subsystem([-0.5] * 40, 0.0, 0.5) == "neither"
+    assert classify_subsystem(0.25 * np.cos(1.1 * np.arange(40)), 1.1,
                               0.5) == "neither"
     # one point, m(0), measures nothing
     with pytest.raises(ShapeError, match="empty trajectory"):

@@ -7,7 +7,7 @@ from spindtc.errors import ShapeError
 from spindtc.spin_algebra import coherent_axis_state
 from spindtc.hilbert import (CollectiveShape, PureState, x_polarized_state,
                              fidelity)
-from spindtc.observables import trajectory_records, magnetization
+from spindtc.observables import trajectory_columns, magnetization
 from spindtc import floquet
 from spindtc.floquet import DriveParams, precompute, evolve
 from spindtc.diagnostics import predict_dtc_class
@@ -114,7 +114,7 @@ def test_norm_preserved_many_periods():
     sh = CollectiveShape(5, 3)
     t = precompute(sh, DriveParams(lam=1.37, g_s=0.81, g_c=2.05))
     st = x_polarized_state(sh)
-    norms = evolve(st, t, 100, lambda states, first: list(states.norm()))
+    (norms,) = evolve(st, t, 100, lambda states: (states.norm(),))
     assert len(norms) == 100
     assert max(abs(n - 1.0) for n in norms) < 1e-12
     assert abs(st.norm() - 1.0) < 1e-12
@@ -132,7 +132,7 @@ def test_evolve_zero_periods():
     st = x_polarized_state(sh)
     ref = st.copy()
     out = evolve(st, precompute(sh, DriveParams(1, 1, 1)), 0)
-    assert out == []
+    assert out == ()
     np.testing.assert_allclose(st.amplitudes, ref.amplitudes)
     with pytest.raises(ShapeError):
         evolve(st, precompute(sh, DriveParams(1, 1, 1)), -1)
@@ -254,15 +254,14 @@ def test_collective_matches_full_engine():
             b = x_polarized_state(coll)
             np.testing.assert_allclose(spread(full, b.amplitudes), start, atol=1e-14)
             states = drive(full, params, start, 50)
-            rec_b = evolve(b, precompute(coll, params), 50, trajectory_records)
+            columns = evolve(b, precompute(coll, params), 50,
+                             trajectory_columns)
             assert np.max(np.abs(spread(full, b.amplitudes) - states[-1])) < 1e-10
-            for n, (amps, rb) in enumerate(zip(states, rec_b), start=1):
+            assert [c.shape for c in columns] == [(50,)] * 4
+            for amps, values in zip(states, zip(*columns)):
                 want = (*magnetizations(full, amps), entropy(full, amps),
                         abs(np.vdot(start, amps)) ** 2)
-                assert rb.n == n
-                assert np.max(np.abs(np.subtract(
-                    (rb.m_sat_x, rb.m_c_x, rb.entropy, rb.fidelity_initial),
-                    want))) < 1e-10
+                assert np.max(np.abs(np.subtract(values, want))) < 1e-10
 
 
 def test_collective_two_period_closed_form():
@@ -279,27 +278,37 @@ def test_collective_two_period_closed_form():
                                            (CollectiveShape(3, 1), 5),
                                            (CollectiveShape(63, 64), 3)])
 def test_recorder_called_once_per_block(shape, periods):
+    # the observer sees each block once, and evolve joins what it returns
+    # over the blocks in period order
     calls = []
 
-    def stub(states, first):
-        calls.append((first, states.amplitudes.shape))
-        return [first + k for k in range(len(states.amplitudes))]
+    def stub(states):
+        done = sum(dims[0] for dims in calls)
+        calls.append(states.amplitudes.shape)
+        k = len(states.amplitudes)
+        return np.arange(done + 1, done + k + 1), np.zeros((k, 2))
 
     st = x_polarized_state(shape)
-    out = evolve(st, precompute(shape, DriveParams.symmetric(1.3, 0.7)),
-                 periods, stub)
+    tables = precompute(shape, DriveParams.symmetric(1.3, 0.7))
+    out = evolve(st, tables, periods, stub)
     block = max(1, floquet._BLOCK_AMPLITUDES // shape.dim)
-    assert out == list(range(1, periods + 1))
+    assert out[0].tolist() == list(range(1, periods + 1))
+    assert out[1].shape == (periods, 2)
     assert len(calls) == -(-periods // block)
-    assert [first for first, _ in calls] == list(range(1, periods + 1, block))
-    for _, dims in calls:
+    firsts = np.cumsum([1] + [dims[0] for dims in calls[:-1]])
+    assert firsts.tolist() == list(range(1, periods + 1, block))
+    for dims in calls:
         assert dims[1:] == (shape.dim,)
         assert dims[0] <= block
         assert dims[0] * shape.dim <= floquet._BLOCK_AMPLITUDES or dims[0] == 1
+    # without an observer, or at zero periods, there is nothing to return
+    assert evolve(st, tables, periods) == ()
+    assert evolve(st, tables, 0, stub) == ()
+    assert len(calls) == -(-periods // block)
 
 
 def test_basis_changes_once_per_block(monkeypatch):
-    # the drive stays in the x basis and the recorder reads it there: one
+    # the drive stays in the x basis and the observer reads it there: one
     # rotation into it on entry and one out of it on exit, none per block
     calls = {"to": 0, "from": 0}
 
@@ -316,10 +325,10 @@ def test_basis_changes_once_per_block(monkeypatch):
     shape, periods = CollectiveShape(8, 4), 1000
     st = x_polarized_state(shape)
     out = evolve(st, precompute(shape, DriveParams.symmetric(1.3, 0.7)),
-                 periods, lambda states, first: list(states.amplitudes))
+                 periods, lambda states: (states.amplitudes,))
     block = floquet._BLOCK_AMPLITUDES // shape.dim
-    assert len(out) == periods
-    assert len(out) // block > 1
+    assert out[0].shape == (periods, shape.dim)
+    assert periods // block > 1
     assert calls == {"to": 1, "from": 1}
 
 

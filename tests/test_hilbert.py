@@ -138,13 +138,13 @@ def test_entropy_check_on_stacks():
     # the recorded columns skip the Hermiticity check, which stays on the
     # public function: one non-Hermitian matrix in a stack raises, and on
     # the reduced densities the program builds both give the same numbers
-    from spindtc.observables import period_observables
+    from spindtc.observables import trajectory_columns
     rng = np.random.default_rng(11)
     sh = CollectiveShape(8, 4)
     v = rng.normal(size=(6, sh.dim)) + 1j * rng.normal(size=(6, sh.dim))
     stack = PureState(sh, v / np.linalg.norm(v, axis=-1, keepdims=True))
     rho = reduced_central_density(stack)
-    np.testing.assert_array_equal(period_observables(stack)[2],
+    np.testing.assert_array_equal(trajectory_columns(stack)[2],
                                   von_neumann_entropy(rho))
     skewed = rho.copy()
     skewed[3, 0, 1] += 1e-3

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,10 @@ from spindtc.hilbert import (CollectiveShape, PureState, fidelity,
                              x_polarized_state, reduced_central_density,
                              von_neumann_entropy)
 from spindtc.floquet import DriveParams, precompute, evolve, from_x_basis
-from spindtc.observables import (magnetization, period_observables,
-                                 trajectory_records, product_series,
-                                 is_product_line)
+from spindtc.observables import (magnetization, trajectory_columns,
+                                 product_series, is_product_line, series)
 from spindtc.analytic_states import milestone_state
+from spindtc import observables
 
 
 def test_x_polarized_magnetizations():
@@ -99,33 +101,89 @@ def test_record_initial_state():
     # the identity drive: the one recorded period is the x-polarized start
     sh = CollectiveShape(3, 5)
     st = x_polarized_state(sh)
-    [r] = evolve(st, precompute(sh, DriveParams(0.0, 0.0, 0.0)), 1,
-                 trajectory_records)
-    assert r.n == 1
-    assert r.m_sat_x == pytest.approx(0.5, abs=1e-12)
-    assert r.m_c_x == pytest.approx(2.5, abs=1e-12)
-    assert r.entropy == pytest.approx(0.0, abs=1e-12)
-    assert r.fidelity_initial == pytest.approx(1.0, abs=1e-12)
+    columns = evolve(st, precompute(sh, DriveParams(0.0, 0.0, 0.0)), 1,
+                     trajectory_columns)
+    assert [c.shape for c in columns] == [(1,)] * 4
+    m_sat, m_c, entropy, fid = (float(c[0]) for c in columns)
+    assert m_sat == pytest.approx(0.5, abs=1e-12)
+    assert m_c == pytest.approx(2.5, abs=1e-12)
+    assert entropy == pytest.approx(0.0, abs=1e-12)
+    assert fid == pytest.approx(1.0, abs=1e-12)
 
 
 def test_record_ghz_entropy():
     sh = CollectiveShape(9, 5)
     st = x_polarized_state(sh)
-    traj = evolve(st, precompute(sh, DriveParams.symmetric(np.pi, np.pi / 2)),
-                  6, trajectory_records)
-    assert traj[5].entropy == pytest.approx(np.log(2), abs=1e-9)
+    _, _, entropy, _ = evolve(
+        st, precompute(sh, DriveParams.symmetric(np.pi, np.pi / 2)), 6,
+        trajectory_columns)
+    assert entropy[5] == pytest.approx(np.log(2), abs=1e-9)
 
 
 def test_record_bounds_along_trajectory():
     sh = CollectiveShape(4, 3)
     st = x_polarized_state(sh)
-    traj = evolve(st, precompute(sh, DriveParams.symmetric(1.9, 0.7)),
-                  40, trajectory_records)
-    for r in traj:
-        assert abs(r.m_sat_x) <= 0.5 + 1e-10
-        assert abs(r.m_c_x) <= 1.5 + 1e-10
-        assert -1e-12 <= r.entropy
-        assert 0.0 <= r.fidelity_initial <= 1.0 + 1e-10
+    m_sat, m_c, entropy, fid = evolve(
+        st, precompute(sh, DriveParams.symmetric(1.9, 0.7)), 40,
+        trajectory_columns)
+    assert (abs(m_sat) <= 0.5 + 1e-10).all()
+    assert (abs(m_c) <= 1.5 + 1e-10).all()
+    assert (-1e-12 <= entropy).all()
+    assert ((0.0 <= fid) & (fid <= 1.0 + 1e-10)).all()
+
+
+def test_series_picks_the_closed_form_or_the_engine():
+    # points on lambda = 0 and 2pi mod 4pi take product_series, the others
+    # the engine, in one call; each point's columns are bitwise those of the
+    # point alone, and an engine point's are those of floquet.evolve on the
+    # single state
+    shape, periods = CollectiveShape(9, 5), 30
+    lams = np.array([[0.0], [1.3], [2 * np.pi], [np.pi], [-2 * np.pi]])
+    gs = np.array([0.7, 3.0, np.pi / 2])
+    columns = series(shape, lams, gs, periods)
+    assert [c.shape for c in columns] == [(periods + 1, 5, 3)] * 4
+    for i, j in itertools.product(range(5), range(3)):
+        lam, g = float(lams[i, 0]), float(gs[j])
+        alone = series(shape, lam, g, periods)
+        assert [c.shape for c in alone] == [(periods + 1,)] * 4
+        for column, single in zip(columns, alone):
+            assert column[:, i, j].tobytes() == single.tobytes()
+        if is_product_line(lam):
+            want = product_series(shape, lam, g, periods)
+        else:
+            want = evolve(x_polarized_state(shape),
+                          precompute(shape, DriveParams.symmetric(lam, g)),
+                          periods, trajectory_columns)
+            want = [np.concatenate(([start], c)) for start, c in
+                    zip((0.5, shape.s, 0.0, 1.0), want)]
+        for column, single in zip(alone, want):
+            assert column.tobytes() == single.tobytes()
+    # period 0 is the start on both paths, zero periods included
+    for lam in (2 * np.pi, 1.3):
+        assert [c.tolist() for c in series(shape, lam, 0.7, 0)] == \
+            [[0.5], [2.5], [0.0], [1.0]]
+    assert [c[0].tolist() for c in columns] == \
+        [np.full((5, 3), v).tolist() for v in (0.5, 2.5, 0.0, 1.0)]
+    with pytest.raises(ShapeError, match="n_periods must be >= 0"):
+        series(shape, 1.3, 0.7, -1)
+
+
+def test_series_calls_the_engine_only_off_the_lines(monkeypatch):
+    # product_series alone on the lines, one evolve call for every other
+    # point of the call
+    calls = []
+    for name in ("evolve", "product_series"):
+        def counted(*args, _name=name, _real=getattr(observables, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(observables, name, counted)
+    shape = CollectiveShape(3, 1)
+    series(shape, [0.0, 2 * np.pi, 6 * np.pi], 0.3, 8)
+    assert calls == ["product_series"]
+    series(shape, [0.0, 1.3, 2.0], 0.3, 8)
+    assert calls == ["product_series"] * 2 + ["evolve"]
+    series(shape, [1.3, 2.0], [[0.3], [0.4]], 8)
+    assert calls == ["product_series"] * 2 + ["evolve"] * 2
 
 
 @pytest.mark.parametrize("shape", [CollectiveShape(3, 2), CollectiveShape(8, 4)])
@@ -153,25 +211,26 @@ def test_stack_rows_match_single_states(shape):
         fidelity(stack, stack)
 
 
-def _per_period_records(shape, params, periods):
-    # the x-basis states of one evolve call, each period recorded on its own
+def _per_period_columns(shape, params, periods):
+    # the x-basis states of one evolve call, each period observed on its own
     # as a block of one
     st = x_polarized_state(shape)
-    states = evolve(st, precompute(shape, params), periods,
-                    lambda block, first: list(block.amplitudes))
-    return [trajectory_records(PureState(shape, amps[None]), n)[0]
-            for n, amps in enumerate(states, start=1)]
+    (states,) = evolve(st, precompute(shape, params), periods,
+                       lambda block: (block.amplitudes,))
+    return [np.concatenate(c) for c in zip(*(
+        trajectory_columns(PureState(shape, amps[None])) for amps in states))]
 
 
 @pytest.mark.parametrize("shape,periods", [(CollectiveShape(8, 4), 5000),
                                            (CollectiveShape(63, 64), 30)])
 def test_block_records_match_stepped_periods(shape, periods):
-    # (8, 2) spans many recording blocks; the 64 x 65 state of (63, 32) is
+    # (8, 2) spans many observed blocks; the 64 x 65 state of (63, 32) is
     # over the block budget, so its blocks hold one period each
     params = DriveParams.symmetric(1.3, 0.7)
     st = x_polarized_state(shape)
-    got = evolve(st, precompute(shape, params), periods, trajectory_records)
-    assert got == _per_period_records(shape, params, periods)
+    got = evolve(st, precompute(shape, params), periods, trajectory_columns)
+    want = _per_period_columns(shape, params, periods)
+    assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
 
 
 def test_one_period_calls_match_one_call():
@@ -182,16 +241,14 @@ def test_one_period_calls_match_one_call():
     params = DriveParams.symmetric(1.3, 0.7)
     tables = precompute(shape, params)
     whole = x_polarized_state(shape)
-    got = evolve(whole, tables, periods, trajectory_records)
+    got = evolve(whole, tables, periods, trajectory_columns)
+    assert [c.shape for c in got] == [(periods,)] * 4
     st = x_polarized_state(shape)
     for n in range(1, periods + 1):
         evolve(st, tables, 1)
         want = _z_basis_observables(st)
-        rec = got[n - 1]
-        assert rec.n == n
-        assert np.max(np.abs(np.subtract(
-            (rec.m_sat_x, rec.m_c_x, rec.entropy, rec.fidelity_initial),
-            want))) < 1e-10
+        assert np.max(np.abs(np.subtract([c[n - 1] for c in got],
+                                         want))) < 1e-10
     assert np.max(np.abs(st.amplitudes - whole.amplitudes)) < 1e-10
 
 
@@ -225,16 +282,15 @@ def _check_columns(shape, x_amps, columns):
 
 @pytest.mark.parametrize("shape", [CollectiveShape(8, 4), CollectiveShape(6, 3)])
 def test_recorded_columns_match_z_basis_observables(shape):
-    # trajectory_records reads the x-basis states evolve hands it: each of
+    # trajectory_columns reads the x-basis states evolve hands it: each of
     # its columns equals magnetization, von_neumann_entropy and fidelity on
     # the matching z-basis state
     st = x_polarized_state(shape)
-    got = evolve(st, precompute(shape, DriveParams.symmetric(1.3, 0.7)), 40,
-                 lambda states, first: list(zip(states.amplitudes,
-                                                trajectory_records(states, first))))
-    for amps, rec in got:
-        _check_columns(shape, amps, (rec.m_sat_x, rec.m_c_x, rec.entropy,
-                                     rec.fidelity_initial))
+    amps, *columns = evolve(
+        st, precompute(shape, DriveParams.symmetric(1.3, 0.7)), 40,
+        lambda states: (states.amplitudes, *trajectory_columns(states)))
+    for x_amps, values in zip(amps, zip(*columns)):
+        _check_columns(shape, x_amps, values)
 
 
 def test_recorded_stack_columns_match_z_basis_observables():
@@ -245,9 +301,9 @@ def test_recorded_stack_columns_match_z_basis_observables():
     tables = precompute(shape, [DriveParams.symmetric(*p) for p in points])
     stack = PureState(shape, np.tile(x_polarized_state(shape).amplitudes,
                                      (len(points), 1)))
-    got = evolve(stack, tables, 30,
-                 lambda states, first: list(zip(states.amplitudes,
-                                                zip(*period_observables(states)))))
-    for amps, columns in got:
-        for row, values in zip(amps, zip(*columns)):
+    amps, *columns = evolve(
+        stack, tables, 30,
+        lambda states: (states.amplitudes, *trajectory_columns(states)[:3]))
+    for k, period in enumerate(amps):
+        for row, values in zip(period, zip(*(c[k] for c in columns))):
             _check_columns(shape, row, values)

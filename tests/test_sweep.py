@@ -9,10 +9,10 @@ from spindtc.errors import ShapeError, CheckpointError
 from spindtc.hilbert import CollectiveShape, x_polarized_state
 from spindtc import cli
 from spindtc.floquet import DriveParams, precompute, evolve
-from spindtc.observables import trajectory_records
+from spindtc.observables import trajectory_columns
 from spindtc.diagnostics import (stroboscopic_average,
                                  relative_order_parameter, predict_dtc_class)
-from spindtc import sweep
+from spindtc import observables, sweep
 from spindtc.sweep import (GridSpec, PhaseMapRecord, compute_point, run_grid,
                            read_checkpoint, write_csv, read_csv, fold,
                            CHECKPOINT_MAGIC, _pack_records)
@@ -91,23 +91,23 @@ def _count_work(monkeypatch):
     shape, the work of its drive."""
     work = []
 
-    def counted(state, tables, n_periods, recorder=None):
+    def counted(state, tables, n_periods, observe=None):
         work.append(state.amplitudes.size // state.shape.dim * n_periods)
-        return evolve(state, tables, n_periods, recorder)
+        return evolve(state, tables, n_periods, observe)
 
-    monkeypatch.setattr(sweep, "evolve", counted)
+    monkeypatch.setattr(observables, "evolve", counted)
     return work
 
 
 def _evolved_values(shape, lam, g, periods, stride):
     """The five map averages of (lam, g) from a direct floquet.evolve of
     the x-polarized start, each reduced by its definition: a path that
-    shares neither _scan's recorder nor its reductions."""
+    shares neither observables.series nor _scan's reductions."""
     tables = precompute(shape, DriveParams.symmetric(lam, g))
     traj = evolve(x_polarized_state(shape), tables, periods,
-                  trajectory_records)
+                  trajectory_columns)
     # one row per period n = 1..periods
-    series = np.array([[r.m_sat_x, r.m_c_x, r.entropy] for r in traj])
+    series = np.column_stack(traj[:3])
     sampled = series[stride - 1:periods // stride * stride:stride]
     # o_rel: the mean of (-1)^n M(n) minus the mean of M(n)
     weights = ((-1.0) ** np.arange(1, periods + 1) - 1.0) / periods
@@ -373,8 +373,9 @@ def test_engine_follows_the_closed_form_on_lambda_0_and_2pi(shape):
                          * np.cos(phi_c / 2) ** (2 * shape.two_s)], axis=1)
         traj = evolve(x_polarized_state(shape),
                       precompute(shape, DriveParams.symmetric(lam, g)),
-                      periods, trajectory_records)
-        np.testing.assert_allclose(np.array(traj), want, rtol=0, atol=1e-12)
+                      periods, trajectory_columns)
+        np.testing.assert_allclose(np.column_stack((n, *traj)), want, rtol=0,
+                                   atol=1e-12)
         np.testing.assert_allclose(
             compute_point(shape, lam, g, periods, 2)[2:],
             _evolved_values(shape, lam, g, periods, 2), rtol=0, atol=1e-12)
@@ -604,15 +605,15 @@ def test_checkpoint_holds_the_records_known_before_a_failed_stack(
     ahead = firsts[8]
     calls = []
 
-    def failing(state, tables, n_periods, recorder=None):
+    def failing(state, tables, n_periods, observe=None):
         calls.append(n_periods)
         if len(calls) == 2:
             raise KeyboardInterrupt
-        return evolve(state, tables, n_periods, recorder)
+        return evolve(state, tables, n_periods, observe)
 
     path = tmp_path / "map.ckpt"
     with monkeypatch.context() as m:
-        m.setattr(sweep, "evolve", failing)
+        m.setattr(observables, "evolve", failing)
         with pytest.raises(KeyboardInterrupt):
             run_grid(spec, checkpoint_path=str(path))
     header = len(CHECKPOINT_MAGIC) + sweep._FRAME.itemsize

@@ -1,0 +1,154 @@
+"""Run a fixed list of spindtc commands against one src directory and keep
+every output, so that two trees can be compared byte for byte.
+
+Each command runs in a fresh interpreter with PYTHONPATH set to the given
+src directory and one BLAS thread, in its own directory under the output
+directory, where it writes its CSVs and checkpoints by relative paths. Its
+exit code, stdout and stderr go into the files exit_code, stdout and stderr
+beside them. The script prints only the output directory, so
+
+    python3 tools/same_outputs.py parent/src > a
+    python3 tools/same_outputs.py src > b
+    diff -r "$(cat a)" "$(cat b)"
+
+shows every byte in which the two trees' outputs differ.
+
+The commands: evolve on and off the closed-form lines lambda = 0 and 2pi
+mod 4pi, with a negative period count on both; every classify regime, with
+zero and negative period counts; the benchmark's three qfi scans; and
+phase-map sweeps at (8, 2) and (9, 5/2), fresh, resumed from a checkpoint
+whose last record is cut mid-write, resumed from the first eighth of a
+checkpoint, and at stride 3.
+
+Usage: python3 tools/same_outputs.py SRC [OUT]   (OUT: a new directory;
+a fresh temporary one when omitted)
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+_SHAPE_9 = ["--n-sat", "9", "--spin", "5/2"]
+_SHAPE_8 = ["--n-sat", "8", "--spin", "2"]
+_MAP_9X5 = ["--lambda-steps", "9", "--g-steps", "5"]
+
+
+def _evolve(shape, lam, g, periods, output=True):
+    return (["evolve", *shape, f"--lambda={lam}", "--g", g, "--periods",
+             str(periods)] + (["--output", "traj.csv"] if output else []))
+
+
+def _classify(regime, shape, *extra):
+    return ["classify", *shape, "--regime", regime, *extra]
+
+
+def _qfi(spin, *flags):
+    return ["qfi", "--spin", spin, "--lambda", "pi", "--g", "pi/2", *flags,
+            "--output", "qfi.csv"]
+
+
+def _sweep(shape, *extra):
+    return ["sweep", *shape, *extra, "--checkpoint", "map.ckpt",
+            "--output", "map.csv"]
+
+
+# (name, argv, checkpoint to start from: (earlier command, cut) or None)
+COMMANDS = [
+    ("evolve-16-pi", _evolve(["--n-sat", "16", "--spin", "5/2"], "pi", "pi/2",
+                             24), None),
+    ("evolve-9-2pi", _evolve(_SHAPE_9, "2pi", "3.0", 200), None),
+    ("evolve-8-0", _evolve(_SHAPE_8, "0", "1.1", 60), None),
+    ("evolve-3-minus-2pi", _evolve(["--n-sat", "3", "--spin", "1"], "-2pi",
+                                   "0.3", 60, output=False), None),
+    ("evolve-9-1.3", _evolve(_SHAPE_9, "1.3", "0.7", 100, output=False),
+     None),
+    ("evolve-9-2pi-negative", _evolve(_SHAPE_9, "2pi", "3.0", -1), None),
+    ("evolve-9-pi-negative", _evolve(_SHAPE_9, "pi", "pi/2", -1), None),
+    ("classify-lambda2pi", _classify("lambda2pi", _SHAPE_9), None),
+    ("classify-special", _classify("special", _SHAPE_8), None),
+    ("classify-regular1", _classify("regular1", _SHAPE_8), None),
+    ("classify-regular2", _classify("regular2", _SHAPE_8), None),
+    ("classify-lambda2pi-zero", _classify("lambda2pi", _SHAPE_9, "--periods",
+                                          "0"), None),
+    ("classify-lambda2pi-negative", _classify("lambda2pi", _SHAPE_9,
+                                              "--periods", "-1"), None),
+    ("classify-special-zero", _classify("special", _SHAPE_8, "--periods",
+                                        "0"), None),
+    ("classify-special-negative", _classify("special", _SHAPE_8, "--periods",
+                                            "-1"), None),
+    ("qfi-sizes-2", _qfi("2", "--n-sat", "2", "--sizes",
+                         ",".join(str(n) for n in range(2, 13))), None),
+    ("qfi-sizes-half", _qfi("1/2", "--n-sat", "2", "--sizes", "2,3,5,6,7"),
+     None),
+    ("qfi-periods-9", _qfi("5/2", "--n-sat", "9", "--periods-list",
+                           ",".join(str(8 * k) for k in range(1, 13))), None),
+    ("sweep-8-9x5", _sweep(_SHAPE_8, *_MAP_9X5, "--workers", "2"), None),
+    ("sweep-8-9x5-cut", _sweep(_SHAPE_8, *_MAP_9X5, "--workers", "2"),
+     ("sweep-8-9x5", "cut")),
+    ("sweep-9-default", _sweep(_SHAPE_9), None),
+    ("sweep-9-default-eighth", _sweep(_SHAPE_9),
+     ("sweep-9-default", "eighth")),
+    ("sweep-8-default-stride-3", _sweep(_SHAPE_8, "--stride", "3"), None),
+]
+
+
+def _cut(data: bytes, how: str) -> bytes:
+    """A checkpoint's bytes with its last record cut halfway ('cut'), as a
+    crash mid-write leaves it, or with the first eighth of its records
+    after the header kept ('eighth'). Every record has the length of the
+    first, which its 4-byte little-endian prefix gives."""
+    magic = 4
+    frame = 4 + int.from_bytes(data[magic:magic + 4], "little")
+    if how == "cut":
+        return data[:len(data) - frame // 2]
+    records = (len(data) - magic) // frame - 1
+    return data[:magic + frame * (1 + records // 8)]
+
+
+def run(src: Path, out: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    for k, (name, argv, start) in enumerate(COMMANDS):
+        work = out / f"{k:02d}-{name}"
+        work.mkdir()
+        if start is not None:
+            source, how = start
+            earlier = next(out.glob(f"*-{source}")) / "map.ckpt"
+            (work / "map.ckpt").write_bytes(_cut(earlier.read_bytes(), how))
+        done = subprocess.run([sys.executable, "-m", "spindtc.cli", *argv],
+                              cwd=work, env=env, capture_output=True)
+        (work / "exit_code").write_text(f"{done.returncode}\n")
+        (work / "stdout").write_bytes(done.stdout)
+        (work / "stderr").write_bytes(done.stderr)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(
+        description="Run a fixed list of spindtc commands against SRC and "
+                    "keep every output in OUT.")
+    parser.add_argument("src", type=Path, help="the src directory to run")
+    parser.add_argument("out", type=Path, nargs="?", default=None,
+                        help="new output directory (default: a fresh "
+                             "temporary one)")
+    args = parser.parse_args()
+    if not (args.src / "spindtc" / "cli.py").is_file():
+        parser.error(f"{args.src} holds no spindtc package")
+    if args.out is None:
+        out = Path(tempfile.mkdtemp(prefix="same_outputs."))
+    else:
+        out = args.out
+        out.mkdir(parents=True)
+    try:
+        run(args.src.resolve(), out)
+    except BaseException:
+        shutil.rmtree(out, ignore_errors=True)
+        raise
+    print(out)
+
+
+if __name__ == "__main__":
+    main()

@@ -18,9 +18,8 @@ phase conventions and are global-phase normalized (first nonzero entry 1).
 import numpy as np
 
 from .errors import ShapeError
-from .hilbert import CollectiveShape, PureState, x_polarized_state, fidelity
+from .hilbert import CollectiveShape, PureState
 from .spin_algebra import coherent_axis_state
-from .floquet import DriveParams, precompute, evolve
 
 def parity_case_of(shape: CollectiveShape) -> str:
     odd = shape.n_sat % 2 == 1
@@ -103,12 +102,3 @@ def milestone_state(shape: CollectiveShape, time_index: int) -> PureState:
     amps /= np.linalg.norm(amps)
     return PureState(shape, amps)
 
-
-def milestone_fidelity(shape: CollectiveShape, params: DriveParams,
-                       time_index: int) -> float:
-    """Evolve the x-polarized state time_index periods and compare."""
-    target = milestone_state(shape, time_index)
-    state = x_polarized_state(shape)
-    tables = precompute(shape, params)
-    evolve(state, tables, time_index)
-    return fidelity(state, target)

@@ -1,9 +1,8 @@
-"""DTC classification: stroboscopic averages, order parameters, period
-detection and the tabulated predictions for the various DTC families.
+"""DTC classification: stroboscopic averages, order parameters, revival
+periods and the tabulated predictions for the various DTC families.
 
-The revival period is measured two ways. detect_period reads the four
-per-period columns of a whole trajectory; first_revival drives the state
-itself and stops at the first period whose fidelity to the start is above
+first_revival measures the revival period: it drives the x-polarized start
+and stops at the first period whose fidelity to the start is above
 1 - epsilon, reading nothing but that fidelity.
 """
 
@@ -20,13 +19,6 @@ DEFAULT_REVIVAL_EPSILON = 1e-8
 DEFAULT_PERIOD_SCAN_MAX = 64
 # how far classify_subsystem lets a magnetization miss its pattern
 _TAXONOMY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class PeriodReport:
-    detected_period: int | None
-    revival_fidelity: float
-    magnetization_period: int | None
 
 
 def _period_sum(values) -> np.ndarray:
@@ -72,43 +64,11 @@ def check_epsilon(epsilon: float) -> None:
         raise ShapeError(f"epsilon must be in (0, 1), got {epsilon}")
 
 
-def _check_revival_scan(n_periods: int, epsilon: float) -> None:
-    """What a revival measurement needs: a period to look at and epsilon
-    in (0, 1)."""
-    if n_periods < 1:
-        raise ShapeError("empty trajectory")
-    check_epsilon(epsilon)
-
-
-def _revived(fidelity, epsilon: float):
-    """Whether each fidelity is a revival: above 1 - epsilon."""
-    return fidelity > 1 - epsilon
-
-
-def detect_period(columns,
-                  epsilon: float = DEFAULT_REVIVAL_EPSILON) -> PeriodReport:
-    """Find the first full revival and the period of the magnetization
-    signal in the four columns (m_sat_x, m_c_x, entropy, fidelity) of
-    periods 1..n, as floquet.evolve returns them with
-    observables.trajectory_columns (() for n = 0)."""
-    _check_revival_scan(len(columns[0]) if columns else 0, epsilon)
-    m, _, _, fidelity = map(np.asarray, columns)
-    revived = np.flatnonzero(_revived(fidelity, epsilon))
-    detected = int(revived[0]) + 1 if revived.size else None
-    rev_fid = float(fidelity[revived[0]]) if revived.size else 0.0
-    # only shifts that already match at i = 0 need the full comparison
-    shifts = np.flatnonzero(np.abs(m[1:] - m[0]) <= epsilon) + 1
-    mag_period = next((int(p) for p in shifts
-                       if (np.abs(m[p:] - m[:-p]) <= epsilon).all()), None)
-    return PeriodReport(detected_period=detected, revival_fidelity=rev_fid,
-                        magnetization_period=mag_period)
-
-
 def first_revival(tables: StepTables, max_periods: int,
                   epsilon: float = DEFAULT_REVIVAL_EPSILON) -> int | None:
     """The first period, 1..max_periods, at which the x-polarized start of
-    tables.shape revives (fidelity to it above 1 - epsilon), or None:
-    detect_period's detected_period without recording the trajectory.
+    tables.shape revives (fidelity to it above 1 - epsilon), or None,
+    without recording the trajectory.
 
     It drives that start through floquet.evolve in chunks of 1, 2, 4, ...
     periods, each continuing the last, reads each period's fidelity
@@ -118,14 +78,16 @@ def first_revival(tables: StepTables, max_periods: int,
     """
     if max_periods < 0:     # evolve's own check, ahead of the empty one
         raise ShapeError(f"n_periods must be >= 0, got {max_periods}")
-    _check_revival_scan(max_periods, epsilon)
+    if max_periods == 0:
+        raise ShapeError("empty trajectory")
+    check_epsilon(epsilon)
     state = x_polarized_state(tables.shape)
     done, chunk = 0, 1
     while done < max_periods:
         count = min(chunk, max_periods - done)
         (fidelity,) = evolve(state, tables, count,
                              lambda states: (initial_fidelity(states),))
-        revived = np.flatnonzero(_revived(fidelity, epsilon))
+        revived = np.flatnonzero(fidelity > 1 - epsilon)
         if revived.size:
             return done + 1 + int(revived[0])
         done, chunk = done + count, 2 * chunk

@@ -17,9 +17,5 @@ class NotTabulatedError(SpinDtcError):
     """(n_sat, s) combination has no row in the requested table."""
 
 
-class DegenerateInformationError(SpinDtcError):
-    """Fisher matrix is (numerically) singular; no finite uncertainty bound."""
-
-
 class CheckpointError(SpinDtcError):
-    """Corrupt or malformed checkpoint / CSV data."""
+    """Corrupt or malformed checkpoint data."""

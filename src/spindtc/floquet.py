@@ -100,8 +100,8 @@ def _x_basis_kick(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 def magnetic_numbers(shape: CollectiveShape) -> tuple[np.ndarray, np.ndarray]:
     """(J^z per satellite index, central S^z per level, descending).
 
-    The same numbers are the S^a eigenvalues in the joint eigenbasis of
-    any axis a (to_axis_basis).
+    The same numbers are the S^x eigenvalues in the joint x basis
+    (to_x_basis).
     """
     return (shape.n_sat / 2.0 - np.arange(shape.n_sat + 1),
             shape.s - np.arange(shape.central_dim))
@@ -131,20 +131,19 @@ def precompute(shape: CollectiveShape,
     )
 
 
-def to_axis_basis(mat: np.ndarray, shape: CollectiveShape, axis: str) -> np.ndarray:
-    """Rotate states from the joint z basis into the joint eigenbasis of
-    S^axis, where magnetic_numbers are the S^axis eigenvalues.
+def to_x_basis(mat: np.ndarray, shape: CollectiveShape) -> np.ndarray:
+    """Rotate states from the joint z basis into the joint x basis, the
+    basis evolve drives in, where magnetic_numbers are the S^x eigenvalues.
 
     mat holds states as (..., satellite index, central level), any leading
     axes. Returns the rotated states in the same shape.
     """
-    v_s, v_c = _eigenbases(shape, axis)
+    v_s, v_c = _eigenbases(shape, "x")
     return v_s.conj().T @ mat @ v_c.conj()
 
 
 def from_x_basis(mat: np.ndarray, shape: CollectiveShape) -> np.ndarray:
-    """Inverse of to_axis_basis on the x axis, the basis evolve drives in,
-    with the same layout."""
+    """Inverse of to_x_basis, with the same layout."""
     v_s, v_c = _eigenbases(shape, "x")
     return v_s @ (mat @ v_c.T)
 
@@ -176,7 +175,7 @@ def evolve(state: PureState, tables: StepTables, n_periods: int,
         return ()
     shape, flat = state.shape, state.amplitudes.shape
     d = shape.central_dim
-    x = to_axis_basis(state.amplitudes.reshape(flat[:-1] + (-1, d)), shape, "x")
+    x = to_x_basis(state.amplitudes.reshape(flat[:-1] + (-1, d)), shape)
     k_s, k_c = tables.satellite_kick, tables.central_kick
     phases = tables.interaction_phases.reshape(x.shape)
 

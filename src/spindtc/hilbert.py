@@ -66,7 +66,7 @@ class PureState:
 
     amplitudes may carry leading axes, one row per state of a stack: the
     drive step, norm, magnetizations, reduced central density and entropy
-    act row by row. inner and fidelity take single states.
+    act row by row.
     """
 
     shape: CollectiveShape
@@ -85,18 +85,6 @@ def x_polarized_state(shape: CollectiveShape) -> PureState:
     sat = coherent_axis_state(shape.n_sat, "x", "+")
     central = coherent_axis_state(shape.two_s, "x", "+")
     return PureState(shape, np.outer(sat, central).ravel())
-
-
-def inner(a: PureState, b: PureState) -> complex:
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.amplitudes.ndim != 1 or b.amplitudes.ndim != 1:
-        raise ShapeError("inner and fidelity take single states, not stacks")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def fidelity(a: PureState, b: PureState) -> float:
-    return float(abs(inner(a, b)) ** 2)
 
 
 def reduced_central_density(state: PureState) -> np.ndarray:

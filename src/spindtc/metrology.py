@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, DegenerateInformationError
+from .errors import ShapeError
 from .hilbert import CollectiveShape, x_polarized_state
 from .floquet import DriveParams, magnetic_numbers, _STACK_ENTRIES, _eigenbases
 
@@ -133,12 +133,6 @@ def qfi_scan(scans, params: DriveParams) -> list[list[QfiMatrix]]:
         matrices.update(_walk({shape: wanted[shape] for shape in group},
                               params))
     return [[matrices[shape, n] for n in counts] for shape, counts in scans]
-
-
-def qfi_matrix(shape: CollectiveShape, params: DriveParams,
-               n_periods: int) -> QfiMatrix:
-    """The Fisher matrix after n_periods periods: qfi_scan at one count."""
-    return qfi_scan([(shape, [n_periods])], params)[0][0]
 
 
 def _entries(shape: CollectiveShape) -> int:
@@ -261,29 +255,3 @@ def _matrix(stack: np.ndarray, n_periods: int, delta: float) -> QfiMatrix:
     return QfiMatrix(f_ll=f_ll, f_gg=f_gg, f_lg=f_lg, n_periods=n_periods,
                      delta=delta, f_ll_crosscheck=cc_ll, f_gg_crosscheck=cc_gg,
                      f_lg_crosscheck=cc_lg, estimators_disagree=disagree)
-
-
-def sensing_gain(q: QfiMatrix) -> float:
-    """q.gain, or DegenerateInformationError where the matrix has none."""
-    if np.isnan(q.gain):
-        raise DegenerateInformationError(
-            f"Fisher matrix degenerate (f_ll={q.f_ll:.3e}, f_gg={q.f_gg:.3e}, "
-            f"f_lg={q.f_lg:.3e})")
-    return q.gain
-
-
-def fit_power_law(points) -> tuple[float, float]:
-    """Least-squares slope of ln y vs ln x and its r squared."""
-    pts = list(points)
-    if len(pts) < 3:
-        raise ShapeError(f"need at least 3 points, got {len(pts)}")
-    x = np.array([p[0] for p in pts], dtype=float)
-    y = np.array([p[1] for p in pts], dtype=float)
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ShapeError("power-law fit needs strictly positive x and y")
-    lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    return float(slope), r2

@@ -1,11 +1,11 @@
 """Per-period measurements: magnetizations, entropy, fidelity.
 
-Magnetizations default to the x axis: the initial state is x-polarized and
-the period-doubled dynamics flips between +-x products, so <S^x> is the
+The magnetizations are along x: the initial state is x-polarized and the
+period-doubled dynamics flips between +-x products, so <S^x> is the
 signal with the +-1/2 (satellite) and +-s (central) ranges.
 
-In the joint eigenbasis of an axis (floquet.to_axis_basis) a magnetization
-is the populations |X|^2 weighted by floquet.magnetic_numbers.
+In the joint x basis (floquet.to_x_basis) an x magnetization is the
+populations |X|^2 weighted by floquet.magnetic_numbers.
 floquet.evolve hands its observer states in the joint x basis, so the
 per-period columns (trajectory_columns) read them there: the x
 magnetizations, the entropy of the central density (the basis change is
@@ -38,8 +38,7 @@ import numpy as np
 from .errors import ShapeError
 from .hilbert import (CollectiveShape, PureState, x_polarized_state,
                       reduced_central_density, _hermitian_entropy)
-from .floquet import (DriveParams, precompute, evolve, magnetic_numbers,
-                      to_axis_basis)
+from .floquet import DriveParams, precompute, evolve, magnetic_numbers
 
 
 def _populations(amps: np.ndarray) -> np.ndarray:
@@ -49,8 +48,8 @@ def _populations(amps: np.ndarray) -> np.ndarray:
 
 
 def magnetizations(state: PureState) -> tuple[np.ndarray, np.ndarray]:
-    """(satellite-averaged, central) <S^a> per row of states held in the
-    joint eigenbasis of S^a; from the x-polarized start, the observer for
+    """(satellite-averaged, central) <S^x> per row of states held in the
+    joint x basis; from the x-polarized start, the observer for
     floquet.evolve that reads only the x magnetizations. Each row is an
     elementwise product and a sum over the last axis, so it does not depend
     on the other rows."""
@@ -58,19 +57,6 @@ def magnetizations(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     p = _populations(state.amplitudes)
     return ((p * np.repeat(m_sat, m_c.size)).sum(axis=-1) / state.shape.n_sat,
             (p * np.tile(m_c, m_sat.size)).sum(axis=-1))
-
-
-def magnetization(state: PureState, target: str,
-                  axis: str = "x") -> float | np.ndarray:
-    """<S^axis> per satellite spin, or of the central spin (per row of a
-    state stack in the z basis)."""
-    if target not in ("satellites", "central"):
-        raise ShapeError(f"target must be 'satellites' or 'central', got {target!r}")
-    shape, amps = state.shape, state.amplitudes
-    mat = amps.reshape(amps.shape[:-1] + (-1, shape.central_dim))
-    rotated = PureState(shape, to_axis_basis(mat, shape, axis).reshape(amps.shape))
-    m_sat, m_c = magnetizations(rotated)
-    return m_sat if target == "satellites" else m_c
 
 
 def initial_fidelity(states: PureState) -> np.ndarray:

@@ -54,11 +54,9 @@ points and evolves 128 (265 and 248 at (9, 5/2)). The grid's bookkeeping
 (fold and snap, checkpoint records, CSV rows) runs as array passes over
 the whole grid or a stack's worth of records, and one table of seven
 values per point holds every row, stored, mirrored or computed, from the
-checkpoint to the records returned. compute_point is run_grid on a
-one-point grid.
+checkpoint to the records returned.
 """
 
-import csv
 import errno
 import itertools
 import math
@@ -237,24 +235,6 @@ def _scan(shape: CollectiveShape, points, periods: int,
                     axis=-1)
 
 
-def compute_point(shape: CollectiveShape, lam: float, g: float,
-                  periods: int, stride: int) -> PhaseMapRecord:
-    """One trajectory from the x-polarized state, reduced to map averages:
-    run_grid on the one-point grid at (lam, g).
-
-    A one-point axis has no grid value to snap to, so the point is evolved
-    at its fold, unless the folded lambda is 0 or 2pi (then its record is
-    the closed form's, observables.series; a folded g of 0 sends lambda to
-    0), and the record carries lam and g, with both o_rel negated at a
-    mirror image. A larger grid evolves at the grid value its fold lands on
-    instead (_canonical_points), so a mirror row of a scan equals
-    compute_point at its canonical grid point, mapped as above, and may
-    differ in the last bits from compute_point at its own.
-    """
-    return run_grid(GridSpec((lam, lam, 1), (g, g, 1), shape, periods,
-                             stride))[0]
-
-
 def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
              report: Callable[[str], None] | None = None
              ) -> list[PhaseMapRecord]:
@@ -269,7 +249,10 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
     its values, with both o_rel negated at a mirror image, and the point's
     own (lambda, g). A fold that misses the grid keeps its float, so an
     asymmetric grid still evolves every point it needs, and a row depends
-    only on its own (lambda, g) and the grid's axes. Stored, mirrored and
+    only on its own (lambda, g) and the grid's axes. A one-point axis has
+    no other value to snap to, so a one-point grid evolves at the fold
+    itself, and a mirror row of a larger grid may differ in the last bits
+    from the one-point grid at its own (lambda, g). Stored, mirrored and
     computed rows all go into one table of seven values per point, from
     which the records are built at the end.
 
@@ -511,20 +494,3 @@ def write_csv(records: list[PhaseMapRecord], destination: str) -> None:
     """Write the phase map through write_rows."""
     write_rows(destination, [CSV_COMMENT, CSV_HEADER], records)
 
-
-def read_csv(source: str) -> list[PhaseMapRecord]:
-    """Parse write_csv output; malformed rows report their line number."""
-    out = []
-    with open(source, newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None or ",".join(header) != CSV_HEADER:
-            raise CheckpointError(f"bad or missing header in {source}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 7:
-                raise CheckpointError(f"{source}:{lineno}: expected 7 fields, got {len(row)}")
-            try:
-                out.append(PhaseMapRecord(*[float(v) for v in row]))
-            except ValueError as exc:
-                raise CheckpointError(f"{source}:{lineno}: {exc}") from None
-    return out

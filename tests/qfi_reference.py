@@ -1,6 +1,6 @@
 """Exact quantum Fisher matrix by tangent propagation through dense unitaries.
 
-Shared test reference for `metrology.qfi_matrix`. It uses neither the
+Shared test reference for `metrology.qfi_scan`. It uses neither the
 metrology module nor the matrix-free engine. exact_qfi works on the 2^n
 layout; exact_collective_qfi on two collective spins, which reaches n_sat in
 the hundreds. In exact_qfi the period unitary

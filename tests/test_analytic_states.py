@@ -3,12 +3,12 @@ import pytest
 
 from spindtc.errors import ShapeError
 from spindtc.spin_algebra import coherent_axis_state
-from spindtc.hilbert import (CollectiveShape, PureState, fidelity,
+from spindtc.hilbert import (CollectiveShape, PureState, x_polarized_state,
                              reduced_central_density, von_neumann_entropy)
-from spindtc.floquet import DriveParams
-from spindtc.observables import magnetization
+from spindtc.floquet import DriveParams, precompute, evolve, to_x_basis
+from spindtc.observables import magnetizations
 from spindtc.analytic_states import (parity_case_of, supported_time_indices,
-                                     milestone_state, milestone_fidelity)
+                                     milestone_state)
 
 SPECIAL = DriveParams.symmetric(np.pi, np.pi / 2)
 
@@ -41,7 +41,7 @@ def test_bad_spec_rejected():
     with pytest.raises(ShapeError):
         milestone_state(sh, 7)
     with pytest.raises(ShapeError):
-        milestone_fidelity(CollectiveShape(8, 4), SPECIAL, 6)
+        milestone_state(CollectiveShape(8, 4), 6)
 
 
 def test_all_milestones_normalized():
@@ -86,8 +86,11 @@ def test_super_cat_entangled():
 def test_milestone_fidelities_all_cases(n_sat, two_s):
     sh = CollectiveShape(n_sat, two_s)
     case = parity_case_of(sh)
+    tables = precompute(sh, SPECIAL)
     for t in supported_time_indices(case):
-        f = milestone_fidelity(sh, SPECIAL, t)
+        st = x_polarized_state(sh)
+        evolve(st, tables, t)
+        f = abs(np.vdot(st.amplitudes, milestone_state(sh, t).amplitudes)) ** 2
         assert f >= 1 - 1e-8, (case, t, f)
 
 
@@ -100,8 +103,12 @@ def test_milestone_fidelities_at_large_n_sat():
         for two_s in range(1, 5):
             sh = CollectiveShape(n_sat, two_s)
             case = parity_case_of(sh)
+            tables = precompute(sh, SPECIAL)
             for t in supported_time_indices(case):
-                f = milestone_fidelity(sh, SPECIAL, t)
+                st = x_polarized_state(sh)
+                evolve(st, tables, t)
+                f = abs(np.vdot(st.amplitudes,
+                                milestone_state(sh, t).amplitudes)) ** 2
                 assert f >= 1 - 1e-12, (n_sat, two_s, t, f)
 
 
@@ -111,19 +118,22 @@ def test_half_period_reversal():
         sh = CollectiveShape(n_sat, two_s)
         case = parity_case_of(sh)
         st = milestone_state(sh, t)
-        assert fidelity(st, _product(sh, "-")) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(st.amplitudes, _product(sh, "-").amplitudes)) ** 2 \
+            == pytest.approx(1.0, abs=1e-12)
 
 
 def test_even_int_never_reverses_polarity():
     sh = CollectiveShape(8, 4)
     for t in supported_time_indices("even_int"):
-        st = milestone_state(sh, t)
-        assert magnetization(st, "satellites", "x") >= -1e-9
+        mat = milestone_state(sh, t).amplitudes.reshape(-1, sh.central_dim)
+        x = to_x_basis(mat, sh)
+        assert magnetizations(PureState(sh, x.reshape(-1)))[0] >= -1e-9
 
 
 def test_fidelity_at_zero_interaction():
     # lambda=0 never builds the milestone; overlap is just the static one
     sh = CollectiveShape(9, 5)
-    f = milestone_fidelity(sh, DriveParams.symmetric(0.0, np.pi / 2),
-                           6)
+    st = x_polarized_state(sh)
+    evolve(st, precompute(sh, DriveParams.symmetric(0.0, np.pi / 2)), 6)
+    f = abs(np.vdot(st.amplitudes, milestone_state(sh, 6).amplitudes)) ** 2
     assert f < 0.999

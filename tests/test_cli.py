@@ -12,11 +12,10 @@ import pytest
 
 from spindtc.cli import (parse_angle, parse_spin, parse_int_list, read_config,
                          build_parser, parse_and_dispatch)
-from spindtc.errors import SpinDtcError
 from spindtc.floquet import DriveParams, precompute, evolve
 from spindtc.hilbert import CollectiveShape, x_polarized_state
 from spindtc.observables import trajectory_columns
-from spindtc.metrology import qfi_matrix, sensing_gain
+from spindtc.metrology import qfi_scan
 from spindtc.sweep import CHECKPOINT_MAGIC, RECORD_VERSION
 from spindtc.spin_algebra import coherent_axis_state
 from spindtc import (analytic_states, hilbert, metrology, cli, sweep,
@@ -615,7 +614,7 @@ def test_readme_documents_every_flag():
 
 def test_qfi_time_scan_matches_single_rows(tmp_path):
     # one walk for the --periods-list scan, in the given order, repeats and
-    # 0 included; every row bitwise as from its own qfi_matrix call
+    # 0 included; every row bitwise as from its own one-count qfi_scan
     out = tmp_path / "qfi.csv"
     assert parse_and_dispatch(["qfi", "--n-sat", "6", "--spin", "2",
                                "--lambda", "1.3", "--g", "0.7",
@@ -625,13 +624,9 @@ def test_qfi_time_scan_matches_single_rows(tmp_path):
     want = []
     for n_sat, n in [(6, 40), (6, 8), (6, 0), (6, 8), (6, 24), (6, 3),
                      (3, 48), (5, 48)]:
-        q = qfi_matrix(CollectiveShape(n_sat, 4), params, n)
-        try:
-            gain = sensing_gain(q)
-        except SpinDtcError:
-            gain = float("nan")
+        q = qfi_scan([(CollectiveShape(n_sat, 4), [n])], params)[0][0]
         want.append(f"{n_sat},4,{n},{q.f_ll:.17g},{q.f_gg:.17g},"
-                    f"{q.f_lg:.17g},{q.g_scalar:.17g},{gain:.17g}")
+                    f"{q.f_lg:.17g},{q.g_scalar:.17g},{q.gain:.17g}")
     assert out.read_text().splitlines()[1:] == want
 
 

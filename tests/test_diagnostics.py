@@ -7,7 +7,7 @@ from spindtc.hilbert import CollectiveShape, x_polarized_state
 from spindtc.floquet import DriveParams, precompute, evolve
 from spindtc.observables import trajectory_columns, magnetizations
 from spindtc.diagnostics import (stroboscopic_average, relative_order_parameter,
-                                 detect_period, first_revival,
+                                 first_revival,
                                  predict_dtc_class, fit_cosine_amplitude,
                                  classify_subsystem, DEFAULT_REVIVAL_EPSILON)
 
@@ -94,41 +94,15 @@ def test_averages_sum_periods_in_order(rows):
 @pytest.mark.parametrize("n_sat,two_s,period", [(8, 4, 4), (8, 5, 12),
                                                 (9, 4, 12), (9, 5, 24)])
 def test_detect_period_special_points(n_sat, two_s, period):
-    traj = _trajectory(n_sat, two_s, np.pi, np.pi / 2, period + 2)
-    report = detect_period(traj)
-    assert report.detected_period == period
-    assert report.revival_fidelity > 1 - 1e-8
+    sh = CollectiveShape(n_sat, two_s)
+    assert first_revival(_tables(sh, np.pi, np.pi / 2), period + 2) == period
+    fidelity = _trajectory(n_sat, two_s, np.pi, np.pi / 2, period + 2)[3]
+    assert fidelity[period - 1] > 1 - 1e-8
 
 
 def test_detect_period_lambda_2pi():
-    traj = _trajectory(9, 5, 2 * np.pi, 1.234, 6)
-    assert detect_period(traj).detected_period == 2
-
-
-@pytest.mark.parametrize("n_sat,two_s,lam,g,periods,expected", [
-    (9, 5, 2 * np.pi, 1.234, 12, 2),
-    (8, 4, np.pi, np.pi / 2, 24, 4),
-    (9, 5, np.pi, np.pi / 2, 64, 24),
-    (8, 4, 1.3, 0.7, 64, None),
-])
-def test_magnetization_period(n_sat, two_s, lam, g, periods, expected):
-    # the first shift p with |m[i + p] - m[i]| <= epsilon at every i, pinned
-    # on the collective layout the CLI runs
-    sh = CollectiveShape(n_sat, two_s)
-    st = x_polarized_state(sh)
-    traj = evolve(st, precompute(sh, DriveParams.symmetric(lam, g)),
-                  periods, trajectory_columns)
-    assert detect_period(traj).magnetization_period == expected
-
-
-def test_detect_period_validation():
-    with pytest.raises(ShapeError):
-        detect_period([])
-    with pytest.raises(ShapeError, match="empty trajectory"):
-        detect_period(_trajectory(2, 1, 1.0, 1.0, 0))
-    traj = _trajectory(2, 1, 1.0, 1.0, 3)
-    with pytest.raises(ShapeError):
-        detect_period(traj, epsilon=2.0)
+    sh = CollectiveShape(9, 5)
+    assert first_revival(_tables(sh, 2 * np.pi, 1.234), 6) == 2
 
 
 def _tables(shape, lam, g):
@@ -155,13 +129,15 @@ def _count_periods(monkeypatch):
     (8, 4, 1.3, 0.7),           # no revival within 64 periods
 ])
 def test_first_revival_matches_detect_period(layout, n_sat, two_s, lam, g):
-    # first_revival stops at the revival detect_period finds in the whole
-    # recorded trajectory, and at the one the 2^n reference drive shows
+    # first_revival stops at the first period of the whole recorded
+    # trajectory whose fidelity to the start is above 1 - epsilon, and at
+    # the one the 2^n reference drive shows
     sh = CollectiveShape(n_sat, two_s)
     tables = _tables(sh, lam, g)
     if layout is CollectiveShape:
         traj = evolve(x_polarized_state(sh), tables, 64, trajectory_columns)
-        want = detect_period(traj).detected_period
+        revived = np.flatnonzero(traj[3] > 1 - DEFAULT_REVIVAL_EPSILON)
+        want = int(revived[0]) + 1 if revived.size else None
     else:
         full = SystemShape(n_sat, two_s)
         start = x_polarized(full)
@@ -261,6 +237,43 @@ def test_regular_tables_hold_every_reachable_key():
         for n_sat in (4, 6):
             for two_s in (2, 4):
                 assert predict_dtc_class(n_sat, two_s, regime).period in (12, 24)
+
+
+# README's regular-table comparison as measured: first_revival over 100
+# periods at the CLI's regular points, one list per 2s over n_sat = 2, 4,
+# ..., 60. Ten of the 240 differ from the tables: (2, 1) at (pi, pi/4), and
+# (2, 2) and s = 1 at n_sat = 4, 12, ..., 60 at (pi/2, pi/2). The tables are
+# not asserted against these periods.
+_REGULAR_REVIVALS = {
+    (np.pi, np.pi / 4): {
+        2: [6, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12,
+            24, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24],
+        4: [24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24,
+            24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24],
+        6: [12, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12,
+            24, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24],
+        8: [24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24,
+            24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24],
+    },
+    (np.pi / 2, np.pi / 2): {
+        2: [24, 12, 24, 24, 24, 12, 24, 24, 24, 12, 24, 24, 24, 12, 24,
+            24, 24, 12, 24, 24, 24, 12, 24, 24, 24, 12, 24, 24, 24, 12],
+        4: [12, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24,
+            12, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12],
+        6: [24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24,
+            24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24],
+        8: [24, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24,
+            12, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12, 24, 12],
+    },
+}
+
+
+def test_regular_points_revive_as_measured():
+    for (lam, g), rows in _REGULAR_REVIVALS.items():
+        for two_s, periods in rows.items():
+            got = [first_revival(_tables(CollectiveShape(n_sat, two_s), lam, g),
+                                 100) for n_sat in range(2, 61, 2)]
+            assert got == periods, (lam, g, two_s)
 
 
 def test_fit_cosine_amplitude():

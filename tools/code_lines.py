@@ -1,4 +1,6 @@
-"""Count the code lines of src/spindtc, one count per file and a total.
+"""Count the code lines of src/spindtc, one count per file and a total,
+then the total of tests/ by the same rule, so that code moved from src into
+the tests shows.
 
 A line counts when it holds a token other than a comment, NL, NEWLINE,
 INDENT or DEDENT (ENCODING and ENDMARKER are skipped too), and the lines of
@@ -12,7 +14,9 @@ import io
 import tokenize
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "spindtc"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "spindtc"
+TESTS = ROOT / "tests"
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -47,6 +51,8 @@ def main() -> None:
         total += count
         print(f"{path.name:24s} {count:5d}")
     print(f"{'total':24s} {total:5d}")
+    tests = sum(code_lines(path.read_text()) for path in TESTS.glob("*.py"))
+    print(f"{'tests total':24s} {tests:5d}")
 
 
 if __name__ == "__main__":

@@ -15,10 +15,13 @@ shows every byte in which the two trees' outputs differ.
 
 The commands: evolve on and off the closed-form lines lambda = 0 and 2pi
 mod 4pi, with a negative period count on both; every classify regime, with
-zero and negative period counts; the benchmark's three qfi scans; and
+zero and negative period counts; the benchmark's three qfi scans;
 phase-map sweeps at (8, 2) and (9, 5/2), fresh, resumed from a checkpoint
 whose last record is cut mid-write, resumed from the first eighth of a
-checkpoint, and at stride 3.
+checkpoint, and at stride 3; and states at (8, 2), (8, 5/2), (9, 2) and
+(9, 5/2), one parity class each, listing the milestone times and printing
+every milestone, then an unsupported time and a 2^n basis over the
+amplitude budget.
 
 Usage: python3 tools/same_outputs.py SRC [OUT]   (OUT: a new directory;
 a fresh temporary one when omitted)
@@ -54,6 +57,15 @@ def _qfi(spin, *flags):
 def _sweep(shape, *extra):
     return ["sweep", *shape, *extra, "--checkpoint", "map.ckpt",
             "--output", "map.csv"]
+
+
+def _states(n_sat, spin, *time):
+    return ["states", "--n-sat", n_sat, "--spin", spin, *time]
+
+
+# (n_sat, spin, milestone times) of each parity class
+_MILESTONES = [("8", "2", (1, 2, 3, 4)), ("8", "5/2", (3, 6, 12)),
+               ("9", "2", (3, 6, 12)), ("9", "5/2", (1, 2, 3, 4, 5, 6, 12, 24))]
 
 
 # (name, argv, checkpoint to start from: (earlier command, cut) or None)
@@ -93,6 +105,16 @@ COMMANDS = [
     ("sweep-9-default-eighth", _sweep(_SHAPE_9),
      ("sweep-9-default", "eighth")),
     ("sweep-8-default-stride-3", _sweep(_SHAPE_8, "--stride", "3"), None),
+]
+for n_sat, spin, times in _MILESTONES:
+    label = f"states-{n_sat}-{spin.replace('/', 'over')}"
+    COMMANDS.append((label, _states(n_sat, spin), None))
+    COMMANDS += [(f"{label}-t{t}", _states(n_sat, spin, "--time", str(t)), None)
+                 for t in times]
+COMMANDS += [
+    ("states-8-2-unsupported", _states("8", "2", "--time", "6"), None),
+    ("states-30-1over2-over-budget", _states("30", "1/2", "--time", "3"),
+     None),
 ]
 
 

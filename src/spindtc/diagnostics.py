@@ -2,8 +2,9 @@
 periods and the tabulated predictions for the various DTC families.
 
 first_revival measures the revival period: it drives the x-polarized start
-and stops at the first period whose fidelity to the start is above
-1 - epsilon, reading nothing but that fidelity.
+one period at a time and stops at the first period whose fidelity to the
+start is above 1 - epsilon, reading nothing but that fidelity, so a
+revival at period r costs r periods.
 """
 
 from dataclasses import dataclass
@@ -12,8 +13,8 @@ import numpy as np
 
 from .errors import ShapeError, NotTabulatedError
 from .hilbert import x_polarized_state
-from .floquet import StepTables, evolve
-from .observables import initial_fidelity
+from .floquet import StepTables, period_states
+from .observables import _populations
 
 DEFAULT_REVIVAL_EPSILON = 1e-8
 DEFAULT_PERIOD_SCAN_MAX = 64
@@ -70,27 +71,20 @@ def first_revival(tables: StepTables, max_periods: int,
     tables.shape revives (fidelity to it above 1 - epsilon), or None,
     without recording the trajectory.
 
-    It drives that start through floquet.evolve in chunks of 1, 2, 4, ...
-    periods, each continuing the last, reads each period's fidelity
-    (observables.initial_fidelity, which is the fidelity to the x-polarized
-    start) and stops after the chunk that holds the revival: a revival at
-    period r costs at most 2r - 1 periods, and none costs max_periods.
+    It drives that start one period at a time (floquet.period_states) and
+    reads each period's fidelity as evolve's fidelity column does, the
+    population of the first x-basis state (observables._populations), so a
+    revival at period r costs r periods, and none costs max_periods.
     """
-    if max_periods < 0:     # evolve's own check, ahead of the empty one
+    if max_periods < 0:     # evolve's message, ahead of the empty one
         raise ShapeError(f"n_periods must be >= 0, got {max_periods}")
     if max_periods == 0:
         raise ShapeError("empty trajectory")
     check_epsilon(epsilon)
-    state = x_polarized_state(tables.shape)
-    done, chunk = 0, 1
-    while done < max_periods:
-        count = min(chunk, max_periods - done)
-        (fidelity,) = evolve(state, tables, count,
-                             lambda states: (initial_fidelity(states),))
-        revived = np.flatnonzero(fidelity > 1 - epsilon)
-        if revived.size:
-            return done + 1 + int(revived[0])
-        done, chunk = done + count, 2 * chunk
+    states = period_states(x_polarized_state(tables.shape), tables)
+    for n, x in zip(range(1, max_periods + 1), states):
+        if _populations(x[..., 0, 0]) > 1 - epsilon:
+            return n
     return None
 
 

@@ -10,13 +10,17 @@ K = V^H diag(e^{-i g m}) V the kick of each spin in its x basis. It changes
 basis once on entry and once on exit, and hands its observer the states of
 every period in the x basis, where each x magnetization is a population sum
 weighted by magnetic_numbers; evolve returns what the observer reads as
-per-period columns. Period cost is O(D * (n_sat + d)) instead of
-the dense O(D^2). Each row keeps its own dense kick factors, one matrix
-product per row, rather than the Fisher walk's real rotations that one
-product applies to a whole stack (metrology): a product over many rows
-rounds a row differently from the same row alone (about half the rows of a
-stack, measured), and the sweep promises that a resumed scan equals a fresh
-one bitwise, whichever rows share a stack.
+per-period columns. period_states yields the same x-basis states one
+period at a time, without end, for a caller that decides after each period
+whether to go on (diagnostics.first_revival); both run every period
+through the one map _x_basis_drive builds. Period cost is
+O(D * (n_sat + d)) instead of the dense O(D^2). Each row keeps its own
+dense kick factors, one matrix product per row, rather than the Fisher
+walk's real rotations that one product applies to a whole stack
+(metrology): a product over many rows rounds a row differently from the
+same row alone (about half the rows of a stack, measured), and the sweep
+promises that a resumed scan equals a fresh one bitwise, whichever rows
+share a stack.
 
 The satellite factor is the Dicke ladder of J = n_sat/2
 (hilbert.CollectiveShape): its magnetic numbers are the J^z eigenvalues, its
@@ -29,7 +33,7 @@ evolve call is its rows of state times its periods.
 """
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +87,10 @@ class StepTables:
     central_kick: np.ndarray
 
 
-def _eigenbases(shape: CollectiveShape, axis: str) -> tuple[np.ndarray, np.ndarray]:
-    """(satellite, central) eigenbases of S^axis (columns by descending
+def _eigenbases(shape: CollectiveShape) -> tuple[np.ndarray, np.ndarray]:
+    """(satellite, central) eigenbases of S^x (columns by descending
     magnetic number)."""
-    return axis_eigenbasis(shape.n_sat, axis), axis_eigenbasis(shape.two_s, axis)
+    return axis_eigenbasis(shape.n_sat, "x"), axis_eigenbasis(shape.two_s, "x")
 
 
 def _x_basis_kick(v: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -122,7 +126,7 @@ def precompute(shape: CollectiveShape,
                      np.array([[p.lam, p.g_s, p.g_c] for p in points]).T)
     # one (point, satellite index, central level) entry per phase
     interaction = np.exp(1j * lam[..., None, None] * m_sat[:, None] * m_c)
-    v_s, v_c = _eigenbases(shape, "x")
+    v_s, v_c = _eigenbases(shape)
     return StepTables(
         shape=shape,
         interaction_phases=interaction.reshape(rows + (-1,)),
@@ -138,14 +142,47 @@ def to_x_basis(mat: np.ndarray, shape: CollectiveShape) -> np.ndarray:
     mat holds states as (..., satellite index, central level), any leading
     axes. Returns the rotated states in the same shape.
     """
-    v_s, v_c = _eigenbases(shape, "x")
+    v_s, v_c = _eigenbases(shape)
     return v_s.conj().T @ mat @ v_c.conj()
 
 
 def from_x_basis(mat: np.ndarray, shape: CollectiveShape) -> np.ndarray:
     """Inverse of to_x_basis, with the same layout."""
-    v_s, v_c = _eigenbases(shape, "x")
+    v_s, v_c = _eigenbases(shape)
     return v_s @ (mat @ v_c.T)
+
+
+def _x_basis_drive(state: PureState, tables: StepTables) -> tuple:
+    """(X, period): state's amplitudes rotated into the joint x basis as
+    (..., satellite index, central level) matrices, and the one-period map
+    X -> (K_s X K_c^T) * P on them, which returns a new array each call.
+    Every period of the module runs through this map."""
+    if state.shape != tables.shape:
+        raise ShapeError(f"state shape {state.shape} != tables shape {tables.shape}")
+    shape, flat = state.shape, state.amplitudes.shape
+    x = to_x_basis(state.amplitudes.reshape(flat[:-1] + (-1, shape.central_dim)),
+                   shape)
+    k_s, k_c = tables.satellite_kick, tables.central_kick
+    phases = tables.interaction_phases.reshape(x.shape)
+
+    def period(x):
+        x = k_s @ x @ k_c
+        x *= phases
+        return x
+
+    return x, period
+
+
+def period_states(state: PureState, tables: StepTables) -> Iterator[np.ndarray]:
+    """Yield the states of periods 1, 2, ... of the drive from state,
+    without end, as evolve computes them: each a new array of x-basis
+    matrices (..., satellite index, central level), the caller's to keep.
+    state is rotated once, at the first period asked for, and is not
+    changed; a caller stops by asking for no more periods."""
+    x, period = _x_basis_drive(state, tables)
+    while True:
+        x = period(x)
+        yield x
 
 
 def evolve(state: PureState, tables: StepTables, n_periods: int,
@@ -165,37 +202,23 @@ def evolve(state: PureState, tables: StepTables, n_periods: int,
     leading axis runs over periods 1..n_periods. Without observe, or at
     zero periods, evolve returns (). A block holds at most
     _BLOCK_AMPLITUDES (4096) amplitudes, or one period when a single state
-    is larger, so observing holds at most that much beyond the state.
+    is larger, so a call holds at most that much beyond the state.
     """
     if n_periods < 0:
         raise ShapeError(f"n_periods must be >= 0, got {n_periods}")
-    if state.shape != tables.shape:
-        raise ShapeError(f"state shape {state.shape} != tables shape {tables.shape}")
+    x, period = _x_basis_drive(state, tables)
     if n_periods == 0:
         return ()
     shape, flat = state.shape, state.amplitudes.shape
-    d = shape.central_dim
-    x = to_x_basis(state.amplitudes.reshape(flat[:-1] + (-1, d)), shape)
-    k_s, k_c = tables.satellite_kick, tables.central_kick
-    phases = tables.interaction_phases.reshape(x.shape)
-
-    def period(x):
-        x = k_s @ x @ k_c
-        x *= phases
-        return x
-
     blocks = []
-    if observe is None:
-        for _ in range(n_periods):
+    block = max(1, _BLOCK_AMPLITUDES // state.amplitudes.size)
+    for done in range(0, n_periods, block):
+        states = np.empty((min(block, n_periods - done),) + x.shape,
+                          dtype=x.dtype)
+        for row in states:
             x = period(x)
-    else:
-        block = max(1, _BLOCK_AMPLITUDES // state.amplitudes.size)
-        for done in range(0, n_periods, block):
-            states = np.empty((min(block, n_periods - done),) + x.shape,
-                              dtype=x.dtype)
-            for row in states:
-                x = period(x)
-                row[...] = x
+            row[...] = x
+        if observe is not None:
             blocks.append(observe(
                 PureState(shape, states.reshape((len(states),) + flat))))
     state.amplitudes = from_x_basis(x, shape).reshape(flat)

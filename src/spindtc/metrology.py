@@ -200,7 +200,7 @@ def _walk(wanted: dict, params: DriveParams) -> dict:
         k_source[i, :n], h_source[i, :n] = (1j * gen for gen in _generators(shape))
         stack[i, :n][:, [0, 3, 4, 5, 6]] = \
             x_polarized_state(shape).amplitudes.reshape(n, 1, d)
-        v_s, v_c = _eigenbases(shape, "x")
+        v_s, v_c = _eigenbases(shape)
         to_x_s[i, :n, :n], from_x_s[i, :n, :n] = v_s.T, v_s
         steps.append(step)
 

@@ -28,7 +28,9 @@ Since e^{i 4pi J^x S^x} is +-1, a lambda has the columns of lambda mod
 4pi, so every multiple of 2pi, such as 4pi, 6pi or -2pi, has the closed
 form of the line it is on mod 4pi.
 floquet.evolve, which knows nothing of this, is the path the closed form is
-checked against; classify and diagnostics.first_revival call it directly.
+checked against; classify calls it directly on the lambda = 2pi taxonomy,
+and diagnostics.first_revival drives floquet.period_states, the periods
+evolve runs, reading the fidelity through _populations.
 """
 
 import math

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spindtc import diagnostics
+from spindtc import floquet
 from spindtc.errors import ShapeError, NotTabulatedError
 from spindtc.hilbert import CollectiveShape, x_polarized_state
 from spindtc.floquet import DriveParams, precompute, evolve
@@ -91,8 +91,13 @@ def test_averages_sum_periods_in_order(rows):
         np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("n_sat,two_s,period", [(8, 4, 4), (8, 5, 12),
-                                                (9, 4, 12), (9, 5, 24)])
+# the special HO-DTC period of each parity class at (pi, pi/2), keyed by
+# (n_sat, 2s): the benchmark's four classify shapes
+_SPECIAL_PERIODS = {(8, 4): 4, (8, 5): 12, (9, 4): 12, (9, 5): 24}
+
+
+@pytest.mark.parametrize("n_sat,two_s,period",
+                         [(*k, r) for k, r in _SPECIAL_PERIODS.items()])
 def test_detect_period_special_points(n_sat, two_s, period):
     sh = CollectiveShape(n_sat, two_s)
     assert first_revival(_tables(sh, np.pi, np.pi / 2), period + 2) == period
@@ -110,15 +115,20 @@ def _tables(shape, lam, g):
 
 
 def _count_periods(monkeypatch):
-    """Record the period count of every evolve call first_revival makes."""
-    counts = []
+    """Count the drive periods run, at the one map every period of floquet
+    runs through (floquet._x_basis_drive)."""
+    count = [0]
 
-    def counted(state, tables, n_periods, observe=None):
-        counts.append(n_periods)
-        return evolve(state, tables, n_periods, observe)
+    def counted(state, tables, _real=floquet._x_basis_drive):
+        x, period = _real(state, tables)
 
-    monkeypatch.setattr(diagnostics, "evolve", counted)
-    return counts
+        def step(x):
+            count[0] += 1
+            return period(x)
+        return x, step
+
+    monkeypatch.setattr(floquet, "_x_basis_drive", counted)
+    return count
 
 
 @pytest.mark.parametrize("layout", [CollectiveShape, SystemShape])
@@ -150,20 +160,26 @@ def test_first_revival_matches_detect_period(layout, n_sat, two_s, lam, g):
 
 
 def test_first_revival_stops_after_the_revival(monkeypatch):
-    # the revival at period 4 lies in the chunk of periods 4..7
-    counts = _count_periods(monkeypatch)
-    sh = CollectiveShape(8, 4)
-    assert first_revival(_tables(sh, np.pi, np.pi / 2), 64) == 4
-    assert counts == [1, 2, 4]
-    assert sum(counts) <= 2 * 4 - 1
+    # at (pi, pi/2) each parity class revives at its special period r
+    # (4, 12, 12, 24), after exactly r periods; asked for r - 1 periods it
+    # drives those and finds none
+    count = _count_periods(monkeypatch)
+    for (n_sat, two_s), r in _SPECIAL_PERIODS.items():
+        tables = _tables(CollectiveShape(n_sat, two_s), np.pi, np.pi / 2)
+        count[0] = 0
+        assert first_revival(tables, 64) == r
+        assert count == [r]
+        assert first_revival(tables, r) == r
+        count[0] = 0
+        assert first_revival(tables, r - 1) is None
+        assert count == [r - 1]
 
 
 def test_first_revival_without_revival_drives_max_periods(monkeypatch):
-    counts = _count_periods(monkeypatch)
+    count = _count_periods(monkeypatch)
     sh = CollectiveShape(8, 4)
     assert first_revival(_tables(sh, 1.3, 0.7), 50) is None
-    assert counts == [1, 2, 4, 8, 16, 19]
-    assert sum(counts) == 50
+    assert count == [50]
 
 
 def test_first_revival_validation():

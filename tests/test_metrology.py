@@ -364,7 +364,7 @@ def test_lone_walk_holds_one_satellite_rotation(monkeypatch):
     # beside the shared V); the satellite products are the walk's only
     # ones with a stack of matrices on the left
     shape = CollectiveShape(2, 3)
-    v = metrology._eigenbases(shape, "x")[0]
+    v = metrology._eigenbases(shape)[0]
     held = []
 
     def matmul(a, b, **kw):

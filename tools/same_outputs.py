@@ -15,7 +15,12 @@ shows every byte in which the two trees' outputs differ.
 
 The commands: evolve on and off the closed-form lines lambda = 0 and 2pi
 mod 4pi, with a negative period count on both; every classify regime, with
-zero and negative period counts; the benchmark's three qfi scans;
+zero and negative period counts; the revival search's stopping rule:
+classify --regime special at (8, 2), (8, 5/2), (9, 2) and (9, 5/2), which
+revive at periods 4, 12, 12 and 24, at (9, 5/2) with --periods 24 and 23
+(the revival on the last period, and one period short of it), and at
+(8, 2) at (1.3, 0.7), where nothing revives within 64 periods; the
+benchmark's three qfi scans;
 phase-map sweeps at (8, 2) and (9, 5/2), fresh, resumed from a checkpoint
 whose last record is cut mid-write, resumed from the first eighth of a
 checkpoint, and at stride 3; and states at (8, 2), (8, 5/2), (9, 2) and
@@ -37,6 +42,8 @@ from pathlib import Path
 
 _SHAPE_9 = ["--n-sat", "9", "--spin", "5/2"]
 _SHAPE_8 = ["--n-sat", "8", "--spin", "2"]
+_SHAPE_8_HALF = ["--n-sat", "8", "--spin", "5/2"]
+_SHAPE_9_INT = ["--n-sat", "9", "--spin", "2"]
 _MAP_9X5 = ["--lambda-steps", "9", "--g-steps", "5"]
 
 
@@ -82,6 +89,15 @@ COMMANDS = [
     ("evolve-9-pi-negative", _evolve(_SHAPE_9, "pi", "pi/2", -1), None),
     ("classify-lambda2pi", _classify("lambda2pi", _SHAPE_9), None),
     ("classify-special", _classify("special", _SHAPE_8), None),
+    ("classify-special-8-5over2", _classify("special", _SHAPE_8_HALF), None),
+    ("classify-special-9-2", _classify("special", _SHAPE_9_INT), None),
+    ("classify-special-9-5over2", _classify("special", _SHAPE_9), None),
+    ("classify-special-9-at-24", _classify("special", _SHAPE_9, "--periods",
+                                           "24"), None),
+    ("classify-special-9-at-23", _classify("special", _SHAPE_9, "--periods",
+                                           "23"), None),
+    ("classify-special-8-1.3", _classify("special", _SHAPE_8, "--lambda",
+                                         "1.3", "--g", "0.7"), None),
     ("classify-regular1", _classify("regular1", _SHAPE_8), None),
     ("classify-regular2", _classify("regular2", _SHAPE_8), None),
     ("classify-lambda2pi-zero", _classify("lambda2pi", _SHAPE_9, "--periods",

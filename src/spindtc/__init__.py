@@ -6,7 +6,7 @@ from .errors import (SpinDtcError, ShapeError, CapacityError,
                      NotTabulatedError, CheckpointError)
 from .spin_algebra import (SpinOperators, spin_matrices, axis_eigenbasis,
                            coherent_axis_state)
-from .hilbert import (CollectiveShape, PureState, x_polarized_state,
+from .hilbert import (CollectiveShape, x_polarized_state,
                       reduced_central_density, von_neumann_entropy)
 from .floquet import DriveParams, StepTables, precompute, evolve
 from .observables import magnetizations, trajectory_columns, series

@@ -5,20 +5,20 @@ Each milestone is a superposition of at most four products of extremal
 coherent states, sum over (satellite sign, central sign) of
 c * prod_i |sign_s>^sat_axis (x) |sign_c * s>^cen_axis. On the collective
 layout the satellite product prod_i |sign_s>^sat_axis is the extremal state
-|J, sign_s J>^sat_axis of the spin J = n_sat/2, so each term is the
-Kronecker product of two coherent states (spin_algebra.coherent_axis_state,
-whose amplitudes are the closed form's), at any n_sat. A shape's parity
-case (parity_case_of) picks its table. The coefficient tables below are
-exact (entries in {0, +-1, +-i}); early times (t <= 3) additionally depend
-on n_sat mod 4 and 2s mod 4, which the narrative parity-case classification
-glosses over. Coefficients are fixed under this package's coherent-state
+|J, sign_s J>^sat_axis of the spin J = n_sat/2, so each term is the outer
+product of two coherent states (spin_algebra.coherent_axis_state, whose
+amplitudes are the closed form's), a state matrix (hilbert), at any n_sat.
+A shape's parity case (parity_case_of) picks its table. The coefficient
+tables below are exact (entries in {0, +-1, +-i}); early times (t <= 3)
+additionally depend on n_sat mod 4 and 2s mod 4, which the narrative
+parity-case classification glosses over. Coefficients are fixed under this package's coherent-state
 phase conventions and are global-phase normalized (first nonzero entry 1).
 """
 
 import numpy as np
 
 from .errors import ShapeError
-from .hilbert import CollectiveShape, PureState
+from .hilbert import CollectiveShape
 from .spin_algebra import coherent_axis_state
 
 def parity_case_of(shape: CollectiveShape) -> str:
@@ -79,9 +79,9 @@ def supported_time_indices(parity_case: str) -> tuple[int, ...]:
         raise ShapeError(f"unknown parity case {parity_case!r}") from None
 
 
-def milestone_state(shape: CollectiveShape, time_index: int) -> PureState:
+def milestone_state(shape: CollectiveShape, time_index: int) -> np.ndarray:
     """The normalized milestone superposition of the shape's parity case
-    at time_index periods."""
+    at time_index periods, as a state matrix."""
     case = parity_case_of(shape)
     try:
         sat_axis, cen_axis, coeffs = _MILESTONES[case][time_index]
@@ -91,14 +91,14 @@ def milestone_state(shape: CollectiveShape, time_index: int) -> PureState:
             f"supported: {supported_time_indices(case)}") from None
     if isinstance(coeffs, dict):
         coeffs = coeffs[(shape.n_sat % 4, shape.two_s % 4)]
-    amps = np.zeros(shape.dim, dtype=complex)
+    amps = np.zeros(shape.dims, dtype=complex)
     for c, (sat_sign, cen_sign) in zip(coeffs, (("+", "+"), ("+", "-"),
                                                 ("-", "+"), ("-", "-"))):
         if c == 0:
             continue
-        amps += c * np.kron(
+        amps += c * np.outer(
             coherent_axis_state(shape.n_sat, sat_axis, sat_sign),
             coherent_axis_state(shape.two_s, cen_axis, cen_sign))
     amps /= np.linalg.norm(amps)
-    return PureState(shape, amps)
+    return amps
 

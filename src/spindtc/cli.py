@@ -350,7 +350,7 @@ def _cmd_states(args) -> int:
         raise CapacityError(f"printing {shape} in the 2^n basis needs {dim} "
                             f"amplitudes, over the budget {MAX_DIMENSION}")
     norms = np.sqrt([math.comb(shape.n_sat, k) for k in range(shape.n_sat + 1)])
-    spread = state.amplitudes.reshape(-1, d) / norms[:, None]
+    spread = state / norms[:, None]
     print(f"milestone at t={args.time}T, parity case {case}, dim {dim}")
     print("index,k_sat,l_c,re,im")
     for k_sat in range(1 << shape.n_sat):

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ShapeError, NotTabulatedError
 from .hilbert import x_polarized_state
 from .floquet import StepTables, period_states
-from .observables import _populations
+from .observables import initial_fidelity
 
 DEFAULT_REVIVAL_EPSILON = 1e-8
 DEFAULT_PERIOD_SCAN_MAX = 64
@@ -72,9 +72,9 @@ def first_revival(tables: StepTables, max_periods: int,
     without recording the trajectory.
 
     It drives that start one period at a time (floquet.period_states) and
-    reads each period's fidelity as evolve's fidelity column does, the
-    population of the first x-basis state (observables._populations), so a
-    revival at period r costs r periods, and none costs max_periods.
+    reads each period's fidelity as evolve's fidelity column does
+    (observables.initial_fidelity), so a revival at period r costs r
+    periods, and none costs max_periods.
     """
     if max_periods < 0:     # evolve's message, ahead of the empty one
         raise ShapeError(f"n_periods must be >= 0, got {max_periods}")
@@ -83,7 +83,7 @@ def first_revival(tables: StepTables, max_periods: int,
     check_epsilon(epsilon)
     states = period_states(x_polarized_state(tables.shape), tables)
     for n, x in zip(range(1, max_periods + 1), states):
-        if _populations(x[..., 0, 0]) > 1 - epsilon:
+        if initial_fidelity(x) > 1 - epsilon:
             return n
     return None
 

@@ -3,8 +3,8 @@
 One drive period is: kick U_d = exp(-i g_c S_c^z) prod_i exp(-i g_s S_i^z),
 then interaction U_0 = exp(i lambda sum_i S_i^x S_c^x). The interaction is
 diagonal in the joint x basis (the collective satellite spin and the
-central spin rotated into their x eigenbases), and evolve drives the state there: with X
-the state as a (satellite index, central level) matrix, one period is
+central spin rotated into their x eigenbases), and evolve drives the state
+there: with X the state matrix (hilbert), one period is
 X <- (K_s X K_c^T) * P, P the interaction diagonal and
 K = V^H diag(e^{-i g m}) V the kick of each spin in its x basis. It changes
 basis once on entry and once on exit, and hands its observer the states of
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .hilbert import CollectiveShape, PureState
+from .hilbert import CollectiveShape
 from .spin_algebra import axis_eigenbasis
 
 # amplitudes of one block of observed periods in evolve. Per-period Python
@@ -77,7 +77,8 @@ class StepTables:
     precompute) carry a leading row axis on every entry."""
 
     shape: CollectiveShape
-    # diagonal of U_0 in the joint x basis
+    # diagonal of U_0 in the joint x basis, one phase per entry of the
+    # state matrix
     interaction_phases: np.ndarray
     # K_s, the (n_sat+1)^2 satellite kick in the x basis: it multiplies the
     # state matrix from the left
@@ -93,22 +94,21 @@ def _eigenbases(shape: CollectiveShape) -> tuple[np.ndarray, np.ndarray]:
     return axis_eigenbasis(shape.n_sat, "x"), axis_eigenbasis(shape.two_s, "x")
 
 
-def _x_basis_kick(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """exp(-i g S^z) of a spin in its x eigenbasis v (columns by descending
-    m): V^H diag(e^{-i g m}) V, one matrix per entry of g."""
-    m = (len(v) - 1) / 2.0 - np.arange(len(v))
-    phases = np.exp(-1j * np.multiply.outer(g, m))
-    return (v.conj().T * phases[..., None, :]) @ v
-
-
-def magnetic_numbers(shape: CollectiveShape) -> tuple[np.ndarray, np.ndarray]:
-    """(J^z per satellite index, central S^z per level, descending).
+def magnetic_numbers(dim: int) -> np.ndarray:
+    """S^z of a spin of dim levels, by descending level: J^z per satellite
+    index at dim = n_sat + 1, central S^z per level at dim = 2s + 1.
 
     The same numbers are the S^x eigenvalues in the joint x basis
     (to_x_basis).
     """
-    return (shape.n_sat / 2.0 - np.arange(shape.n_sat + 1),
-            shape.s - np.arange(shape.central_dim))
+    return (dim - 1) / 2.0 - np.arange(dim)
+
+
+def _x_basis_kick(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """exp(-i g S^z) of a spin in its x eigenbasis v (columns by descending
+    m): V^H diag(e^{-i g m}) V, one matrix per entry of g."""
+    phases = np.exp(-1j * np.multiply.outer(g, magnetic_numbers(len(v))))
+    return (v.conj().T * phases[..., None, :]) @ v
 
 
 def precompute(shape: CollectiveShape,
@@ -118,18 +118,16 @@ def precompute(shape: CollectiveShape,
     With a sequence of drive points every table is stacked, one row per
     point, for a state stack with one row per point.
     """
-    m_sat, m_c = magnetic_numbers(shape)
+    m_sat, m_c = map(magnetic_numbers, shape.dims)
     single = isinstance(params, DriveParams)
     points = [params] if single else params
     rows = () if single else (len(points),)
     lam, g_s, g_c = (a.reshape(rows) for a in
                      np.array([[p.lam, p.g_s, p.g_c] for p in points]).T)
-    # one (point, satellite index, central level) entry per phase
-    interaction = np.exp(1j * lam[..., None, None] * m_sat[:, None] * m_c)
     v_s, v_c = _eigenbases(shape)
     return StepTables(
         shape=shape,
-        interaction_phases=interaction.reshape(rows + (-1,)),
+        interaction_phases=np.exp(1j * lam[..., None, None] * m_sat[:, None] * m_c),
         satellite_kick=_x_basis_kick(v_s, g_s),
         central_kick=np.ascontiguousarray(_x_basis_kick(v_c, g_c).swapaxes(-1, -2)),
     )
@@ -139,8 +137,8 @@ def to_x_basis(mat: np.ndarray, shape: CollectiveShape) -> np.ndarray:
     """Rotate states from the joint z basis into the joint x basis, the
     basis evolve drives in, where magnetic_numbers are the S^x eigenvalues.
 
-    mat holds states as (..., satellite index, central level), any leading
-    axes. Returns the rotated states in the same shape.
+    mat holds state matrices, any leading axes. Returns the rotated states
+    in the same shape.
     """
     v_s, v_c = _eigenbases(shape)
     return v_s.conj().T @ mat @ v_c.conj()
@@ -152,18 +150,17 @@ def from_x_basis(mat: np.ndarray, shape: CollectiveShape) -> np.ndarray:
     return v_s @ (mat @ v_c.T)
 
 
-def _x_basis_drive(state: PureState, tables: StepTables) -> tuple:
-    """(X, period): state's amplitudes rotated into the joint x basis as
-    (..., satellite index, central level) matrices, and the one-period map
-    X -> (K_s X K_c^T) * P on them, which returns a new array each call.
-    Every period of the module runs through this map."""
-    if state.shape != tables.shape:
-        raise ShapeError(f"state shape {state.shape} != tables shape {tables.shape}")
-    shape, flat = state.shape, state.amplitudes.shape
-    x = to_x_basis(state.amplitudes.reshape(flat[:-1] + (-1, shape.central_dim)),
-                   shape)
+def _x_basis_drive(state: np.ndarray, tables: StepTables) -> tuple:
+    """(X, period): the state matrices rotated into the joint x basis, and
+    the one-period map X -> (K_s X K_c^T) * P on them, which returns a new
+    array each call. Every period of the module runs through this map.
+    Raises ShapeError unless state's last two axes are tables.shape.dims."""
+    if state.shape[-2:] != tables.shape.dims:
+        raise ShapeError(f"state matrices of shape {state.shape[-2:]} != "
+                         f"{tables.shape.dims} of {tables.shape}")
+    x = to_x_basis(state, tables.shape)
     k_s, k_c = tables.satellite_kick, tables.central_kick
-    phases = tables.interaction_phases.reshape(x.shape)
+    phases = tables.interaction_phases
 
     def period(x):
         x = k_s @ x @ k_c
@@ -173,30 +170,35 @@ def _x_basis_drive(state: PureState, tables: StepTables) -> tuple:
     return x, period
 
 
-def period_states(state: PureState, tables: StepTables) -> Iterator[np.ndarray]:
-    """Yield the states of periods 1, 2, ... of the drive from state,
-    without end, as evolve computes them: each a new array of x-basis
-    matrices (..., satellite index, central level), the caller's to keep.
-    state is rotated once, at the first period asked for, and is not
-    changed; a caller stops by asking for no more periods."""
+def period_states(state: np.ndarray, tables: StepTables) -> Iterator[np.ndarray]:
+    """Yield the states of periods 1, 2, ... of the drive from the state
+    matrices state (z basis, any leading axes), without end, as evolve
+    computes them: each a new array of x-basis state matrices of state's
+    shape, the caller's to keep. state is checked and rotated once, at the
+    first period asked for, and is not changed; a caller stops by asking
+    for no more periods."""
     x, period = _x_basis_drive(state, tables)
     while True:
         x = period(x)
         yield x
 
 
-def evolve(state: PureState, tables: StepTables, n_periods: int,
+def evolve(state: np.ndarray, tables: StepTables, n_periods: int,
            observe=None) -> tuple:
-    """Apply (kick; interaction) n_periods times, observing every period.
+    """Apply (kick; interaction) n_periods times to the z-basis state
+    matrices state, in place, observing every period.
 
-    state may be a stack of states, one row per drive point of stacked
-    tables (see precompute). It is rotated into the joint x basis once on
-    entry, driven there (kick factors and the interaction diagonal), and
-    rotated back into the z basis once on exit; an evolve call of zero
-    periods leaves it untouched. observe, if given, is called once per
-    block of consecutive periods as observe(states): states is a PureState
-    in the joint x basis whose amplitudes have one more leading axis than
-    state's, one entry per period of the block, and are observe's to keep.
+    state may be a stack of state matrices, one row per drive point of
+    stacked tables (see precompute); it must be a complex array, which can
+    hold the final state, with last two axes tables.shape.dims, or evolve
+    raises ShapeError before any period. It is
+    rotated into the joint x basis once on entry, driven there (kick
+    factors and the interaction diagonal), and the final state, rotated
+    back into the z basis, is written into state on exit; an evolve call
+    of zero periods leaves it untouched. observe, if given, is called once
+    per block of consecutive periods as observe(states): states is an
+    array of x-basis state matrices with one more leading axis than
+    state, one entry per period of the block, and is observe's to keep.
     It returns a tuple of arrays whose leading axis is the block's periods,
     and evolve returns each of them joined over the blocks, so that its
     leading axis runs over periods 1..n_periods. Without observe, or at
@@ -206,12 +208,14 @@ def evolve(state: PureState, tables: StepTables, n_periods: int,
     """
     if n_periods < 0:
         raise ShapeError(f"n_periods must be >= 0, got {n_periods}")
+    if not np.iscomplexobj(state):
+        raise ShapeError(f"evolve writes a complex state into state, "
+                         f"which holds {state.dtype}")
     x, period = _x_basis_drive(state, tables)
     if n_periods == 0:
         return ()
-    shape, flat = state.shape, state.amplitudes.shape
     blocks = []
-    block = max(1, _BLOCK_AMPLITUDES // state.amplitudes.size)
+    block = max(1, _BLOCK_AMPLITUDES // state.size)
     for done in range(0, n_periods, block):
         states = np.empty((min(block, n_periods - done),) + x.shape,
                           dtype=x.dtype)
@@ -219,7 +223,6 @@ def evolve(state: PureState, tables: StepTables, n_periods: int,
             x = period(x)
             row[...] = x
         if observe is not None:
-            blocks.append(observe(
-                PureState(shape, states.reshape((len(states),) + flat))))
-    state.amplitudes = from_x_basis(x, shape).reshape(flat)
+            blocks.append(observe(states))
+    state[...] = from_x_basis(x, tables.shape)
     return tuple(map(np.concatenate, zip(*blocks)))

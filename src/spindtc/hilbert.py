@@ -7,12 +7,14 @@ the states symmetric under satellite permutations: the satellites act as
 one spin J = n_sat/2 (the Dicke ladder), and a state is (n_sat + 1)(2s + 1)
 amplitudes instead of 2^n_sat (2s + 1).
 
-Index layout: global index = k_sat * (two_s + 1) + l_c. k_sat in
-{0..n_sat} counts down spins on the Dicke ladder (k_sat = 0 is m = +J);
-l_c in {0..two_s} labels central S^z levels in descending order (l_c = 0 is
-m = +s). The central index is the fastest-varying one, so the interaction
-phase per amplitude follows from k_sat and l_c alone. A density is a plain
-(..., d, d) array, one matrix per row of a stack.
+A state of the two spins is a complex (n_sat + 1, 2s + 1) matrix X, with
+any leading axes for a stack of states (one matrix per row). Its first
+axis, k_sat in {0..n_sat}, counts down spins on the Dicke ladder (k_sat = 0
+is m = +J); its second, l_c in {0..two_s}, labels central S^z levels in
+descending order (l_c = 0 is m = +s). So an operator on one spin acts from
+one side, A X on the satellites and X B^T on the central spin, and the
+interaction phase of an amplitude follows from its two indices alone. A
+density is a plain (..., d, d) array, one matrix per row of a stack.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import ShapeError, CapacityError
 from .spin_algebra import check_positive_int, coherent_axis_state
 
-# Largest state vector we are willing to allocate (amplitude count).
+# Largest array we are willing to allocate (entry count).
 MAX_DIMENSION = 1 << 26
 
 
@@ -52,47 +54,27 @@ class CollectiveShape:
         return self.two_s + 1
 
     @property
-    def dim(self) -> int:
-        return (self.n_sat + 1) * (self.two_s + 1)
+    def dims(self) -> tuple[int, int]:
+        """(n_sat + 1, 2s + 1), the shape of one state matrix."""
+        return self.n_sat + 1, self.two_s + 1
 
     @property
     def s(self) -> float:
         return self.two_s / 2.0
 
 
-@dataclass
-class PureState:
-    """Complex amplitude vector over the joint satellite (x) central space.
-
-    amplitudes may carry leading axes, one row per state of a stack: the
-    drive step, norm, magnetizations, reduced central density and entropy
-    act row by row.
-    """
-
-    shape: CollectiveShape
-    amplitudes: np.ndarray
-
-    def copy(self) -> "PureState":
-        return PureState(self.shape, self.amplitudes.copy())
-
-    def norm(self) -> float | np.ndarray:
-        return np.linalg.norm(self.amplitudes, axis=-1)
-
-
-def x_polarized_state(shape: CollectiveShape) -> PureState:
-    """All satellites in |+x>, central spin in |+s>^x."""
+def x_polarized_state(shape: CollectiveShape) -> np.ndarray:
+    """All satellites in |+x>, central spin in |+s>^x: the product state
+    matrix, a new array."""
     # |+x>^n_sat is the extremal J^x state |J, +J>^x of the collective spin
-    sat = coherent_axis_state(shape.n_sat, "x", "+")
-    central = coherent_axis_state(shape.two_s, "x", "+")
-    return PureState(shape, np.outer(sat, central).ravel())
+    return np.outer(coherent_axis_state(shape.n_sat, "x", "+"),
+                    coherent_axis_state(shape.two_s, "x", "+"))
 
 
-def reduced_central_density(state: PureState) -> np.ndarray:
-    """Partial trace over all satellite indices: the (..., d, d) central
-    density, one matrix per row of a stack."""
-    d = state.shape.central_dim
-    mat = state.amplitudes.reshape(state.amplitudes.shape[:-1] + (-1, d))
-    return mat.swapaxes(-1, -2) @ mat.conj()
+def reduced_central_density(state: np.ndarray) -> np.ndarray:
+    """Partial trace over the satellite axis, X^T X*: the (..., d, d)
+    central density, one matrix per state matrix of a stack."""
+    return state.swapaxes(-1, -2) @ state.conj()
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:

@@ -90,7 +90,7 @@ class QfiMatrix:
 
 def _generators(shape: CollectiveShape) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of K (z basis) and H (x basis) as (satellite, central)."""
-    m_sat, m_c = magnetic_numbers(shape)
+    m_sat, m_c = map(magnetic_numbers, shape.dims)
     return m_sat[:, None] + m_c[None, :], m_sat[:, None] * m_c[None, :]
 
 
@@ -193,13 +193,12 @@ def _walk(wanted: dict, params: DriveParams) -> dict:
         # one (row, satellite index, central level) entry per phase: the
         # kick diagonal in the z basis, the interaction's in the x basis
         lams, gs = np.array(points).T[:, :, None, None]
-        m_sat, m_c = magnetic_numbers(shape)
+        m_sat, m_c = map(magnetic_numbers, shape.dims)
         kick[i, :n] = (np.exp(-1j * gs * m_sat[:, None])
                        * np.exp(-1j * gs * m_c)).swapaxes(0, 1)
         interaction[i, :n] = np.exp(1j * lams * m_sat[:, None] * m_c).swapaxes(0, 1)
         k_source[i, :n], h_source[i, :n] = (1j * gen for gen in _generators(shape))
-        stack[i, :n][:, [0, 3, 4, 5, 6]] = \
-            x_polarized_state(shape).amplitudes.reshape(n, 1, d)
+        stack[i, :n][:, [0, 3, 4, 5, 6]] = x_polarized_state(shape)[:, None]
         v_s, v_c = _eigenbases(shape)
         to_x_s[i, :n, :n], from_x_s[i, :n, :n] = v_s.T, v_s
         steps.append(step)

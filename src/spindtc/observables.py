@@ -30,7 +30,7 @@ form of the line it is on mod 4pi.
 floquet.evolve, which knows nothing of this, is the path the closed form is
 checked against; classify calls it directly on the lambda = 2pi taxonomy,
 and diagnostics.first_revival drives floquet.period_states, the periods
-evolve runs, reading the fidelity through _populations.
+evolve runs, reading the fidelity through initial_fidelity.
 """
 
 import math
@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .errors import ShapeError
-from .hilbert import (CollectiveShape, PureState, x_polarized_state,
+from .hilbert import (CollectiveShape, x_polarized_state,
                       reduced_central_density, _hermitian_entropy)
 from .floquet import DriveParams, precompute, evolve, magnetic_numbers
 
@@ -49,28 +49,29 @@ def _populations(amps: np.ndarray) -> np.ndarray:
     return amps.real ** 2 + amps.imag ** 2
 
 
-def magnetizations(state: PureState) -> tuple[np.ndarray, np.ndarray]:
-    """(satellite-averaged, central) <S^x> per row of states held in the
-    joint x basis; from the x-polarized start, the observer for
-    floquet.evolve that reads only the x magnetizations. Each row is an
-    elementwise product and a sum over the last axis, so it does not depend
-    on the other rows."""
-    m_sat, m_c = magnetic_numbers(state.shape)
-    p = _populations(state.amplitudes)
-    return ((p * np.repeat(m_sat, m_c.size)).sum(axis=-1) / state.shape.n_sat,
-            (p * np.tile(m_c, m_sat.size)).sum(axis=-1))
+def magnetizations(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(satellite-averaged, central) <S^x> per state matrix of states, held
+    in the joint x basis, any leading axes; the shape comes from the last
+    two axes. From the x-polarized start, the observer for floquet.evolve
+    that reads only the x magnetizations. Each matrix is an elementwise
+    product and a sum over its entries, so it does not depend on the other
+    matrices."""
+    m_sat, m_c = map(magnetic_numbers, states.shape[-2:])
+    p = _populations(states)
+    return ((p * m_sat[:, None]).sum(axis=(-2, -1)) / (len(m_sat) - 1),
+            (p * m_c).sum(axis=(-2, -1)))
 
 
-def initial_fidelity(states: PureState) -> np.ndarray:
-    """Fidelity to the x-polarized start per row of states in the joint x
-    basis: |X_00|^2, the population of the first basis state."""
-    return _populations(states.amplitudes[..., 0])
+def initial_fidelity(states: np.ndarray) -> np.ndarray:
+    """Fidelity to the x-polarized start per state matrix of states in the
+    joint x basis: |X_00|^2, the population of the first basis state."""
+    return _populations(states[..., 0, 0])
 
 
-def trajectory_columns(states: PureState) -> tuple:
+def trajectory_columns(states: np.ndarray) -> tuple:
     """Observer for floquet.evolve from the x-polarized start: (satellite
     <S^x>, central <S^x>, entanglement entropy, fidelity to the start), one
-    value per row of a stack of states in the joint x basis. The reduced
+    value per state matrix of states in the joint x basis. The reduced
     density is Hermitian by construction, so the entropy skips
     von_neumann_entropy's check."""
     return (*magnetizations(states),
@@ -137,8 +138,7 @@ def series(shape: CollectiveShape, lam, g, periods: int) -> tuple:
     if not closed.all():
         points = [DriveParams.symmetric(*p) for p in
                   zip(lam[~closed].tolist(), g[~closed].tolist())]
-        stack = PureState(shape, np.tile(x_polarized_state(shape).amplitudes,
-                                         (len(points), 1)))
+        stack = np.tile(x_polarized_state(shape), (len(points), 1, 1))
         columns = evolve(stack, precompute(shape, points), periods,
                          trajectory_columns)
         if columns:

@@ -99,8 +99,8 @@ _SNAP = 1e-9
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular scan: ranges are (lo, hi, steps), endpoints included.
-    lambdas and gs are the two axes, built once, as read-only arrays: lo
-    alone for one step, else np.linspace(lo, hi, steps)."""
+    lambdas and gs are the two axes, built once, as read-only arrays:
+    np.linspace(lo, hi, steps), which is lo alone for one step."""
 
     lambda_range: tuple[float, float, int]
     g_range: tuple[float, float, int]
@@ -125,7 +125,7 @@ class GridSpec:
                 f"stride={self.stride}")
         for name, (lo, hi, steps) in (("lambdas", self.lambda_range),
                                       ("gs", self.g_range)):
-            axis = np.array([lo]) if steps == 1 else np.linspace(lo, hi, steps)
+            axis = np.linspace(lo, hi, steps)
             axis.flags.writeable = False
             object.__setattr__(self, name, axis)
 

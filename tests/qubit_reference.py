@@ -4,7 +4,7 @@ is tested against.
 Here the n_sat satellites are kept as qubits, one by one. Index layout:
 global index = bitstring * (2s + 1) + central level, site 0 the least
 significant bit, bit 1 meaning z-down, central levels by descending m. So a
-state symmetric under satellite permutations with collective amplitudes
+state symmetric under satellite permutations with collective state matrix
 c[k, l] (k down spins) has c[k, l] / sqrt(C(n_sat, k)) at every bitstring of
 popcount k (spread). Nothing here uses that symmetry: drive kicks in the z
 basis and rotates every qubit into its x basis for the interaction, and the
@@ -64,11 +64,11 @@ def x_polarized(shape: SystemShape) -> np.ndarray:
 
 
 def spread(shape: SystemShape, collective: np.ndarray) -> np.ndarray:
-    """Collective amplitudes c[k, l] over the 2^n basis of shape."""
+    """A collective state matrix c[k, l] (k down spins, central level l)
+    over the 2^n basis of shape."""
     down = _popcounts(shape)
     norms = np.sqrt([comb(shape.n_sat, k) for k in range(shape.n_sat + 1)])
-    c = collective.reshape(shape.n_sat + 1, shape.central_dim)
-    return (c[down] / norms[down, None]).reshape(-1)
+    return (collective[down] / norms[down, None]).reshape(-1)
 
 
 def _rotate_qubits(mat: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from spindtc.hilbert import CollectiveShape, PureState, x_polarized_state
+from spindtc.hilbert import CollectiveShape, x_polarized_state
 from spindtc.spin_algebra import coherent_axis_state
 from spindtc.floquet import DriveParams, precompute, evolve
 from spindtc.observables import trajectory_columns
@@ -86,8 +86,8 @@ def test_criterion_04_milestone_states():
 
     ghz = milestone_state(sh, 6)
     double_ghz = milestone_state(sh, 4)
-    assert reached(4, spread(full, double_ghz.amplitudes))
-    assert reached(6, spread(full, ghz.amplitudes))
+    assert reached(4, spread(full, double_ghz))
+    assert reached(6, spread(full, ghz))
     assert reached(12, product_state([coherent_axis_state(1, "x", "-")] * 9,
                                      coherent_axis_state(5, "x", "-")))
 
@@ -115,7 +115,7 @@ def test_criterion_06_oracle_equivalence():
             fast = x_polarized_state(sh)
             evolve(fast, precompute(sh, params), 50)
             dense = oracle_evolve(full, params, x_polarized(full), 50)
-            assert np.max(np.abs(spread(full, fast.amplitudes) - dense)) < 1e-9
+            assert np.max(np.abs(spread(full, fast) - dense)) < 1e-9
     assert time.monotonic() - t0 < 30.0
 
 
@@ -129,12 +129,11 @@ def test_criterion_07_two_period_closed_form():
         tables = precompute(sh, params)
         residual = two_period_residual_phases(full, params)
         for _ in range(100):
-            v = rng.normal(size=sh.dim) + 1j * rng.normal(size=sh.dim)
+            v = rng.normal(size=sh.dims) + 1j * rng.normal(size=sh.dims)
             v /= np.linalg.norm(v)
-            st = PureState(sh, v.copy())
+            st = v.copy()
             evolve(st, tables, 2)
-            overlap = np.vdot(residual * spread(full, v),
-                              spread(full, st.amplitudes))
+            overlap = np.vdot(residual * spread(full, v), spread(full, st))
             assert abs(abs(overlap) - 1.0) < 1e-10
 
 

@@ -5,10 +5,10 @@ import pytest
 
 from spindtc.errors import ShapeError
 from spindtc.spin_algebra import coherent_axis_state
-from spindtc.hilbert import CollectiveShape, PureState, x_polarized_state
+from spindtc.hilbert import CollectiveShape, x_polarized_state
 from spindtc.observables import trajectory_columns
 from spindtc import floquet, observables
-from spindtc.floquet import DriveParams, precompute, evolve
+from spindtc.floquet import DriveParams, precompute, evolve, period_states
 from spindtc.diagnostics import predict_dtc_class
 
 from qubit_reference import (SystemShape, x_polarized, spread, drive,
@@ -17,8 +17,9 @@ from qubit_reference import (SystemShape, x_polarized, spread, drive,
                              two_period_residual_phases)
 
 
-def _random_amplitudes(dim, rng):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+def _random_state(size, rng):
+    """A normalized random state of the given array shape."""
+    v = rng.normal(size=size) + 1j * rng.normal(size=size)
     return v / np.linalg.norm(v)
 
 
@@ -55,19 +56,17 @@ def test_kick_factors_are_the_kick_in_the_x_basis(shape):
     # stacked tables; for one satellite K_s is the closed-form qubit rotation
     rng = np.random.default_rng(5)
     points = [DriveParams(1.1, 0.7, 2.3), DriveParams(0.4, -1.9, 0.3)]
-    d = shape.central_dim
-    m_sat, m_c = floquet.magnetic_numbers(shape)
+    m_sat, m_c = map(floquet.magnetic_numbers, shape.dims)
     for params in (points[0], points):
         t = precompute(shape, params)
         stacked = isinstance(params, list)
         rows = (len(params),) if stacked else ()
         kick = np.array([np.exp(-1j * (p.g_s * m_sat[:, None] + p.g_c * m_c))
                          for p in (params if stacked else [params])])
-        z = rng.normal(size=rows + (shape.dim,)) + 1j * rng.normal(size=rows + (shape.dim,))
-        want = z * kick.reshape(rows + (-1,))
-        x = t.satellite_kick @ floquet.to_x_basis(z.reshape(rows + (-1, d)),
-                                                shape)
-        got = floquet.from_x_basis(x @ t.central_kick, shape).reshape(want.shape)
+        z = rng.normal(size=rows + shape.dims) + 1j * rng.normal(size=rows + shape.dims)
+        want = z * (kick if stacked else kick[0])
+        x = t.satellite_kick @ floquet.to_x_basis(z, shape)
+        got = floquet.from_x_basis(x @ t.central_kick, shape)
         np.testing.assert_allclose(got, want, atol=1e-12)
     g = 0.7
     half = precompute(CollectiveShape(1, 1), DriveParams(0.0, g, g)).satellite_kick
@@ -82,10 +81,10 @@ def test_double_interaction_at_2pi_single_pair():
     sh = CollectiveShape(1, 1)
     t = precompute(sh, DriveParams(lam=2 * np.pi, g_s=0.0, g_c=0.0))
     rng = np.random.default_rng(0)
-    st = PureState(sh, _random_amplitudes(sh.dim, rng))
+    st = _random_state(sh.dims, rng)
     ref = st.copy()
     evolve(st, t, 2)
-    np.testing.assert_allclose(st.amplitudes, -ref.amplitudes, atol=1e-12)
+    np.testing.assert_allclose(st, -ref, atol=1e-12)
 
 
 def test_kick_rotates_x_to_y():
@@ -95,8 +94,8 @@ def test_kick_rotates_x_to_y():
     st = x_polarized_state(sh)
     evolve(st, t, 1)
     plus_y = coherent_axis_state(1, "y", "+")
-    target = np.kron(plus_y, plus_y)
-    assert abs(np.vdot(st.amplitudes, target)) ** 2 == pytest.approx(1.0, abs=1e-12)
+    target = np.outer(plus_y, plus_y)
+    assert abs(np.vdot(st, target)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kick_pi_flips_x():
@@ -105,36 +104,86 @@ def test_kick_pi_flips_x():
     st = x_polarized_state(sh)
     evolve(st, t, 1)
     minus_x = coherent_axis_state(2, "x", "-")
-    target = np.kron(minus_x, minus_x)
-    assert abs(np.vdot(st.amplitudes, target)) ** 2 == pytest.approx(1.0, abs=1e-12)
+    target = np.outer(minus_x, minus_x)
+    assert abs(np.vdot(st, target)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_preserved_many_periods():
     sh = CollectiveShape(5, 3)
     t = precompute(sh, DriveParams(lam=1.37, g_s=0.81, g_c=2.05))
     st = x_polarized_state(sh)
-    (norms,) = evolve(st, t, 100, lambda states: (states.norm(),))
+    (norms,) = evolve(st, t, 100, lambda states: (
+        np.linalg.norm(states, axis=(-2, -1)),))
     assert len(norms) == 100
     assert max(abs(n - 1.0) for n in norms) < 1e-12
-    assert abs(st.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(st) - 1.0) < 1e-12
 
 
 def test_shape_mismatch_rejected():
-    t = precompute(CollectiveShape(2, 1), DriveParams(1, 1, 1))
-    st = x_polarized_state(CollectiveShape(3, 1))
-    with pytest.raises(ShapeError):
-        evolve(st, t, 1)
+    # evolve and period_states take a state whose last two axes are the
+    # tables' (n_sat + 1, 2s + 1), (3, 2) here, and refuse any other before
+    # a period runs: the observer is never called and the state is left as
+    # it was
+    sh = CollectiveShape(2, 1)
+    t = precompute(sh, DriveParams(1, 1, 1))
+    flat = x_polarized_state(sh).ravel()        # the old flat layout
+    calls = []
+    for st in (x_polarized_state(CollectiveShape(3, 1)), flat,
+               np.tile(flat, (4, 1)), x_polarized_state(sh).T.copy(),
+               np.ones(3, dtype=complex)):
+        ref = st.copy()
+        for periods in (0, 1, 5):
+            with pytest.raises(ShapeError, match=r"\(3, 2\)"):
+                evolve(st, t, periods, calls.append)
+        with pytest.raises(ShapeError, match=r"\(3, 2\)"):
+            next(period_states(st, t))
+        assert calls == []
+        np.testing.assert_array_equal(st, ref)
 
 
 def test_evolve_zero_periods():
+    # zero periods observe nothing and leave the state untouched, alone and
+    # in a stack
     sh = CollectiveShape(3, 1)
-    st = x_polarized_state(sh)
-    ref = st.copy()
-    out = evolve(st, precompute(sh, DriveParams(1, 1, 1)), 0)
-    assert out == ()
-    np.testing.assert_allclose(st.amplitudes, ref.amplitudes)
-    with pytest.raises(ShapeError):
-        evolve(st, precompute(sh, DriveParams(1, 1, 1)), -1)
+    calls = []
+    for st, params in ((x_polarized_state(sh), DriveParams(1, 1, 1)),
+                       (np.array([x_polarized_state(sh), np.eye(4, 2)]),
+                        [DriveParams(1, 1, 1), DriveParams(0.3, 2, 1)])):
+        ref = st.copy()
+        out = evolve(st, precompute(sh, params), 0, calls.append)
+        assert out == ()
+        assert calls == []
+        np.testing.assert_array_equal(st, ref)
+        with pytest.raises(ShapeError):
+            evolve(st, precompute(sh, params), -1)
+        np.testing.assert_array_equal(st, ref)
+
+
+def test_evolve_writes_the_final_state_into_its_argument():
+    # evolve overwrites the array it is given, in place, with the z-basis
+    # state of its last period: the one period_states reaches, rotated back
+    sh = CollectiveShape(4, 3)
+    points = [DriveParams.symmetric(1.3, 0.7), DriveParams.symmetric(2.9, 0.4)]
+    t = precompute(sh, points)
+    start = np.array([x_polarized_state(sh),
+                      _random_state(sh.dims, np.random.default_rng(3))])
+    buffer = np.zeros((4,) + sh.dims, dtype=complex)
+    buffer[1:3] = start
+    for periods in (1, 7):
+        view = buffer[1:3]
+        evolve(view, t, periods)
+        x = next(itertools.islice(period_states(start, t), periods - 1, None))
+        np.testing.assert_array_equal(buffer[1:3],
+                                      floquet.from_x_basis(x, sh))
+        assert not buffer[[0, 3]].any()
+        buffer[1:3] = start
+    # a real array cannot hold the final state: refused before any period,
+    # and left as it was
+    real = start.real.copy()
+    for periods in (0, 3):
+        with pytest.raises(ShapeError, match="complex"):
+            evolve(real, t, periods)
+    np.testing.assert_array_equal(real, start.real)
 
 
 def test_period_doubling_revival():
@@ -143,7 +192,7 @@ def test_period_doubling_revival():
     ref = st.copy()
     t = precompute(sh, DriveParams.symmetric(2 * np.pi, 3.0))
     evolve(st, t, 2)
-    assert abs(np.vdot(st.amplitudes, ref.amplitudes)) ** 2 \
+    assert abs(np.vdot(st, ref)) ** 2 \
         == pytest.approx(1.0, abs=1e-10)
 
 
@@ -155,8 +204,7 @@ def test_even_integer_cosine_magnetization():
     t = precompute(sh, DriveParams.symmetric(2 * np.pi, g))
     for n in range(1, 6):
         evolve(st, t, 2)
-        x = floquet.to_x_basis(st.amplitudes.reshape(-1, sh.central_dim), sh)
-        got = observables.magnetizations(PureState(sh, x.reshape(-1)))[0]
+        got = observables.magnetizations(floquet.to_x_basis(st, sh))[0]
         assert got == pytest.approx(0.5 * np.cos(2 * g * n), abs=1e-9)
 
 
@@ -176,7 +224,7 @@ def test_two_period_closed_form(n_sat, two_s):
     residual = two_period_residual_phases(sh, params)
     rng = np.random.default_rng(n_sat * 10 + two_s)
     for _ in range(25):
-        v = _random_amplitudes(sh.dim, rng)
+        v = _random_state(sh.dim, rng)
         overlap = np.vdot(residual * v, drive(sh, params, v, 2)[-1])
         assert abs(overlap) == pytest.approx(1.0, abs=1e-10)
 
@@ -201,7 +249,7 @@ def test_engine_matches_oracle():
     want = oracle_evolve(full, params, x_polarized(full), 7)
     st = x_polarized_state(sh)
     evolve(st, precompute(sh, params), 7)
-    assert np.max(np.abs(spread(full, st.amplitudes) - want)) < 1e-11
+    assert np.max(np.abs(spread(full, st) - want)) < 1e-11
 
 
 @pytest.mark.parametrize("n_sat,two_s", [(4, 2), (3, 3), (2, 2), (4, 3),
@@ -253,11 +301,11 @@ def test_collective_matches_full_engine():
         for lam, g in points:
             params = DriveParams.symmetric(lam, g)
             b = x_polarized_state(coll)
-            np.testing.assert_allclose(spread(full, b.amplitudes), start, atol=1e-14)
+            np.testing.assert_allclose(spread(full, b), start, atol=1e-14)
             states = drive(full, params, start, 50)
             columns = evolve(b, precompute(coll, params), 50,
                              trajectory_columns)
-            assert np.max(np.abs(spread(full, b.amplitudes) - states[-1])) < 1e-10
+            assert np.max(np.abs(spread(full, b) - states[-1])) < 1e-10
             assert [c.shape for c in columns] == [(50,)] * 4
             for amps, values in zip(states, zip(*columns)):
                 want = (*magnetizations(full, amps), entropy(full, amps),
@@ -271,7 +319,7 @@ def test_collective_two_period_closed_form():
     st = x_polarized_state(sh)
     want = two_period_residual_phases(full, params) * x_polarized(full)
     evolve(st, precompute(sh, params), 2)
-    assert abs(np.vdot(want, spread(full, st.amplitudes))) == \
+    assert abs(np.vdot(want, spread(full, st))) == \
         pytest.approx(1.0, abs=1e-10)
 
 
@@ -285,23 +333,23 @@ def test_recorder_called_once_per_block(shape, periods):
 
     def stub(states):
         done = sum(dims[0] for dims in calls)
-        calls.append(states.amplitudes.shape)
-        k = len(states.amplitudes)
+        calls.append(states.shape)
+        k = len(states)
         return np.arange(done + 1, done + k + 1), np.zeros((k, 2))
 
     st = x_polarized_state(shape)
     tables = precompute(shape, DriveParams.symmetric(1.3, 0.7))
     out = evolve(st, tables, periods, stub)
-    block = max(1, floquet._BLOCK_AMPLITUDES // shape.dim)
+    block = max(1, floquet._BLOCK_AMPLITUDES // st.size)
     assert out[0].tolist() == list(range(1, periods + 1))
     assert out[1].shape == (periods, 2)
     assert len(calls) == -(-periods // block)
     firsts = np.cumsum([1] + [dims[0] for dims in calls[:-1]])
     assert firsts.tolist() == list(range(1, periods + 1, block))
     for dims in calls:
-        assert dims[1:] == (shape.dim,)
+        assert dims[1:] == shape.dims
         assert dims[0] <= block
-        assert dims[0] * shape.dim <= floquet._BLOCK_AMPLITUDES or dims[0] == 1
+        assert dims[0] * st.size <= floquet._BLOCK_AMPLITUDES or dims[0] == 1
     # without an observer, or at zero periods, there is nothing to return
     assert evolve(st, tables, periods) == ()
     assert evolve(st, tables, 0, stub) == ()
@@ -326,9 +374,9 @@ def test_basis_changes_once_per_block(monkeypatch):
     shape, periods = CollectiveShape(8, 4), 1000
     st = x_polarized_state(shape)
     out = evolve(st, precompute(shape, DriveParams.symmetric(1.3, 0.7)),
-                 periods, lambda states: (states.amplitudes,))
-    block = floquet._BLOCK_AMPLITUDES // shape.dim
-    assert out[0].shape == (periods, shape.dim)
+                 periods, lambda states: (states,))
+    block = floquet._BLOCK_AMPLITUDES // st.size
+    assert out[0].shape == (periods,) + shape.dims
     assert periods // block > 1
     assert calls == {"to": 1, "from": 1}
 
@@ -345,11 +393,11 @@ def test_special_point_drive_is_a_phase_after_its_period():
             (1, 2, 3, 4, 5, 6, 9, 64, 199, 200, 201, 202), range(1, 9)):
         shape = CollectiveShape(n_sat, two_s)
         r = predict_dtc_class(n_sat, two_s, "special_ho").period
-        start = np.array([_random_amplitudes(shape.dim, rng)
+        start = np.array([_random_state(shape.dims, rng)
                           for _ in range(3)])
-        state = PureState(shape, start.copy())
+        state = start.copy()
         evolve(state, precompute(shape, [params] * 3), r)
-        c = np.vdot(start[0], state.amplitudes[0])
+        c = np.vdot(start[0], state[0])
         assert abs(c) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(state.amplitudes, c * start, rtol=0,
+        np.testing.assert_allclose(state, c * start, rtol=0,
                                    atol=1e-12, err_msg=f"{shape}")

@@ -3,7 +3,7 @@ import pytest
 
 from spindtc.errors import ShapeError, CapacityError
 from spindtc.spin_algebra import coherent_axis_state
-from spindtc.hilbert import (CollectiveShape, PureState, x_polarized_state,
+from spindtc.hilbert import (CollectiveShape, x_polarized_state,
                              reduced_central_density, von_neumann_entropy)
 
 from qubit_reference import SystemShape, product_state, x_polarized
@@ -17,16 +17,16 @@ def test_shape_validation():
     with pytest.raises(CapacityError):
         CollectiveShape(1, 8192)
     # a size that is not an integer is refused at construction, before it
-    # can give a fractional dim
+    # can give fractional dims
     for n_sat, two_s in ((2.5, 1), (2, 1.5), (2.0, 1), (2, np.float64(3))):
         with pytest.raises(ShapeError):
             CollectiveShape(n_sat, two_s)
-    assert CollectiveShape(np.int64(2), np.int32(3)).dim == 12
+    assert CollectiveShape(np.int64(2), np.int32(3)).dims == (3, 4)
 
 
 def test_collective_shape():
     sh = CollectiveShape(41, 5)
-    assert (sh.dim, sh.central_dim, sh.s) == (42 * 6, 6, 2.5)
+    assert (sh.dims, sh.central_dim, sh.s) == ((42, 6), 6, 2.5)
     # the bound is the dense (n_sat+1)^2 satellite rotation, not 2^n_sat
     CollectiveShape(8191, 1)
     with pytest.raises(CapacityError):
@@ -37,7 +37,8 @@ def test_collective_x_polarized_is_symmetric_product():
     # |+x>^n on the Dicke ladder: 2^(-n/2) sqrt(C(n, k)) for k down spins
     from math import comb
     sh = CollectiveShape(6, 2)
-    st = x_polarized_state(sh).amplitudes.reshape(7, 3)
+    st = x_polarized_state(sh)
+    assert st.shape == (7, 3)
     sat = np.array([np.sqrt(comb(6, k)) for k in range(7)]) / 8.0
     central = coherent_axis_state(2, "x", "+")
     np.testing.assert_allclose(st, np.outer(sat, central), atol=1e-14)
@@ -46,7 +47,7 @@ def test_collective_x_polarized_is_symmetric_product():
 def test_shape_properties():
     sh = CollectiveShape(3, 5)
     assert sh.central_dim == 6
-    assert sh.dim == 24
+    assert sh.dims == (4, 6)
     assert sh.s == 2.5
 
 
@@ -82,15 +83,15 @@ def test_product_state_y_phases():
 
 def test_x_polarized_small():
     st = x_polarized_state(CollectiveShape(1, 1))
-    np.testing.assert_allclose(np.abs(st.amplitudes), 0.5, atol=1e-12)
+    np.testing.assert_allclose(np.abs(st), 0.5, atol=1e-12)
 
 
 def test_inner_and_fidelity():
     sh = CollectiveShape(2, 2)
-    a = x_polarized_state(sh).amplitudes
+    a = x_polarized_state(sh)
     assert np.vdot(a, a) == pytest.approx(1.0, abs=1e-12)
-    minus = np.kron(coherent_axis_state(2, "x", "-"),
-                    coherent_axis_state(2, "x", "-"))
+    minus = np.outer(coherent_axis_state(2, "x", "-"),
+                     coherent_axis_state(2, "x", "-"))
     assert abs(np.vdot(a, minus)) ** 2 == pytest.approx(0.0, abs=1e-12)
     assert abs(np.vdot(a, a * np.exp(0.7j))) ** 2 == pytest.approx(1.0, abs=1e-12)
 
@@ -110,9 +111,9 @@ def test_partial_trace_random_states():
         n_sat = int(rng.integers(1, 7))
         two_s = int(rng.integers(1, 6))
         sh = CollectiveShape(n_sat, two_s)
-        v = rng.normal(size=sh.dim) + 1j * rng.normal(size=sh.dim)
+        v = rng.normal(size=sh.dims) + 1j * rng.normal(size=sh.dims)
         v /= np.linalg.norm(v)
-        rho = reduced_central_density(PureState(sh, v))
+        rho = reduced_central_density(v)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
         evals = np.linalg.eigvalsh(rho)
         assert evals.min() > -1e-10
@@ -136,8 +137,8 @@ def test_entropy_check_on_stacks():
     from spindtc.observables import trajectory_columns
     rng = np.random.default_rng(11)
     sh = CollectiveShape(8, 4)
-    v = rng.normal(size=(6, sh.dim)) + 1j * rng.normal(size=(6, sh.dim))
-    stack = PureState(sh, v / np.linalg.norm(v, axis=-1, keepdims=True))
+    v = rng.normal(size=(6,) + sh.dims) + 1j * rng.normal(size=(6,) + sh.dims)
+    stack = v / np.linalg.norm(v, axis=(-2, -1), keepdims=True)
     rho = reduced_central_density(stack)
     np.testing.assert_array_equal(trajectory_columns(stack)[2],
                                   von_neumann_entropy(rho))

@@ -5,7 +5,7 @@ import pytest
 
 from spindtc.errors import ShapeError
 from spindtc.spin_algebra import coherent_axis_state, spin_matrices
-from spindtc.hilbert import (CollectiveShape, PureState, x_polarized_state,
+from spindtc.hilbert import (CollectiveShape, x_polarized_state,
                              reduced_central_density, von_neumann_entropy)
 from spindtc.floquet import (DriveParams, precompute, evolve, to_x_basis,
                              from_x_basis)
@@ -15,13 +15,16 @@ from spindtc.analytic_states import milestone_state
 from spindtc import observables
 
 
+def _shape_of(st):
+    """The CollectiveShape of state matrices, from their last two axes."""
+    return CollectiveShape(st.shape[-2] - 1, st.shape[-1] - 1)
+
+
 def _x_magnetizations(st):
-    """(satellite-averaged, central) <S^x> of z-basis states, one value per
-    row of a stack: magnetizations of the states turned into the x basis."""
-    amps = st.amplitudes
-    x = to_x_basis(amps.reshape(amps.shape[:-1] + (-1, st.shape.central_dim)),
-                   st.shape)
-    return magnetizations(PureState(st.shape, x.reshape(amps.shape)))
+    """(satellite-averaged, central) <S^x> of z-basis state matrices, one
+    value per row of a stack: magnetizations of the states turned into the
+    x basis."""
+    return magnetizations(to_x_basis(st, _shape_of(st)))
 
 
 def test_x_polarized_magnetizations():
@@ -33,8 +36,8 @@ def test_x_polarized_magnetizations():
 
 def test_z_product_magnetizations():
     sh = CollectiveShape(3, 2)
-    st = PureState(sh, np.kron(coherent_axis_state(3, "z", "+"),
-                               coherent_axis_state(2, "z", "+")))
+    st = np.outer(coherent_axis_state(3, "z", "+"),
+                  coherent_axis_state(2, "z", "+"))
     assert _x_magnetizations(st)[0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -74,13 +77,15 @@ def test_super_cat_magnetization_vanishes():
 
 
 def test_magnetization_matches_dense_operator_oracle():
-    # J^x (x) 1 and 1 (x) S^x as dense matrices on the collective layout
+    # J^x (x) 1 and 1 (x) S^x as dense Kronecker products, on the state
+    # matrix read row by row (satellite index major, central level fastest)
     rng = np.random.default_rng(3)
     for n_sat, two_s in ((2, 1), (3, 2), (2, 3)):
         sh = CollectiveShape(n_sat, two_s)
-        v = rng.normal(size=sh.dim) + 1j * rng.normal(size=sh.dim)
-        v /= np.linalg.norm(v)
-        m_sat, m_c = _x_magnetizations(PureState(sh, v))
+        st = rng.normal(size=sh.dims) + 1j * rng.normal(size=sh.dims)
+        st /= np.linalg.norm(st)
+        m_sat, m_c = _x_magnetizations(st)
+        v = st.ravel()
         total = np.kron(spin_matrices(n_sat).sx, np.eye(sh.central_dim))
         want_sat = np.vdot(v, total @ v).real / n_sat
         cen_op = np.kron(np.eye(n_sat + 1), spin_matrices(two_s).sx)
@@ -184,7 +189,7 @@ def test_stack_rows_match_single_states(shape):
     # norm equal, bitwise, those of the same state evolved alone
     points = [(1.3, 0.7), (np.pi, np.pi / 2), (2 * np.pi, 3.0)]
     x = x_polarized_state(shape)
-    stack = PureState(shape, np.tile(x.amplitudes, (len(points), 1)))
+    stack = np.tile(x, (len(points), 1, 1))
     evolve(stack, precompute(shape, [DriveParams.symmetric(*p) for p in points]), 7)
 
     def observables(st):
@@ -195,9 +200,10 @@ def test_stack_rows_match_single_states(shape):
     for b, p in enumerate(points):
         st = x.copy()
         evolve(st, precompute(shape, DriveParams.symmetric(*p)), 7)
-        np.testing.assert_array_equal(stack.amplitudes[b], st.amplitudes)
+        np.testing.assert_array_equal(stack[b], st)
         assert [float(v[b]) for v in rows] == [float(v) for v in observables(st)]
-        assert stack.norm()[b] == st.norm()
+        assert np.linalg.norm(stack, axis=(-2, -1))[b] == \
+            np.linalg.norm(st, axis=(-2, -1))
 
 
 def _per_period_columns(shape, params, periods):
@@ -205,9 +211,9 @@ def _per_period_columns(shape, params, periods):
     # as a block of one
     st = x_polarized_state(shape)
     (states,) = evolve(st, precompute(shape, params), periods,
-                       lambda block: (block.amplitudes,))
+                       lambda block: (block,))
     return [np.concatenate(c) for c in zip(*(
-        trajectory_columns(PureState(shape, amps[None])) for amps in states))]
+        trajectory_columns(x[None]) for x in states))]
 
 
 @pytest.mark.parametrize("shape,periods", [(CollectiveShape(8, 4), 5000),
@@ -238,36 +244,32 @@ def test_one_period_calls_match_one_call():
         want = _z_basis_observables(st)
         assert np.max(np.abs(np.subtract([c[n - 1] for c in got],
                                          want))) < 1e-10
-    assert np.max(np.abs(st.amplitudes - whole.amplitudes)) < 1e-10
+    assert np.max(np.abs(st - whole)) < 1e-10
 
 
 def _z_basis_observables(st):
     """(satellite <S^x>, central <S^x>, entropy, fidelity to the x-polarized
-    start) of a z-basis state, through the public functions."""
+    start) of a z-basis state matrix, through the public functions."""
     return (*_x_magnetizations(st),
             von_neumann_entropy(reduced_central_density(st)),
-            abs(np.vdot(st.amplitudes,
-                        x_polarized_state(st.shape).amplitudes)) ** 2)
+            abs(np.vdot(st, x_polarized_state(_shape_of(st)))) ** 2)
 
 
 def _dense_x_magnetizations(shape, z):
-    """(satellite, central) <S^x> of a z-basis state from spin matrices
-    applied in the z basis, independent of the population sums."""
-    d = shape.central_dim
-    mat = z.reshape(-1, d)
-    central = np.vdot(mat, mat @ spin_matrices(shape.two_s).sx.T).real
-    return np.vdot(mat, spin_matrices(shape.n_sat).sx @ mat).real / shape.n_sat, central
+    """(satellite, central) <S^x> of a z-basis state matrix from spin
+    matrices applied in the z basis, independent of the population sums."""
+    central = np.vdot(z, z @ spin_matrices(shape.two_s).sx.T).real
+    return np.vdot(z, spin_matrices(shape.n_sat).sx @ z).real / shape.n_sat, central
 
 
-def _check_columns(shape, x_amps, columns):
+def _check_columns(shape, x, columns):
     # the columns read from one x-basis state equal the z-basis observables
     # of the same state, to 1e-12
-    st = PureState(shape, from_x_basis(x_amps.reshape(-1, shape.central_dim),
-                                       shape).reshape(-1))
+    st = from_x_basis(x, shape)
     want = _z_basis_observables(st)[:len(columns)]
     assert np.max(np.abs(np.subtract(columns, want))) <= 1e-12
     assert np.max(np.abs(np.subtract(columns[:2],
-                                     _dense_x_magnetizations(shape, st.amplitudes)))) <= 1e-12
+                                     _dense_x_magnetizations(shape, st)))) <= 1e-12
 
 
 @pytest.mark.parametrize("shape", [CollectiveShape(8, 4), CollectiveShape(6, 3)])
@@ -276,11 +278,11 @@ def test_recorded_columns_match_z_basis_observables(shape):
     # its columns equals the x magnetizations, von_neumann_entropy and the
     # fidelity to the start of the matching z-basis state
     st = x_polarized_state(shape)
-    amps, *columns = evolve(
+    xs, *columns = evolve(
         st, precompute(shape, DriveParams.symmetric(1.3, 0.7)), 40,
-        lambda states: (states.amplitudes, *trajectory_columns(states)))
-    for x_amps, values in zip(amps, zip(*columns)):
-        _check_columns(shape, x_amps, values)
+        lambda states: (states, *trajectory_columns(states)))
+    for x, values in zip(xs, zip(*columns)):
+        _check_columns(shape, x, values)
 
 
 def test_recorded_stack_columns_match_z_basis_observables():
@@ -289,11 +291,10 @@ def test_recorded_stack_columns_match_z_basis_observables():
     shape = CollectiveShape(9, 5)
     points = [(np.pi, np.pi / 2), (2 * np.pi, 3.0), (1.3, 0.7)]
     tables = precompute(shape, [DriveParams.symmetric(*p) for p in points])
-    stack = PureState(shape, np.tile(x_polarized_state(shape).amplitudes,
-                                     (len(points), 1)))
-    amps, *columns = evolve(
+    stack = np.tile(x_polarized_state(shape), (len(points), 1, 1))
+    xs, *columns = evolve(
         stack, tables, 30,
-        lambda states: (states.amplitudes, *trajectory_columns(states)[:3]))
-    for k, period in enumerate(amps):
+        lambda states: (states, *trajectory_columns(states)[:3]))
+    for k, period in enumerate(xs):
         for row, values in zip(period, zip(*(c[k] for c in columns))):
             _check_columns(shape, row, values)

@@ -15,7 +15,10 @@ shows every byte in which the two trees' outputs differ.
 
 The commands: evolve on and off the closed-form lines lambda = 0 and 2pi
 mod 4pi, with a negative period count on both; every classify regime, with
-zero and negative period counts; the revival search's stopping rule:
+zero and negative period counts; classify --regime lambda2pi at all four
+parity classes, (8, 2), (8, 5/2), (9, 2) and (9, 5/2), so that both the
+'sinusoidal' and the 'period doubling' reading of each subsystem run; the
+revival search's stopping rule:
 classify --regime special at (8, 2), (8, 5/2), (9, 2) and (9, 5/2), which
 revive at periods 4, 12, 12 and 24, at (9, 5/2) with --periods 24 and 23
 (the revival on the last period, and one period short of it), and at
@@ -88,6 +91,10 @@ COMMANDS = [
     ("evolve-9-2pi-negative", _evolve(_SHAPE_9, "2pi", "3.0", -1), None),
     ("evolve-9-pi-negative", _evolve(_SHAPE_9, "pi", "pi/2", -1), None),
     ("classify-lambda2pi", _classify("lambda2pi", _SHAPE_9), None),
+    ("classify-lambda2pi-8-2", _classify("lambda2pi", _SHAPE_8), None),
+    ("classify-lambda2pi-8-5over2", _classify("lambda2pi", _SHAPE_8_HALF),
+     None),
+    ("classify-lambda2pi-9-2", _classify("lambda2pi", _SHAPE_9_INT), None),
     ("classify-special", _classify("special", _SHAPE_8), None),
     ("classify-special-8-5over2", _classify("special", _SHAPE_8_HALF), None),
     ("classify-special-9-2", _classify("special", _SHAPE_9_INT), None),

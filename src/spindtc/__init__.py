@@ -4,11 +4,11 @@ phase-map sweeps."""
 
 from .errors import (SpinDtcError, ShapeError, CapacityError,
                      NotTabulatedError, CheckpointError)
-from .spin_algebra import (SpinOperators, spin_matrices, axis_eigenbasis,
+from .spin_algebra import (SpinOperators, spin_matrices, x_eigenbasis,
                            coherent_axis_state)
 from .hilbert import (CollectiveShape, x_polarized_state,
                       reduced_central_density, von_neumann_entropy)
-from .floquet import DriveParams, StepTables, precompute, evolve
+from .floquet import StepTables, precompute, evolve
 from .observables import magnetizations, trajectory_columns, series
 from .diagnostics import (DtcPrediction, stroboscopic_average,
                           relative_order_parameter, first_revival,

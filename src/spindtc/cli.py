@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import SpinDtcError, ShapeError, CapacityError, NotTabulatedError
 from .hilbert import CollectiveShape, x_polarized_state, MAX_DIMENSION
-from .floquet import DriveParams, precompute, evolve
+from .floquet import precompute, evolve
 from .observables import magnetizations, series
 from .diagnostics import (DEFAULT_PERIOD_SCAN_MAX, DEFAULT_REVIVAL_EPSILON,
                           predict_dtc_class, first_revival, classify_subsystem,
@@ -255,7 +255,7 @@ def _cmd_classify(args) -> int:
     g = args.g if args.g is not None else g_d
 
     shape = CollectiveShape(args.n_sat, args.spin)
-    tables = precompute(shape, DriveParams.symmetric(lam, g))
+    tables = precompute(shape, lam, g, g)
     # printed once the measurement has succeeded, so a failed one prints
     # only its error
     point = (f"shape ({args.n_sat}, s={_spin_text(args.spin)}) at "
@@ -310,9 +310,8 @@ def _cmd_qfi(args) -> int:
         raise ShapeError("need --periods-list and/or --sizes")
     shapes = [(CollectiveShape(n_sat, args.spin), counts)
               for n_sat, counts in scans]
-    params = DriveParams.symmetric(args.lam, args.g)
     check_destination(args.output)
-    results = qfi_scan(shapes, params)
+    results = qfi_scan(shapes, args.lam, args.g)
     rows = []
     for (n_sat, _), matrices in zip(scans, results):
         for q in matrices:

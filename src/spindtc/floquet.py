@@ -26,21 +26,26 @@ The satellite factor is the Dicke ladder of J = n_sat/2
 (hilbert.CollectiveShape): its magnetic numbers are the J^z eigenvalues, its
 z<->x rotation and K_s are dense (n_sat+1)^2 matrices, the kicked-top
 reduction of Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987), applied to two
-coupled spins.
+coupled spins. The x eigenbases of both spins are spin_algebra.x_eigenbasis,
+real.
+
+A drive point is its three angles (lam, g_s, g_c), with no type of its
+own: precompute takes them as arrays that broadcast together, 0-d for one
+point's tables and with leading axes for stacked tables, and rejects a
+non-finite angle (finite_angles) before it builds anything.
 
 The module keeps no state between calls: at a fixed shape, the work of an
 evolve call is its rows of state times its periods.
 """
 
-import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
 from .hilbert import CollectiveShape
-from .spin_algebra import axis_eigenbasis
+from .spin_algebra import x_eigenbasis
 
 # amplitudes of one block of observed periods in evolve. Per-period Python
 # work in the observer is paid once per block, and beyond a few thousand
@@ -55,26 +60,9 @@ _STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
-class DriveParams:
-    """Interaction strength and the two kick angles (radians)."""
-
-    lam: float
-    g_s: float
-    g_c: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.lam, self.g_s, self.g_c))):
-            raise ShapeError(f"drive angles must be finite, got {self}")
-
-    @classmethod
-    def symmetric(cls, lam: float, g: float) -> "DriveParams":
-        return cls(lam=lam, g_s=g, g_c=g)
-
-
-@dataclass(frozen=True)
 class StepTables:
     """One drive period in the joint x basis. Stacked tables (see
-    precompute) carry a leading row axis on every entry."""
+    precompute) carry the drive points' leading axes on every entry."""
 
     shape: CollectiveShape
     # diagonal of U_0 in the joint x basis, one phase per entry of the
@@ -91,7 +79,7 @@ class StepTables:
 def _eigenbases(shape: CollectiveShape) -> tuple[np.ndarray, np.ndarray]:
     """(satellite, central) eigenbases of S^x (columns by descending
     magnetic number)."""
-    return axis_eigenbasis(shape.n_sat, "x"), axis_eigenbasis(shape.two_s, "x")
+    return x_eigenbasis(shape.n_sat), x_eigenbasis(shape.two_s)
 
 
 def magnetic_numbers(dim: int) -> np.ndarray:
@@ -111,19 +99,28 @@ def _x_basis_kick(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (v.conj().T * phases[..., None, :]) @ v
 
 
-def precompute(shape: CollectiveShape,
-               params: DriveParams | Sequence[DriveParams]) -> StepTables:
-    """Build the interaction diagonal and the kick factors for the shape.
+def finite_angles(*angles) -> list[np.ndarray]:
+    """The drive angles as float arrays broadcast together. Raises
+    ShapeError unless every entry is finite."""
+    angles = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in angles))
+    for a in angles:
+        bad = a[~np.isfinite(a)]
+        if bad.size:
+            raise ShapeError(f"drive angles must be finite, got {float(bad[0])}")
+    return angles
 
-    With a sequence of drive points every table is stacked, one row per
-    point, for a state stack with one row per point.
+
+def precompute(shape: CollectiveShape, lam, g_s, g_c) -> StepTables:
+    """Build the interaction diagonal and the kick factors for the shape at
+    the interaction angle lam and the kick angles g_s (satellites) and g_c
+    (central spin), which broadcast together (finite_angles).
+
+    0-d angles give one drive point's tables. Arrays give stacked tables,
+    one row per drive point, for a state stack with one row per point;
+    each row is bitwise the tables of its point alone.
     """
+    lam, g_s, g_c = finite_angles(lam, g_s, g_c)
     m_sat, m_c = map(magnetic_numbers, shape.dims)
-    single = isinstance(params, DriveParams)
-    points = [params] if single else params
-    rows = () if single else (len(points),)
-    lam, g_s, g_c = (a.reshape(rows) for a in
-                     np.array([[p.lam, p.g_s, p.g_c] for p in points]).T)
     v_s, v_c = _eigenbases(shape)
     return StepTables(
         shape=shape,

@@ -25,8 +25,8 @@ one satellite-major stack (satellite, row, central level), and a scan stacks
 several shapes of one central spin and one largest period count as (shape,
 satellite, row, central level), zero-padded to the largest satellite
 dimension. The kick and the interaction are diagonal in their bases and act
-elementwise, in place. The x eigenbases are real (axis_eigenbasis takes
-them from eigh of the real S^x), so each of the four basis rotations of
+elementwise, in place. The x eigenbases are real (spin_algebra.x_eigenbasis
+takes them from eigh of the real S^x), so each of the four basis rotations of
 a period is one real matrix product on the stack's float view, where every
 complex entry is a (real, imaginary) pair: the satellite rotation V^T or V
 of each shape on its (satellite, 2 x row x central) matrix, and the central
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .hilbert import CollectiveShape, x_polarized_state
-from .floquet import DriveParams, magnetic_numbers, _STACK_ENTRIES, _eigenbases
+from .floquet import finite_angles, magnetic_numbers, _STACK_ENTRIES, _eigenbases
 
 DEFAULT_DELTA = 1e-4
 _ROUNDING_RTOL = 1e-12
@@ -99,10 +99,12 @@ def _element(d_a: np.ndarray, d_b: np.ndarray, psi: np.ndarray) -> float:
     return 4.0 * float(val.real)
 
 
-def qfi_scan(scans, params: DriveParams) -> list[list[QfiMatrix]]:
-    """Fisher matrices at (lambda, g) for every (shape, period_counts) entry
-    of scans: one list per entry, one matrix per count, in the given order
-    (repeated shapes and counts, and zero counts, included).
+def qfi_scan(scans, lam: float, g: float) -> list[list[QfiMatrix]]:
+    """Fisher matrices at the drive point (lam, g), g the kick angle of
+    every spin, for every (shape, period_counts) entry of scans: one list
+    per entry, one matrix per count, in the given order (repeated shapes
+    and counts, and zero counts, included). Raises ShapeError on a negative
+    count or a non-finite angle.
 
     Each distinct shape is walked once, to its largest count over every
     entry that names it, and its elements are evaluated at every count as
@@ -123,15 +125,14 @@ def qfi_scan(scans, params: DriveParams) -> list[list[QfiMatrix]]:
     for _, counts in scans:
         if any(n < 0 for n in counts):
             raise ShapeError(f"n_periods must be >= 0, got {min(counts)}")
-    if params.g_s != params.g_c:
-        raise ShapeError("g is a single shared parameter; need g_s == g_c")
+    finite_angles(lam, g)
     wanted: dict[CollectiveShape, set[int]] = {}
     for shape, counts in scans:
         wanted.setdefault(shape, set()).update(counts)
     matrices = {}
     for group in _groups(wanted):
         matrices.update(_walk({shape: wanted[shape] for shape in group},
-                              params))
+                              lam, g))
     return [[matrices[shape, n] for n in counts] for shape, counts in scans]
 
 
@@ -167,11 +168,10 @@ def _crosscheck_step(shape: CollectiveShape, counts) -> float:
     return DEFAULT_DELTA / max(1, reach / _CROSSCHECK_REACH)
 
 
-def _walk(wanted: dict, params: DriveParams) -> dict:
-    """One tangent walk of the shapes of wanted (shape -> period counts):
-    {(shape, count): QfiMatrix}."""
+def _walk(wanted: dict, lam: float, g: float) -> dict:
+    """One tangent walk of the shapes of wanted (shape -> period counts) at
+    (lam, g): {(shape, count): QfiMatrix}."""
     shapes = list(wanted)
-    lam, g = params.lam, params.g_s
     d = shapes[0].central_dim
     sizes = [shape.n_sat + 1 for shape in shapes]   # satellite dimensions
     full = (len(shapes), max(sizes), _ROWS, d)

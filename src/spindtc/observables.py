@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ShapeError
 from .hilbert import (CollectiveShape, x_polarized_state,
                       reduced_central_density, _hermitian_entropy)
-from .floquet import DriveParams, precompute, evolve, magnetic_numbers
+from .floquet import finite_angles, precompute, evolve, magnetic_numbers
 
 
 def _populations(amps: np.ndarray) -> np.ndarray:
@@ -83,7 +83,8 @@ def is_product_line(lam) -> bool | np.ndarray:
     """Whether lambda mod 4pi is exactly 0 or 2pi, where product_series
     holds (elementwise over an array). In floats 4pi, 8pi and -4pi are 0
     mod 4pi, 6pi and -2pi are 2pi, and a lambda in [0, 4pi) is itself."""
-    lam = np.mod(lam, 4 * math.pi)
+    with np.errstate(invalid="ignore"):     # a non-finite lambda is nan
+        lam = np.mod(lam, 4 * math.pi)
     return (lam == 0.0) | (lam == 2 * math.pi)
 
 
@@ -92,14 +93,14 @@ def product_series(shape: CollectiveShape, lam, g, periods: int):
     periods 0..periods of the drive at a lambda that is 0 or 2pi mod 4pi
     (module docstring, is_product_line), each an array whose leading axis
     is the period number and whose other axes are those of lam and g
-    broadcast together: one column per drive point. The entropy is exactly 0, and every value lies in its
-    range exactly: |m_sat_x| <= 1/2, |m_c_x| <= s, the fidelity in [0, 1].
-    Every entry is computed by the same operations whatever the other
-    points are."""
+    broadcast together (floquet.finite_angles, which rejects a non-finite
+    angle): one column per drive point. The entropy is exactly 0, and every
+    value lies in its range exactly: |m_sat_x| <= 1/2, |m_c_x| <= s, the
+    fidelity in [0, 1]. Every entry is computed by the same operations
+    whatever the other points are."""
     if periods < 0:
         raise ShapeError(f"n_periods must be >= 0, got {periods}")
-    lam, g = np.broadcast_arrays(np.asarray(lam, dtype=float),
-                                 np.asarray(g, dtype=float))
+    lam, g = finite_angles(lam, g)
     if not is_product_line(lam).all():
         raise ShapeError(f"the closed form holds at lambda = 0 and 2pi, "
                          f"not at {float(lam[~is_product_line(lam)][0])!r}")
@@ -123,7 +124,9 @@ def series(shape: CollectiveShape, lam, g, periods: int) -> tuple:
     where is_product_line holds they are product_series, and the other
     points run as one state stack through floquet.evolve with
     trajectory_columns, period 0 being the start's (1/2, s, 0, 1). A
-    point's columns do not depend on the other points of the call.
+    point's columns do not depend on the other points of the call. A
+    non-finite angle raises ShapeError, from whichever of the two computes
+    its point's columns.
     """
     if periods < 0:
         raise ShapeError(f"n_periods must be >= 0, got {periods}")
@@ -135,12 +138,11 @@ def series(shape: CollectiveShape, lam, g, periods: int) -> tuple:
     if closed.any():
         out[:, :, closed] = product_series(shape, lam[closed], g[closed],
                                            periods)
-    if not closed.all():
-        points = [DriveParams.symmetric(*p) for p in
-                  zip(lam[~closed].tolist(), g[~closed].tolist())]
-        stack = np.tile(x_polarized_state(shape), (len(points), 1, 1))
-        columns = evolve(stack, precompute(shape, points), periods,
-                         trajectory_columns)
+    driven = ~closed
+    if driven.any():
+        stack = np.tile(x_polarized_state(shape), (driven.sum(), 1, 1))
+        tables = precompute(shape, lam[driven], g[driven], g[driven])
+        columns = evolve(stack, tables, periods, trajectory_columns)
         if columns:
-            out[:, 1:, ~closed] = columns
+            out[:, 1:, driven] = columns
     return tuple(out)

@@ -1,4 +1,4 @@
-"""Spin-s operator matrices, axis eigenbases and extremal coherent states.
+"""Spin-s operator matrices, the S^x eigenbasis and extremal coherent states.
 
 Conventions: hbar = 1, Condon-Shortley phases for the ladder operators,
 z basis ordered by descending magnetic quantum number (index l holds m = s - l).
@@ -49,33 +49,19 @@ def spin_matrices(two_s: int) -> SpinOperators:
 
 
 @lru_cache(maxsize=64, typed=True)
-def axis_eigenbasis(two_s: int, axis: str) -> np.ndarray:
-    """Unitary whose columns are eigenvectors of the requested spin component.
+def x_eigenbasis(two_s: int) -> np.ndarray:
+    """Real orthogonal matrix whose columns are eigenvectors of S^x: eigh
+    of the real S^x, float64.
 
     Columns are ordered by descending eigenvalue (column l holds m = s - l)
-    and each column's phase is fixed so its first nonzero entry is real
-    positive, making the matrix deterministic. The x basis is eigh of the
-    real S^x, so it is real (float64); the y basis is complex and the z
-    basis the identity. Built once per (two_s, axis) and shared, so the
-    array is read-only.
+    and each column's sign is fixed so its first nonzero entry is positive,
+    making the matrix deterministic. Built once per two_s and shared, so
+    the array is read-only.
     """
-    ops = spin_matrices(two_s)
-    if axis == "z":
-        eye = np.eye(two_s + 1, dtype=complex)
-        eye.flags.writeable = False
-        return eye
-    try:
-        op = {"x": ops.sx.real, "y": ops.sy}[axis]
-    except KeyError:
-        raise ShapeError(f"axis must be one of x, y, z, got {axis!r}") from None
-    evals, vecs = np.linalg.eigh(op)
-    order = np.argsort(evals)[::-1]
-    vecs = vecs[:, order]
-    for col in range(vecs.shape[1]):
-        v = vecs[:, col]
-        idx = np.argmax(np.abs(v) > 1e-12)
-        phase = v[idx] / abs(v[idx])
-        vecs[:, col] = v / phase
+    evals, vecs = np.linalg.eigh(spin_matrices(two_s).sx.real)
+    vecs = vecs[:, np.argsort(evals)[::-1]]
+    first = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(two_s + 1)]
+    vecs = vecs / np.sign(first)
     vecs.flags.writeable = False
     return vecs
 

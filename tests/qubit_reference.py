@@ -8,8 +8,9 @@ state symmetric under satellite permutations with collective state matrix
 c[k, l] (k down spins) has c[k, l] / sqrt(C(n_sat, k)) at every bitstring of
 popcount k (spread). Nothing here uses that symmetry: drive kicks in the z
 basis and rotates every qubit into its x basis for the interaction, and the
-oracle builds dense unitaries from explicit operator sums. From spindtc it
-takes only the spin matrices, the eigenbases and the coherent states.
+oracle builds dense unitaries from explicit operator sums. A drive point
+is its angles (lam, g_s, g_c), one tuple. From spindtc it takes only the
+spin matrices, the x eigenbasis and the coherent states.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from spindtc.spin_algebra import spin_matrices, axis_eigenbasis, coherent_axis_state
+from spindtc.spin_algebra import spin_matrices, x_eigenbasis, coherent_axis_state
 
 
 @dataclass(frozen=True)
@@ -86,14 +87,13 @@ def _rotate_qubits(mat: np.ndarray, u: np.ndarray) -> np.ndarray:
     return mat
 
 
-def magnetizations(shape: SystemShape, amps: np.ndarray,
-                   axis: str = "x") -> tuple[float, float]:
-    """(satellite-averaged, central) <S^axis> of a z-basis state: its
-    populations in the joint eigenbasis of S^axis weighted by the magnetic
+def magnetizations(shape: SystemShape, amps: np.ndarray) -> tuple[float, float]:
+    """(satellite-averaged, central) <S^x> of a z-basis state: its
+    populations in the joint eigenbasis of S^x weighted by the magnetic
     numbers."""
     mat = _rotate_qubits(amps.reshape(-1, shape.central_dim).copy(),
-                         axis_eigenbasis(1, axis).conj().T)
-    p = np.abs(mat @ axis_eigenbasis(shape.two_s, axis).conj()) ** 2
+                         x_eigenbasis(1).T)
+    p = np.abs(mat @ x_eigenbasis(shape.two_s)) ** 2
     m_sat, m_c = _magnetic_numbers(shape)
     return float(p.sum(axis=1) @ m_sat) / shape.n_sat, float(p.sum(axis=0) @ m_c)
 
@@ -106,15 +106,17 @@ def entropy(shape: SystemShape, amps: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def drive(shape: SystemShape, params, amps: np.ndarray,
+def drive(shape: SystemShape, angles, amps: np.ndarray,
           n_periods: int) -> np.ndarray:
     """The z-basis states after each of n_periods periods of (kick;
-    interaction) from the z-basis state amps, one row per period. The kick
-    is diagonal in the z basis, the interaction in the joint x basis."""
+    interaction) at angles (lam, g_s, g_c) from the z-basis state amps, one
+    row per period. The kick is diagonal in the z basis, the interaction in
+    the joint x basis."""
+    lam, g_s, g_c = angles
     m_sat, m_c = _magnetic_numbers(shape)
-    kick = np.exp(-1j * (params.g_s * m_sat[:, None] + params.g_c * m_c))
-    interaction = np.exp(1j * params.lam * np.outer(m_sat, m_c))
-    v_s, v_c = axis_eigenbasis(1, "x"), axis_eigenbasis(shape.two_s, "x")
+    kick = np.exp(-1j * (g_s * m_sat[:, None] + g_c * m_c))
+    interaction = np.exp(1j * lam * np.outer(m_sat, m_c))
+    v_s, v_c = x_eigenbasis(1), x_eigenbasis(shape.two_s)
     mat, states = amps.reshape(-1, shape.central_dim), []
     for _ in range(n_periods):
         x = _rotate_qubits(mat * kick, v_s.conj().T) @ v_c.conj()
@@ -134,23 +136,26 @@ def _expm_hermitian(h: np.ndarray, prefactor: complex) -> np.ndarray:
     return (vecs * np.exp(prefactor * evals)) @ vecs.conj().T
 
 
-def oracle_unitaries(shape: SystemShape, params) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (U_d, U_0) built from explicit operator sums."""
+def oracle_unitaries(shape: SystemShape, angles) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (U_d, U_0) at angles (lam, g_s, g_c), built from explicit
+    operator sums."""
+    lam, g_s, g_c = angles
     qubit, central = spin_matrices(1), spin_matrices(shape.two_s)
     sat_identity = np.eye(1 << shape.n_sat)
-    h_kick = params.g_c * np.kron(sat_identity, central.sz)
+    h_kick = g_c * np.kron(sat_identity, central.sz)
     sxc = np.kron(sat_identity, central.sx)
     h_int = np.zeros((shape.dim, shape.dim), dtype=complex)
     for i in range(shape.n_sat):
-        h_kick = h_kick + params.g_s * _site_operator(shape, i, qubit.sz)
+        h_kick = h_kick + g_s * _site_operator(shape, i, qubit.sz)
         h_int = h_int + _site_operator(shape, i, qubit.sx) @ sxc
-    return _expm_hermitian(h_kick, -1j), _expm_hermitian(h_int, 1j * params.lam)
+    return _expm_hermitian(h_kick, -1j), _expm_hermitian(h_int, 1j * lam)
 
 
-def oracle_evolve(shape: SystemShape, params, amps: np.ndarray,
+def oracle_evolve(shape: SystemShape, angles, amps: np.ndarray,
                   n_periods: int) -> np.ndarray:
-    """amps after n_periods periods of dense matrix products."""
-    u_d, u_0 = oracle_unitaries(shape, params)
+    """amps after n_periods periods of dense matrix products at angles
+    (lam, g_s, g_c)."""
+    u_d, u_0 = oracle_unitaries(shape, angles)
     step = u_0 @ u_d
     for _ in range(n_periods):
         amps = step @ amps
@@ -170,12 +175,14 @@ def u_squared_class(n_sat: int, two_s: int) -> str:
     return "both_rotate"
 
 
-def two_period_residual_phases(shape: SystemShape, params) -> np.ndarray:
-    """Diagonal of the residual z rotation U^2 reduces to at lambda = 2pi:
-    exp(-2i g_s S_i^z) on the satellites and/or exp(-2i g_c S_c^z) on the
-    central spin, as u_squared_class says, identity on a protected one."""
+def two_period_residual_phases(shape: SystemShape, angles) -> np.ndarray:
+    """Diagonal of the residual z rotation U^2 reduces to at lambda = 2pi
+    and angles (lam, g_s, g_c): exp(-2i g_s S_i^z) on the satellites and/or
+    exp(-2i g_c S_c^z) on the central spin, as u_squared_class says,
+    identity on a protected one."""
+    _, g_s, g_c = angles
     label = u_squared_class(shape.n_sat, shape.two_s)
     m_sat, m_c = _magnetic_numbers(shape)
-    g_s = params.g_s if label in ("satellite_rotation_only", "both_rotate") else 0.0
-    g_c = params.g_c if label in ("central_rotation_only", "both_rotate") else 0.0
+    g_s = g_s if label in ("satellite_rotation_only", "both_rotate") else 0.0
+    g_c = g_c if label in ("central_rotation_only", "both_rotate") else 0.0
     return np.exp(-2j * (g_s * m_sat[:, None] + g_c * m_c)).reshape(-1)

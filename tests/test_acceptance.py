@@ -8,7 +8,7 @@ import numpy as np
 
 from spindtc.hilbert import CollectiveShape, x_polarized_state
 from spindtc.spin_algebra import coherent_axis_state
-from spindtc.floquet import DriveParams, precompute, evolve
+from spindtc.floquet import precompute, evolve
 from spindtc.observables import trajectory_columns
 from spindtc.diagnostics import (first_revival, predict_dtc_class,
                                  fit_cosine_amplitude, classify_subsystem)
@@ -21,13 +21,13 @@ from qubit_reference import (SystemShape, product_state, x_polarized, spread,
                              drive, entropy, oracle_evolve,
                              two_period_residual_phases)
 
-SPECIAL = DriveParams.symmetric(np.pi, np.pi / 2)
+SPECIAL = (np.pi, np.pi / 2)     # (lambda, g)
 
 
 def _trajectory(n_sat, two_s, lam, g, periods):
     sh = CollectiveShape(n_sat, two_s)
     st = x_polarized_state(sh)
-    traj = evolve(st, precompute(sh, DriveParams.symmetric(lam, g)),
+    traj = evolve(st, precompute(sh, lam, g, g),
                   periods, trajectory_columns)
     return sh, st, traj
 
@@ -77,7 +77,7 @@ def test_criterion_04_milestone_states():
     # on the 2^n reference drive, against the collective milestones spread
     # over the 2^n basis
     full, sh = SystemShape(9, 5), CollectiveShape(9, 5)
-    states = drive(full, SPECIAL, x_polarized(full), 24)
+    states = drive(full, (np.pi, np.pi / 2, np.pi / 2), x_polarized(full), 24)
     for n in (4, 8, 12, 16, 20, 24):
         assert entropy(full, states[n - 1]) < 1e-8
 
@@ -111,10 +111,9 @@ def test_criterion_06_oracle_equivalence():
     for n_sat, two_s in ((2, 1), (3, 2), (4, 3)):
         full, sh = SystemShape(n_sat, two_s), CollectiveShape(n_sat, two_s)
         for lam, g in points:
-            params = DriveParams.symmetric(lam, g)
             fast = x_polarized_state(sh)
-            evolve(fast, precompute(sh, params), 50)
-            dense = oracle_evolve(full, params, x_polarized(full), 50)
+            evolve(fast, precompute(sh, lam, g, g), 50)
+            dense = oracle_evolve(full, (lam, g, g), x_polarized(full), 50)
             assert np.max(np.abs(spread(full, fast) - dense)) < 1e-9
     assert time.monotonic() - t0 < 30.0
 
@@ -125,9 +124,9 @@ def test_criterion_07_two_period_closed_form():
     rng = np.random.default_rng(11)
     for n_sat, two_s in ((3, 1), (3, 2), (4, 1), (4, 2)):
         full, sh = SystemShape(n_sat, two_s), CollectiveShape(n_sat, two_s)
-        params = DriveParams(lam=2 * np.pi, g_s=1.21, g_c=0.67)
-        tables = precompute(sh, params)
-        residual = two_period_residual_phases(full, params)
+        angles = (2 * np.pi, 1.21, 0.67)
+        tables = precompute(sh, *angles)
+        residual = two_period_residual_phases(full, angles)
         for _ in range(100):
             v = rng.normal(size=sh.dims) + 1j * rng.normal(size=sh.dims)
             v /= np.linalg.norm(v)
@@ -139,7 +138,7 @@ def test_criterion_07_two_period_closed_form():
 
 def test_criterion_08_qfi_time_scaling():
     counts = list(range(8, 97, 8))
-    (row,) = qfi_scan([(CollectiveShape(5, 1), counts)], SPECIAL)
+    (row,) = qfi_scan([(CollectiveShape(5, 1), counts)], *SPECIAL)
     slope = np.polyfit(np.log(counts), np.log([q.gain for q in row]), 1)[0]
     assert abs(slope - 2.0) <= 0.1
 
@@ -148,7 +147,7 @@ def test_criterion_09_qfi_size_scaling():
     # every Fisher element at n = 48 matches the exact tangent-propagation
     # reference to 1e-3 of the matrix scale max(|f_ll|, |f_gg|)
     def checked(n_sat, two_s):
-        q = qfi_scan([(CollectiveShape(n_sat, two_s), [48])], SPECIAL)[0][0]
+        q = qfi_scan([(CollectiveShape(n_sat, two_s), [48])], *SPECIAL)[0][0]
         ref = exact_qfi(n_sat, two_s, np.pi, np.pi / 2, 48)
         for got, want in ((q.f_ll, ref.f_ll), (q.f_gg, ref.f_gg),
                           (q.f_lg, ref.f_lg)):
@@ -185,7 +184,7 @@ def test_criterion_10_regular_ho_periods():
     sh = CollectiveShape(8, 8)
     for lam, g in ((np.pi, np.pi / 4), (np.pi / 2, np.pi / 2)):
         periods[(lam, g)] = first_revival(
-            precompute(sh, DriveParams.symmetric(lam, g)), 30)
+            precompute(sh, lam, g, g), 30)
     assert set(periods.values()) == {12, 24}
     pred1 = predict_dtc_class(8, 8, "regular_class_1").period
     pred2 = predict_dtc_class(8, 8, "regular_class_2").period

@@ -5,12 +5,12 @@ from spindtc.errors import ShapeError
 from spindtc.spin_algebra import coherent_axis_state
 from spindtc.hilbert import (CollectiveShape, x_polarized_state,
                              reduced_central_density, von_neumann_entropy)
-from spindtc.floquet import DriveParams, precompute, evolve, to_x_basis
+from spindtc.floquet import precompute, evolve, to_x_basis
 from spindtc.observables import magnetizations
 from spindtc.analytic_states import (parity_case_of, supported_time_indices,
                                      milestone_state)
 
-SPECIAL = DriveParams.symmetric(np.pi, np.pi / 2)
+SPECIAL = (np.pi, np.pi / 2, np.pi / 2)     # (lambda, g_s, g_c)
 
 
 def _product(sh, sign):
@@ -87,7 +87,7 @@ def test_super_cat_entangled():
 def test_milestone_fidelities_all_cases(n_sat, two_s):
     sh = CollectiveShape(n_sat, two_s)
     case = parity_case_of(sh)
-    tables = precompute(sh, SPECIAL)
+    tables = precompute(sh, *SPECIAL)
     for t in supported_time_indices(case):
         st = x_polarized_state(sh)
         evolve(st, tables, t)
@@ -104,7 +104,7 @@ def test_milestone_fidelities_at_large_n_sat():
         for two_s in range(1, 5):
             sh = CollectiveShape(n_sat, two_s)
             case = parity_case_of(sh)
-            tables = precompute(sh, SPECIAL)
+            tables = precompute(sh, *SPECIAL)
             for t in supported_time_indices(case):
                 st = x_polarized_state(sh)
                 evolve(st, tables, t)
@@ -133,6 +133,6 @@ def test_fidelity_at_zero_interaction():
     # lambda=0 never builds the milestone; overlap is just the static one
     sh = CollectiveShape(9, 5)
     st = x_polarized_state(sh)
-    evolve(st, precompute(sh, DriveParams.symmetric(0.0, np.pi / 2)), 6)
+    evolve(st, precompute(sh, 0.0, np.pi / 2, np.pi / 2), 6)
     f = abs(np.vdot(st, milestone_state(sh, 6))) ** 2
     assert f < 0.999

@@ -12,7 +12,7 @@ import pytest
 
 from spindtc.cli import (parse_angle, parse_spin, parse_int_list, read_config,
                          build_parser, parse_and_dispatch)
-from spindtc.floquet import DriveParams, precompute, evolve
+from spindtc.floquet import precompute, evolve
 from spindtc.hilbert import CollectiveShape, x_polarized_state
 from spindtc.observables import trajectory_columns
 from spindtc.metrology import qfi_scan
@@ -131,7 +131,7 @@ def test_evolve_beyond_the_full_engine(tmp_path):
     # at 200 here)
     shape = CollectiveShape(41, 5)
     engine = evolve(x_polarized_state(shape),
-                    precompute(shape, DriveParams.symmetric(2 * np.pi, 3.0)),
+                    precompute(shape, 2 * np.pi, 3.0, 3.0),
                     200, trajectory_columns)
     np.testing.assert_allclose(rows, np.column_stack((np.arange(1, 201),
                                                       *engine)),
@@ -197,8 +197,7 @@ def test_evolve_on_lambda_0_and_2pi_is_the_closed_form(tmp_path, monkeypatch,
         assert rows.tobytes() == \
             _evolve_rows(tmp_path, shape, _LINES[lam], g, 60).tobytes()
         engine = evolve(x_polarized_state(shape),
-                        precompute(shape, DriveParams.symmetric(
-                            parse_angle(lam), g)),
+                        precompute(shape, parse_angle(lam), g, g),
                         60, trajectory_columns)
         np.testing.assert_allclose(rows, np.column_stack((np.arange(1, 61),
                                                           *engine)),
@@ -620,11 +619,10 @@ def test_qfi_time_scan_matches_single_rows(tmp_path):
                                "--lambda", "1.3", "--g", "0.7",
                                "--periods-list", "40,8,0,8,24,3",
                                "--sizes", "3,5", "--output", str(out)]) == 0
-    params = DriveParams.symmetric(1.3, 0.7)
     want = []
     for n_sat, n in [(6, 40), (6, 8), (6, 0), (6, 8), (6, 24), (6, 3),
                      (3, 48), (5, 48)]:
-        q = qfi_scan([(CollectiveShape(n_sat, 4), [n])], params)[0][0]
+        q = qfi_scan([(CollectiveShape(n_sat, 4), [n])], 1.3, 0.7)[0][0]
         want.append(f"{n_sat},4,{n},{q.f_ll:.17g},{q.f_gg:.17g},"
                     f"{q.f_lg:.17g},{q.g_scalar:.17g},{q.gain:.17g}")
     assert out.read_text().splitlines()[1:] == want

@@ -4,7 +4,7 @@ import pytest
 from spindtc import floquet
 from spindtc.errors import ShapeError, NotTabulatedError
 from spindtc.hilbert import CollectiveShape, x_polarized_state
-from spindtc.floquet import DriveParams, precompute, evolve
+from spindtc.floquet import precompute, evolve
 from spindtc.observables import trajectory_columns, magnetizations
 from spindtc.diagnostics import (stroboscopic_average, relative_order_parameter,
                                  first_revival,
@@ -17,7 +17,7 @@ from qubit_reference import SystemShape, x_polarized, drive
 def _trajectory(n_sat, two_s, lam, g, periods):
     sh = CollectiveShape(n_sat, two_s)
     st = x_polarized_state(sh)
-    return evolve(st, precompute(sh, DriveParams.symmetric(lam, g)),
+    return evolve(st, precompute(sh, lam, g, g),
                   periods, trajectory_columns)
 
 
@@ -111,7 +111,7 @@ def test_detect_period_lambda_2pi():
 
 
 def _tables(shape, lam, g):
-    return precompute(shape, DriveParams.symmetric(lam, g))
+    return precompute(shape, lam, g, g)
 
 
 def _count_periods(monkeypatch):
@@ -151,7 +151,7 @@ def test_first_revival_matches_detect_period(layout, n_sat, two_s, lam, g):
     else:
         full = SystemShape(n_sat, two_s)
         start = x_polarized(full)
-        states = drive(full, DriveParams.symmetric(lam, g), start, 64)
+        states = drive(full, (lam, g, g), start, 64)
         revived = np.abs(states @ start.conj()) ** 2 > 1 - DEFAULT_REVIVAL_EPSILON
         want = int(np.argmax(revived)) + 1 if revived.any() else None
     assert first_revival(tables, 64) == want

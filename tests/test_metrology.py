@@ -6,7 +6,6 @@ import pytest
 
 from spindtc.errors import ShapeError
 from spindtc.hilbert import CollectiveShape
-from spindtc.floquet import DriveParams
 from spindtc import metrology
 from spindtc.diagnostics import predict_dtc_class
 from spindtc.metrology import QfiMatrix, qfi_scan, DEFAULT_DELTA
@@ -14,7 +13,7 @@ from spindtc.floquet import _STACK_ENTRIES
 
 from qfi_reference import exact_qfi, exact_collective_qfi
 
-SPECIAL = DriveParams.symmetric(np.pi, np.pi / 2)
+SPECIAL = (np.pi, np.pi / 2)     # (lambda, g)
 
 
 def _matrix(f_ll, f_gg, f_lg):
@@ -22,22 +21,23 @@ def _matrix(f_ll, f_gg, f_lg):
 
 
 def test_zero_periods_gives_zero_matrix():
-    q = qfi_scan([(CollectiveShape(3, 1), [0])], SPECIAL)[0][0]
+    q = qfi_scan([(CollectiveShape(3, 1), [0])], *SPECIAL)[0][0]
     assert q.f_ll == 0.0 and q.f_gg == 0.0 and q.f_lg == 0.0
 
 
 def test_validation():
     sh = CollectiveShape(3, 1)
     with pytest.raises(ShapeError):
-        qfi_scan([(sh, [-1])], SPECIAL)
-    with pytest.raises(ShapeError):
-        qfi_scan([(sh, [4])], DriveParams(np.pi, 0.3, 0.4))
+        qfi_scan([(sh, [-1])], *SPECIAL)
+    for bad in (np.nan, np.inf, -np.inf):
+        for lam, g in ((bad, np.pi / 2), (np.pi, bad)):
+            with pytest.raises(ShapeError, match="finite"):
+                qfi_scan([(sh, [4])], lam, g)
 
 
 def test_diagonal_elements_nonnegative():
     for n in (4, 12, 20):
-        q = qfi_scan([(CollectiveShape(4, 2), [n])],
-                     DriveParams.symmetric(1.3, 0.7))[0][0]
+        q = qfi_scan([(CollectiveShape(4, 2), [n])], 1.3, 0.7)[0][0]
         assert q.f_ll >= -1e-6
         assert q.f_gg >= -1e-6
 
@@ -53,7 +53,7 @@ def test_global_phase_invariance(monkeypatch):
 
     matrix = metrology._matrix
     monkeypatch.setattr(metrology, "_matrix", keep)
-    a = qfi_scan([(CollectiveShape(4, 1), [16])], SPECIAL)[0][0]
+    a = qfi_scan([(CollectiveShape(4, 1), [16])], *SPECIAL)[0][0]
     (stack, n_periods, delta), = evaluated
     assert len(stack) == 7
     assert matrix(stack, n_periods, delta) == a
@@ -69,9 +69,9 @@ def test_step_halving_convergence(monkeypatch):
     # matrix scale, including its off-diagonal, which is 0 here
     sh = CollectiveShape(5, 1)
     assert DEFAULT_DELTA == 1e-4
-    a = qfi_scan([(sh, [32])], SPECIAL)[0][0]
+    a = qfi_scan([(sh, [32])], *SPECIAL)[0][0]
     monkeypatch.setattr(metrology, "DEFAULT_DELTA", 5e-5)
-    b = qfi_scan([(sh, [32])], SPECIAL)[0][0]
+    b = qfi_scan([(sh, [32])], *SPECIAL)[0][0]
     assert (a.delta, b.delta) == (1e-4, 5e-5)
     scale = max(abs(a.f_ll), abs(a.f_gg), abs(a.f_lg), 1.0)
     for x, y in ((a.f_ll, b.f_ll), (a.f_gg, b.f_gg), (a.f_lg, b.f_lg)):
@@ -81,7 +81,7 @@ def test_step_halving_convergence(monkeypatch):
 
 def test_time_quadratic_growth_f_ll():
     counts = list(range(8, 97, 8))
-    (row,) = qfi_scan([(CollectiveShape(5, 1), counts)], SPECIAL)
+    (row,) = qfi_scan([(CollectiveShape(5, 1), counts)], *SPECIAL)
     slope = np.polyfit(np.log(counts), np.log([q.f_ll for q in row]), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.1)
 
@@ -120,7 +120,7 @@ def test_figures_follow_the_elements():
     # and in a scan, by the float operations of the elements
     for q in itertools.chain(*qfi_scan([(CollectiveShape(3, 1), [0, 8, 48]),
                                         (CollectiveShape(4, 2), [12])],
-                                       SPECIAL)):
+                                       *SPECIAL)):
         det, tr = q.f_ll * q.f_gg - q.f_lg ** 2, q.f_ll + q.f_gg
         assert repr((q.g_scalar, q.gain)) == repr(
             (tr / det if det > 0 else float("nan"),
@@ -145,7 +145,7 @@ def test_beta_classification_verified_subset():
     for two_s, sizes, expect, tol in cases:
         pts = []
         for n_sat in sizes:
-            q = qfi_scan([(CollectiveShape(n_sat, two_s), [50])], SPECIAL)[0][0]
+            q = qfi_scan([(CollectiveShape(n_sat, two_s), [50])], *SPECIAL)[0][0]
             pts.append((n_sat, q.gain))
         slope = np.log(pts[1][1] / pts[0][1]) / np.log(pts[1][0] / pts[0][0])
         assert slope == pytest.approx(expect, abs=tol), (two_s, sizes, slope)
@@ -162,7 +162,7 @@ PINNED = [
 @pytest.mark.parametrize("n_sat,two_s,n,f_ll,f_gg,f_lg", PINNED)
 def test_exact_values_pinned(n_sat, two_s, n, f_ll, f_gg, f_lg):
     ref = exact_qfi(n_sat, two_s, np.pi, np.pi / 2, n)
-    q = qfi_scan([(CollectiveShape(n_sat, two_s), [n])], SPECIAL)[0][0]
+    q = qfi_scan([(CollectiveShape(n_sat, two_s), [n])], *SPECIAL)[0][0]
     scale = max(f_ll, f_gg)
     for want, exact, got in ((f_ll, ref.f_ll, q.f_ll), (f_gg, ref.f_gg, q.f_gg),
                              (f_lg, ref.f_lg, q.f_lg)):
@@ -181,7 +181,7 @@ def test_exact_at_criterion_09_shapes(n_sat, two_s):
     # reference to 1e-9 of the matrix scale (the forward-difference overlap
     # form gave f_lg = 0.514 against 0 at (7, 1/2), scale 1024)
     ref = exact_qfi(n_sat, two_s, np.pi, np.pi / 2, 48)
-    q = qfi_scan([(CollectiveShape(n_sat, two_s), [48])], SPECIAL)[0][0]
+    q = qfi_scan([(CollectiveShape(n_sat, two_s), [48])], *SPECIAL)[0][0]
     for got, want in ((q.f_ll, ref.f_ll), (q.f_gg, ref.f_gg),
                       (q.f_lg, ref.f_lg)):
         assert abs(got - want) <= 1e-9 * ref.scale
@@ -192,13 +192,12 @@ def test_disagreement_flag_detects_tangent_fault(monkeypatch):
     # the sign of the d_lambda source term flipped in the tangent path only:
     # d_lambda psi changes sign, so f_lg does, which the central-difference
     # cross-check catches at a drive point where f_lg (78.2) is not zero
-    params = DriveParams.symmetric(1.3, 0.7)
-    (q,), = qfi_scan([(CollectiveShape(4, 2), [12])], params)
+    (q,), = qfi_scan([(CollectiveShape(4, 2), [12])], 1.3, 0.7)
     assert not q.estimators_disagree
     generators = metrology._generators
     monkeypatch.setattr(metrology, "_generators",
                         lambda shape: (generators(shape)[0], -generators(shape)[1]))
-    (q,), = qfi_scan([(CollectiveShape(4, 2), [12])], params)
+    (q,), = qfi_scan([(CollectiveShape(4, 2), [12])], 1.3, 0.7)
     assert q.estimators_disagree
 
 
@@ -210,7 +209,7 @@ def test_exact_collective_rows_pinned(n_sat):
     ref = exact_collective_qfi(n_sat, 4, np.pi, np.pi / 2, 48)
     want = (576.0 * n_sat ** 2, 1152.0 * (n_sat + 4), 0.0)
     scale = max(want[:2])
-    q = qfi_scan([(CollectiveShape(n_sat, 4), [48])], SPECIAL)[0][0]
+    q = qfi_scan([(CollectiveShape(n_sat, 4), [48])], *SPECIAL)[0][0]
     for pinned, exact, got in zip(want, (ref.f_ll, ref.f_gg, ref.f_lg),
                                   (q.f_ll, q.f_gg, q.f_lg)):
         assert abs(exact - pinned) <= 1e-9 * scale
@@ -262,7 +261,7 @@ def _assert_pinned(q, want, ref=None):
 def test_odd_half_forms_match_the_dense_reference(n_sat, two_s):
     # N = 9 and 11 are 1 and 3 mod 4; at (9, 1/2) the forms give 2448, 11520
     ref = exact_collective_qfi(n_sat, two_s, np.pi, np.pi / 2, 48)
-    q = qfi_scan([(CollectiveShape(n_sat, two_s), [48])], SPECIAL)[0][0]
+    q = qfi_scan([(CollectiveShape(n_sat, two_s), [48])], *SPECIAL)[0][0]
     _assert_pinned(q, (*_odd_half_form(n_sat, two_s), 0.0), ref)
 
 
@@ -272,14 +271,14 @@ def test_odd_half_at_spin_three_halves(n_sat, want):
     # 2s = 3 mod 4: the linear term of f_ll sits at N = 3 mod 4 here,
     # 24336 = 144 * 13^2 and 38160 = 144 * 15^2 + 384 * 15
     ref = exact_collective_qfi(n_sat, 3, np.pi, np.pi / 2, 48)
-    q = qfi_scan([(CollectiveShape(n_sat, 3), [48])], SPECIAL)[0][0]
+    q = qfi_scan([(CollectiveShape(n_sat, 3), [48])], *SPECIAL)[0][0]
     _assert_pinned(q, want, ref)
 
 
 @pytest.mark.parametrize("n_sat", [1001, 1003])
 def test_odd_half_forms_on_the_walk_at_large_n_sat(n_sat):
     # beyond the dense reference's reach: the walk alone, s = 5/2
-    q = qfi_scan([(CollectiveShape(n_sat, 5), [48])], SPECIAL)[0][0]
+    q = qfi_scan([(CollectiveShape(n_sat, 5), [48])], *SPECIAL)[0][0]
     _assert_pinned(q, (*_odd_half_form(n_sat, 5), 0.0))
 
 
@@ -292,7 +291,7 @@ def test_fisher_information_grows_as_the_square_of_whole_periods():
                                           range(1, 6)):
         r = predict_dtc_class(n_sat, two_s, "special_ho").period
         scans.append((CollectiveShape(n_sat, two_s), [r, 2 * r, 4 * r]))
-    for (shape, _), (base, *multiples) in zip(scans, qfi_scan(scans, SPECIAL)):
+    for (shape, _), (base, *multiples) in zip(scans, qfi_scan(scans, *SPECIAL)):
         for k, q in zip((2, 4), multiples):
             scale = max(abs(q.f_ll), abs(q.f_gg))
             np.testing.assert_allclose(
@@ -309,15 +308,14 @@ def test_scan_matches_single_walks():
     # one scan, padded walks included, equals one walk per shape bitwise,
     # in the order given, with a repeated shape and count and a zero count;
     # (200, 2) is over the entry budget and walks alone
-    params = DriveParams.symmetric(1.3, 0.7)
     scans = [(CollectiveShape(6, 4), [40, 8, 0, 8, 24, 3])] + [
         (CollectiveShape(n, 4), [48]) for n in (3, 5, 6, 200, 40, 3)]
-    got = qfi_scan(scans, params)
+    got = qfi_scan(scans, 1.3, 0.7)
     assert [[q.n_periods for q in row] for row in got] == \
         [counts for _, counts in scans]
     for (shape, counts), row in zip(scans, got):
         assert [_fields(q) for q in row] == \
-            [_fields(q) for q in qfi_scan([(shape, counts)], params)[0]]
+            [_fields(q) for q in qfi_scan([(shape, counts)], 1.3, 0.7)[0]]
 
 
 def _group_sizes(wanted):
@@ -347,10 +345,10 @@ def test_crosscheck_step_follows_the_shape_longest_count():
     # count is asked, in its own entry or another, while its primary
     # elements are those of a walk to n = 1 alone
     shape = CollectiveShape(128, 4)
-    alone = qfi_scan([(shape, [1])], SPECIAL)[0][0]
-    walk = qfi_scan([(shape, [1, 48])], SPECIAL)[0]
+    alone = qfi_scan([(shape, [1])], *SPECIAL)[0][0]
+    walk = qfi_scan([(shape, [1, 48])], *SPECIAL)[0]
     scan = qfi_scan([(shape, [1]), (CollectiveShape(8, 4), [48]),
-                     (shape, [48])], SPECIAL)
+                     (shape, [48])], *SPECIAL)
     assert _fields(scan[0][0]) == _fields(walk[0])
     assert _fields(scan[2][0]) == _fields(walk[1])
     assert walk[0].delta == DEFAULT_DELTA / 16 and alone.delta == DEFAULT_DELTA
@@ -374,7 +372,7 @@ def test_lone_walk_holds_one_satellite_rotation(monkeypatch):
 
     real = np.matmul
     monkeypatch.setattr(np, "matmul", matmul)
-    qfi_scan([(shape, [1])], SPECIAL)
+    qfi_scan([(shape, [1])], *SPECIAL)
     to_x, from_x = held
     assert to_x.dtype == from_x.dtype == np.float64
     assert to_x.shape == from_x.shape == (1, 3, 3)
@@ -387,11 +385,11 @@ def test_scan_repeats_bitwise_after_another_scan():
     # other shapes, counts and drive point, gives the same rows bitwise
     scans = [(CollectiveShape(n, 4), [8, 48]) for n in (3, 12, 7)] + [
         (CollectiveShape(200, 4), [5]), (CollectiveShape(4, 1), [5, 9])]
-    first = qfi_scan(scans, SPECIAL)
+    first = qfi_scan(scans, *SPECIAL)
     qfi_scan([(CollectiveShape(n, 5), [30]) for n in (2, 40)]
              + [(CollectiveShape(12, 4), [48]), (CollectiveShape(3, 1), [7])],
-             DriveParams.symmetric(1.3, 0.7))
-    assert [[_fields(q) for q in row] for row in qfi_scan(scans, SPECIAL)] \
+             1.3, 0.7)
+    assert [[_fields(q) for q in row] for row in qfi_scan(scans, *SPECIAL)] \
         == [[_fields(q) for q in row] for row in first]
 
 
@@ -400,7 +398,7 @@ def test_layouts_agree_at_criterion_09_shapes():
     # s = 1/2), equals the dense 2^n reference to 1e-9 of the matrix scale
     scans = [(CollectiveShape(n_sat, two_s), [48])
              for n_sat, two_s in CRITERION_09_SHAPES]
-    rows = [row[0] for row in qfi_scan(scans, SPECIAL)]
+    rows = [row[0] for row in qfi_scan(scans, *SPECIAL)]
     for (n_sat, two_s), q in zip(CRITERION_09_SHAPES, rows):
         ref = exact_qfi(n_sat, two_s, np.pi, np.pi / 2, 48)
         for a, b in ((ref.f_ll, q.f_ll), (ref.f_gg, q.f_gg), (ref.f_lg, q.f_lg)):
@@ -413,7 +411,7 @@ def test_no_false_disagreement_at_large_n_sat():
     # the fixed step's central difference was off by 3.1%, 12% and 92% of
     # f_ll here; the step now shrinks with n_periods * J * s
     rows = qfi_scan([(CollectiveShape(n_sat, 4), [48])
-                     for n_sat in (128, 256, 1000)], SPECIAL)
+                     for n_sat in (128, 256, 1000)], *SPECIAL)
     for n_sat, (q,) in zip((128, 256, 1000), rows):
         assert q.delta == DEFAULT_DELTA / (48 * n_sat * 4 / 4 / 384)
         assert abs(q.f_ll_crosscheck - q.f_ll) <= 1e-3 * q.f_ll

@@ -7,8 +7,7 @@ from spindtc.errors import ShapeError
 from spindtc.spin_algebra import coherent_axis_state, spin_matrices
 from spindtc.hilbert import (CollectiveShape, x_polarized_state,
                              reduced_central_density, von_neumann_entropy)
-from spindtc.floquet import (DriveParams, precompute, evolve, to_x_basis,
-                             from_x_basis)
+from spindtc.floquet import precompute, evolve, to_x_basis, from_x_basis
 from spindtc.observables import (magnetizations, trajectory_columns,
                                  product_series, is_product_line, series)
 from spindtc.analytic_states import milestone_state
@@ -69,6 +68,20 @@ def test_product_series_holds_on_lambda_0_and_2pi_only():
             product_series(shape, [0.0, lam], 0.3, periods)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_series_rejects_non_finite_angles(bad):
+    # refused wherever a point's columns come from: the closed form on
+    # lambda = 0 and 2pi, or the engine, and alone or beside a finite point
+    shape = CollectiveShape(8, 4)
+    for lam, g in ((0.0, bad), (2 * np.pi, bad), (1.0, bad), (bad, 1.0),
+                   ([0.0, 1.0], [0.3, bad]), ([0.0, 1.0], [bad, 0.3])):
+        with pytest.raises(ShapeError, match="finite"):
+            series(shape, lam, g, 3)
+    for lam, g in ((0.0, bad), (bad, 0.3), ([0.0, 2 * np.pi], [0.3, bad])):
+        with pytest.raises(ShapeError, match="finite"):
+            product_series(shape, lam, g, 3)
+
+
 def test_super_cat_magnetization_vanishes():
     sh = CollectiveShape(9, 5)
     m_sat, m_c = _x_magnetizations(milestone_state(sh, 3))
@@ -98,7 +111,7 @@ def test_record_initial_state():
     # the identity drive: the one recorded period is the x-polarized start
     sh = CollectiveShape(3, 5)
     st = x_polarized_state(sh)
-    columns = evolve(st, precompute(sh, DriveParams(0.0, 0.0, 0.0)), 1,
+    columns = evolve(st, precompute(sh, 0.0, 0.0, 0.0), 1,
                      trajectory_columns)
     assert [c.shape for c in columns] == [(1,)] * 4
     m_sat, m_c, entropy, fid = (float(c[0]) for c in columns)
@@ -112,7 +125,7 @@ def test_record_ghz_entropy():
     sh = CollectiveShape(9, 5)
     st = x_polarized_state(sh)
     _, _, entropy, _ = evolve(
-        st, precompute(sh, DriveParams.symmetric(np.pi, np.pi / 2)), 6,
+        st, precompute(sh, np.pi, np.pi / 2, np.pi / 2), 6,
         trajectory_columns)
     assert entropy[5] == pytest.approx(np.log(2), abs=1e-9)
 
@@ -121,7 +134,7 @@ def test_record_bounds_along_trajectory():
     sh = CollectiveShape(4, 3)
     st = x_polarized_state(sh)
     m_sat, m_c, entropy, fid = evolve(
-        st, precompute(sh, DriveParams.symmetric(1.9, 0.7)), 40,
+        st, precompute(sh, 1.9, 0.7, 0.7), 40,
         trajectory_columns)
     assert (abs(m_sat) <= 0.5 + 1e-10).all()
     assert (abs(m_c) <= 1.5 + 1e-10).all()
@@ -149,7 +162,7 @@ def test_series_picks_the_closed_form_or_the_engine():
             want = product_series(shape, lam, g, periods)
         else:
             want = evolve(x_polarized_state(shape),
-                          precompute(shape, DriveParams.symmetric(lam, g)),
+                          precompute(shape, lam, g, g),
                           periods, trajectory_columns)
             want = [np.concatenate(([start], c)) for start, c in
                     zip((0.5, shape.s, 0.0, 1.0), want)]
@@ -190,7 +203,8 @@ def test_stack_rows_match_single_states(shape):
     points = [(1.3, 0.7), (np.pi, np.pi / 2), (2 * np.pi, 3.0)]
     x = x_polarized_state(shape)
     stack = np.tile(x, (len(points), 1, 1))
-    evolve(stack, precompute(shape, [DriveParams.symmetric(*p) for p in points]), 7)
+    lams, gs = np.transpose(points)
+    evolve(stack, precompute(shape, lams, gs, gs), 7)
 
     def observables(st):
         return [*_x_magnetizations(st),
@@ -199,18 +213,18 @@ def test_stack_rows_match_single_states(shape):
     rows = observables(stack)
     for b, p in enumerate(points):
         st = x.copy()
-        evolve(st, precompute(shape, DriveParams.symmetric(*p)), 7)
+        evolve(st, precompute(shape, p[0], p[1], p[1]), 7)
         np.testing.assert_array_equal(stack[b], st)
         assert [float(v[b]) for v in rows] == [float(v) for v in observables(st)]
         assert np.linalg.norm(stack, axis=(-2, -1))[b] == \
             np.linalg.norm(st, axis=(-2, -1))
 
 
-def _per_period_columns(shape, params, periods):
+def _per_period_columns(shape, angles, periods):
     # the x-basis states of one evolve call, each period observed on its own
     # as a block of one
     st = x_polarized_state(shape)
-    (states,) = evolve(st, precompute(shape, params), periods,
+    (states,) = evolve(st, precompute(shape, *angles), periods,
                        lambda block: (block,))
     return [np.concatenate(c) for c in zip(*(
         trajectory_columns(x[None]) for x in states))]
@@ -221,10 +235,10 @@ def _per_period_columns(shape, params, periods):
 def test_block_records_match_stepped_periods(shape, periods):
     # (8, 2) spans many observed blocks; the 64 x 65 state of (63, 32) is
     # over the block budget, so its blocks hold one period each
-    params = DriveParams.symmetric(1.3, 0.7)
+    angles = (1.3, 0.7, 0.7)
     st = x_polarized_state(shape)
-    got = evolve(st, precompute(shape, params), periods, trajectory_columns)
-    want = _per_period_columns(shape, params, periods)
+    got = evolve(st, precompute(shape, *angles), periods, trajectory_columns)
+    want = _per_period_columns(shape, angles, periods)
     assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
 
 
@@ -233,8 +247,7 @@ def test_one_period_calls_match_one_call():
     # one period round differently from one call of 5000, within the
     # engine cross-check tolerance
     shape, periods = CollectiveShape(8, 4), 5000
-    params = DriveParams.symmetric(1.3, 0.7)
-    tables = precompute(shape, params)
+    tables = precompute(shape, 1.3, 0.7, 0.7)
     whole = x_polarized_state(shape)
     got = evolve(whole, tables, periods, trajectory_columns)
     assert [c.shape for c in got] == [(periods,)] * 4
@@ -279,7 +292,7 @@ def test_recorded_columns_match_z_basis_observables(shape):
     # fidelity to the start of the matching z-basis state
     st = x_polarized_state(shape)
     xs, *columns = evolve(
-        st, precompute(shape, DriveParams.symmetric(1.3, 0.7)), 40,
+        st, precompute(shape, 1.3, 0.7, 0.7), 40,
         lambda states: (states, *trajectory_columns(states)))
     for x, values in zip(xs, zip(*columns)):
         _check_columns(shape, x, values)
@@ -290,7 +303,8 @@ def test_recorded_stack_columns_match_z_basis_observables():
     # the z-basis observables of every row
     shape = CollectiveShape(9, 5)
     points = [(np.pi, np.pi / 2), (2 * np.pi, 3.0), (1.3, 0.7)]
-    tables = precompute(shape, [DriveParams.symmetric(*p) for p in points])
+    lams, gs = np.transpose(points)
+    tables = precompute(shape, lams, gs, gs)
     stack = np.tile(x_polarized_state(shape), (len(points), 1, 1))
     xs, *columns = evolve(
         stack, tables, 30,

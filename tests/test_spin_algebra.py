@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spindtc.errors import ShapeError
-from spindtc.spin_algebra import spin_matrices, axis_eigenbasis, coherent_axis_state
+from spindtc.spin_algebra import spin_matrices, x_eigenbasis, coherent_axis_state
 
 
 def test_spin_half_matrices():
@@ -49,41 +49,32 @@ def test_algebra_invariants(two_s):
 
 
 def test_x_basis_spin_half():
-    v = axis_eigenbasis(1, "x")
+    v = x_eigenbasis(1)
     r = 1 / np.sqrt(2)
     np.testing.assert_allclose(v, [[r, r], [r, -r]], atol=1e-12)
 
 
-def test_z_basis_is_identity():
-    np.testing.assert_allclose(axis_eigenbasis(3, "z"), np.eye(4), atol=1e-15)
-
-
 @pytest.mark.parametrize("two_s", [1, 2, 3, 5, 8])
-@pytest.mark.parametrize("axis", ["x", "y", "z"])
-def test_eigenbasis_diagonalizes(two_s, axis):
-    ops = spin_matrices(two_s)
-    op = {"x": ops.sx, "y": ops.sy, "z": ops.sz}[axis]
-    v = axis_eigenbasis(two_s, axis)
+def test_eigenbasis_diagonalizes(two_s):
+    v = x_eigenbasis(two_s)
     s = two_s / 2.0
-    np.testing.assert_allclose(v.conj().T @ v, np.eye(two_s + 1), atol=1e-12)
-    np.testing.assert_allclose(v.conj().T @ op @ v, np.diag(s - np.arange(two_s + 1)),
-                               atol=1e-12)
+    np.testing.assert_allclose(v.T @ v, np.eye(two_s + 1), atol=1e-12)
+    np.testing.assert_allclose(v.T @ spin_matrices(two_s).sx @ v,
+                               np.diag(s - np.arange(two_s + 1)), atol=1e-12)
 
 
 def test_eigenbasis_phase_convention():
     for two_s in (1, 2, 5):
-        for axis in ("x", "y"):
-            v = axis_eigenbasis(two_s, axis)
-            for col in range(two_s + 1):
-                first = v[np.argmax(np.abs(v[:, col]) > 1e-12), col]
-                assert first.real > 0 and abs(first.imag) < 1e-12
+        v = x_eigenbasis(two_s)
+        for col in range(two_s + 1):
+            assert v[np.argmax(np.abs(v[:, col]) > 1e-12), col] > 0
 
 
 def test_x_eigenbasis_is_real():
     # eigh of the real S^x: the Fisher walk's real products take the basis
     # as it is
     for two_s in [*range(1, 201), 1000]:
-        assert axis_eigenbasis(two_s, "x").dtype == np.float64, two_s
+        assert x_eigenbasis(two_s).dtype == np.float64, two_s
 
 
 def test_coherent_plus_x_spin_half():
@@ -116,7 +107,7 @@ def test_coherent_y_binomial_expansion_in_x_basis(sign):
     # (-+i)^l * sqrt(binom(2s, l)) up to global phase; the plain-binomial
     # variant (without the square root) is not normalizable to this state
     two_s = 5
-    vx = axis_eigenbasis(two_s, "x")
+    vx = x_eigenbasis(two_s)
     coeffs = vx.conj().T @ coherent_axis_state(two_s, "y", sign)
     from math import comb
     unit = -1j if sign == "+" else 1j

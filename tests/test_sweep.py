@@ -8,7 +8,7 @@ import pytest
 from spindtc.errors import ShapeError, CheckpointError
 from spindtc.hilbert import CollectiveShape, x_polarized_state
 from spindtc import cli
-from spindtc.floquet import DriveParams, precompute, evolve
+from spindtc.floquet import precompute, evolve
 from spindtc.observables import trajectory_columns
 from spindtc.diagnostics import (stroboscopic_average,
                                  relative_order_parameter, predict_dtc_class)
@@ -104,7 +104,7 @@ def _evolved_values(shape, lam, g, periods, stride):
     """The five map averages of (lam, g) from a direct floquet.evolve of
     the x-polarized start, each reduced by its definition: a path that
     shares neither observables.series nor _scan's reductions."""
-    tables = precompute(shape, DriveParams.symmetric(lam, g))
+    tables = precompute(shape, lam, g, g)
     traj = evolve(x_polarized_state(shape), tables, periods,
                   trajectory_columns)
     # one row per period n = 1..periods
@@ -122,6 +122,11 @@ def _criterion_11_subgrid(lambda_every, g_every):
     return GridSpec((0.0, 4 * np.pi, 64 // lambda_every + 1),
                     (0.0, 2 * np.pi, 32 // g_every + 1),
                     CollectiveShape(8, 4), 200, 2)
+
+
+def _distinct_keys(spec) -> set:
+    """The distinct evolution keys of spec's grid, as (lambda, g) tuples."""
+    return set(map(tuple, sweep._canonical_points(spec)[0].tolist()))
 
 
 def _at_canonical_grid_point(spec, index):
@@ -145,7 +150,7 @@ def test_row_independent_of_batch(monkeypatch):
     spec = _criterion_11_subgrid(4, 2)
     assert sweep._stack_rows(CollectiveShape(8, 4)) == 271
     monkeypatch.setattr(sweep, "_stack_rows", lambda shape: 8)
-    assert len(set(sweep._canonical_points(spec)[0])) == 21
+    assert len(_distinct_keys(spec)) == 21
     records = run_grid(spec)
     for i, j in ((4, 4), (12, 12), (8, 0), (16, 13)):
         index = i * 17 + j
@@ -213,8 +218,9 @@ def test_benchmark_grid_evolves_2_of_its_45_points(tmp_path, monkeypatch):
     # writes the file as the fresh run did
     spec = _criterion_11_subgrid(8, 8)
     keys, mirrored = sweep._canonical_points(spec)
-    assert sorted(set(keys)) == [(0.0, 0.0), (0.0, np.pi / 2),
-                                 (np.pi / 2, np.pi / 2), (np.pi, np.pi / 2)]
+    assert sorted(_distinct_keys(spec)) == [
+        (0.0, 0.0), (0.0, np.pi / 2), (np.pi / 2, np.pi / 2),
+        (np.pi, np.pi / 2)]
     work = _count_work(monkeypatch)
     path = tmp_path / "map.ckpt"
     records = run_grid(spec, checkpoint_path=str(path))
@@ -222,8 +228,8 @@ def test_benchmark_grid_evolves_2_of_its_45_points(tmp_path, monkeypatch):
     # mirror rows repeat their canonical row, which is on this grid, with
     # both o_rel negated at a mirror image under g -> pi - g
     by_point = {(r.lam, r.g): r for r in records}
-    for rec, key, mirror in zip(records, keys, mirrored):
-        canonical = by_point[key][2:]
+    for rec, key, mirror in zip(records, keys.tolist(), mirrored):
+        canonical = by_point[tuple(key)][2:]
         assert rec[2:] == tuple(sweep._mirror(canonical, mirror).tolist())
     # the g = pi column
     assert [index for index, mirror in enumerate(mirrored) if mirror] == \
@@ -309,7 +315,7 @@ def test_no_kick_line_takes_the_record_of_the_origin(monkeypatch, shape,
     line = [*range(0, 459, 51), *range(50, 459, 51)]
     if stride % 2 == 0:
         line += range(25, 459, 51)
-    assert {keys[index] for index in line} == {(0.0, 0.0)}
+    assert {tuple(keys[index]) for index in line} == {(0.0, 0.0)}
 
 
 @pytest.mark.parametrize("shape", _PARITY_CLASSES,
@@ -377,7 +383,7 @@ def test_engine_follows_the_closed_form_on_lambda_0_and_2pi(shape):
                          np.cos(phi_j / 2) ** (2 * shape.n_sat)
                          * np.cos(phi_c / 2) ** (2 * shape.two_s)], axis=1)
         traj = evolve(x_polarized_state(shape),
-                      precompute(shape, DriveParams.symmetric(lam, g)),
+                      precompute(shape, lam, g, g),
                       periods, trajectory_columns)
         np.testing.assert_allclose(np.column_stack((n, *traj)), want, rtol=0,
                                    atol=1e-12)
@@ -473,8 +479,8 @@ def test_off_grid_folds_keep_their_floats(monkeypatch):
     points = [(float(lam), float(g))
               for lam in spec.lambdas for g in spec.gs]
     keys, _ = sweep._canonical_points(spec)
-    assert keys == [fold(*point, spec.shape, spec.stride)[:2]
-                    for point in points]
+    assert keys.tolist() == [list(fold(*point, spec.shape, spec.stride)[:2])
+                             for point in points]
     work = _count_work(monkeypatch)
     records = run_grid(spec)
     assert sum(work) == spec.n_points * spec.periods
@@ -599,8 +605,8 @@ def test_checkpoint_holds_the_records_known_before_a_failed_stack(
     fresh_path = tmp_path / "fresh.ckpt"
     fresh = run_grid(spec, checkpoint_path=str(fresh_path))
     keys, _ = sweep._canonical_points(spec)
-    firsts = sorted({key: k for k, key in reversed(list(enumerate(keys)))}
-                    .values())
+    firsts = sorted({tuple(key): k for k, key
+                     in reversed(list(enumerate(keys.tolist())))}.values())
     ahead = firsts[8]
     calls = []
 
@@ -672,7 +678,7 @@ def test_resume_from_cut_record(tmp_path, monkeypatch, kept):
     # key, (2pi, 1.2), whose record is the closed form's, with no evolution
     spec = GridSpec((0.0, 2 * np.pi, 3), (0.1, 1.2, 3), CollectiveShape(3, 1),
                     16, 2)
-    assert len(set(sweep._canonical_points(spec)[0])) == spec.n_points
+    assert len(_distinct_keys(spec)) == spec.n_points
     path = tmp_path / "cut.bin"
     fresh = run_grid(spec, checkpoint_path=str(path))
     whole = path.read_bytes()

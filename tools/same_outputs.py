@@ -26,7 +26,12 @@ revive at periods 4, 12, 12 and 24, at (9, 5/2) with --periods 24 and 23
 benchmark's three qfi scans;
 phase-map sweeps at (8, 2) and (9, 5/2), fresh, resumed from a checkpoint
 whose last record is cut mid-write, resumed from the first eighth of a
-checkpoint, and at stride 3; and states at (8, 2), (8, 5/2), (9, 2) and
+checkpoint, and at stride 3; two sweeps off the default ranges, where the
+scan's key bookkeeping has more to do: a 17 x 13 grid at (8, 5/2) over
+lambda in [0.3, 5.1] and g in [-1, 2], whose folds miss the grid (137 of
+its 221 points computed, 84 by symmetry), and a one-point lambda axis at
+(9, 2), lambda = pi with 9 g values over [-pi, pi] (3 of 9 computed); and
+states at (8, 2), (8, 5/2), (9, 2) and
 (9, 5/2), one parity class each, listing the milestone times and printing
 every milestone, then an unsupported time and a 2^n basis over the
 amplitude budget.
@@ -128,6 +133,14 @@ COMMANDS = [
     ("sweep-9-default-eighth", _sweep(_SHAPE_9),
      ("sweep-9-default", "eighth")),
     ("sweep-8-default-stride-3", _sweep(_SHAPE_8, "--stride", "3"), None),
+    ("sweep-8-5over2-asymmetric", _sweep(
+        _SHAPE_8_HALF, "--lambda-min", "0.3", "--lambda-max", "5.1",
+        "--lambda-steps", "17", "--g-min=-1", "--g-max", "2", "--g-steps",
+        "13", "--periods", "60"), None),
+    ("sweep-9-2-one-lambda", _sweep(
+        _SHAPE_9_INT, "--lambda-min", "pi", "--lambda-max", "pi",
+        "--lambda-steps", "1", "--g-min=-pi", "--g-max", "pi", "--g-steps",
+        "9", "--periods", "40"), None),
 ]
 for n_sat, spin, times in _MILESTONES:
     label = f"states-{n_sat}-{spin.replace('/', 'over')}"

@@ -17,7 +17,10 @@ evolve writes the columns of observables.series, as the phase map reduces
 them: on the lines lambda = 0 and 2pi mod 4pi (0, 2pi, 4pi, 6pi, -2pi,
 ...) the closed form, and nothing is driven; classify measures on the
 engine (floquet.evolve) at every lambda, so that its measured line is not
-the formula it is compared against.
+the formula it is compared against. Its --regime values, and each one's
+default drive point, are diagnostics.REGIMES; it builds the shape before
+it reads the regime's table, so a shape CollectiveShape refuses is
+reported first.
 """
 
 import argparse
@@ -32,8 +35,8 @@ from .hilbert import CollectiveShape, x_polarized_state, MAX_DIMENSION
 from .floquet import precompute, evolve
 from .observables import magnetizations, series
 from .diagnostics import (DEFAULT_PERIOD_SCAN_MAX, DEFAULT_REVIVAL_EPSILON,
-                          predict_dtc_class, first_revival, classify_subsystem,
-                          check_epsilon)
+                          REGIMES, lambda_2pi_taxonomy, tabulated_period,
+                          first_revival, classify_subsystem, check_epsilon)
 from .analytic_states import (milestone_state, parity_case_of,
                               supported_time_indices)
 from .metrology import qfi_scan
@@ -42,17 +45,6 @@ from .sweep import (GridSpec, run_grid, write_csv, write_rows,
 
 TRAJECTORY_HEADER = "n,m_sat_x,m_c_x,entropy,fidelity"
 QFI_HEADER = "n_sat,two_s,n_periods,f_ll,f_gg,f_lg,g_scalar,gain"
-
-# --regime value -> (prediction table, default drive point); the
-# regular-class points are reported, the class-label-to-point mapping is not
-# a settled fact
-_REGIMES = {
-    "lambda2pi": ("lambda_2pi", (2 * np.pi, 3.0)),
-    "special": ("special_ho", (np.pi, np.pi / 2)),
-    "regular1": ("regular_class_1", (np.pi, np.pi / 4)),
-    "regular2": ("regular_class_2", (np.pi / 2, np.pi / 2)),
-}
-
 
 def _finite(text: str) -> float:
     value = float(text)
@@ -163,7 +155,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="tabulated DTC prediction vs measured period")
     shape_flags(p)
-    p.add_argument("--regime", choices=sorted(_REGIMES), default=None,
+    p.add_argument("--regime", choices=sorted(REGIMES), default=None,
                    help="which classification table to use")
     drive_flags(p)
     p.add_argument("--periods", type=int, default=DEFAULT_PERIOD_SCAN_MAX,
@@ -245,40 +237,41 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_classify(args) -> int:
     _require(args, "n_sat", "spin", "regime")
-    if args.regime not in _REGIMES:     # a config value skips argparse's choices
+    if args.regime not in REGIMES:     # a config value skips argparse's choices
         raise ShapeError(f"unknown regime {args.regime!r}")
-    regime, (lam_d, g_d) = _REGIMES[args.regime]
-    pred = predict_dtc_class(args.n_sat, args.spin, regime)
+    shape = CollectiveShape(args.n_sat, args.spin)
+    taxonomy = args.regime == "lambda2pi"
+    predicted = (lambda_2pi_taxonomy(shape) if taxonomy
+                 else tabulated_period(shape, args.regime))
     # every regime takes the same --epsilon values, lambda2pi included
     check_epsilon(args.epsilon)
+    (lam_d, g_d), _ = REGIMES[args.regime]
     lam = args.lam if args.lam is not None else lam_d
     g = args.g if args.g is not None else g_d
-
-    shape = CollectiveShape(args.n_sat, args.spin)
     tables = precompute(shape, lam, g, g)
     # printed once the measurement has succeeded, so a failed one prints
     # only its error
     point = (f"shape ({args.n_sat}, s={_spin_text(args.spin)}) at "
              f"lambda={lam:.10g}, g={g:.10g}")
-    if regime == "lambda_2pi":
+    if taxonomy:
         # the taxonomy reads every period's magnetizations, driven by the
         # engine rather than read from observables.product_series, the
         # closed form the table is checked against. evolve returns () at
-        # zero periods, which classify_subsystem refuses as empty
+        # zero periods, which classify_subsystem refuses as empty, and it
+        # refuses one period, whose only even sample is the start
         m_sat, m_c = evolve(x_polarized_state(shape), tables, args.periods,
                             magnetizations) or ((), ())
         meas_sat = classify_subsystem([0.5, *m_sat], g, 0.5)
         meas_c = classify_subsystem([shape.s, *m_c], g, shape.s)
         print(point)
-        print(f"predicted satellites {pred.satellite_behavior}, central "
-              f"{pred.central_behavior} ({pred.label})")
+        print("predicted satellites {}, central {} ({})".format(*predicted))
         print(f"measured satellites {meas_sat}, central {meas_c}")
         return 0
     period = first_revival(tables, args.periods, args.epsilon)
     print(point)
-    print(f"predicted {pred.period}, measured "
+    print(f"predicted {predicted}, measured "
           f"{period if period is not None else 'none'}")
-    if regime.startswith("regular"):
+    if args.regime.startswith("regular"):
         print("note: which regular class sits at which drive point is "
               "reported as measured, not asserted")
     return 0

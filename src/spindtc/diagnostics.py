@@ -1,19 +1,25 @@
 """DTC classification: stroboscopic averages, order parameters, revival
 periods and the tabulated predictions for the various DTC families.
 
+REGIMES is classify's one table of regimes, keyed by the command's names
+(lambda2pi, special, regular1, regular2): each regime's default drive
+point, and the regular classes' periods. The other two are tabulated by
+parity class (analytic_states.parity_case_of): lambda_2pi_taxonomy reads
+the behaviors at lambda = 2pi, and tabulated_period reads special's period
+as the time of the class's full revival, its last milestone.
+
 first_revival measures the revival period: it drives the x-polarized start
 one period at a time and stops at the first period whose fidelity to the
 start is above 1 - epsilon, reading nothing but that fidelity, so a
 revival at period r costs r periods.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError, NotTabulatedError
-from .hilbert import x_polarized_state
-from .floquet import StepTables, period_states
+from .hilbert import CollectiveShape, x_polarized_state
+from .analytic_states import parity_case_of, supported_time_indices
+from .floquet import StepTables, check_periods, period_states
 from .observables import initial_fidelity
 
 DEFAULT_REVIVAL_EPSILON = 1e-8
@@ -76,8 +82,7 @@ def first_revival(tables: StepTables, max_periods: int,
     (observables.initial_fidelity), so a revival at period r costs r
     periods, and none costs max_periods.
     """
-    if max_periods < 0:     # evolve's message, ahead of the empty one
-        raise ShapeError(f"n_periods must be >= 0, got {max_periods}")
+    check_periods(max_periods)     # evolve's message, ahead of the empty one
     if max_periods == 0:
         raise ShapeError("empty trajectory")
     check_epsilon(epsilon)
@@ -88,58 +93,54 @@ def first_revival(tables: StepTables, max_periods: int,
     return None
 
 
-# Table-driven predictions. Keys are (n_sat parity, s parity) or residue pairs.
+# classify's regimes by command name: (default drive point (lambda, g),
+# regular HO-DTC periods keyed by (n_sat mod 4, s even integer?), or None
+# for the two regimes tabulated by parity class). The regular points are
+# reported; which regular class sits at which drive point is not a settled
+# fact
+REGIMES = {
+    "lambda2pi": ((2 * np.pi, 3.0), None),
+    "special": ((np.pi, np.pi / 2), None),
+    "regular1": ((np.pi, np.pi / 4),
+                 {(0, True): 24, (0, False): 24, (2, True): 24, (2, False): 12}),
+    "regular2": ((np.pi / 2, np.pi / 2),
+                 {(0, True): 12, (0, False): 24, (2, True): 24, (2, False): 24}),
+}
 
+# parity class (analytic_states.parity_case_of) -> (satellite behavior,
+# central behavior, label) at lambda = 2pi
 _LAMBDA_2PI_TABLE = {
-    # (n_sat even?, s integer?) -> (satellite behavior, central behavior, label)
-    (True, True): ("sinusoidal", "sinusoidal", "Rabi oscillation"),
-    (True, False): ("period doubling", "sinusoidal", "sub-system DTC"),
-    (False, True): ("sinusoidal", "period doubling", "sub-system DTC"),
-    (False, False): ("period doubling", "period doubling", "eternal DTC"),
+    "even_int": ("sinusoidal", "sinusoidal", "Rabi oscillation"),
+    "even_half": ("period doubling", "sinusoidal", "sub-system DTC"),
+    "odd_int": ("sinusoidal", "period doubling", "sub-system DTC"),
+    "odd_half": ("period doubling", "period doubling", "eternal DTC"),
 }
 
-_SPECIAL_HO_TABLE = {
-    (True, True): 4,
-    (True, False): 12,
-    (False, True): 12,
-    (False, False): 24,
-}
 
-# regular HO-DTC classes, keyed by (n_sat mod 4, s even integer?)
-_REGULAR_CLASS_1 = {(0, True): 24, (0, False): 24, (2, True): 24, (2, False): 12}
-_REGULAR_CLASS_2 = {(0, True): 12, (0, False): 24, (2, True): 24, (2, False): 24}
+def lambda_2pi_taxonomy(shape: CollectiveShape) -> tuple[str, str, str]:
+    """The tabulated (satellite behavior, central behavior, label) of the
+    shape's magnetizations at lambda = 2pi, by its parity class."""
+    return _LAMBDA_2PI_TABLE[parity_case_of(shape)]
 
 
-@dataclass(frozen=True)
-class DtcPrediction:
-    regime: str
-    period: int | None            # None for the lambda = 2pi taxonomy
-    satellite_behavior: str | None
-    central_behavior: str | None
-    label: str | None
+def tabulated_period(shape: CollectiveShape, regime: str) -> int:
+    """The tabulated period of regime special, regular1 or regular2 at the
+    shape; never extrapolates beyond the tables.
 
-
-def predict_dtc_class(n_sat: int, two_s: int, regime: str) -> DtcPrediction:
-    """Look up the tabulated prediction; never extrapolates beyond the tables."""
-    if n_sat < 1 or two_s < 1:
-        raise ShapeError(f"invalid (n_sat={n_sat}, two_s={two_s})")
-    even_sat = n_sat % 2 == 0
-    integer_s = two_s % 2 == 0
-    if regime == "lambda_2pi":
-        sat, cen, label = _LAMBDA_2PI_TABLE[(even_sat, integer_s)]
-        return DtcPrediction(regime, None, sat, cen, label)
-    if regime == "special_ho":
-        return DtcPrediction(regime, _SPECIAL_HO_TABLE[(even_sat, integer_s)],
-                             None, None, "special HO-DTC")
-    if regime in ("regular_class_1", "regular_class_2"):
-        if not even_sat or not integer_s:
-            raise NotTabulatedError(
-                f"regular HO-DTC tables only cover even n_sat and integer s, "
-                f"got (n_sat={n_sat}, two_s={two_s})")
-        s_even = (two_s // 2) % 2 == 0
-        table = _REGULAR_CLASS_1 if regime == "regular_class_1" else _REGULAR_CLASS_2
-        return DtcPrediction(regime, table[n_sat % 4, s_even], None, None, regime)
-    raise ShapeError(f"unknown regime {regime!r}")
+    special's is the time of the full revival, the last milestone of the
+    shape's parity class (analytic_states). The regular tables cover even
+    n_sat and integer s only, and raise NotTabulatedError elsewhere.
+    """
+    if regime == "special":
+        return max(supported_time_indices(parity_case_of(shape)))
+    _, table = REGIMES.get(regime, (None, None))
+    if table is None:
+        raise ShapeError(f"regime {regime!r} has no tabulated period")
+    if shape.n_sat % 2 or shape.two_s % 2:
+        raise NotTabulatedError(
+            f"regular HO-DTC tables only cover even n_sat and integer s, "
+            f"got (n_sat={shape.n_sat}, two_s={shape.two_s})")
+    return table[shape.n_sat % 4, shape.two_s % 4 == 0]
 
 
 def fit_cosine_amplitude(series_2nT, g: float) -> tuple[float, float]:
@@ -161,7 +162,10 @@ def fit_cosine_amplitude(series_2nT, g: float) -> tuple[float, float]:
 def classify_subsystem(series, g: float, maximum: float) -> str:
     """Measured taxonomy of one subsystem's magnetization at lambda = 2pi.
 
-    series[n] is the magnetization at nT, n = 0..len-1, with len >= 2.
+    series[n] is the magnetization at nT, n = 0..len-1, with len >= 3, so
+    that at least one driven period, series[2], is even: a series of one
+    entry raises ShapeError "empty trajectory", and one of two names the
+    2-period minimum.
     Returns 'frozen' when the even periods series[2n] lie within
     _TAXONOMY_TOL of +maximum and every period within 10 times it; 'period
     doubling' when the even periods do and an odd one does not; else
@@ -174,6 +178,9 @@ def classify_subsystem(series, g: float, maximum: float) -> str:
     y = np.asarray(series, dtype=float)
     if len(y) < 2:
         raise ShapeError("empty trajectory")
+    if len(y) < 3:
+        raise ShapeError(
+            f"the taxonomy needs at least 2 periods, got {len(y) - 1}")
     even = y[::2]
     if np.max(np.abs(even - maximum)) < _TAXONOMY_TOL:
         if np.max(np.abs(y - maximum)) > 10 * _TAXONOMY_TOL:

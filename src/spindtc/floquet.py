@@ -99,6 +99,12 @@ def _x_basis_kick(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (v.conj().T * phases[..., None, :]) @ v
 
 
+def check_periods(n_periods: int) -> None:
+    """A period count must be >= 0."""
+    if n_periods < 0:
+        raise ShapeError(f"n_periods must be >= 0, got {n_periods}")
+
+
 def finite_angles(*angles) -> list[np.ndarray]:
     """The drive angles as float arrays broadcast together. Raises
     ShapeError unless every entry is finite."""
@@ -203,8 +209,7 @@ def evolve(state: np.ndarray, tables: StepTables, n_periods: int,
     _BLOCK_AMPLITUDES (4096) amplitudes, or one period when a single state
     is larger, so a call holds at most that much beyond the state.
     """
-    if n_periods < 0:
-        raise ShapeError(f"n_periods must be >= 0, got {n_periods}")
+    check_periods(n_periods)
     if not np.iscomplexobj(state):
         raise ShapeError(f"evolve writes a complex state into state, "
                          f"which holds {state.dtype}")

@@ -40,9 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
 from .hilbert import CollectiveShape, x_polarized_state
-from .floquet import finite_angles, magnetic_numbers, _STACK_ENTRIES, _eigenbases
+from .floquet import (check_periods, finite_angles, magnetic_numbers,
+                      _STACK_ENTRIES, _eigenbases)
 
 DEFAULT_DELTA = 1e-4
 _ROUNDING_RTOL = 1e-12
@@ -123,8 +123,7 @@ def qfi_scan(scans, lam: float, g: float) -> list[list[QfiMatrix]]:
     """
     scans = [(shape, list(counts)) for shape, counts in scans]
     for _, counts in scans:
-        if any(n < 0 for n in counts):
-            raise ShapeError(f"n_periods must be >= 0, got {min(counts)}")
+        check_periods(min(counts, default=0))
     finite_angles(lam, g)
     wanted: dict[CollectiveShape, set[int]] = {}
     for shape, counts in scans:

@@ -40,7 +40,8 @@ import numpy as np
 from .errors import ShapeError
 from .hilbert import (CollectiveShape, x_polarized_state,
                       reduced_central_density, _hermitian_entropy)
-from .floquet import finite_angles, precompute, evolve, magnetic_numbers
+from .floquet import (check_periods, finite_angles, precompute, evolve,
+                      magnetic_numbers)
 
 
 def _populations(amps: np.ndarray) -> np.ndarray:
@@ -98,8 +99,7 @@ def product_series(shape: CollectiveShape, lam, g, periods: int):
     value lies in its range exactly: |m_sat_x| <= 1/2, |m_c_x| <= s, the
     fidelity in [0, 1]. Every entry is computed by the same operations
     whatever the other points are."""
-    if periods < 0:
-        raise ShapeError(f"n_periods must be >= 0, got {periods}")
+    check_periods(periods)
     lam, g = finite_angles(lam, g)
     if not is_product_line(lam).all():
         raise ShapeError(f"the closed form holds at lambda = 0 and 2pi, "
@@ -128,8 +128,7 @@ def series(shape: CollectiveShape, lam, g, periods: int) -> tuple:
     non-finite angle raises ShapeError, from whichever of the two computes
     its point's columns.
     """
-    if periods < 0:
-        raise ShapeError(f"n_periods must be >= 0, got {periods}")
+    check_periods(periods)
     lam, g = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                  np.asarray(g, dtype=float))
     out = np.empty((4, periods + 1) + lam.shape)

@@ -53,8 +53,8 @@ closed forms, and the default 65 x 33 grid has 137 keys for its 2,145
 points and evolves 128 (265 and 248 at (9, 5/2)). The grid's bookkeeping
 (fold and snap, checkpoint records, CSV rows) runs as array passes over
 the whole grid or a stack's worth of records, and one table of seven
-values per point holds every row, stored, mirrored or computed, from the
-checkpoint to the records returned.
+values per point holds every row, stored, mirrored or computed, and is
+what run_grid returns.
 """
 
 import errno
@@ -64,7 +64,6 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -130,19 +129,6 @@ class GridSpec:
     @property
     def n_points(self) -> int:
         return self.lambda_range[2] * self.g_range[2]
-
-
-class PhaseMapRecord(NamedTuple):
-    """One phase-map point and its five averages; the fields are the CSV
-    columns, in order."""
-
-    lam: float
-    g: float
-    avg_m_sat: float
-    avg_m_c: float
-    avg_entropy: float
-    o_rel_sat: float
-    o_rel_c: float
 
 
 def _stack_rows(shape: CollectiveShape) -> int:
@@ -236,8 +222,10 @@ def _scan(shape: CollectiveShape, points, periods: int,
 
 def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
              report: Callable[[str], None] | None = None
-             ) -> list[PhaseMapRecord]:
-    """Scan the grid, row-major (lambda outer, g inner).
+             ) -> np.ndarray:
+    """Scan the grid: an (n_points, 7) float array, one row per point in
+    row-major order (lambda outer, g inner), its columns those of
+    CSV_HEADER.
 
     Each distinct key (_canonical_points: the fold, each folded angle
     replaced by the grid value within _SNAP steps of it, if any) of the
@@ -252,8 +240,8 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
     no other value to snap to, so a one-point grid evolves at the fold
     itself, and a mirror row of a larger grid may differ in the last bits
     from the one-point grid at its own (lambda, g). Stored, mirrored and
-    computed rows all go into one table of seven values per point, from
-    which the records are built at the end.
+    computed rows all go into one table of seven values per point, which
+    is returned.
 
     With checkpoint_path, records are appended to the checkpoint in grid
     order: before each stack starts, the records of every point whose
@@ -333,7 +321,7 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
         report(f"computed {len(todo)} of {spec.n_points} points "
                f"({len(pending) - len(todo)} by symmetry, "
                f"{len(stored)} resumed)")
-    return list(itertools.starmap(PhaseMapRecord, table.tolist()))
+    return table
 
 
 def _fingerprint(spec: GridSpec) -> tuple:
@@ -491,7 +479,9 @@ def write_rows(destination: str | None, head, rows) -> None:
             os.remove(tmp)
 
 
-def write_csv(records: list[PhaseMapRecord], destination: str) -> None:
-    """Write the phase map through write_rows."""
-    write_rows(destination, [CSV_COMMENT, CSV_HEADER], records)
+def write_csv(table: np.ndarray, destination: str) -> None:
+    """Write the phase map, run_grid's (n_points, 7) table, through
+    write_rows, each value as a Python float."""
+    write_rows(destination, [CSV_COMMENT, CSV_HEADER],
+               map(tuple, table.tolist()))
 

@@ -10,8 +10,9 @@ from spindtc.hilbert import CollectiveShape, x_polarized_state
 from spindtc.spin_algebra import coherent_axis_state
 from spindtc.floquet import precompute, evolve
 from spindtc.observables import trajectory_columns
-from spindtc.diagnostics import (first_revival, predict_dtc_class,
-                                 fit_cosine_amplitude, classify_subsystem)
+from spindtc.diagnostics import (first_revival, lambda_2pi_taxonomy,
+                                 tabulated_period, fit_cosine_amplitude,
+                                 classify_subsystem)
 from spindtc.analytic_states import milestone_state
 from spindtc.metrology import qfi_scan
 from spindtc.sweep import GridSpec, run_grid
@@ -49,13 +50,13 @@ def test_criterion_02_lambda_2pi_taxonomy():
     g = 3.0
     for n_sat, two_s in ((8, 4), (8, 5), (9, 4), (9, 5)):
         sh, _, traj = _trajectory(n_sat, two_s, 2 * np.pi, g, 100)
-        pred = predict_dtc_class(n_sat, two_s, "lambda_2pi")
+        sat, cen, _ = lambda_2pi_taxonomy(sh)
         m_sat = [0.5, *traj[0]]
         m_c = [sh.s, *traj[1]]
-        assert classify_subsystem(m_sat, g, 0.5) == pred.satellite_behavior
-        assert classify_subsystem(m_c, g, sh.s) == pred.central_behavior
-        for series, maximum, behavior in ((m_sat, 0.5, pred.satellite_behavior),
-                                          (m_c, sh.s, pred.central_behavior)):
+        assert classify_subsystem(m_sat, g, 0.5) == sat
+        assert classify_subsystem(m_c, g, sh.s) == cen
+        for series, maximum, behavior in ((m_sat, 0.5, sat),
+                                          (m_c, sh.s, cen)):
             if behavior == "sinusoidal":
                 amp, resid = fit_cosine_amplitude(series[::2], g)
                 assert abs(amp - maximum) < 1e-8
@@ -186,8 +187,8 @@ def test_criterion_10_regular_ho_periods():
         periods[(lam, g)] = first_revival(
             precompute(sh, lam, g, g), 30)
     assert set(periods.values()) == {12, 24}
-    pred1 = predict_dtc_class(8, 8, "regular_class_1").period
-    pred2 = predict_dtc_class(8, 8, "regular_class_2").period
+    pred1 = tabulated_period(sh, "regular1")
+    pred2 = tabulated_period(sh, "regular2")
     assert {pred1, pred2} == {12, 24}
     print(f"point-to-class mapping (reported, not asserted): {periods}")
 
@@ -197,13 +198,13 @@ def test_criterion_11_phase_map_sanity():
     spec = GridSpec((0.0, 4 * np.pi, 65), (0.0, 2 * np.pi, 33),
                     CollectiveShape(8, 4), 200, 2)
     report = []
-    records = run_grid(spec, report=report.append)
+    table = run_grid(spec, report=report.append)
     assert time.monotonic() - t0 < 600.0
     # the fold's keys: the 17 x 8 cell points with g > 0, and (0, 0) for
     # the g = 0 line
     assert report == ["computed 137 of 2145 points (2008 by symmetry, "
                       "0 resumed)"]
-    entropy = np.array([r.avg_entropy for r in records]).reshape(65, 33)
+    entropy = table[:, 4].reshape(65, 33)     # avg_entropy
     assert np.all(entropy[32, :] < 1e-8)          # lambda = 2pi column
     for i, j in ((16, 8), (48, 8), (16, 24), (48, 24)):
         centre = entropy[i, j]
@@ -216,8 +217,8 @@ def test_criterion_11_phase_map_sanity():
 def test_criterion_12_determinism():
     spec = GridSpec((0.0, 2 * np.pi, 3), (0.2, np.pi, 3),
                     CollectiveShape(3, 1), 16, 2)
-    r1 = run_grid(spec)
-    assert run_grid(spec) == r1 == run_grid(spec)
+    r1 = run_grid(spec).tolist()
+    assert run_grid(spec).tolist() == r1 == run_grid(spec).tolist()
     import os
     import tempfile
     from spindtc.sweep import (CHECKPOINT_MAGIC, _pack_records, _SPEC_INDEX,
@@ -235,4 +236,4 @@ def test_criterion_12_determinism():
                                         CollectiveShape(3, 1), 16, 2))[0]
                 fh.write(_pack_records([index], [rec]))
         resumed = run_grid(spec, checkpoint_path=path)
-    assert resumed == r1
+    assert resumed.tolist() == r1

@@ -308,6 +308,27 @@ def test_classify_rejects_epsilon_outside_0_1(regime, epsilon, capsys):
     assert "epsilon must be in (0, 1)" in err
 
 
+def test_classify_lambda2pi_needs_two_periods(capsys):
+    # one period reads its verdict from the start alone; at (8, 2) it
+    # would print period doubling for the table's sinusoidal motion
+    code = parse_and_dispatch(["classify", "--n-sat", "8", "--spin", "2",
+                               "--regime", "lambda2pi", "--periods", "1"])
+    assert (code, capsys.readouterr()) == (2, (
+        "", "error: the taxonomy needs at least 2 periods, got 1\n"))
+    assert parse_and_dispatch(["classify", "--n-sat", "8", "--spin", "2",
+                               "--regime", "lambda2pi", "--periods", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == \
+        "measured satellites sinusoidal, central sinusoidal"
+
+
+def test_classify_checks_the_shape_first(capsys):
+    # CollectiveShape's own checks run before the regime's table is read
+    code = parse_and_dispatch(["classify", "--n-sat", "0", "--spin", "2",
+                               "--regime", "special"])
+    assert (code, capsys.readouterr()) == (2, (
+        "", "error: n_sat must be a positive integer, got 0\n"))
+
+
 def test_classify_not_tabulated(capsys):
     code = parse_and_dispatch(["classify", "--n-sat", "9", "--spin", "2",
                                "--regime", "regular1"])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from spindtc.hilbert import CollectiveShape, x_polarized_state
 from spindtc.floquet import precompute, evolve
 from spindtc.observables import trajectory_columns, magnetizations
 from spindtc.diagnostics import (stroboscopic_average, relative_order_parameter,
-                                 first_revival,
-                                 predict_dtc_class, fit_cosine_amplitude,
+                                 first_revival, REGIMES, lambda_2pi_taxonomy,
+                                 tabulated_period, fit_cosine_amplitude,
                                  classify_subsystem, DEFAULT_REVIVAL_EPSILON)
 
 from qubit_reference import SystemShape, x_polarized, drive
@@ -202,7 +204,23 @@ def test_first_revival_validation():
 def test_special_ho_table_at_large_n_sat(n_sat, two_s):
     sh = CollectiveShape(n_sat, two_s)
     period = first_revival(_tables(sh, np.pi, np.pi / 2), 64)
-    assert period == predict_dtc_class(n_sat, two_s, "special_ho").period
+    assert period == tabulated_period(sh, "special")
+
+
+def test_special_ho_table_has_one_small_shape_exception():
+    # over n_sat = 1..40 and 2s = 1..8 (320 shapes), the x-polarized start
+    # revives at the tabulated period within 100 periods at every shape but
+    # (1, 1/2), where it revives at period 8, a third of its class's 24.
+    # The table is not changed for it: U^24 is a phase there too
+    # (test_floquet), so 24 is the period of the drive, and 8 that of the
+    # start alone
+    off = {}
+    for n_sat, two_s in itertools.product(range(1, 41), range(1, 9)):
+        sh = CollectiveShape(n_sat, two_s)
+        period = first_revival(_tables(sh, np.pi, np.pi / 2), 100)
+        if period != tabulated_period(sh, "special"):
+            off[n_sat, two_s] = period
+    assert off == {(1, 1): 8}
 
 
 @pytest.mark.parametrize("n_sat,two_s", [(100, 4), (101, 5), (200, 3), (201, 1)])
@@ -211,48 +229,56 @@ def test_lambda_2pi_table_at_large_n_sat(n_sat, two_s):
     sh = CollectiveShape(n_sat, two_s)
     m_sat, m_c = evolve(x_polarized_state(sh), _tables(sh, 2 * np.pi, g), 64,
                         magnetizations)
-    pred = predict_dtc_class(n_sat, two_s, "lambda_2pi")
-    assert classify_subsystem([0.5, *m_sat], g, 0.5) == pred.satellite_behavior
-    assert classify_subsystem([sh.s, *m_c], g, sh.s) == pred.central_behavior
+    sat, cen, _ = lambda_2pi_taxonomy(sh)
+    assert classify_subsystem([0.5, *m_sat], g, 0.5) == sat
+    assert classify_subsystem([sh.s, *m_c], g, sh.s) == cen
 
 
 def test_predict_lambda_2pi_table():
-    p = predict_dtc_class(9, 4, "lambda_2pi")
-    assert p.satellite_behavior == "sinusoidal"
-    assert p.central_behavior == "period doubling"
-    assert p.label == "sub-system DTC"
-    assert predict_dtc_class(9, 5, "lambda_2pi").label == "eternal DTC"
-    assert predict_dtc_class(8, 4, "lambda_2pi").label == "Rabi oscillation"
+    assert lambda_2pi_taxonomy(CollectiveShape(9, 4)) == (
+        "sinusoidal", "period doubling", "sub-system DTC")
+    assert lambda_2pi_taxonomy(CollectiveShape(8, 5)) == (
+        "period doubling", "sinusoidal", "sub-system DTC")
+    assert lambda_2pi_taxonomy(CollectiveShape(9, 5))[2] == "eternal DTC"
+    assert lambda_2pi_taxonomy(CollectiveShape(8, 4))[2] == "Rabi oscillation"
 
 
 def test_predict_special_ho_table():
-    assert predict_dtc_class(8, 8, "special_ho").period == 4
-    assert predict_dtc_class(8, 5, "special_ho").period == 12
-    assert predict_dtc_class(9, 4, "special_ho").period == 12
-    assert predict_dtc_class(9, 5, "special_ho").period == 24
+    # the time of each parity class's full revival, its last milestone
+    for n_sat, two_s, period in ((8, 8, 4), (8, 5, 12), (9, 4, 12),
+                                 (9, 5, 24), (1, 1, 24)):
+        assert tabulated_period(CollectiveShape(n_sat, two_s),
+                                "special") == period
 
 
 def test_predict_regular_tables():
-    assert predict_dtc_class(8, 8, "regular_class_1").period == 24
-    assert predict_dtc_class(8, 8, "regular_class_2").period == 12
-    assert predict_dtc_class(6, 4, "regular_class_1").period == 24
+    assert tabulated_period(CollectiveShape(8, 8), "regular1") == 24
+    assert tabulated_period(CollectiveShape(8, 8), "regular2") == 12
+    assert tabulated_period(CollectiveShape(6, 4), "regular1") == 24
     with pytest.raises(NotTabulatedError):
-        predict_dtc_class(9, 4, "regular_class_1")
+        tabulated_period(CollectiveShape(9, 4), "regular1")
     with pytest.raises(NotTabulatedError):
-        predict_dtc_class(8, 5, "regular_class_2")
-    with pytest.raises(ShapeError):
-        predict_dtc_class(8, 4, "no_such_regime")
-    with pytest.raises(ShapeError, match="invalid"):
-        predict_dtc_class(0, 4, "special_ho")
+        tabulated_period(CollectiveShape(8, 5), "regular2")
+    for regime in ("no_such_regime", "lambda2pi"):
+        with pytest.raises(ShapeError, match="no tabulated period"):
+            tabulated_period(CollectiveShape(8, 4), regime)
+
+
+def test_regime_table_holds_the_command_names_and_points():
+    # classify's --regime values and each one's default (lambda, g)
+    assert {name: point for name, (point, _) in REGIMES.items()} == {
+        "lambda2pi": (2 * np.pi, 3.0), "special": (np.pi, np.pi / 2),
+        "regular1": (np.pi, np.pi / 4), "regular2": (np.pi / 2, np.pi / 2)}
 
 
 def test_regular_tables_hold_every_reachable_key():
     # even n_sat and integer s reach the keys (n_sat mod 4, s even?) with
     # n_sat mod 4 in {0, 2}: both tables hold all four
-    for regime in ("regular_class_1", "regular_class_2"):
+    for regime in ("regular1", "regular2"):
         for n_sat in (4, 6):
             for two_s in (2, 4):
-                assert predict_dtc_class(n_sat, two_s, regime).period in (12, 24)
+                assert tabulated_period(CollectiveShape(n_sat, two_s),
+                                        regime) in (12, 24)
 
 
 # README's regular-table comparison as measured: first_revival over 100
@@ -324,3 +350,12 @@ def test_classify_subsystem_labels():
     # one point, m(0), measures nothing
     with pytest.raises(ShapeError, match="empty trajectory"):
         classify_subsystem([0.5], g, 0.5)
+
+
+def test_classify_subsystem_needs_a_driven_even_period():
+    # with one period the only even sample is the start, so any motion
+    # would read as period doubling; two periods are the least that
+    # classify reads
+    with pytest.raises(ShapeError, match="at least 2 periods, got 1"):
+        classify_subsystem([0.5, 0.1], 3.0, 0.5)
+    assert classify_subsystem([0.5, -0.5, 0.5], 3.0, 0.5) == "period doubling"

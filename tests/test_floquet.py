@@ -9,7 +9,7 @@ from spindtc.hilbert import CollectiveShape, x_polarized_state
 from spindtc.observables import trajectory_columns
 from spindtc import floquet, observables
 from spindtc.floquet import precompute, evolve, period_states
-from spindtc.diagnostics import predict_dtc_class
+from spindtc.diagnostics import tabulated_period
 
 from qubit_reference import (SystemShape, x_polarized, spread, drive,
                              magnetizations, entropy, oracle_unitaries,
@@ -416,7 +416,7 @@ def test_basis_changes_once_per_block(monkeypatch):
 
 def test_special_point_drive_is_a_phase_after_its_period():
     # at (pi, pi/2), U^r = c * 1 on the whole collective space, r being the
-    # special HO-DTC period of the parity class (predict_dtc_class): 4 (even
+    # special HO-DTC period of the parity class (tabulated_period): 4 (even
     # n_sat, integer s), 12 (even, half-integer), 12 (odd, integer) and 24
     # (odd, half-integer). Three random states come back as one c times
     # themselves
@@ -424,7 +424,7 @@ def test_special_point_drive_is_a_phase_after_its_period():
     for n_sat, two_s in itertools.product(
             (1, 2, 3, 4, 5, 6, 9, 64, 199, 200, 201, 202), range(1, 9)):
         shape = CollectiveShape(n_sat, two_s)
-        r = predict_dtc_class(n_sat, two_s, "special_ho").period
+        r = tabulated_period(shape, "special")
         start = np.array([_random_state(shape.dims, rng)
                           for _ in range(3)])
         state = start.copy()

@@ -7,7 +7,7 @@ import pytest
 from spindtc.errors import ShapeError
 from spindtc.hilbert import CollectiveShape
 from spindtc import metrology
-from spindtc.diagnostics import predict_dtc_class
+from spindtc.diagnostics import tabulated_period
 from spindtc.metrology import QfiMatrix, qfi_scan, DEFAULT_DELTA
 from spindtc.floquet import _STACK_ENTRIES
 
@@ -289,8 +289,9 @@ def test_fisher_information_grows_as_the_square_of_whole_periods():
     scans = []
     for n_sat, two_s in itertools.product((2, 3, 4, 5, 8, 9, 33, 101),
                                           range(1, 6)):
-        r = predict_dtc_class(n_sat, two_s, "special_ho").period
-        scans.append((CollectiveShape(n_sat, two_s), [r, 2 * r, 4 * r]))
+        shape = CollectiveShape(n_sat, two_s)
+        r = tabulated_period(shape, "special")
+        scans.append((shape, [r, 2 * r, 4 * r]))
     for (shape, _), (base, *multiples) in zip(scans, qfi_scan(scans, *SPECIAL)):
         for k, q in zip((2, 4), multiples):
             scale = max(abs(q.f_ll), abs(q.f_gg))

@@ -11,9 +11,9 @@ from spindtc import cli
 from spindtc.floquet import precompute, evolve
 from spindtc.observables import trajectory_columns
 from spindtc.diagnostics import (stroboscopic_average,
-                                 relative_order_parameter, predict_dtc_class)
+                                 relative_order_parameter, lambda_2pi_taxonomy)
 from spindtc import observables, sweep
-from spindtc.sweep import (GridSpec, PhaseMapRecord, run_grid,
+from spindtc.sweep import (GridSpec, run_grid,
                            read_checkpoint, write_csv, fold, CSV_HEADER,
                            CHECKPOINT_MAGIC, _pack_records)
 
@@ -71,20 +71,19 @@ def test_grid_axes_and_count():
 
 def test_run_grid_row_major_order():
     spec = _small_spec()
-    records = run_grid(spec)
-    assert len(records) == 9
+    table = run_grid(spec)
+    assert table.shape == (9, 7) and table.dtype == float
     lams = spec.lambdas
     gs = spec.gs
     for i, lam in enumerate(lams):
         for j, g in enumerate(gs):
-            rec = records[i * 3 + j]
-            assert rec.lam == pytest.approx(lam)
-            assert rec.g == pytest.approx(g)
+            assert table[i * 3 + j, :2].tolist() == [lam, g]
 
 
 def test_worker_determinism():
     spec = _small_spec()
-    assert run_grid(spec) == run_grid(spec) == run_grid(spec)
+    assert run_grid(spec).tolist() == run_grid(spec).tolist() \
+        == run_grid(spec).tolist()
 
 
 def _count_work(monkeypatch):
@@ -138,8 +137,8 @@ def _at_canonical_grid_point(spec, index):
     lam, g = keys[index]
     rec = run_grid(GridSpec((lam, lam, 1), (g, g, 1), spec.shape,
                             spec.periods, spec.stride))[0]
-    return PhaseMapRecord(float(lams[i]), float(gs[j]),
-                          *sweep._mirror(rec[2:], mirrored[index]))
+    return [float(lams[i]), float(gs[j]),
+            *sweep._mirror(rec[2:], mirrored[index]).tolist()]
 
 
 def test_row_independent_of_batch(monkeypatch):
@@ -151,7 +150,7 @@ def test_row_independent_of_batch(monkeypatch):
     assert sweep._stack_rows(CollectiveShape(8, 4)) == 271
     monkeypatch.setattr(sweep, "_stack_rows", lambda shape: 8)
     assert len(_distinct_keys(spec)) == 21
-    records = run_grid(spec)
+    records = run_grid(spec).tolist()
     for i, j in ((4, 4), (12, 12), (8, 0), (16, 13)):
         index = i * 17 + j
         assert (index, _at_canonical_grid_point(spec, index)) \
@@ -223,21 +222,21 @@ def test_benchmark_grid_evolves_2_of_its_45_points(tmp_path, monkeypatch):
         (np.pi, np.pi / 2)]
     work = _count_work(monkeypatch)
     path = tmp_path / "map.ckpt"
-    records = run_grid(spec, checkpoint_path=str(path))
+    records = run_grid(spec, checkpoint_path=str(path)).tolist()
     assert sum(work) == 2 * spec.periods
     # mirror rows repeat their canonical row, which is on this grid, with
     # both o_rel negated at a mirror image under g -> pi - g
-    by_point = {(r.lam, r.g): r for r in records}
+    by_point = {tuple(r[:2]): r for r in records}
     for rec, key, mirror in zip(records, keys.tolist(), mirrored):
         canonical = by_point[tuple(key)][2:]
-        assert rec[2:] == tuple(sweep._mirror(canonical, mirror).tolist())
+        assert rec[2:] == sweep._mirror(canonical, mirror).tolist()
     # the g = pi column
     assert [index for index, mirror in enumerate(mirrored) if mirror] == \
         list(range(2, 45, 5))
     whole = path.read_bytes()
     path.write_bytes(whole[:-32])
     work.clear()
-    assert run_grid(spec, checkpoint_path=str(path)) == records
+    assert run_grid(spec, checkpoint_path=str(path)).tolist() == records
     assert sum(work) == 0
     assert path.read_bytes() == whole
 
@@ -254,15 +253,15 @@ def test_grid_matches_unfolded_scan(tmp_path, monkeypatch, shape, stride):
     points = [(float(lam), float(g))
               for lam in spec.lambdas for g in spec.gs]
     path = tmp_path / "map.ckpt"
-    records = run_grid(spec, checkpoint_path=str(path))
+    records = run_grid(spec, checkpoint_path=str(path)).tolist()
     unfolded = sweep._scan(shape, points, spec.periods, stride)
     for rec, point, values in zip(records, points, unfolded):
-        assert (rec.lam, rec.g) == point
+        assert tuple(rec[:2]) == point
         np.testing.assert_allclose(rec[2:], values, rtol=0, atol=1e-12)
     whole = path.read_bytes()
     path.write_bytes(whole[:-32])
     work = _count_work(monkeypatch)
-    assert run_grid(spec, checkpoint_path=str(path)) == records
+    assert run_grid(spec, checkpoint_path=str(path)).tolist() == records
     assert sum(work) == 0
     assert path.read_bytes() == whole
 
@@ -285,15 +284,14 @@ def test_no_kick_line_takes_the_record_of_the_origin(monkeypatch, shape,
         if stride % 2 == 0:
             assert fold(lam, np.pi, shape, stride) == (0.0, 0.0, True)
     work = _count_work(monkeypatch)
-    records = run_grid(spec)
+    records = run_grid(spec).tolist()
     origin = records[0][2:]
     line = [(k, False) for k in range(0, 45, 5)] + \
         [(k, False) for k in range(4, 45, 5)]
     if stride % 2 == 0:
         line += [(k, True) for k in range(2, 45, 5)]
     for index, mirrored in line:
-        assert records[index][2:] == \
-            tuple(sweep._mirror(origin, mirrored).tolist())
+        assert records[index][2:] == sweep._mirror(origin, mirrored).tolist()
     # g = pi/2 and 3pi/2 fold onto the lambdas of the cell, and at an odd
     # stride so does g = pi: one evolution each, but none on lambda = 0 or
     # 2pi, which have closed forms; the line's record is the start's, with
@@ -339,10 +337,10 @@ def test_no_kick_record_is_the_start_series(monkeypatch, shape, stride,
     # the lambda axis of the no-kick line alone
     spec = GridSpec((0.0, 4 * np.pi, 9), (0.0, 0.0, 1), shape, periods,
                     stride)
-    records = run_grid(spec)
+    records = run_grid(spec).tolist()
     for lam in (0.0, 1.3, np.pi, 4 * np.pi - 0.1):
         records += run_grid(GridSpec((lam, lam, 1), (0.0, 0.0, 1), shape,
-                                     periods, stride))
+                                     periods, stride)).tolist()
     assert work == []
     for rec in records:
         assert [v.hex() for v in rec[2:]] == [float(v).hex() for v in want]
@@ -372,12 +370,12 @@ def test_engine_follows_the_closed_form_on_lambda_0_and_2pi(shape):
     # The engine checks the closed form that _scan writes for these rows
     periods = 60
     n = np.arange(1, periods + 1)
-    table = predict_dtc_class(shape.n_sat, shape.two_s, "lambda_2pi")
+    taxonomy = lambda_2pi_taxonomy(shape)
     for lam, g in itertools.product((0.0, 2 * np.pi), (0.3, 1.1, 3.0)):
         phi_j, phi_c = (
             np.where(lam == 2 * np.pi and behavior == "period doubling",
                      n % 2, n) * g
-            for behavior in (table.satellite_behavior, table.central_behavior))
+            for behavior in taxonomy[:2])
         want = np.stack([n, 0.5 * np.cos(phi_j), shape.s * np.cos(phi_c),
                          np.zeros(periods),
                          np.cos(phi_j / 2) ** (2 * shape.n_sat)
@@ -507,12 +505,12 @@ def test_resume_mid_chunk(tmp_path, monkeypatch):
     spec = _criterion_11_subgrid(4, 2)
     monkeypatch.setattr(sweep, "_stack_rows", lambda shape: 8)
     path = tmp_path / "mid.bin"
-    fresh = run_grid(spec, checkpoint_path=str(path))
+    fresh = run_grid(spec, checkpoint_path=str(path)).tolist()
     whole = path.read_bytes()
     path.write_bytes(whole[:len(CHECKPOINT_MAGIC) + 64 * 21])
     assert len(read_checkpoint(str(path), spec)) == 20
     work = _count_work(monkeypatch)
-    assert run_grid(spec, checkpoint_path=str(path)) == fresh
+    assert run_grid(spec, checkpoint_path=str(path)).tolist() == fresh
     assert work == [8 * spec.periods, 6 * spec.periods]
     assert path.read_bytes() == whole
 
@@ -522,13 +520,13 @@ def test_disentangled_column_at_lambda_2pi():
     for g in (0.3, 1.1, 2.0, 3.0):
         rec = run_grid(GridSpec((2 * np.pi, 2 * np.pi, 1), (g, g, 1), sh,
                                 24, 2))[0]
-        assert rec.avg_entropy < 1e-8
+        assert rec[4] < 1e-8     # avg_entropy
 
 
 def test_special_point_revival_average():
     rec = run_grid(GridSpec((np.pi, np.pi, 1), (np.pi / 2, np.pi / 2, 1),
                             CollectiveShape(8, 5), 24, 12))[0]
-    assert rec.avg_m_sat == pytest.approx(0.5, abs=1e-8)
+    assert rec[2] == pytest.approx(0.5, abs=1e-8)     # avg_m_sat
 
 
 def test_csv_round_trip(tmp_path):
@@ -539,16 +537,15 @@ def test_csv_round_trip(tmp_path):
     write_csv(records, str(p1))
     # the comment line and the column names, then one row per record
     assert p1.read_text().splitlines()[1] == CSV_HEADER
-    back = [PhaseMapRecord(*row) for row in
-            np.loadtxt(p1, delimiter=",", skiprows=2).tolist()]
+    back = np.loadtxt(p1, delimiter=",", skiprows=2)
     write_csv(back, str(p2))
     assert p1.read_text() == p2.read_text()
-    assert back == records
+    assert back.tolist() == records.tolist()
 
 
 def test_csv_empty_and_errors(tmp_path):
     p = tmp_path / "empty.csv"
-    write_csv([], str(p))
+    write_csv(np.empty((0, 7)), str(p))
     text = p.read_text().splitlines()
     assert text[0].startswith("#")
     assert text[1] == "lambda,g,avg_m_sat,avg_m_c,avg_entropy,o_rel_sat,o_rel_c"
@@ -559,14 +556,14 @@ def test_checkpoint_round_trip(tmp_path):
     # record 7 of this 3 x 4 grid sits at (1, 2)
     spec = GridSpec((0.0, 2.0, 3), (-1.0, 2.0, 4), CollectiveShape(3, 1), 16, 2)
     path = tmp_path / "c.bin"
-    rec = PhaseMapRecord(1.0, 2.0, 0.25, -0.5, 0.01, 0.1, -0.1)
+    rec = [1.0, 2.0, 0.25, -0.5, 0.01, 0.1, -0.1]
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(_pack_records([sweep._SPEC_INDEX], [sweep._fingerprint(spec)]))
         fh.write(_pack_records([7], [rec]))
     frames = read_checkpoint(str(path), spec)
     assert frames["index"].tolist() == [7]
-    assert PhaseMapRecord(*frames["values"][0].tolist()) == rec
+    assert frames["values"][0].tolist() == rec
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"NOPE")
     with pytest.raises(CheckpointError):
@@ -603,7 +600,7 @@ def test_checkpoint_holds_the_records_known_before_a_failed_stack(
     spec = _criterion_11_subgrid(4, 2)
     monkeypatch.setattr(sweep, "_stack_rows", lambda shape: 8)
     fresh_path = tmp_path / "fresh.ckpt"
-    fresh = run_grid(spec, checkpoint_path=str(fresh_path))
+    fresh = run_grid(spec, checkpoint_path=str(fresh_path)).tolist()
     keys, _ = sweep._canonical_points(spec)
     firsts = sorted({tuple(key): k for k, key
                      in reversed(list(enumerate(keys.tolist())))}.values())
@@ -625,13 +622,13 @@ def test_checkpoint_holds_the_records_known_before_a_failed_stack(
     assert ahead > 8
     assert path.read_bytes() == \
         fresh_path.read_bytes()[:header + ahead * sweep._FRAME.itemsize]
-    assert run_grid(spec, checkpoint_path=str(path)) == fresh
+    assert run_grid(spec, checkpoint_path=str(path)).tolist() == fresh
     assert path.read_bytes() == fresh_path.read_bytes()
 
 
 def test_checkpoint_resume_no_recompute(tmp_path, monkeypatch):
     spec = _small_spec()
-    full = run_grid(spec)
+    full = run_grid(spec).tolist()
     path = str(tmp_path / "resume.bin")
     lams = spec.lambdas
     gs = spec.gs
@@ -646,7 +643,7 @@ def test_checkpoint_resume_no_recompute(tmp_path, monkeypatch):
                                     spec.stride))[0]
             fh.write(_pack_records([index], [rec]))
     work = _count_work(monkeypatch)
-    resumed = run_grid(spec, checkpoint_path=path)
+    resumed = run_grid(spec, checkpoint_path=path).tolist()
     ops_resumed = sum(work)
     work.clear()
     run_grid(spec)
@@ -663,10 +660,10 @@ def test_checkpoint_resume_no_recompute(tmp_path, monkeypatch):
 def test_checkpoint_written_during_run(tmp_path):
     spec = _small_spec()
     path = str(tmp_path / "fresh.bin")
-    records = run_grid(spec, checkpoint_path=path)
+    table = run_grid(spec, checkpoint_path=path)
     frames = read_checkpoint(path, spec)
     assert frames["index"].tolist() == list(range(9))
-    assert [PhaseMapRecord(*row) for row in frames["values"].tolist()] == records
+    assert frames["values"].tolist() == table.tolist()
 
 
 @pytest.mark.parametrize("kept", [2, 34])
@@ -680,7 +677,7 @@ def test_resume_from_cut_record(tmp_path, monkeypatch, kept):
                     16, 2)
     assert len(_distinct_keys(spec)) == spec.n_points
     path = tmp_path / "cut.bin"
-    fresh = run_grid(spec, checkpoint_path=str(path))
+    fresh = run_grid(spec, checkpoint_path=str(path)).tolist()
     whole = path.read_bytes()
     path.write_bytes(whole[:len(whole) - 64 + kept])
     with pytest.raises(CheckpointError):
@@ -688,7 +685,7 @@ def test_resume_from_cut_record(tmp_path, monkeypatch, kept):
     work = _count_work(monkeypatch)
     report = []
     resumed = run_grid(spec, checkpoint_path=str(path), report=report.append)
-    assert resumed == fresh
+    assert resumed.tolist() == fresh
     # the cut point's row alone
     assert report == ["computed 1 of 9 points (0 by symmetry, 8 resumed)"]
     assert sum(work) == 0
@@ -737,13 +734,14 @@ def test_resume_rejects_checkpoint_of_another_spec(tmp_path, n_sat, spin,
 
 def test_csv_write_is_atomic(tmp_path):
     path = tmp_path / "map.csv"
-    records = run_grid(_small_spec())
-    write_csv(records, str(path))
+    table = run_grid(_small_spec())
+    write_csv(table, str(path))
     before = path.read_bytes()
     # a row the formatter rejects fails the write part-way
-    bad = records[4]._replace(avg_m_c="x")
+    bad = table.astype(object)
+    bad[4, 3] = "x"     # avg_m_c
     with pytest.raises(TypeError):
-        write_csv(records[:4] + [bad] + records[5:], str(path))
+        write_csv(bad, str(path))
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["map.csv"]
 
@@ -767,18 +765,18 @@ def test_empty_checkpoint_starts_fresh(tmp_path, monkeypatch):
             run_grid(spec, checkpoint_path=str(path))
     assert len(read_checkpoint(str(path), spec)) == 0
     path.write_bytes(b"")
-    assert run_grid(spec, checkpoint_path=str(path)) == run_grid(spec)
-    assert [PhaseMapRecord(*row) for row in
-            read_checkpoint(str(path), spec)["values"].tolist()] == run_grid(spec)
+    fresh = run_grid(spec).tolist()
+    assert run_grid(spec, checkpoint_path=str(path)).tolist() == fresh
+    assert read_checkpoint(str(path), spec)["values"].tolist() == fresh
 
 
 def test_collective_grid_beyond_the_full_layout():
     # n_sat = 64 at s = 2 is far past the 2^n layout's capacity
     spec = GridSpec((0.5, 2.5, 3), (0.3, 1.9, 3), CollectiveShape(64, 4), 12, 2)
-    records = run_grid(spec)
+    records = run_grid(spec).tolist()
     lams, gs = spec.lambdas, spec.gs
     assert records == [run_grid(GridSpec((lam, lam, 1), (g, g, 1), spec.shape,
-                                         12, 2))[0]
+                                         12, 2))[0].tolist()
                        for lam in lams.tolist() for g in gs.tolist()]
 
 
@@ -789,7 +787,8 @@ def test_resume_from_cut_fingerprint(tmp_path):
     path = tmp_path / "map.ckpt"
     run_grid(spec, checkpoint_path=str(path))
     path.write_bytes(path.read_bytes()[:len(CHECKPOINT_MAGIC) + 30])
-    assert run_grid(spec, checkpoint_path=str(path)) == run_grid(spec)
+    assert run_grid(spec, checkpoint_path=str(path)).tolist() \
+        == run_grid(spec).tolist()
     with pytest.raises(CheckpointError, match="written for"):
         run_grid(_small_spec(periods=32), checkpoint_path=str(path))
 
@@ -842,7 +841,7 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     path, fresh = tmp_path / "map.ckpt", tmp_path / "fresh.csv"
     assert cli.parse_and_dispatch(
         argv + ["--checkpoint", str(path), "--output", str(fresh)]) == 0
-    records = run_grid(spec)
+    records = run_grid(spec).tolist()
     want = b"DTC1" + _packed_record(2 ** 32 - 1, (3, 1, 16, 2, 3, 3, 5)) + \
         b"".join(_packed_record(index, rec)
                  for index, rec in enumerate(records))
@@ -862,12 +861,12 @@ def test_checkpoint_with_a_repeated_index_is_rejected(tmp_path):
     # CSV
     spec = _small_spec()
     rec = run_grid(GridSpec((0.0, 0.0, 1), (0.1, 0.1, 1), spec.shape,
-                            spec.periods, spec.stride))[0]
+                            spec.periods, spec.stride))[0].tolist()
     path = tmp_path / "map.ckpt"
     path.write_bytes(b"DTC1"
                      + _packed_record(2 ** 32 - 1, (3, 1, 16, 2, 3, 3, 5))
                      + _packed_record(0, rec)
-                     + _packed_record(0, rec[:2] + (9.0,) * 5))
+                     + _packed_record(0, rec[:2] + [9.0] * 5))
     with pytest.raises(CheckpointError, match="grid index 0 more than once"):
         read_checkpoint(str(path), spec)
     out = tmp_path / "map.csv"

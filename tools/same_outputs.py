@@ -15,7 +15,10 @@ shows every byte in which the two trees' outputs differ.
 
 The commands: evolve on and off the closed-form lines lambda = 0 and 2pi
 mod 4pi, with a negative period count on both; every classify regime, with
-zero and negative period counts; classify --regime lambda2pi at all four
+zero and negative period counts; the regular regimes at a shape their
+tables do not cover, regular1 at (9, 2) and regular2 at (8, 5/2); special
+and lambda2pi at (1, 1/2), the smallest shape, where the start revives at
+period 8, not at the table's 24; classify --regime lambda2pi at all four
 parity classes, (8, 2), (8, 5/2), (9, 2) and (9, 5/2), so that both the
 'sinusoidal' and the 'period doubling' reading of each subsystem run; the
 revival search's stopping rule:
@@ -52,6 +55,7 @@ _SHAPE_9 = ["--n-sat", "9", "--spin", "5/2"]
 _SHAPE_8 = ["--n-sat", "8", "--spin", "2"]
 _SHAPE_8_HALF = ["--n-sat", "8", "--spin", "5/2"]
 _SHAPE_9_INT = ["--n-sat", "9", "--spin", "2"]
+_SHAPE_1_HALF = ["--n-sat", "1", "--spin", "1/2"]
 _MAP_9X5 = ["--lambda-steps", "9", "--g-steps", "5"]
 
 
@@ -112,6 +116,12 @@ COMMANDS = [
                                          "1.3", "--g", "0.7"), None),
     ("classify-regular1", _classify("regular1", _SHAPE_8), None),
     ("classify-regular2", _classify("regular2", _SHAPE_8), None),
+    ("classify-regular1-9-2", _classify("regular1", _SHAPE_9_INT), None),
+    ("classify-regular2-8-5over2", _classify("regular2", _SHAPE_8_HALF),
+     None),
+    ("classify-special-1-1over2", _classify("special", _SHAPE_1_HALF), None),
+    ("classify-lambda2pi-1-1over2", _classify("lambda2pi", _SHAPE_1_HALF),
+     None),
     ("classify-lambda2pi-zero", _classify("lambda2pi", _SHAPE_9, "--periods",
                                           "0"), None),
     ("classify-lambda2pi-negative", _classify("lambda2pi", _SHAPE_9,

@@ -9,7 +9,9 @@ Every row of the stack is computed by the same operations whatever the other
 rows are, so a point's record does not depend on which points share its
 stack (a fresh run and any resume agree bitwise), and results are returned
 in row-major order (lambda outer, g inner). Checkpoints let an interrupted
-scan resume without recomputing finished points.
+scan resume without recomputing finished points: a scan opens its
+checkpoint once and reads, repairs and appends to it through that handle,
+and a scan without one keeps its records in memory and touches no file.
 
 The drive U = e^{i lambda J^x S^x} e^{-i g (J^z + S^z)} gives every point
 the map record of its canonical point (fold), so each distinct canonical
@@ -58,6 +60,7 @@ what run_grid returns.
 """
 
 import errno
+import io
 import itertools
 import math
 import os
@@ -243,19 +246,21 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
     computed rows all go into one table of seven values per point, which
     is returned.
 
-    Records are appended to the checkpoint at checkpoint_path in grid
-    order, or, without one, to os.devnull, which holds no records to
-    resume: before each stack starts, the records of every point whose
-    values are known by then go out in one write and one flush, and the
-    rest at the end. A restart skips them; a point whose key a stored
-    record shares takes the values of the lowest such record, mapped back
-    from a mirror image, without an evolution. A trailing record cut short
-    by a crash mid-write is dropped from the file, and its point is
+    The checkpoint at checkpoint_path is opened once, and read, repaired
+    and appended to through that one handle; without one, the same steps
+    run on an empty buffer in memory (64 bytes per point, thrown away),
+    and no file is touched. Records are appended in grid order: before
+    each stack starts, the records of every point whose values are known
+    by then go out in one write and one flush, and the rest at the end. A
+    restart skips them; a point whose key a stored record shares takes the
+    values of the lowest such record, mapped back from a mirror image,
+    without an evolution. A trailing record cut short by a crash mid-write
+    is dropped from the file (_drop_cut_record), and its point is
     recomputed, or takes the values of a stored record of its key; a
     checkpoint without the spec fingerprint, or written for another grid,
     shape, period count or stride, or with records of another
     RECORD_VERSION, or that holds a grid index twice, raises
-    CheckpointError (read_checkpoint). The checkpoint's header is on disk
+    CheckpointError (_read_records). The checkpoint's header is on disk
     before the first stack starts, and an empty checkpoint (a scan killed
     before then), or one cut inside its header, starts a fresh scan.
     report, if given, receives one line at the end: the points computed
@@ -274,38 +279,41 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
     table = np.empty((spec.n_points, 7))    # every point's record
     table[:, 0], table[:, 1] = np.repeat(lams, len(gs)), np.tile(gs, len(lams))
     resumed = np.zeros(spec.n_points, bool)
-    if checkpoint_path is None:
-        checkpoint_path = os.devnull
-    if os.path.exists(checkpoint_path):
+    with (io.BytesIO() if checkpoint_path is None
+          else open(checkpoint_path, "a+b")) as ckpt:
+        ckpt.seek(0)
+        data = ckpt.read()
         # appending after a cut record would corrupt the file for good
-        _drop_cut_record(checkpoint_path)
-        if os.path.getsize(checkpoint_path) > 0:
-            frames = read_checkpoint(checkpoint_path, spec)
+        whole = _drop_cut_record(data)
+        if len(whole) < len(data):
+            ckpt.truncate(len(whole))
+        if whole:
+            frames = _read_records(whole, spec, checkpoint_path)
             table[frames["index"]] = frames["values"]
             resumed[frames["index"]] = True
-    stored, pending = np.flatnonzero(resumed), np.flatnonzero(~resumed)
-    values = np.empty((spec.n_points, 5))   # each head's five averages
-    # a stored key's values: those of its lowest stored record
-    stored_heads, lowest = np.unique(heads[stored], return_index=True)
-    lowest = stored[lowest]
-    values[stored_heads] = _mirror(table[lowest, 2:], mirrored[lowest])
-    # the heads of the keys without values, in grid order: every point of
-    # such a key is pending, so each stack's first head is the next
-    # pending point without values
-    unknown = heads == np.arange(spec.n_points)
-    unknown[stored_heads] = False
-    todo = np.flatnonzero(unknown)
-    size = _stack_rows(spec.shape)
-    # before stack k, the records of the pending points ahead of its
-    # first head are known; after the last, every record
-    ends = [*np.searchsorted(pending, todo[::size]).tolist(), len(pending)]
-    with open(checkpoint_path, "ab") as ckpt:
-        if ckpt.tell() == 0:
+        else:
             ckpt.write(CHECKPOINT_MAGIC
                        + _pack_records([_SPEC_INDEX], [_fingerprint(spec)]))
             ckpt.flush()
-        begin = 0
-        for k, end in enumerate(ends):
+        stored, pending = np.flatnonzero(resumed), np.flatnonzero(~resumed)
+        values = np.empty((spec.n_points, 5))   # each head's five averages
+        # a stored key's values: those of its lowest stored record
+        stored_heads, lowest = np.unique(heads[stored], return_index=True)
+        lowest = stored[lowest]
+        values[stored_heads] = _mirror(table[lowest, 2:], mirrored[lowest])
+        # the heads of the keys without values, in grid order: every point
+        # of such a key is pending, so each stack's first head is the next
+        # pending point without values
+        unknown = heads == np.arange(spec.n_points)
+        unknown[stored_heads] = False
+        todo = np.flatnonzero(unknown)
+        size = _stack_rows(spec.shape)
+        # before stack k, the records of pending[bounds[k]:bounds[k + 1]]
+        # go out: those ahead of its first head, which are known by then;
+        # after the last, the rest
+        bounds = [0, *np.searchsorted(pending, todo[::size]).tolist(),
+                  len(pending)]
+        for k, (begin, end) in enumerate(itertools.pairwise(bounds)):
             part = pending[begin:end]
             table[part, 2:] = _mirror(values[heads[part]], mirrored[part])
             ckpt.write(_pack_records(part, table[part]))
@@ -314,7 +322,6 @@ def run_grid(spec: GridSpec, checkpoint_path: str | None = None,
             if stack.size:
                 values[stack] = _scan(spec.shape, keys[stack], spec.periods,
                                       spec.stride)
-            begin = end
     if report is not None:
         report(f"computed {len(todo)} of {spec.n_points} points "
                f"({len(pending) - len(todo)} by symmetry, "
@@ -362,41 +369,43 @@ def _check_grid(spec: GridSpec, indices: np.ndarray, values: np.ndarray,
         f"written for another grid")
 
 
-def _drop_cut_record(path: str) -> None:
-    """Truncate a checkpoint that ends inside a record, as a crash mid-write
-    leaves it, to the end of its last whole record. Records have one size,
-    so the cut is whatever follows the last whole one; read_checkpoint still
-    rejects every other malformation. The magic and the first record (the
-    fingerprint) go out in one flush, so a file cut anywhere inside them,
-    the magic itself included, is emptied, and the scan writes its header
-    anew."""
-    size = os.path.getsize(path)
-    magic = len(CHECKPOINT_MAGIC)
+def _drop_cut_record(data: bytes) -> bytes:
+    """data, a checkpoint's bytes, without the part of a record that a
+    crash mid-write leaves at its end: cut to the end of its last whole
+    record. Records have one size, so the cut is whatever follows the last
+    whole one; _read_records still rejects every other malformation. The
+    magic and the first record (the fingerprint) go out in one flush, so
+    bytes cut anywhere inside them, the magic itself included, come back
+    empty, and the scan writes its header anew."""
+    size, magic = len(data), len(CHECKPOINT_MAGIC)
     whole = size - (size - magic) % _FRAME.itemsize if size > magic else 0
-    if whole == size:
-        return
-    with open(path, "rb") as fh:
-        head = fh.read(magic)
-        fh.seek(whole)
-        tail = fh.read(len(_RECORD_LENGTH))
-    if CHECKPOINT_MAGIC.startswith(head) and (
-            size <= magic or _RECORD_LENGTH.startswith(tail)):
-        os.truncate(path, whole if whole > magic else 0)
+    if whole < size and CHECKPOINT_MAGIC.startswith(data[:magic]) and (
+            size <= magic or _RECORD_LENGTH.startswith(
+                data[whole:whole + len(_RECORD_LENGTH)])):
+        return data[:whole if whole > magic else 0]
+    return data
 
 
 def read_checkpoint(path: str, spec: GridSpec) -> np.ndarray:
-    """The records of a checkpoint file of a scan of spec, in file order,
-    as a structured array with one entry per record: its grid index
-    ("index") and its seven values ("values").
+    """The records of the checkpoint file at path, written by a scan of
+    spec, in file order, as a structured array with one entry per record:
+    its grid index ("index") and its seven values ("values"). The file is
+    read as it is, and checked as a resume checks it (_read_records)."""
+    with open(path, "rb") as fh:
+        return _read_records(fh.read(), spec, path)
+
+
+def _read_records(data: bytes, spec: GridSpec, path: str) -> np.ndarray:
+    """The records of data, the bytes of the checkpoint at path, as
+    read_checkpoint returns them.
 
     Every record must sit on spec's grid at its index, no index may
     repeat, and the spec fingerprint stored after the magic must be
-    spec's, RECORD_VERSION included; CheckpointError names the first
-    mismatch, and is raised for a file without the fingerprint, whose
+    spec's, RECORD_VERSION included; CheckpointError names path and the
+    first mismatch, and is raised for bytes without the fingerprint, whose
     records nothing ties to a scan.
     """
-    with open(path, "rb") as fh:
-        magic, body = fh.read(len(CHECKPOINT_MAGIC)), fh.read()
+    magic, body = data[:len(CHECKPOINT_MAGIC)], data[len(CHECKPOINT_MAGIC):]
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad checkpoint magic {magic!r} in {path}")
     frames = np.frombuffer(body, _FRAME, len(body) // _FRAME.itemsize)

@@ -282,6 +282,26 @@ def test_odd_half_forms_on_the_walk_at_large_n_sat(n_sat):
     _assert_pinned(q, (*_odd_half_form(n_sat, 5), 0.0))
 
 
+# ROADMAP item 8: exact (f_ll, f_gg) of five more classes at (pi, pi/2),
+# n = 48, each as its coefficients of (N^2, N, 1), with f_lg = 0. Each
+# holds on every N of its class measured in 16..128, and is pinned here on
+# three N between 8 and 64. A class with f_gg = 0 is README's "singular"
+# one, whose gain is nan
+@pytest.mark.parametrize("two_s,sizes,f_ll,f_gg", [
+    (4, (9, 23, 61), (128, 384, 0), (0, 1280, 1024)),
+    (4, (10, 30, 62), (576, 576, 0), (0, 1152, 0)),
+    (2, (8, 32, 64), (144, 288, 0), (0, 0, 2304)),
+    (2, (10, 30, 62), (144, 0, 0), (0, 0, 0)),
+    (6, (10, 30, 62), (1296, 0, 0), (0, 0, 0)),
+], ids=["s2-odd", "s2-2mod4", "s1-0mod4", "s1-2mod4", "s3-2mod4"])
+def test_exact_forms_of_five_classes(two_s, sizes, f_ll, f_gg):
+    rows = qfi_scan([(CollectiveShape(n, two_s), [48]) for n in sizes],
+                    *SPECIAL)
+    for n, (q,) in zip(sizes, rows):
+        want = [a * n * n + b * n + c for a, b, c in (f_ll, f_gg)]
+        _assert_pinned(q, (*want, 0.0))
+
+
 def test_fisher_information_grows_as_the_square_of_whole_periods():
     # U^r = c * 1 at (pi, pi/2), r the special HO-DTC period (4, 12, 12 and
     # 24 by parity class), so d_a(U^{kr}) psi = k c^{k-1} d_a(U^r) psi and

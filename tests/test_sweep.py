@@ -503,7 +503,9 @@ def test_resume_mid_chunk(tmp_path, monkeypatch):
     # were keys 0-7, 8-15 and 16-20, the resume's are the other 14 keys in
     # two stacks of 8 and 6, and every row must come out the same. The
     # same scan without a checkpoint, run in an empty directory, leaves it
-    # empty and returns bitwise the same table
+    # empty and returns bitwise the same table, and it reads no file: not
+    # even os.devnull, here a regular file holding another grid's whole
+    # checkpoint, which stays as it is
     spec = _criterion_11_subgrid(4, 2)
     monkeypatch.setattr(sweep, "_stack_rows", lambda shape: 8)
     path = tmp_path / "mid.bin"
@@ -515,11 +517,16 @@ def test_resume_mid_chunk(tmp_path, monkeypatch):
     resumed = run_grid(spec, checkpoint_path=str(path))
     assert work == [8 * spec.periods, 6 * spec.periods]
     assert path.read_bytes() == whole
+    other = tmp_path / "null"
+    run_grid(_small_spec(), checkpoint_path=str(other))
+    held = other.read_bytes()
+    monkeypatch.setattr(os, "devnull", str(other))
     bare = tmp_path / "bare"
     bare.mkdir()
     monkeypatch.chdir(bare)
     assert run_grid(spec).tobytes() == fresh.tobytes() == resumed.tobytes()
     assert list(bare.iterdir()) == []
+    assert other.read_bytes() == held
 
 
 def test_disentangled_column_at_lambda_2pi():
@@ -679,23 +686,42 @@ def test_resume_from_cut_record(tmp_path, monkeypatch, kept):
     # bytes; the resume drops it, recomputes that point and leaves the file
     # whole, byte for byte as an uninterrupted run writes it. Every point of
     # this grid is in the cell, so no stored record shares the last point's
-    # key, (2pi, 1.2), whose record is the closed form's, with no evolution
+    # key, (2pi, 1.2), whose record is the closed form's, with no evolution.
+    # The fresh scan, this resume and a resume from the whole file each
+    # open the checkpoint once
     spec = GridSpec((0.0, 2 * np.pi, 3), (0.1, 1.2, 3), CollectiveShape(3, 1),
                     16, 2)
     assert len(_distinct_keys(spec)) == spec.n_points
     path = tmp_path / "cut.bin"
-    fresh = run_grid(spec, checkpoint_path=str(path)).tolist()
+    opened = []
+
+    def counted(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    def scan(report=None):
+        # the scan's rows, and how often it opened the checkpoint
+        before = opened.count(str(path))
+        rows = run_grid(spec, checkpoint_path=str(path), report=report)
+        return rows.tolist(), opened.count(str(path)) - before
+
+    monkeypatch.setattr(sweep, "open", counted, raising=False)
+    fresh, fresh_opens = scan()
     whole = path.read_bytes()
     path.write_bytes(whole[:len(whole) - 64 + kept])
     with pytest.raises(CheckpointError):
         read_checkpoint(str(path), spec)
     work = _count_work(monkeypatch)
     report = []
-    resumed = run_grid(spec, checkpoint_path=str(path), report=report.append)
-    assert resumed.tolist() == fresh
+    resumed, cut_opens = scan(report.append)
+    assert resumed == fresh
     # the cut point's row alone
     assert report == ["computed 1 of 9 points (0 by symmetry, 8 resumed)"]
     assert sum(work) == 0
+    assert path.read_bytes() == whole
+    again, whole_opens = scan()
+    assert again == fresh
+    assert [fresh_opens, cut_opens, whole_opens] == [1, 1, 1]
     assert path.read_bytes() == whole
     assert len(read_checkpoint(str(path), spec)) == spec.n_points
 

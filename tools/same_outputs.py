@@ -38,7 +38,9 @@ its 221 points computed, 84 by symmetry), and a one-point lambda axis at
 states at (8, 2), (8, 5/2), (9, 2) and
 (9, 5/2), one parity class each, listing the milestone times and printing
 every milestone, then an unsupported time and a 2^n basis over the
-amplitude budget.
+amplitude budget; last, the 9 x 5 sweep at (8, 2) once more without
+--checkpoint, the one sweep that keeps its records in memory and writes
+no checkpoint file.
 
 Usage: python3 tools/same_outputs.py [--write | --check] SRC [OUT]
 (OUT: a new directory; a fresh temporary one, removed again by --write and
@@ -179,6 +181,8 @@ COMMANDS += [
     ("states-8-2-unsupported", _states("8", "2", "--time", "6"), None),
     ("states-30-1over2-over-budget", _states("30", "1/2", "--time", "3"),
      None),
+    ("sweep-8-9x5-no-checkpoint", ["sweep", *_SHAPE_8, *_MAP_9X5, "--workers",
+                                   "2", "--output", "map.csv"], None),
 ]
 
 

@@ -4,8 +4,7 @@ phase-map sweeps."""
 
 from .errors import (SpinDtcError, ShapeError, CapacityError,
                      NotTabulatedError, CheckpointError)
-from .spin_algebra import (SpinOperators, spin_matrices, x_eigenbasis,
-                           coherent_axis_state)
+from .spin_algebra import x_eigenbasis, coherent_axis_state
 from .hilbert import (CollectiveShape, x_polarized_state,
                       reduced_central_density, von_neumann_entropy)
 from .floquet import StepTables, precompute, evolve

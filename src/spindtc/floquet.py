@@ -9,10 +9,10 @@ X <- (K_s X K_c^T) * P, P the interaction diagonal and
 K = V^H diag(e^{-i g m}) V the kick of each spin in its x basis. It changes
 basis once on entry and once on exit, and hands its observer the states of
 every period in the x basis, where each x magnetization is a population sum
-weighted by magnetic_numbers; evolve returns what the observer reads as
-per-period columns. period_states yields the same x-basis states one
-period at a time, without end, for a caller that decides after each period
-whether to go on (diagnostics.first_revival), and evolve fills its
+weighted by spin_algebra.magnetic_numbers; evolve returns what the observer
+reads as per-period columns. period_states yields the same x-basis states
+one period at a time, without end, for a caller that decides after each
+period whether to go on (diagnostics.first_revival), and evolve fills its
 blocks from it, so every period runs through the one generator behind
 period_states. Period cost is O(D * (n_sat + d)) instead of the dense
 O(D^2). Each row keeps its own
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .hilbert import CollectiveShape
-from .spin_algebra import x_eigenbasis
+from .spin_algebra import magnetic_numbers, x_eigenbasis
 
 # amplitudes of one block of observed periods in evolve. Per-period Python
 # work in the observer is paid once per block, and beyond a few thousand
@@ -81,16 +81,6 @@ def _eigenbases(shape: CollectiveShape) -> tuple[np.ndarray, np.ndarray]:
     """(satellite, central) eigenbases of S^x (columns by descending
     magnetic number)."""
     return x_eigenbasis(shape.n_sat), x_eigenbasis(shape.two_s)
-
-
-def magnetic_numbers(dim: int) -> np.ndarray:
-    """S^z of a spin of dim levels, by descending level: J^z per satellite
-    index at dim = n_sat + 1, central S^z per level at dim = 2s + 1.
-
-    The same numbers are the S^x eigenvalues in the joint x basis
-    (to_x_basis).
-    """
-    return (dim - 1) / 2.0 - np.arange(dim)
 
 
 def _x_basis_kick(v: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -160,11 +150,17 @@ def period_states(state: np.ndarray, tables: StepTables) -> Iterator[np.ndarray]
     array of x-basis state matrices of state's shape, the caller's to keep.
     state is checked and rotated into the joint x basis here, at the call,
     and is not changed: a state whose last two axes are not
-    tables.shape.dims raises ShapeError before any period. A caller stops
+    tables.shape.dims, or whose leading axes the tables' drive points do
+    not broadcast into, raises ShapeError before any period. A caller stops
     by asking for no more periods."""
     if state.shape[-2:] != tables.shape.dims:
         raise ShapeError(f"state matrices of shape {state.shape[-2:]} != "
                          f"{tables.shape.dims} of {tables.shape}")
+    rows, points = state.shape[:-2], tables.interaction_phases.shape[:-2]
+    if len(points) > len(rows) or any(
+            p not in (1, r) for p, r in zip(points[::-1], rows[::-1])):
+        raise ShapeError(f"drive points of shape {points} do not broadcast "
+                         f"into state matrices of leading shape {rows}")
     return _drive(to_x_basis(state, tables.shape), tables)
 
 

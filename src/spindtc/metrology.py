@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import CollectiveShape, x_polarized_state
-from .floquet import (check_periods, finite_angles, magnetic_numbers,
-                      _STACK_ENTRIES, _eigenbases)
+from .floquet import check_periods, finite_angles, _STACK_ENTRIES, _eigenbases
+from .spin_algebra import magnetic_numbers
 
 DEFAULT_DELTA = 1e-4
 _ROUNDING_RTOL = 1e-12

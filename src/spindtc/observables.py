@@ -5,7 +5,7 @@ period-doubled dynamics flips between +-x products, so <S^x> is the
 signal with the +-1/2 (satellite) and +-s (central) ranges.
 
 In the joint x basis (floquet.to_x_basis) an x magnetization is the
-populations |X|^2 weighted by floquet.magnetic_numbers.
+populations |X|^2 weighted by spin_algebra.magnetic_numbers.
 floquet.evolve hands its observer states in the joint x basis, so the
 per-period columns (trajectory_columns) read them there: the x
 magnetizations, the entropy of the central density (the basis change is
@@ -40,8 +40,8 @@ import numpy as np
 from .errors import ShapeError
 from .hilbert import (CollectiveShape, x_polarized_state,
                       reduced_central_density, _hermitian_entropy)
-from .floquet import (check_periods, finite_angles, precompute, evolve,
-                      magnetic_numbers)
+from .floquet import check_periods, finite_angles, precompute, evolve
+from .spin_algebra import magnetic_numbers
 
 
 def _populations(amps: np.ndarray) -> np.ndarray:

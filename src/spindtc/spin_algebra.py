@@ -1,4 +1,5 @@
-"""Spin-s operator matrices, the S^x eigenbasis and extremal coherent states.
+"""Single-spin facts: the magnetic numbers, the S^x eigenbasis and extremal
+coherent states.
 
 Conventions: hbar = 1, Condon-Shortley phases for the ladder operators,
 z basis ordered by descending magnetic quantum number (index l holds m = s - l).
@@ -7,22 +8,11 @@ closed form, so its phases never come from an eigensolver.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ShapeError
-
-
-@dataclass(frozen=True)
-class SpinOperators:
-    """The three spin components for a spin s = two_s / 2 particle."""
-
-    two_s: int
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
 
 
 def check_positive_int(name: str, value) -> None:
@@ -31,34 +21,31 @@ def check_positive_int(name: str, value) -> None:
         raise ShapeError(f"{name} must be a positive integer, got {value!r}")
 
 
-def spin_matrices(two_s: int) -> SpinOperators:
-    """Build sx, sy, sz for spin s = two_s / 2 from the ladder operators."""
-    check_positive_int("two_s", two_s)
-    d = two_s + 1
-    s = two_s / 2.0
-    m = s - np.arange(d)  # descending: s, s-1, ..., -s
-    # S+ |s, m> = sqrt(s(s+1) - m(m+1)) |s, m+1>; row index of m+1 is one above m
-    raising = np.zeros((d, d), dtype=complex)
-    for l in range(1, d):
-        raising[l - 1, l] = np.sqrt(s * (s + 1) - m[l] * (m[l] + 1))
-    lowering = raising.conj().T
-    sx = (raising + lowering) / 2.0
-    sy = (raising - lowering) / 2j
-    sz = np.diag(m).astype(complex)
-    return SpinOperators(two_s=int(two_s), sx=sx, sy=sy, sz=sz)
+def magnetic_numbers(dim: int) -> np.ndarray:
+    """S^z of a spin of dim levels, by descending level: J^z per satellite
+    index at dim = n_sat + 1, central S^z per level at dim = 2s + 1.
+
+    The same numbers are the S^x eigenvalues in the joint x basis
+    (floquet.to_x_basis).
+    """
+    return (dim - 1) / 2.0 - np.arange(dim)
 
 
 @lru_cache(maxsize=64, typed=True)
 def x_eigenbasis(two_s: int) -> np.ndarray:
     """Real orthogonal matrix whose columns are eigenvectors of S^x: eigh
-    of the real S^x, float64.
+    of the real S^x, (S+ + S-) / 2 from the ladder, float64.
 
     Columns are ordered by descending eigenvalue (column l holds m = s - l)
     and each column's sign is fixed so its first nonzero entry is positive,
     making the matrix deterministic. Built once per two_s and shared, so
     the array is read-only.
     """
-    evals, vecs = np.linalg.eigh(spin_matrices(two_s).sx.real)
+    check_positive_int("two_s", two_s)
+    s, m = two_s / 2.0, magnetic_numbers(two_s + 1)
+    # S+ |s, m> = sqrt(s(s+1) - m(m+1)) |s, m+1>, one row above the column of m
+    ladder = np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1))
+    evals, vecs = np.linalg.eigh((np.diag(ladder, 1) + np.diag(ladder, -1)) / 2.0)
     vecs = vecs[:, np.argsort(evals)[::-1]]
     first = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(two_s + 1)]
     vecs = vecs / np.sign(first)

@@ -10,7 +10,8 @@ popcount k (spread). Nothing here uses that symmetry: drive kicks in the z
 basis and rotates every qubit into its x basis for the interaction, and the
 oracle builds dense unitaries from explicit operator sums. A drive point
 is its angles (lam, g_s, g_c), one tuple. From spindtc it takes only the
-spin matrices, the x eigenbasis and the coherent states.
+x eigenbasis and the coherent states; the oracle's spin matrices are the
+test-side qfi_reference.spin_operators.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,9 @@ from math import comb
 
 import numpy as np
 
-from spindtc.spin_algebra import spin_matrices, x_eigenbasis, coherent_axis_state
+from spindtc.spin_algebra import x_eigenbasis, coherent_axis_state
+
+from qfi_reference import spin_operators
 
 
 @dataclass(frozen=True)
@@ -140,14 +143,14 @@ def oracle_unitaries(shape: SystemShape, angles) -> tuple[np.ndarray, np.ndarray
     """Dense (U_d, U_0) at angles (lam, g_s, g_c), built from explicit
     operator sums."""
     lam, g_s, g_c = angles
-    qubit, central = spin_matrices(1), spin_matrices(shape.two_s)
+    (qx, _, qz), (cx, _, cz) = spin_operators(1), spin_operators(shape.two_s)
     sat_identity = np.eye(1 << shape.n_sat)
-    h_kick = g_c * np.kron(sat_identity, central.sz)
-    sxc = np.kron(sat_identity, central.sx)
-    h_int = np.zeros((shape.dim, shape.dim), dtype=complex)
+    h_kick = g_c * np.kron(sat_identity, cz)
+    sxc = np.kron(sat_identity, cx)
+    h_int = np.zeros((shape.dim, shape.dim))
     for i in range(shape.n_sat):
-        h_kick = h_kick + g_s * _site_operator(shape, i, qubit.sz)
-        h_int = h_int + _site_operator(shape, i, qubit.sx) @ sxc
+        h_kick = h_kick + g_s * _site_operator(shape, i, qz)
+        h_int = h_int + _site_operator(shape, i, qx) @ sxc
     return _expm_hermitian(h_kick, -1j), _expm_hermitian(h_int, 1j * lam)
 
 

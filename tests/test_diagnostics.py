@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,40 @@ def test_evolve_draws_exactly_n_periods(monkeypatch, rows):
                          tables, n, magnetizations)
         assert count == [n]
         assert all(len(c) == n for c in columns)
+
+
+def test_drive_points_that_do_not_fit_the_state_are_refused(monkeypatch):
+    # tables of two drive points do not broadcast into one state matrix or
+    # into a stack of 3 or (3, 1) rows: evolve and first_revival (whose
+    # start is one state matrix) raise ShapeError naming both shapes, before
+    # any period, and leave the state as it was
+    count = _count_periods(monkeypatch)
+    sh = CollectiveShape(8, 4)
+    tables = precompute(sh, [np.pi, np.pi / 2], np.pi / 2, np.pi / 2)
+    calls = []
+    for rows in ((), (3,), (3, 1)):
+        st = np.broadcast_to(x_polarized_state(sh), rows + sh.dims).copy()
+        with pytest.raises(ShapeError, match=re.escape(
+                f"(2,) do not broadcast into state matrices of leading shape {rows}")):
+            evolve(st, tables, 3, calls.append)
+        np.testing.assert_array_equal(st, np.broadcast_to(x_polarized_state(sh), st.shape))
+    with pytest.raises(ShapeError, match=re.escape("(2,) do not broadcast into "
+                                                   "state matrices of leading shape ()")):
+        first_revival(tables, 30)
+    assert count == [0] and calls == []
+    # one point's tables drive a stack of 3 rows, and two points' tables a
+    # stack of 2 or of (3, 2) rows, each row as its point alone
+    for lam, rows in ((np.pi, (3,)), ([np.pi, 1.3], (2,)), ([np.pi, 1.3], (3, 2))):
+        st = np.broadcast_to(x_polarized_state(sh), rows + sh.dims).copy()
+        m_sat, m_c = evolve(st, precompute(sh, lam, np.pi / 2, np.pi / 2), 3,
+                            magnetizations)
+        assert m_sat.shape == (3,) + rows
+        for row in np.ndindex(rows):
+            alone = evolve(x_polarized_state(sh),
+                           precompute(sh, np.broadcast_to(lam, rows)[row],
+                                      np.pi / 2, np.pi / 2), 3, magnetizations)
+            np.testing.assert_allclose(m_sat[(slice(None),) + row], alone[0],
+                                       rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("layout", [CollectiveShape, SystemShape])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spindtc.errors import ShapeError
-from spindtc.spin_algebra import coherent_axis_state
+from spindtc.spin_algebra import coherent_axis_state, magnetic_numbers
 from spindtc.hilbert import CollectiveShape, x_polarized_state
 from spindtc.observables import trajectory_columns
 from spindtc import floquet, observables
@@ -90,7 +90,7 @@ def test_kick_factors_are_the_kick_in_the_x_basis(shape):
     # stacked tables; for one satellite K_s is the closed-form qubit rotation
     rng = np.random.default_rng(5)
     points = np.array([(1.1, 0.7, 2.3), (0.4, -1.9, 0.3)])
-    m_sat, m_c = map(floquet.magnetic_numbers, shape.dims)
+    m_sat, m_c = map(magnetic_numbers, shape.dims)
     for angles in (points[0], points):
         t = precompute(shape, *angles.T)
         _, g_s, g_c = (a[..., None, None] for a in angles.T)

@@ -282,18 +282,26 @@ def test_odd_half_forms_on_the_walk_at_large_n_sat(n_sat):
     _assert_pinned(q, (*_odd_half_form(n_sat, 5), 0.0))
 
 
-# ROADMAP item 8: exact (f_ll, f_gg) of five more classes at (pi, pi/2),
-# n = 48, each as its coefficients of (N^2, N, 1), with f_lg = 0. Each
-# holds on every N of its class measured in 16..128, and is pinned here on
-# three N between 8 and 64. A class with f_gg = 0 is README's "singular"
-# one, whose gain is nan
+# ROADMAP item 8: exact (f_ll, f_gg) of nine more classes at (pi, pi/2),
+# n = 48, each as its coefficients of (N^2, N, 1), with f_lg = 0. The
+# integer-s forms hold on every N of their class measured in 16..128, the
+# half-integer N = 2 mod 4 ones (with k = 2s: f_ll = 16 k N^2 +
+# 32 k (k + 1) N, or 64 N at k = 1, and f_gg = 256 N^2 + 256 N + 256 k) on
+# every N = 2 mod 4 in 16..256; each is pinned here on three N between 8
+# and 64. A class with f_gg = 0 is README's "singular" one, whose gain is
+# nan
 @pytest.mark.parametrize("two_s,sizes,f_ll,f_gg", [
     (4, (9, 23, 61), (128, 384, 0), (0, 1280, 1024)),
     (4, (10, 30, 62), (576, 576, 0), (0, 1152, 0)),
     (2, (8, 32, 64), (144, 288, 0), (0, 0, 2304)),
     (2, (10, 30, 62), (144, 0, 0), (0, 0, 0)),
     (6, (10, 30, 62), (1296, 0, 0), (0, 0, 0)),
-], ids=["s2-odd", "s2-2mod4", "s1-0mod4", "s1-2mod4", "s3-2mod4"])
+    (1, (10, 30, 62), (0, 64, 0), (256, 256, 256)),
+    (3, (10, 30, 62), (48, 384, 0), (256, 256, 768)),
+    (5, (10, 30, 62), (80, 960, 0), (256, 256, 1280)),
+    (7, (10, 30, 62), (112, 1792, 0), (256, 256, 1792)),
+], ids=["s2-odd", "s2-2mod4", "s1-0mod4", "s1-2mod4", "s3-2mod4",
+        "s1/2-2mod4", "s3/2-2mod4", "s5/2-2mod4", "s7/2-2mod4"])
 def test_exact_forms_of_five_classes(two_s, sizes, f_ll, f_gg):
     rows = qfi_scan([(CollectiveShape(n, two_s), [48]) for n in sizes],
                     *SPECIAL)

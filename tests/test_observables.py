@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spindtc.errors import ShapeError
-from spindtc.spin_algebra import coherent_axis_state, spin_matrices
+from spindtc.spin_algebra import coherent_axis_state
 from spindtc.hilbert import (CollectiveShape, x_polarized_state,
                              reduced_central_density, von_neumann_entropy)
 from spindtc.floquet import precompute, evolve, to_x_basis, from_x_basis
@@ -12,6 +12,8 @@ from spindtc.observables import (magnetizations, trajectory_columns,
                                  product_series, is_product_line, series)
 from spindtc.analytic_states import milestone_state
 from spindtc import observables
+
+from qfi_reference import spin_operators
 
 
 def _shape_of(st):
@@ -99,9 +101,9 @@ def test_magnetization_matches_dense_operator_oracle():
         st /= np.linalg.norm(st)
         m_sat, m_c = _x_magnetizations(st)
         v = st.ravel()
-        total = np.kron(spin_matrices(n_sat).sx, np.eye(sh.central_dim))
+        total = np.kron(spin_operators(n_sat)[0], np.eye(sh.central_dim))
         want_sat = np.vdot(v, total @ v).real / n_sat
-        cen_op = np.kron(np.eye(n_sat + 1), spin_matrices(two_s).sx)
+        cen_op = np.kron(np.eye(n_sat + 1), spin_operators(two_s)[0])
         want_cen = np.vdot(v, cen_op @ v).real
         assert m_sat == pytest.approx(want_sat, abs=1e-11)
         assert m_c == pytest.approx(want_cen, abs=1e-11)
@@ -271,8 +273,8 @@ def _z_basis_observables(st):
 def _dense_x_magnetizations(shape, z):
     """(satellite, central) <S^x> of a z-basis state matrix from spin
     matrices applied in the z basis, independent of the population sums."""
-    central = np.vdot(z, z @ spin_matrices(shape.two_s).sx.T).real
-    return np.vdot(z, spin_matrices(shape.n_sat).sx @ z).real / shape.n_sat, central
+    central = np.vdot(z, z @ spin_operators(shape.two_s)[0].T).real
+    return np.vdot(z, spin_operators(shape.n_sat)[0] @ z).real / shape.n_sat, central
 
 
 def _check_columns(shape, x, columns):

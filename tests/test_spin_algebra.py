@@ -4,47 +4,33 @@ import numpy as np
 import pytest
 
 from spindtc.errors import ShapeError
-from spindtc.spin_algebra import spin_matrices, x_eigenbasis, coherent_axis_state
+from spindtc.spin_algebra import magnetic_numbers, x_eigenbasis, coherent_axis_state
 
-
-def test_spin_half_matrices():
-    ops = spin_matrices(1)
-    np.testing.assert_allclose(ops.sz, np.diag([0.5, -0.5]), atol=1e-15)
-    np.testing.assert_allclose(ops.sx, [[0, 0.5], [0.5, 0]], atol=1e-15)
-
-
-def test_spin_two_sz_diagonal():
-    ops = spin_matrices(4)
-    np.testing.assert_allclose(ops.sz, np.diag([2, 1, 0, -1, -2]), atol=1e-15)
-
-
-def test_spin_two_sx_ladder_entry():
-    # row m=2, col m=1: sqrt(s(s+1) - m(m-1))/2 with s=2, m=2 gives 1
-    ops = spin_matrices(4)
-    assert ops.sx[0, 1] == pytest.approx(1.0, abs=1e-12)
+from qfi_reference import spin_operators
 
 
 def test_invalid_two_s_rejected():
     for bad in (0, -1, 1.5):
         with pytest.raises(ShapeError):
-            spin_matrices(bad)
+            x_eigenbasis(bad)
         with pytest.raises(ShapeError):
             coherent_axis_state(bad, "x", "+")
 
 
 @pytest.mark.parametrize("two_s", range(1, 13))
 def test_algebra_invariants(two_s):
-    ops = spin_matrices(two_s)
+    # the test-side spin matrices the references and the tests below build on
+    sx, sy, sz = spin_operators(two_s)
     s = two_s / 2.0
-    for m in (ops.sx, ops.sy, ops.sz):
+    for m in (sx, sy, sz):
         np.testing.assert_allclose(m, m.conj().T, atol=1e-12)
-    comm = ops.sx @ ops.sy - ops.sy @ ops.sx
-    np.testing.assert_allclose(comm, 1j * ops.sz, atol=1e-10)
-    comm = ops.sy @ ops.sz - ops.sz @ ops.sy
-    np.testing.assert_allclose(comm, 1j * ops.sx, atol=1e-10)
-    comm = ops.sz @ ops.sx - ops.sx @ ops.sz
-    np.testing.assert_allclose(comm, 1j * ops.sy, atol=1e-10)
-    casimir = ops.sx @ ops.sx + ops.sy @ ops.sy + ops.sz @ ops.sz
+    comm = sx @ sy - sy @ sx
+    np.testing.assert_allclose(comm, 1j * sz, atol=1e-10)
+    comm = sy @ sz - sz @ sy
+    np.testing.assert_allclose(comm, 1j * sx, atol=1e-10)
+    comm = sz @ sx - sx @ sz
+    np.testing.assert_allclose(comm, 1j * sy, atol=1e-10)
+    casimir = sx @ sx + sy @ sy + sz @ sz
     np.testing.assert_allclose(casimir, s * (s + 1) * np.eye(two_s + 1), atol=1e-10)
 
 
@@ -59,8 +45,11 @@ def test_eigenbasis_diagonalizes(two_s):
     v = x_eigenbasis(two_s)
     s = two_s / 2.0
     np.testing.assert_allclose(v.T @ v, np.eye(two_s + 1), atol=1e-12)
-    np.testing.assert_allclose(v.T @ spin_matrices(two_s).sx @ v,
-                               np.diag(s - np.arange(two_s + 1)), atol=1e-12)
+    # its eigenvalues, by column, are the magnetic numbers s, s - 1, .., -s
+    m = magnetic_numbers(two_s + 1)
+    np.testing.assert_array_equal(m, s - np.arange(two_s + 1))
+    np.testing.assert_allclose(v.T @ spin_operators(two_s)[0] @ v, np.diag(m),
+                               atol=1e-12)
 
 
 def test_eigenbasis_phase_convention():
@@ -93,8 +82,7 @@ def test_coherent_minus_y_spin_half():
 @pytest.mark.parametrize("axis", ["x", "y", "z"])
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_coherent_expectation_extremal(two_s, axis, sign):
-    ops = spin_matrices(two_s)
-    op = {"x": ops.sx, "y": ops.sy, "z": ops.sz}[axis]
+    op = spin_operators(two_s)["xyz".index(axis)]
     a = coherent_axis_state(two_s, axis, sign)
     want = (1 if sign == "+" else -1) * two_s / 2.0
     assert np.vdot(a, op @ a).real == pytest.approx(want, abs=1e-12)
